@@ -6,22 +6,6 @@ configuration choices documented here so nobody mistakes them for ones.
 
 from dataclasses import dataclass
 
-# Lateral width of the BEV workspace in meters (engineering default; the
-# custom-grid construction is stated in a [0, W] frame and re-centered).
-DEFAULT_BEV_WIDTH_M = 20.0
-
-# Longitudinal distance from the ego origin to the first anchor row
-# (engineering default).
-DEFAULT_Y_ORIGIN_M = 3.0
-
-# Probability threshold that turns the adjacency matrix into directed edges
-# (engineering default, exposed as --t-a on the CLI).
-DEFAULT_EDGE_THRESHOLD = 0.5
-
-# Number of per-keypoint classification channels, including background at
-# index 0 (engineering default sized for OpenLane-style category sets).
-DEFAULT_CATEGORIES = 21
-
 # Lane-to-lane matching thresholds used by the evaluation protocol, meters.
 EVAL_THRESHOLDS_M = (1.5, 0.5)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nms import as_proposal_set
+
 
 def _as_probs(adjacency):
     probs = adjacency.probs if isinstance(adjacency, AdjacencyMatrix) else adjacency
@@ -143,20 +145,21 @@ def _dijkstra(node_count, out_adj, source):
 def aggregate_lane_attributes(keypoints):
     """Lane class and confidence from member keypoints.
 
-    Class: argmax of the mean per-class probability vector, ties to the
-    lowest id.  Confidence: mean of each keypoint's max class score.
+    ``keypoints`` is a ProposalSet or a sequence of Keypoints.  Class: argmax
+    of the mean per-class probability vector, ties to the lowest id.
+    Confidence: mean of each keypoint's max class score.
     """
-    keypoints = list(keypoints)
-    if not keypoints:
+    members = as_proposal_set(keypoints)
+    if not len(members):
         raise ValueError("cannot aggregate an empty lane")
-    if all(k.class_scores.size for k in keypoints):
-        stacked = np.stack([k.class_scores for k in keypoints])
-        category = int(np.argmax(stacked.mean(axis=0)))
-        confidence = float(stacked.max(axis=1).mean())
+    if members.score_counts.all():
+        scores = members.class_scores
+        category = int(np.argmax(scores.mean(axis=0)))
+        confidence = float(scores.max(axis=1).mean())
     else:
         # unclassified keypoints: single implicit class, foreground confidence
         category = 0
-        confidence = float(np.mean([k.confidence for k in keypoints]))
+        confidence = float(np.mean(members.confidences))
     return category, confidence
 
 
@@ -167,17 +170,20 @@ def extract_lanes(keypoints, adjacency, t_a=0.5):
     then end index; merges and splits therefore duplicate shared segments
     across instances.  Paths that double back longitudinally (possible only
     when the adjacency links toward smaller y) are dropped so every emitted
-    lane runs strictly forward.
+    lane runs strictly forward.  ``keypoints`` is a ProposalSet or a
+    sequence of Keypoints.
     """
+    proposals = as_proposal_set(keypoints)
     probs = _as_probs(adjacency)
-    if len(probs) != len(keypoints):
+    if len(probs) != len(proposals):
         raise ValueError(f"adjacency is {probs.shape} but there are "
-                         f"{len(keypoints)} keypoints")
+                         f"{len(proposals)} keypoints")
     graph = threshold_adjacency(probs, t_a)
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []
     out_adj = graph.out_neighbors()
+    xyz = np.column_stack([proposals.x + proposals.dx, proposals.y, proposals.z])
 
     lanes = []
     for s in starts:
@@ -189,12 +195,10 @@ def extract_lanes(keypoints, adjacency, t_a=0.5):
             while path[-1] != s:
                 path.append(int(pred[path[-1]]))
             path.reverse()
-            members = [keypoints[i] for i in path]
-            ys = np.array([k.y for k in members])
-            if not np.all(np.diff(ys) > 0):
+            points = xyz[path]
+            if not np.all(np.diff(points[:, 1]) > 0):
                 continue
-            category, confidence = aggregate_lane_attributes(members)
-            points = np.array([[k.refined_x, k.y, k.z] for k in members])
+            category, confidence = aggregate_lane_attributes(proposals.subset(path))
             lanes.append(LaneInstance(path=tuple(path), points=points,
                                       category=category, confidence=confidence))
     return lanes

@@ -17,7 +17,7 @@ from .connection_head import HeadWeights
 from .errors import SchemaError, ValidationError
 from .geometry import CameraModel
 from .metrics import GroundTruthLane
-from .nms import Keypoint, ProposalSet
+from .nms import ProposalSet
 
 DENSE_ADJACENCY_LIMIT = 512
 
@@ -37,8 +37,9 @@ class PredictionFrame:
         if adjacency.shape != (n, n):
             raise ValidationError(f"adjacency must be ({n}, {n}) for {n} keypoints, "
                                   f"got {adjacency.shape}")
-        if adjacency.size and (adjacency.min() < 0.0 or adjacency.max() > 1.0):
-            raise ValidationError("adjacency probabilities must lie in [0, 1]")
+        # NaN propagates through min and max and fails both comparisons.
+        if adjacency.size and not (adjacency.min() >= 0.0 and adjacency.max() <= 1.0):
+            raise ValidationError("adjacency: probabilities must be finite and lie in [0, 1]")
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "frame_id", str(self.frame_id))
 
@@ -49,10 +50,14 @@ def _dump(obj, path):
         fh.write("\n")
 
 
+def _reject_constant(token):
+    raise SchemaError("file", f"non-finite number {token} is not valid JSON")
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
 
@@ -75,14 +80,14 @@ def _require(mapping, field, kind, context=""):
 def save_prediction_frame(frame, path, sparse_adjacency=None):
     """Writes a frame; ``sparse_adjacency`` forces the adjacency encoding,
     by default frames above DENSE_ADJACENCY_LIMIT keypoints go sparse."""
-    keypoints = []
-    for k in frame.keypoints:
-        keypoints.append({
-            "row": k.grid_index[0], "col": k.grid_index[1],
-            "x": k.x, "y": k.y, "dx": k.dx, "z": k.z,
-            "fg_score": k.fg_score,
-            "class_scores": [float(s) for s in k.class_scores],
-        })
+    proposals = frame.keypoints
+    keypoints = [{"row": row, "col": col, "x": x, "y": y, "dx": dx, "z": z,
+                  "fg_score": fg, "class_scores": scores[:count]}
+                 for (row, col), x, y, dx, z, fg, scores, count in zip(
+                     proposals.grid_index.tolist(), proposals.x.tolist(),
+                     proposals.y.tolist(), proposals.dx.tolist(), proposals.z.tolist(),
+                     proposals.fg_score.tolist(), proposals.class_scores.tolist(),
+                     proposals.score_counts.tolist())]
     n = len(frame.keypoints)
     if sparse_adjacency is None:
         sparse_adjacency = n > DENSE_ADJACENCY_LIMIT
@@ -94,7 +99,7 @@ def save_prediction_frame(frame, path, sparse_adjacency=None):
         adjacency = {"format": "sparse", "size": n,
                      "triplets": [[int(i), int(j), float(frame.adjacency[i, j])]
                                   for i, j in zip(src, dst)]}
-    categories = len(frame.keypoints[0].class_scores) if n else 0
+    categories = int(proposals.score_counts[0]) if n else 0
     _dump({"frame_id": frame.frame_id, "camera": frame.camera,
            "categories": categories, "repeats_n": frame.keypoints.repeats_n,
            "keypoints": keypoints, "adjacency": adjacency}, path)
@@ -107,26 +112,29 @@ def load_prediction_frame(path):
     repeats_n = _require(raw, "repeats_n", int)
     camera = raw.get("camera")
 
-    keypoints = []
-    for i, entry in enumerate(_require(raw, "keypoints", list)):
+    if categories < 0:
+        raise SchemaError("categories", f"must be >= 0, got {categories}")
+
+    entries = _require(raw, "keypoints", list)
+    grid_index, fields, scores = [], [], []
+    for i, entry in enumerate(entries):
         ctx = f"keypoints[{i}]."
-        scores = _require(entry, "class_scores", list, ctx)
-        if len(scores) != categories:
+        entry_scores = _require(entry, "class_scores", list, ctx)
+        if len(entry_scores) != categories:
             raise SchemaError(f"keypoints[{i}].class_scores",
-                              f"length {len(scores)}, header says {categories}")
-        fields = dict(
-            grid_index=(_require(entry, "row", int, ctx),
-                        _require(entry, "col", int, ctx)),
-            x=_require(entry, "x", float, ctx),
-            y=_require(entry, "y", float, ctx),
-            dx=_require(entry, "dx", float, ctx),
-            z=_require(entry, "z", float, ctx),
-            fg_score=_require(entry, "fg_score", float, ctx),
-            class_scores=scores)
-        try:
-            keypoints.append(Keypoint(**fields))
-        except ValueError as exc:
-            raise ValidationError(f"keypoints[{i}]: {exc}") from exc
+                              f"length {len(entry_scores)}, header says {categories}")
+        grid_index.append((_require(entry, "row", int, ctx), _require(entry, "col", int, ctx)))
+        fields.append([_require(entry, name, float, ctx)
+                       for name in ("x", "y", "dx", "z", "fg_score")])
+        scores.append(entry_scores)
+    try:
+        scores = np.array(scores, dtype=float).reshape(len(entries), categories)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("keypoints.class_scores", f"expected lists of numbers ({exc})") \
+            from exc
+    x, y, dx, z, fg_score = np.array(fields, dtype=float).reshape(-1, 5).T
+    proposals = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg_score, scores,
+                                        repeats_n=repeats_n)
 
     adj_raw = _require(raw, "adjacency", dict)
     fmt = _require(adj_raw, "format", str, "adjacency.")
@@ -146,8 +154,7 @@ def load_prediction_frame(path):
         raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
 
     try:
-        return PredictionFrame(frame_id=frame_id,
-                               keypoints=ProposalSet(keypoints, repeats_n=repeats_n),
+        return PredictionFrame(frame_id=frame_id, keypoints=proposals,
                                adjacency=adjacency, camera=camera)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .errors import ValidationError
+from .nms import as_proposal_set
+
 # Feasibility limits, in meters.
 MAX_REFINED_DIST_M = 1.0
 MAX_ANCHOR_DIST_M = 2.0
@@ -44,6 +47,10 @@ class GroundTruthKeypoint:
     z: float = 0.0
     category: int = 0
     row: int = None
+
+    def __post_init__(self):
+        if self.category < 0:
+            raise ValidationError(f"category must be >= 0, got {self.category}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,41 +97,54 @@ class Matching:
                            tuple(sorted(int(i) for i in self.unmatched_gts)))
 
 
-def _class_prob(keypoint, category):
-    scores = keypoint.class_scores
-    return float(scores[category]) if category < scores.size else 0.0
+def _equal_pairs(a, b):
+    """All index pairs (i, j) with a[i] == b[j]."""
+    order = np.argsort(a, kind="stable")
+    lo = np.searchsorted(a[order], b, side="left")
+    counts = np.searchsorted(a[order], b, side="right") - lo
+    j = np.repeat(np.arange(len(b)), counts)
+    # the k-th pair overall is the (k - first pair of j)-th match of b[j]
+    first = np.cumsum(counts) - counts
+    i = order[np.repeat(lo - first, counts) + np.arange(len(j))]
+    return i, j
 
 
 def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
-    """Pairwise costs with the three feasibility predicates applied."""
+    """Pairwise costs with the three feasibility predicates applied.
+
+    ``proposals`` is a ProposalSet or a sequence of Keypoints.  The class
+    term is one minus the proposal's score for the GT category; a category
+    at or past the proposal's score count has probability 0.
+    """
+    proposals = as_proposal_set(proposals)
     P, G = len(proposals), len(gts)
     costs = np.full((P, G), np.inf)
     if P == 0 or G == 0:
         return CostMatrix(costs)
 
-    refined = np.array([k.refined_x for k in proposals])
-    anchor = np.array([k.x for k in proposals])
-    prop_row = np.array([k.grid_index[0] for k in proposals])
-    prop_y = np.array([k.y for k in proposals])
     gt_x = np.array([g.x for g in gts])
     gt_y = np.array([g.y for g in gts])
     gt_row = np.array([-1 if g.row is None else g.row for g in gts])
+    gt_cat = np.array([g.category for g in gts])
 
-    refined_dist = np.abs(refined[:, None] - gt_x[None, :])
-    anchor_dist = np.abs(anchor[:, None] - gt_x[None, :])
-    same_row = np.where(gt_row[None, :] >= 0,
-                        prop_row[:, None] == gt_row[None, :],
-                        prop_y[:, None] == gt_y[None, :])
-    feasible = (refined_dist <= MAX_REFINED_DIST_M) \
-        & (anchor_dist <= MAX_ANCHOR_DIST_M) & same_row
+    # Same-row pairs are few, so only they get distances and class terms;
+    # every other cell stays infinite.  A GT with a row pairs by row index,
+    # one without by exact longitudinal position.
+    by_row, by_y = np.flatnonzero(gt_row >= 0), np.flatnonzero(gt_row < 0)
+    p_row, g_row = _equal_pairs(proposals.grid_index[:, 0], gt_row[by_row])
+    p_y, g_y = _equal_pairs(proposals.y, gt_y[by_y])
+    p = np.concatenate([p_row, p_y])
+    g = np.concatenate([by_row[g_row], by_y[g_y]])
+    refined_dist = np.abs(proposals.x[p] + proposals.dx[p] - gt_x[g])
+    anchor_dist = np.abs(proposals.x[p] - gt_x[g])
+    feasible = (refined_dist <= MAX_REFINED_DIST_M) & (anchor_dist <= MAX_ANCHOR_DIST_M)
+    p, g, refined_dist = p[feasible], g[feasible], refined_dist[feasible]
 
-    cls_term = np.empty((P, G))
-    for j, g in enumerate(gts):
-        for i, k in enumerate(proposals):
-            cls_term[i, j] = 1.0 - _class_prob(k, g.category)
-    costs = np.where(feasible,
-                     lambda_dist * refined_dist + lambda_cls * cls_term,
-                     np.inf)
+    # Scores are zero-padded past each proposal's count; one more zero
+    # column stands for every category beyond the widest score vector.
+    scores = np.pad(proposals.class_scores, ((0, 0), (0, 1)))
+    cls_term = 1.0 - scores[p, np.minimum(gt_cat[g], scores.shape[1] - 1)]
+    costs[p, g] = lambda_dist * refined_dist + lambda_cls * cls_term
     return CostMatrix(costs)
 
 

@@ -118,11 +118,9 @@ class _Resampled:
         self.n_pred = int(keep_p.sum())
         self.n_gt = int(keep_g.sum())
 
-    def admissible_cost(self, threshold, rows=None):
+    def admissible_cost(self, threshold):
         """Pair cost matrix: mean both-valid distance, inf when inadmissible."""
         px, pz, pv = self.px, self.pz, self.pv
-        if rows is not None:
-            px, pz, pv = px[rows], pz[rows], pv[rows]
         if len(px) == 0 or self.n_gt == 0:
             return np.full((len(px), self.n_gt), np.inf)
         dist = np.hypot(px[:, None, :] - self.gx[None, :, :],

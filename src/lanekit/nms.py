@@ -6,11 +6,22 @@ candidate keypoints, each refined by a lateral offset ``dx`` and a height
 (scale factor ``r``, side lengths ``r * thresh_x`` by ``r * thresh_y``) and
 runs greedy box suppression at IoU 0.1, so that of several proposals aimed at
 the same target only the most confident survives.
+
+A ``ProposalSet`` stores its proposals as columns: ``grid_index`` (N, 2),
+``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C),
+with ``score_counts`` (N,) giving how many class scores each proposal
+carries (rows are zero-padded past it).  The columns are validated once, when
+the set is made, and are read-only.  ``ProposalSet(keypoints)`` builds them
+from ``Keypoint`` objects; ``ProposalSet.from_arrays`` builds them directly.
+Indexing and iterating still yield ``Keypoint``s: the objects the set was
+built from, or row views made on first use and shared with every subset.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ValidationError
 
 # Below this box count, suppression runs on a precomputed pairwise IoU
 # matrix; above it, memory favors the incremental loop.
@@ -61,20 +72,115 @@ class Keypoint:
         return int(np.argmax(self.class_scores)) if self.class_scores.size else 0
 
 
-@dataclass(frozen=True, eq=False)
+def _reject(field, bad, problem):
+    """Raises for the first row flagged in ``bad``, naming row and field."""
+    if bad.any():
+        row = int(np.argwhere(bad)[0][0])
+        raise ValidationError(f"keypoints[{row}].{field}: {problem}")
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class ProposalSet:
-    """Ordered keypoint proposals, ``repeats_n`` of them per intended target."""
+    """Ordered keypoint proposals, ``repeats_n`` of them per intended target.
 
-    keypoints: tuple
-    repeats_n: int = 1
+    Built from ``Keypoint`` objects, or with ``from_arrays`` from columns;
+    see the module docstring for the storage.
+    """
 
-    def __post_init__(self):
-        if self.repeats_n < 1:
-            raise ValueError("repeats_n must be >= 1")
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
+    def __init__(self, keypoints=(), repeats_n=1):
+        keypoints = tuple(keypoints)
+        fields = np.array([(k.grid_index[0], k.grid_index[1], k.x, k.y, k.dx, k.z, k.fg_score)
+                           for k in keypoints], dtype=float).reshape(-1, 7)
+        counts = np.array([k.class_scores.size for k in keypoints], dtype=np.int64)
+        scores = np.zeros((len(keypoints), int(counts.max(initial=0))))
+        for row, k in zip(scores, keypoints):
+            row[:k.class_scores.size] = k.class_scores
+        self._store(fields[:, :2], *fields[:, 2:].T, scores, counts, repeats_n)
+        self._keypoints = keypoints
+
+    @classmethod
+    def from_arrays(cls, grid_index, x, y, dx=None, z=None, fg_score=None,
+                    class_scores=None, repeats_n=1):
+        """A set straight from columns: ``grid_index`` (N, 2) integers, the
+        rest (N,) floats and ``class_scores`` (N, C).  Omitted columns take
+        the ``Keypoint`` defaults: zero offsets, heights and fg scores, and
+        no class scores."""
+        x = np.asarray(x, dtype=float)
+        n = len(x)
+        grid_index = np.asarray(grid_index)
+        if grid_index.size == 0:
+            grid_index = np.empty((0, 2), dtype=np.int64)
+        if grid_index.shape != (n, 2) or grid_index.dtype.kind not in "iu":
+            raise ValidationError(f"grid_index must be ({n}, 2) integers, "
+                                  f"got {grid_index.shape} {grid_index.dtype}")
+        scores = np.empty((n, 0)) if class_scores is None \
+            else np.asarray(class_scores, dtype=float)
+        if scores.ndim != 2 or len(scores) != n:
+            raise ValidationError(f"class_scores must be ({n}, C), got {scores.shape}")
+        default = np.zeros(n)
+        return cls._of_columns(grid_index, x, y, default if dx is None else dx,
+                               default if z is None else z,
+                               default if fg_score is None else fg_score, scores,
+                               np.full(n, scores.shape[1]), repeats_n)
+
+    @classmethod
+    def _of_columns(cls, *columns):
+        self = cls.__new__(cls)
+        self._store(*columns)
+        return self
+
+    def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, score_counts,
+               repeats_n):
+        """Validates and keeps copies of the columns, as read-only arrays."""
+        if repeats_n < 1:
+            raise ValidationError("repeats_n must be >= 1")
+        n = len(grid_index)
+        columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
+        for name, values in columns.items():
+            values = columns[name] = np.array(values, dtype=float)
+            if values.shape != (n,):
+                raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
+            _reject(name, ~np.isfinite(values), "not finite")
+        fg_score = columns["fg_score"]
+        _reject("fg_score", ~((fg_score >= 0.0) & (fg_score <= 1.0)), "must lie in [0, 1]")
+        # NaN fails both comparisons, so this also rejects non-finite scores.
+        _reject("class_scores", ~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
+                "must be finite and lie in [0, 1]")
+        self.grid_index = _read_only(np.array(grid_index, dtype=np.int64))
+        for name, values in columns.items():
+            setattr(self, name, _read_only(values))
+        self.class_scores = _read_only(np.array(class_scores, dtype=float))
+        self.score_counts = _read_only(np.array(score_counts, dtype=np.int64))
+        self.repeats_n = int(repeats_n)
+        self._keypoints = None
+        self._origin = None     # (set owning the Keypoint objects, its rows)
+
+    @property
+    def keypoints(self):
+        """The proposals as ``Keypoint`` objects, made once on first use."""
+        if self._keypoints is None:
+            if self._origin is not None:
+                owner, rows = self._origin
+                everyone = owner.keypoints
+                self._keypoints = tuple(everyone[i] for i in rows)
+            else:
+                self._keypoints = tuple(self._row_keypoints())
+        return self._keypoints
+
+    def _row_keypoints(self):
+        grid = self.grid_index.tolist()
+        for i, (gi, x, y, dx, z, fg) in enumerate(zip(
+                grid, self.x.tolist(), self.y.tolist(), self.dx.tolist(), self.z.tolist(),
+                self.fg_score.tolist())):
+            yield Keypoint(grid_index=tuple(gi), x=x, y=y, dx=dx, z=z, fg_score=fg,
+                           class_scores=self.class_scores[i, :self.score_counts[i]])
 
     def __len__(self):
-        return len(self.keypoints)
+        return len(self.x)
 
     def __iter__(self):
         return iter(self.keypoints)
@@ -85,15 +191,32 @@ class ProposalSet:
     @property
     def refined_xy(self):
         """(N, 2) refined lateral and longitudinal positions."""
-        return np.array([[k.refined_x, k.y] for k in self.keypoints]).reshape(-1, 2)
+        return np.column_stack([self.x + self.dx, self.y])
 
     @property
     def confidences(self):
-        return np.array([k.confidence for k in self.keypoints])
+        """Per-proposal max class score, or fg_score where there are none."""
+        return np.where(self.score_counts > 0, self.class_scores.max(axis=1, initial=0.0),
+                        self.fg_score)
 
     def subset(self, indices):
-        return ProposalSet(keypoints=tuple(self.keypoints[i] for i in indices),
-                           repeats_n=self.repeats_n)
+        """The proposals at ``indices``, in that order, sharing this set's
+        ``Keypoint`` objects."""
+        rows = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = ProposalSet.__new__(ProposalSet)
+        out.grid_index = _read_only(self.grid_index[rows])
+        for name in ("x", "y", "dx", "z", "fg_score", "class_scores", "score_counts"):
+            setattr(out, name, _read_only(getattr(self, name)[rows]))
+        out.repeats_n = self.repeats_n
+        owner, owner_rows = self._origin or (self, np.arange(len(self)))
+        out._origin = (owner, owner_rows[rows])
+        out._keypoints = None
+        return out
+
+
+def as_proposal_set(proposals):
+    """``proposals`` as a ProposalSet; a sequence of Keypoints is converted."""
+    return proposals if isinstance(proposals, ProposalSet) else ProposalSet(proposals)
 
 
 def select_topn_proposals(score_map, grid, n):
@@ -111,14 +234,11 @@ def select_topn_proposals(score_map, grid, n):
         raise ValueError(f"n must be in [0, {scores.size}], got {n}")
     flat = scores.reshape(-1)
     order = np.argsort(-flat, kind="stable")[:n]
-    keypoints = []
-    for idx in order:
-        row, col = divmod(int(idx), grid.cols)
-        x, y = grid.positions[row, col]
-        keypoints.append(Keypoint(grid_index=(row, col), x=float(x), y=float(y),
-                                  fg_score=float(flat[idx]),
-                                  class_scores=np.array([flat[idx]])))
-    return ProposalSet(keypoints=tuple(keypoints))
+    rows, cols = np.divmod(order, grid.cols)
+    positions = grid.positions[rows, cols]
+    return ProposalSet.from_arrays(np.column_stack([rows, cols]), positions[:, 0],
+                                   positions[:, 1], fg_score=flat[order],
+                                   class_scores=flat[order][:, np.newaxis])
 
 
 def apply_offsets(proposals, dx, z):
@@ -128,9 +248,9 @@ def apply_offsets(proposals, dx, z):
     if dx.shape != (len(proposals),) or z.shape != (len(proposals),):
         raise ValueError(f"offset arrays must have length {len(proposals)}, "
                          f"got dx {dx.shape} and z {z.shape}")
-    updated = tuple(replace(k, dx=float(d), z=float(h))
-                    for k, d, h in zip(proposals, dx, z))
-    return ProposalSet(keypoints=updated, repeats_n=proposals.repeats_n)
+    return ProposalSet._of_columns(proposals.grid_index, proposals.x, proposals.y, dx, z,
+                                   proposals.fg_score, proposals.class_scores,
+                                   proposals.score_counts, proposals.repeats_n)
 
 
 def round_half_away(values):

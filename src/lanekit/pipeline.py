@@ -21,14 +21,17 @@ def infer_nms_thresholds(proposals):
     Lateral threshold is twice the largest per-row minimum anchor gap,
     longitudinal half the smallest row gap (1.0 when only one row occurs).
     """
-    xs = np.array([k.x for k in proposals.keypoints])
-    ys = np.array([k.y for k in proposals.keypoints])
-    rows = np.array([k.grid_index[0] for k in proposals.keypoints])
+    rows, xs, ys = proposals.grid_index[:, 0], proposals.x, proposals.y
+    # Sorted by (row, x), consecutive distinct x in one row are the gaps.
+    order = np.lexsort((xs, rows))
+    rows, step = rows[order], np.diff(xs[order])
+    in_row = (rows[1:] == rows[:-1]) & (step > 0)
+    gap_rows, gaps = rows[1:][in_row], step[in_row]
     x_gap = 0.0
-    for row in np.unique(rows):
-        unique_x = np.unique(xs[rows == row])
-        if unique_x.size > 1:
-            x_gap = max(x_gap, np.diff(unique_x).min())
+    if gaps.size:
+        # the smallest gap of each row, then the largest of those
+        row_starts = np.flatnonzero(np.r_[True, gap_rows[1:] != gap_rows[:-1]])
+        x_gap = np.minimum.reduceat(gaps, row_starts).max()
     distinct_y = np.unique(ys)
     y_gap = np.diff(distinct_y).min() if distinct_y.size > 1 else 2.0
     return 2.0 * (x_gap if x_gap > 0 else 1.0), 0.5 * y_gap

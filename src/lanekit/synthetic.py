@@ -21,7 +21,7 @@ import numpy as np
 from .io import PredictionFrame
 from .matching import GroundTruthKeypoint
 from .metrics import GroundTruthLane
-from .nms import Keypoint, ProposalSet
+from .nms import ProposalSet, as_proposal_set
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def generate_scene(spec, grid):
     # Proposals: n nearest columns per GT keypoint, each surviving dropout
     # independently.
     n = spec.proposals_per_target
-    keypoints = []
+    grid_index, fields, categories = [], [], []
     owners = []                 # flat target id per surviving proposal
     target_id = 0
     for lane_idx in range(spec.lane_count):
@@ -140,16 +140,16 @@ def generate_scene(spec, grid):
                 cat_score = rng.uniform(0.85, 0.99)
                 if dropped:
                     continue
-                scores = np.zeros(spec.categories)
-                scores[lane_cats[lane_idx]] = cat_score
-                keypoints.append(Keypoint(grid_index=(row, int(col)),
-                                          x=float(anchors[col]), y=float(grid.row_y[row]),
-                                          dx=float(dx), z=float(z), fg_score=float(fg),
-                                          class_scores=scores))
+                grid_index.append((row, col))
+                fields.append((anchors[col], grid.row_y[row], dx, z, fg, cat_score))
+                categories.append(lane_cats[lane_idx])
                 owners.append(target_id)
             target_id += 1
 
-    S = len(keypoints)
+    S = len(fields)
+    x, y, dx, z, fg, cat_score = np.array(fields, dtype=float).reshape(-1, 6).T
+    scores = np.zeros((S, spec.categories))
+    scores[np.arange(S), np.asarray(categories, dtype=int)] = cat_score
     owners = np.asarray(owners, dtype=int)
     adjacency = np.zeros((S, S))
     rows_per_lane = grid.rows
@@ -173,8 +173,8 @@ def generate_scene(spec, grid):
             values = rng.uniform(0.0, 0.9 * spec.edge_threshold, count)
         adjacency[eligible] = values
 
-    frame = PredictionFrame(frame_id=f"scene-{spec.seed}",
-                            keypoints=ProposalSet(tuple(keypoints), repeats_n=n),
+    keypoints = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg, scores, repeats_n=n)
+    frame = PredictionFrame(frame_id=f"scene-{spec.seed}", keypoints=keypoints,
                             adjacency=adjacency)
     return gt_lanes, frame
 
@@ -199,8 +199,9 @@ def keypoint_recall(kept, gts, tol=0.5):
     gts = list(gts)
     if not gts:
         return 1.0
-    kept_rows = np.array([k.grid_index[0] for k in kept], dtype=int)
-    kept_x = np.array([k.refined_x for k in kept])
+    kept = as_proposal_set(kept)
+    kept_rows = kept.grid_index[:, 0]
+    kept_x = kept.x + kept.dx
     hits = 0
     for g in gts:
         on_row = kept_rows == g.row

@@ -81,6 +81,24 @@ class TestPredictionFrame:
         with pytest.raises(ValidationError):
             PredictionFrame(frame_id="bad", keypoints=kps, adjacency=adjacency)
 
+    def test_adjacency_nan_rejected(self):
+        kps = make_frame(np.random.default_rng(2), count=3).keypoints
+        adjacency = np.zeros((3, 3))
+        adjacency[2, 0] = np.nan
+        with pytest.raises(ValidationError, match="adjacency"):
+            PredictionFrame(frame_id="bad", keypoints=kps, adjacency=adjacency)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_tokens_rejected(self, tmp_path, token):
+        path = tmp_path / "frame.json"
+        save_prediction_frame(make_frame(np.random.default_rng(6)), path)
+        raw = json.loads(path.read_text())
+        raw["keypoints"][1]["dx"] = float(token.replace("Infinity", "inf"))
+        path.write_text(json.dumps(raw))
+        assert token in path.read_text()
+        with pytest.raises(SchemaError, match=token):
+            load_prediction_frame(path)
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(7)
         frame = make_frame(rng, count=6)

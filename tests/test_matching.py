@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lanekit.errors import ValidationError
 from lanekit.matching import (
     MAX_ANCHOR_DIST_M,
     MAX_REFINED_DIST_M,
@@ -15,7 +16,7 @@ from lanekit.matching import (
     match_keypoints,
     solve_assignment,
 )
-from lanekit.nms import Keypoint
+from lanekit.nms import Keypoint, ProposalSet
 from lanekit.oracles import oracle_assignment
 
 ROW_Y = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
@@ -75,6 +76,92 @@ class TestCostMatrix:
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
             CostMatrix(np.array([[-1.0]]))
+
+
+def reference_costs(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
+    """The per-pair form of build_cost_matrix: Keypoint properties and one
+    class lookup per (proposal, GT) cell."""
+    P, G = len(proposals), len(gts)
+    costs = np.full((P, G), np.inf)
+    if P == 0 or G == 0:
+        return costs
+    refined = np.array([k.refined_x for k in proposals])
+    anchor = np.array([k.x for k in proposals])
+    prop_row = np.array([k.grid_index[0] for k in proposals])
+    prop_y = np.array([k.y for k in proposals])
+    gt_x = np.array([g.x for g in gts])
+    gt_y = np.array([g.y for g in gts])
+    gt_row = np.array([-1 if g.row is None else g.row for g in gts])
+    refined_dist = np.abs(refined[:, None] - gt_x[None, :])
+    anchor_dist = np.abs(anchor[:, None] - gt_x[None, :])
+    same_row = np.where(gt_row[None, :] >= 0, prop_row[:, None] == gt_row[None, :],
+                        prop_y[:, None] == gt_y[None, :])
+    feasible = (refined_dist <= MAX_REFINED_DIST_M) \
+        & (anchor_dist <= MAX_ANCHOR_DIST_M) & same_row
+    cls_term = np.empty((P, G))
+    for j, g in enumerate(gts):
+        for i, k in enumerate(proposals):
+            scores = k.class_scores
+            prob = float(scores[g.category]) if g.category < scores.size else 0.0
+            cls_term[i, j] = 1.0 - prob
+    return np.where(feasible, lambda_dist * refined_dist + lambda_cls * cls_term, np.inf)
+
+
+def random_case(rng, n_props=30, n_gts=12, categories=4):
+    """Proposals on six rows with ragged (sometimes empty) class scores, and
+    GTs whose categories run past every score vector; some GTs carry no row
+    and pair by exact y."""
+    props = []
+    for _ in range(n_props):
+        count = int(rng.integers(0, categories + 1))
+        props.append(Keypoint(grid_index=(int(rng.integers(0, 6)), 0),
+                              x=float(rng.integers(-8, 9)) / 2.0, y=ROW_Y[rng.integers(0, 6)],
+                              dx=float(rng.uniform(-0.6, 0.6)),
+                              fg_score=float(rng.uniform(0, 1)),
+                              class_scores=rng.uniform(0, 1, count)))
+    gts = []
+    for j in range(n_gts):
+        row = int(rng.integers(0, 6))
+        gts.append(GroundTruthKeypoint(lane_id=j, order_in_lane=0,
+                                       x=float(rng.integers(-8, 9)) / 2.0, y=ROW_Y[row],
+                                       category=int(rng.integers(0, categories + 3)),
+                                       row=None if rng.random() < 0.25 else row))
+    return props, gts
+
+
+class TestCostMatrixReference:
+    def test_bitwise_equal_to_per_pair_loop(self):
+        rng = np.random.default_rng(97)
+        for _ in range(40):
+            props, gts = random_case(rng)
+            lambdas = (float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2)))
+            want = reference_costs(props, gts, *lambdas)
+            for given_props in (props, ProposalSet(props)):
+                got = build_cost_matrix(given_props, gts, *lambdas).costs
+                assert np.array_equal(got, want)
+
+    def test_duplicated_gts_and_pairs(self):
+        rng = np.random.default_rng(98)
+        for repeats_n in (1, 2, 3):
+            for _ in range(10):
+                props, gts = random_case(rng, n_props=16, n_gts=6)
+                duplicated = [g for g in gts for _ in range(repeats_n)]
+                want = reference_costs(props, duplicated)
+                got = build_cost_matrix(ProposalSet(props), duplicated).costs
+                assert np.array_equal(got, want)
+                pairs = tuple((p, g // repeats_n)
+                              for p, g in solve_assignment(want).pairs)
+                assert match_keypoints(props, gts, repeats_n=repeats_n).pairs \
+                    == tuple(sorted(pairs))
+
+    def test_category_past_scores_costs_one(self):
+        kp = proposal(0, 0.0, class_scores=[0.1, 0.9])
+        costs = build_cost_matrix([kp], [gt(0, 0.0, category=c) for c in range(4)]).costs
+        assert costs.tolist() == [[0.9, 0.09999999999999998, 1.0, 1.0]]
+
+    def test_negative_gt_category_rejected(self):
+        with pytest.raises(ValidationError, match="category"):
+            gt(0, 0.0, category=-1)
 
 
 class TestSolveAssignment:

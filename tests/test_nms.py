@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lanekit.errors import ValidationError
 from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.nms import (
     Keypoint,
@@ -17,6 +18,7 @@ from lanekit.nms import (
     select_topn_proposals,
 )
 from lanekit.oracles import oracle_nms
+from lanekit.pipeline import infer_nms_thresholds
 
 
 def make_grid():
@@ -40,6 +42,34 @@ class TestKeypoint:
             Keypoint(grid_index=(0, 0), x=0.0, y=5.0, class_scores=[1.2])
         with pytest.raises(ValueError):
             Keypoint(grid_index=(0, 0), x=0.0, y=5.0, fg_score=-0.1)
+
+
+class TestNonFiniteRejected:
+    @staticmethod
+    def kp(**fields):
+        return Keypoint(**{"grid_index": (0, 0), "x": 0.0, "y": 5.0, **fields})
+
+    def test_nan_class_score(self):
+        with pytest.raises(ValidationError, match=r"keypoints\[1\]\.class_scores"):
+            ProposalSet([self.kp(class_scores=[0.5]), self.kp(class_scores=[np.nan])])
+
+    def test_infinite_x(self):
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.x"):
+            ProposalSet([self.kp(x=np.inf)])
+
+    def test_nan_dx(self):
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.dx"):
+            ProposalSet([self.kp(dx=np.nan)])
+
+    def test_from_arrays_and_offsets(self):
+        grid_index = [(0, 0), (0, 1)]
+        with pytest.raises(ValidationError, match=r"keypoints\[1\]\.z"):
+            ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0], z=[0.0, -np.inf])
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.fg_score"):
+            ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0], fg_score=[np.nan, 0.5])
+        props = ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0])
+        with pytest.raises(ValidationError, match=r"keypoints\[1\]\.dx"):
+            apply_offsets(props, [0.0, np.nan], [0.0, 0.0])
 
 
 class TestSelectTopN:
@@ -247,3 +277,58 @@ def test_box_nms_matches_oracle(items):
     boxes = np.array([(x, y, x + w, y + h) for x, y, w, h, _ in items])
     scores = np.array([s for *_, s in items])
     assert box_nms(boxes, scores, 0.1).tolist() == oracle_nms(boxes, scores, 0.1)
+
+
+def reference_thresholds(keypoints):
+    """infer_nms_thresholds over Keypoint properties, one row at a time."""
+    xs = np.array([k.x for k in keypoints])
+    ys = np.array([k.y for k in keypoints])
+    rows = np.array([k.grid_index[0] for k in keypoints])
+    x_gap = 0.0
+    for row in np.unique(rows):
+        unique_x = np.unique(xs[rows == row])
+        if unique_x.size > 1:
+            x_gap = max(x_gap, np.diff(unique_x).min())
+    distinct_y = np.unique(ys)
+    y_gap = np.diff(distinct_y).min() if distinct_y.size > 1 else 2.0
+    return 2.0 * (x_gap if x_gap > 0 else 1.0), 0.5 * y_gap
+
+
+def assert_columns_match_keypoints(props, indices):
+    kps = list(props)
+    assert np.array_equal(props.refined_xy,
+                          np.array([[k.refined_x, k.y] for k in kps]).reshape(-1, 2))
+    assert np.array_equal(props.confidences, np.array([k.confidence for k in kps]))
+    assert infer_nms_thresholds(props) == reference_thresholds(kps)
+    sub = props.subset(indices)
+    assert len(sub) == len(indices)
+    assert all(a is kps[i] for a, i in zip(sub, indices))
+    assert np.array_equal(sub.refined_xy, props.refined_xy[indices].reshape(-1, 2))
+    assert np.array_equal(sub.confidences, props.confidences[indices])
+    assert infer_nms_thresholds(sub) == reference_thresholds([kps[i] for i in indices])
+
+
+proposal_row = st.tuples(st.integers(0, 4), st.integers(0, 6),
+                         st.sampled_from([-3.0, -1.5, 0.0, 0.5, 2.0, 4.25]),
+                         st.sampled_from([5.0, 10.0, 12.5, 20.0]),
+                         st.floats(-1, 1, allow_nan=False, width=32), score,
+                         st.lists(score, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(proposal_row, max_size=25), st.integers(0, 3), st.data())
+def test_columns_match_keypoint_properties(rows, width, data):
+    """Columns against Keypoint properties, for a set made of Keypoints with
+    ragged and empty class scores and for a set made from arrays."""
+    indices = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)) \
+        if rows else []
+    kps = [Keypoint(grid_index=(r, c), x=x, y=y, dx=dx, fg_score=fg, class_scores=cs)
+           for r, c, x, y, dx, fg, cs in rows]
+    assert_columns_match_keypoints(ProposalSet(kps), indices)
+    scores = np.array([(cs + [0.25] * width)[:width] for *_, cs in rows],
+                      dtype=float).reshape(len(rows), width)
+    from_arrays = ProposalSet.from_arrays(
+        np.array([(r, c) for r, c, *_ in rows], dtype=int).reshape(-1, 2),
+        [row[2] for row in rows], [row[3] for row in rows], dx=[row[4] for row in rows],
+        fg_score=[row[5] for row in rows], class_scores=scores)
+    assert_columns_match_keypoints(from_arrays, indices)
