@@ -30,7 +30,7 @@ from .metrics import EvalReport, GroundTruthLane, evaluate, match_lanes, resampl
 from .nms import (Keypoint, ProposalSet, apply_offsets, box_nms,
                   build_nms_boxes, default_nms_thresholds, point_nms,
                   select_topn_proposals)
-from .pipeline import PipelineResult, infer_nms_thresholds, run_pipeline
+from .pipeline import PipelineResult, infer_nms_thresholds, run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene, gt_keypoints, keypoint_recall
 
 __version__ = "0.1.0"
@@ -55,5 +55,5 @@ __all__ = [
     "project_points", "random_head_weights", "resample_lane", "run_pipeline",
     "save_camera", "save_grid_csv", "save_ground_truth", "save_head_weights",
     "save_lane_frame", "save_prediction_frame", "select_topn_proposals",
-    "solve_assignment", "threshold_adjacency", "unproject_pixel_to_ground",
+    "solve_assignment", "suppress", "threshold_adjacency", "unproject_pixel_to_ground",
 ]

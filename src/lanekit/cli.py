@@ -32,7 +32,7 @@ from .io import (load_camera, load_ground_truth, load_lane_frame,
 from .matching import GroundTruthKeypoint, build_connection_targets, match_keypoints
 from .metrics import evaluate
 from .nms import point_nms
-from .pipeline import infer_nms_thresholds, run_pipeline
+from .pipeline import run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene
 
 
@@ -99,19 +99,11 @@ def _cmd_project(args):
 
 def _cmd_nms(args):
     frame = load_prediction_frame(args.pred)
-    proposals = frame.keypoints
-    thresh_x, thresh_y = args.thresh_x, args.thresh_y
-    if thresh_x is None or thresh_y is None:
-        auto_x, auto_y = infer_nms_thresholds(proposals)
-        thresh_x = auto_x if thresh_x is None else thresh_x
-        thresh_y = auto_y if thresh_y is None else thresh_y
-    keep = np.sort(point_nms(proposals.refined_xy, proposals.confidences,
-                             thresh_x, thresh_y, r=args.r, iou_thresh=args.iou))
-    kept = type(frame)(frame_id=frame.frame_id, keypoints=proposals.subset(keep),
-                       adjacency=frame.adjacency[np.ix_(keep, keep)],
-                       camera=frame.camera)
-    save_prediction_frame(kept, args.out)
-    print(f"kept {len(keep)} of {len(proposals)} proposals")
+    keep, kept, adjacency = suppress(frame, args.thresh_x, args.thresh_y, r=args.r,
+                                     iou_thresh=args.iou)
+    save_prediction_frame(type(frame)(frame_id=frame.frame_id, keypoints=kept,
+                                      adjacency=adjacency, camera=frame.camera), args.out)
+    print(f"kept {len(keep)} of {len(frame.keypoints)} proposals")
     return 0
 
 

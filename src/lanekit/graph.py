@@ -31,8 +31,9 @@ class AdjacencyMatrix:
 
     def __post_init__(self):
         probs = _as_probs(self.probs)
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-            raise ValueError("adjacency probabilities must lie in [0, 1]")
+        # NaN propagates through min and max and fails both comparisons.
+        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+            raise ValueError("adjacency probabilities must be finite and lie in [0, 1]")
         object.__setattr__(self, "probs", probs)
 
     def __len__(self):

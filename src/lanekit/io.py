@@ -146,7 +146,13 @@ def load_prediction_frame(path):
                                   f"header says ({size}, {size})")
     elif fmt == "sparse":
         adjacency = np.zeros((size, size))
-        for t, (i, j, p) in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
+        for t, triplet in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
+            if not (isinstance(triplet, list) and len(triplet) == 3
+                    and isinstance(triplet[0], int) and isinstance(triplet[1], int)
+                    and isinstance(triplet[2], (int, float))):
+                raise SchemaError(f"adjacency.triplets[{t}]",
+                                  "expected [row, col, probability] with integer indices")
+            i, j, p = triplet
             if not (0 <= i < size and 0 <= j < size):
                 raise ValidationError(f"adjacency.triplets[{t}] index out of range")
             adjacency[i, j] = p

@@ -7,6 +7,14 @@ candidate keypoints, each refined by a lateral offset ``dx`` and a height
 runs greedy box suppression at IoU 0.1, so that of several proposals aimed at
 the same target only the most confident survives.
 
+``box_nms`` tests only boxes that can conflict.  A conflict needs an overlap
+of positive area, so the boxes are bucketed into cells as wide as the widest
+box and as tall as the tallest; each box is tested against the boxes in the
+3x3 block of cells around it (the locality idea of Neubeck & Van Gool,
+*Efficient Non-Maximum Suppression*, ICPR 2006).  Candidate IoUs use the same
+float formulas as a dense pairwise matrix, so the result, keep order
+included, is exactly the dense greedy one.
+
 A ``ProposalSet`` stores its proposals as columns: ``grid_index`` (N, 2),
 ``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C),
 with ``score_counts`` (N,) giving how many class scores each proposal
@@ -22,10 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-# Below this box count, suppression runs on a precomputed pairwise IoU
-# matrix; above it, memory favors the incremental loop.
-_PAIRWISE_LIMIT = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +76,12 @@ class Keypoint:
         return int(np.argmax(self.class_scores)) if self.class_scores.size else 0
 
 
-def _reject(field, bad, problem):
-    """Raises for the first row flagged in ``bad``, naming row and field."""
+def _reject(bad, array, field, problem):
+    """Raises for the first row flagged in ``bad``, naming it as
+    ``array[row]field``."""
     if bad.any():
         row = int(np.argwhere(bad)[0][0])
-        raise ValidationError(f"keypoints[{row}].{field}: {problem}")
+        raise ValidationError(f"{array}[{row}]{field}: {problem}")
 
 
 def _read_only(array):
@@ -144,12 +149,13 @@ class ProposalSet:
             values = columns[name] = np.array(values, dtype=float)
             if values.shape != (n,):
                 raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
-            _reject(name, ~np.isfinite(values), "not finite")
+            _reject(~np.isfinite(values), "keypoints", f".{name}", "not finite")
         fg_score = columns["fg_score"]
-        _reject("fg_score", ~((fg_score >= 0.0) & (fg_score <= 1.0)), "must lie in [0, 1]")
+        _reject(~((fg_score >= 0.0) & (fg_score <= 1.0)), "keypoints", ".fg_score",
+                "must lie in [0, 1]")
         # NaN fails both comparisons, so this also rejects non-finite scores.
-        _reject("class_scores", ~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
-                "must be finite and lie in [0, 1]")
+        _reject(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1), "keypoints",
+                ".class_scores", "must be finite and lie in [0, 1]")
         self.grid_index = _read_only(np.array(grid_index, dtype=np.int64))
         for name, values in columns.items():
             setattr(self, name, _read_only(values))
@@ -269,86 +275,144 @@ def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
     return np.stack([x1, y1, x2, y2], axis=1)
 
 
+# Candidate pairs are tested this many at a time.
+_PAIR_BLOCK = 1 << 20
+
+
+def _cell_ranks(lower, extent):
+    """Ranks of the cells, one box extent wide, holding each lower edge.
+
+    Two boxes overlap along an axis only if their lower edges lie less than
+    ``extent`` (the largest box side) apart, and then their cells differ by
+    at most one.  The cells are widened by a margin that covers the rounding
+    of the side lengths and of the division, which also keeps every quotient
+    below 2**48.  Ranking the distinct cells can put empty cells' neighbours
+    side by side, which only adds candidates.
+    """
+    width = extent + (extent + np.abs(lower).max()) * 2.0 ** -48
+    if not width > 0:       # every edge at 0 and every side 0: nothing overlaps
+        width = 1.0
+    _, ranks = np.unique(np.floor(lower / width), return_inverse=True)
+    return ranks
+
+
+def _cell_keys(boxes):
+    """The cell key of every box, and the key stride from one row of cells
+    to the next."""
+    x1, y1, x2, y2 = boxes.T
+    cx = _cell_ranks(x1, (x2 - x1).max())
+    cy = _cell_ranks(y1, (y2 - y1).max())
+    stride = int(cx.max()) + 2   # a spare column keeps cx +- 1 inside a row of cells
+    return cy * stride + cx, stride
+
+
+def _candidate_pairs(key, stride):
+    """Candidate pairs among boxes sorted by cell ``key``, as positions in
+    that order: for every box, each box in the 3x3 block of cells around
+    it, itself included.  Yields blocks ``(src, dst)`` grouped by ``src`` in
+    increasing order; a block holds about ``_PAIR_BLOCK`` pairs, so that
+    boxes crowded into a few cells need bounded memory."""
+    n = len(key)
+    # In each of the three rows of cells, columns cx-1..cx+1 are one run of
+    # consecutive keys.  Each row offset queries in ascending key order,
+    # which is the order that searchsorted handles fastest.
+    centre = (key + stride * np.array([[-1], [0], [1]])).ravel()
+    first = np.searchsorted(key, centre - 1, side="left")
+    count = np.searchsorted(key, centre + 1, side="right") - first
+    first, count = (a.reshape(3, n).T.ravel() for a in (first, count))   # box-major
+    per_box = count.reshape(n, 3).sum(axis=1)
+    before = np.concatenate([[0], np.cumsum(per_box)])
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(before, before[start] + _PAIR_BLOCK,
+                                                  side="right")) - 1)
+        ranges = slice(3 * start, 3 * stop)
+        length = count[ranges]
+        # Ragged aranges first[k] .. first[k] + length[k] - 1, concatenated.
+        offset = np.repeat(first[ranges] - (np.cumsum(length) - length), length)
+        src = np.repeat(np.arange(start, stop), per_box[start:stop])
+        yield src, np.arange(len(src)) + offset
+        start = stop
+
+
+def _conflicts(boxes, key, stride, iou_thresh):
+    """For boxes sorted by cell ``key``, the boxes each one conflicts with
+    (IoU above ``iou_thresh``), as CSR arrays ``(indptr, indices)`` of
+    positions in that order.
+
+    Each candidate pair's IoU uses the elementwise formulas of the dense
+    pairwise matrix, so the conflict set is exactly the dense one.
+    """
+    x1, y1, x2, y2 = (np.ascontiguousarray(column) for column in boxes.T)
+    areas = (x2 - x1) * (y2 - y1)
+    sources, targets = [], []
+    for src, dst in _candidate_pairs(key, stride):
+        iw = np.clip(np.minimum(x2[src], x2[dst]) - np.maximum(x1[src], x1[dst]), 0.0, None)
+        ih = np.clip(np.minimum(y2[src], y2[dst]) - np.maximum(y1[src], y1[dst]), 0.0, None)
+        inter = iw * ih
+        union = areas[src] + areas[dst] - inter
+        # union >= inter always, so union == 0 forces inter == 0; the 0/0
+        # NaN compares False, the defined zero-union IoU 0.
+        with np.errstate(invalid="ignore"):
+            hit = (inter / union > iou_thresh) & (src != dst)
+        sources.append(src[hit])
+        targets.append(dst[hit])
+    indptr = np.zeros(len(boxes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.concatenate(sources), minlength=len(boxes)), out=indptr[1:])
+    return indptr, np.concatenate(targets)
+
+
 def box_nms(boxes, scores, iou_thresh):
     """Greedy box suppression in descending score order, ties by index.
 
     A box is kept iff its IoU with every previously kept box is at or below
-    ``iou_thresh``.  Areas are plain side products; zero-area overlap counts
-    as IoU 0.  Returns kept indices in the order they were kept.
+    ``iou_thresh``, which must lie in [0, 1].  Areas are plain side products;
+    zero-area overlap counts as IoU 0.  Returns kept indices in the order
+    they were kept.
+
+    A conflict needs an overlap of positive area, so boxes are bucketed into
+    cells as wide and tall as the largest box and only boxes in neighbouring
+    cells are tested.  The greedy sweep then skips a box exactly when it
+    conflicts with an already-kept one.
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValidationError(f"iou_thresh must lie in [0, 1], got {iou_thresh}")
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(boxes),):
-        raise ValueError(f"need one score per box, got {scores.shape} for {len(boxes)} boxes")
+        raise ValidationError(f"need one score per box, got {scores.shape} "
+                              f"for {len(boxes)} boxes")
+    _reject(~np.isfinite(boxes).all(axis=1), "boxes", "", "not finite")
+    _reject(~np.isfinite(scores), "scores", "", "not finite")
     if len(boxes) == 0:
         return np.empty(0, dtype=np.int64)
     if np.any(boxes[:, 0] > boxes[:, 2]) or np.any(boxes[:, 1] > boxes[:, 3]):
-        raise ValueError("boxes must satisfy x1 <= x2 and y1 <= y2")
+        raise ValidationError("boxes must satisfy x1 <= x2 and y1 <= y2")
 
+    key, stride = _cell_keys(boxes)
+    by_key = np.argsort(key, kind="stable")
+    indptr, neighbours = _conflicts(boxes[by_key], key[by_key], stride, iou_thresh)
+    position = np.empty_like(by_key)
+    position[by_key] = np.arange(len(boxes))
+    indptr, neighbours = indptr.tolist(), neighbours.tolist()
     order = np.argsort(-scores, kind="stable")
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-
-    if len(boxes) <= _PAIRWISE_LIMIT:
-        # Precompute which pairs conflict, then sweep once: a box is skipped
-        # exactly when it conflicts with some already-kept box, so marking
-        # every conflict of a kept box is equivalent to the incremental form.
-        # Row blocks through reused scratch buffers keep the working set in
-        # cache; the elementwise formulas match the incremental path bitwise.
-        n = len(boxes)
-        x1, y1, x2, y2 = (np.ascontiguousarray(boxes[:, i]) for i in range(4))
-        conflicts = np.empty((n, n), dtype=bool)
-        block = min(64, n)
-        iw = np.empty((block, n))
-        ih = np.empty((block, n))
-        tmp = np.empty((block, n))
-        with np.errstate(invalid="ignore"):
-            for s in range(0, n, block):
-                e = min(s + block, n)
-                inter, height, scratch = iw[:e - s], ih[:e - s], tmp[:e - s]
-                np.minimum(x2[s:e, np.newaxis], x2[np.newaxis, :], out=inter)
-                np.maximum(x1[s:e, np.newaxis], x1[np.newaxis, :], out=scratch)
-                inter -= scratch
-                np.clip(inter, 0.0, None, out=inter)
-                np.minimum(y2[s:e, np.newaxis], y2[np.newaxis, :], out=height)
-                np.maximum(y1[s:e, np.newaxis], y1[np.newaxis, :], out=scratch)
-                height -= scratch
-                np.clip(height, 0.0, None, out=height)
-                inter *= height                   # intersection area
-                np.add(areas[s:e, np.newaxis], areas[np.newaxis, :], out=scratch)
-                scratch -= inter                  # union
-                # union >= inter always, so union == 0 forces inter == 0;
-                # the 0/0 NaN compares False, the defined zero-union IoU 0.
-                inter /= scratch
-                np.greater(inter, iou_thresh, out=conflicts[s:e])
-        suppressed = np.zeros(n, dtype=bool)
-        keep = []
-        for idx in order:
-            if suppressed[idx]:
-                continue
-            keep.append(int(idx))
-            suppressed |= conflicts[idx]
-        return np.asarray(keep, dtype=np.int64)
-
+    suppressed = [False] * len(boxes)
     keep = []
-    for idx in order:
-        if keep:
-            kept = boxes[keep]
-            iw = np.minimum(kept[:, 2], boxes[idx, 2]) - np.maximum(kept[:, 0], boxes[idx, 0])
-            ih = np.minimum(kept[:, 3], boxes[idx, 3]) - np.maximum(kept[:, 1], boxes[idx, 1])
-            inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-            union = areas[keep] + areas[idx] - inter
-            iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
-            if np.any(iou > iou_thresh):
-                continue
-        keep.append(int(idx))
+    for i, p in zip(order.tolist(), position[order].tolist()):
+        if not suppressed[p]:
+            keep.append(i)
+            for q in neighbours[indptr[p]:indptr[p + 1]]:
+                suppressed[q] = True
     return np.asarray(keep, dtype=np.int64)
 
 
 def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
     """Point suppression via box construction; returns kept indices by score."""
-    if thresh_x <= 0 or thresh_y <= 0 or r <= 0:
-        raise ValueError("thresh_x, thresh_y and r must be positive")
-    boxes = build_nms_boxes(points_xy, thresh_x, thresh_y, r)
+    if not (thresh_x > 0 and thresh_y > 0 and r > 0):
+        raise ValidationError("thresh_x, thresh_y and r must be positive")
+    points = np.asarray(points_xy, dtype=float).reshape(-1, 2)
+    _reject(~np.isfinite(points).all(axis=1), "points_xy", "", "not finite")
+    boxes = build_nms_boxes(points, thresh_x, thresh_y, r)
     return box_nms(boxes, scores, iou_thresh)
 
 

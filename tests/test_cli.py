@@ -44,6 +44,14 @@ class TestExitCodes:
         assert run(["synth", "--seed", 1, "--dropout", "1.5",
                     "--out-pred", tmp_path / "f.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["nms", "extract"])
+    def test_iou_outside_unit_interval_is_exit_1(self, scene, tmp_path, capsys, command):
+        pred, _ = scene
+        out = tmp_path / "out.json"
+        assert run([command, "--pred", pred, "--iou", "-1", "--out", out]) == 1
+        assert "iou_thresh" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommands:
     def test_extract_then_eval_perfect(self, scene, tmp_path, capsys):

@@ -39,6 +39,10 @@ class TestAdjacencyMatrix:
             AdjacencyMatrix(np.array([[0.1, 0.2, 0.3]]))
         assert len(AdjacencyMatrix(np.zeros((3, 3)))) == 3
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            AdjacencyMatrix(np.array([[0.0, np.nan], [0.2, 0.0]]))
+
 
 class TestThreshold:
     def test_all_zero_empty(self):

@@ -130,6 +130,18 @@ class TestPredictionFrame:
         assert len(raw["adjacency"]["triplets"]) == 2
         assert frames_equal(load_prediction_frame(path), frame)
 
+    @pytest.mark.parametrize("triplet", [[0, "a", 0.5], [0, 1], [0.0, 1, 0.5],
+                                         [0, 1, "0.5"], 7])
+    def test_malformed_sparse_triplet_names_it(self, tmp_path, triplet):
+        path = tmp_path / "frame.json"
+        save_prediction_frame(make_frame(np.random.default_rng(9), count=3), path,
+                              sparse_adjacency=True)
+        raw = json.loads(path.read_text())
+        raw["adjacency"]["triplets"][1] = triplet
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=r"adjacency\.triplets\[1\]"):
+            load_prediction_frame(path)
+
     def test_missing_field_names_the_field(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "frame.json"

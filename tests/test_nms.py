@@ -332,3 +332,182 @@ def test_columns_match_keypoint_properties(rows, width, data):
         [row[2] for row in rows], [row[3] for row in rows], dx=[row[4] for row in rows],
         fg_score=[row[5] for row in rows], class_scores=scores)
     assert_columns_match_keypoints(from_arrays, indices)
+
+
+def dense_reference_nms(boxes, scores, iou_thresh):
+    """The dense sweep ``box_nms`` replaced: the IoU of every pair in
+    64-row blocks, then one greedy pass that marks every conflict of each
+    kept box."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=float)
+    n = len(boxes)
+    order = np.argsort(-scores, kind="stable")
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    x1, y1, x2, y2 = (np.ascontiguousarray(boxes[:, i]) for i in range(4))
+    conflicts = np.empty((n, n), dtype=bool)
+    block = max(1, min(64, n))
+    iw, ih, tmp = np.empty((block, n)), np.empty((block, n)), np.empty((block, n))
+    with np.errstate(invalid="ignore"):
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            inter, height, scratch = iw[:e - s], ih[:e - s], tmp[:e - s]
+            np.minimum(x2[s:e, np.newaxis], x2[np.newaxis, :], out=inter)
+            np.maximum(x1[s:e, np.newaxis], x1[np.newaxis, :], out=scratch)
+            inter -= scratch
+            np.clip(inter, 0.0, None, out=inter)
+            np.minimum(y2[s:e, np.newaxis], y2[np.newaxis, :], out=height)
+            np.maximum(y1[s:e, np.newaxis], y1[np.newaxis, :], out=scratch)
+            height -= scratch
+            np.clip(height, 0.0, None, out=height)
+            inter *= height
+            np.add(areas[s:e, np.newaxis], areas[np.newaxis, :], out=scratch)
+            scratch -= inter
+            inter /= scratch
+            np.greater(inter, iou_thresh, out=conflicts[s:e])
+    suppressed = np.zeros(n, dtype=bool)
+    keep = []
+    for idx in order:
+        if suppressed[idx]:
+            continue
+        keep.append(int(idx))
+        suppressed |= conflicts[idx]
+    return keep
+
+
+def random_boxes(rng, n, span=80, max_side=30):
+    """Integer boxes of mixed sizes; about one side in five is zero."""
+    x1, y1 = rng.integers(0, span, n), rng.integers(0, span, n)
+    w = rng.integers(0, max_side, n) * (rng.random(n) > 0.2)
+    h = rng.integers(0, max_side, n) * (rng.random(n) > 0.2)
+    return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+
+
+def tied_scores(rng, n):
+    return rng.integers(0, 4, n) / 4.0
+
+
+def assert_matches_dense(boxes, scores, iou_thresh):
+    got = box_nms(boxes, scores, iou_thresh)
+    assert got.dtype == np.int64
+    assert got.tolist() == dense_reference_nms(boxes, scores, iou_thresh)
+
+
+class TestBucketedMatchesDense:
+    """``box_nms`` against the dense pairwise sweep, keep order included."""
+
+    @pytest.mark.parametrize("n", [2049, 3000, 4096])
+    def test_above_the_old_pairwise_limit(self, n):
+        rng = np.random.default_rng(n)
+        pts = np.column_stack([rng.uniform(-10, 10, n), rng.uniform(0, 100, n)])
+        scores = rng.random(n)
+        boxes = build_nms_boxes(pts, 1.0, 1.0, 10)
+        assert_matches_dense(boxes, scores, 0.1)
+        assert point_nms(pts, scores, 1.0, 1.0).tolist() == \
+            dense_reference_nms(boxes, scores, 0.1)
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_mixed_sizes_ties_and_zero_area(self, iou_thresh):
+        rng = np.random.default_rng(int(iou_thresh * 10) + 40)
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            assert_matches_dense(random_boxes(rng, n), tied_scores(rng, n), iou_thresh)
+
+    def test_all_boxes_zero_area_and_coincident(self):
+        boxes = np.zeros((5, 4))
+        for iou_thresh in (0.0, 0.5, 1.0):
+            assert box_nms(boxes, np.zeros(5), iou_thresh).tolist() == [0, 1, 2, 3, 4]
+            assert_matches_dense(boxes, np.zeros(5), iou_thresh)
+
+    def test_iou_one_keeps_even_exact_duplicates(self):
+        boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 10], [1, 0, 11, 10]])
+        assert box_nms(boxes, [0.5, 0.9, 0.7], 1.0).tolist() == [1, 2, 0]
+        assert_matches_dense(boxes, [0.5, 0.9, 0.7], 1.0)
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.1, 0.5])
+    def test_one_huge_box_among_small_ones(self, iou_thresh):
+        rng = np.random.default_rng(7)
+        boxes = random_boxes(rng, 400, span=2000, max_side=12)
+        boxes[123] = [-5000, -5000, 5000, 5000]
+        scores = tied_scores(rng, 400)
+        assert_matches_dense(boxes, scores, iou_thresh)
+        scores[123] = 1.0
+        assert_matches_dense(boxes, scores, iou_thresh)
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.1, 0.5])
+    def test_boxes_far_apart(self, iou_thresh):
+        rng = np.random.default_rng(8)
+        clusters = rng.integers(-3, 4, 300) * 1e12
+        boxes = random_boxes(rng, 300, span=40, max_side=15).astype(float)
+        boxes[:, [0, 2]] += clusters[:, np.newaxis]
+        boxes[:, [1, 3]] -= clusters[:, np.newaxis]
+        assert_matches_dense(boxes, tied_scores(rng, 300), iou_thresh)
+
+    def test_extreme_coordinates(self):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [1e300, 0.0, 1e300, 10.0],
+                          [-1e300, -1e300, -1e300, -1e300], [2.0, 2.0, 12.0, 12.0]])
+        assert box_nms(boxes, [0.1, 0.2, 0.3, 0.4], 0.1).tolist() == [3, 2, 1]
+        assert_matches_dense(boxes, [0.1, 0.2, 0.3, 0.4], 0.1)
+
+
+class TestOracleAboveOldLimit:
+    def test_point_nms_matches_oracle_with_2100_points(self):
+        rng = np.random.default_rng(2100)
+        pts = np.column_stack([rng.uniform(-10, 10, 2100), rng.uniform(0, 20, 2100)])
+        scores = tied_scores(rng, 2100)
+        boxes = build_nms_boxes(pts, 1.0, 1.0, 10)
+        assert point_nms(pts, scores, 1.0, 1.0).tolist() == oracle_nms(boxes, scores, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                           st.integers(0, 30), st.integers(0, 30),
+                           st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                min_size=1, max_size=60),
+       st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+def test_box_nms_matches_dense_reference(items, iou_thresh):
+    boxes = np.array([(x, y, x + w, y + h) for x, y, w, h, _ in items])
+    scores = np.array([s for *_, s in items])
+    assert_matches_dense(boxes, scores, iou_thresh)
+
+
+class TestNmsInputValidation:
+    boxes = np.array([[0, 0, 10, 10], [2, 0, 12, 10]])
+
+    @pytest.mark.parametrize("iou_thresh", [-0.1, -1.0, 1.5, np.nan])
+    def test_iou_thresh_outside_unit_interval(self, iou_thresh):
+        with pytest.raises(ValidationError, match="iou_thresh"):
+            box_nms(self.boxes, [0.5, 0.4], iou_thresh)
+        with pytest.raises(ValidationError, match="iou_thresh"):
+            point_nms([[0.0, 0.0]], [0.5], 1.0, 1.0, iou_thresh=iou_thresh)
+
+    def test_negative_threshold_no_longer_keeps_zero_area_duplicates(self):
+        zero_area = np.zeros((2, 4))
+        assert oracle_nms(zero_area, [0.5, 0.5], -1.0) == [0]
+        with pytest.raises(ValidationError, match="iou_thresh"):
+            box_nms(zero_area, [0.5, 0.5], -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box(self, bad):
+        boxes = self.boxes.astype(float)
+        boxes[1, 2] = bad
+        with pytest.raises(ValidationError, match=r"boxes\[1\]"):
+            box_nms(boxes, [0.5, 0.4], 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score(self, bad):
+        with pytest.raises(ValidationError, match=r"scores\[0\]"):
+            box_nms(self.boxes, [bad, 0.4], 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point(self, bad):
+        pts = np.array([[0.0, 5.0], [1.0, bad]])
+        with pytest.raises(ValidationError, match=r"points_xy\[1\]"):
+            point_nms(pts, [0.5, 0.4], 1.0, 1.0)
+
+    def test_nan_threshold(self):
+        with pytest.raises(ValidationError, match="thresh_x"):
+            point_nms([[0.0, 0.0]], [0.5], np.nan, 1.0)
+
+    def test_score_count_mismatch(self):
+        with pytest.raises(ValidationError, match="one score per box"):
+            box_nms(self.boxes, [0.5], 0.1)

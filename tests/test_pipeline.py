@@ -5,7 +5,7 @@ from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import PredictionFrame
 from lanekit.metrics import evaluate
 from lanekit.nms import Keypoint, ProposalSet
-from lanekit.pipeline import infer_nms_thresholds, run_pipeline
+from lanekit.pipeline import infer_nms_thresholds, run_pipeline, suppress
 from lanekit.synthetic import SceneSpec, generate_scene
 
 
@@ -98,3 +98,25 @@ class TestRunPipeline:
         assert len(result.lanes) >= 3
         report = evaluate(list(result.lanes), gt, thresholds=(1.5,))[0]
         assert report.recall > 0.5
+
+
+class TestSuppress:
+    @pytest.mark.parametrize("thresholds", [(None, None), (1.2, None), (None, 0.4), (1.2, 0.4)])
+    def test_same_kept_set_as_run_pipeline(self, thresholds):
+        grid = grid12()
+        _, frame = generate_scene(SceneSpec(seed=9, lane_count=3, sigma_x=0.1,
+                                            proposals_per_target=3), grid)
+        keep, kept, adjacency = suppress(frame, *thresholds)
+        result = run_pipeline(frame, thresh_x=thresholds[0], thresh_y=thresholds[1])
+        assert np.array_equal(keep, result.kept_indices)
+        assert np.all(np.diff(keep) > 0)
+        assert list(kept) == list(result.kept)
+        assert np.array_equal(adjacency, frame.adjacency[np.ix_(keep, keep)])
+
+    def test_infers_the_missing_threshold(self):
+        grid = grid12()
+        _, frame = generate_scene(SceneSpec(seed=10, lane_count=2,
+                                            proposals_per_target=2), grid)
+        tx, ty = infer_nms_thresholds(frame.keypoints)
+        assert np.array_equal(suppress(frame)[0], suppress(frame, tx, ty)[0])
+        assert np.array_equal(suppress(frame, thresh_x=tx)[0], suppress(frame, tx, ty)[0])
