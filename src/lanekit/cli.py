@@ -6,17 +6,14 @@ for anchor geometry, ``nms`` and ``extract`` for inference on saved frames,
 generating test scenes and ``bench`` for timing the inference hot path.
 
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
-(argparse's default).  ``LANEKIT_THREADS`` caps the worker pool used when
-loading a directory of prediction files.
+(argparse's default).
 """
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -159,14 +156,6 @@ def _cmd_match(args):
     return 0
 
 
-def _worker_count(n_files):
-    cap = os.environ.get("LANEKIT_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if limit < 1:
-        raise ValidationError("LANEKIT_THREADS must be >= 1")
-    return max(1, min(limit, n_files))
-
-
 def _load_pred_lanes(path):
     path = Path(path)
     if path.is_dir():
@@ -174,11 +163,11 @@ def _load_pred_lanes(path):
         if not files:
             raise ValidationError(f"no .json prediction files in {path}")
         frames = {}
-        with ThreadPoolExecutor(max_workers=_worker_count(len(files))) as pool:
-            for frame_id, lanes in pool.map(load_lane_frame, files):
-                if frame_id in frames:
-                    raise ValidationError(f"duplicate frame_id {frame_id!r}")
-                frames[frame_id] = lanes
+        for file in files:
+            frame_id, lanes = load_lane_frame(file)
+            if frame_id in frames:
+                raise ValidationError(f"duplicate frame_id {frame_id!r}")
+            frames[frame_id] = lanes
         return frames
     frame_id, lanes = load_lane_frame(path)
     return {frame_id: lanes}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_head import HeadWeights
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, reject_non_finite
 from .geometry import CameraModel
 from .metrics import GroundTruthLane
 from .nms import ProposalSet
@@ -178,7 +178,8 @@ class LaneRecord:
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
             raise ValidationError("lane points must be (N >= 2, 3)")
-        if np.any(np.diff(points[:, 1]) < 0):
+        reject_non_finite(points, "points")
+        if (points[1:, 1] < points[:-1, 1]).any():
             raise ValidationError("lane points must have non-decreasing y")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError("confidence must lie in [0, 1]")

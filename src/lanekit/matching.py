@@ -158,32 +158,46 @@ def _solve_raw(costs):
     return sorted((int(r), int(c)) for r, c in zip(rows, cols) if finite[r, c])
 
 
-def _optimum_profile(costs):
-    pairs = _solve_raw(costs)
-    return len(pairs), sum(costs[r, c] for r, c in pairs)
+def max_cardinality(costs):
+    """Size of a maximum matching over the finite cells of ``costs``."""
+    return len(_solve_raw(np.asarray(costs, dtype=float)))
 
 
-def _canonical_pairs(costs, card, total):
+def _canonical_pairs(costs, optimum):
     """Lexicographically smallest sorted pair list achieving the optimum.
 
     Walks rows in order; a row takes its smallest column that keeps the
-    remaining subproblem optimal, or is skipped when none does.
+    remaining subproblem optimal, or is skipped when none does.  The walk
+    is warm-started from ``optimum``, an optimal pair list: a row it matches
+    at column c keeps c without a solve (the rest of the current optimum
+    stays optimal), so only finite columns left of c are tried, each with
+    one sub-solve.  A column that passes replaces the current optimum with
+    that sub-solve's pairs.  A row the current optimum leaves unmatched
+    tries every finite column.
     """
-    P, G = costs.shape
-    live_rows = list(range(P))
-    live_cols = list(range(G))
-    pairs = []
+    card = len(optimum)
+    total = sum(costs[r, c] for r, c in optimum)
     tol = 1e-9 * max(1.0, abs(total))
+    current = dict(optimum)
+    live_rows = list(range(costs.shape[0]))
+    live_cols = list(range(costs.shape[1]))
+    pairs = []
     while card and live_rows:
         r = live_rows.pop(0)
-        chosen = None
+        held = current.pop(r, None)
+        chosen = held
         for c in live_cols:
+            if c == held:
+                break
             if not np.isfinite(costs[r, c]):
                 continue
-            sub = costs[np.ix_(live_rows, [x for x in live_cols if x != c])]
-            sub_card, sub_total = _optimum_profile(sub)
-            if sub_card == card - 1 and abs(sub_total - (total - costs[r, c])) <= tol:
+            sub_cols = [x for x in live_cols if x != c]
+            sub = costs[np.ix_(live_rows, sub_cols)]
+            sub_pairs = _solve_raw(sub)
+            sub_total = sum(sub[i, j] for i, j in sub_pairs)
+            if len(sub_pairs) == card - 1 and abs(sub_total - (total - costs[r, c])) <= tol:
                 chosen = c
+                current = {live_rows[i]: sub_cols[j] for i, j in sub_pairs}
                 break
         if chosen is not None:
             pairs.append((r, chosen))
@@ -198,15 +212,16 @@ def solve_assignment(cost):
 
     Ties between equal-cost optima resolve to the lexicographically
     smallest pair list (exact up to 24x24; larger matrices return the
-    solver's deterministic solution directly).
+    solver's deterministic solution directly).  The tie-break starts from
+    the solver's optimum, so a row keeps its optimal column unless a
+    smaller one also leads to an optimum, and a matrix whose optimum is
+    already the smallest costs no solve beyond the first.
     """
     costs = cost.costs if isinstance(cost, CostMatrix) else CostMatrix(cost).costs
     P, G = costs.shape
     pairs = _solve_raw(costs)
     if pairs and max(P, G) <= _CANONICAL_LIMIT:
-        card = len(pairs)
-        total = sum(costs[r, c] for r, c in pairs)
-        pairs = _canonical_pairs(costs, card, total)
+        pairs = _canonical_pairs(costs, pairs)
     matched_p = {p for p, _ in pairs}
     matched_g = {g for _, g in pairs}
     return Matching(pairs=tuple(pairs),

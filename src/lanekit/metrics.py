@@ -23,7 +23,8 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .matching import solve_assignment
+from .errors import reject_non_finite
+from .matching import max_cardinality, solve_assignment
 
 INLIER_FRACTION = 0.75
 AP_CONF_STEPS = tuple(np.round(np.arange(0.05, 0.951, 0.05), 2))
@@ -31,6 +32,15 @@ AP_CONF_STEPS = tuple(np.round(np.arange(0.05, 0.951, 0.05), 2))
 
 def default_y_samples():
     return np.arange(EVAL_Y_MIN_M, EVAL_Y_MAX_M + EVAL_Y_STEP_M / 2, EVAL_Y_STEP_M)
+
+
+def _lane_points(lane):
+    """A lane's points as an (N >= 2, 3) array of finite floats."""
+    points = np.asarray(getattr(lane, "points", lane), dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
+        raise ValueError(f"lane needs >= 2 (x, y, z) points, got shape {points.shape}")
+    reject_non_finite(points, "points")
+    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +51,8 @@ class GroundTruthLane:
     category: int = 0
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-            raise ValueError(f"lane needs >= 2 (x, y, z) points, got shape {points.shape}")
-        if np.any(np.diff(points[:, 1]) < 0):
+        points = _lane_points(self.points)
+        if (points[1:, 1] < points[:-1, 1]).any():
             raise ValueError("lane y coordinates must be non-decreasing")
         object.__setattr__(self, "points", points)
 
@@ -76,14 +84,14 @@ class EvalReport:
         }
 
 
-def resample_lane(lane, y_samples):
-    """Linear x(y), z(y) interpolation; samples beyond the extent are invalid."""
-    points = np.asarray(getattr(lane, "points", lane), dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-        raise ValueError(f"lane needs >= 2 (x, y, z) points, got shape {points.shape}")
+def _y_grid(y_samples):
     y_samples = np.asarray(y_samples, dtype=float)
     if np.any(np.diff(y_samples) < 0):
         raise ValueError("y_samples must be ascending")
+    return y_samples
+
+
+def _resample(points, y_samples):
     ys = points[:, 1]
     valid = (y_samples >= ys[0]) & (y_samples <= ys[-1])
     out = np.zeros((len(y_samples), 3))
@@ -93,12 +101,19 @@ def resample_lane(lane, y_samples):
     return out, valid
 
 
+def resample_lane(lane, y_samples):
+    """Linear x(y), z(y) interpolation; samples beyond the extent are invalid."""
+    return _resample(_lane_points(lane), _y_grid(y_samples))
+
+
 def _stack_resampled(lanes, y_samples):
+    """Resamples every lane onto ``y_samples``, which must already be an
+    ascending float array."""
     xs = np.zeros((len(lanes), len(y_samples)))
     zs = np.zeros_like(xs)
     valid = np.zeros(xs.shape, dtype=bool)
     for i, lane in enumerate(lanes):
-        pts, v = resample_lane(lane, y_samples)
+        pts, v = _resample(_lane_points(lane), y_samples)
         xs[i], zs[i], valid[i] = pts[:, 0], pts[:, 2], v
     return xs, zs, valid
 
@@ -161,7 +176,7 @@ def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
         raise ValueError("dist_threshold must be positive")
     if y_samples is None:
         y_samples = default_y_samples()
-    frame = _Resampled(pred_lanes, gt_lanes, y_samples)
+    frame = _Resampled(pred_lanes, gt_lanes, _y_grid(y_samples))
     return solve_assignment(frame.admissible_cost(dist_threshold))
 
 
@@ -189,8 +204,9 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
         raise ValueError(f"frame ids do not align; unpaired: {sorted(missing)!r}")
     if y_samples is None:
         y_samples = default_y_samples()
-    y_samples = np.asarray(y_samples, dtype=float)
+    y_samples = _y_grid(y_samples)
     near_mask = y_samples < near_far_split
+    steps = np.asarray(conf_steps, dtype=float)
 
     frames = [_Resampled(preds[fid], gts[fid], y_samples) for fid in sorted(preds)]
 
@@ -212,13 +228,16 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
             err_sums += sums
             err_counts += counts
 
-            for c_idx, cutoff in enumerate(conf_steps):
-                rows = np.nonzero(frame.conf >= cutoff)[0]
-                cutoff_pred[c_idx] += len(rows)
-                if len(rows) == 0:
-                    continue
-                sub_pairs = solve_assignment(costs[rows]).pairs
-                cutoff_tp[c_idx] += len(sub_pairs)
+            # AP needs only the size of a maximum matching on the rows each
+            # cutoff retains.  Retained sets are nested, so a count names
+            # its set: one solve per distinct count, none for the full set.
+            retained = (frame.conf[None, :] >= steps[:, None]).sum(axis=1)
+            cutoff_pred += retained
+            sizes = {0: 0, frame.n_pred: len(pairs)}
+            for count, step in zip(retained, steps):
+                if count not in sizes:
+                    sizes[count] = max_cardinality(costs[frame.conf >= step])
+            cutoff_tp += [sizes[count] for count in retained]
 
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reject_non_finite, reject_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +74,6 @@ class Keypoint:
     @property
     def category(self):
         return int(np.argmax(self.class_scores)) if self.class_scores.size else 0
-
-
-def _reject(bad, array, field, problem):
-    """Raises for the first row flagged in ``bad``, naming it as
-    ``array[row]field``."""
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise ValidationError(f"{array}[{row}]{field}: {problem}")
 
 
 def _read_only(array):
@@ -149,13 +141,13 @@ class ProposalSet:
             values = columns[name] = np.array(values, dtype=float)
             if values.shape != (n,):
                 raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
-            _reject(~np.isfinite(values), "keypoints", f".{name}", "not finite")
+            reject_non_finite(values, "keypoints", f".{name}")
         fg_score = columns["fg_score"]
-        _reject(~((fg_score >= 0.0) & (fg_score <= 1.0)), "keypoints", ".fg_score",
-                "must lie in [0, 1]")
+        reject_rows(~((fg_score >= 0.0) & (fg_score <= 1.0)), "keypoints", ".fg_score",
+                    "must lie in [0, 1]")
         # NaN fails both comparisons, so this also rejects non-finite scores.
-        _reject(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1), "keypoints",
-                ".class_scores", "must be finite and lie in [0, 1]")
+        reject_rows(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
+                    "keypoints", ".class_scores", "must be finite and lie in [0, 1]")
         self.grid_index = _read_only(np.array(grid_index, dtype=np.int64))
         for name, values in columns.items():
             setattr(self, name, _read_only(values))
@@ -266,13 +258,19 @@ def round_half_away(values):
 
 
 def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
-    """Integer boxes of size (r*thresh_x, r*thresh_y) centered at r*point."""
+    """Integer boxes of size (r*thresh_x, r*thresh_y) centered at r*point.
+
+    Rows are (x1, y1, x2, y2); a point whose box edge would fall outside the
+    int64 range is rejected.
+    """
     pts = np.asarray(points_xy, dtype=float).reshape(-1, 2)
-    x1 = round_half_away(pts[:, 0] * r - (r / 2.0) * thresh_x)
-    x2 = round_half_away(pts[:, 0] * r + (r / 2.0) * thresh_x)
-    y1 = round_half_away(pts[:, 1] * r - (r / 2.0) * thresh_y)
-    y2 = round_half_away(pts[:, 1] * r + (r / 2.0) * thresh_y)
-    return np.stack([x1, y1, x2, y2], axis=1)
+    # An edge that overflows to inf, or to NaN, fails the range test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (r / 2.0) * np.array([thresh_x, thresh_y], dtype=float)
+        edges = np.concatenate([pts * r - half, pts * r + half], axis=1)
+    reject_rows(~((edges >= -2.0 ** 63) & (edges < 2.0 ** 63)).all(axis=1), "points_xy", "",
+                "box edge outside the int64 range")
+    return round_half_away(edges)
 
 
 # Candidate pairs are tested this many at a time.
@@ -382,8 +380,8 @@ def box_nms(boxes, scores, iou_thresh):
     if scores.shape != (len(boxes),):
         raise ValidationError(f"need one score per box, got {scores.shape} "
                               f"for {len(boxes)} boxes")
-    _reject(~np.isfinite(boxes).all(axis=1), "boxes", "", "not finite")
-    _reject(~np.isfinite(scores), "scores", "", "not finite")
+    reject_non_finite(boxes, "boxes")
+    reject_non_finite(scores, "scores")
     if len(boxes) == 0:
         return np.empty(0, dtype=np.int64)
     if np.any(boxes[:, 0] > boxes[:, 2]) or np.any(boxes[:, 1] > boxes[:, 3]):
@@ -411,7 +409,7 @@ def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
     if not (thresh_x > 0 and thresh_y > 0 and r > 0):
         raise ValidationError("thresh_x, thresh_y and r must be positive")
     points = np.asarray(points_xy, dtype=float).reshape(-1, 2)
-    _reject(~np.isfinite(points).all(axis=1), "points_xy", "", "not finite")
+    reject_non_finite(points, "points_xy")
     boxes = build_nms_boxes(points, thresh_x, thresh_y, r)
     return box_nms(boxes, scores, iou_thresh)
 

@@ -69,7 +69,7 @@ class TestPipelineCommands:
             assert r["f1"] == 1.0
         assert "scene-7" in payload["per_frame"]
 
-    def test_eval_directory_input(self, tmp_path, monkeypatch):
+    def test_eval_directory_input(self, tmp_path):
         gt_all = {}
         lane_dir = tmp_path / "lanes"
         lane_dir.mkdir()
@@ -84,7 +84,6 @@ class TestPipelineCommands:
         merged = tmp_path / "gt_all.json"
         merged.write_text(json.dumps({"frames": [
             {"frame_id": fid, "lanes": lanes} for fid, lanes in gt_all.items()]}))
-        monkeypatch.setenv("LANEKIT_THREADS", "2")
         report = tmp_path / "report.json"
         assert run(["eval", "--pred", lane_dir, "--gt", merged,
                     "--threshold", "1.5", "--report", report]) == 0
@@ -92,13 +91,13 @@ class TestPipelineCommands:
         assert payload["aggregate"][0]["f1"] == 1.0
         assert payload["aggregate"][0]["tp"] == 9
 
-    def test_bad_thread_env_is_exit_1(self, scene, tmp_path, monkeypatch):
-        pred, gt = scene
-        lane_dir = tmp_path / "lanes"
-        lane_dir.mkdir()
-        assert run(["extract", "--pred", pred, "--out", lane_dir / "a.json"]) == 0
-        monkeypatch.setenv("LANEKIT_THREADS", "0")
-        assert run(["eval", "--pred", lane_dir, "--gt", gt]) == 1
+    def test_eval_non_finite_lane_point_is_exit_1(self, scene, tmp_path, capsys):
+        _, gt = scene
+        lanes = tmp_path / "lanes.json"
+        lanes.write_text('{"frame_id": "scene-7", "lanes": [{"category": 0, '
+                         '"confidence": 0.9, "points": [[0, 5, 0], [1e999, 10, 0]]}]}')
+        assert run(["eval", "--pred", lanes, "--gt", gt]) == 1
+        assert "points[1]: not finite" in capsys.readouterr().err
 
     def test_nms_prunes_and_keeps_format(self, scene, tmp_path):
         pred, _ = scene

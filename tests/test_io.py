@@ -6,10 +6,12 @@ import pytest
 from lanekit.errors import SchemaError, ValidationError
 from lanekit.geometry import build_uniform_grid, make_forward_camera
 from lanekit.io import (
+    LaneRecord,
     PredictionFrame,
     load_camera,
     load_ground_truth,
     load_head_weights,
+    load_lane_frame,
     load_prediction_frame,
     save_camera,
     save_grid_csv,
@@ -231,6 +233,33 @@ class TestGroundTruthFiles:
             for a, b in zip(frames[fid], loaded[fid]):
                 assert a.category == b.category
                 np.testing.assert_array_equal(a.points, b.points)
+
+
+# 1e999 is valid JSON but overflows to inf when parsed.
+OVERFLOWING_POINTS = "[[0, 5, 0], [1e999, 10, 0]]"
+
+
+class TestNonFiniteLanePoints:
+    def test_lane_file_overflow_rejected(self, tmp_path):
+        path = tmp_path / "lanes.json"
+        path.write_text('{"frame_id": "a", "lanes": [{"category": 0, "confidence": 0.5, '
+                        '"points": [[0, 5, 0], [1, 10, 0]]}, {"category": 0, '
+                        f'"confidence": 0.5, "points": {OVERFLOWING_POINTS}}}]}}')
+        with pytest.raises(ValidationError, match=r"lanes\[1\]: points\[1\]: not finite"):
+            load_lane_frame(path)
+
+    def test_ground_truth_overflow_rejected(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text('{"frames": [{"frame_id": "a", "lanes": '
+                        f'[{{"category": 0, "points": {OVERFLOWING_POINTS}}}]}}]}}')
+        with pytest.raises(ValidationError,
+                           match=r"frames\[0\]\.lanes\[0\]: points\[1\]: not finite"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lane_record_rejects(self, bad):
+        with pytest.raises(ValidationError, match=r"points\[0\]: not finite"):
+            LaneRecord(points=[[0.0, 5.0, bad], [0.0, 10.0, 0.0]])
 
 
 class TestCameraAndWeights:

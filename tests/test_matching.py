@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
+from lanekit import matching
 from lanekit.errors import ValidationError
 from lanekit.matching import (
     MAX_ANCHOR_DIST_M,
@@ -14,6 +16,7 @@ from lanekit.matching import (
     build_connection_targets,
     build_cost_matrix,
     match_keypoints,
+    max_cardinality,
     solve_assignment,
 )
 from lanekit.nms import Keypoint, ProposalSet
@@ -222,6 +225,44 @@ class TestSolveAssignment:
         got = solve_assignment(costs)
         want = oracle_assignment(costs)
         assert list(got.pairs) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.floats(0.0, 0.9),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 32)),
+                    min_size=49, max_size=49))
+    def test_sparse_quantised_matches_oracle(self, rows, cols, infeasible, cells):
+        # Many infeasible cells and costs on a 1/32 grid leave rows with
+        # finite, tied columns left of their optimal column, so the
+        # warm-started walk has to sub-solve them.
+        vals = [np.inf if u < infeasible else k / 32.0 for u, k in cells]
+        costs = np.array(vals[: rows * cols]).reshape(rows, cols)
+        want = oracle_assignment(costs)
+        assert list(solve_assignment(costs).pairs) == want
+        assert max_cardinality(costs) == len(want)
+
+    def test_optimum_already_smallest_needs_one_solve(self, monkeypatch):
+        calls = []
+
+        def counting_lsa(costs):
+            calls.append(costs.shape)
+            return linear_sum_assignment(costs)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting_lsa)
+        costs = np.where(np.eye(6, dtype=bool), 0.5, np.inf)
+        costs[0, 3] = 0.25
+        assert solve_assignment(costs).pairs == tuple((i, i) for i in range(6))
+        assert calls == [(6, 6)]
+        # a live finite column left of the optimal one costs one sub-solve
+        calls.clear()
+        assert solve_assignment(np.array([[1.0, 0.5], [0.5, 1.0]])).pairs \
+            == ((0, 1), (1, 0))
+        assert calls == [(2, 2), (1, 1)]
+
+    def test_max_cardinality(self):
+        assert max_cardinality(np.full((2, 3), np.inf)) == 0
+        assert max_cardinality(np.zeros((0, 4))) == 0
+        assert max_cardinality([[1.0, 5.0], [np.inf, 5.0]]) == 2
+        assert max_cardinality([[1.0, np.inf], [2.0, np.inf], [3.0, 4.0]]) == 2
 
 
 class TestMatchKeypoints:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanekit.config import NEAR_FAR_SPLIT_M
+from lanekit.errors import ValidationError
+from lanekit.matching import solve_assignment
 from lanekit.metrics import (
     AP_CONF_STEPS,
     EvalReport,
     GroundTruthLane,
+    _Resampled,
     default_y_samples,
     evaluate,
     match_lanes,
@@ -211,3 +215,128 @@ class TestEvaluate:
         d = rep.as_dict()
         assert d["threshold"] == 1.5 and d["tp"] == 1
         assert set(d) == set(EvalReport.__dataclass_fields__)
+
+
+def reference_ap(frames, costs, conf_steps=AP_CONF_STEPS):
+    """AP with one canonical assignment per frame and cutoff."""
+    cutoff_tp = np.zeros(len(conf_steps))
+    cutoff_pred = np.zeros(len(conf_steps))
+    for frame, frame_costs in zip(frames, costs):
+        for c_idx, cutoff in enumerate(conf_steps):
+            rows = np.nonzero(frame.conf >= cutoff)[0]
+            cutoff_pred[c_idx] += len(rows)
+            if len(rows) == 0:
+                continue
+            cutoff_tp[c_idx] += len(solve_assignment(frame_costs[rows]).pairs)
+    achieved = cutoff_pred > 0
+    return float((cutoff_tp[achieved] / cutoff_pred[achieved]).mean()) \
+        if achieved.any() else 0.0
+
+
+def reference_report(pred_frames, gt_frames, threshold):
+    """The report at one threshold, with AP from ``reference_ap``."""
+    y_samples = default_y_samples()
+    near_mask = y_samples < NEAR_FAR_SPLIT_M
+    frames = [_Resampled(pred_frames[fid], gt_frames[fid], y_samples)
+              for fid in sorted(pred_frames)]
+    costs = [frame.admissible_cost(threshold) for frame in frames]
+    tp = fp = fn = 0
+    err_sums, err_counts = np.zeros(4), np.zeros(4)
+    for frame, frame_costs in zip(frames, costs):
+        pairs = solve_assignment(frame_costs).pairs
+        tp += len(pairs)
+        fp += frame.n_pred - len(pairs)
+        fn += frame.n_gt - len(pairs)
+        sums, counts = frame.pair_errors(pairs, near_mask)
+        err_sums += sums
+        err_counts += counts
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    errs = np.where(err_counts > 0, err_sums / np.maximum(err_counts, 1), 0.0)
+    return EvalReport(threshold=float(threshold), f1=f1, precision=precision,
+                      recall=recall, ap=reference_ap(frames, costs),
+                      x_err_near=float(errs[0]), x_err_far=float(errs[1]),
+                      z_err_near=float(errs[2]), z_err_far=float(errs[3]),
+                      tp=tp, fp=fp, fn=fn)
+
+
+# Confidences on the cutoffs themselves, between them, and at the ends.
+TIED_CONFIDENCES = tuple(AP_CONF_STEPS[::3]) + (0.0, 0.33, 0.5, 0.97, 1.0)
+
+
+def crowded_frame(rng):
+    """GT lanes 0.3-1.2 m apart, so one prediction is often admissible for
+    several of them; predictions share a handful of confidences."""
+    gts, preds = [], []
+    x = rng.uniform(-3, 0)
+    for _ in range(rng.integers(0, 6)):
+        x += rng.uniform(0.3, 1.2)
+        ys = np.linspace(rng.uniform(1, 30), rng.uniform(50, 100), 6)
+        gts.append(lane(np.column_stack([x + rng.uniform(-0.01, 0.01) * ys, ys,
+                                         rng.uniform(0, 0.3) * np.ones(6)])))
+    for _ in range(rng.integers(0, 7)):
+        if gts and rng.random() < 0.8:
+            points = gts[rng.integers(len(gts))].points.copy()
+            points[:, 0] += rng.normal(0, 0.5)
+            points[:, 1] += rng.choice((0.0, 0.0, 25.0, 120.0))
+        else:
+            ys = np.linspace(rng.uniform(1, 30), 100, 5)
+            points = np.column_stack([rng.uniform(-4, 4) * np.ones(5), ys, np.zeros(5)])
+        preds.append(ConfLane(points, float(rng.choice(TIED_CONFIDENCES))))
+    return preds, gts
+
+
+class TestCardinalityCutoffs:
+    def test_reports_match_per_cutoff_reference(self):
+        rng = np.random.default_rng(2024)
+        crowded = 0
+        for _ in range(60):
+            frames = [crowded_frame(rng) for _ in range(int(rng.integers(1, 5)))]
+            preds = {f: p for f, (p, _) in enumerate(frames)}
+            gts = {f: g for f, (_, g) in enumerate(frames)}
+            thresholds = (1.5, 0.8, 0.5)
+            got = evaluate(preds, gts, thresholds=thresholds)
+            assert got == [reference_report(preds, gts, t) for t in thresholds]
+            for f in preds:
+                finite = np.isfinite(_Resampled(preds[f], gts[f], default_y_samples())
+                                     .admissible_cost(1.5))
+                crowded += bool((finite.sum(axis=0) > 1).any() and
+                                (finite.sum(axis=1) > 1).any())
+        assert crowded >= 20   # many components are larger than 1x1
+
+    def test_custom_steps_in_any_order(self):
+        rng = np.random.default_rng(7)
+        frames = [crowded_frame(rng) for _ in range(8)]
+        preds = {f: p for f, (p, _) in enumerate(frames)}
+        gts = {f: g for f, (_, g) in enumerate(frames)}
+        steps = (0.5, 0.05, 0.95, 0.5, 0.0)
+        rep, = evaluate(preds, gts, thresholds=(1.5,), conf_steps=steps)
+        resampled = [_Resampled(preds[f], gts[f], default_y_samples()) for f in sorted(preds)]
+        want = reference_ap(resampled, [r.admissible_cost(1.5) for r in resampled], steps)
+        assert rep.ap == want
+
+
+class TestNonFiniteLanes:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ground_truth_lane_rejects(self, bad):
+        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+            lane([[0.0, 5.0, 0.0], [bad, 10.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"points\[0\]: not finite"):
+            lane([[0.0, bad, 0.0], [0.0, 10.0, 0.0]])
+
+    def test_nan_prediction_is_an_error_not_f1_zero(self):
+        gts = [straight(0.0)]
+        nan_pred = ConfLane([[0.0, 1.0, 0.0], [np.nan, 100.0, 0.0]], 0.9)
+        with pytest.raises(ValidationError, match=r"points\[1\]"):
+            evaluate([nan_pred], gts)
+        with pytest.raises(ValidationError, match=r"points\[1\]"):
+            match_lanes([nan_pred], gts, 1.5)
+        with pytest.raises(ValidationError, match=r"points\[1\]"):
+            resample_lane(nan_pred, default_y_samples())
+
+    def test_descending_y_samples_rejected_by_evaluate(self):
+        with pytest.raises(ValueError, match="y_samples"):
+            evaluate([straight(0.0)], [straight(0.0)], y_samples=[5.0, 3.0])
+        with pytest.raises(ValueError, match="y_samples"):
+            match_lanes([straight(0.0)], [straight(0.0)], 1.5, y_samples=[5.0, 3.0])

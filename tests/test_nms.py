@@ -511,3 +511,24 @@ class TestNmsInputValidation:
     def test_score_count_mismatch(self):
         with pytest.raises(ValidationError, match="one score per box"):
             box_nms(self.boxes, [0.5], 0.1)
+
+    @pytest.mark.parametrize("point", [[1e300, 0.0], [0.0, -1e300], [1e18, 5.0],
+                                       [1.7e308, 0.0]])
+    def test_box_edge_beyond_int64(self, point):
+        with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
+            point_nms([point, [0.0, 0.0]], [0.5, 0.4], 1.0, 1.0)
+
+    @pytest.mark.parametrize("thresh", [1e300, 1.7e308, np.inf])
+    def test_huge_threshold_names_the_point(self, thresh):
+        with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
+            point_nms([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.4], thresh, 1.0)
+        with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
+            build_nms_boxes([[0.0, 0.0]], 1.0, thresh)
+
+    def test_box_edges_at_the_int64_limits(self):
+        # the largest double below 2**63 and -2**63 itself still cast exactly
+        top = 2.0 ** 63 - 1024
+        boxes = build_nms_boxes([[top, -2.0 ** 63]], 0.0, 0.0, r=1)
+        assert boxes.tolist() == [[int(top), -2 ** 63, int(top), -2 ** 63]]
+        with pytest.raises(ValidationError, match=r"points_xy\[1\]"):
+            build_nms_boxes([[0.0, 0.0], [2.0 ** 63, 0.0]], 0.0, 0.0, r=1)
