@@ -56,17 +56,12 @@ def _add_grid_args(parser):
 
 
 def _grid_from_args(args):
-    if args.preset:
-        rows, cols = MODEL_PRESETS[args.preset].bev_shape
-        return build_custom_grid(rows=rows, cols=cols,
-                                 spacing_near=args.spacing_near,
-                                 spacing_far=args.spacing_far,
-                                 width=args.width, y_origin=args.y_origin)
-    if args.mode == "uniform":
+    if args.mode == "uniform" and not args.preset:
         return build_uniform_grid(rows=args.rows, cols=args.cols,
                                   y_range=(args.y_min, args.y_max),
                                   x_range=(args.x_min, args.x_max))
-    return build_custom_grid(rows=args.rows, cols=args.cols,
+    rows, cols = MODEL_PRESETS[args.preset].bev_shape if args.preset else (args.rows, args.cols)
+    return build_custom_grid(rows=rows, cols=cols,
                              spacing_near=args.spacing_near,
                              spacing_far=args.spacing_far,
                              width=args.width, y_origin=args.y_origin)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .graph import AdjacencyMatrix
+
 
 @dataclass(frozen=True, eq=False)
 class HeadWeights:
@@ -59,10 +61,6 @@ class HeadWeights:
     @property
     def input_dim(self):
         return self.origin_w1.shape[0]
-
-    @property
-    def embed_dim(self):
-        return self.origin_w2.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,19 +105,17 @@ def positional_encode(position, dims_per_axis=32):
     return pairs.reshape(pos.shape[:-1] + (2 * dims_per_axis,))
 
 
-def _mlp(x, w1, b1, w2, b2, activation):
-    hidden = activation(np.einsum("ij,jk->ik", x, w1, optimize=False) + b1)
+def _mlp(x, w1, b1, w2, b2):
+    hidden = relu(np.einsum("ij,jk->ik", x, w1, optimize=False) + b1)
     return np.einsum("ij,jk->ik", hidden, w2, optimize=False) + b2
 
 
-def adjacency_forward(features, weights, activation=relu):
+def adjacency_forward(features, weights):
     """Full head forward pass; returns probabilities strictly inside (0, 1).
 
     The positional-encoding width is whatever the weight matrices leave room
     for after the connection features.
     """
-    from .graph import AdjacencyMatrix
-
     pe_len = weights.input_dim - features.f_c.shape[1]
     if pe_len <= 0 or pe_len % 4:
         raise ValueError(
@@ -128,9 +124,9 @@ def adjacency_forward(features, weights, activation=relu):
     pe = positional_encode(features.positions, dims_per_axis=pe_len // 2)
     full = np.concatenate([pe, features.f_c], axis=1)
     f_orig = _mlp(full, weights.origin_w1, weights.origin_b1,
-                  weights.origin_w2, weights.origin_b2, activation)
+                  weights.origin_w2, weights.origin_b2)
     f_dest = _mlp(full, weights.dest_w1, weights.dest_b1,
-                  weights.dest_w2, weights.dest_b2, activation)
+                  weights.dest_w2, weights.dest_b2)
     logits = np.einsum("ik,jk->ij", f_orig * weights.final_w, f_dest,
                        optimize=False) + weights.final_b
     return AdjacencyMatrix(expit(logits))

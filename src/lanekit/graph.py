@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .nms import as_proposal_set
 
 
@@ -33,7 +34,7 @@ class AdjacencyMatrix:
         probs = _as_probs(self.probs)
         # NaN propagates through min and max and fails both comparisons.
         if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
-            raise ValueError("adjacency probabilities must be finite and lie in [0, 1]")
+            raise ValidationError("adjacency probabilities must be finite and lie in [0, 1]")
         object.__setattr__(self, "probs", probs)
 
     def __len__(self):

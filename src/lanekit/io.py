@@ -1,11 +1,15 @@
-"""JSON file formats: prediction frames, ground-truth lanes, cameras,
-head weights, plus the anchor-grid CSV export.
+"""JSON file formats: prediction frames, lane files, ground-truth lanes,
+cameras, head weights, plus the anchor-grid CSV export.
 
 All writers emit sorted keys and indented JSON so artifacts diff cleanly in
 review and CI.  Floats use Python's shortest round-tripping representation,
-which keeps load(save(x)) exactly equal to x.  Dense adjacency is stored
-row-major; above 512 keypoints only the nonzero entries are written as
-(i, j, prob) triplets.
+which keeps load(save(x)) exactly equal to x.  A frame's adjacency is
+written in whichever encoding holds fewer numbers: the nonzero entries as
+(i, j, prob) triplets when 3 x nonzero < n^2, otherwise dense row-major
+rows.  The loader reads both encodings whatever the frame's size.
+
+Lane files and ground-truth files both hold ``LaneRecord``s; a ground-truth
+lane is written without a confidence and reads back with confidence 1.0.
 """
 
 import json
@@ -14,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_head import HeadWeights
-from .errors import SchemaError, ValidationError, reject_non_finite
+from .errors import SchemaError, ValidationError, check_lane, float_array
 from .geometry import CameraModel
-from .metrics import GroundTruthLane
+from .graph import AdjacencyMatrix
 from .nms import ProposalSet
-
-DENSE_ADJACENCY_LIMIT = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +39,8 @@ class PredictionFrame:
         if adjacency.shape != (n, n):
             raise ValidationError(f"adjacency must be ({n}, {n}) for {n} keypoints, "
                                   f"got {adjacency.shape}")
-        # NaN propagates through min and max and fails both comparisons.
-        if adjacency.size and not (adjacency.min() >= 0.0 and adjacency.max() <= 1.0):
-            raise ValidationError("adjacency: probabilities must be finite and lie in [0, 1]")
-        object.__setattr__(self, "adjacency", adjacency)
+        # AdjacencyMatrix holds the one range check for connection probabilities.
+        object.__setattr__(self, "adjacency", AdjacencyMatrix(adjacency).probs)
         object.__setattr__(self, "frame_id", str(self.frame_id))
 
 
@@ -62,6 +62,14 @@ def _load_json(path):
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
 
 
+def _as_float(value, field):
+    """A JSON number as a float; an integer beyond the float range is rejected."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(field, "number out of range") from exc
+
+
 def _require(mapping, field, kind, context=""):
     name = f"{context}{field}"
     if not isinstance(mapping, dict):
@@ -70,16 +78,15 @@ def _require(mapping, field, kind, context=""):
         raise SchemaError(name, "missing")
     value = mapping[field]
     if kind is float and isinstance(value, int):
-        value = float(value)
+        value = _as_float(value, name)
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(name, f"expected {getattr(kind, '__name__', kind)}, "
                           f"got {type(value).__name__}")
     return value
 
 
-def save_prediction_frame(frame, path, sparse_adjacency=None):
-    """Writes a frame; ``sparse_adjacency`` forces the adjacency encoding,
-    by default frames above DENSE_ADJACENCY_LIMIT keypoints go sparse."""
+def save_prediction_frame(frame, path):
+    """Writes a frame, its adjacency in the smaller encoding (module docstring)."""
     proposals = frame.keypoints
     keypoints = [{"row": row, "col": col, "x": x, "y": y, "dx": dx, "z": z,
                   "fg_score": fg, "class_scores": scores[:count]}
@@ -88,20 +95,17 @@ def save_prediction_frame(frame, path, sparse_adjacency=None):
                      proposals.y.tolist(), proposals.dx.tolist(), proposals.z.tolist(),
                      proposals.fg_score.tolist(), proposals.class_scores.tolist(),
                      proposals.score_counts.tolist())]
-    n = len(frame.keypoints)
-    if sparse_adjacency is None:
-        sparse_adjacency = n > DENSE_ADJACENCY_LIMIT
-    if not sparse_adjacency:
-        adjacency = {"format": "dense", "size": n,
-                     "probs": [[float(v) for v in row] for row in frame.adjacency]}
-    else:
+    n = len(proposals)
+    if 3 * np.count_nonzero(frame.adjacency) < n * n:
         src, dst = np.nonzero(frame.adjacency)
         adjacency = {"format": "sparse", "size": n,
-                     "triplets": [[int(i), int(j), float(frame.adjacency[i, j])]
-                                  for i, j in zip(src, dst)]}
+                     "triplets": [list(t) for t in zip(src.tolist(), dst.tolist(),
+                                                       frame.adjacency[src, dst].tolist())]}
+    else:
+        adjacency = {"format": "dense", "size": n, "probs": frame.adjacency.tolist()}
     categories = int(proposals.score_counts[0]) if n else 0
     _dump({"frame_id": frame.frame_id, "camera": frame.camera,
-           "categories": categories, "repeats_n": frame.keypoints.repeats_n,
+           "categories": categories, "repeats_n": proposals.repeats_n,
            "keypoints": keypoints, "adjacency": adjacency}, path)
 
 
@@ -112,6 +116,8 @@ def load_prediction_frame(path):
     repeats_n = _require(raw, "repeats_n", int)
     camera = raw.get("camera")
 
+    if camera is not None and not isinstance(camera, str):
+        raise SchemaError("camera", f"expected str or null, got {type(camera).__name__}")
     if categories < 0:
         raise SchemaError("categories", f"must be >= 0, got {categories}")
 
@@ -127,11 +133,10 @@ def load_prediction_frame(path):
         fields.append([_require(entry, name, float, ctx)
                        for name in ("x", "y", "dx", "z", "fg_score")])
         scores.append(entry_scores)
-    try:
-        scores = np.array(scores, dtype=float).reshape(len(entries), categories)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("keypoints.class_scores", f"expected lists of numbers ({exc})") \
-            from exc
+    # Every row holds ``categories`` entries, so numbers give two dimensions.
+    scores = float_array(scores, "keypoints.class_scores") if entries else np.empty((0, 0))
+    if scores.ndim != 2:
+        raise SchemaError("keypoints.class_scores", "expected lists of numbers")
     x, y, dx, z, fg_score = np.array(fields, dtype=float).reshape(-1, 5).T
     proposals = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg_score, scores,
                                         repeats_n=repeats_n)
@@ -139,11 +144,15 @@ def load_prediction_frame(path):
     adj_raw = _require(raw, "adjacency", dict)
     fmt = _require(adj_raw, "format", str, "adjacency.")
     size = _require(adj_raw, "size", int, "adjacency.")
+    if size != len(proposals):
+        raise SchemaError("adjacency.size", f"{size} for {len(proposals)} keypoints")
     if fmt == "dense":
-        adjacency = np.asarray(_require(adj_raw, "probs", list, "adjacency."), dtype=float)
+        probs = _require(adj_raw, "probs", list, "adjacency.")
+        # A frame without keypoints holds ``[]``, a one-dimensional list.
+        adjacency = float_array(probs, "adjacency.probs") if probs else np.zeros((0, 0))
         if adjacency.shape != (size, size):
-            raise ValidationError(f"adjacency.probs is {adjacency.shape}, "
-                                  f"header says ({size}, {size})")
+            raise SchemaError("adjacency.probs",
+                              f"shape {adjacency.shape}, header says ({size}, {size})")
     elif fmt == "sparse":
         adjacency = np.zeros((size, size))
         for t, triplet in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
@@ -155,73 +164,67 @@ def load_prediction_frame(path):
             i, j, p = triplet
             if not (0 <= i < size and 0 <= j < size):
                 raise ValidationError(f"adjacency.triplets[{t}] index out of range")
-            adjacency[i, j] = p
+            adjacency[i, j] = _as_float(p, f"adjacency.triplets[{t}]")
     else:
         raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
 
-    try:
-        return PredictionFrame(frame_id=frame_id, keypoints=proposals,
-                               adjacency=adjacency, camera=camera)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return PredictionFrame(frame_id=frame_id, keypoints=proposals, adjacency=adjacency,
+                           camera=camera)
 
 
 @dataclass(frozen=True, eq=False)
 class LaneRecord:
-    """A detected lane as serialized: polyline, category, confidence."""
+    """A lane polyline with category and confidence, held to ``errors.check_lane``
+    and read-only after: an extracted lane as lane files hold it, or a
+    ground-truth lane (``metrics.GroundTruthLane``) with the default confidence."""
 
     points: np.ndarray
     category: int = 0
     confidence: float = 1.0
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-            raise ValidationError("lane points must be (N >= 2, 3)")
-        reject_non_finite(points, "points")
-        if (points[1:, 1] < points[:-1, 1]).any():
-            raise ValidationError("lane points must have non-decreasing y")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError("confidence must lie in [0, 1]")
+        points = check_lane(self.points, self.confidence).copy()
+        points.flags.writeable = False
         object.__setattr__(self, "points", points)
+
+
+def _read_lane(entry, ctx, has_confidence):
+    """One lane object of a lane or GT file, named ``ctx`` in errors; GT
+    lanes carry no ``confidence``."""
+    fields = {"points": _require(entry, "points", list, f"{ctx}."),
+              "category": _require(entry, "category", int, f"{ctx}.")}
+    if has_confidence:
+        fields["confidence"] = _require(entry, "confidence", float, f"{ctx}.")
+    try:
+        return LaneRecord(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{ctx}: {exc}") from exc
+
+
+def _lane_json(lane):
+    return {"category": int(lane.category),
+            "points": np.asarray(lane.points, dtype=float).tolist()}
 
 
 def save_lane_frame(frame_id, lanes, path):
     """Writes one frame's extracted lanes (anything with points, category
     and confidence attributes)."""
-    out = [{"category": int(lane.category),
-            "confidence": float(lane.confidence),
-            "points": [[float(v) for v in p] for p in lane.points]}
-           for lane in lanes]
+    out = [dict(_lane_json(lane), confidence=float(lane.confidence)) for lane in lanes]
     _dump({"frame_id": str(frame_id), "lanes": out}, path)
 
 
 def load_lane_frame(path):
     raw = _load_json(path)
     frame_id = _require(raw, "frame_id", str)
-    lanes = []
-    for i, entry in enumerate(_require(raw, "lanes", list)):
-        ctx = f"lanes[{i}]."
-        points = _require(entry, "points", list, ctx)
-        try:
-            lanes.append(LaneRecord(points=np.asarray(points, dtype=float),
-                                    category=_require(entry, "category", int, ctx),
-                                    confidence=_require(entry, "confidence", float, ctx)))
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise ValidationError(f"lanes[{i}]: {exc}") from exc
+    lanes = [_read_lane(entry, f"lanes[{i}]", has_confidence=True)
+             for i, entry in enumerate(_require(raw, "lanes", list))]
     return frame_id, lanes
 
 
 def save_ground_truth(frames, path):
-    """``frames`` maps frame id to a list of GroundTruthLane."""
-    out = []
-    for frame_id in sorted(frames):
-        lanes = [{"category": lane.category,
-                  "points": [[float(v) for v in p] for p in lane.points]}
-                 for lane in frames[frame_id]]
-        out.append({"frame_id": str(frame_id), "lanes": lanes})
+    """``frames`` maps frame id to a list of lanes; confidences are not written."""
+    out = [{"frame_id": str(fid), "lanes": [_lane_json(lane) for lane in frames[fid]]}
+           for fid in sorted(frames)]
     _dump({"frames": out}, path)
 
 
@@ -233,17 +236,8 @@ def load_ground_truth(path):
         frame_id = _require(entry, "frame_id", str, ctx)
         if frame_id in frames:
             raise SchemaError(f"{ctx}frame_id", f"duplicate frame_id {frame_id!r}")
-        lanes = []
-        for i, lane_raw in enumerate(_require(entry, "lanes", list, ctx)):
-            lane_ctx = f"{ctx}lanes[{i}]."
-            points = _require(lane_raw, "points", list, lane_ctx)
-            try:
-                lanes.append(GroundTruthLane(
-                    points=np.asarray(points, dtype=float),
-                    category=_require(lane_raw, "category", int, lane_ctx)))
-            except ValueError as exc:
-                raise ValidationError(f"{ctx}lanes[{i}]: {exc}") from exc
-        frames[frame_id] = lanes
+        frames[frame_id] = [_read_lane(lane, f"{ctx}lanes[{i}]", has_confidence=False)
+                            for i, lane in enumerate(_require(entry, "lanes", list, ctx))]
     return frames
 
 
@@ -272,30 +266,21 @@ def load_camera(path):
         raise ValidationError(str(exc)) from exc
 
 
-_WEIGHT_KEYS = {
-    "origin.w1": ("origin_w1", 2), "origin.b1": ("origin_b1", 1),
-    "origin.w2": ("origin_w2", 2), "origin.b2": ("origin_b2", 1),
-    "dest.w1": ("dest_w1", 2), "dest.b1": ("dest_b1", 1),
-    "dest.w2": ("dest_w2", 2), "dest.b2": ("dest_b2", 1),
-    "final.w": ("final_w", 1),
-}
+# Head weight file keys; each names the HeadWeights field spelt with "_".
+_WEIGHT_KEYS = tuple(f"{side}.{name}" for side in ("origin", "dest")
+                     for name in ("w1", "b1", "w2", "b2")) + ("final.w",)
 
 
 def save_head_weights(weights, path):
-    out = {}
-    for key, (attr, ndim) in _WEIGHT_KEYS.items():
-        arr = getattr(weights, attr)
-        out[key] = [[float(v) for v in row] for row in arr] if ndim == 2 \
-            else [float(v) for v in arr]
+    out = {key: getattr(weights, key.replace(".", "_")).tolist() for key in _WEIGHT_KEYS}
     out["final.b"] = weights.final_b
     _dump(out, path)
 
 
 def load_head_weights(path):
     raw = _load_json(path)
-    fields = {}
-    for key, (attr, _) in _WEIGHT_KEYS.items():
-        fields[attr] = np.asarray(_require(raw, key, list), dtype=float)
+    fields = {key.replace(".", "_"): float_array(_require(raw, key, list), key)
+              for key in _WEIGHT_KEYS}
     fields["final_b"] = _require(raw, "final.b", float)
     try:
         return HeadWeights(**fields)

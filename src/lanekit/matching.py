@@ -222,11 +222,14 @@ def solve_assignment(cost):
     pairs = _solve_raw(costs)
     if pairs and max(P, G) <= _CANONICAL_LIMIT:
         pairs = _canonical_pairs(costs, pairs)
-    matched_p = {p for p, _ in pairs}
-    matched_g = {g for _, g in pairs}
-    return Matching(pairs=tuple(pairs),
-                    unmatched_proposals=tuple(i for i in range(P) if i not in matched_p),
-                    unmatched_gts=tuple(j for j in range(G) if j not in matched_g))
+    return _matching(pairs, P, G)
+
+
+def _matching(pairs, proposal_count, gt_count):
+    """A Matching of ``pairs``, with every index it leaves out unmatched."""
+    return Matching(pairs=pairs,
+                    unmatched_proposals=set(range(proposal_count)) - {p for p, _ in pairs},
+                    unmatched_gts=set(range(gt_count)) - {g for _, g in pairs})
 
 
 def match_keypoints(proposals, gts, repeats_n=1, strongest=False,
@@ -242,14 +245,7 @@ def match_keypoints(proposals, gts, repeats_n=1, strongest=False,
     duplicated = [g for g in gts for _ in range(repeats_n)]
     cost = build_cost_matrix(proposals, duplicated, lambda_dist, lambda_cls)
     raw = solve_assignment(cost)
-    pairs = tuple((p, g // repeats_n) for p, g in raw.pairs)
-    matched_p = {p for p, _ in pairs}
-    matched_g = {g for _, g in pairs}
-    return Matching(pairs=pairs,
-                    unmatched_proposals=tuple(i for i in range(len(proposals))
-                                              if i not in matched_p),
-                    unmatched_gts=tuple(j for j in range(len(gts))
-                                        if j not in matched_g))
+    return _matching([(p, g // repeats_n) for p, g in raw.pairs], len(proposals), len(gts))
 
 
 def build_connection_targets(matching, gts, size):

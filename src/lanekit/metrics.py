@@ -12,7 +12,7 @@ Lanes with no valid samples inside the grid cannot participate and are
 excluded from the counts on both sides.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import reject_non_finite
+from .errors import ValidationError, check_lane
+from .io import LaneRecord
 from .matching import max_cardinality, solve_assignment
 
 INLIER_FRACTION = 0.75
@@ -34,27 +35,19 @@ def default_y_samples():
     return np.arange(EVAL_Y_MIN_M, EVAL_Y_MAX_M + EVAL_Y_STEP_M / 2, EVAL_Y_STEP_M)
 
 
-def _lane_points(lane):
-    """A lane's points as an (N >= 2, 3) array of finite floats."""
-    points = np.asarray(getattr(lane, "points", lane), dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-        raise ValueError(f"lane needs >= 2 (x, y, z) points, got shape {points.shape}")
-    reject_non_finite(points, "points")
-    return points
+GroundTruthLane = LaneRecord
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruthLane:
-    """An annotated lane polyline with a category label."""
-
-    points: np.ndarray
-    category: int = 0
-
-    def __post_init__(self):
-        points = _lane_points(self.points)
-        if (points[1:, 1] < points[:-1, 1]).any():
-            raise ValueError("lane y coordinates must be non-decreasing")
-        object.__setattr__(self, "points", points)
+def _checked_lane(lane, name):
+    """The points and confidence of ``lane`` (a LaneRecord, checked when made,
+    anything with ``points``, or a point array), named ``name`` in errors."""
+    if isinstance(lane, LaneRecord):
+        return lane.points, lane.confidence
+    confidence = getattr(lane, "confidence", 1.0)
+    try:
+        return check_lane(getattr(lane, "points", lane), confidence), confidence
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -75,17 +68,12 @@ class EvalReport:
     fn: int
 
     def as_dict(self):
-        return {
-            "threshold": self.threshold, "f1": self.f1,
-            "precision": self.precision, "recall": self.recall, "ap": self.ap,
-            "x_err_near": self.x_err_near, "x_err_far": self.x_err_far,
-            "z_err_near": self.z_err_near, "z_err_far": self.z_err_far,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-        }
+        return asdict(self)
 
 
 def _y_grid(y_samples):
-    y_samples = np.asarray(y_samples, dtype=float)
+    """``y_samples`` as an ascending float array; None gives the default grid."""
+    y_samples = default_y_samples() if y_samples is None else np.asarray(y_samples, float)
     if np.any(np.diff(y_samples) < 0):
         raise ValueError("y_samples must be ascending")
     return y_samples
@@ -103,33 +91,34 @@ def _resample(points, y_samples):
 
 def resample_lane(lane, y_samples):
     """Linear x(y), z(y) interpolation; samples beyond the extent are invalid."""
-    return _resample(_lane_points(lane), _y_grid(y_samples))
+    return _resample(_checked_lane(lane, "lane")[0], _y_grid(y_samples))
 
 
-def _stack_resampled(lanes, y_samples):
-    """Resamples every lane onto ``y_samples``, which must already be an
-    ascending float array."""
+def _stack_resampled(lanes, y_samples, name):
+    """Resamples each lane onto ``y_samples`` (an ascending float array) and
+    gathers the confidences; lane i is called ``name[i]`` in errors."""
     xs = np.zeros((len(lanes), len(y_samples)))
     zs = np.zeros_like(xs)
     valid = np.zeros(xs.shape, dtype=bool)
+    conf = np.zeros(len(lanes))
     for i, lane in enumerate(lanes):
-        pts, v = _resample(_lane_points(lane), y_samples)
+        points, conf[i] = _checked_lane(lane, f"{name}[{i}]")
+        pts, v = _resample(points, y_samples)
         xs[i], zs[i], valid[i] = pts[:, 0], pts[:, 2], v
-    return xs, zs, valid
+    return xs, zs, valid, conf
 
 
 class _Resampled:
     """One frame's lanes on the shared grid, with empty lanes dropped."""
 
-    def __init__(self, pred_lanes, gt_lanes, y_samples):
-        px, pz, pv = _stack_resampled(pred_lanes, y_samples)
+    def __init__(self, pred_lanes, gt_lanes, y_samples, names=("pred_lanes", "gt_lanes")):
+        px, pz, pv, conf = _stack_resampled(pred_lanes, y_samples, names[0])
         keep_p = pv.any(axis=1)
-        gx, gz, gv = _stack_resampled(gt_lanes, y_samples)
+        gx, gz, gv, _ = _stack_resampled(gt_lanes, y_samples, names[1])
         keep_g = gv.any(axis=1)
         self.px, self.pz, self.pv = px[keep_p], pz[keep_p], pv[keep_p]
         self.gx, self.gz, self.gv = gx[keep_g], gz[keep_g], gv[keep_g]
-        self.conf = np.array([getattr(p, "confidence", 1.0)
-                              for p, k in zip(pred_lanes, keep_p) if k])
+        self.conf = conf[keep_p]
         self.n_pred = int(keep_p.sum())
         self.n_gt = int(keep_g.sum())
 
@@ -174,8 +163,6 @@ def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
     """
     if dist_threshold <= 0:
         raise ValueError("dist_threshold must be positive")
-    if y_samples is None:
-        y_samples = default_y_samples()
     frame = _Resampled(pred_lanes, gt_lanes, _y_grid(y_samples))
     return solve_assignment(frame.admissible_cost(dist_threshold))
 
@@ -192,8 +179,9 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     """Evaluates predictions against ground truth, one report per threshold.
 
     ``pred_frames``/``gt_frames`` are mappings from frame id to lane lists (a
-    bare list is treated as a single frame).  Predicted lanes expose
-    ``points`` and optionally ``confidence`` (default 1.0).  AP averages
+    bare list is treated as a single frame).  A lane is anything with
+    ``points`` and optionally ``confidence`` (default 1.0), or a bare point
+    array; one breaking ``errors.check_lane`` raises.  AP averages
     precision over the confidence cutoffs that retain at least one
     prediction; if no cutoff retains any, AP is 0.
     """
@@ -202,13 +190,13 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     if set(preds) != set(gts):
         missing = set(preds) ^ set(gts)
         raise ValueError(f"frame ids do not align; unpaired: {sorted(missing)!r}")
-    if y_samples is None:
-        y_samples = default_y_samples()
     y_samples = _y_grid(y_samples)
     near_mask = y_samples < near_far_split
     steps = np.asarray(conf_steps, dtype=float)
 
-    frames = [_Resampled(preds[fid], gts[fid], y_samples) for fid in sorted(preds)]
+    frames = [_Resampled(preds[fid], gts[fid], y_samples,
+                         (f"pred_frames[{fid!r}]", f"gt_frames[{fid!r}]"))
+              for fid in sorted(preds)]
 
     reports = []
     for threshold in thresholds:

@@ -251,9 +251,17 @@ def apply_offsets(proposals, dx, z):
                                    proposals.score_counts, proposals.repeats_n)
 
 
+def _outside_int64(values):
+    """Per row of ``values``, whether an entry is NaN or outside [-2**63, 2**63)."""
+    inside = (values >= -2.0 ** 63) & (values < 2.0 ** 63)
+    return ~inside.all(axis=tuple(range(1, inside.ndim)))
+
+
 def round_half_away(values):
-    """Rounds to the nearest integer, halves away from zero."""
+    """Rounds to the nearest integer, halves away from zero; a value outside
+    the int64 range is rejected."""
     values = np.asarray(values, dtype=float)
+    reject_rows(_outside_int64(np.atleast_1d(values)), "values", "", "outside the int64 range")
     return np.trunc(values + np.copysign(0.5, values)).astype(np.int64)
 
 
@@ -268,8 +276,7 @@ def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
     with np.errstate(over="ignore", invalid="ignore"):
         half = (r / 2.0) * np.array([thresh_x, thresh_y], dtype=float)
         edges = np.concatenate([pts * r - half, pts * r + half], axis=1)
-    reject_rows(~((edges >= -2.0 ** 63) & (edges < 2.0 ** 63)).all(axis=1), "points_xy", "",
-                "box edge outside the int64 range")
+    reject_rows(_outside_int64(edges), "points_xy", "", "box edge outside the int64 range")
     return round_half_away(edges)
 
 

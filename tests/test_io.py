@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lanekit.errors import SchemaError, ValidationError
-from lanekit.geometry import build_uniform_grid, make_forward_camera
+from lanekit.config import MODEL_PRESETS
+from lanekit.geometry import build_custom_grid, build_uniform_grid, make_forward_camera
 from lanekit.io import (
     LaneRecord,
     PredictionFrame,
@@ -21,7 +22,9 @@ from lanekit.io import (
 )
 from lanekit.metrics import GroundTruthLane
 from lanekit.nms import Keypoint, ProposalSet
-from lanekit.connection_head import random_head_weights
+from lanekit.connection_head import ConnectionFeatures, adjacency_forward, random_head_weights
+from lanekit.graph import AdjacencyMatrix
+from lanekit.synthetic import SceneSpec, generate_scene
 
 
 def make_frame(rng, count=5, categories=4):
@@ -126,7 +129,7 @@ class TestPredictionFrame:
         frame = PredictionFrame(frame_id="sp", keypoints=ProposalSet(kps, repeats_n=1),
                                 adjacency=adjacency)
         path = tmp_path / "frame.json"
-        save_prediction_frame(frame, path, sparse_adjacency=True)
+        save_prediction_frame(frame, path)
         raw = json.loads(path.read_text())
         assert raw["adjacency"]["format"] == "sparse"
         assert len(raw["adjacency"]["triplets"]) == 2
@@ -136,8 +139,11 @@ class TestPredictionFrame:
                                          [0, 1, "0.5"], 7])
     def test_malformed_sparse_triplet_names_it(self, tmp_path, triplet):
         path = tmp_path / "frame.json"
-        save_prediction_frame(make_frame(np.random.default_rng(9), count=3), path,
-                              sparse_adjacency=True)
+        frame = make_frame(np.random.default_rng(9), count=3)
+        adjacency = np.zeros((3, 3))
+        adjacency[0, 1] = adjacency[1, 2] = 0.8   # 2 triplets hold fewer numbers than 9 rows
+        save_prediction_frame(PredictionFrame(frame_id=frame.frame_id, keypoints=frame.keypoints,
+                                              adjacency=adjacency), path)
         raw = json.loads(path.read_text())
         raw["adjacency"]["triplets"][1] = triplet
         path.write_text(json.dumps(raw))
@@ -293,3 +299,134 @@ class TestCameraAndWeights:
         assert (int(row), int(col)) == (0, 0)
         assert float(x) == grid.positions[0, 0, 0]
         assert float(y) == grid.positions[0, 0, 1]
+
+
+def base_scene_frame(seed=3):
+    rows, cols = MODEL_PRESETS["base"].bev_shape
+    _, frame = generate_scene(SceneSpec(seed=seed, lane_count=4),
+                              build_custom_grid(rows=rows, cols=cols))
+    return frame
+
+
+def head_like_frame(count, seed=5):
+    """Random proposals whose adjacency comes from the connection head: a
+    sigmoid, so no entry is zero."""
+    rng = np.random.default_rng(seed)
+    proposals = ProposalSet.from_arrays(
+        np.column_stack([np.arange(count) // 8, np.arange(count) % 8]),
+        rng.uniform(-8, 8, count), rng.uniform(3, 60, count), rng.uniform(-1, 1, count),
+        rng.uniform(-0.2, 0.2, count), rng.uniform(0, 1, count), rng.uniform(0, 1, (count, 3)),
+        repeats_n=2)
+    features = ConnectionFeatures(rng.normal(size=(count, 8)), proposals.refined_xy)
+    adjacency = adjacency_forward(features, random_head_weights(seed, d_c=8, dims_per_axis=8))
+    return PredictionFrame(frame_id="head", keypoints=proposals, adjacency=adjacency.probs)
+
+
+class TestAdjacencyEncoding:
+    """The adjacency is written in whichever encoding holds fewer numbers."""
+
+    @staticmethod
+    def save_and_reload(frame, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_prediction_frame(frame, first)
+        loaded = load_prediction_frame(first)
+        save_prediction_frame(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        return json.loads(first.read_text())["adjacency"], loaded
+
+    def test_synthetic_base_frame_goes_sparse(self, tmp_path):
+        frame = base_scene_frame()
+        n, nonzero = len(frame.keypoints), np.count_nonzero(frame.adjacency)
+        assert n <= 512 and 0 < 3 * nonzero < n * n
+        adjacency, loaded = self.save_and_reload(frame, tmp_path)
+        assert adjacency["format"] == "sparse" and len(adjacency["triplets"]) == nonzero
+        assert frames_equal(loaded, frame)
+
+    def test_head_like_frame_above_512_goes_dense(self, tmp_path):
+        frame = head_like_frame(600)
+        assert np.count_nonzero(frame.adjacency) == 600 * 600
+        adjacency, loaded = self.save_and_reload(frame, tmp_path)
+        assert adjacency["format"] == "dense"
+        assert frames_equal(loaded, frame)
+
+    @pytest.mark.parametrize("nonzero,expected", [(5, "sparse"), (6, "dense"), (16, "dense")])
+    def test_rule_is_three_numbers_per_triplet(self, tmp_path, nonzero, expected):
+        # 4 keypoints: 16 dense numbers, so 5 triplets (15) are smaller, 6 (18) are not
+        frame = make_frame(np.random.default_rng(12), count=4)
+        adjacency = np.zeros(16)
+        adjacency[:nonzero] = np.linspace(0.1, 1.0, nonzero)
+        frame = PredictionFrame(frame_id="r", keypoints=frame.keypoints,
+                                adjacency=adjacency.reshape(4, 4))
+        written, loaded = self.save_and_reload(frame, tmp_path)
+        assert written["format"] == expected
+        assert frames_equal(loaded, frame)
+
+    def test_frame_without_keypoints_round_trips(self, tmp_path):
+        frame = PredictionFrame(frame_id="empty", keypoints=ProposalSet(()),
+                                adjacency=np.zeros((0, 0)))
+        written, loaded = self.save_and_reload(frame, tmp_path)
+        assert written == {"format": "dense", "probs": [], "size": 0}
+        assert frames_equal(loaded, frame)
+
+    def write_with(self, frame, path, adjacency):
+        save_prediction_frame(frame, path)
+        raw = json.loads(path.read_text())
+        raw["adjacency"] = adjacency
+        path.write_text(json.dumps(raw))
+
+    def test_dense_file_above_512_still_loads(self, tmp_path):
+        frame = PredictionFrame(frame_id="big", keypoints=head_like_frame(520).keypoints,
+                                adjacency=np.zeros((520, 520)))
+        probs = np.zeros((520, 520))
+        probs[3, 7], probs[519, 0] = 0.75, 1.0
+        path = tmp_path / "old.json"
+        self.write_with(frame, path, {"format": "dense", "size": 520, "probs": probs.tolist()})
+        loaded = load_prediction_frame(path)
+        assert np.array_equal(loaded.adjacency, probs)
+
+    def test_sparse_file_of_a_full_matrix_still_loads(self, tmp_path):
+        frame = make_frame(np.random.default_rng(13), count=4)
+        triplets = [[i, j, float(frame.adjacency[i, j])] for i in range(4) for j in range(4)]
+        path = tmp_path / "old.json"
+        self.write_with(frame, path, {"format": "sparse", "size": 4, "triplets": triplets})
+        assert frames_equal(load_prediction_frame(path), frame)
+
+    def test_size_must_match_the_keypoints(self, tmp_path):
+        frame = make_frame(np.random.default_rng(14), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "sparse", "size": 10 ** 9, "triplets": []})
+        with pytest.raises(SchemaError, match=r"adjacency\.size"):
+            load_prediction_frame(path)
+
+    @pytest.mark.parametrize("probs", [[[0.1, 0.2, 0.3], [0.1], [0.2, 0.2, 0.2]],
+                                       [[0.1, 0.2, "0.3"]] * 3, [[0.1, 0.2, None]] * 3,
+                                       [[[0.1], [0.2], [0.3]]] * 3, [[0.1, 0.2, 0.3]] * 2,
+                                       [[0.1, 0.2, 10 ** 400]] * 3, []])
+    def test_malformed_dense_probs_name_the_field(self, tmp_path, probs):
+        frame = make_frame(np.random.default_rng(15), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "dense", "size": 3, "probs": probs})
+        with pytest.raises(ValidationError, match=r"adjacency\.probs"):
+            load_prediction_frame(path)
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        frame = make_frame(np.random.default_rng(16), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "sparse", "size": 3,
+                                      "triplets": [[0, 1, 0.5], [1, 2, 10 ** 400]]})
+        with pytest.raises(SchemaError, match=r"adjacency\.triplets\[1\]"):
+            load_prediction_frame(path)
+        save_prediction_frame(frame, path)
+        raw = json.loads(path.read_text())
+        raw["keypoints"][0]["x"] = 10 ** 400
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=r"keypoints\[0\]\.x: number out of range"):
+            load_prediction_frame(path)
+
+    def test_adjacency_check_is_the_graph_one(self):
+        kps = make_frame(np.random.default_rng(17), count=2).keypoints
+        for bad in (np.array([[0.0, 1.5], [0.0, 0.0]]), np.array([[0.0, np.nan], [0.0, 0.0]])):
+            with pytest.raises(ValidationError, match="adjacency probabilities"):
+                PredictionFrame(frame_id="bad", keypoints=kps, adjacency=bad)
+            with pytest.raises(ValidationError, match="adjacency probabilities"):
+                AdjacencyMatrix(bad)

@@ -1,0 +1,188 @@
+"""Fuzz tests of the JSON loaders.
+
+Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame`` and
+``load_ground_truth`` either return or raise ``ValidationError`` (which
+``SchemaError`` subclasses); no other exception may escape.  Inputs are
+arbitrary JSON documents and valid files with a few parts replaced, removed
+or duplicated.  Whatever a loader accepts must also save and load back
+unchanged.
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lanekit.errors import ValidationError
+from lanekit.io import (LaneRecord, PredictionFrame, load_ground_truth, load_lane_frame,
+                        load_prediction_frame, save_ground_truth, save_lane_frame,
+                        save_prediction_frame)
+from lanekit.nms import ProposalSet
+
+_TEMP = tempfile.TemporaryDirectory(prefix="lanekit-fuzz-")   # removed at exit
+WORKDIR = Path(_TEMP.name)
+
+# Values a hand-edited file is likely to hold where a number belongs.
+SPECIAL = st.sampled_from([0, 1, -1, 2, 0.5, -0.0, 1e308, -1e308, 2 ** 63, 10 ** 400,
+                           -10 ** 400, True, False, None, "", "0.5", "a", [], {}, [[]],
+                           [0, 1], [0.5, 0.5, 0.5], "dense", "sparse"])
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5) | SPECIAL)
+JSON = st.recursive(SCALARS, lambda children: st.lists(children, max_size=4)
+                    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+                    max_leaves=12)
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def valid_frame():
+    rng = np.random.default_rng(0)
+    proposals = ProposalSet.from_arrays([[0, 1], [1, 1], [2, 0]], rng.uniform(-3, 3, 3),
+                                        [3.0, 5.0, 7.0], rng.uniform(-1, 1, 3),
+                                        rng.uniform(-0.2, 0.2, 3), rng.uniform(0, 1, 3),
+                                        rng.uniform(0, 1, (3, 2)), repeats_n=2)
+    adjacency = np.zeros((3, 3))
+    adjacency[0, 1] = 0.9
+    sparse = PredictionFrame(frame_id="s", keypoints=proposals, adjacency=adjacency)
+    dense = PredictionFrame(frame_id="d", keypoints=proposals,
+                            adjacency=rng.uniform(0.1, 1, (3, 3)))
+    return sparse, dense
+
+
+def saved(save, *args):
+    path = WORKDIR / "valid.json"
+    save(*args, path)
+    return json.loads(path.read_text())
+
+
+LANES = [LaneRecord([[0.0, 3.0, 0.0], [0.5, 9.0, 0.1], [1.0, 20.0, 0.2]], 2, 0.75),
+         LaneRecord([[4.0, 1.0, 0.0], [4.0, 1.0, 0.0]], 0, 1.0)]
+VALID = {
+    "frame": [saved(save_prediction_frame, frame) for frame in valid_frame()],
+    "lanes": [saved(save_lane_frame, "f", LANES)],
+    "gt": [saved(save_ground_truth, {"f": LANES, "g": LANES[:1]})],
+}
+
+
+def paths(doc, prefix=()):
+    """Every location inside ``doc``, parents before children."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, kind):
+    """A valid file of ``kind`` with one to three parts changed."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(list(paths(doc))))
+        if not where:
+            continue
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        key = where[-1]
+        action = draw(st.sampled_from(["replace", "remove", "duplicate"]))
+        if action == "replace":
+            parent[key] = copy.deepcopy(draw(JSON))   # drawn values may be shared
+        elif action == "remove":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key + "_"] = copy.deepcopy(parent[key])
+    return doc
+
+
+def load(loader, doc):
+    path = WORKDIR / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        return loader(path)
+    except ValidationError:
+        return None
+
+
+def resaved(save, *args):
+    path = WORKDIR / "again.json"
+    save(*args, path)
+    return path
+
+
+def check_frame(doc):
+    frame = load(load_prediction_frame, doc)
+    if frame is not None:
+        again = load_prediction_frame(resaved(save_prediction_frame, frame))
+        assert again.frame_id == frame.frame_id and again.camera == frame.camera
+        assert again.keypoints.repeats_n == frame.keypoints.repeats_n
+        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "score_counts"):
+            assert np.array_equal(getattr(again.keypoints, name),
+                                  getattr(frame.keypoints, name))
+        assert np.array_equal(again.adjacency, frame.adjacency)
+
+
+def check_lanes(doc):
+    loaded = load(load_lane_frame, doc)
+    if loaded is not None:
+        frame_id, lanes = loaded
+        again = load_lane_frame(resaved(save_lane_frame, frame_id, lanes))
+        assert again[0] == frame_id and len(again[1]) == len(lanes)
+        for a, b in zip(again[1], lanes):
+            assert (a.category, a.confidence) == (b.category, b.confidence)
+            assert np.array_equal(a.points, b.points)
+
+
+def check_gt(doc):
+    frames = load(load_ground_truth, doc)
+    if frames is not None:
+        again = load_ground_truth(resaved(save_ground_truth, frames))
+        assert sorted(again) == sorted(frames)
+        for fid in frames:
+            assert [l.category for l in again[fid]] == [l.category for l in frames[fid]]
+            assert all(np.array_equal(a.points, b.points)
+                       for a, b in zip(again[fid], frames[fid]))
+
+
+@FUZZ
+@given(JSON)
+def test_arbitrary_json(doc):
+    check_frame(doc)
+    check_lanes(doc)
+    check_gt(doc)
+
+
+@FUZZ
+@given(mutated("frame"))
+def test_mutated_prediction_frame(doc):
+    check_frame(doc)
+
+
+@FUZZ
+@given(mutated("lanes"))
+def test_mutated_lane_file(doc):
+    check_lanes(doc)
+
+
+@FUZZ
+@given(mutated("gt"))
+def test_mutated_ground_truth(doc):
+    check_gt(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=40))
+def test_arbitrary_text(text):
+    path = WORKDIR / "text.json"
+    path.write_text(text)
+    for loader in (load_prediction_frame, load_lane_frame, load_ground_truth):
+        try:
+            loader(path)
+        except ValidationError:
+            pass

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lanekit.config import NEAR_FAR_SPLIT_M
 from lanekit.errors import ValidationError
+from lanekit.io import LaneRecord
 from lanekit.matching import solve_assignment
 from lanekit.metrics import (
     AP_CONF_STEPS,
@@ -340,3 +341,69 @@ class TestNonFiniteLanes:
             evaluate([straight(0.0)], [straight(0.0)], y_samples=[5.0, 3.0])
         with pytest.raises(ValueError, match="y_samples"):
             match_lanes([straight(0.0)], [straight(0.0)], 1.5, y_samples=[5.0, 3.0])
+
+
+class TestOneLaneRule:
+    """Every lane evaluate, match_lanes and resample_lane see is held to
+    the rule LaneRecord enforces, whatever its type."""
+
+    def test_ground_truth_lane_is_lane_record(self):
+        assert GroundTruthLane is LaneRecord
+        gt = GroundTruthLane([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], 4)
+        assert gt.category == 4 and gt.confidence == 1.0
+
+    @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None])
+    def test_bad_confidence_raises_naming_the_lane(self, confidence):
+        gts = {"a": [straight(0.0)]}
+        preds = {"a": [ConfLane(straight(0.0).points, 0.5),
+                       ConfLane(straight(3.0).points, confidence)]}
+        with pytest.raises(ValidationError,
+                           match=r"pred_frames\['a'\]\[1\]: confidence must lie in \[0, 1\]"):
+            evaluate(preds, gts)
+        with pytest.raises(ValidationError, match=r"pred_lanes\[1\]: confidence"):
+            match_lanes(preds["a"], gts["a"], 1.5)
+        with pytest.raises(ValidationError, match="confidence"):
+            resample_lane(preds["a"][1], default_y_samples())
+        with pytest.raises(ValidationError, match="confidence"):
+            LaneRecord(points=straight(0.0).points, confidence=confidence)
+
+    def test_nan_points_in_duck_typed_lane(self):
+        pred = ConfLane([[0.0, 1.0, 0.0], [0.0, 50.0, np.nan], [0.0, 100.0, 0.0]], 0.9)
+        with pytest.raises(ValidationError, match=r"pred_frames\[0\]\[0\]: points\[1\]"):
+            evaluate([pred], [straight(0.0)])
+
+    def test_raw_array_with_decreasing_y(self):
+        raw = np.array([[0.0, 1.0, 0.0], [0.0, 60.0, 0.0], [0.0, 40.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"pred_frames\[0\]\[0\]: .*non-decreasing y"):
+            evaluate([raw], [straight(0.0)])
+        with pytest.raises(ValidationError, match=r"gt_frames\[0\]\[0\]: .*non-decreasing y"):
+            evaluate([straight(0.0)], [raw])
+        with pytest.raises(ValidationError, match="non-decreasing y"):
+            resample_lane(raw, default_y_samples())
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0, "x"], [0.0, 2.0, 0.0]],
+                                        [[0.0, 1.0, 0.0], [0.0, 2.0]],
+                                        [[0.0, 1.0, 0.0], [0.0, 2.0, {}]]])
+    def test_points_that_are_not_numbers(self, points):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            evaluate([points], [straight(0.0)])
+
+    def test_valid_duck_typed_lanes_still_score(self):
+        raw = straight(0.0).points
+        rep = evaluate([raw, ConfLane(straight(4.0).points, 1)],
+                       [straight(0.0), straight(4.0)], thresholds=(1.5,))[0]
+        assert rep.f1 == 1.0 and rep.ap == 1.0
+
+    def test_lane_record_points_are_a_read_only_copy(self):
+        raw = straight(0.0).points.copy()
+        record = LaneRecord(points=raw, confidence=0.5)
+        with pytest.raises(ValueError):
+            record.points[1, 0] = np.nan   # a checked lane cannot turn invalid
+        raw[1, 0] = 30.0                   # the caller's array stays its own
+        assert record.points[1, 0] == 0.0
+        assert evaluate([record], [straight(0.0)], thresholds=(1.5,))[0].f1 == 1.0
+
+    def test_as_dict_keeps_field_order(self):
+        rep = evaluate([straight(0.0)], [straight(0.0)], thresholds=(1.5,))[0]
+        assert list(rep.as_dict()) == list(EvalReport.__dataclass_fields__)
+        assert list(rep.as_dict().values()) == [getattr(rep, f) for f in rep.as_dict()]

@@ -148,6 +148,21 @@ class TestRounding:
         vals = np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.4, 0.0])
         assert round_half_away(vals).tolist() == [1, -1, 2, -2, 2, -2, 0]
 
+    @pytest.mark.parametrize("bad", [1e300, -1e300, 2.0 ** 63, np.nan, np.inf, -np.inf])
+    def test_outside_int64_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"values\[1\]: outside the int64 range"):
+            round_half_away([0.0, bad, 1.0])
+        with pytest.raises(ValidationError, match=r"values\[0\]"):
+            round_half_away(bad)
+
+    def test_int64_limits_and_shapes(self):
+        top = 2.0 ** 63 - 1024   # the largest double below 2**63
+        assert round_half_away([top, -2.0 ** 63]).tolist() == [int(top), -2 ** 63]
+        assert round_half_away(2.5) == 3
+        assert round_half_away(np.zeros((0, 4))).shape == (0, 4)
+        with pytest.raises(ValidationError, match=r"values\[1\]"):
+            round_half_away([[0.0, 1.0], [2.0, 1e19]])
+
 
 class TestBoxNms:
     def test_identical_boxes_keep_strongest(self):
