@@ -18,9 +18,9 @@ from .geometry import (AnchorGrid, CameraModel, ProjectionMap,
                        make_forward_camera, project_grid_to_image,
                        project_points, unproject_pixel_to_ground)
 from .graph import (AdjacencyMatrix, DirectedLaneGraph, LaneInstance,
-                    extract_lanes, find_terminals, path_weight,
+                    LaneRecord, extract_lanes, find_terminals, path_weight,
                     threshold_adjacency)
-from .io import (LaneRecord, PredictionFrame, load_camera, load_ground_truth,
+from .io import (PredictionFrame, load_camera, load_ground_truth,
                  load_head_weights, load_lane_frame, load_prediction_frame,
                  save_camera, save_grid_csv, save_ground_truth,
                  save_head_weights, save_lane_frame, save_prediction_frame)
@@ -28,9 +28,9 @@ from .matching import (GroundTruthKeypoint, Matching, build_connection_targets,
                        build_cost_matrix, match_keypoints, solve_assignment)
 from .metrics import EvalReport, GroundTruthLane, evaluate, match_lanes, resample_lane
 from .nms import (Keypoint, ProposalSet, apply_offsets, box_nms,
-                  build_nms_boxes, default_nms_thresholds, point_nms,
-                  select_topn_proposals)
-from .pipeline import PipelineResult, infer_nms_thresholds, run_pipeline, suppress
+                  build_nms_boxes, default_nms_thresholds, infer_nms_thresholds,
+                  point_nms, select_topn_proposals)
+from .pipeline import PipelineResult, run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene, gt_keypoints, keypoint_recall
 
 __version__ = "0.1.0"

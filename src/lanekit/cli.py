@@ -2,8 +2,8 @@
 
 Subcommands cover the pipeline pieces end to end: ``grid`` and ``project``
 for anchor geometry, ``nms`` and ``extract`` for inference on saved frames,
-``match`` for training-style assignment, ``eval`` for metrics, ``synth`` for
-generating test scenes and ``bench`` for timing the inference hot path.
+``match`` for training-style assignment, ``eval`` for metrics and ``synth``
+for generating test scenes.
 
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
@@ -11,9 +11,7 @@ Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +20,11 @@ from .config import EVAL_THRESHOLDS_M, MODEL_PRESETS
 from .errors import ValidationError
 from .geometry import (build_custom_grid, build_uniform_grid,
                        make_forward_camera, project_grid_to_image)
-from .graph import extract_lanes
 from .io import (load_camera, load_ground_truth, load_lane_frame,
                  load_prediction_frame, save_grid_csv, save_ground_truth,
                  save_lane_frame, save_prediction_frame)
 from .matching import GroundTruthKeypoint, build_connection_targets, match_keypoints
 from .metrics import evaluate
-from .nms import point_nms
 from .pipeline import run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene
 
@@ -205,51 +201,6 @@ def _cmd_synth(args):
     return 0
 
 
-def _percentile(values, q):
-    return float(np.percentile(np.asarray(values), q))
-
-
-def _cmd_bench(args):
-    rng = np.random.default_rng(args.seed)
-    warmup = 5
-    nms_times = []
-    for trial in range(args.trials + warmup):
-        pts = np.column_stack([rng.uniform(-10, 10, args.proposals),
-                               rng.uniform(0, 100, args.proposals)])
-        scores = rng.uniform(0, 1, args.proposals)
-        start = time.perf_counter()
-        point_nms(pts, scores, 1.0, 1.0)
-        if trial >= warmup:
-            nms_times.append((time.perf_counter() - start) * 1e3)
-
-    lanes, rows = 8, args.nodes // 8
-    grid = build_uniform_grid(rows=rows, cols=64, y_range=(3.0, 3.0 + 2.0 * (rows - 1)),
-                              x_range=(-9.0, 9.0))
-    extract_times = []
-    for trial in range(args.trials + warmup):
-        spec = SceneSpec(seed=args.seed + trial, lane_count=lanes,
-                         proposals_per_target=1, distractor_edge_rate=0.02)
-        _, frame = generate_scene(spec, grid)
-        start = time.perf_counter()
-        extract_lanes(frame.keypoints, frame.adjacency, t_a=args.t_a)
-        if trial >= warmup:
-            extract_times.append((time.perf_counter() - start) * 1e3)
-
-    report = {
-        "point_nms": {"proposals": args.proposals, "trials": args.trials,
-                      "median_ms": statistics.median(nms_times),
-                      "p99_ms": _percentile(nms_times, 99)},
-        "extract_lanes": {"nodes": lanes * rows, "trials": args.trials,
-                          "median_ms": statistics.median(extract_times),
-                          "p99_ms": _percentile(extract_times, 99)},
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="lanekit",
                                      description="keypoint-graph lane detection toolkit")
@@ -321,15 +272,6 @@ def build_parser():
     p.add_argument("--out-pred", required=True)
     p.add_argument("--out-gt")
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("bench", help="time the suppression and extraction path")
-    p.add_argument("--proposals", type=int, default=512)
-    p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--t-a", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -60,7 +60,8 @@ class CameraModel:
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         R = E[:3, :3]
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-6):
+        # Orthonormal entries lie in [-1, 1]; testing that first keeps R @ R.T finite.
+        if not (np.abs(R).max() <= 1.0 + 1e-6 and np.allclose(R @ R.T, np.eye(3), atol=1e-6)):
             raise ValueError("extrinsic rotation block is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("extrinsic rotation block must have det +1")
@@ -157,11 +158,6 @@ class AnchorGrid:
     def row_y(self):
         """Longitudinal coordinate of each row (shared by all its columns)."""
         return self.positions[:, 0, 1]
-
-    def lateral_spacing(self, row):
-        """Gap between adjacent columns of one row."""
-        xs = self.positions[row, :, 0]
-        return float(xs[1] - xs[0])
 
 
 def build_uniform_grid(rows, cols, y_range, x_range):

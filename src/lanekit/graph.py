@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_lane
 from .nms import as_proposal_set
 
 
@@ -73,29 +73,32 @@ class DirectedLaneGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class LaneInstance:
-    """One extracted lane: node path, 3-D polyline, class, confidence."""
+class LaneRecord:
+    """A lane polyline with category and confidence, held to ``errors.check_lane``
+    and read-only after: a lane ``extract_lanes`` made, or one read from a lane
+    or ground-truth file.  ``path`` holds an extracted lane's keypoint indices,
+    one per point and none repeated; a lane read from a file has none.  A
+    ground-truth lane (``metrics.GroundTruthLane``) keeps the default
+    confidence."""
 
-    path: tuple
     points: np.ndarray
-    category: int
-    confidence: float
+    category: int = 0
+    confidence: float = 1.0
+    path: tuple = ()
 
     def __post_init__(self):
+        points = check_lane(self.points, self.confidence).copy()
+        points.flags.writeable = False
         path = tuple(int(i) for i in self.path)
-        points = np.asarray(self.points, dtype=float)
-        if len(path) == 0:
-            raise ValueError("lane path must be non-empty")
+        if path and len(path) != len(points):
+            raise ValidationError(f"path has {len(path)} nodes for {len(points)} points")
         if len(set(path)) != len(path):
-            raise ValueError("lane path must be simple (no repeated nodes)")
-        if points.shape != (len(path), 3):
-            raise ValueError(f"points must be ({len(path)}, 3), got {points.shape}")
-        if len(path) > 1 and not np.all(np.diff(points[:, 1]) > 0):
-            raise ValueError("longitudinal coordinates must strictly increase along the lane")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-        object.__setattr__(self, "path", path)
+            raise ValidationError("lane path must be simple (no repeated nodes)")
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "path", path)
+
+
+LaneInstance = LaneRecord
 
 
 def threshold_adjacency(adjacency, t_a):
@@ -166,7 +169,8 @@ def aggregate_lane_attributes(keypoints):
 
 
 def extract_lanes(keypoints, adjacency, t_a=0.5):
-    """All minimum-weight start-to-end lanes of the thresholded graph.
+    """All minimum-weight start-to-end lanes of the thresholded graph, as
+    ``LaneRecord``s carrying their paths.
 
     One lane per reachable (start, end) pair, emitted by ascending start
     then end index; merges and splits therefore duplicate shared segments
@@ -201,6 +205,6 @@ def extract_lanes(keypoints, adjacency, t_a=0.5):
             if not np.all(np.diff(points[:, 1]) > 0):
                 continue
             category, confidence = aggregate_lane_attributes(proposals.subset(path))
-            lanes.append(LaneInstance(path=tuple(path), points=points,
-                                      category=category, confidence=confidence))
+            lanes.append(LaneRecord(points=points, category=category,
+                                    confidence=confidence, path=path))
     return lanes

@@ -8,7 +8,7 @@ written in whichever encoding holds fewer numbers: the nonzero entries as
 (i, j, prob) triplets when 3 x nonzero < n^2, otherwise dense row-major
 rows.  The loader reads both encodings whatever the frame's size.
 
-Lane files and ground-truth files both hold ``LaneRecord``s; a ground-truth
+Lane files and ground-truth files both hold ``graph.LaneRecord``s; a ground-truth
 lane is written without a confidence and reads back with confidence 1.0.
 """
 
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_head import HeadWeights
-from .errors import SchemaError, ValidationError, check_lane, float_array
+from .errors import SchemaError, ValidationError, float_array
 from .geometry import CameraModel
-from .graph import AdjacencyMatrix
+from .graph import AdjacencyMatrix, LaneRecord
 from .nms import ProposalSet
 
 
@@ -172,22 +172,6 @@ def load_prediction_frame(path):
                            camera=camera)
 
 
-@dataclass(frozen=True, eq=False)
-class LaneRecord:
-    """A lane polyline with category and confidence, held to ``errors.check_lane``
-    and read-only after: an extracted lane as lane files hold it, or a
-    ground-truth lane (``metrics.GroundTruthLane``) with the default confidence."""
-
-    points: np.ndarray
-    category: int = 0
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        points = check_lane(self.points, self.confidence).copy()
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
-
-
 def _read_lane(entry, ctx, has_confidence):
     """One lane object of a lane or GT file, named ``ctx`` in errors; GT
     lanes carry no ``confidence``."""
@@ -256,11 +240,11 @@ def load_camera(path):
         raise SchemaError("intrinsic", f"expected 9 floats, got {len(intrinsic)}")
     if len(extrinsic) != 16:
         raise SchemaError("extrinsic", f"expected 16 floats, got {len(extrinsic)}")
-    if len(size) != 2:
-        raise SchemaError("image_size", "expected [height, width]")
+    if len(size) != 2 or not all(isinstance(v, int) for v in size):
+        raise SchemaError("image_size", "expected [height, width] integers")
     try:
-        return CameraModel(intrinsic=np.asarray(intrinsic, float).reshape(3, 3),
-                           extrinsic=np.asarray(extrinsic, float).reshape(4, 4),
+        return CameraModel(intrinsic=float_array(intrinsic, "intrinsic").reshape(3, 3),
+                           extrinsic=float_array(extrinsic, "extrinsic").reshape(4, 4),
                            image_size=(size[0], size[1]))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

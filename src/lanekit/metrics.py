@@ -24,7 +24,7 @@ from .config import (
     NEAR_FAR_SPLIT_M,
 )
 from .errors import ValidationError, check_lane
-from .io import LaneRecord
+from .graph import LaneRecord
 from .matching import max_cardinality, solve_assignment
 
 INLIER_FRACTION = 0.75

@@ -15,16 +15,21 @@ box and as tall as the tallest; each box is tested against the boxes in the
 float formulas as a dense pairwise matrix, so the result, keep order
 included, is exactly the dense greedy one.
 
-A ``ProposalSet`` stores its proposals as columns: ``grid_index`` (N, 2),
+A ``ProposalSet`` is its columns and nothing else: ``grid_index`` (N, 2),
 ``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C),
 with ``score_counts`` (N,) giving how many class scores each proposal
 carries (rows are zero-padded past it).  The columns are validated once, when
 the set is made, and are read-only.  ``ProposalSet(keypoints)`` builds them
-from ``Keypoint`` objects; ``ProposalSet.from_arrays`` builds them directly.
-Indexing and iterating still yield ``Keypoint``s: the objects the set was
-built from, or row views made on first use and shared with every subset.
+from ``Keypoint`` objects, ``ProposalSet.from_arrays`` directly, and a
+``subset`` copies the chosen rows.  Indexing or iterating a set makes a new
+``Keypoint`` from each row.
+
+``infer_nms_thresholds`` is the one rule for the suppression window: twice
+the widest row's anchor step laterally, half the smallest row gap
+longitudinally.  ``default_nms_thresholds`` applies it to a whole grid.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,8 @@ class Keypoint:
     ``x``/``y`` are the anchor's lateral/longitudinal position in meters;
     the refined lateral position is ``x + dx``.  ``fg_score`` is the
     foreground probability from the score map; ``class_scores`` holds
-    per-category probabilities.
+    per-category probabilities.  Keypoints are values: two are equal when
+    every field is.
     """
 
     grid_index: tuple[int, int]
@@ -59,6 +65,16 @@ class Keypoint:
             raise ValueError("fg_score must lie in [0, 1]")
         object.__setattr__(self, "class_scores", scores)
         object.__setattr__(self, "grid_index", (int(self.grid_index[0]), int(self.grid_index[1])))
+
+    def _key(self):
+        return (self.grid_index, self.x, self.y, self.dx, self.z, self.fg_score,
+                tuple(self.class_scores.tolist()))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Keypoint) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def refined_x(self):
@@ -97,7 +113,6 @@ class ProposalSet:
         for row, k in zip(scores, keypoints):
             row[:k.class_scores.size] = k.class_scores
         self._store(fields[:, :2], *fields[:, 2:].T, scores, counts, repeats_n)
-        self._keypoints = keypoints
 
     @classmethod
     def from_arrays(cls, grid_index, x, y, dx=None, z=None, fg_score=None,
@@ -154,37 +169,20 @@ class ProposalSet:
         self.class_scores = _read_only(np.array(class_scores, dtype=float))
         self.score_counts = _read_only(np.array(score_counts, dtype=np.int64))
         self.repeats_n = int(repeats_n)
-        self._keypoints = None
-        self._origin = None     # (set owning the Keypoint objects, its rows)
-
-    @property
-    def keypoints(self):
-        """The proposals as ``Keypoint`` objects, made once on first use."""
-        if self._keypoints is None:
-            if self._origin is not None:
-                owner, rows = self._origin
-                everyone = owner.keypoints
-                self._keypoints = tuple(everyone[i] for i in rows)
-            else:
-                self._keypoints = tuple(self._row_keypoints())
-        return self._keypoints
-
-    def _row_keypoints(self):
-        grid = self.grid_index.tolist()
-        for i, (gi, x, y, dx, z, fg) in enumerate(zip(
-                grid, self.x.tolist(), self.y.tolist(), self.dx.tolist(), self.z.tolist(),
-                self.fg_score.tolist())):
-            yield Keypoint(grid_index=tuple(gi), x=x, y=y, dx=dx, z=z, fg_score=fg,
-                           class_scores=self.class_scores[i, :self.score_counts[i]])
 
     def __len__(self):
         return len(self.x)
 
     def __iter__(self):
-        return iter(self.keypoints)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i):
-        return self.keypoints[i]
+        """Row ``i`` as a new ``Keypoint``."""
+        i = range(len(self))[operator.index(i)]
+        return Keypoint(grid_index=tuple(self.grid_index[i].tolist()), x=float(self.x[i]),
+                        y=float(self.y[i]), dx=float(self.dx[i]), z=float(self.z[i]),
+                        fg_score=float(self.fg_score[i]),
+                        class_scores=self.class_scores[i, :self.score_counts[i]])
 
     @property
     def refined_xy(self):
@@ -198,17 +196,13 @@ class ProposalSet:
                         self.fg_score)
 
     def subset(self, indices):
-        """The proposals at ``indices``, in that order, sharing this set's
-        ``Keypoint`` objects."""
+        """The proposals at ``indices``, in that order, as a set of their own."""
         rows = np.asarray(indices, dtype=np.int64).reshape(-1)
         out = ProposalSet.__new__(ProposalSet)
-        out.grid_index = _read_only(self.grid_index[rows])
-        for name in ("x", "y", "dx", "z", "fg_score", "class_scores", "score_counts"):
+        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores",
+                     "score_counts"):
             setattr(out, name, _read_only(getattr(self, name)[rows]))
         out.repeats_n = self.repeats_n
-        owner, owner_rows = self._origin or (self, np.arange(len(self)))
-        out._origin = (owner, owner_rows[rows])
-        out._keypoints = None
         return out
 
 
@@ -421,12 +415,37 @@ def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
     return box_nms(boxes, scores, iou_thresh)
 
 
-def default_nms_thresholds(grid):
-    """Suppression window derived from grid geometry.
+def infer_nms_thresholds(proposals):
+    """The suppression window ``(thresh_x, thresh_y)`` from the anchors the
+    proposals sit on.
 
-    Lateral: twice the widest per-row column spacing, so neighbors aimed at
-    the same target collide.  Longitudinal: half the smallest row gap, which
-    keeps suppression strictly within a row.
+    Lateral: twice the widest row's anchor step.  A row's step is its
+    smallest positive dx/dcol between proposals at consecutive present
+    columns, taken from the largest x in the lower column to the smallest x
+    in the upper one; with no such step in any row it is 1.0.
+    Longitudinal: half the smallest gap between distinct y (the rows), or
+    half of 2.0 when only one y occurs.
     """
-    widest = max(grid.lateral_spacing(i) for i in range(grid.rows))
-    return 2.0 * widest, 0.5 * float(grid.row_spacing.min())
+    rows, cols, xs = proposals.grid_index[:, 0], proposals.grid_index[:, 1], proposals.x
+    # In (row, col, x) order, neighbours in one row but in different columns
+    # are the largest x of one present column and the smallest of the next.
+    order = np.lexsort((xs, cols, rows))
+    rows, cols, xs = rows[order], cols[order], xs[order]
+    across = (rows[1:] == rows[:-1]) & (cols[1:] != cols[:-1])
+    steps = np.diff(xs)[across] / np.diff(cols)[across]
+    step_rows, steps = rows[1:][across][steps > 0], steps[steps > 0]
+    x_step = 1.0
+    if steps.size:
+        # the smallest step of each row, then the largest of those
+        row_starts = np.flatnonzero(np.r_[True, step_rows[1:] != step_rows[:-1]])
+        x_step = np.minimum.reduceat(steps, row_starts).max()
+    distinct_y = np.unique(proposals.y)
+    y_gap = np.diff(distinct_y).min() if distinct_y.size > 1 else 2.0
+    return 2.0 * x_step, 0.5 * y_gap
+
+
+def default_nms_thresholds(grid):
+    """``infer_nms_thresholds`` over every anchor of ``grid``."""
+    rows, cols = np.indices((grid.rows, grid.cols)).reshape(2, -1)
+    x, y = grid.positions.reshape(-1, 2).T
+    return infer_nms_thresholds(ProposalSet.from_arrays(np.column_stack([rows, cols]), x, y))

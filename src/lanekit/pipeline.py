@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import extract_lanes
-from .nms import ProposalSet, point_nms
+from .nms import ProposalSet, infer_nms_thresholds, point_nms
 
 
 @dataclass(frozen=True)
@@ -13,28 +13,6 @@ class PipelineResult:
     lanes: tuple
     kept_indices: np.ndarray
     kept: ProposalSet
-
-
-def infer_nms_thresholds(proposals):
-    """Suppression radii from the geometry of the anchors actually present.
-
-    Lateral threshold is twice the largest per-row minimum anchor gap,
-    longitudinal half the smallest row gap (1.0 when only one row occurs).
-    """
-    rows, xs, ys = proposals.grid_index[:, 0], proposals.x, proposals.y
-    # Sorted by (row, x), consecutive distinct x in one row are the gaps.
-    order = np.lexsort((xs, rows))
-    rows, step = rows[order], np.diff(xs[order])
-    in_row = (rows[1:] == rows[:-1]) & (step > 0)
-    gap_rows, gaps = rows[1:][in_row], step[in_row]
-    x_gap = 0.0
-    if gaps.size:
-        # the smallest gap of each row, then the largest of those
-        row_starts = np.flatnonzero(np.r_[True, gap_rows[1:] != gap_rows[:-1]])
-        x_gap = np.minimum.reduceat(gaps, row_starts).max()
-    distinct_y = np.unique(ys)
-    y_gap = np.diff(distinct_y).min() if distinct_y.size > 1 else 2.0
-    return 2.0 * (x_gap if x_gap > 0 else 1.0), 0.5 * y_gap
 
 
 def suppress(frame, thresh_x=None, thresh_y=None, r=10, iou_thresh=0.1):

@@ -167,13 +167,3 @@ class TestGeometryCommands:
         assert lines[0] == "row,col,u,v,valid"
         assert len(lines) == 1 + 6 * 8
 
-
-class TestBench:
-    def test_bench_reports_medians(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert run(["bench", "--trials", 3, "--proposals", 64,
-                    "--nodes", 64, "--out", out]) == 0
-        payload = json.loads(out.read_text())
-        for section in ("point_nms", "extract_lanes"):
-            assert payload[section]["median_ms"] > 0
-            assert payload[section]["p99_ms"] >= payload[section]["median_ms"]

@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lanekit
+from lanekit.errors import ValidationError
 from lanekit.graph import (
     AdjacencyMatrix,
     LaneInstance,
+    LaneRecord,
     aggregate_lane_attributes,
     extract_lanes,
     find_terminals,
     path_weight,
     threshold_adjacency,
 )
+from lanekit.io import load_lane_frame, save_lane_frame
 from lanekit.nms import Keypoint
 from lanekit.oracles import oracle_paths
 
@@ -113,11 +117,56 @@ class TestLaneInstance:
 
     def test_rejects_non_monotone_y(self):
         pts = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="increase"):
+        with pytest.raises(ValueError, match="non-decreasing y"):
             LaneInstance(path=(0, 1), points=pts, category=0, confidence=0.5)
 
 
+class TestLaneRecord:
+    def test_one_type_under_every_name(self):
+        assert LaneInstance is LaneRecord
+        assert lanekit.LaneInstance is LaneRecord
+        assert lanekit.io.LaneRecord is LaneRecord
+        assert lanekit.GroundTruthLane is LaneRecord
+
+    def test_path_defaults_to_empty(self):
+        lane = LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
+        assert lane.path == ()
+
+    def test_path_is_a_tuple_of_python_ints(self):
+        lane = LaneRecord(points=np.zeros((2, 3)), path=np.array([4, 7]))
+        assert lane.path == (4, 7)
+        assert all(type(i) is int for i in lane.path)
+
+    def test_one_point_lane_rejected(self):
+        with pytest.raises(ValidationError, match="N >= 2"):
+            LaneRecord(points=[[0.0, 1.0, 0.0]], path=(0,))
+
+    @pytest.mark.parametrize("path", [(0,), (0, 1, 2)])
+    def test_path_of_wrong_length_rejected(self, path):
+        with pytest.raises(ValidationError, match="2 points"):
+            LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], path=path)
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(ValidationError, match="simple"):
+            LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]],
+                       path=(0, 1, 0))
+
+
 class TestExtractLanes:
+    def test_lanes_are_records_that_survive_a_file(self, tmp_path):
+        kps = make_keypoints(5, class_scores=[0.2, 0.7])
+        A = chain_adjacency(5)
+        A[3, 4] = 0.0
+        lanes = extract_lanes(kps, A, 0.5)
+        assert [type(l) for l in lanes] == [LaneRecord]
+        assert lanes[0].path == (0, 1, 2, 3)
+        save_lane_frame("f", lanes, tmp_path / "lanes.json")
+        _, loaded = load_lane_frame(tmp_path / "lanes.json")
+        assert len(loaded) == 1
+        assert np.array_equal(loaded[0].points, lanes[0].points)
+        assert (loaded[0].category, loaded[0].confidence) == (1, 0.7)
+        assert (lanes[0].category, lanes[0].confidence) == (1, 0.7)
+
     def test_five_node_chain(self):
         kps = make_keypoints(5)
         lanes = extract_lanes(kps, chain_adjacency(5), 0.5)

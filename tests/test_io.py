@@ -45,9 +45,9 @@ def frames_equal(a, b):
         return False
     if a.keypoints.repeats_n != b.keypoints.repeats_n:
         return False
-    if len(a.keypoints.keypoints) != len(b.keypoints.keypoints):
+    if len(a.keypoints) != len(b.keypoints):
         return False
-    for ka, kb in zip(a.keypoints.keypoints, b.keypoints.keypoints):
+    for ka, kb in zip(a.keypoints, b.keypoints):
         if ka.grid_index != kb.grid_index:
             return False
         for field in ("x", "y", "dx", "z", "fg_score"):
@@ -68,7 +68,7 @@ class TestPredictionFrame:
         save_prediction_frame(frame, path)
         loaded = load_prediction_frame(path)
         assert loaded.frame_id == "solo"
-        assert len(loaded.keypoints.keypoints) == 1
+        assert len(loaded.keypoints) == 1
         assert loaded.adjacency.shape == (1, 1)
 
     def test_adjacency_dimension_mismatch_rejected(self):

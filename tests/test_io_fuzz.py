@@ -1,8 +1,9 @@
 """Fuzz tests of the JSON loaders.
 
-Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame`` and
-``load_ground_truth`` either return or raise ``ValidationError`` (which
-``SchemaError`` subclasses); no other exception may escape.  Inputs are
+Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame``,
+``load_ground_truth``, ``load_camera`` and ``load_head_weights`` either
+return or raise ``ValidationError`` (which ``SchemaError`` subclasses); no
+other exception may escape.  Inputs are
 arbitrary JSON documents and valid files with a few parts replaced, removed
 or duplicated.  Whatever a loader accepts must also save and load back
 unchanged.
@@ -17,9 +18,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lanekit.connection_head import random_head_weights
 from lanekit.errors import ValidationError
-from lanekit.io import (LaneRecord, PredictionFrame, load_ground_truth, load_lane_frame,
-                        load_prediction_frame, save_ground_truth, save_lane_frame,
+from lanekit.geometry import make_forward_camera
+from lanekit.io import (LaneRecord, PredictionFrame, load_camera, load_ground_truth,
+                        load_head_weights, load_lane_frame, load_prediction_frame,
+                        save_camera, save_ground_truth, save_head_weights, save_lane_frame,
                         save_prediction_frame)
 from lanekit.nms import ProposalSet
 
@@ -65,6 +69,9 @@ VALID = {
     "frame": [saved(save_prediction_frame, frame) for frame in valid_frame()],
     "lanes": [saved(save_lane_frame, "f", LANES)],
     "gt": [saved(save_ground_truth, {"f": LANES, "g": LANES[:1]})],
+    "camera": [saved(save_camera, make_forward_camera())],
+    "weights": [saved(save_head_weights,
+                      random_head_weights(0, d_c=1, dims_per_axis=1, hidden=2, embed=2))],
 }
 
 
@@ -150,12 +157,31 @@ def check_gt(doc):
                        for a, b in zip(again[fid], frames[fid]))
 
 
+def check_camera(doc):
+    camera = load(load_camera, doc)
+    if camera is not None:
+        again = load_camera(resaved(save_camera, camera))
+        assert np.array_equal(again.intrinsic, camera.intrinsic)
+        assert np.array_equal(again.extrinsic, camera.extrinsic)
+        assert again.image_size == camera.image_size
+
+
+def check_weights(doc):
+    weights = load(load_head_weights, doc)
+    if weights is not None:
+        again = load_head_weights(resaved(save_head_weights, weights))
+        for name, value in vars(weights).items():
+            assert np.array_equal(getattr(again, name), value)
+
+
 @FUZZ
 @given(JSON)
 def test_arbitrary_json(doc):
     check_frame(doc)
     check_lanes(doc)
     check_gt(doc)
+    check_camera(doc)
+    check_weights(doc)
 
 
 @FUZZ
@@ -176,12 +202,25 @@ def test_mutated_ground_truth(doc):
     check_gt(doc)
 
 
+@FUZZ
+@given(mutated("camera"))
+def test_mutated_camera(doc):
+    check_camera(doc)
+
+
+@FUZZ
+@given(mutated("weights"))
+def test_mutated_head_weights(doc):
+    check_weights(doc)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=40))
 def test_arbitrary_text(text):
     path = WORKDIR / "text.json"
     path.write_text(text)
-    for loader in (load_prediction_frame, load_lane_frame, load_ground_truth):
+    for loader in (load_prediction_frame, load_lane_frame, load_ground_truth,
+                   load_camera, load_head_weights):
         try:
             loader(path)
         except ValidationError:

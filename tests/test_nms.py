@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,7 +262,7 @@ class TestDefaults:
         grid = build_custom_grid(10, 5, width=20.0)
         tx, ty = default_nms_thresholds(grid)
         assert tx == pytest.approx(2 * 20.0 / 4)   # widest row spans full width
-        assert ty == pytest.approx(0.5 * grid.row_spacing[0])
+        assert ty == pytest.approx(0.5 * np.diff(grid.row_y).min())
 
     def test_uniform_grid(self):
         grid = build_uniform_grid(6, 5, y_range=(0, 10), x_range=(-4, 4))
@@ -299,14 +301,46 @@ def reference_thresholds(keypoints):
     xs = np.array([k.x for k in keypoints])
     ys = np.array([k.y for k in keypoints])
     rows = np.array([k.grid_index[0] for k in keypoints])
-    x_gap = 0.0
+    cols = np.array([k.grid_index[1] for k in keypoints])
+    x_step = 0.0
     for row in np.unique(rows):
-        unique_x = np.unique(xs[rows == row])
-        if unique_x.size > 1:
-            x_gap = max(x_gap, np.diff(unique_x).min())
+        in_row = rows == row
+        present = np.unique(cols[in_row])
+        steps = [(xs[in_row & (cols == b)].min() - xs[in_row & (cols == a)].max()) / (b - a)
+                 for a, b in zip(present[:-1], present[1:])]
+        steps = [s for s in steps if s > 0]
+        if steps:
+            x_step = max(x_step, min(steps))
     distinct_y = np.unique(ys)
     y_gap = np.diff(distinct_y).min() if distinct_y.size > 1 else 2.0
-    return 2.0 * (x_gap if x_gap > 0 else 1.0), 0.5 * y_gap
+    return 2.0 * (x_step if x_step > 0 else 1.0), 0.5 * y_gap
+
+
+class TestColumnsOnly:
+    @staticmethod
+    def columns(n):
+        rng = np.random.default_rng(n)
+        return (np.column_stack([np.arange(n) // 8, np.arange(n) % 8]), rng.uniform(-5, 5, n),
+                np.arange(n) // 8 * 2.0, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                rng.uniform(0, 1, n), rng.uniform(0, 1, (n, 3)))
+
+    def test_pickled_subset_holds_only_its_rows(self):
+        big = ProposalSet.from_arrays(*self.columns(1000))
+        small = ProposalSet.from_arrays(*(c[:10] for c in self.columns(1000)))
+        list(big)   # iterating keeps nothing behind
+        rows = [7, 2, 5]
+        data = pickle.dumps(big.subset(rows))
+        assert len(data) == len(pickle.dumps(small.subset(rows)))
+        assert list(pickle.loads(data)) == [big[i] for i in rows]
+
+    def test_rows_make_new_equal_keypoints(self):
+        props = ProposalSet.from_arrays(*self.columns(5))
+        assert props[1] is not props[1]
+        assert props[1] == props[1] and hash(props[1]) == hash(props[1])
+        assert props[-1] == props[4]
+        assert props[1] != props[2]
+        with pytest.raises(IndexError):
+            props[5]
 
 
 def assert_columns_match_keypoints(props, indices):
@@ -317,7 +351,7 @@ def assert_columns_match_keypoints(props, indices):
     assert infer_nms_thresholds(props) == reference_thresholds(kps)
     sub = props.subset(indices)
     assert len(sub) == len(indices)
-    assert all(a is kps[i] for a, i in zip(sub, indices))
+    assert list(sub) == [kps[i] for i in indices]
     assert np.array_equal(sub.refined_xy, props.refined_xy[indices].reshape(-1, 2))
     assert np.array_equal(sub.confidences, props.confidences[indices])
     assert infer_nms_thresholds(sub) == reference_thresholds([kps[i] for i in indices])

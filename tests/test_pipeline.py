@@ -4,7 +4,7 @@ import pytest
 from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import PredictionFrame
 from lanekit.metrics import evaluate
-from lanekit.nms import Keypoint, ProposalSet
+from lanekit.nms import Keypoint, ProposalSet, default_nms_thresholds
 from lanekit.pipeline import infer_nms_thresholds, run_pipeline, suppress
 from lanekit.synthetic import SceneSpec, generate_scene
 
@@ -35,6 +35,45 @@ class TestInferThresholds:
         tx, ty = infer_nms_thresholds(ProposalSet(kps, repeats_n=1))
         assert tx == pytest.approx(6.0)
         assert ty == pytest.approx(1.0)
+
+
+class TestThresholdRule:
+    """The window is 2 x the widest row's anchor step laterally and half the
+    smallest row gap longitudinally, for proposals and grids alike."""
+
+    @staticmethod
+    def base_grid():
+        return build_custom_grid(rows=56, cols=64)
+
+    def test_one_anchor_per_lane_row_gives_twice_the_anchor_step(self):
+        grid = self.base_grid()
+        kps = [Keypoint(grid_index=(r, c), x=float(grid.positions[r, c, 0]),
+                        y=float(grid.row_y[r]), fg_score=0.9)
+               for r in range(grid.rows) for c in (10, 30, 50)]
+        tx, ty = infer_nms_thresholds(ProposalSet(kps))
+        widest_step = 20.0 / 63   # the last row spans the full 20 m width
+        assert tx == pytest.approx(2.0 * widest_step)
+        assert ty == pytest.approx(0.5 * np.diff(grid.row_y).min())
+
+    # Seeds 6 and 22 each have a row where every target kept one proposal.
+    @pytest.mark.parametrize("seed", [0, 1, 6, 22])
+    def test_noisy_scene_gives_the_grid_window(self, seed):
+        grid = self.base_grid()
+        _, frame = generate_scene(SceneSpec(seed=seed, lane_count=3, sigma_x=0.1,
+                                            proposals_per_target=2, dropout_p=0.05), grid)
+        tx, _ = infer_nms_thresholds(frame.keypoints)
+        assert tx == pytest.approx(default_nms_thresholds(grid)[0])
+
+    @pytest.mark.parametrize("grid", [
+        build_uniform_grid(rows=6, cols=5, y_range=(0.0, 10.0), x_range=(-4.0, 4.0)),
+        build_custom_grid(rows=10, cols=5, width=20.0),
+        build_custom_grid(rows=72, cols=128, y_origin=1.0)],
+        ids=["uniform", "custom", "large"])
+    def test_grid_default_is_the_rule_over_every_anchor(self, grid):
+        anchors = ProposalSet([Keypoint(grid_index=(r, c), x=float(grid.positions[r, c, 0]),
+                                        y=float(grid.positions[r, c, 1]))
+                               for r in range(grid.rows) for c in range(grid.cols)])
+        assert default_nms_thresholds(grid) == infer_nms_thresholds(anchors)
 
 
 class TestRunPipeline:
@@ -70,7 +109,7 @@ class TestRunPipeline:
         _, frame = generate_scene(SceneSpec(seed=3, lane_count=2, sigma_x=0.1), grid)
         result = run_pipeline(frame)
         for idx, kp in zip(result.kept_indices, result.kept):
-            assert frame.keypoints[idx] is kp
+            assert frame.keypoints[idx] == kp   # every field equal
 
     def test_min_lane_points_filters_short_chains(self):
         adjacency = np.zeros((5, 5))
