@@ -5,6 +5,13 @@ for anchor geometry, ``nms`` and ``extract`` for inference on saved frames,
 ``match`` for training-style assignment, ``eval`` for metrics and ``synth``
 for generating test scenes.
 
+``extract`` and ``eval`` also take a directory as ``--pred``: every
+``.json`` frame file in it is read in sorted name order, and two files with
+the same ``frame_id`` are rejected.  ``extract --pred DIR --out OUT`` writes
+one lane file per frame into directory ``OUT`` (created if missing), named
+after its input file, so one process start serves a whole sequence.
+Nothing is written unless every frame extracts.
+
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
 """
@@ -95,14 +102,52 @@ def _cmd_nms(args):
     return 0
 
 
+def _sequence(path, load, frame_id):
+    """Loads every ``.json`` file in directory ``path`` in sorted name order;
+    yields ``(file, loaded)`` and rejects a frame id seen twice."""
+    files = sorted(p for p in path.iterdir() if p.suffix == ".json")
+    if not files:
+        raise ValidationError(f"no .json frame files in {path}")
+    seen = set()
+    for file in files:
+        loaded = load(file)
+        fid = frame_id(loaded)
+        if fid in seen:
+            raise ValidationError(f"duplicate frame_id {fid!r} in {file}")
+        seen.add(fid)
+        yield file, loaded
+
+
+def _extract(frame, args):
+    return run_pipeline(frame, t_a=args.t_a, thresh_x=args.thresh_x,
+                        thresh_y=args.thresh_y, r=args.r, iou_thresh=args.iou,
+                        min_lane_points=args.min_lane_points)
+
+
 def _cmd_extract(args):
-    frame = load_prediction_frame(args.pred)
-    result = run_pipeline(frame, t_a=args.t_a, thresh_x=args.thresh_x,
-                          thresh_y=args.thresh_y, r=args.r, iou_thresh=args.iou,
-                          min_lane_points=args.min_lane_points)
-    save_lane_frame(frame.frame_id, result.lanes, args.out)
-    print(f"extracted {len(result.lanes)} lanes from {len(result.kept)} "
-          f"kept proposals")
+    pred, out = Path(args.pred), Path(args.out)
+    if not pred.is_dir():
+        frame = load_prediction_frame(pred)
+        result = _extract(frame, args)
+        save_lane_frame(frame.frame_id, result.lanes, out)
+        print(f"extracted {len(result.lanes)} lanes from {len(result.kept)} "
+              f"kept proposals")
+        return 0
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"--out {out} is not a directory, and --pred is one")
+    if out.resolve() == pred.resolve():
+        raise ValidationError("--out must not be the --pred directory: "
+                              "lane files would replace the frames")
+    # Every frame is extracted before any lane file is written, so a bad
+    # frame leaves no partial output.
+    outputs = [(out / file.name, frame.frame_id, _extract(frame, args).lanes)
+               for file, frame in _sequence(pred, load_prediction_frame,
+                                            lambda frame: frame.frame_id)]
+    out.mkdir(parents=True, exist_ok=True)
+    for path, frame_id, lanes in outputs:
+        save_lane_frame(frame_id, lanes, path)
+    print(f"extracted {sum(len(lanes) for _, _, lanes in outputs)} lanes "
+          f"from {len(outputs)} frames into {out}")
     return 0
 
 
@@ -150,16 +195,8 @@ def _cmd_match(args):
 def _load_pred_lanes(path):
     path = Path(path)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".json")
-        if not files:
-            raise ValidationError(f"no .json prediction files in {path}")
-        frames = {}
-        for file in files:
-            frame_id, lanes = load_lane_frame(file)
-            if frame_id in frames:
-                raise ValidationError(f"duplicate frame_id {frame_id!r}")
-            frames[frame_id] = lanes
-        return frames
+        return dict(loaded for _, loaded in
+                    _sequence(path, load_lane_frame, lambda loaded: loaded[0]))
     frame_id, lanes = load_lane_frame(path)
     return {frame_id: lanes}
 
@@ -228,14 +265,16 @@ def build_parser():
     p.set_defaults(func=_cmd_nms)
 
     p = sub.add_parser("extract", help="run NMS and extract lane instances")
-    p.add_argument("--pred", required=True)
+    p.add_argument("--pred", required=True,
+                   help="prediction frame, or directory of per-frame prediction files")
     p.add_argument("--t-a", type=float, default=0.5)
     p.add_argument("--min-lane-points", type=int, default=2)
     p.add_argument("--thresh-x", type=float)
     p.add_argument("--thresh-y", type=float)
     p.add_argument("--r", type=int, default=10)
     p.add_argument("--iou", type=float, default=0.1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="lane file, or with a --pred directory the output directory")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("match", help="assign proposals to ground-truth keypoints")

@@ -15,7 +15,6 @@ bitwise, which the tests rely on.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import AdjacencyMatrix
 
@@ -114,8 +113,11 @@ def adjacency_forward(features, weights):
     """Full head forward pass; returns probabilities strictly inside (0, 1).
 
     The positional-encoding width is whatever the weight matrices leave room
-    for after the connection features.
+    for after the connection features.  scipy's ``expit`` is imported here,
+    not at module level, so that importing lanekit loads numpy only.
     """
+    from scipy.special import expit
+
     pe_len = weights.input_dim - features.f_c.shape[1]
     if pe_len <= 0 or pe_len % 4:
         raise ValueError(

@@ -38,11 +38,22 @@ from .errors import NoGroundIntersection
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
+# Largest magnitude of any intrinsic or extrinsic entry (pixels, meters).
+MAX_CAMERA_ENTRY = 1e12
+# Largest image height or width, in pixels.
+MAX_IMAGE_SIDE_PX = 2 ** 31 - 1
 
 
 @dataclass(frozen=True, eq=False)
 class CameraModel:
-    """Pinhole camera: intrinsics, ego->camera extrinsics, image size (h, w)."""
+    """Pinhole camera: intrinsics, ego->camera extrinsics, image size (h, w).
+
+    Every intrinsic and extrinsic entry (so the translation too) must be
+    finite with magnitude at most ``MAX_CAMERA_ENTRY`` (1e12), and the image
+    height and width must lie in [1, ``MAX_IMAGE_SIDE_PX``].  With those
+    bounds, projecting an ego point whose coordinates are at most 1e100 m in
+    magnitude keeps every product below about 1e113, so it cannot overflow.
+    """
 
     intrinsic: np.ndarray
     extrinsic: np.ndarray
@@ -55,6 +66,15 @@ class CameraModel:
             raise ValueError(f"intrinsic must be 3x3, got {K.shape}")
         if E.shape != (4, 4):
             raise ValueError(f"extrinsic must be 4x4, got {E.shape}")
+        # NaN fails the comparison, so this also rejects non-finite entries.
+        for name, M in (("intrinsic", K), ("extrinsic", E)):
+            if not (np.abs(M) <= MAX_CAMERA_ENTRY).all():
+                raise ValueError(f"{name} entries must be finite with magnitude "
+                                 f"at most {MAX_CAMERA_ENTRY:g}")
+        size = (int(self.image_size[0]), int(self.image_size[1]))
+        if not all(1 <= side <= MAX_IMAGE_SIDE_PX for side in size):
+            raise ValueError(f"image_size (height, width) must lie in "
+                             f"[1, {MAX_IMAGE_SIDE_PX}], got {size}")
         if not np.allclose(K[np.tril_indices(3, -1)], 0.0):
             raise ValueError("intrinsic must be upper-triangular")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
@@ -67,7 +87,7 @@ class CameraModel:
             raise ValueError("extrinsic rotation block must have det +1")
         object.__setattr__(self, "intrinsic", K)
         object.__setattr__(self, "extrinsic", E)
-        object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
+        object.__setattr__(self, "image_size", size)
 
     @property
     def rotation(self):
@@ -234,13 +254,19 @@ class ProjectionMap:
 
 
 def project_points(points_ego, camera):
-    """Projects (N, 3) ego-frame points; returns ((N, 2) pixels, (N,) depths)."""
+    """Projects (N, 3) ego-frame points; returns ((N, 2) pixels, (N,) depths).
+
+    A point at depth at most ``MIN_DEPTH_M`` may get infinite or NaN pixels;
+    deeper points within the bound stated on ``CameraModel`` get finite ones.
+    """
     pts = np.asarray(points_ego, dtype=float)
     homog = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
     cam = homog @ camera.extrinsic.T
     depth = cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         uvw = cam[:, :3] @ camera.intrinsic.T
+    # Dividing by a depth near zero may overflow; such a point is never valid.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = uvw[:, :2] / depth[:, np.newaxis]
     return uv, depth
 

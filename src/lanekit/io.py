@@ -240,7 +240,8 @@ def load_camera(path):
         raise SchemaError("intrinsic", f"expected 9 floats, got {len(intrinsic)}")
     if len(extrinsic) != 16:
         raise SchemaError("extrinsic", f"expected 16 floats, got {len(extrinsic)}")
-    if len(size) != 2 or not all(isinstance(v, int) for v in size):
+    # bool is an int subclass; JSON true is not a pixel count.
+    if len(size) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in size):
         raise SchemaError("image_size", "expected [height, width] integers")
     try:
         return CameraModel(intrinsic=float_array(intrinsic, "intrinsic").reshape(3, 3),

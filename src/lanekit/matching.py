@@ -17,7 +17,6 @@ suppression when one proposal per target remains.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .nms import as_proposal_set
@@ -146,6 +145,18 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     cls_term = 1.0 - scores[p, np.minimum(gt_cat[g], scores.shape[1] - 1)]
     costs[p, g] = lambda_dist * refined_dist + lambda_cls * cls_term
     return CostMatrix(costs)
+
+
+_scipy_solver = None
+
+
+def linear_sum_assignment(costs):
+    """scipy's ``linear_sum_assignment``, imported on the first call so that
+    importing lanekit does not load ``scipy.optimize``."""
+    global _scipy_solver
+    if _scipy_solver is None:
+        from scipy.optimize import linear_sum_assignment as _scipy_solver
+    return _scipy_solver(costs)
 
 
 def _solve_raw(costs):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lanekit.cli import main
-from lanekit.io import load_lane_frame, load_prediction_frame
+from lanekit.geometry import make_forward_camera
+from lanekit.io import load_lane_frame, load_prediction_frame, save_camera
 
 
 def run(argv):
@@ -167,3 +168,92 @@ class TestGeometryCommands:
         assert lines[0] == "row,col,u,v,valid"
         assert len(lines) == 1 + 6 * 8
 
+    @pytest.mark.parametrize("field, value", [("image_size", [-5, 0]),
+                                              ("image_size", [480, 0]),
+                                              ("intrinsic", 1e308)])
+    def test_project_rejects_bad_camera_file(self, tmp_path, capsys, field, value):
+        camera = tmp_path / "camera.json"
+        save_camera(make_forward_camera(), camera)
+        raw = json.loads(camera.read_text())
+        if field == "intrinsic":
+            raw[field][0] = value
+        else:
+            raw[field] = value
+        camera.write_text(json.dumps(raw))
+        out = tmp_path / "proj.csv"
+        assert run(["project", "--camera", camera, "--out", out]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestExtractDirectory:
+    """``extract --pred DIR --out DIR``: one process, one lane file per frame."""
+
+    @pytest.fixture()
+    def frames(self, tmp_path):
+        pred = tmp_path / "frames"
+        pred.mkdir()
+        for seed, name in ((5, "b.json"), (6, "a.json"), (7, "c.json")):
+            assert run(["synth", "--seed", seed, "--lanes", 3, "--noise-x", "0.1",
+                        "--dropout", "0.05", "--out-pred", pred / name]) == 0
+        (pred / "notes.txt").write_text("not a frame\n")
+        return pred
+
+    def test_each_lane_file_equals_a_single_file_extract(self, frames, tmp_path, capsys):
+        out = tmp_path / "lanes"
+        assert run(["extract", "--pred", frames, "--out", out, "--t-a", "0.6"]) == 0
+        assert "from 3 frames" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.json", "c.json"]
+        for name in ("a.json", "b.json", "c.json"):
+            single = tmp_path / f"single-{name}"
+            assert run(["extract", "--pred", frames / name, "--out", single,
+                        "--t-a", "0.6"]) == 0
+            assert (out / name).read_bytes() == single.read_bytes()
+
+    def test_existing_output_directory_is_reused(self, frames, tmp_path):
+        out = tmp_path / "lanes"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        assert run(["extract", "--pred", frames, "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.json", "b.json", "c.json", "keep.txt"]
+
+    def test_lane_files_evaluate_as_a_sequence(self, frames, tmp_path):
+        out = tmp_path / "lanes"
+        assert run(["extract", "--pred", frames, "--out", out]) == 0
+        ids = {load_lane_frame(p)[0] for p in out.iterdir()}
+        assert ids == {load_prediction_frame(p).frame_id for p in frames.glob("*.json")}
+
+    def test_no_frame_files_is_exit_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "frame.txt").write_text("{}")
+        assert run(["extract", "--pred", empty, "--out", tmp_path / "lanes"]) == 1
+        assert "no .json frame files" in capsys.readouterr().err
+        assert not (tmp_path / "lanes").exists()
+
+    def test_duplicate_frame_id_is_exit_1(self, frames, tmp_path, capsys):
+        (frames / "d.json").write_bytes((frames / "a.json").read_bytes())
+        out = tmp_path / "lanes"
+        assert run(["extract", "--pred", frames, "--out", out]) == 1
+        assert "duplicate frame_id" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_regular_file_is_exit_1(self, frames, tmp_path, capsys):
+        out = tmp_path / "lanes.json"
+        out.write_text("keep me\n")
+        assert run(["extract", "--pred", frames, "--out", out]) == 1
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
+
+    def test_out_naming_the_frame_directory_is_exit_1(self, frames, capsys):
+        before = {p.name: p.read_bytes() for p in frames.iterdir()}
+        assert run(["extract", "--pred", frames, "--out", frames]) == 1
+        assert "must not be the --pred directory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
+
+    def test_a_bad_frame_leaves_no_output(self, frames, tmp_path):
+        (frames / "z.json").write_text("{broken")
+        out = tmp_path / "lanes"
+        assert run(["extract", "--pred", frames, "--out", out]) == 1
+        assert not out.exists()

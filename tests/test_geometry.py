@@ -285,3 +285,61 @@ def test_custom_grid_projects_denser_near_field():
         return gaps[: rows // 3].mean()
 
     assert near_row_gaps(custom) < near_row_gaps(uniform)
+
+
+class TestCameraBounds:
+    """Camera entries are bounded where they enter, so projection cannot
+    overflow and a degenerate image cannot silently invalidate every anchor."""
+
+    @pytest.mark.parametrize("size", [(-5, 0), (480, 0), (0, 640), (-1, -1)])
+    def test_rejects_non_positive_image_size(self, size):
+        with pytest.raises(ValueError, match="image_size"):
+            CameraModel(np.diag([100.0, 100.0, 1.0]), np.eye(4), size)
+
+    def test_rejects_huge_image_size(self):
+        with pytest.raises(ValueError, match="image_size"):
+            CameraModel(np.diag([100.0, 100.0, 1.0]), np.eye(4), (480, 2 ** 31))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("value", [1e308, -1e13, np.inf, np.nan])
+    def test_rejects_huge_or_non_finite_intrinsic(self, entry, value):
+        K = np.diag([100.0, 100.0, 1.0])
+        K[entry] = value
+        with pytest.raises(ValueError, match="intrinsic"):
+            CameraModel(K, np.eye(4), (480, 640))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308, 1.0000001e12])
+    def test_rejects_huge_or_non_finite_translation(self, value):
+        E = np.eye(4)
+        E[1, 3] = value
+        with pytest.raises(ValueError, match="extrinsic"):
+            CameraModel(np.diag([100.0, 100.0, 1.0]), E, (480, 640))
+
+    def test_rejects_huge_bottom_row(self):
+        E = np.eye(4)
+        E[3, 0] = 1e308
+        with pytest.raises(ValueError, match="extrinsic"):
+            CameraModel(np.diag([100.0, 100.0, 1.0]), E, (480, 640))
+
+    def test_projection_at_the_bounds_stays_finite(self):
+        # Tier-1 turns every RuntimeWarning into an error, so an overflow fails here.
+        K = np.array([[1e12, -1e12, 1e12], [0.0, 1e12, -1e12], [0.0, 0.0, 1e12]])
+        E = np.eye(4)
+        E[:3, 3] = [1e12, -1e12, 1e12]
+        E[3] = [1e12, -1e12, 1e12, 1e12]
+        camera = CameraModel(K, E, (2 ** 31 - 1, 2 ** 31 - 1))
+        corners = np.array([[s0, s1, s2] for s0 in (-1e100, 1e100)
+                            for s1 in (-1e100, 1e100) for s2 in (-1e100, 1e100)])
+        uv, depth = project_points(corners, camera)
+        assert np.isfinite(depth).all()
+        assert np.isfinite(uv[depth > 1e-6]).all()
+        grid = build_uniform_grid(4, 4, (3.0, 1e100), (-1e100, 1e100))
+        project_grid_to_image(grid, camera)
+
+    def test_points_at_zero_depth_project_without_warnings(self):
+        camera = make_forward_camera(pitch_deg=0.0)
+        center = camera.center_ego
+        # Depth exactly 0 and a denormal depth: pixels may be inf, never a warning.
+        points = np.array([center, center + [1e-3, 5e-324, 0.0]])
+        uv, depth = project_points(points, camera)
+        assert (depth <= 1e-6).all()

@@ -430,3 +430,31 @@ class TestAdjacencyEncoding:
                 PredictionFrame(frame_id="bad", keypoints=kps, adjacency=bad)
             with pytest.raises(ValidationError, match="adjacency probabilities"):
                 AdjacencyMatrix(bad)
+
+
+class TestCameraFileBounds:
+    def write(self, tmp_path, edit):
+        path = tmp_path / "camera.json"
+        save_camera(make_forward_camera(), path)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("size", [[-5, 0], [480, 0], [0, 640], [True, 640]])
+    def test_non_positive_image_size(self, tmp_path, size):
+        path = self.write(tmp_path, lambda raw: raw.update(image_size=size))
+        with pytest.raises(ValidationError, match="image_size"):
+            load_camera(path)
+
+    def test_huge_focal_length(self, tmp_path):
+        path = self.write(tmp_path, lambda raw: raw["intrinsic"].__setitem__(0, 1e308))
+        with pytest.raises(ValidationError, match="intrinsic"):
+            load_camera(path)
+
+    def test_overflowing_translation(self, tmp_path):
+        # 1e999 is valid JSON number syntax and parses to an infinite float.
+        path = self.write(tmp_path, lambda raw: raw["extrinsic"].__setitem__(3, 123.25))
+        path.write_text(path.read_text().replace("123.25", "1e999"))
+        with pytest.raises(ValidationError, match="extrinsic"):
+            load_camera(path)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from lanekit.connection_head import random_head_weights
 from lanekit.errors import ValidationError
-from lanekit.geometry import make_forward_camera
+from lanekit.geometry import build_uniform_grid, make_forward_camera, project_grid_to_image
 from lanekit.io import (LaneRecord, PredictionFrame, load_camera, load_ground_truth,
                         load_head_weights, load_lane_frame, load_prediction_frame,
                         save_camera, save_ground_truth, save_head_weights, save_lane_frame,
@@ -82,6 +82,22 @@ def paths(doc, prefix=()):
         enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
         yield from paths(value, prefix + (key,))
+
+
+GRID = build_uniform_grid(4, 4, (3.0, 80.0), (-10.0, 10.0))
+HUGE = st.floats(min_value=1e6, max_value=1e308) | st.floats(min_value=-1e308, max_value=-1e6)
+# Entries of a camera file a huge number may land in: any intrinsic entry,
+# and the translation column of the extrinsic.
+CAMERA_ENTRIES = [("intrinsic", i) for i in range(9)] + [("extrinsic", i) for i in (3, 7, 11)]
+
+
+@st.composite
+def huge_camera(draw):
+    """A valid camera file with one to three entries made huge but finite."""
+    doc = copy.deepcopy(VALID["camera"][0])
+    for key, index in draw(st.lists(st.sampled_from(CAMERA_ENTRIES), min_size=1, max_size=3)):
+        doc[key][index] = draw(HUGE)
+    return doc
 
 
 @st.composite
@@ -164,6 +180,9 @@ def check_camera(doc):
         assert np.array_equal(again.intrinsic, camera.intrinsic)
         assert np.array_equal(again.extrinsic, camera.extrinsic)
         assert again.image_size == camera.image_size
+        # An accepted camera projects without overflow (a RuntimeWarning,
+        # which tier-1 turns into an error).
+        project_grid_to_image(GRID, camera)
 
 
 def check_weights(doc):
@@ -205,6 +224,12 @@ def test_mutated_ground_truth(doc):
 @FUZZ
 @given(mutated("camera"))
 def test_mutated_camera(doc):
+    check_camera(doc)
+
+
+@FUZZ
+@given(huge_camera())
+def test_camera_with_huge_entries(doc):
     check_camera(doc)
 
 
