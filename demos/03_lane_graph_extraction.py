@@ -2,8 +2,8 @@
 
 Seven keypoints form a Y: two branches merge at y=20 and share a tail.  The
 adjacency is thresholded into a directed graph, every (source, sink) pair
-gets its minimum-weight path via Dijkstra with edge weight 1 - probability,
-and shared segments are duplicated across the resulting lane instances.
+gets its least-cost path under edge weight 1 - probability (equal costs go
+to the lexicographically smallest node sequence), and shared segments are duplicated across the resulting lane instances.
 """
 
 import numpy as np

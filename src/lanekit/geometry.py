@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGroundIntersection
+from .errors import NoGroundIntersection, ValidationError
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
@@ -42,6 +42,8 @@ MIN_DEPTH_M = 1e-6
 MAX_CAMERA_ENTRY = 1e12
 # Largest image height or width, in pixels.
 MAX_IMAGE_SIDE_PX = 2 ** 31 - 1
+# Largest magnitude of any grid coordinate or grid argument, in meters.
+MAX_POSITION_M = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +53,9 @@ class CameraModel:
     Every intrinsic and extrinsic entry (so the translation too) must be
     finite with magnitude at most ``MAX_CAMERA_ENTRY`` (1e12), and the image
     height and width must lie in [1, ``MAX_IMAGE_SIDE_PX``].  With those
-    bounds, projecting an ego point whose coordinates are at most 1e100 m in
-    magnitude keeps every product below about 1e113, so it cannot overflow.
+    bounds, projecting an ego point whose coordinates are at most
+    ``MAX_POSITION_M`` (1e100 m) in magnitude keeps every product below about
+    1e113, so it cannot overflow.
     """
 
     intrinsic: np.ndarray
@@ -146,9 +149,10 @@ class AnchorGrid:
     """Lattice of BEV anchor positions.
 
     ``positions`` is (rows, cols, 2) with ``[..., 0]`` the lateral x and
-    ``[..., 1]`` the longitudinal y, in meters.  ``row_spacing`` holds the
-    per-row longitudinal gap (constant in uniform mode, strictly increasing
-    in custom mode).
+    ``[..., 1]`` the longitudinal y, in meters, each finite with magnitude
+    at most ``MAX_POSITION_M``.  ``row_spacing`` holds the per-row
+    longitudinal gap (constant in uniform mode, strictly increasing in
+    custom mode).
     """
 
     rows: int
@@ -164,6 +168,9 @@ class AnchorGrid:
             raise ValueError(f"positions must be ({self.rows}, {self.cols}, 2), got {pos.shape}")
         if spacing.shape != (self.rows,):
             raise ValueError(f"row_spacing must have length {self.rows}, got {spacing.shape}")
+        _check_bounded("positions", pos)
+        if not np.isfinite(spacing).all():
+            raise ValidationError("row_spacing must be finite")
         row_y = pos[:, 0, 1]
         if not np.all(np.diff(row_y) > 0):
             raise ValueError("longitudinal coordinates must strictly increase with row index")
@@ -180,10 +187,24 @@ class AnchorGrid:
         return self.positions[:, 0, 1]
 
 
+def _check_bounded(name, values):
+    """Raises ValidationError unless every entry of ``values`` is finite with
+    magnitude at most ``MAX_POSITION_M``."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    # NaN fails the comparison, so this also rejects non-finite entries.
+    bad = values[~(np.abs(values) <= MAX_POSITION_M)]
+    if bad.size:
+        raise ValidationError(f"{name} must be finite with magnitude at most "
+                              f"{MAX_POSITION_M:g} m, got {float(bad[0])!r}")
+
+
 def build_uniform_grid(rows, cols, y_range, x_range):
-    """Evenly spaced lattice whose corners coincide with the range bounds."""
+    """Evenly spaced lattice whose corners coincide with the range bounds,
+    each finite with magnitude at most ``MAX_POSITION_M``."""
     if rows < 2 or cols < 2:
         raise ValueError("uniform grid needs rows >= 2 and cols >= 2")
+    _check_bounded("y_range", y_range)
+    _check_bounded("x_range", x_range)
     y_min, y_max = float(y_range[0]), float(y_range[1])
     x_min, x_max = float(x_range[0]), float(x_range[1])
     if not (y_max > y_min) or not (x_max > x_min):
@@ -207,16 +228,22 @@ def build_custom_grid(rows, cols, spacing_near=0.5, spacing_far=1.5,
     Row i sits at the prefix sum of the gaps measured from ``y_origin``.
     With ``normalize_to_range=(y_min, y_max)`` all gaps are rescaled by one
     factor so that prefix sum spans exactly ``y_max - y_min`` starting at
-    ``y_min``.
+    ``y_min``.  Every length and position argument must be finite with
+    magnitude at most ``MAX_POSITION_M``, and the gaps and width positive.
     """
     if rows < 2:
         raise ValueError("custom grid needs rows >= 2")
     if cols < 2:
         raise ValueError("custom grid needs cols >= 2")
-    if not spacing_near < spacing_far:
-        raise ValueError("spacing_near must be smaller than spacing_far")
+    for name, value in (("spacing_near", spacing_near), ("spacing_far", spacing_far),
+                        ("width", width), ("y_origin", y_origin)):
+        _check_bounded(name, value)
+    if normalize_to_range is not None:
+        _check_bounded("normalize_to_range", normalize_to_range)
+    if not 0 < spacing_near < spacing_far:
+        raise ValidationError("spacing_near must be positive and smaller than spacing_far")
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise ValidationError("width must be positive")
 
     spacing = spacing_near + np.arange(rows) * ((spacing_far - spacing_near) / (rows - 1))
     origin = float(y_origin)
@@ -224,7 +251,8 @@ def build_custom_grid(rows, cols, spacing_near=0.5, spacing_far=1.5,
         y_min, y_max = float(normalize_to_range[0]), float(normalize_to_range[1])
         if not y_max > y_min:
             raise ValueError("degenerate normalize_to_range")
-        spacing = spacing * ((y_max - y_min) / spacing.sum())
+        # Dividing first keeps a tiny gap sum from overflowing the scale.
+        spacing = spacing / spacing.sum() * (y_max - y_min)
         origin = y_min
     ys = origin + np.cumsum(spacing)
 
@@ -272,7 +300,9 @@ def project_points(points_ego, camera):
 
 
 def project_grid_to_image(grid, camera, ground_height=0.0):
-    """Maps every anchor to image pixels assuming it lies at ``ground_height``."""
+    """Maps every anchor to image pixels assuming it lies at ``ground_height``,
+    which is held to the same bound as a grid position."""
+    _check_bounded("ground_height", ground_height)
     flat = grid.positions.reshape(-1, 2)
     pts = np.column_stack([flat, np.full(len(flat), float(ground_height))])
     uv, depth = project_points(pts, camera)

@@ -3,8 +3,8 @@
 An adjacency matrix holds pairwise connection probabilities between kept
 keypoints.  Thresholding at ``t_a`` yields a directed graph; start keypoints
 have no incoming edges (but at least one outgoing), end keypoints the
-reverse.  Each lane instance is the minimum-weight simple path from a start
-to a reachable end under edge weight ``1 - prob``, found with Dijkstra.
+reverse.  A lane is the least-cost start-to-end simple path under edge
+weight ``1 - prob``, ties broken as ``extract_lanes`` states.
 """
 
 import heapq
@@ -64,13 +64,6 @@ class DirectedLaneGraph:
     def out_degree(self):
         return np.bincount(self.edge_src, minlength=self.node_count)
 
-    def out_neighbors(self):
-        """Per-node list of (destination, edge weight 1 - prob)."""
-        adj = [[] for _ in range(self.node_count)]
-        for i, j, p in zip(self.edge_src, self.edge_dst, self.edge_prob):
-            adj[i].append((int(j), 1.0 - float(p)))
-        return adj
-
 
 @dataclass(frozen=True, eq=False)
 class LaneRecord:
@@ -127,24 +120,31 @@ def path_weight(path, adjacency):
     return float(sum(1.0 - probs[i, j] for i, j in zip(path[:-1], path[1:])))
 
 
-def _dijkstra(node_count, out_adj, source):
-    dist = np.full(node_count, np.inf)
-    pred = np.full(node_count, -1, dtype=np.int64)
-    dist[source] = 0.0
-    visited = np.zeros(node_count, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if visited[u]:
-            continue
-        visited[u] = True
-        for v, w in out_adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+def _best_paths(graph, sources):
+    """For each source, a dict from every node it reaches to its best path.
+
+    The heap label is the ranking key itself, ``(cost, path)``.  Weights are
+    non-negative and a path sorts before its extensions, so labels pop in
+    ascending order and a node's first popped label is its best path; every
+    node on it is settled, so extensions stay simple.  Edges come sorted by
+    source, so node u's edges are ``offsets[u]:offsets[u + 1]``.
+    """
+    offsets = np.searchsorted(graph.edge_src, np.arange(graph.node_count + 1)).tolist()
+    dst = graph.edge_dst.tolist()
+    weight = (1.0 - graph.edge_prob).tolist()
+    for source in sources:
+        best = {}
+        heap = [(0.0, (source,))]
+        while heap:
+            cost, path = heapq.heappop(heap)
+            u = path[-1]
+            if u in best:
+                continue
+            best[u] = path
+            for k in range(offsets[u], offsets[u + 1]):
+                if dst[k] not in best:
+                    heapq.heappush(heap, (cost + weight[k], path + (dst[k],)))
+        yield best
 
 
 def aggregate_lane_attributes(keypoints):
@@ -169,15 +169,19 @@ def aggregate_lane_attributes(keypoints):
 
 
 def extract_lanes(keypoints, adjacency, t_a=0.5):
-    """All minimum-weight start-to-end lanes of the thresholded graph, as
+    """All best start-to-end lanes of the thresholded graph, as
     ``LaneRecord``s carrying their paths.
 
-    One lane per reachable (start, end) pair, emitted by ascending start
-    then end index; merges and splits therefore duplicate shared segments
-    across instances.  Paths that double back longitudinally (possible only
-    when the adjacency links toward smaller y) are dropped so every emitted
-    lane runs strictly forward.  ``keypoints`` is a ProposalSet or a
-    sequence of Keypoints.
+    A pair's lane is its least-cost simple path under edge weight
+    ``1 - prob``, ties going to the lexicographically smallest node
+    sequence: ``oracles.oracle_paths``' rule, costs summed left to right
+    from the start.  It is exact when those sums are, e.g. for dyadic
+    probabilities such as 0.25 or 1.0.  One lane per reachable (start, end)
+    pair, emitted by ascending start then end index; merges and splits
+    therefore duplicate shared segments across instances.  Paths that
+    double back longitudinally (possible only when the adjacency links
+    toward smaller y) are dropped so every emitted lane runs strictly
+    forward.  ``keypoints`` is a ProposalSet or a sequence of Keypoints.
     """
     proposals = as_proposal_set(keypoints)
     probs = _as_probs(adjacency)
@@ -188,19 +192,14 @@ def extract_lanes(keypoints, adjacency, t_a=0.5):
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []
-    out_adj = graph.out_neighbors()
     xyz = np.column_stack([proposals.x + proposals.dx, proposals.y, proposals.z])
 
     lanes = []
-    for s in starts:
-        dist, pred = _dijkstra(graph.node_count, out_adj, s)
+    for best in _best_paths(graph, starts):
         for e in ends:
-            if not np.isfinite(dist[e]):
+            if e not in best:
                 continue
-            path = [e]
-            while path[-1] != s:
-                path.append(int(pred[path[-1]]))
-            path.reverse()
+            path = list(best[e])
             points = xyz[path]
             if not np.all(np.diff(points[:, 1]) > 0):
                 continue

@@ -113,8 +113,13 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
 
     ``proposals`` is a ProposalSet or a sequence of Keypoints.  The class
     term is one minus the proposal's score for the GT category; a category
-    at or past the proposal's score count has probability 0.
+    at or past the proposal's score count has probability 0.  Both weights
+    must be finite and non-negative.
     """
+    for name, weight in (("lambda_dist", lambda_dist), ("lambda_cls", lambda_cls)):
+        # NaN fails both comparisons.
+        if not 0.0 <= weight < np.inf:
+            raise ValidationError(f"{name} must be finite and non-negative, got {weight!r}")
     proposals = as_proposal_set(proposals)
     P, G = len(proposals), len(gts)
     costs = np.full((P, G), np.inf)

@@ -155,14 +155,23 @@ class _Resampled:
         return sums, counts
 
 
+def _check_threshold(threshold):
+    """Raises ValidationError unless the distance ``threshold`` is finite
+    and positive."""
+    # NaN fails both comparisons.
+    if not 0.0 < threshold < np.inf:
+        raise ValidationError(f"distance threshold must be finite and positive, "
+                              f"got {threshold!r}")
+
+
 def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
-    """One-to-one lane matching under the 75% rule at ``dist_threshold``.
+    """One-to-one lane matching under the 75% rule at ``dist_threshold``,
+    which must be finite and positive.
 
     Indices in the result refer to positions among the lanes that have at
     least one valid sample; lanes entirely outside the grid are dropped.
     """
-    if dist_threshold <= 0:
-        raise ValueError("dist_threshold must be positive")
+    _check_threshold(dist_threshold)
     frame = _Resampled(pred_lanes, gt_lanes, _y_grid(y_samples))
     return solve_assignment(frame.admissible_cost(dist_threshold))
 
@@ -181,9 +190,10 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     ``pred_frames``/``gt_frames`` are mappings from frame id to lane lists (a
     bare list is treated as a single frame).  A lane is anything with
     ``points`` and optionally ``confidence`` (default 1.0), or a bare point
-    array; one breaking ``errors.check_lane`` raises.  AP averages
-    precision over the confidence cutoffs that retain at least one
-    prediction; if no cutoff retains any, AP is 0.
+    array; one breaking ``errors.check_lane`` raises, as does a threshold
+    that is not finite and positive.  AP averages precision over the
+    confidence cutoffs that retain at least one prediction; if no cutoff
+    retains any, AP is 0.
     """
     preds = _normalize_frames(pred_frames)
     gts = _normalize_frames(gt_frames)
@@ -200,6 +210,7 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
 
     reports = []
     for threshold in thresholds:
+        _check_threshold(threshold)
         tp = fp = fn = 0
         err_sums = np.zeros(4)
         err_counts = np.zeros(4)

@@ -92,6 +92,17 @@ class TestPipelineCommands:
         assert payload["aggregate"][0]["f1"] == 1.0
         assert payload["aggregate"][0]["tp"] == 9
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "1.5,inf"])
+    def test_eval_bad_threshold_is_exit_1(self, scene, tmp_path, capsys, threshold):
+        pred, gt = scene
+        lanes = tmp_path / "lanes.json"
+        assert run(["extract", "--pred", pred, "--out", lanes]) == 0
+        report = tmp_path / "report.json"
+        assert run(["eval", "--pred", lanes, "--gt", gt, f"--threshold={threshold}",
+                    "--report", report]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_eval_non_finite_lane_point_is_exit_1(self, scene, tmp_path, capsys):
         _, gt = scene
         lanes = tmp_path / "lanes.json"
@@ -146,6 +157,18 @@ class TestMatchCommand:
         assert run(["match", "--pred", pred, "--gt", gt,
                     "--frame-id", "missing"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--lambda-dist", "nan"),
+                                             ("--lambda-cls", "inf"),
+                                             ("--lambda-dist", "-1")])
+    def test_non_finite_or_negative_weight_is_exit_1(self, scene, tmp_path, capsys,
+                                                      flag, value):
+        pred, gt = scene
+        out = tmp_path / "match.json"
+        assert run(["match", "--pred", pred, "--gt", gt, f"{flag}={value}",
+                    "--out", out]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGeometryCommands:
     def test_grid_csv(self, tmp_path):
@@ -167,6 +190,18 @@ class TestGeometryCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "row,col,u,v,valid"
         assert len(lines) == 1 + 6 * 8
+
+    @pytest.mark.parametrize("command, args, name", [
+        ("grid", ["--x-max", "inf"], "x_range"),
+        ("grid", ["--x-min=-1e308", "--x-max", "1e308"], "x_range"),
+        ("grid", ["--mode", "custom", "--width", "inf"], "width"),
+        ("project", ["--x-min=-1e307", "--x-max", "1e307"], "x_range"),
+        ("project", ["--ground-height", "nan"], "ground_height")])
+    def test_huge_or_non_finite_grid_is_exit_1(self, tmp_path, capsys, command, args, name):
+        out = tmp_path / "out.csv"
+        assert run([command, *args, "--out", out]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("image_size", [-5, 0]),
                                               ("image_size", [480, 0]),

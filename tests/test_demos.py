@@ -20,6 +20,8 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # pytest's error::RuntimeWarning filter does not reach a child process.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

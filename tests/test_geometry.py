@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanekit.errors import NoGroundIntersection
+from lanekit.errors import NoGroundIntersection, ValidationError
 from lanekit.geometry import (
+    MAX_POSITION_M,
     AnchorGrid,
     CameraModel,
     bilinear_sample,
@@ -93,6 +94,60 @@ class TestCustomGrid:
             build_custom_grid(4, 4, spacing_near=1.5, spacing_far=0.5)
         with pytest.raises(ValueError):
             build_custom_grid(4, 4, width=0.0)
+
+
+class TestGridBounds:
+    """Grid arguments and positions are finite and at most ``MAX_POSITION_M``
+    in magnitude, checked before any arithmetic can overflow."""
+
+    @pytest.mark.parametrize("y_range, x_range, name", [
+        ((3.0, 58.0), (-8.0, np.inf), "x_range"),
+        ((3.0, 58.0), (-1e308, 1e308), "x_range"),
+        ((np.nan, 58.0), (-8.0, 8.0), "y_range"),
+        ((3.0, 1.0000001e100), (-8.0, 8.0), "y_range")])
+    def test_uniform_rejects_huge_or_non_finite_range(self, y_range, x_range, name):
+        with pytest.raises(ValidationError, match=name):
+            build_uniform_grid(4, 4, y_range=y_range, x_range=x_range)
+
+    def test_uniform_accepts_the_bound(self):
+        grid = build_uniform_grid(2, 2, (-MAX_POSITION_M, MAX_POSITION_M),
+                                  (-MAX_POSITION_M, MAX_POSITION_M))
+        assert np.abs(grid.positions).max() == MAX_POSITION_M
+
+    @pytest.mark.parametrize("name, value", [
+        ("width", np.inf), ("width", np.nan), ("spacing_near", -np.inf),
+        ("spacing_far", 1e308), ("y_origin", np.nan), ("normalize_to_range", (0.0, np.inf))])
+    def test_custom_rejects_huge_or_non_finite_argument(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            build_custom_grid(4, 4, **{name: value})
+
+    def test_custom_rejects_non_positive_spacing(self):
+        with pytest.raises(ValidationError, match="spacing_near"):
+            build_custom_grid(3, 4, spacing_near=-1.0, spacing_far=1.0,
+                              normalize_to_range=(0.0, 10.0))
+
+    def test_custom_rows_past_the_bound_rejected(self):
+        with pytest.raises(ValidationError, match="positions"):
+            build_custom_grid(12, 4, spacing_far=1e100)
+
+    def test_custom_tiny_gaps_normalize_without_overflow(self):
+        grid = build_custom_grid(4, 4, spacing_near=1e-300, spacing_far=2e-300,
+                                 normalize_to_range=(0.0, 1e100))
+        assert grid.row_y[-1] == pytest.approx(1e100)
+
+    @pytest.mark.parametrize("height", [np.nan, np.inf, 1e300])
+    def test_projection_rejects_huge_or_non_finite_ground_height(self, height):
+        grid = build_uniform_grid(3, 3, (3.0, 30.0), (-5.0, 5.0))
+        with pytest.raises(ValidationError, match="ground_height"):
+            project_grid_to_image(grid, make_forward_camera(), ground_height=height)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -2e100])
+    def test_anchor_grid_rejects_huge_or_non_finite_positions(self, value):
+        positions = np.array([[[0.0, 1.0]], [[0.0, 2.0]]])
+        positions[1, 0, 0] = value
+        with pytest.raises(ValidationError, match="positions"):
+            AnchorGrid(rows=2, cols=1, positions=positions, row_spacing=[1.0, 1.0],
+                       mode="uniform")
 
 
 class TestCameraModel:

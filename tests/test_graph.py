@@ -247,10 +247,47 @@ class TestExtractLanes:
                     assert (s, e) not in by_pair
                 else:
                     lane = by_pair[(s, e)]
-                    assert path_weight(lane.path, A) == pytest.approx(best[1], abs=1e-12)
+                    assert (list(lane.path), path_weight(lane.path, A)) == best
                     # every edge on the emitted path clears the threshold
                     for i, j in zip(lane.path[:-1], lane.path[1:]):
                         assert A[i, j] > 0.5
+
+    def test_equal_cost_duplicates_take_smaller_branch(self):
+        # Two kept proposals per middle target, every edge at p = 1.0 (cost
+        # 0): 0 -> {1, 2}, chained 1 -> 4 and 2 -> 3, both into 5.  Node 3
+        # is reached before node 4, but (0, 1, 4, 5) < (0, 2, 3, 5).
+        kps = [Keypoint(grid_index=(row, col), x=0.1 * col, y=float(row + 1))
+               for row, col in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0))]
+        A = np.zeros((6, 6))
+        A[0, 1] = A[0, 2] = A[1, 4] = A[2, 3] = A[3, 5] = A[4, 5] = 1.0
+        lanes = extract_lanes(kps, A, 0.5)
+        assert [lane.path for lane in lanes] == [(0, 1, 4, 5)]
+        assert oracle_paths(A, 0.5, 0, 5) == ([0, 1, 4, 5], 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ties_follow_the_oracle_rule(self, data):
+        # Quantised probabilities make equal-cost paths common; without the
+        # triangle mask i -> j and j -> i may both clear t_a.
+        n = data.draw(st.integers(3, 9))
+        A = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.75, 1.0)),
+                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        if data.draw(st.booleans()):
+            A = np.triu(A, k=1)
+        np.fill_diagonal(A, 0.0)
+        lanes = extract_lanes(make_keypoints(n), A, 0.5)
+        starts, ends = find_terminals(threshold_adjacency(A, 0.5))
+        by_pair = {(lane.path[0], lane.path[-1]): lane for lane in lanes}
+        assert len(by_pair) == len(lanes)
+        for s in starts:
+            for e in ends:
+                best = oracle_paths(A, 0.5, s, e)
+                # node y = index + 1, so only increasing paths run forward
+                if best is None or np.any(np.diff(best[0]) < 0):
+                    assert (s, e) not in by_pair
+                else:
+                    lane = by_pair[(s, e)]
+                    assert (list(lane.path), path_weight(lane.path, A)) == best
 
 
 class TestAggregate:

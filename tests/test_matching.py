@@ -72,6 +72,12 @@ class TestCostMatrix:
         assert np.isfinite(build_cost_matrix([proposal(1, 0.0)], [g]).costs[0, 0])
         assert np.isinf(build_cost_matrix([proposal(2, 0.0)], [g]).costs[0, 0])
 
+    @pytest.mark.parametrize("name", ["lambda_dist", "lambda_cls"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    def test_weights_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            build_cost_matrix([proposal(0, 0.0)], [gt(0, 0.0)], **{name: value})
+
     def test_empty_inputs(self):
         assert build_cost_matrix([], [gt(0, 0.0)]).shape == (0, 1)
         assert build_cost_matrix([proposal(0, 0.0)], []).shape == (1, 0)

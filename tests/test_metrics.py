@@ -113,8 +113,18 @@ class TestMatchLanes:
         with pytest.raises(ValueError):
             match_lanes([], [], 0.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            match_lanes([straight(0.0)], [straight(0.0)], threshold)
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            evaluate([straight(0.0)], [straight(0.0)], thresholds=(1.5, threshold))
+
     def test_identical_sets_perfect(self):
         gts = [straight(-4.0), straight(0.0), straight(4.0)]
         reports = evaluate(gts, gts)
