@@ -1,10 +1,15 @@
 """Directed keypoint graphs and shortest-path lane extraction.
 
-An adjacency matrix holds pairwise connection probabilities between kept
-keypoints.  Thresholding at ``t_a`` yields a directed graph; start keypoints
-have no incoming edges (but at least one outgoing), end keypoints the
-reverse.  A lane is the least-cost start-to-end simple path under edge
-weight ``1 - prob``, ties broken as ``extract_lanes`` states.
+An adjacency matrix holds pairwise connection probabilities between
+keypoints.  Thresholding at ``t_a`` yields a directed graph over some of
+them, the ``nodes``: every keypoint of the matrix, or only the ones point
+NMS kept.  ``threshold_adjacency`` gathers the edges straight from the
+matrix, a fixed block of the nodes' rows at a time, keeping the entries
+above ``t_a`` whose column is a node and not the row's own; it never copies
+the nodes x nodes submatrix.  Start keypoints have no incoming edges (but
+at least one outgoing), end keypoints the reverse.  A lane is the
+least-cost start-to-end simple path under edge weight ``1 - prob``, ties
+broken as ``extract_lanes`` states.
 """
 
 import heapq
@@ -43,12 +48,29 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DirectedLaneGraph:
-    """Thresholded connection graph over ``node_count`` keypoints."""
+    """Thresholded connection graph over ``node_count`` keypoints.  Its
+    edges are distinct, in range and sorted by (src, dst), the order
+    ``_best_paths`` reads them in."""
 
     node_count: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_prob: np.ndarray
+
+    def __post_init__(self):
+        src, dst, prob = (np.asarray(a) for a in (self.edge_src, self.edge_dst, self.edge_prob))
+        if not src.shape == dst.shape == prob.shape == (len(src),):
+            raise ValidationError(f"edge arrays must be 1-D of one length, got shapes "
+                                  f"{src.shape}, {dst.shape} and {prob.shape}")
+        if len(src) and not (min(src.min(), dst.min()) >= 0
+                             and max(src.max(), dst.max()) < self.node_count):
+            raise ValidationError(f"edge nodes must lie in [0, {self.node_count})")
+        step_src, step_dst = np.diff(src), np.diff(dst)
+        if not np.all((step_src > 0) | ((step_src == 0) & (step_dst > 0))):
+            raise ValidationError("edges must be distinct and sorted by (src, dst)")
+        object.__setattr__(self, "edge_src", src)
+        object.__setattr__(self, "edge_dst", dst)
+        object.__setattr__(self, "edge_prob", prob)
 
     @property
     def edges(self):
@@ -94,16 +116,54 @@ class LaneRecord:
 LaneInstance = LaneRecord
 
 
-def threshold_adjacency(adjacency, t_a):
-    """Keeps exactly the off-diagonal entries with probability above ``t_a``."""
+# Adjacency entries scanned at a time by ``threshold_adjacency``: whole
+# rows, at least one, about 512 KB of them.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _as_nodes(nodes, size):
+    """``nodes`` as strictly increasing int64 indices into a ``size``-node matrix."""
+    if nodes is None:
+        return np.arange(size)
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 1 or (nodes.size and nodes.dtype.kind not in "iu"):
+        raise ValidationError(f"nodes must be a 1-D array of indices, got {nodes.dtype} "
+                              f"of shape {nodes.shape}")
+    nodes = nodes.astype(np.int64, copy=False)
+    if nodes.size and not (nodes[0] >= 0 and nodes[-1] < size and np.all(np.diff(nodes) > 0)):
+        raise ValidationError(f"nodes must be strictly increasing indices in [0, {size})")
+    return nodes
+
+
+def threshold_adjacency(adjacency, t_a, nodes=None):
+    """Keeps exactly the off-diagonal entries with probability above ``t_a``.
+
+    With ``nodes``, strictly increasing indices into the square adjacency,
+    the graph is the one of ``adjacency[np.ix_(nodes, nodes)]``: node k is
+    index ``nodes[k]``.  Its edges are read from the nodes' rows, a block
+    of rows at a time, so that submatrix is never built.
+    """
     if not 0.0 <= t_a < 1.0:
         raise ValueError(f"t_a must lie in [0, 1), got {t_a}")
     probs = _as_probs(adjacency)
-    mask = probs > t_a
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return DirectedLaneGraph(node_count=len(probs), edge_src=src, edge_dst=dst,
-                             edge_prob=probs[src, dst])
+    size = len(probs)
+    nodes = _as_nodes(nodes, size)
+    rank = np.full(size, -1)   # node of each matrix index, -1 for none
+    rank[nodes] = np.arange(len(nodes))
+    block = max(1, _BLOCK_ENTRIES // max(size, 1))
+    src, dst, prob = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for start in range(0, len(nodes), block):
+        rows = probs.take(nodes[start:start + block], axis=0)
+        # Row-major order, so ascending nodes give edges in (src, dst) order.
+        flat = np.flatnonzero(rows > t_a)
+        row, col = np.divmod(flat, size)
+        node = rank[col]
+        keep = (node >= 0) & (node != row + start)
+        src.append(row[keep] + start)
+        dst.append(node[keep])
+        prob.append(rows.ravel()[flat[keep]])
+    return DirectedLaneGraph(node_count=len(nodes), edge_src=np.concatenate(src),
+                             edge_dst=np.concatenate(dst), edge_prob=np.concatenate(prob))
 
 
 def find_terminals(graph):
@@ -168,7 +228,7 @@ def aggregate_lane_attributes(keypoints):
     return category, confidence
 
 
-def extract_lanes(keypoints, adjacency, t_a=0.5):
+def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     """All best start-to-end lanes of the thresholded graph, as
     ``LaneRecord``s carrying their paths.
 
@@ -181,14 +241,15 @@ def extract_lanes(keypoints, adjacency, t_a=0.5):
     therefore duplicate shared segments across instances.  Paths that
     double back longitudinally (possible only when the adjacency links
     toward smaller y) are dropped so every emitted lane runs strictly
-    forward.  ``keypoints`` is a ProposalSet or a sequence of Keypoints.
+    forward.  ``keypoints`` is a ProposalSet or a sequence of Keypoints,
+    one per node of the graph: per row of the adjacency, or, given
+    ``nodes`` (see ``threshold_adjacency``), per index in ``nodes``.
     """
     proposals = as_proposal_set(keypoints)
-    probs = _as_probs(adjacency)
-    if len(probs) != len(proposals):
-        raise ValueError(f"adjacency is {probs.shape} but there are "
+    graph = threshold_adjacency(adjacency, t_a, nodes)
+    if graph.node_count != len(proposals):
+        raise ValueError(f"the graph has {graph.node_count} nodes but there are "
                          f"{len(proposals)} keypoints")
-    graph = threshold_adjacency(probs, t_a)
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []

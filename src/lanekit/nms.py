@@ -406,9 +406,20 @@ def box_nms(boxes, scores, iou_thresh):
 
 
 def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
-    """Point suppression via box construction; returns kept indices by score."""
-    if not (thresh_x > 0 and thresh_y > 0 and r > 0):
-        raise ValidationError("thresh_x, thresh_y and r must be positive")
+    """Point suppression via box construction; returns kept indices by score.
+
+    ``thresh_x``, ``thresh_y`` and ``r`` must be positive and finite, and
+    each half-window ``r * thresh / 2`` must lie inside the int64 range.
+    """
+    for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y), ("r", r)):
+        if not 0.0 < value < np.inf:    # NaN fails too
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y)):
+        # Python floats overflow to inf without a warning.
+        half = float(r) / 2.0 * float(value)
+        if not half < 2.0 ** 63:
+            raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
+                                  f"outside the int64 range")
     points = np.asarray(points_xy, dtype=float).reshape(-1, 2)
     reject_non_finite(points, "points_xy")
     boxes = build_nms_boxes(points, thresh_x, thresh_y, r)

@@ -53,6 +53,17 @@ class TestExitCodes:
         assert "iou_thresh" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["nms", "extract"])
+    @pytest.mark.parametrize("flag, value", [("--thresh-x", "inf"), ("--thresh-x", "1e300"),
+                                             ("--thresh-y", "inf"), ("--thresh-y", "nan")])
+    def test_non_finite_or_huge_threshold_is_exit_1(self, scene, tmp_path, capsys,
+                                                    command, flag, value):
+        pred, _ = scene
+        out = tmp_path / "out.json"
+        assert run([command, "--pred", pred, flag, value, "--out", out]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommands:
     def test_extract_then_eval_perfect(self, scene, tmp_path, capsys):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lanekit
+from lanekit import graph as graph_module
 from lanekit.errors import ValidationError
 from lanekit.graph import (
     AdjacencyMatrix,
+    DirectedLaneGraph,
     LaneInstance,
     LaneRecord,
     aggregate_lane_attributes,
@@ -84,6 +86,103 @@ class TestThreshold:
         edges_lo = {(i, j) for i, j, _ in threshold_adjacency(A, lo).edges}
         edges_hi = {(i, j) for i, j, _ in threshold_adjacency(A, hi).edges}
         assert edges_hi <= edges_lo
+
+
+def assert_same_graph(got, want):
+    assert got.node_count == want.node_count
+    assert got.edge_src.tolist() == want.edge_src.tolist()
+    assert got.edge_dst.tolist() == want.edge_dst.tolist()
+    assert got.edge_prob.tobytes() == want.edge_prob.tobytes()
+
+
+class TestThresholdNodes:
+    """With ``nodes`` the graph is that of ``A[np.ix_(nodes, nodes)]``,
+    gathered from the nodes' rows of ``A`` a block of rows at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_thresholding_the_submatrix(self, data):
+        # Quantised values hit t_a exactly (strict >) and the diagonal is
+        # drawn like any entry, so it often lies above t_a.
+        n = data.draw(st.integers(0, 12))
+        A = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        t_a = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.75)))
+        chosen = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        nodes = np.flatnonzero(np.array(chosen, dtype=bool))
+        # From one row per block up to every row in one block.
+        rows_per_block = data.draw(st.integers(1, max(n, 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_BLOCK_ENTRIES", rows_per_block * max(n, 1))
+            got = threshold_adjacency(A, t_a, nodes)
+            want = threshold_adjacency(A[np.ix_(nodes, nodes)], t_a)
+        assert_same_graph(got, want)
+
+    @pytest.mark.parametrize("size, count", [(600, 420), (1536, 560), (300, 1), (300, 0)])
+    def test_equals_thresholding_the_submatrix_at_scale(self, size, count):
+        rng = np.random.default_rng(size + count)
+        A = rng.choice([0.1, 0.5, 0.6, 0.9], size=(size, size), p=[0.97, 0.01, 0.01, 0.01])
+        np.fill_diagonal(A, 0.9)
+        nodes = np.sort(rng.choice(size, count, replace=False))
+        assert len(nodes) <= 1 or size * len(nodes) > 2 * graph_module._BLOCK_ENTRIES
+        got = threshold_adjacency(A, 0.5, nodes)
+        assert_same_graph(got, threshold_adjacency(A[np.ix_(nodes, nodes)], 0.5))
+
+    def test_no_nodes_means_every_node(self):
+        A = np.random.default_rng(3).random((9, 9))
+        assert_same_graph(threshold_adjacency(A, 0.5, np.arange(9)), threshold_adjacency(A, 0.5))
+
+    @pytest.mark.parametrize("nodes", [[2, 1], [1, 1], [-1, 2], [0, 4], [0.0, 1.0],
+                                       [[0, 1]], [True, False]],
+                             ids=["unsorted", "repeated", "negative", "beyond", "float",
+                                  "2-d", "bool"])
+    def test_bad_nodes_rejected(self, nodes):
+        with pytest.raises(ValidationError, match="nodes"):
+            threshold_adjacency(np.zeros((4, 4)), 0.5, nodes)
+
+    def test_extract_lanes_over_nodes(self):
+        A = np.zeros((6, 6))
+        A[0, 2] = A[2, 4] = A[4, 5] = 1.0
+        A[0, 1] = A[1, 3] = 1.0   # a chain through nodes that are left out
+        nodes = [0, 2, 4, 5]
+        kps = make_keypoints(6)
+        lanes = extract_lanes([kps[i] for i in nodes], A, 0.5, nodes=nodes)
+        assert [lane.path for lane in lanes] == [(0, 1, 2, 3)]
+        assert lanes[0].points[:, 1].tolist() == [1.0, 3.0, 5.0, 6.0]
+        with pytest.raises(ValueError, match="4 nodes"):
+            extract_lanes(kps, A, 0.5, nodes=nodes)
+
+
+class TestDirectedLaneGraph:
+    @staticmethod
+    def graph(src, dst, prob=None, node_count=4):
+        prob = [0.9] * len(src) if prob is None else prob
+        return DirectedLaneGraph(node_count=node_count, edge_src=np.array(src, dtype=np.int64),
+                                 edge_dst=np.array(dst, dtype=np.int64),
+                                 edge_prob=np.array(prob, dtype=float))
+
+    def test_sorted_edges_accepted(self):
+        graph = self.graph([0, 0, 2], [1, 3, 0])
+        assert graph.edges == [(0, 1, 0.9), (0, 3, 0.9), (2, 0, 0.9)]
+        assert self.graph([], [], node_count=0).edges == []
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValidationError, match="one length"):
+            self.graph([0, 1], [1, 2], [0.9])
+        with pytest.raises(ValidationError, match="one length"):
+            self.graph([0, 1], [1])
+
+    @pytest.mark.parametrize("src, dst", [([0, 4], [1, 0]), ([0, 1], [1, -1])])
+    def test_nodes_must_be_in_range(self, src, dst):
+        with pytest.raises(ValidationError, match=r"\[0, 4\)"):
+            self.graph(src, dst)
+
+    @pytest.mark.parametrize("src, dst", [([1, 0], [2, 1]), ([0, 0], [2, 1]), ([0, 0], [1, 1])],
+                             ids=["src", "dst", "repeated"])
+    def test_edges_must_be_strictly_sorted(self, src, dst):
+        # _best_paths finds a node's edges by searchsorted on edge_src.
+        with pytest.raises(ValidationError, match=r"sorted by \(src, dst\)"):
+            self.graph(src, dst)
 
 
 class TestTerminals:

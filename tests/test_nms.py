@@ -569,10 +569,33 @@ class TestNmsInputValidation:
 
     @pytest.mark.parametrize("thresh", [1e300, 1.7e308, np.inf])
     def test_huge_threshold_names_the_point(self, thresh):
-        with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
-            point_nms([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.4], thresh, 1.0)
+        # build_nms_boxes has no threshold check of its own; point_nms
+        # rejects the threshold before building boxes (see below).
         with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
             build_nms_boxes([[0.0, 0.0]], 1.0, thresh)
+
+    @pytest.mark.parametrize("name", ["thresh_x", "thresh_y", "r"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0])
+    def test_non_finite_threshold_names_it(self, name, value):
+        kwargs = {"thresh_x": 1.0, "thresh_y": 1.0, "r": 10, name: value}
+        with pytest.raises(ValidationError, match=rf"^{name} must be positive and finite"):
+            point_nms([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.4], **kwargs)
+
+    @pytest.mark.parametrize("name", ["thresh_x", "thresh_y"])
+    @pytest.mark.parametrize("value", [1e300, 1.7e308, np.float64(1e300), 2.0 ** 61])
+    def test_huge_threshold_names_it(self, name, value):
+        kwargs = {"thresh_x": 1.0, "thresh_y": 1.0, name: value}
+        with pytest.raises(ValidationError, match=rf"^{name}: half-window .* int64 range"):
+            point_nms([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.4], **kwargs)
+
+    def test_huge_scale_names_the_threshold(self):
+        with pytest.raises(ValidationError, match=r"^thresh_x: half-window"):
+            point_nms([[0.0, 0.0]], [0.5], 1.0, 1.0, r=1e300)
+
+    def test_largest_half_window_inside_int64_accepted(self):
+        # r * thresh / 2 just below 2**63; the box of the origin still casts
+        thresh = (2.0 ** 63 - 1024) / 5.0
+        assert point_nms([[0.0, 0.0]], [0.5], thresh, 1.0).tolist() == [0]
 
     def test_box_edges_at_the_int64_limits(self):
         # the largest double below 2**63 and -2**63 itself still cast exactly

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import lanekit.graph
+import lanekit.pipeline
 from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import PredictionFrame
+from lanekit.graph import extract_lanes
 from lanekit.metrics import evaluate
 from lanekit.nms import Keypoint, ProposalSet, default_nms_thresholds
 from lanekit.pipeline import infer_nms_thresholds, run_pipeline, suppress
@@ -159,3 +162,77 @@ class TestSuppress:
         tx, ty = infer_nms_thresholds(frame.keypoints)
         assert np.array_equal(suppress(frame)[0], suppress(frame, tx, ty)[0])
         assert np.array_equal(suppress(frame, thresh_x=tx)[0], suppress(frame, tx, ty)[0])
+
+
+def padded_large_frame(seed, budget=1536):
+    """A large-grid scene padded to ``budget`` proposals, as a top-N head
+    returns them: background proposals on free anchors with weak
+    connections to everything, diagonal entries anywhere in [0, 1], and the
+    whole set in descending confidence order."""
+    grid = build_custom_grid(rows=72, cols=128)
+    _, frame = generate_scene(SceneSpec(seed=seed, lane_count=5, sigma_x=0.1,
+                                        proposals_per_target=4, dropout_p=0.05,
+                                        distractor_edge_rate=1.0), grid)
+    real = frame.keypoints
+    rng = np.random.default_rng(seed)
+    free = np.ones((grid.rows, grid.cols), dtype=bool)
+    free[tuple(real.grid_index.T)] = False
+    pad = budget - len(real)
+    cells = np.argwhere(free)[rng.choice(int(free.sum()), pad, replace=False)]
+    scores = np.zeros((pad, real.class_scores.shape[1]))
+    scores[np.arange(pad), rng.integers(1, scores.shape[1], pad)] = rng.uniform(0.02, 0.2, pad)
+    proposals = ProposalSet.from_arrays(
+        np.vstack([real.grid_index, cells]),
+        np.r_[real.x, grid.positions[cells[:, 0], cells[:, 1], 0]],
+        np.r_[real.y, grid.row_y[cells[:, 0]]],
+        dx=np.r_[real.dx, rng.normal(0.0, 0.1, pad)], z=np.r_[real.z, np.zeros(pad)],
+        fg_score=np.r_[real.fg_score, rng.uniform(0.02, 0.2, pad)],
+        class_scores=np.vstack([real.class_scores, scores]), repeats_n=real.repeats_n)
+    adjacency = rng.uniform(1e-3, 0.45, (budget, budget))
+    adjacency[:len(real), :len(real)] = frame.adjacency
+    np.fill_diagonal(adjacency, rng.uniform(0.0, 1.0, budget))
+    order = np.argsort(-proposals.confidences, kind="stable")
+    return PredictionFrame(frame_id=frame.frame_id, keypoints=proposals.subset(order),
+                           adjacency=adjacency[np.ix_(order, order)])
+
+
+class TestGraphFromKeptRows:
+    """``run_pipeline`` reads the lane graph from the kept rows of the
+    frame's adjacency; its lanes are those of the pruned matrix."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_lanes_as_the_pruned_matrix(self, seed):
+        frame = padded_large_frame(seed)
+        thresholds = default_nms_thresholds(build_custom_grid(rows=72, cols=128))
+        result = run_pipeline(frame, 0.5, *thresholds)
+        keep, kept, pruned = suppress(frame, *thresholds)
+        assert len(frame.keypoints) == 1536 and 400 < len(keep) < 1536
+        # the kept rows hold edges to suppressed proposals, which must not count
+        assert (frame.adjacency[keep] > 0.5).sum() > (pruned > 0.5).sum()
+        want = extract_lanes(kept, pruned)
+        assert result.kept_indices.tobytes() == keep.tobytes()
+        assert len(result.lanes) == len(want) > 0
+        for got, lane in zip(result.lanes, want):
+            assert got.path == lane.path
+            assert got.points.tobytes() == lane.points.tobytes()
+            assert (got.category, got.confidence) == (lane.category, lane.confidence)
+
+    def test_graph_steps_are_called_once_through_their_modules(self, monkeypatch):
+        # perfbench times and counts these calls by module attribute
+        # (graph.threshold_ms, graph.edges, graph.extract_ms).
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(lanekit.graph, "threshold_adjacency")
+        counted(lanekit.pipeline, "extract_lanes")
+        _, frame = generate_scene(SceneSpec(seed=3, lane_count=3, proposals_per_target=2),
+                                  grid12())
+        assert run_pipeline(frame).lanes
+        assert sorted(calls) == ["extract_lanes", "threshold_adjacency"]
