@@ -17,8 +17,8 @@ from .geometry import (AnchorGrid, CameraModel, ProjectionMap,
                        bilinear_sample, build_custom_grid, build_uniform_grid,
                        make_forward_camera, project_grid_to_image,
                        project_points, unproject_pixel_to_ground)
-from .graph import (AdjacencyMatrix, DirectedLaneGraph, LaneInstance,
-                    LaneRecord, extract_lanes, find_terminals, path_weight,
+from .graph import (AdjacencyMatrix, DirectedLaneGraph, LaneRecord,
+                    extract_lanes, find_terminals, path_weight,
                     threshold_adjacency)
 from .io import (PredictionFrame, load_camera, load_ground_truth,
                  load_head_weights, load_lane_frame, load_prediction_frame,
@@ -39,7 +39,7 @@ __all__ = [
     "AdjacencyMatrix", "AnchorGrid", "CameraModel", "ConnectionFeatures",
     "DirectedLaneGraph", "EVAL_THRESHOLDS_M", "EvalReport",
     "GroundTruthKeypoint", "GroundTruthLane", "HeadWeights", "Keypoint",
-    "LaneInstance", "LaneRecord", "MODEL_PRESETS", "Matching", "ModelConfig",
+    "LaneRecord", "MODEL_PRESETS", "Matching", "ModelConfig",
     "NoGroundIntersection", "PipelineResult", "PredictionFrame",
     "ProjectionMap", "ProposalSet", "SceneSpec", "SchemaError",
     "ValidationError", "adjacency_forward", "apply_offsets",

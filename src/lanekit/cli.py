@@ -162,7 +162,7 @@ def _cmd_match(args):
                                category=lane.category)
            for lane_id, lane in enumerate(gt_frames[frame_id])
            for order, (x, y, z) in enumerate(lane.points)]
-    repeats = args.repeats if args.repeats else frame.keypoints.repeats_n
+    repeats = frame.keypoints.repeats_n if args.repeats is None else args.repeats
     matching = match_keypoints(frame.keypoints, gts, repeats_n=repeats,
                                strongest=args.strongest,
                                lambda_dist=args.lambda_dist,

@@ -113,9 +113,6 @@ class LaneRecord:
         object.__setattr__(self, "path", path)
 
 
-LaneInstance = LaneRecord
-
-
 # Adjacency entries scanned at a time by ``threshold_adjacency``: whole
 # rows, at least one, about 512 KB of them.
 _BLOCK_ENTRIES = 1 << 16
@@ -211,21 +208,16 @@ def aggregate_lane_attributes(keypoints):
     """Lane class and confidence from member keypoints.
 
     ``keypoints`` is a ProposalSet or a sequence of Keypoints.  Class: argmax
-    of the mean per-class probability vector, ties to the lowest id.
-    Confidence: mean of each keypoint's max class score.
+    of the mean per-class probability vector, ties to the lowest id, or 0
+    for keypoints without class scores.  Confidence: mean of the keypoints'
+    confidences.
     """
     members = as_proposal_set(keypoints)
     if not len(members):
         raise ValueError("cannot aggregate an empty lane")
-    if members.score_counts.all():
-        scores = members.class_scores
-        category = int(np.argmax(scores.mean(axis=0)))
-        confidence = float(scores.max(axis=1).mean())
-    else:
-        # unclassified keypoints: single implicit class, foreground confidence
-        category = 0
-        confidence = float(np.mean(members.confidences))
-    return category, confidence
+    scores = members.class_scores
+    category = int(np.argmax(scores.mean(axis=0))) if scores.shape[1] else 0
+    return category, float(members.confidences.mean())
 
 
 def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):

@@ -77,6 +77,9 @@ def _require(mapping, field, kind, context=""):
     if field not in mapping:
         raise SchemaError(name, "missing")
     value = mapping[field]
+    # bool is an int subclass; JSON true is not a number.
+    if kind in (int, float) and isinstance(value, bool):
+        raise SchemaError(name, f"expected {kind.__name__}, got bool")
     if kind is float and isinstance(value, int):
         value = _as_float(value, name)
     if kind is not None and not isinstance(value, kind):
@@ -89,12 +92,11 @@ def save_prediction_frame(frame, path):
     """Writes a frame, its adjacency in the smaller encoding (module docstring)."""
     proposals = frame.keypoints
     keypoints = [{"row": row, "col": col, "x": x, "y": y, "dx": dx, "z": z,
-                  "fg_score": fg, "class_scores": scores[:count]}
-                 for (row, col), x, y, dx, z, fg, scores, count in zip(
+                  "fg_score": fg, "class_scores": scores}
+                 for (row, col), x, y, dx, z, fg, scores in zip(
                      proposals.grid_index.tolist(), proposals.x.tolist(),
                      proposals.y.tolist(), proposals.dx.tolist(), proposals.z.tolist(),
-                     proposals.fg_score.tolist(), proposals.class_scores.tolist(),
-                     proposals.score_counts.tolist())]
+                     proposals.fg_score.tolist(), proposals.class_scores.tolist())]
     n = len(proposals)
     if 3 * np.count_nonzero(frame.adjacency) < n * n:
         src, dst = np.nonzero(frame.adjacency)
@@ -103,9 +105,8 @@ def save_prediction_frame(frame, path):
                                                        frame.adjacency[src, dst].tolist())]}
     else:
         adjacency = {"format": "dense", "size": n, "probs": frame.adjacency.tolist()}
-    categories = int(proposals.score_counts[0]) if n else 0
     _dump({"frame_id": frame.frame_id, "camera": frame.camera,
-           "categories": categories, "repeats_n": proposals.repeats_n,
+           "categories": proposals.class_scores.shape[1], "repeats_n": proposals.repeats_n,
            "keypoints": keypoints, "adjacency": adjacency}, path)
 
 
@@ -118,8 +119,9 @@ def load_prediction_frame(path):
 
     if camera is not None and not isinstance(camera, str):
         raise SchemaError("camera", f"expected str or null, got {type(camera).__name__}")
-    if categories < 0:
-        raise SchemaError("categories", f"must be >= 0, got {categories}")
+    # A frame without keypoints still makes an empty (0, categories) array.
+    if not 0 <= categories < 2 ** 31:
+        raise SchemaError("categories", f"must lie in [0, 2**31), got {categories}")
 
     entries = _require(raw, "keypoints", list)
     grid_index, fields, scores = [], [], []
@@ -134,7 +136,8 @@ def load_prediction_frame(path):
                        for name in ("x", "y", "dx", "z", "fg_score")])
         scores.append(entry_scores)
     # Every row holds ``categories`` entries, so numbers give two dimensions.
-    scores = float_array(scores, "keypoints.class_scores") if entries else np.empty((0, 0))
+    scores = float_array(scores, "keypoints.class_scores") if entries \
+        else np.empty((0, categories))
     if scores.ndim != 2:
         raise SchemaError("keypoints.class_scores", "expected lists of numbers")
     x, y, dx, z, fg_score = np.array(fields, dtype=float).reshape(-1, 5).T
@@ -157,6 +160,7 @@ def load_prediction_frame(path):
         adjacency = np.zeros((size, size))
         for t, triplet in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
             if not (isinstance(triplet, list) and len(triplet) == 3
+                    and not any(isinstance(v, bool) for v in triplet)
                     and isinstance(triplet[0], int) and isinstance(triplet[1], int)
                     and isinstance(triplet[2], (int, float))):
                 raise SchemaError(f"adjacency.triplets[{t}]",

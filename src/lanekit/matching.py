@@ -113,7 +113,7 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
 
     ``proposals`` is a ProposalSet or a sequence of Keypoints.  The class
     term is one minus the proposal's score for the GT category; a category
-    at or past the proposal's score count has probability 0.  Both weights
+    at or past the proposals' score count C has probability 0.  Both weights
     must be finite and non-negative.
     """
     for name, weight in (("lambda_dist", lambda_dist), ("lambda_cls", lambda_cls)):
@@ -144,8 +144,7 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     feasible = (refined_dist <= MAX_REFINED_DIST_M) & (anchor_dist <= MAX_ANCHOR_DIST_M)
     p, g, refined_dist = p[feasible], g[feasible], refined_dist[feasible]
 
-    # Scores are zero-padded past each proposal's count; one more zero
-    # column stands for every category beyond the widest score vector.
+    # One more zero column stands for every category at or past C.
     scores = np.pad(proposals.class_scores, ((0, 0), (0, 1)))
     cls_term = 1.0 - scores[p, np.minimum(gt_cat[g], scores.shape[1] - 1)]
     costs[p, g] = lambda_dist * refined_dist + lambda_cls * cls_term
@@ -254,14 +253,10 @@ def match_keypoints(proposals, gts, repeats_n=1, strongest=False,
     if repeats_n < 1:
         raise ValueError("repeats_n must be >= 1")
     gts = list(gts)
-    if strongest or repeats_n == 1:
-        cost = build_cost_matrix(proposals, gts, lambda_dist, lambda_cls)
-        return solve_assignment(cost)
-
-    duplicated = [g for g in gts for _ in range(repeats_n)]
-    cost = build_cost_matrix(proposals, duplicated, lambda_dist, lambda_cls)
-    raw = solve_assignment(cost)
-    return _matching([(p, g // repeats_n) for p, g in raw.pairs], len(proposals), len(gts))
+    repeats = 1 if strongest else repeats_n
+    duplicated = [g for g in gts for _ in range(repeats)]
+    raw = solve_assignment(build_cost_matrix(proposals, duplicated, lambda_dist, lambda_cls))
+    return _matching([(p, g // repeats) for p, g in raw.pairs], len(proposals), len(gts))
 
 
 def build_connection_targets(matching, gts, size):

@@ -16,13 +16,15 @@ float formulas as a dense pairwise matrix, so the result, keep order
 included, is exactly the dense greedy one.
 
 A ``ProposalSet`` is its columns and nothing else: ``grid_index`` (N, 2),
-``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C),
-with ``score_counts`` (N,) giving how many class scores each proposal
-carries (rows are zero-padded past it).  The columns are validated once, when
-the set is made, and are read-only.  ``ProposalSet(keypoints)`` builds them
-from ``Keypoint`` objects, ``ProposalSet.from_arrays`` directly, and a
-``subset`` copies the chosen rows.  Indexing or iterating a set makes a new
-``Keypoint`` from each row.
+``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C).
+Every proposal carries the same number C >= 0 of class scores, the
+``categories`` of a prediction frame; a proposal with none falls back to its
+``fg_score`` for confidence.  The columns are validated once, when the set is
+made, and are read-only.  ``ProposalSet(keypoints)`` builds them from
+``Keypoint`` objects, whose score vectors must then all have one length;
+``ProposalSet.from_arrays`` takes them directly, and a ``subset`` copies the
+chosen rows.  Indexing or iterating a set makes a new ``Keypoint`` from each
+row.
 
 ``infer_nms_thresholds`` is the one rule for the suppression window: twice
 the widest row's anchor step laterally, half the smallest row gap
@@ -106,13 +108,15 @@ class ProposalSet:
 
     def __init__(self, keypoints=(), repeats_n=1):
         keypoints = tuple(keypoints)
+        width = keypoints[0].class_scores.size if keypoints else 0
+        for i, k in enumerate(keypoints):
+            if k.class_scores.size != width:
+                raise ValidationError(f"keypoints[{i}].class_scores: {k.class_scores.size} "
+                                      f"scores, keypoints[0] has {width}")
         fields = np.array([(k.grid_index[0], k.grid_index[1], k.x, k.y, k.dx, k.z, k.fg_score)
                            for k in keypoints], dtype=float).reshape(-1, 7)
-        counts = np.array([k.class_scores.size for k in keypoints], dtype=np.int64)
-        scores = np.zeros((len(keypoints), int(counts.max(initial=0))))
-        for row, k in zip(scores, keypoints):
-            row[:k.class_scores.size] = k.class_scores
-        self._store(fields[:, :2], *fields[:, 2:].T, scores, counts, repeats_n)
+        scores = np.array([k.class_scores for k in keypoints]).reshape(len(keypoints), width)
+        self._store(fields[:, :2], *fields[:, 2:].T, scores, repeats_n)
 
     @classmethod
     def from_arrays(cls, grid_index, x, y, dx=None, z=None, fg_score=None,
@@ -134,19 +138,13 @@ class ProposalSet:
         if scores.ndim != 2 or len(scores) != n:
             raise ValidationError(f"class_scores must be ({n}, C), got {scores.shape}")
         default = np.zeros(n)
-        return cls._of_columns(grid_index, x, y, default if dx is None else dx,
-                               default if z is None else z,
-                               default if fg_score is None else fg_score, scores,
-                               np.full(n, scores.shape[1]), repeats_n)
-
-    @classmethod
-    def _of_columns(cls, *columns):
         self = cls.__new__(cls)
-        self._store(*columns)
+        self._store(grid_index, x, y, default if dx is None else dx,
+                    default if z is None else z,
+                    default if fg_score is None else fg_score, scores, repeats_n)
         return self
 
-    def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, score_counts,
-               repeats_n):
+    def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, repeats_n):
         """Validates and keeps copies of the columns, as read-only arrays."""
         if repeats_n < 1:
             raise ValidationError("repeats_n must be >= 1")
@@ -167,7 +165,6 @@ class ProposalSet:
         for name, values in columns.items():
             setattr(self, name, _read_only(values))
         self.class_scores = _read_only(np.array(class_scores, dtype=float))
-        self.score_counts = _read_only(np.array(score_counts, dtype=np.int64))
         self.repeats_n = int(repeats_n)
 
     def __len__(self):
@@ -182,7 +179,7 @@ class ProposalSet:
         return Keypoint(grid_index=tuple(self.grid_index[i].tolist()), x=float(self.x[i]),
                         y=float(self.y[i]), dx=float(self.dx[i]), z=float(self.z[i]),
                         fg_score=float(self.fg_score[i]),
-                        class_scores=self.class_scores[i, :self.score_counts[i]])
+                        class_scores=self.class_scores[i])
 
     @property
     def refined_xy(self):
@@ -191,16 +188,14 @@ class ProposalSet:
 
     @property
     def confidences(self):
-        """Per-proposal max class score, or fg_score where there are none."""
-        return np.where(self.score_counts > 0, self.class_scores.max(axis=1, initial=0.0),
-                        self.fg_score)
+        """Per-proposal max class score, or fg_score when there are none."""
+        return self.class_scores.max(axis=1) if self.class_scores.shape[1] else self.fg_score
 
     def subset(self, indices):
         """The proposals at ``indices``, in that order, as a set of their own."""
         rows = np.asarray(indices, dtype=np.int64).reshape(-1)
         out = ProposalSet.__new__(ProposalSet)
-        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores",
-                     "score_counts"):
+        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores"):
             setattr(out, name, _read_only(getattr(self, name)[rows]))
         out.repeats_n = self.repeats_n
         return out
@@ -240,9 +235,9 @@ def apply_offsets(proposals, dx, z):
     if dx.shape != (len(proposals),) or z.shape != (len(proposals),):
         raise ValueError(f"offset arrays must have length {len(proposals)}, "
                          f"got dx {dx.shape} and z {z.shape}")
-    return ProposalSet._of_columns(proposals.grid_index, proposals.x, proposals.y, dx, z,
+    return ProposalSet.from_arrays(proposals.grid_index, proposals.x, proposals.y, dx, z,
                                    proposals.fg_score, proposals.class_scores,
-                                   proposals.score_counts, proposals.repeats_n)
+                                   proposals.repeats_n)
 
 
 def _outside_int64(values):

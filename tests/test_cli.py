@@ -168,6 +168,15 @@ class TestMatchCommand:
         assert run(["match", "--pred", pred, "--gt", gt,
                     "--frame-id", "missing"]) == 1
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_is_exit_1(self, scene, tmp_path, capsys, repeats):
+        pred, gt = scene
+        out = tmp_path / "match.json"
+        assert run(["match", "--pred", pred, "--gt", gt, f"--repeats={repeats}",
+                    "--out", out]) == 1
+        assert "repeats_n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--lambda-dist", "nan"),
                                              ("--lambda-cls", "inf"),
                                              ("--lambda-dist", "-1")])

@@ -10,7 +10,6 @@ from lanekit.errors import ValidationError
 from lanekit.graph import (
     AdjacencyMatrix,
     DirectedLaneGraph,
-    LaneInstance,
     LaneRecord,
     aggregate_lane_attributes,
     extract_lanes,
@@ -208,22 +207,9 @@ class TestTerminals:
         assert find_terminals(threshold_adjacency(A, 0.5)) == ([], [])
 
 
-class TestLaneInstance:
-    def test_rejects_repeated_nodes(self):
-        with pytest.raises(ValueError, match="simple"):
-            LaneInstance(path=(0, 1, 0), points=np.zeros((3, 3)),
-                         category=0, confidence=0.5)
-
-    def test_rejects_non_monotone_y(self):
-        pts = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="non-decreasing y"):
-            LaneInstance(path=(0, 1), points=pts, category=0, confidence=0.5)
-
-
 class TestLaneRecord:
     def test_one_type_under_every_name(self):
-        assert LaneInstance is LaneRecord
-        assert lanekit.LaneInstance is LaneRecord
+        assert lanekit.LaneRecord is LaneRecord
         assert lanekit.io.LaneRecord is LaneRecord
         assert lanekit.GroundTruthLane is LaneRecord
 
@@ -249,6 +235,11 @@ class TestLaneRecord:
         with pytest.raises(ValidationError, match="simple"):
             LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]],
                        path=(0, 1, 0))
+
+    def test_non_monotone_y_rejected(self):
+        pts = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValidationError, match="non-decreasing y"):
+            LaneRecord(path=(0, 1), points=pts, category=0, confidence=0.5)
 
 
 class TestExtractLanes:

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanekit.errors import SchemaError, ValidationError
 from lanekit.config import MODEL_PRESETS
@@ -18,6 +22,7 @@ from lanekit.io import (
     save_grid_csv,
     save_ground_truth,
     save_head_weights,
+    save_lane_frame,
     save_prediction_frame,
 )
 from lanekit.metrics import GroundTruthLane
@@ -180,6 +185,17 @@ class TestPredictionFrame:
         raw["keypoints"][1]["class_scores"] = [0.5, 0.5]
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaError):
+            load_prediction_frame(path)
+
+    @pytest.mark.parametrize("categories", [-1, 2 ** 31, 10 ** 30])
+    def test_categories_out_of_range_names_it(self, tmp_path, categories):
+        path = tmp_path / "frame.json"
+        save_prediction_frame(PredictionFrame(frame_id="e", keypoints=ProposalSet(()),
+                                              adjacency=np.zeros((0, 0))), path)
+        raw = json.loads(path.read_text())
+        raw["categories"] = categories
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="categories"):
             load_prediction_frame(path)
 
     def test_invalid_json_is_schema_error(self, tmp_path):
@@ -458,3 +474,103 @@ class TestCameraFileBounds:
         path.write_text(path.read_text().replace("123.25", "1e999"))
         with pytest.raises(ValidationError, match="extrinsic"):
             load_camera(path)
+
+
+def _set(*keys, value=True):
+    """An edit that sets the entry at ``keys`` of a loaded JSON document."""
+    def edit(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        raw[keys[-1]] = value
+    return edit
+
+
+def _sparse_frame(path):
+    frame = make_frame(np.random.default_rng(18), count=3)
+    adjacency = np.zeros((3, 3))
+    adjacency[0, 1] = 0.5
+    save_prediction_frame(PredictionFrame(frame_id="b", keypoints=frame.keypoints,
+                                          adjacency=adjacency), path)
+
+
+def _lane_file(path):
+    save_lane_frame("b", [LaneRecord([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], 1, 0.5)], path)
+
+
+def _head_file(path):
+    save_head_weights(random_head_weights(0, d_c=1, dims_per_axis=1, hidden=2, embed=2), path)
+
+
+class TestBooleansAreNotNumbers:
+    """JSON ``true`` and ``false`` are rejected wherever a number belongs,
+    naming the field, although Python's bool is an int."""
+
+    @pytest.mark.parametrize("write, load, edit, field", [
+        (_sparse_frame, load_prediction_frame, _set("keypoints", 0, "row"),
+         r"keypoints\[0\]\.row"),
+        (_sparse_frame, load_prediction_frame, _set("keypoints", 1, "fg_score"),
+         r"keypoints\[1\]\.fg_score"),
+        (_sparse_frame, load_prediction_frame, _set("keypoints", 2, "x", value=False),
+         r"keypoints\[2\]\.x"),
+        (_sparse_frame, load_prediction_frame, _set("repeats_n"), "repeats_n"),
+        (_sparse_frame, load_prediction_frame, _set("categories", value=False), "categories"),
+        (_sparse_frame, load_prediction_frame, _set("adjacency", "size"), r"adjacency\.size"),
+        (_sparse_frame, load_prediction_frame, _set("adjacency", "triplets", 0, 2),
+         r"adjacency\.triplets\[0\]"),
+        (_sparse_frame, load_prediction_frame, _set("adjacency", "triplets", 0, 0, value=False),
+         r"adjacency\.triplets\[0\]"),
+        (_lane_file, load_lane_frame, _set("lanes", 0, "category"), r"lanes\[0\]\.category"),
+        (_lane_file, load_lane_frame, _set("lanes", 0, "confidence"),
+         r"lanes\[0\]\.confidence"),
+        (_head_file, load_head_weights, _set("final.b"), r"final\.b")],
+        ids=["row", "fg_score", "x", "repeats_n", "categories", "size", "triplet-prob",
+             "triplet-index", "category", "confidence", "final.b"])
+    def test_bool_names_the_field(self, tmp_path, write, load, edit, field):
+        path = tmp_path / "file.json"
+        write(path)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=field):
+            load(path)
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def proposal_sets(draw):
+    """A valid ProposalSet: N in [0, 6] proposals of C in [0, 3] class scores."""
+    n, width = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+
+    def column(elements, shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=count, max_size=count)),
+                        dtype=float).reshape(shape)
+
+    grid_index = np.array(draw(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                                  st.integers(-2 ** 63, 2 ** 63 - 1)),
+                                        min_size=n, max_size=n)), dtype=np.int64)
+    return ProposalSet.from_arrays(grid_index.reshape(n, 2), column(_floats, n),
+                                   column(_floats, n), column(_floats, n), column(_floats, n),
+                                   column(_unit, n), column(_unit, (n, width)),
+                                   repeats_n=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(proposal_sets(), st.data())
+def test_prediction_frame_round_trips_every_column(proposals, data):
+    n = len(proposals)
+    adjacency = np.array(data.draw(st.lists(_unit, min_size=n * n, max_size=n * n)),
+                         dtype=float).reshape(n, n)
+    frame = PredictionFrame(frame_id="rt", keypoints=proposals, adjacency=adjacency)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        save_prediction_frame(frame, path)
+        loaded = load_prediction_frame(path)
+    assert loaded.keypoints.repeats_n == proposals.repeats_n
+    for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores"):
+        again, want = getattr(loaded.keypoints, name), getattr(proposals, name)
+        assert again.dtype == want.dtype and np.array_equal(again, want), name
+    assert np.array_equal(loaded.adjacency, frame.adjacency)

@@ -6,7 +6,7 @@ return or raise ``ValidationError`` (which ``SchemaError`` subclasses); no
 other exception may escape.  Inputs are
 arbitrary JSON documents and valid files with a few parts replaced, removed
 or duplicated.  Whatever a loader accepts must also save and load back
-unchanged.
+unchanged, and must hold no JSON boolean where a number belongs.
 """
 
 import copy
@@ -139,13 +139,23 @@ def resaved(save, *args):
     return path
 
 
+def no_bools(*values):
+    return not any(isinstance(v, bool) for v in values)
+
+
 def check_frame(doc):
     frame = load(load_prediction_frame, doc)
     if frame is not None:
+        adjacency = doc["adjacency"]
+        triplets = adjacency["triplets"] if adjacency["format"] == "sparse" else []
+        assert no_bools(doc["categories"], doc["repeats_n"], adjacency["size"],
+                        *(v for triplet in triplets for v in triplet),
+                        *(entry[name] for entry in doc["keypoints"]
+                          for name in ("row", "col", "x", "y", "dx", "z", "fg_score")))
         again = load_prediction_frame(resaved(save_prediction_frame, frame))
         assert again.frame_id == frame.frame_id and again.camera == frame.camera
         assert again.keypoints.repeats_n == frame.keypoints.repeats_n
-        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "score_counts"):
+        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores"):
             assert np.array_equal(getattr(again.keypoints, name),
                                   getattr(frame.keypoints, name))
         assert np.array_equal(again.adjacency, frame.adjacency)
@@ -155,6 +165,7 @@ def check_lanes(doc):
     loaded = load(load_lane_frame, doc)
     if loaded is not None:
         frame_id, lanes = loaded
+        assert no_bools(*(l.category for l in lanes), *(l.confidence for l in lanes))
         again = load_lane_frame(resaved(save_lane_frame, frame_id, lanes))
         assert again[0] == frame_id and len(again[1]) == len(lanes)
         for a, b in zip(again[1], lanes):
@@ -165,6 +176,7 @@ def check_lanes(doc):
 def check_gt(doc):
     frames = load(load_ground_truth, doc)
     if frames is not None:
+        assert no_bools(*(l.category for lanes in frames.values() for l in lanes))
         again = load_ground_truth(resaved(save_ground_truth, frames))
         assert sorted(again) == sorted(frames)
         for fid in frames:
@@ -188,6 +200,7 @@ def check_camera(doc):
 def check_weights(doc):
     weights = load(load_head_weights, doc)
     if weights is not None:
+        assert no_bools(doc["final.b"])
         again = load_head_weights(resaved(save_head_weights, weights))
         for name, value in vars(weights).items():
             assert np.array_equal(getattr(again, name), value)

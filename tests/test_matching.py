@@ -117,17 +117,17 @@ def reference_costs(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
 
 
 def random_case(rng, n_props=30, n_gts=12, categories=4):
-    """Proposals on six rows with ragged (sometimes empty) class scores, and
-    GTs whose categories run past every score vector; some GTs carry no row
-    and pair by exact y."""
+    """Proposals on six rows whose class scores share one width, sometimes
+    0, and GTs whose categories run past it; some GTs carry no row and pair
+    by exact y."""
+    width = int(rng.integers(0, categories + 1))
     props = []
     for _ in range(n_props):
-        count = int(rng.integers(0, categories + 1))
         props.append(Keypoint(grid_index=(int(rng.integers(0, 6)), 0),
                               x=float(rng.integers(-8, 9)) / 2.0, y=ROW_Y[rng.integers(0, 6)],
                               dx=float(rng.uniform(-0.6, 0.6)),
                               fg_score=float(rng.uniform(0, 1)),
-                              class_scores=rng.uniform(0, 1, count)))
+                              class_scores=rng.uniform(0, 1, width)))
     gts = []
     for j in range(n_gts):
         row = int(rng.integers(0, 6))
@@ -162,6 +162,8 @@ class TestCostMatrixReference:
                               for p, g in solve_assignment(want).pairs)
                 assert match_keypoints(props, gts, repeats_n=repeats_n).pairs \
                     == tuple(sorted(pairs))
+                assert match_keypoints(props, gts, repeats_n=repeats_n, strongest=True).pairs \
+                    == solve_assignment(reference_costs(props, gts)).pairs
 
     def test_category_past_scores_costs_one(self):
         kp = proposal(0, 0.0, class_scores=[0.1, 0.9])

@@ -74,6 +74,14 @@ class TestNonFiniteRejected:
             apply_offsets(props, [0.0, np.nan], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("widths, bad", [((2, 0), 1), ((1, 1, 3), 2), ((0, 2), 1)])
+def test_mixed_score_widths_rejected(widths, bad):
+    kps = [Keypoint(grid_index=(0, 0), x=0.0, y=5.0, fg_score=0.3, class_scores=[0.5] * w)
+           for w in widths]
+    with pytest.raises(ValidationError, match=rf"keypoints\[{bad}\]\.class_scores"):
+        ProposalSet(kps)
+
+
 class TestSelectTopN:
     def test_all_zero_map_lexicographic(self):
         grid = make_grid()
@@ -357,29 +365,33 @@ def assert_columns_match_keypoints(props, indices):
     assert infer_nms_thresholds(sub) == reference_thresholds([kps[i] for i in indices])
 
 
-proposal_row = st.tuples(st.integers(0, 4), st.integers(0, 6),
-                         st.sampled_from([-3.0, -1.5, 0.0, 0.5, 2.0, 4.25]),
-                         st.sampled_from([5.0, 10.0, 12.5, 20.0]),
-                         st.floats(-1, 1, allow_nan=False, width=32), score,
-                         st.lists(score, max_size=3))
+def proposal_row(width):
+    return st.tuples(st.integers(0, 4), st.integers(0, 6),
+                     st.sampled_from([-3.0, -1.5, 0.0, 0.5, 2.0, 4.25]),
+                     st.sampled_from([5.0, 10.0, 12.5, 20.0]),
+                     st.floats(-1, 1, allow_nan=False, width=32), score,
+                     st.lists(score, min_size=width, max_size=width))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(proposal_row, max_size=25), st.integers(0, 3), st.data())
-def test_columns_match_keypoint_properties(rows, width, data):
+@given(st.integers(0, 3), st.data())
+def test_columns_match_keypoint_properties(width, data):
     """Columns against Keypoint properties, for a set made of Keypoints with
-    ragged and empty class scores and for a set made from arrays."""
+    ``width`` class scores each (none included) and for the same set made
+    from arrays."""
+    rows = data.draw(st.lists(proposal_row(width), max_size=25))
     indices = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)) \
         if rows else []
     kps = [Keypoint(grid_index=(r, c), x=x, y=y, dx=dx, fg_score=fg, class_scores=cs)
            for r, c, x, y, dx, fg, cs in rows]
     assert_columns_match_keypoints(ProposalSet(kps), indices)
-    scores = np.array([(cs + [0.25] * width)[:width] for *_, cs in rows],
-                      dtype=float).reshape(len(rows), width)
     from_arrays = ProposalSet.from_arrays(
         np.array([(r, c) for r, c, *_ in rows], dtype=int).reshape(-1, 2),
         [row[2] for row in rows], [row[3] for row in rows], dx=[row[4] for row in rows],
-        fg_score=[row[5] for row in rows], class_scores=scores)
+        fg_score=[row[5] for row in rows],
+        class_scores=np.array([cs for *_, cs in rows], dtype=float).reshape(len(rows), width))
+    assert from_arrays.class_scores.shape == (len(rows), width)
+    assert list(from_arrays) == kps
     assert_columns_match_keypoints(from_arrays, indices)
 
 
