@@ -207,6 +207,16 @@ class TestTerminals:
         assert find_terminals(threshold_adjacency(A, 0.5)) == ([], [])
 
 
+class TestLaneInstance:
+    """A lane instance as extract_lanes emits it: a LaneRecord with a path,
+    a category and a confidence."""
+
+    def test_rejects_repeated_nodes(self):
+        with pytest.raises(ValidationError, match="simple"):
+            LaneRecord(path=(0, 1, 0), points=np.zeros((3, 3)),
+                       category=0, confidence=0.5)
+
+
 class TestLaneRecord:
     def test_one_type_under_every_name(self):
         assert lanekit.LaneRecord is LaneRecord
