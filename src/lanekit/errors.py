@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, and the generic array checks
+that raise them, naming the offending field or row."""
 
-from numbers import Real
+from itertools import chain
 
 import numpy as np
 
@@ -39,30 +40,30 @@ def reject_non_finite(values, array, field=""):
 
 def float_array(values, name):
     """``values`` as a float array; anything but a rectangular array of numbers
-    (ragged lists, strings, integers beyond 64 bits) is rejected as ``name``."""
+    (ragged lists, strings, booleans, integers beyond 64 bits) is rejected as
+    ``name``.  Only a list's entries are scanned for booleans, which numpy
+    turns into 1.0 and 0.0 beside other numbers; an array is judged by its
+    dtype."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "biuf":
-            return array.astype(float, copy=False)
     except ValueError:  # a ragged list
-        pass
-    raise ValidationError(f"{name}: expected a rectangular array of numbers")
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind == "b" or (array.dtype.kind in "iuf" and isinstance(values, list)
+                                   and _holds_bool(values, array.ndim)):
+        raise ValidationError(f"{name}: expected numbers, got a boolean")
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name}: expected a rectangular array of numbers")
+    return array.astype(float, copy=False)
 
 
-def check_lane(points, confidence=1.0):
-    """The lane rule: ``points`` form an (N >= 2, 3) array of finite
-    (x, y, z) rows whose y does not decrease, and ``confidence`` lies in
-    [0, 1].  Returns the points as a float array."""
-    points = float_array(points, "points")
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-        raise ValidationError(f"lane points must be (N >= 2, 3), got shape {points.shape}")
-    reject_non_finite(points, "points")
-    if (points[1:, 1] < points[:-1, 1]).any():
-        raise ValidationError("lane points must have non-decreasing y")
-    # NaN fails both comparisons.
-    if not (isinstance(confidence, Real) and 0.0 <= confidence <= 1.0):
-        raise ValidationError(f"confidence must lie in [0, 1], got {confidence!r}")
-    return points
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _holds_bool(values, depth):
+    """Whether the ``depth``-deep nested list ``values`` holds a boolean."""
+    for _ in range(depth - 1):
+        values = chain.from_iterable(values)
+    return not _BOOLS.isdisjoint(map(type, values))
 
 
 class NoGroundIntersection(ValueError):

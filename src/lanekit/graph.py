@@ -14,10 +14,11 @@ broken as ``extract_lanes`` states.
 
 import heapq
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ValidationError, check_lane
+from .errors import ValidationError, float_array, reject_non_finite
 from .nms import as_proposal_set
 
 
@@ -89,12 +90,14 @@ class DirectedLaneGraph:
 
 @dataclass(frozen=True, eq=False)
 class LaneRecord:
-    """A lane polyline with category and confidence, held to ``errors.check_lane``
-    and read-only after: a lane ``extract_lanes`` made, or one read from a lane
-    or ground-truth file.  ``path`` holds an extracted lane's keypoint indices,
-    one per point and none repeated; a lane read from a file has none.  A
-    ground-truth lane (``metrics.GroundTruthLane``) keeps the default
-    confidence."""
+    """A lane polyline with category and confidence, read-only once made: a
+    lane ``extract_lanes`` made, or one read from a lane or ground-truth
+    file.  It holds the one lane rule: ``points`` form an (N >= 2, 3) array
+    of finite (x, y, z) rows whose y does not decrease, ``category`` is a
+    non-negative integer and ``confidence`` lies in [0, 1].  ``path`` holds
+    an extracted lane's keypoint indices, one per point and none repeated; a
+    lane read from a file has none.  A ground-truth lane
+    (``metrics.GroundTruthLane``) keeps the default confidence."""
 
     points: np.ndarray
     category: int = 0
@@ -102,14 +105,28 @@ class LaneRecord:
     path: tuple = ()
 
     def __post_init__(self):
-        points = check_lane(self.points, self.confidence).copy()
+        points = float_array(self.points, "points").copy()
+        if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
+            raise ValidationError(f"lane points must be (N >= 2, 3), got shape {points.shape}")
+        reject_non_finite(points, "points")
+        if (points[1:, 1] < points[:-1, 1]).any():
+            raise ValidationError("lane points must have non-decreasing y")
         points.flags.writeable = False
+        # bool is an Integral; a category is not a truth value.
+        if not (isinstance(self.category, Integral) and not isinstance(self.category, bool)
+                and self.category >= 0):
+            raise ValidationError(f"category must be a non-negative integer, "
+                                  f"got {self.category!r}")
+        # NaN fails both comparisons.
+        if not (isinstance(self.confidence, Real) and 0.0 <= self.confidence <= 1.0):
+            raise ValidationError(f"confidence must lie in [0, 1], got {self.confidence!r}")
         path = tuple(int(i) for i in self.path)
         if path and len(path) != len(points):
             raise ValidationError(f"path has {len(path)} nodes for {len(points)} points")
         if len(set(path)) != len(path):
             raise ValidationError("lane path must be simple (no repeated nodes)")
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "category", int(self.category))
         object.__setattr__(self, "path", path)
 
 

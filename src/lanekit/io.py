@@ -190,13 +190,12 @@ def _read_lane(entry, ctx, has_confidence):
 
 
 def _lane_json(lane):
-    return {"category": int(lane.category),
-            "points": np.asarray(lane.points, dtype=float).tolist()}
+    return {"category": lane.category, "points": lane.points.tolist()}
 
 
 def save_lane_frame(frame_id, lanes, path):
-    """Writes one frame's extracted lanes (anything with points, category
-    and confidence attributes)."""
+    """Writes one frame's ``LaneRecord``s with their confidences; paths are
+    not written."""
     out = [dict(_lane_json(lane), confidence=float(lane.confidence)) for lane in lanes]
     _dump({"frame_id": str(frame_id), "lanes": out}, path)
 
@@ -210,7 +209,8 @@ def load_lane_frame(path):
 
 
 def save_ground_truth(frames, path):
-    """``frames`` maps frame id to a list of lanes; confidences are not written."""
+    """``frames`` maps frame id to a list of ``LaneRecord``s; confidences and
+    paths are not written."""
     out = [{"frame_id": str(fid), "lanes": [_lane_json(lane) for lane in frames[fid]]}
            for fid in sorted(frames)]
     _dump({"frames": out}, path)

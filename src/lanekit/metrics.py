@@ -13,6 +13,7 @@ excluded from the counts on both sides.
 """
 
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import ValidationError, check_lane
+from .errors import ValidationError, float_array
 from .graph import LaneRecord
 from .matching import max_cardinality, solve_assignment
 
@@ -38,16 +39,11 @@ def default_y_samples():
 GroundTruthLane = LaneRecord
 
 
-def _checked_lane(lane, name):
-    """The points and confidence of ``lane`` (a LaneRecord, checked when made,
-    anything with ``points``, or a point array), named ``name`` in errors."""
-    if isinstance(lane, LaneRecord):
-        return lane.points, lane.confidence
-    confidence = getattr(lane, "confidence", 1.0)
-    try:
-        return check_lane(getattr(lane, "points", lane), confidence), confidence
-    except ValidationError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+def _lane_record(lane, name):
+    """``lane``, which must be a LaneRecord; ``name`` names it in errors."""
+    if not isinstance(lane, LaneRecord):
+        raise ValidationError(f"{name}: expected a LaneRecord, got {type(lane).__name__}")
+    return lane
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,15 @@ class EvalReport:
 
 
 def _y_grid(y_samples):
-    """``y_samples`` as an ascending float array; None gives the default grid."""
-    y_samples = default_y_samples() if y_samples is None else np.asarray(y_samples, float)
-    if np.any(np.diff(y_samples) < 0):
-        raise ValueError("y_samples must be ascending")
+    """``y_samples`` as a 1-D, finite, ascending float array; None gives the
+    default grid."""
+    if y_samples is None:
+        return default_y_samples()
+    y_samples = float_array(y_samples, "y_samples")
+    if not (y_samples.ndim == 1 and np.isfinite(y_samples).all()
+            and (np.diff(y_samples) >= 0).all()):
+        raise ValidationError(f"y_samples must be 1-D, finite and ascending, "
+                              f"got shape {y_samples.shape}")
     return y_samples
 
 
@@ -90,8 +91,10 @@ def _resample(points, y_samples):
 
 
 def resample_lane(lane, y_samples):
-    """Linear x(y), z(y) interpolation; samples beyond the extent are invalid."""
-    return _resample(_checked_lane(lane, "lane")[0], _y_grid(y_samples))
+    """Linear x(y), z(y) interpolation of the LaneRecord ``lane`` onto
+    ``y_samples`` (1-D, finite, ascending); samples beyond its extent are
+    invalid."""
+    return _resample(_lane_record(lane, "lane").points, _y_grid(y_samples))
 
 
 def _stack_resampled(lanes, y_samples, name):
@@ -102,8 +105,8 @@ def _stack_resampled(lanes, y_samples, name):
     valid = np.zeros(xs.shape, dtype=bool)
     conf = np.zeros(len(lanes))
     for i, lane in enumerate(lanes):
-        points, conf[i] = _checked_lane(lane, f"{name}[{i}]")
-        pts, v = _resample(points, y_samples)
+        conf[i] = _lane_record(lane, f"{name}[{i}]").confidence
+        pts, v = _resample(lane.points, y_samples)
         xs[i], zs[i], valid[i] = pts[:, 0], pts[:, 2], v
     return xs, zs, valid, conf
 
@@ -165,8 +168,10 @@ def _check_threshold(threshold):
 
 
 def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
-    """One-to-one lane matching under the 75% rule at ``dist_threshold``,
-    which must be finite and positive.
+    """One-to-one matching of two LaneRecord lists under the 75% rule at
+    ``dist_threshold``, which must be finite and positive, on ``y_samples``
+    (1-D, finite, ascending; None gives the default grid).  A lane that is
+    not a LaneRecord raises ValidationError naming it, e.g. ``pred_lanes[1]``.
 
     Indices in the result refer to positions among the lanes that have at
     least one valid sample; lanes entirely outside the grid are dropped.
@@ -187,11 +192,13 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
              y_samples=None):
     """Evaluates predictions against ground truth, one report per threshold.
 
-    ``pred_frames``/``gt_frames`` are mappings from frame id to lane lists (a
-    bare list is treated as a single frame).  A lane is anything with
-    ``points`` and optionally ``confidence`` (default 1.0), or a bare point
-    array; one breaking ``errors.check_lane`` raises, as does a threshold
-    that is not finite and positive.  AP averages precision over the
+    ``pred_frames``/``gt_frames`` are mappings from frame id to lists of
+    ``LaneRecord``s (a bare list is treated as a single frame); any other
+    lane raises ValidationError naming it, e.g. ``pred_frames['a'][1]:
+    expected a LaneRecord, got ndarray``.  So does an argument out of its
+    domain: a threshold that is not finite and positive, ``y_samples`` that
+    are not 1-D, finite and ascending, a NaN ``near_far_split``, or
+    ``conf_steps`` outside [0, 1].  AP averages precision over the
     confidence cutoffs that retain at least one prediction; if no cutoff
     retains any, AP is 0.
     """
@@ -201,8 +208,15 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
         missing = set(preds) ^ set(gts)
         raise ValueError(f"frame ids do not align; unpaired: {sorted(missing)!r}")
     y_samples = _y_grid(y_samples)
+    # NaN is the one Real that differs from itself.
+    if not isinstance(near_far_split, Real) or near_far_split != near_far_split:
+        raise ValidationError(f"near_far_split must be a number, got {near_far_split!r}")
     near_mask = y_samples < near_far_split
-    steps = np.asarray(conf_steps, dtype=float)
+    steps = float_array(conf_steps, "conf_steps")
+    # NaN fails both comparisons.
+    if steps.ndim != 1 or not ((steps >= 0.0) & (steps <= 1.0)).all():
+        raise ValidationError(f"conf_steps must be a 1-D list of numbers in [0, 1], "
+                              f"got {conf_steps!r}")
 
     frames = [_Resampled(preds[fid], gts[fid], y_samples,
                          (f"pred_frames[{fid!r}]", f"gt_frames[{fid!r}]"))

@@ -33,10 +33,13 @@ longitudinally.  ``default_nms_thresholds`` applies it to a whole grid.
 
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ValidationError, reject_non_finite, reject_rows
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +68,10 @@ class Keypoint:
             raise ValueError("class_scores must lie in [0, 1]")
         if not 0.0 <= self.fg_score <= 1.0:
             raise ValueError("fg_score must lie in [0, 1]")
+        # bool is an int; a grid cell is not a truth value.
+        if not (len(self.grid_index) == 2 and all(
+                isinstance(v, Integral) and not isinstance(v, bool) for v in self.grid_index)):
+            raise ValidationError(f"grid_index must be two integers, got {self.grid_index!r}")
         object.__setattr__(self, "class_scores", scores)
         object.__setattr__(self, "grid_index", (int(self.grid_index[0]), int(self.grid_index[1])))
 
@@ -113,10 +120,16 @@ class ProposalSet:
             if k.class_scores.size != width:
                 raise ValidationError(f"keypoints[{i}].class_scores: {k.class_scores.size} "
                                       f"scores, keypoints[0] has {width}")
-        fields = np.array([(k.grid_index[0], k.grid_index[1], k.x, k.y, k.dx, k.z, k.fg_score)
-                           for k in keypoints], dtype=float).reshape(-1, 7)
+        try:
+            grid_index = np.array([k.grid_index for k in keypoints], dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, k in enumerate(keypoints)
+                     if not all(_INT64.min <= v <= _INT64.max for v in k.grid_index))
+            raise ValidationError(f"keypoints[{i}].grid_index: outside the int64 range") from None
+        fields = np.array([(k.x, k.y, k.dx, k.z, k.fg_score) for k in keypoints],
+                          dtype=float).reshape(-1, 5)
         scores = np.array([k.class_scores for k in keypoints]).reshape(len(keypoints), width)
-        self._store(fields[:, :2], *fields[:, 2:].T, scores, repeats_n)
+        self._store(grid_index.reshape(-1, 2), *fields.T, scores, repeats_n)
 
     @classmethod
     def from_arrays(cls, grid_index, x, y, dx=None, z=None, fg_score=None,
@@ -133,6 +146,9 @@ class ProposalSet:
         if grid_index.shape != (n, 2) or grid_index.dtype.kind not in "iu":
             raise ValidationError(f"grid_index must be ({n}, 2) integers, "
                                   f"got {grid_index.shape} {grid_index.dtype}")
+        if grid_index.dtype.kind == "u":
+            reject_rows((grid_index > _INT64.max).any(axis=1), "keypoints", ".grid_index",
+                        "outside the int64 range")
         scores = np.empty((n, 0)) if class_scores is None \
             else np.asarray(class_scores, dtype=float)
         if scores.ndim != 2 or len(scores) != n:

@@ -251,6 +251,39 @@ class TestLaneRecord:
         with pytest.raises(ValidationError, match="non-decreasing y"):
             LaneRecord(path=(0, 1), points=pts, category=0, confidence=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+            LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 50.0, bad], [0.0, 100.0, 0.0]])
+
+    @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None])
+    def test_bad_confidence_rejected(self, confidence):
+        with pytest.raises(ValidationError, match=r"confidence must lie in \[0, 1\]"):
+            LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], confidence=confidence)
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0, "x"], [0.0, 2.0, 0.0]],
+                                        [[0.0, 1.0, 0.0], [0.0, 2.0]],
+                                        [[0.0, 1.0, 0.0], [0.0, 2.0, {}]]])
+    def test_points_that_are_not_numbers(self, points):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            LaneRecord(points=points)
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0, True], [0.0, 2.0, 0.0]],
+                                        np.array([[False, True, False], [False, True, True]])],
+                             ids=["list", "array"])
+    def test_boolean_points_rejected(self, points):
+        with pytest.raises(ValidationError, match="points: expected numbers, got a boolean"):
+            LaneRecord(points=points)
+
+    @pytest.mark.parametrize("category", [2.5, 2.0, -3, True, np.bool_(False), "1", None])
+    def test_category_must_be_a_non_negative_integer(self, category):
+        with pytest.raises(ValidationError, match="category must be a non-negative integer"):
+            LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], category=category)
+
+    def test_category_is_stored_as_a_python_int(self):
+        lane = LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], category=np.int64(3))
+        assert lane.category == 3 and type(lane.category) is int
+
 
 class TestExtractLanes:
     def test_lanes_are_records_that_survive_a_file(self, tmp_path):

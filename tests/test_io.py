@@ -226,6 +226,14 @@ class TestGroundTruthFiles:
         with pytest.raises((SchemaError, ValidationError)):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("category", [-3, 2.5])
+    def test_category_must_be_a_non_negative_integer(self, tmp_path, category):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"frames": [{"frame_id": "a", "lanes": [
+            {"category": category, "points": [[0, 5, 0], [0, 10, 0]]}]}]}))
+        with pytest.raises(ValidationError, match=r"frames\[0\]\.lanes\[0\].*category"):
+            load_ground_truth(path)
+
     def test_duplicate_frame_id_rejected(self, tmp_path):
         path = tmp_path / "gt.json"
         lane = {"category": 0, "points": [[0, 5, 0], [0, 10, 0]]}
@@ -501,6 +509,23 @@ def _head_file(path):
     save_head_weights(random_head_weights(0, d_c=1, dims_per_axis=1, hidden=2, embed=2), path)
 
 
+def _dense_frame(path):
+    save_prediction_frame(make_frame(np.random.default_rng(19), count=3), path)
+
+
+def _gt_file(path):
+    save_ground_truth({"a": [GroundTruthLane([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], 1)]}, path)
+
+
+def _all_scores_true(raw):
+    for keypoint in raw["keypoints"]:
+        keypoint["class_scores"] = [True] * len(keypoint["class_scores"])
+
+
+def _camera_file(path):
+    save_camera(make_forward_camera(), path)
+
+
 class TestBooleansAreNotNumbers:
     """JSON ``true`` and ``false`` are rejected wherever a number belongs,
     naming the field, although Python's bool is an int."""
@@ -532,6 +557,30 @@ class TestBooleansAreNotNumbers:
         edit(raw)
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaError, match=field):
+            load(path)
+
+    @pytest.mark.parametrize("write, load, edit, field", [
+        (_lane_file, load_lane_frame, _set("lanes", 0, "points", 1, 0), r"lanes\[0\]: points"),
+        (_gt_file, load_ground_truth, _set("frames", 0, "lanes", 0, "points", 0, 2, value=False),
+         r"frames\[0\]\.lanes\[0\]: points"),
+        (_sparse_frame, load_prediction_frame, _set("keypoints", 1, "class_scores", 0),
+         r"keypoints\.class_scores"),
+        (_sparse_frame, load_prediction_frame, _all_scores_true, r"keypoints\.class_scores"),
+        (_dense_frame, load_prediction_frame, _set("adjacency", "probs", 2, 1),
+         r"adjacency\.probs"),
+        (_camera_file, load_camera, _set("intrinsic", 0), "intrinsic"),
+        (_camera_file, load_camera, _set("extrinsic", 15, value=False), "extrinsic"),
+        (_head_file, load_head_weights, _set("origin.w1", 0, 0), r"origin\.w1"),
+        (_head_file, load_head_weights, _set("final.w", value=[True, False]), r"final\.w")],
+        ids=["lane-points", "gt-points", "class_scores", "all-class_scores", "probs",
+             "intrinsic", "extrinsic", "w1", "final.w"])
+    def test_bool_in_a_number_list_names_the_field(self, tmp_path, write, load, edit, field):
+        path = tmp_path / "file.json"
+        write(path)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match=field + ": expected numbers, got a boolean"):
             load(path)
 
 

@@ -6,7 +6,8 @@ return or raise ``ValidationError`` (which ``SchemaError`` subclasses); no
 other exception may escape.  Inputs are
 arbitrary JSON documents and valid files with a few parts replaced, removed
 or duplicated.  Whatever a loader accepts must also save and load back
-unchanged, and must hold no JSON boolean where a number belongs.
+unchanged, and must hold no JSON boolean where a number belongs, alone or
+in a list of numbers.
 """
 
 import copy
@@ -84,6 +85,8 @@ def paths(doc, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
+WEIGHT_KEYS = [f"{side}.{name}" for side in ("origin", "dest")
+               for name in ("w1", "b1", "w2", "b2")] + ["final.w"]
 GRID = build_uniform_grid(4, 4, (3.0, 80.0), (-10.0, 10.0))
 HUGE = st.floats(min_value=1e6, max_value=1e308) | st.floats(min_value=-1e308, max_value=-1e6)
 # Entries of a camera file a huge number may land in: any intrinsic entry,
@@ -143,6 +146,15 @@ def no_bools(*values):
     return not any(isinstance(v, bool) for v in values)
 
 
+def leaves(value):
+    """The entries of ``value`` and of every list nested in it."""
+    if isinstance(value, list):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
 def check_frame(doc):
     frame = load(load_prediction_frame, doc)
     if frame is not None:
@@ -151,7 +163,9 @@ def check_frame(doc):
         assert no_bools(doc["categories"], doc["repeats_n"], adjacency["size"],
                         *(v for triplet in triplets for v in triplet),
                         *(entry[name] for entry in doc["keypoints"]
-                          for name in ("row", "col", "x", "y", "dx", "z", "fg_score")))
+                          for name in ("row", "col", "x", "y", "dx", "z", "fg_score")),
+                        *leaves([entry["class_scores"] for entry in doc["keypoints"]]),
+                        *leaves(adjacency.get("probs", [])))
         again = load_prediction_frame(resaved(save_prediction_frame, frame))
         assert again.frame_id == frame.frame_id and again.camera == frame.camera
         assert again.keypoints.repeats_n == frame.keypoints.repeats_n
@@ -165,7 +179,8 @@ def check_lanes(doc):
     loaded = load(load_lane_frame, doc)
     if loaded is not None:
         frame_id, lanes = loaded
-        assert no_bools(*(l.category for l in lanes), *(l.confidence for l in lanes))
+        assert no_bools(*(l.category for l in lanes), *(l.confidence for l in lanes),
+                        *leaves([entry["points"] for entry in doc["lanes"]]))
         again = load_lane_frame(resaved(save_lane_frame, frame_id, lanes))
         assert again[0] == frame_id and len(again[1]) == len(lanes)
         for a, b in zip(again[1], lanes):
@@ -176,7 +191,9 @@ def check_lanes(doc):
 def check_gt(doc):
     frames = load(load_ground_truth, doc)
     if frames is not None:
-        assert no_bools(*(l.category for lanes in frames.values() for l in lanes))
+        assert no_bools(*(l.category for lanes in frames.values() for l in lanes),
+                        *leaves([lane["points"] for entry in doc["frames"]
+                                 for lane in entry["lanes"]]))
         again = load_ground_truth(resaved(save_ground_truth, frames))
         assert sorted(again) == sorted(frames)
         for fid in frames:
@@ -188,6 +205,7 @@ def check_gt(doc):
 def check_camera(doc):
     camera = load(load_camera, doc)
     if camera is not None:
+        assert no_bools(*leaves(doc["intrinsic"]), *leaves(doc["extrinsic"]))
         again = load_camera(resaved(save_camera, camera))
         assert np.array_equal(again.intrinsic, camera.intrinsic)
         assert np.array_equal(again.extrinsic, camera.extrinsic)
@@ -200,7 +218,7 @@ def check_camera(doc):
 def check_weights(doc):
     weights = load(load_head_weights, doc)
     if weights is not None:
-        assert no_bools(doc["final.b"])
+        assert no_bools(doc["final.b"], *leaves([doc[key] for key in WEIGHT_KEYS]))
         again = load_head_weights(resaved(save_head_weights, weights))
         for name, value in vars(weights).items():
             assert np.array_equal(getattr(again, name), value)

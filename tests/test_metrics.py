@@ -27,7 +27,7 @@ def straight(x, y0=1.0, y1=100.0, z=0.0):
 
 
 class ConfLane:
-    """A predicted lane with an explicit confidence."""
+    """A lane-like object that is not a LaneRecord, which evaluate refuses."""
 
     def __init__(self, points, confidence):
         self.points = np.asarray(points, float)
@@ -63,8 +63,8 @@ class TestResample:
         assert_allclose(pts[0], [2.0, 15.0, 1.0], atol=1e-9)
 
     def test_too_short_lane_rejected(self):
-        with pytest.raises(ValueError):
-            resample_lane(np.array([[0.0, 5.0, 0.0]]), default_y_samples())
+        with pytest.raises(ValidationError, match="N >= 2"):
+            resample_lane(lane([[0.0, 5.0, 0.0]]), default_y_samples())
 
     def test_descending_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -209,11 +209,11 @@ class TestEvaluate:
 
     def test_ap_averages_achieved_cutoffs_only(self):
         gts = [straight(0.0)]
-        preds = [ConfLane(straight(0.1).points, confidence=0.6)]
+        preds = [LaneRecord(straight(0.1).points, confidence=0.6)]
         rep = evaluate(preds, gts, thresholds=(1.5,))[0]
         assert rep.ap == 1.0   # every achieved cutoff has precision 1
-        half_bad = [ConfLane(straight(0.1).points, 0.6),
-                    ConfLane(straight(30.0).points, 0.3)]
+        half_bad = [LaneRecord(straight(0.1).points, confidence=0.6),
+                    LaneRecord(straight(30.0).points, confidence=0.3)]
         rep2 = evaluate(half_bad, gts, thresholds=(1.5,))[0]
         # cutoffs <= 0.3 see both lanes (precision 1/2), 0.35..0.6 see one
         n_low = sum(1 for c in AP_CONF_STEPS if c <= 0.3)
@@ -294,7 +294,7 @@ def crowded_frame(rng):
         else:
             ys = np.linspace(rng.uniform(1, 30), 100, 5)
             points = np.column_stack([rng.uniform(-4, 4) * np.ones(5), ys, np.zeros(5)])
-        preds.append(ConfLane(points, float(rng.choice(TIED_CONFIDENCES))))
+        preds.append(LaneRecord(points, confidence=float(rng.choice(TIED_CONFIDENCES))))
     return preds, gts
 
 
@@ -337,14 +337,11 @@ class TestNonFiniteLanes:
             lane([[0.0, bad, 0.0], [0.0, 10.0, 0.0]])
 
     def test_nan_prediction_is_an_error_not_f1_zero(self):
-        gts = [straight(0.0)]
-        nan_pred = ConfLane([[0.0, 1.0, 0.0], [np.nan, 100.0, 0.0]], 0.9)
-        with pytest.raises(ValidationError, match=r"points\[1\]"):
-            evaluate([nan_pred], gts)
-        with pytest.raises(ValidationError, match=r"points\[1\]"):
-            match_lanes([nan_pred], gts, 1.5)
-        with pytest.raises(ValidationError, match=r"points\[1\]"):
-            resample_lane(nan_pred, default_y_samples())
+        points = [[0.0, 1.0, 0.0], [np.nan, 100.0, 0.0]]
+        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+            LaneRecord(points=points, confidence=0.9)
+        with pytest.raises(ValidationError, match="expected a LaneRecord"):
+            evaluate([np.array(points)], [straight(0.0)])
 
     def test_descending_y_samples_rejected_by_evaluate(self):
         with pytest.raises(ValueError, match="y_samples"):
@@ -353,56 +350,69 @@ class TestNonFiniteLanes:
             match_lanes([straight(0.0)], [straight(0.0)], 1.5, y_samples=[5.0, 3.0])
 
 
+class TestArgumentsRejectedWhereTheyEnter:
+    @pytest.mark.parametrize("y_samples", [[1.0, np.nan, 3.0], [np.inf], [1.0, -np.inf],
+                                           [[1.0, 2.0], [3.0, 4.0]], ["a", "b"], [True, 2.0]],
+                             ids=["nan", "inf", "-inf", "2-D", "text", "bool"])
+    def test_bad_y_samples(self, y_samples):
+        with pytest.raises(ValidationError, match="y_samples"):
+            evaluate([straight(0.0)], [straight(0.0)], y_samples=y_samples)
+        with pytest.raises(ValidationError, match="y_samples"):
+            match_lanes([straight(0.0)], [straight(0.0)], 1.5, y_samples=y_samples)
+        with pytest.raises(ValidationError, match="y_samples"):
+            resample_lane(straight(0.0), y_samples)
+
+    def test_repeated_y_samples_still_score(self):
+        rep, = evaluate([straight(0.0)], [straight(0.0)], thresholds=(1.5,),
+                        y_samples=[1.0, 2.0, 2.0, 3.0])
+        assert rep.tp == 1 and rep.f1 == 1.0
+
+    @pytest.mark.parametrize("split", [np.nan, "40", None])
+    def test_near_far_split_must_be_a_number(self, split):
+        with pytest.raises(ValidationError, match="near_far_split"):
+            evaluate([straight(0.0)], [straight(0.0)], near_far_split=split)
+
+    @pytest.mark.parametrize("split, near", [(np.inf, 1.0), (-np.inf, 0.0)])
+    def test_infinite_near_far_split_puts_everything_on_one_side(self, split, near):
+        pred = lane([[0.5, 1.0, 0.0], [0.5, 100.0, 0.0]])
+        rep, = evaluate([pred], [straight(0.0)], thresholds=(1.5,), near_far_split=split)
+        assert (rep.x_err_near, rep.x_err_far) == (0.5 * near, 0.5 * (1 - near))
+
+    @pytest.mark.parametrize("steps", [(0.5, np.nan), (np.inf,), (-0.1, 0.5), (1.5,),
+                                       ((0.5,), (0.6,)), ("0.5",)],
+                             ids=["nan", "inf", "negative", "above-1", "2-D", "text"])
+    def test_conf_steps_must_lie_in_the_unit_interval(self, steps):
+        with pytest.raises(ValidationError, match="conf_steps"):
+            evaluate([straight(0.0)], [straight(0.0)], conf_steps=steps)
+
+
 class TestOneLaneRule:
-    """Every lane evaluate, match_lanes and resample_lane see is held to
-    the rule LaneRecord enforces, whatever its type."""
+    """evaluate, match_lanes and resample_lane take LaneRecords only, so
+    every lane they see was held to its rule when made."""
 
     def test_ground_truth_lane_is_lane_record(self):
         assert GroundTruthLane is LaneRecord
         gt = GroundTruthLane([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], 4)
         assert gt.category == 4 and gt.confidence == 1.0
 
-    @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None])
-    def test_bad_confidence_raises_naming_the_lane(self, confidence):
-        gts = {"a": [straight(0.0)]}
-        preds = {"a": [ConfLane(straight(0.0).points, 0.5),
-                       ConfLane(straight(3.0).points, confidence)]}
+    @pytest.mark.parametrize("make", [lambda points: ConfLane(points, 0.5), np.array,
+                                      lambda points: points.tolist()],
+                             ids=["ConfLane", "ndarray", "list"])
+    def test_anything_but_a_lane_record_is_rejected_naming_it(self, make):
+        good = straight(0.0)
+        other = make(good.points)
+        got = type(other).__name__
         with pytest.raises(ValidationError,
-                           match=r"pred_frames\['a'\]\[1\]: confidence must lie in \[0, 1\]"):
-            evaluate(preds, gts)
-        with pytest.raises(ValidationError, match=r"pred_lanes\[1\]: confidence"):
-            match_lanes(preds["a"], gts["a"], 1.5)
-        with pytest.raises(ValidationError, match="confidence"):
-            resample_lane(preds["a"][1], default_y_samples())
-        with pytest.raises(ValidationError, match="confidence"):
-            LaneRecord(points=straight(0.0).points, confidence=confidence)
-
-    def test_nan_points_in_duck_typed_lane(self):
-        pred = ConfLane([[0.0, 1.0, 0.0], [0.0, 50.0, np.nan], [0.0, 100.0, 0.0]], 0.9)
-        with pytest.raises(ValidationError, match=r"pred_frames\[0\]\[0\]: points\[1\]"):
-            evaluate([pred], [straight(0.0)])
-
-    def test_raw_array_with_decreasing_y(self):
-        raw = np.array([[0.0, 1.0, 0.0], [0.0, 60.0, 0.0], [0.0, 40.0, 0.0]])
-        with pytest.raises(ValidationError, match=r"pred_frames\[0\]\[0\]: .*non-decreasing y"):
-            evaluate([raw], [straight(0.0)])
-        with pytest.raises(ValidationError, match=r"gt_frames\[0\]\[0\]: .*non-decreasing y"):
-            evaluate([straight(0.0)], [raw])
-        with pytest.raises(ValidationError, match="non-decreasing y"):
-            resample_lane(raw, default_y_samples())
-
-    @pytest.mark.parametrize("points", [[[0.0, 1.0, "x"], [0.0, 2.0, 0.0]],
-                                        [[0.0, 1.0, 0.0], [0.0, 2.0]],
-                                        [[0.0, 1.0, 0.0], [0.0, 2.0, {}]]])
-    def test_points_that_are_not_numbers(self, points):
-        with pytest.raises(ValidationError, match="array of numbers"):
-            evaluate([points], [straight(0.0)])
-
-    def test_valid_duck_typed_lanes_still_score(self):
-        raw = straight(0.0).points
-        rep = evaluate([raw, ConfLane(straight(4.0).points, 1)],
-                       [straight(0.0), straight(4.0)], thresholds=(1.5,))[0]
-        assert rep.f1 == 1.0 and rep.ap == 1.0
+                           match=rf"pred_frames\['a'\]\[1\]: expected a LaneRecord, got {got}"):
+            evaluate({"a": [good, other]}, {"a": [good]})
+        with pytest.raises(ValidationError, match=rf"gt_frames\['a'\]\[0\]: .* got {got}"):
+            evaluate({"a": [good]}, {"a": [other]})
+        with pytest.raises(ValidationError, match=rf"pred_lanes\[1\]: .* got {got}"):
+            match_lanes([good, other], [good], 1.5)
+        with pytest.raises(ValidationError, match=rf"gt_lanes\[0\]: .* got {got}"):
+            match_lanes([good], [other], 1.5)
+        with pytest.raises(ValidationError, match=rf"lane: expected a LaneRecord, got {got}"):
+            resample_lane(other, default_y_samples())
 
     def test_lane_record_points_are_a_read_only_copy(self):
         raw = straight(0.0).points.copy()

@@ -82,6 +82,47 @@ def test_mixed_score_widths_rejected(widths, bad):
         ProposalSet(kps)
 
 
+class TestGridIndex:
+    """A grid index comes back from a set exactly, or is rejected."""
+
+    @pytest.mark.parametrize("grid_index", [(2.7, 0), (2.0, 0), (0, np.float64(1)),
+                                            (True, 0), (1, 2, 3)])
+    def test_keypoint_takes_two_integers(self, grid_index):
+        with pytest.raises(ValidationError, match="grid_index must be two integers"):
+            Keypoint(grid_index=grid_index, x=0.0, y=5.0)
+
+    def test_numpy_integers_become_python_ints(self):
+        kp = Keypoint(grid_index=(np.int64(3), np.uint8(2)), x=0.0, y=5.0)
+        assert kp.grid_index == (3, 2) and all(type(v) is int for v in kp.grid_index)
+
+    def test_beyond_float_precision_kept(self):
+        kp = Keypoint(grid_index=(2 ** 53 + 1, -(2 ** 63)), x=0.0, y=5.0)
+        assert ProposalSet([kp])[0] == kp
+
+    @pytest.mark.parametrize("grid_index", [(2 ** 63, 0), (0, -(2 ** 63) - 1)])
+    def test_beyond_int64_names_the_keypoint(self, grid_index):
+        kps = [Keypoint(grid_index=(0, 0), x=0.0, y=5.0),
+               Keypoint(grid_index=grid_index, x=0.0, y=5.0)]
+        with pytest.raises(ValidationError,
+                           match=r"keypoints\[1\]\.grid_index: outside the int64 range"):
+            ProposalSet(kps)
+
+    def test_from_arrays_rejects_uint64_beyond_int64(self):
+        rows = np.array([[1, 0], [2 ** 63, 0]], dtype=np.uint64)
+        with pytest.raises(ValidationError,
+                           match=r"keypoints\[1\]\.grid_index: outside the int64 range"):
+            ProposalSet.from_arrays(rows, [0.0, 0.0], [5.0, 6.0])
+        kept = ProposalSet.from_arrays(rows[:1] + np.uint64(2 ** 63 - 2), [0.0], [5.0])
+        assert kept.grid_index.tolist() == [[2 ** 63 - 1, 2 ** 63 - 2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(-(2 ** 63), 2 ** 63 - 1), st.integers(-(2 ** 63), 2 ** 63 - 1)))
+    def test_round_trip_over_the_int64_range(self, grid_index):
+        kp = Keypoint(grid_index=grid_index, x=0.5, y=5.0, dx=-0.25, z=0.1, fg_score=0.75,
+                      class_scores=[0.2, 0.8])
+        assert ProposalSet([kp])[0] == kp
+
+
 class TestSelectTopN:
     def test_all_zero_map_lexicographic(self):
         grid = make_grid()
