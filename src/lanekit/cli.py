@@ -31,7 +31,7 @@ from .io import (load_camera, load_ground_truth, load_lane_frame,
                  load_prediction_frame, save_grid_csv, save_ground_truth,
                  save_lane_frame, save_prediction_frame)
 from .matching import GroundTruthKeypoint, build_connection_targets, match_keypoints
-from .metrics import evaluate
+from .metrics import _evaluate, evaluate
 from .pipeline import run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene
 
@@ -204,14 +204,15 @@ def _load_pred_lanes(path):
 def _cmd_eval(args):
     preds = _load_pred_lanes(args.pred)
     gts = load_ground_truth(args.gt)
-    reports = evaluate(preds, gts, thresholds=args.threshold)
-    payload = {"aggregate": [r.as_dict() for r in reports]}
+    payload = {}
     if args.per_frame:
-        payload["per_frame"] = {
-            fid: [r.as_dict() for r in
-                  evaluate({fid: preds[fid]}, {fid: gts[fid]},
-                           thresholds=args.threshold)]
-            for fid in sorted(preds)}
+        # One pass gives the aggregate and each frame's reports.
+        reports, per_frame = _evaluate(preds, gts, thresholds=args.threshold, per_frame=True)
+        payload["per_frame"] = {fid: [r.as_dict() for r in frame_reports]
+                                for fid, frame_reports in per_frame.items()}
+    else:
+        reports = evaluate(preds, gts, thresholds=args.threshold)
+    payload["aggregate"] = [r.as_dict() for r in reports]
     for r in reports:
         print(f"threshold {r.threshold:g} m: F1={r.f1:.4f} "
               f"precision={r.precision:.4f} recall={r.recall:.4f} AP={r.ap:.4f} "

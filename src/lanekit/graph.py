@@ -117,8 +117,9 @@ class LaneRecord:
                 and self.category >= 0):
             raise ValidationError(f"category must be a non-negative integer, "
                                   f"got {self.category!r}")
-        # NaN fails both comparisons.
-        if not (isinstance(self.confidence, Real) and 0.0 <= self.confidence <= 1.0):
+        # NaN fails both comparisons; bool is a Real, but not a confidence.
+        if not (isinstance(self.confidence, Real) and not isinstance(self.confidence, bool)
+                and 0.0 <= self.confidence <= 1.0):
             raise ValidationError(f"confidence must lie in [0, 1], got {self.confidence!r}")
         path = tuple(int(i) for i in self.path)
         if path and len(path) != len(points):
@@ -157,8 +158,9 @@ def threshold_adjacency(adjacency, t_a, nodes=None):
     index ``nodes[k]``.  Its edges are read from the nodes' rows, a block
     of rows at a time, so that submatrix is never built.
     """
+    # NaN fails both comparisons.
     if not 0.0 <= t_a < 1.0:
-        raise ValueError(f"t_a must lie in [0, 1), got {t_a}")
+        raise ValidationError(f"t_a must lie in [0, 1), got {t_a!r}")
     probs = _as_probs(adjacency)
     size = len(probs)
     nodes = _as_nodes(nodes, size)

@@ -173,11 +173,6 @@ def _solve_raw(costs):
     return sorted((int(r), int(c)) for r, c in zip(rows, cols) if finite[r, c])
 
 
-def max_cardinality(costs):
-    """Size of a maximum matching over the finite cells of ``costs``."""
-    return len(_solve_raw(np.asarray(costs, dtype=float)))
-
-
 def _canonical_pairs(costs, optimum):
     """Lexicographically smallest sorted pair list achieving the optimum.
 

@@ -10,6 +10,17 @@ split into near and far halves at a configurable boundary.
 
 Lanes with no valid samples inside the grid cannot participate and are
 excluded from the counts on both sides.
+
+``evaluate`` scores a sequence in one pass.  All the lanes of a side, every
+frame's, are resampled together by one interpolation that equals
+``np.interp`` bit for bit.  Frames are the outer loop: a frame's pair
+distances are computed once and serve every threshold.  At each threshold,
+``matching.solve_assignment`` (scipy) gives the one-to-one matching, and
+the maximum-matching sizes that AP needs at each confidence cutoff come
+from one augmenting-path pass over the admissible pairs, taking
+predictions by falling confidence.  Each frame's counts are kept apart and
+added in frame order, so a frame's own report (``eval --per-frame``) comes
+from the same pass.
 """
 
 from dataclasses import asdict, dataclass
@@ -26,7 +37,7 @@ from .config import (
 )
 from .errors import ValidationError, float_array
 from .graph import LaneRecord
-from .matching import max_cardinality, solve_assignment
+from .matching import solve_assignment
 
 INLIER_FRACTION = 0.75
 AP_CONF_STEPS = tuple(np.round(np.arange(0.05, 0.951, 0.05), 2))
@@ -80,82 +91,164 @@ def _y_grid(y_samples):
     return y_samples
 
 
-def _resample(points, y_samples):
-    ys = points[:, 1]
-    valid = (y_samples >= ys[0]) & (y_samples <= ys[-1])
-    out = np.zeros((len(y_samples), 3))
-    out[:, 1] = y_samples
-    out[valid, 0] = np.interp(y_samples[valid], ys, points[:, 0])
-    out[valid, 2] = np.interp(y_samples[valid], ys, points[:, 2])
-    return out, valid
+def _resample(lanes, y_samples):
+    """``(x, z, valid)``, each ``(len(lanes), len(y_samples))``: the
+    LaneRecords ``lanes`` interpolated linearly, x(y) and z(y), onto the
+    ascending ``y_samples`` in one pass.  A sample outside a lane's y extent
+    is invalid and reads 0.
+
+    The values equal ``np.interp``'s bit for bit.  For a sample y, j is the
+    lane's last knot with y_j <= y.  The value is v_j where y sits on knot j
+    or j is the lane's last knot, else
+    ``(v[j+1] - v[j]) / (y[j+1] - y[j]) * (y - y[j]) + v[j]``.  j is found
+    exactly: each knot is binned at the first sample at or above it, and a
+    running count of a lane's bins gives, per sample, how many of the
+    lane's knots lie at or below it.
+    """
+    shape = (len(lanes), len(y_samples))
+    if 0 in shape:
+        return np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    knots = np.concatenate([lane.points for lane in lanes])
+    knot_y = knots[:, 1]
+    sizes = np.array([len(lane.points) for lane in lanes])
+    starts = np.cumsum(sizes) - sizes
+    width = len(y_samples) + 1
+    bins = np.repeat(np.arange(len(lanes)) * width, sizes) + np.searchsorted(y_samples, knot_y)
+    below = np.bincount(bins, minlength=len(lanes) * width).reshape(-1, width)[:, :-1]
+    below = below.cumsum(axis=1)
+    j = starts[:, None] + below - 1
+    valid = (below > 0) & (y_samples <= knot_y[starts + sizes - 1, None])
+    knot_at = (below == sizes[:, None]) | (knot_y[j] == y_samples)
+    offset = y_samples - knot_y[j]
+    # A slope across a lane boundary or a repeated knot may divide by zero,
+    # but only samples on a knot or out of range would read it; np.interp
+    # does not warn on overflow either.
+    x, z = np.zeros(shape), np.zeros(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dy = np.diff(knot_y, append=knot_y[-1])
+        for out, v in ((x, knots[:, 0]), (z, knots[:, 2])):
+            slope = np.diff(v, append=v[-1]) / dy
+            np.copyto(out, np.where(knot_at, v[j], slope[j] * offset + v[j]), where=valid)
+    return x, z, valid
 
 
 def resample_lane(lane, y_samples):
     """Linear x(y), z(y) interpolation of the LaneRecord ``lane`` onto
     ``y_samples`` (1-D, finite, ascending); samples beyond its extent are
     invalid."""
-    return _resample(_lane_record(lane, "lane").points, _y_grid(y_samples))
+    lane = _lane_record(lane, "lane")
+    y_samples = _y_grid(y_samples)
+    x, z, valid = _resample([lane], y_samples)
+    return np.column_stack([x[0], y_samples, z[0]]), valid[0]
 
 
-def _stack_resampled(lanes, y_samples, name):
-    """Resamples each lane onto ``y_samples`` (an ascending float array) and
-    gathers the confidences; lane i is called ``name[i]`` in errors."""
-    xs = np.zeros((len(lanes), len(y_samples)))
-    zs = np.zeros_like(xs)
-    valid = np.zeros(xs.shape, dtype=bool)
-    conf = np.zeros(len(lanes))
-    for i, lane in enumerate(lanes):
-        conf[i] = _lane_record(lane, f"{name}[{i}]").confidence
-        pts, v = _resample(lane.points, y_samples)
-        xs[i], zs[i], valid[i] = pts[:, 0], pts[:, 2], v
-    return xs, zs, valid, conf
+def _on_grid(frames, names, y_samples):
+    """Per frame, ``(x, z, valid, confidence)`` of its lanes that have a
+    valid sample on ``y_samples``, all frames resampled together.
+    ``frames`` are lists of LaneRecords; lane i of frame f is called
+    ``names[f][i]`` in errors."""
+    lanes = [_lane_record(lane, f"{name}[{i}]")
+             for name, frame in zip(names, frames) for i, lane in enumerate(frame)]
+    x, z, valid = _resample(lanes, y_samples)
+    conf = np.array([lane.confidence for lane in lanes], dtype=float)
+    keep = valid.any(axis=1)
+    frame_of = np.repeat(np.arange(len(frames)), [len(frame) for frame in frames])
+    bounds = np.searchsorted(frame_of[keep], np.arange(len(frames) + 1))
+    x, z, valid, conf = x[keep], z[keep], valid[keep], conf[keep]
+    return [(x[a:b], z[a:b], valid[a:b], conf[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class _Resampled:
-    """One frame's lanes on the shared grid, with empty lanes dropped."""
+class _FramePairs:
+    """One frame's prediction x ground-truth pairs on the shared grid, with
+    the distances every threshold reads computed once."""
 
-    def __init__(self, pred_lanes, gt_lanes, y_samples, names=("pred_lanes", "gt_lanes")):
-        px, pz, pv, conf = _stack_resampled(pred_lanes, y_samples, names[0])
-        keep_p = pv.any(axis=1)
-        gx, gz, gv, _ = _stack_resampled(gt_lanes, y_samples, names[1])
-        keep_g = gv.any(axis=1)
-        self.px, self.pz, self.pv = px[keep_p], pz[keep_p], pv[keep_p]
-        self.gx, self.gz, self.gv = gx[keep_g], gz[keep_g], gv[keep_g]
-        self.conf = conf[keep_p]
-        self.n_pred = int(keep_p.sum())
-        self.n_gt = int(keep_g.sum())
+    def __init__(self, pred, gt):
+        self.px, self.pz, self.pv, self.conf = pred
+        self.gx, self.gz, self.gv, _ = gt
+        self.shape = (len(self.px), len(self.gx))
+        if 0 in self.shape:
+            return
+        self.dist = np.hypot(self.px[:, None, :] - self.gx[None, :, :],
+                             self.pz[:, None, :] - self.gz[None, :, :])
+        self.both = self.pv[:, None, :] & self.gv[None, :, :]
+        both_counts = self.both.sum(axis=2)
+        sums = np.where(self.both, self.dist, 0.0).sum(axis=2)
+        self.mean_dist = np.where(both_counts > 0, sums / np.maximum(both_counts, 1), np.inf)
+        self.gt_counts = self.gv.sum(axis=1)
 
     def admissible_cost(self, threshold):
-        """Pair cost matrix: mean both-valid distance, inf when inadmissible."""
-        px, pz, pv = self.px, self.pz, self.pv
-        if len(px) == 0 or self.n_gt == 0:
-            return np.full((len(px), self.n_gt), np.inf)
-        dist = np.hypot(px[:, None, :] - self.gx[None, :, :],
-                        pz[:, None, :] - self.gz[None, :, :])
-        both = pv[:, None, :] & self.gv[None, :, :]
-        gt_counts = self.gv.sum(axis=1)
-        inliers = (both & (dist <= threshold)).sum(axis=2)
-        admissible = inliers / gt_counts[None, :] >= INLIER_FRACTION
-        both_counts = both.sum(axis=2)
-        sums = np.where(both, dist, 0.0).sum(axis=2)
-        mean_dist = np.where(both_counts > 0, sums / np.maximum(both_counts, 1), np.inf)
-        return np.where(admissible & (both_counts > 0), mean_dist, np.inf)
+        """Pair cost matrix: mean both-valid distance, inf when inadmissible.
+        An admissible pair has inliers, so its mean distance is defined."""
+        if 0 in self.shape:
+            return np.full(self.shape, np.inf)
+        inliers = (self.both & (self.dist <= threshold)).sum(axis=2)
+        admissible = inliers / self.gt_counts >= INLIER_FRACTION
+        return np.where(admissible, self.mean_dist, np.inf)
 
     def pair_errors(self, pairs, near_mask):
-        """Sums/counts of |dx|, |dz| on matched both-valid samples,
-        ordered (x near, x far, z near, z far)."""
+        """Sums and counts of |dx|, |dz| on matched both-valid samples,
+        ordered (x near, x far, z near, z far).  Each pair's sums are taken
+        over its own samples and added in pair order."""
         sums = np.zeros(4)
-        counts = np.zeros(4)
-        for p, g in pairs:
-            both = self.pv[p] & self.gv[g]
-            adx = np.abs(self.px[p] - self.gx[g])
-            adz = np.abs(self.pz[p] - self.gz[g])
-            for idx, mask in enumerate((both & near_mask, both & ~near_mask)):
-                sums[idx] += adx[mask].sum()
-                counts[idx] += mask.sum()
-                sums[idx + 2] += adz[mask].sum()
-                counts[idx + 2] += mask.sum()
-        return sums, counts
+        if not pairs:
+            return sums, np.zeros(4)
+        p, g = np.array(pairs).T
+        both = self.pv[p] & self.gv[g]
+        near, far = both & near_mask, both & ~near_mask
+        adx = np.abs(self.px[p] - self.gx[g])
+        adz = np.abs(self.pz[p] - self.gz[g])
+        for k in range(len(pairs)):
+            sums += (adx[k][near[k]].sum(), adx[k][far[k]].sum(),
+                     adz[k][near[k]].sum(), adz[k][far[k]].sum())
+        n_near, n_far = near.sum(), far.sum()
+        return sums, np.array([n_near, n_far, n_near, n_far], dtype=float)
+
+
+def _prefix_matching_sizes(admissible, order):
+    """``sizes[k]``: the size of a maximum matching of the boolean
+    (rows x columns) ``admissible`` restricted to the rows ``order[:k]``,
+    for every k from 0 to ``len(order)``.
+
+    Rows join in turn, each with one augmenting-path search from it (Kuhn):
+    a maximum matching stays maximum when a row joins, unless a path that
+    augments it starts at that row.
+    """
+    adjacent = [[] for _ in range(admissible.shape[0])]
+    rows, cols = np.nonzero(admissible)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        adjacent[row].append(col)
+    owner = [-1] * admissible.shape[1]   # row matched to each column, -1 for none
+    sizes = [0]
+    for root in order.tolist():
+        grew = bool(adjacent[root]) and _augment(root, adjacent, owner)
+        sizes.append(sizes[-1] + grew)
+    return sizes
+
+
+def _augment(root, adjacent, owner):
+    """Depth-first search for an augmenting path from the unmatched row
+    ``root``; flips it into ``owner`` (column -> row) and returns whether
+    there was one.  The search keeps its own stack, so a path may be longer
+    than the recursion limit."""
+    seen = set()
+    rows, cols = [root], []   # the path: rows[i] takes cols[i], now owned by rows[i + 1]
+    todo = [iter(adjacent[root])]
+    while todo:
+        for col in todo[-1]:
+            if col not in seen:
+                break
+        else:   # rows[-1] leads nowhere new
+            del todo[-1], rows[-1], cols[-1:]
+            continue
+        seen.add(col)
+        cols.append(col)
+        if owner[col] < 0:
+            for row, c in zip(rows, cols):
+                owner[c] = row
+            return True
+        rows.append(owner[col])
+        todo.append(iter(adjacent[owner[col]]))
+    return False
 
 
 def _check_threshold(threshold):
@@ -177,14 +270,57 @@ def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
     least one valid sample; lanes entirely outside the grid are dropped.
     """
     _check_threshold(dist_threshold)
-    frame = _Resampled(pred_lanes, gt_lanes, _y_grid(y_samples))
-    return solve_assignment(frame.admissible_cost(dist_threshold))
+    y_samples = _y_grid(y_samples)
+    pred, = _on_grid([pred_lanes], ["pred_lanes"], y_samples)
+    gt, = _on_grid([gt_lanes], ["gt_lanes"], y_samples)
+    return solve_assignment(_FramePairs(pred, gt).admissible_cost(dist_threshold))
 
 
 def _normalize_frames(frames):
     if hasattr(frames, "keys"):
         return dict(frames)
     return {0: list(frames)}
+
+
+# A tally holds one frame's (or a sequence's) counts at one threshold: tp,
+# fp and fn, the four error sums and their sample counts (x near, x far,
+# z near, z far), then per AP cutoff the matched and the retained
+# predictions.  Tallies add elementwise.
+_HEAD = 11
+
+
+def _tally(frame, threshold, near_mask, order, retained):
+    """``frame``'s tally at ``threshold``; ``order`` ranks its predictions
+    by falling confidence, and each AP cutoff retains the first
+    ``retained[i]`` of them."""
+    costs = frame.admissible_cost(threshold)
+    pairs = solve_assignment(costs).pairs
+    sums, counts = frame.pair_errors(pairs, near_mask)
+    # Retained sets are prefixes of ``order``, so AP's cutoffs need only the
+    # size of a maximum matching on each prefix.
+    sizes = _prefix_matching_sizes(np.isfinite(costs), order)
+    n_pred, n_gt = costs.shape
+    return np.concatenate([(len(pairs), n_pred - len(pairs), n_gt - len(pairs)),
+                           sums, counts, np.take(sizes, retained), retained])
+
+
+def _report(threshold, tally):
+    """The EvalReport at ``threshold`` of the summed ``tally``."""
+    tp, fp, fn = (int(n) for n in tally[:3])
+    err_sums, err_counts = tally[3:7], tally[7:_HEAD]
+    cutoff_tp, cutoff_pred = np.split(tally[_HEAD:], 2)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    achieved = cutoff_pred > 0
+    ap = float((cutoff_tp[achieved] / cutoff_pred[achieved]).mean()) \
+        if achieved.any() else 0.0
+    errs = np.where(err_counts > 0, err_sums / np.maximum(err_counts, 1), 0.0)
+    return EvalReport(threshold=float(threshold), f1=f1, precision=precision,
+                      recall=recall, ap=ap,
+                      x_err_near=float(errs[0]), x_err_far=float(errs[1]),
+                      z_err_near=float(errs[2]), z_err_far=float(errs[3]),
+                      tp=tp, fp=fp, fn=fn)
 
 
 def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
@@ -196,17 +332,28 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     ``LaneRecord``s (a bare list is treated as a single frame); any other
     lane raises ValidationError naming it, e.g. ``pred_frames['a'][1]:
     expected a LaneRecord, got ndarray``.  So does an argument out of its
-    domain: a threshold that is not finite and positive, ``y_samples`` that
-    are not 1-D, finite and ascending, a NaN ``near_far_split``, or
-    ``conf_steps`` outside [0, 1].  AP averages precision over the
-    confidence cutoffs that retain at least one prediction; if no cutoff
-    retains any, AP is 0.
+    domain: frame ids that differ between the two mappings, a threshold
+    that is not finite and positive, ``y_samples`` that are not 1-D, finite
+    and ascending, a NaN ``near_far_split``, or ``conf_steps`` outside
+    [0, 1].  AP averages precision over the confidence cutoffs that retain
+    at least one prediction; if no cutoff retains any, AP is 0.
     """
+    return _evaluate(pred_frames, gt_frames, thresholds, near_far_split, conf_steps,
+                     y_samples)[0]
+
+
+def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
+              near_far_split=NEAR_FAR_SPLIT_M, conf_steps=AP_CONF_STEPS,
+              y_samples=None, per_frame=False):
+    """``evaluate``'s reports and, with ``per_frame``, ``{frame id: the
+    reports evaluate gives for that frame alone}`` from the same pass (else
+    None), in sorted frame id order."""
     preds = _normalize_frames(pred_frames)
     gts = _normalize_frames(gt_frames)
     if set(preds) != set(gts):
         missing = set(preds) ^ set(gts)
-        raise ValueError(f"frame ids do not align; unpaired: {sorted(missing)!r}")
+        raise ValidationError(f"gt_frames: frame ids do not align with pred_frames; "
+                              f"unpaired: {sorted(missing)!r}")
     y_samples = _y_grid(y_samples)
     # NaN is the one Real that differs from itself.
     if not isinstance(near_far_split, Real) or near_far_split != near_far_split:
@@ -218,50 +365,27 @@ def evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
         raise ValidationError(f"conf_steps must be a 1-D list of numbers in [0, 1], "
                               f"got {conf_steps!r}")
 
-    frames = [_Resampled(preds[fid], gts[fid], y_samples,
-                         (f"pred_frames[{fid!r}]", f"gt_frames[{fid!r}]"))
-              for fid in sorted(preds)]
-
-    reports = []
+    fids = sorted(preds)
+    pred_side = _on_grid([preds[fid] for fid in fids],
+                         [f"pred_frames[{fid!r}]" for fid in fids], y_samples)
+    gt_side = _on_grid([gts[fid] for fid in fids],
+                       [f"gt_frames[{fid!r}]" for fid in fids], y_samples)
+    thresholds = tuple(thresholds)
     for threshold in thresholds:
         _check_threshold(threshold)
-        tp = fp = fn = 0
-        err_sums = np.zeros(4)
-        err_counts = np.zeros(4)
-        cutoff_tp = np.zeros(len(conf_steps))
-        cutoff_pred = np.zeros(len(conf_steps))
 
-        for frame in frames:
-            costs = frame.admissible_cost(threshold)
-            pairs = solve_assignment(costs).pairs
-            tp += len(pairs)
-            fp += frame.n_pred - len(pairs)
-            fn += frame.n_gt - len(pairs)
-            sums, counts = frame.pair_errors(pairs, near_mask)
-            err_sums += sums
-            err_counts += counts
-
-            # AP needs only the size of a maximum matching on the rows each
-            # cutoff retains.  Retained sets are nested, so a count names
-            # its set: one solve per distinct count, none for the full set.
-            retained = (frame.conf[None, :] >= steps[:, None]).sum(axis=1)
-            cutoff_pred += retained
-            sizes = {0: 0, frame.n_pred: len(pairs)}
-            for count, step in zip(retained, steps):
-                if count not in sizes:
-                    sizes[count] = max_cardinality(costs[frame.conf >= step])
-            cutoff_tp += [sizes[count] for count in retained]
-
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        achieved = cutoff_pred > 0
-        ap = float((cutoff_tp[achieved] / cutoff_pred[achieved]).mean()) \
-            if achieved.any() else 0.0
-        errs = np.where(err_counts > 0, err_sums / np.maximum(err_counts, 1), 0.0)
-        reports.append(EvalReport(threshold=float(threshold), f1=f1,
-                                  precision=precision, recall=recall, ap=ap,
-                                  x_err_near=float(errs[0]), x_err_far=float(errs[1]),
-                                  z_err_near=float(errs[2]), z_err_far=float(errs[3]),
-                                  tp=tp, fp=fp, fn=fn))
-    return reports
+    # Frames are the outer loop, so a frame's pair distances serve every
+    # threshold; its tallies are added into the totals in frame order.
+    totals = np.zeros((len(thresholds), _HEAD + 2 * len(steps)))
+    frame_reports = {} if per_frame else None
+    for fid, pred, gt in zip(fids, pred_side, gt_side):
+        frame = _FramePairs(pred, gt)
+        order = np.argsort(-frame.conf, kind="stable")
+        retained = (frame.conf[None, :] >= steps[:, None]).sum(axis=1)
+        tallies = [_tally(frame, threshold, near_mask, order, retained)
+                   for threshold in thresholds]
+        for total, tally in zip(totals, tallies):
+            total += tally
+        if per_frame:
+            frame_reports[fid] = [_report(t, tally) for t, tally in zip(thresholds, tallies)]
+    return [_report(t, total) for t, total in zip(thresholds, totals)], frame_reports

@@ -64,10 +64,11 @@ class Keypoint:
     def __post_init__(self):
         scores = np.atleast_1d(np.asarray(
             self.class_scores if self.class_scores is not None else [], dtype=float))
-        if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ValueError("class_scores must lie in [0, 1]")
+        # min() and max() keep a NaN, and NaN fails every comparison.
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
+            raise ValidationError(f"class_scores must lie in [0, 1], got {scores.tolist()!r}")
         if not 0.0 <= self.fg_score <= 1.0:
-            raise ValueError("fg_score must lie in [0, 1]")
+            raise ValidationError(f"fg_score must lie in [0, 1], got {self.fg_score!r}")
         # bool is an int; a grid cell is not a truth value.
         if not (len(self.grid_index) == 2 and all(
                 isinstance(v, Integral) and not isinstance(v, bool) for v in self.grid_index)):

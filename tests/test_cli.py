@@ -5,7 +5,9 @@ import pytest
 
 from lanekit.cli import main
 from lanekit.geometry import make_forward_camera
-from lanekit.io import load_lane_frame, load_prediction_frame, save_camera
+from lanekit.io import (LaneRecord, load_ground_truth, load_lane_frame, load_prediction_frame,
+                        save_camera, save_ground_truth, save_lane_frame)
+from lanekit.metrics import evaluate
 
 
 def run(argv):
@@ -102,6 +104,34 @@ class TestPipelineCommands:
         payload = json.loads(report.read_text())
         assert payload["aggregate"][0]["f1"] == 1.0
         assert payload["aggregate"][0]["tp"] == 9
+
+    def test_eval_per_frame_equals_evaluating_each_frame_alone(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lane_dir = tmp_path / "lanes"
+        lane_dir.mkdir()
+        gts = {}
+        for f in range(4):
+            fid = f"f{f}"
+            gts[fid] = [LaneRecord([[x, 1.0, 0.0], [x + rng.uniform(-1, 1), 90.0, 0.1]])
+                        for x in (-3.5, 0.0, 3.5)[:f + 1]]
+            preds = [LaneRecord(g.points + [rng.normal(0, 0.6), 0.0, 0.0],
+                                confidence=float(rng.uniform(0.05, 0.95)))
+                     for g in gts[fid] if rng.random() < 0.8]
+            save_lane_frame(fid, preds, lane_dir / f"{fid}.json")
+        save_ground_truth(gts, tmp_path / "gt.json")
+        report = tmp_path / "report.json"
+        assert run(["eval", "--pred", lane_dir, "--gt", tmp_path / "gt.json",
+                    "--threshold", "1.5,0.5", "--report", report, "--per-frame"]) == 0
+        payload = json.loads(report.read_text())
+        loaded_gts = load_ground_truth(tmp_path / "gt.json")
+        assert sorted(payload["per_frame"]) == sorted(gts)
+        for fid, frame_reports in payload["per_frame"].items():
+            _, preds = load_lane_frame(lane_dir / f"{fid}.json")
+            alone = evaluate({fid: preds}, {fid: loaded_gts[fid]}, thresholds=(1.5, 0.5))
+            assert frame_reports == [r.as_dict() for r in alone]
+        all_preds = {fid: load_lane_frame(lane_dir / f"{fid}.json")[1] for fid in gts}
+        assert payload["aggregate"] == [
+            r.as_dict() for r in evaluate(all_preds, loaded_gts, thresholds=(1.5, 0.5))]
 
     @pytest.mark.parametrize("threshold", ["nan", "-1", "1.5,inf"])
     def test_eval_bad_threshold_is_exit_1(self, scene, tmp_path, capsys, threshold):

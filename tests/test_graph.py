@@ -73,8 +73,8 @@ class TestThreshold:
         assert {(i, j) for i, j, _ in graph.edges} == want
 
     def test_invalid_threshold(self):
-        for t in (-0.1, 1.0):
-            with pytest.raises(ValueError):
+        for t in (-0.1, 1.0, np.nan):
+            with pytest.raises(ValidationError, match="t_a"):
                 threshold_adjacency(np.zeros((2, 2)), t)
 
     @settings(max_examples=100, deadline=None)
@@ -256,7 +256,7 @@ class TestLaneRecord:
         with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
             LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 50.0, bad], [0.0, 100.0, 0.0]])
 
-    @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None])
+    @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None, True, False])
     def test_bad_confidence_rejected(self, confidence):
         with pytest.raises(ValidationError, match=r"confidence must lie in \[0, 1\]"):
             LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], confidence=confidence)

@@ -16,7 +16,6 @@ from lanekit.matching import (
     build_connection_targets,
     build_cost_matrix,
     match_keypoints,
-    max_cardinality,
     solve_assignment,
 )
 from lanekit.nms import Keypoint, ProposalSet
@@ -246,7 +245,6 @@ class TestSolveAssignment:
         costs = np.array(vals[: rows * cols]).reshape(rows, cols)
         want = oracle_assignment(costs)
         assert list(solve_assignment(costs).pairs) == want
-        assert max_cardinality(costs) == len(want)
 
     def test_optimum_already_smallest_needs_one_solve(self, monkeypatch):
         calls = []
@@ -265,12 +263,6 @@ class TestSolveAssignment:
         assert solve_assignment(np.array([[1.0, 0.5], [0.5, 1.0]])).pairs \
             == ((0, 1), (1, 0))
         assert calls == [(2, 2), (1, 1)]
-
-    def test_max_cardinality(self):
-        assert max_cardinality(np.full((2, 3), np.inf)) == 0
-        assert max_cardinality(np.zeros((0, 4))) == 0
-        assert max_cardinality([[1.0, 5.0], [np.inf, 5.0]]) == 2
-        assert max_cardinality([[1.0, np.inf], [2.0, np.inf], [3.0, 4.0]]) == 2
 
 
 class TestMatchKeypoints:

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lanekit.config import NEAR_FAR_SPLIT_M
@@ -8,14 +12,17 @@ from lanekit.io import LaneRecord
 from lanekit.matching import solve_assignment
 from lanekit.metrics import (
     AP_CONF_STEPS,
+    INLIER_FRACTION,
     EvalReport,
     GroundTruthLane,
-    _Resampled,
+    _prefix_matching_sizes,
+    _resample,
     default_y_samples,
     evaluate,
     match_lanes,
     resample_lane,
 )
+from lanekit.oracles import MAX_ASSIGNMENT_SIDE, oracle_assignment
 
 
 def lane(points, category=0):
@@ -196,7 +203,8 @@ class TestEvaluate:
             assert a.z_err_far == pytest.approx(b.z_err_far, abs=1e-9)
 
     def test_mismatched_frame_ids_rejected(self):
-        with pytest.raises(ValueError, match="frame ids"):
+        with pytest.raises(ValidationError,
+                           match=r"gt_frames: frame ids do not align .* unpaired: \[0, 1\]"):
             evaluate({0: []}, {1: []})
 
     def test_out_of_range_lanes_excluded(self):
@@ -228,33 +236,97 @@ class TestEvaluate:
         assert set(d) == set(EvalReport.__dataclass_fields__)
 
 
-def reference_ap(frames, costs, conf_steps=AP_CONF_STEPS):
+def reference_resample(lane, y_samples):
+    """One lane on the grid by two np.interp calls: (x, z, valid)."""
+    ys = lane.points[:, 1]
+    valid = (y_samples >= ys[0]) & (y_samples <= ys[-1])
+    x, z = np.zeros(len(y_samples)), np.zeros(len(y_samples))
+    x[valid] = np.interp(y_samples[valid], ys, lane.points[:, 0])
+    z[valid] = np.interp(y_samples[valid], ys, lane.points[:, 2])
+    return x, z, valid
+
+
+def reference_stack(lanes, y_samples):
+    """The lanes with a valid sample, resampled one at a time and stacked:
+    (x, z, valid, those lanes)."""
+    rows = [(reference_resample(lane, y_samples), lane) for lane in lanes]
+    rows = [(r, lane) for r, lane in rows if r[2].any()]
+    width = len(y_samples)
+    x = np.array([r[0] for r, _ in rows]).reshape(-1, width)
+    z = np.array([r[1] for r, _ in rows]).reshape(-1, width)
+    valid = np.array([r[2] for r, _ in rows], dtype=bool).reshape(-1, width)
+    return x, z, valid, [lane for _, lane in rows]
+
+
+class ReferenceFrame:
+    """One frame's lanes on the grid, with the (P, G, Y) pair arrays
+    rebuilt for every threshold."""
+
+    def __init__(self, preds, gts, y_samples):
+        self.px, self.pz, self.pv, kept = reference_stack(preds, y_samples)
+        self.gx, self.gz, self.gv, _ = reference_stack(gts, y_samples)
+        self.conf = np.array([lane.confidence for lane in kept], dtype=float)
+        self.n_pred, self.n_gt = len(self.px), len(self.gx)
+
+    def cost(self, threshold):
+        if self.n_pred == 0 or self.n_gt == 0:
+            return np.full((self.n_pred, self.n_gt), np.inf)
+        dist = np.hypot(self.px[:, None, :] - self.gx[None, :, :],
+                        self.pz[:, None, :] - self.gz[None, :, :])
+        both = self.pv[:, None, :] & self.gv[None, :, :]
+        gt_counts = self.gv.sum(axis=1)
+        inliers = (both & (dist <= threshold)).sum(axis=2)
+        admissible = inliers / gt_counts[None, :] >= INLIER_FRACTION
+        both_counts = both.sum(axis=2)
+        sums = np.where(both, dist, 0.0).sum(axis=2)
+        mean_dist = np.where(both_counts > 0, sums / np.maximum(both_counts, 1), np.inf)
+        return np.where(admissible & (both_counts > 0), mean_dist, np.inf)
+
+    def pair_errors(self, pairs, near_mask):
+        sums, counts = np.zeros(4), np.zeros(4)
+        for p, g in pairs:
+            both = self.pv[p] & self.gv[g]
+            adx = np.abs(self.px[p] - self.gx[g])
+            adz = np.abs(self.pz[p] - self.gz[g])
+            for idx, mask in enumerate((both & near_mask, both & ~near_mask)):
+                sums[idx] += adx[mask].sum()
+                counts[idx] += mask.sum()
+                sums[idx + 2] += adz[mask].sum()
+                counts[idx + 2] += mask.sum()
+        return sums, counts
+
+
+def reference_frames(pred_frames, gt_frames):
+    return [ReferenceFrame(pred_frames[fid], gt_frames[fid], default_y_samples())
+            for fid in sorted(pred_frames)]
+
+
+def reference_ap(frames, threshold, conf_steps=AP_CONF_STEPS):
     """AP with one canonical assignment per frame and cutoff."""
     cutoff_tp = np.zeros(len(conf_steps))
     cutoff_pred = np.zeros(len(conf_steps))
-    for frame, frame_costs in zip(frames, costs):
+    for frame in frames:
+        costs = frame.cost(threshold)
         for c_idx, cutoff in enumerate(conf_steps):
             rows = np.nonzero(frame.conf >= cutoff)[0]
             cutoff_pred[c_idx] += len(rows)
             if len(rows) == 0:
                 continue
-            cutoff_tp[c_idx] += len(solve_assignment(frame_costs[rows]).pairs)
+            cutoff_tp[c_idx] += len(solve_assignment(costs[rows]).pairs)
     achieved = cutoff_pred > 0
     return float((cutoff_tp[achieved] / cutoff_pred[achieved]).mean()) \
         if achieved.any() else 0.0
 
 
 def reference_report(pred_frames, gt_frames, threshold):
-    """The report at one threshold, with AP from ``reference_ap``."""
-    y_samples = default_y_samples()
-    near_mask = y_samples < NEAR_FAR_SPLIT_M
-    frames = [_Resampled(pred_frames[fid], gt_frames[fid], y_samples)
-              for fid in sorted(pred_frames)]
-    costs = [frame.admissible_cost(threshold) for frame in frames]
+    """The report at one threshold, with AP from ``reference_ap``; it shares
+    no code with evaluate beyond solve_assignment and EvalReport."""
+    near_mask = default_y_samples() < NEAR_FAR_SPLIT_M
+    frames = reference_frames(pred_frames, gt_frames)
     tp = fp = fn = 0
     err_sums, err_counts = np.zeros(4), np.zeros(4)
-    for frame, frame_costs in zip(frames, costs):
-        pairs = solve_assignment(frame_costs).pairs
+    for frame in frames:
+        pairs = solve_assignment(frame.cost(threshold)).pairs
         tp += len(pairs)
         fp += frame.n_pred - len(pairs)
         fn += frame.n_gt - len(pairs)
@@ -266,7 +338,7 @@ def reference_report(pred_frames, gt_frames, threshold):
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     errs = np.where(err_counts > 0, err_sums / np.maximum(err_counts, 1), 0.0)
     return EvalReport(threshold=float(threshold), f1=f1, precision=precision,
-                      recall=recall, ap=reference_ap(frames, costs),
+                      recall=recall, ap=reference_ap(frames, threshold),
                       x_err_near=float(errs[0]), x_err_far=float(errs[1]),
                       z_err_near=float(errs[2]), z_err_far=float(errs[3]),
                       tp=tp, fp=fp, fn=fn)
@@ -298,23 +370,69 @@ def crowded_frame(rng):
     return preds, gts
 
 
+# Outcomes of the designed frames, as in the eval-seq benchmark: an exact
+# copy of the GT lane, 0.2 m or 1.0 m off laterally, 2.0 m off in height,
+# its first 60% only, or no prediction.
+DESIGNED_OUTCOMES = ("exact", "near", "lateral", "height", "short", "missing")
+
+
+def designed_frame(rng, spurious):
+    """GT lanes 3.5 m apart, one per outcome in random order, knots every
+    2 m; ``spurious`` more predictions run beyond the outermost lane.
+    Predictions carry untied random confidences and come shuffled."""
+    count = len(DESIGNED_OUTCOMES)
+    base_x = (np.arange(count) - (count - 1) / 2.0) * 3.5 + rng.uniform(-0.3, 0.3)
+    slope, bend = rng.uniform(-0.02, 0.02), rng.uniform(-2e-4, 2e-4)
+    z0, z_slope = rng.uniform(0.0, 0.3), rng.uniform(-0.01, 0.01)
+
+    def polyline(x0, y0, y1):
+        ys = np.append(np.arange(y0, y1, 2.0), y1)
+        return np.column_stack([x0 + slope * ys + bend * ys ** 2, ys, z0 + z_slope * ys])
+
+    gts, preds = [], []
+    for x0, outcome in zip(base_x, rng.permutation(DESIGNED_OUTCOMES)):
+        points = polyline(x0, rng.uniform(0.5, 5.0), rng.uniform(60.0, 100.0))
+        gts.append(lane(points))
+        pred = points.copy()
+        if outcome in ("near", "lateral"):
+            pred[:, 0] += (0.2 if outcome == "near" else 1.0) * rng.choice((-1.0, 1.0))
+        elif outcome == "height":
+            pred[:, 2] += 2.0
+        elif outcome == "short":
+            pred = pred[pred[:, 1] <= points[0, 1] + 0.6 * (points[-1, 1] - points[0, 1])]
+        if outcome != "missing":
+            preds.append(pred)
+    for j in range(spurious):
+        x0 = (1.0 if j % 2 == 0 else -1.0) * (np.abs(base_x).max() + 3.5 * (1 + j // 2))
+        preds.append(polyline(x0, rng.uniform(0.5, 5.0), 80.0))
+    preds = [LaneRecord(preds[i], confidence=float(rng.uniform(0.05, 0.95)))
+             for i in rng.permutation(len(preds))]
+    return preds, gts
+
+
 class TestCardinalityCutoffs:
     def test_reports_match_per_cutoff_reference(self):
         rng = np.random.default_rng(2024)
+        thresholds = (1.5, 0.8, 0.5)
         crowded = 0
         for _ in range(60):
             frames = [crowded_frame(rng) for _ in range(int(rng.integers(1, 5)))]
             preds = {f: p for f, (p, _) in enumerate(frames)}
             gts = {f: g for f, (_, g) in enumerate(frames)}
-            thresholds = (1.5, 0.8, 0.5)
             got = evaluate(preds, gts, thresholds=thresholds)
             assert got == [reference_report(preds, gts, t) for t in thresholds]
-            for f in preds:
-                finite = np.isfinite(_Resampled(preds[f], gts[f], default_y_samples())
-                                     .admissible_cost(1.5))
+            for frame in reference_frames(preds, gts):
+                finite = np.isfinite(frame.cost(1.5))
                 crowded += bool((finite.sum(axis=0) > 1).any() and
                                 (finite.sum(axis=1) > 1).any())
         assert crowded >= 20   # many components are larger than 1x1
+        # Sequences shaped like the eval-seq benchmark's: ten designed frames.
+        for _ in range(3):
+            frames = [designed_frame(rng, f % 3) for f in range(10)]
+            preds = {f"f{f:02d}": p for f, (p, _) in enumerate(frames)}
+            gts = {f"f{f:02d}": g for f, (_, g) in enumerate(frames)}
+            got = evaluate(preds, gts, thresholds=thresholds)
+            assert got == [reference_report(preds, gts, t) for t in thresholds]
 
     def test_custom_steps_in_any_order(self):
         rng = np.random.default_rng(7)
@@ -323,9 +441,114 @@ class TestCardinalityCutoffs:
         gts = {f: g for f, (_, g) in enumerate(frames)}
         steps = (0.5, 0.05, 0.95, 0.5, 0.0)
         rep, = evaluate(preds, gts, thresholds=(1.5,), conf_steps=steps)
-        resampled = [_Resampled(preds[f], gts[f], default_y_samples()) for f in sorted(preds)]
-        want = reference_ap(resampled, [r.admissible_cost(1.5) for r in resampled], steps)
-        assert rep.ap == want
+        assert rep.ap == reference_ap(reference_frames(preds, gts), 1.5, steps)
+
+
+# Knot and sample values on a coarse grid, so knots repeat, samples repeat
+# and samples fall exactly on knots; lanes reach past the sampled range.
+COARSE = st.integers(-8, 48).map(lambda k: k / 4.0)
+
+
+@st.composite
+def lane_sets(draw):
+    lanes = []
+    for _ in range(draw(st.integers(0, 6))):
+        ys = sorted(draw(st.lists(COARSE, min_size=2, max_size=8)))
+        xz = draw(st.lists(st.tuples(st.floats(-50, 50), st.floats(-5, 5)),
+                           min_size=len(ys), max_size=len(ys)))
+        lanes.append(LaneRecord([[x, y, z] for y, (x, z) in zip(ys, xz)]))
+    return lanes
+
+
+class TestOnePassResampler:
+    """All lanes resampled together equal each lane through np.interp, bit
+    for bit."""
+
+    @staticmethod
+    def check(lanes, y_samples):
+        y_samples = np.asarray(y_samples, dtype=float)
+        x, z, valid = _resample(lanes, y_samples)
+        assert x.shape == z.shape == valid.shape == (len(lanes), len(y_samples))
+        for i, lane_i in enumerate(lanes):
+            want_x, want_z, want_valid = reference_resample(lane_i, y_samples)
+            assert np.array_equal(x[i], want_x)
+            assert np.array_equal(z[i], want_z)
+            assert np.array_equal(valid[i], want_valid)
+            got, got_valid = resample_lane(lane_i, y_samples)
+            assert np.array_equal(got, np.column_stack([want_x, y_samples, want_z]))
+            assert np.array_equal(got_valid, want_valid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lane_sets(), st.lists(COARSE, max_size=12).map(sorted))
+    def test_equals_per_lane_interp(self, lanes, y_samples):
+        self.check(lanes, y_samples)
+
+    @pytest.mark.parametrize("lanes, y_samples", [
+        ([lane([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [5.0, 2.0, 3.0], [6.0, 4.0, 2.0]])],
+         [1.0, 1.5, 2.0, 3.0, 4.0]),                                  # repeated y knots
+        ([lane([[0.3, 1.0, 0.1], [0.7, 3.0, 0.2]])], [1.0, 2.0, 3.0]),  # samples on knots
+        ([lane([[0.0, -5.0, 0.0], [3.0, 1.5, 1.0]]),
+          lane([[0.0, 50.0, 0.0], [1.0, 60.0, 0.0]])], [0.0, 1.0, 2.0, 3.0]),  # outside
+        ([lane([[0.0, 1.0, 0.0], [4.0, 3.0, 2.0]])], [1.0, 2.0, 2.0, 2.0, 3.0]),  # repeats
+        ([], [1.0, 2.0]),
+        ([lane([[0.0, 1.0, 0.0], [4.0, 3.0, 2.0]])], []),
+    ], ids=["repeated-knots", "on-knots", "outside", "repeated-samples", "no-lanes",
+            "no-samples"])
+    def test_named_cases(self, lanes, y_samples):
+        self.check(lanes, y_samples)
+
+    def test_extreme_slopes_do_not_warn(self):
+        # np.interp overflows to inf here without a warning; so must the
+        # resampler, under the suite's error::RuntimeWarning filter.
+        steep = lane([[-1e308, 0.0, 0.0], [1e308, 1.0, 0.0], [1e308, 1.0, 1.0]])
+        self.check([steep], [0.0, 0.5, 1.0])
+
+
+TIES = (0.2, 0.5, 0.5, 0.9)
+
+
+@st.composite
+def masks_and_confidences(draw):
+    rows = draw(st.integers(0, MAX_ASSIGNMENT_SIDE))
+    cols = draw(st.integers(0, MAX_ASSIGNMENT_SIDE))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    conf = draw(st.lists(st.sampled_from(TIES), min_size=rows, max_size=rows))
+    return np.array(cells, dtype=bool).reshape(rows, cols), conf
+
+
+class TestPrefixMatchingSizes:
+    """AP's cutoff counts come from one augmenting-path pass over the rows in
+    falling confidence order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks_and_confidences())
+    @example((np.zeros((2, 3), dtype=bool), [0.5, 0.5]))
+    @example((np.zeros((0, 4), dtype=bool), []))
+    @example((np.array([[True, True], [False, True]]), [0.2, 0.9]))
+    @example((np.array([[True, False], [True, False], [True, True]]), [0.9, 0.5, 0.2]))
+    def test_every_confidence_prefix_matches_the_oracle(self, case):
+        mask, conf = case
+        conf = np.array(conf, dtype=float)
+        sizes = _prefix_matching_sizes(mask, np.argsort(-conf, kind="stable"))
+        assert len(sizes) == len(conf) + 1 and sizes[0] == 0
+        costs = np.where(mask, 1.0, np.inf)
+        for cutoff in set(conf.tolist()):
+            retained = conf >= cutoff
+            assert sizes[retained.sum()] == len(oracle_assignment(costs[retained]))
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # Rows 0..n-2 may take columns i and i+1 and are matched i -> i;
+        # the last row may take column 0 only, so its augmenting path runs
+        # through every other row.
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        mask = np.zeros((n, n), dtype=bool)
+        mask[np.arange(n - 1), np.arange(n - 1)] = True
+        mask[np.arange(n - 1), np.arange(1, n)] = True
+        mask[n - 1, 0] = True
+        sizes = _prefix_matching_sizes(mask, np.arange(n))
+        assert sizes == list(range(n + 1))
+        assert sizes[-1] == len(solve_assignment(np.where(mask, 1.0, np.inf)).pairs)
 
 
 class TestNonFiniteLanes:

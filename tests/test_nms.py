@@ -40,10 +40,18 @@ class TestKeypoint:
         assert kp.confidence == 0.4
 
     def test_score_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="class_scores"):
             Keypoint(grid_index=(0, 0), x=0.0, y=5.0, class_scores=[1.2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="fg_score"):
             Keypoint(grid_index=(0, 0), x=0.0, y=5.0, fg_score=-0.1)
+
+    @pytest.mark.parametrize("field, value", [("class_scores", [np.nan, 0.2]),
+                                              ("class_scores", [0.2, -0.0001]),
+                                              ("fg_score", np.nan), ("fg_score", 1.5)])
+    def test_bad_scores_rejected_where_they_enter(self, field, value):
+        fields = {"fg_score": 0.5, "class_scores": [0.2], field: value}
+        with pytest.raises(ValidationError, match=field):
+            Keypoint(grid_index=(0, 0), x=0.0, y=1.0, **fields)
 
 
 class TestNonFiniteRejected:
@@ -52,8 +60,12 @@ class TestNonFiniteRejected:
         return Keypoint(**{"grid_index": (0, 0), "x": 0.0, "y": 5.0, **fields})
 
     def test_nan_class_score(self):
+        # A Keypoint refuses it when made; a set built from columns names the row.
+        with pytest.raises(ValidationError, match="class_scores"):
+            self.kp(class_scores=[np.nan])
         with pytest.raises(ValidationError, match=r"keypoints\[1\]\.class_scores"):
-            ProposalSet([self.kp(class_scores=[0.5]), self.kp(class_scores=[np.nan])])
+            ProposalSet.from_arrays(np.zeros((2, 2), dtype=int), [0.0, 0.0], [5.0, 5.0],
+                                    class_scores=[[0.5], [np.nan]])
 
     def test_infinite_x(self):
         with pytest.raises(ValidationError, match=r"keypoints\[0\]\.x"):
