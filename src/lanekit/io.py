@@ -10,6 +10,18 @@ rows.  The loader reads both encodings whatever the frame's size.
 
 Lane files and ground-truth files both hold ``graph.LaneRecord``s; a ground-truth
 lane is written without a confidence and reads back with confidence 1.0.
+
+Every loader reads its file as bytes and decodes them with ``orjson``,
+imported on the first read so that importing lanekit loads numpy only.
+Only a document orjson refuses goes to the stdlib decoder, as UTF-8 text:
+one holding ``NaN`` or ``Infinity`` (rejected there, naming the token), a
+number beyond the double range (it loads, and the field holding it is then
+rejected as out of range), a lone surrogate escape (it loads), or one that
+is not JSON at all (``file: not valid JSON (...)``).  The two decoders
+agree on everything orjson accepts but one thing: orjson reads an integer
+literal outside [-2**63, 2**64) as the nearest float, so ``2**64`` is
+``1.8446744073709552e19`` where a number belongs and is rejected where an
+integer does.  Writers stay on the stdlib encoder.
 """
 
 import json
@@ -55,10 +67,18 @@ def _reject_constant(token):
 
 
 def _load_json(path):
+    """The document in ``path``, decoded as the module docstring says."""
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
 
 

@@ -282,6 +282,15 @@ def _normalize_frames(frames):
     return {0: list(frames)}
 
 
+def _sorted_ids(ids, name):
+    """``ids`` in ascending order; ids that do not compare, such as ``0`` and
+    ``'a'``, are rejected as ``name``."""
+    try:
+        return sorted(ids)
+    except TypeError as exc:
+        raise ValidationError(f"{name}: frame ids are not mutually orderable ({exc})") from exc
+
+
 # A tally holds one frame's (or a sequence's) counts at one threshold: tp,
 # fp and fn, the four error sums and their sample counts (x near, x far,
 # z near, z far), then per AP cutoff the matched and the retained
@@ -350,10 +359,11 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     None), in sorted frame id order."""
     preds = _normalize_frames(pred_frames)
     gts = _normalize_frames(gt_frames)
+    fids = _sorted_ids(preds, "pred_frames")
     if set(preds) != set(gts):
         missing = set(preds) ^ set(gts)
         raise ValidationError(f"gt_frames: frame ids do not align with pred_frames; "
-                              f"unpaired: {sorted(missing)!r}")
+                              f"unpaired: {_sorted_ids(missing, 'gt_frames')!r}")
     y_samples = _y_grid(y_samples)
     # NaN is the one Real that differs from itself.
     if not isinstance(near_far_split, Real) or near_far_split != near_far_split:
@@ -365,7 +375,6 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
         raise ValidationError(f"conf_steps must be a 1-D list of numbers in [0, 1], "
                               f"got {conf_steps!r}")
 
-    fids = sorted(preds)
     pred_side = _on_grid([preds[fid] for fid in fids],
                          [f"pred_frames[{fid!r}]" for fid in fids], y_samples)
     gt_side = _on_grid([gts[fid] for fid in fids],

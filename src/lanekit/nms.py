@@ -33,11 +33,11 @@ longitudinally.  ``default_nms_thresholds`` applies it to a whole grid.
 
 import operator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ValidationError, reject_non_finite, reject_rows
+from .errors import ValidationError, float_array, reject_non_finite, reject_rows
 
 _INT64 = np.iinfo(np.int64)
 
@@ -62,12 +62,14 @@ class Keypoint:
     class_scores: np.ndarray = None
 
     def __post_init__(self):
-        scores = np.atleast_1d(np.asarray(
-            self.class_scores if self.class_scores is not None else [], dtype=float))
+        scores = np.atleast_1d(float_array(
+            self.class_scores if self.class_scores is not None else [], "class_scores"))
         # min() and max() keep a NaN, and NaN fails every comparison.
         if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
             raise ValidationError(f"class_scores must lie in [0, 1], got {scores.tolist()!r}")
-        if not 0.0 <= self.fg_score <= 1.0:
+        # NaN fails both comparisons; bool is a Real, but not a score.
+        if not (isinstance(self.fg_score, Real) and not isinstance(self.fg_score, bool)
+                and 0.0 <= self.fg_score <= 1.0):
             raise ValidationError(f"fg_score must lie in [0, 1], got {self.fg_score!r}")
         # bool is an int; a grid cell is not a truth value.
         if not (len(self.grid_index) == 2 and all(

@@ -5,7 +5,8 @@ scipy is imported in two places, each inside the function that calls it:
 ``connection_head.adjacency_forward`` (``expit``).  Each case runs in a
 fresh interpreter, because this test process has scipy loaded already.  A
 meta-path hook in the child records which lanekit function first asked for
-scipy.
+scipy.  orjson, the JSON decoder, is imported on the first file read, so
+the commands that read files load it and ``import lanekit`` does not.
 """
 
 import json
@@ -131,3 +132,24 @@ def test_head_probabilities_equal_scipy_expit_of_the_logits():
     logits = np.einsum("ik,jk->ij", f_orig * weights.final_w, f_dest,
                        optimize=False) + weights.final_b
     assert np.array_equal(adjacency_forward(features, weights).probs, expit(logits))
+
+
+def loads_orjson(code):
+    """Whether running ``code`` in a fresh interpreter with lanekit from
+    ``src`` loads orjson."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                           "print('orjson' in sys.modules)"], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_import_loads_no_orjson():
+    assert not loads_orjson("import lanekit")
+
+
+def test_extract_and_eval_load_orjson(scene):
+    root, pred, gt = scene
+    lanes = root / "orjson-lanes.json"
+    assert loads_orjson(cli("extract", "--pred", pred, "--out", lanes))
+    assert loads_orjson(cli("eval", "--pred", lanes, "--gt", gt))

@@ -13,6 +13,7 @@ from lanekit.geometry import build_custom_grid, build_uniform_grid, make_forward
 from lanekit.io import (
     LaneRecord,
     PredictionFrame,
+    _load_json,
     load_camera,
     load_ground_truth,
     load_head_weights,
@@ -482,6 +483,41 @@ class TestCameraFileBounds:
         path.write_text(path.read_text().replace("123.25", "1e999"))
         with pytest.raises(ValidationError, match="extrinsic"):
             load_camera(path)
+
+
+class TestDecoder:
+    """What the loaders make of the documents orjson reads differently from
+    the stdlib decoder or refuses (the io module docstring)."""
+
+    @staticmethod
+    def lane_file(path, category=1, points=((0.0, 1.0, 0.0), (0.0, 2.0, 0.0)), frame_id="f"):
+        lane = {"category": category, "confidence": 0.5, "points": [list(p) for p in points]}
+        path.write_text(json.dumps({"frame_id": frame_id, "lanes": [lane]}))
+        return path
+
+    def test_integers_beyond_64_bits_read_as_floats(self, tmp_path):
+        path = self.lane_file(tmp_path / "lanes.json", category=2 ** 64)
+        with pytest.raises(SchemaError, match=r"lanes\[0\]\.category: expected int, got float"):
+            load_lane_frame(path)
+        self.lane_file(path, category=2 ** 64 - 1)
+        assert load_lane_frame(path)[1][0].category == 2 ** 64 - 1
+        self.lane_file(path, points=[[2 ** 64, 1.0, 0.0], [-2 ** 63 - 1, 2.0, 0.0]])
+        x = _load_json(path)["lanes"][0]["points"]
+        assert (x[0][0], x[1][0]) == (1.8446744073709552e19, -9.223372036854776e18)
+        assert type(x[0][0]) is float and type(x[1][0]) is float
+        _, (lane,) = load_lane_frame(path)
+        assert lane.points[:, 0].tolist() == [1.8446744073709552e19, -9.223372036854776e18]
+
+    def test_lone_surrogate_still_loads(self, tmp_path):
+        path = self.lane_file(tmp_path / "lanes.json", frame_id="\ud800")
+        assert '"\\ud800"' in path.read_text()
+        assert load_lane_frame(path)[0] == "\ud800"
+
+    def test_invalid_utf8_is_schema_error(self, tmp_path):
+        path = tmp_path / "lanes.json"
+        path.write_bytes(b'{"frame_id": "\xff", "lanes": []}')
+        with pytest.raises(SchemaError, match="file: not valid JSON"):
+            load_lane_frame(path)
 
 
 def _set(*keys, value=True):

@@ -8,6 +8,11 @@ arbitrary JSON documents and valid files with a few parts replaced, removed
 or duplicated.  Whatever a loader accepts must also save and load back
 unchanged, and must hold no JSON boolean where a number belongs, alone or
 in a list of numbers.
+
+The loaders' one decoder, ``io._load_json``, must also return exactly what
+the stdlib decoder returns, types included, or raise the same
+``SchemaError``, on every writer's output and on arbitrary documents whose
+integers orjson reads as integers.
 """
 
 import copy
@@ -19,13 +24,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lanekit.connection_head import random_head_weights
-from lanekit.errors import ValidationError
+from lanekit.connection_head import HeadWeights, random_head_weights
+from lanekit.errors import SchemaError, ValidationError
 from lanekit.geometry import build_uniform_grid, make_forward_camera, project_grid_to_image
-from lanekit.io import (LaneRecord, PredictionFrame, load_camera, load_ground_truth,
-                        load_head_weights, load_lane_frame, load_prediction_frame,
-                        save_camera, save_ground_truth, save_head_weights, save_lane_frame,
-                        save_prediction_frame)
+from lanekit.io import (LaneRecord, PredictionFrame, _load_json, _reject_constant,
+                        load_camera, load_ground_truth, load_head_weights, load_lane_frame,
+                        load_prediction_frame, save_camera, save_ground_truth,
+                        save_head_weights, save_lane_frame, save_prediction_frame)
 from lanekit.nms import ProposalSet
 
 _TEMP = tempfile.TemporaryDirectory(prefix="lanekit-fuzz-")   # removed at exit
@@ -35,11 +40,20 @@ WORKDIR = Path(_TEMP.name)
 SPECIAL = st.sampled_from([0, 1, -1, 2, 0.5, -0.0, 1e308, -1e308, 2 ** 63, 10 ** 400,
                            -10 ** 400, True, False, None, "", "0.5", "a", [], {}, [[]],
                            [0, 1], [0.5, 0.5, 0.5], "dense", "sparse"])
-SCALARS = (st.none() | st.booleans() | st.integers()
-           | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5) | SPECIAL)
-JSON = st.recursive(SCALARS, lambda children: st.lists(children, max_size=4)
-                    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-                    max_leaves=12)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def json_values(integers=st.integers(), floats=FINITE, text=st.text(max_size=5)):
+    """JSON values whose integers, floats and strings are drawn from the
+    strategies given."""
+    scalars = st.none() | st.booleans() | integers | floats | text | SPECIAL
+    return st.recursive(scalars, lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+                        max_leaves=12)
+
+
+JSON = json_values()
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -281,3 +295,109 @@ def test_arbitrary_text(text):
             loader(path)
         except ValidationError:
             pass
+
+
+# Integers orjson reads as integers; beyond them it reads the nearest float
+# (the io module docstring), so only these are drawn where the decoders
+# must agree.
+ORJSON_INTEGERS = st.integers(-2 ** 63, 2 ** 64 - 1)
+UNIT = st.floats(0, 1)
+
+
+@st.composite
+def written(draw):
+    """The text one of the writers makes: a dense or sparse frame, a lane,
+    ground-truth, camera or head-weight file, holding drawn numbers."""
+    kind = draw(st.sampled_from(["dense", "sparse", "lanes", "gt", "camera", "weights"]))
+    path = WORKDIR / "written.json"
+    if kind in ("dense", "sparse"):
+        n, width = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+
+        def column(elements, shape):
+            count = int(np.prod(shape))
+            return np.array(draw(st.lists(elements, min_size=count, max_size=count)),
+                            dtype=float).reshape(shape)
+
+        proposals = ProposalSet.from_arrays(
+            [(i, draw(st.integers(-2 ** 63, 2 ** 63 - 1))) for i in range(n)],
+            column(FINITE, n), column(FINITE, n), column(FINITE, n), column(FINITE, n),
+            column(UNIT, n), column(UNIT, (n, width)), repeats_n=draw(st.integers(1, 3)))
+        adjacency = column(UNIT, (n, n))
+        if kind == "sparse":
+            # At most a third of the entries nonzero picks the triplet encoding.
+            adjacency.reshape(-1)[(n * n + 2) // 3:] = 0.0
+        save_prediction_frame(PredictionFrame(frame_id=draw(st.text(max_size=5)),
+                                              keypoints=proposals, adjacency=adjacency), path)
+    elif kind in ("lanes", "gt"):
+        def lane():
+            points = draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=2, max_size=4))
+            points.sort(key=lambda p: p[1])
+            return LaneRecord(points, draw(st.integers(0, 2 ** 64 - 1)), draw(UNIT))
+
+        lanes = [lane() for _ in range(draw(st.integers(0, 3)))]
+        if kind == "lanes":
+            save_lane_frame(draw(st.text(max_size=5)), lanes, path)
+        else:
+            save_ground_truth({"f": lanes, "g": lanes[:1]}, path)
+    elif kind == "camera":
+        save_camera(make_forward_camera(
+            height=draw(st.floats(0.1, 1e6)), pitch_deg=draw(st.floats(-80, 80)),
+            yaw_deg=draw(st.floats(-180, 180)), focal=draw(st.floats(1e-3, 1e9)),
+            image_size=(draw(st.integers(1, 2 ** 31 - 1)), draw(st.integers(1, 2 ** 31 - 1)))),
+            path)
+    else:
+        weights = random_head_weights(draw(st.integers(0, 2 ** 32 - 1)), d_c=1,
+                                      dims_per_axis=1, hidden=2, embed=2)
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        save_head_weights(HeadWeights(**{name: value * scale
+                                         for name, value in vars(weights).items()}), path)
+    return path.read_text()
+
+
+DOCUMENTS = st.one_of(
+    written(),
+    json_values(ORJSON_INTEGERS).map(json.dumps),
+    # NaN and Infinity tokens, and strings holding surrogate escapes.
+    json_values(ORJSON_INTEGERS, floats=st.floats(),
+                text=st.text(st.characters(min_codepoint=0xd7f0, max_codepoint=0xdfff),
+                             max_size=3)).map(json.dumps),
+    st.text(max_size=40))
+
+
+def stdlib_load_json(text):
+    """``_load_json``'s result by the stdlib decoder alone."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("file", f"not valid JSON ({exc})") from exc
+
+
+def outcome(decode, arg):
+    try:
+        return "value", decode(arg)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+def identical(a, b):
+    """Whether ``a`` and ``b`` are equal with one type at every node; floats
+    compare by their bits, so 0.0 and -0.0 differ."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(identical, a, b))
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+def test_load_json_agrees_with_the_stdlib_decoder(text):
+    path = WORKDIR / "decode.json"
+    path.write_bytes(text.encode("utf-8"))
+    (kind, got), (want_kind, want) = outcome(_load_json, path), outcome(stdlib_load_json, text)
+    assert kind == want_kind
+    assert identical(got, want) if kind == "value" else got == want

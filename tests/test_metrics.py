@@ -608,6 +608,15 @@ class TestArgumentsRejectedWhereTheyEnter:
         with pytest.raises(ValidationError, match="conf_steps"):
             evaluate([straight(0.0)], [straight(0.0)], conf_steps=steps)
 
+    @pytest.mark.parametrize("pred, gt, name", [({0: [], "a": []}, {0: [], "a": []},
+                                                 "pred_frames"),
+                                                ({0: []}, {"a": []}, "gt_frames")],
+                             ids=["both", "unpaired"])
+    def test_frame_ids_must_be_mutually_orderable(self, pred, gt, name):
+        with pytest.raises(ValidationError,
+                           match=f"{name}: frame ids are not mutually orderable"):
+            evaluate(pred, gt)
+
 
 class TestOneLaneRule:
     """evaluate, match_lanes and resample_lane take LaneRecords only, so

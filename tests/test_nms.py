@@ -47,7 +47,11 @@ class TestKeypoint:
 
     @pytest.mark.parametrize("field, value", [("class_scores", [np.nan, 0.2]),
                                               ("class_scores", [0.2, -0.0001]),
-                                              ("fg_score", np.nan), ("fg_score", 1.5)])
+                                              ("fg_score", np.nan), ("fg_score", 1.5),
+                                              ("fg_score", True), ("fg_score", False),
+                                              ("class_scores", [True, 0.2]),
+                                              ("class_scores", [0.2, False]),
+                                              ("class_scores", np.array([True]))])
     def test_bad_scores_rejected_where_they_enter(self, field, value):
         fields = {"fg_score": 0.5, "class_scores": [0.2], field: value}
         with pytest.raises(ValidationError, match=field):
