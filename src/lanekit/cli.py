@@ -321,6 +321,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError, check_int
 from .graph import AdjacencyMatrix
 
 
@@ -92,8 +93,8 @@ def positional_encode(position, dims_per_axis=32):
     frequency k with angular scale 10000^(2k/dims).  Accepts a single (x, y)
     or a batch (..., 2); output gains a trailing axis of 2*dims_per_axis.
     """
-    if dims_per_axis <= 0 or dims_per_axis % 2:
-        raise ValueError("dims_per_axis must be positive and even")
+    if check_int(dims_per_axis, "dims_per_axis", 1) % 2:
+        raise ValidationError("dims_per_axis must be positive and even")
     pos = np.asarray(position, dtype=float)
     if pos.shape[-1] != 2:
         raise ValueError("position must have a trailing axis of length 2")

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the generic array checks
-that raise them, naming the offending field or row."""
+"""Exception types shared across the package, and the checks that raise
+them naming the offending argument, field or row: ``check_real`` and
+``check_int``, the one rule for scalar arguments, and the array checks."""
 
+import math
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,6 +23,41 @@ class SchemaError(ValidationError):
         self.field = field
         self.problem = problem
         super().__init__(f"{field}: {problem}")
+
+
+_BOOLS = frozenset((bool, np.bool_))
+# Checked by type first: isinstance against an ABC costs a Python call.
+_PLAIN_REALS = frozenset((float, int, np.float64))
+
+# Phrases for the intervals whose generic "lie in [a, b)" reads badly.
+_INTERVAL_PHRASES = {(0, math.inf, "()"): "be positive and finite",
+                     (0, math.inf, "[)"): "be finite and non-negative",
+                     (-math.inf, math.inf, "()"): "be finite",
+                     (-math.inf, math.inf, "[]"): "be a number"}
+
+
+def check_real(value, name, low=-math.inf, high=math.inf, ends="()"):
+    """``value``, which must be a real number between ``low`` and ``high``,
+    ends open or closed as ``ends`` says (``"[)"`` is [low, high)); anything
+    else, a bool or NaN included, raises ValidationError naming ``name``."""
+    if not ((type(value) in _PLAIN_REALS or isinstance(value, Real) and type(value) not in _BOOLS)
+            and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        phrase = _INTERVAL_PHRASES.get((low, high, ends),
+                                       f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+        raise ValidationError(f"{name} must {phrase}, got {value!r}")
+    return value
+
+
+def check_int(value, name, low=None):
+    """``value`` as a Python int; anything but an integer of at least ``low``,
+    a bool or a float such as 2.0 included, raises ValidationError naming ``name``."""
+    if not ((type(value) is int or isinstance(value, Integral) and type(value) not in _BOOLS)
+            and (low is None or value >= low)):
+        phrase = ("an integer" if low is None else "a non-negative integer" if low == 0
+                  else f"an integer >= {low}")
+        raise ValidationError(f"{name} must be {phrase}, got {value!r}")
+    return int(value)
 
 
 def reject_rows(bad, array, field, problem):
@@ -54,9 +92,6 @@ def float_array(values, name):
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{name}: expected a rectangular array of numbers")
     return array.astype(float, copy=False)
-
-
-_BOOLS = frozenset((bool, np.bool_))
 
 
 def _holds_bool(values, depth):

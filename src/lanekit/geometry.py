@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGroundIntersection, ValidationError
+from .errors import NoGroundIntersection, ValidationError, check_int, check_real
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
@@ -74,10 +74,10 @@ class CameraModel:
             if not (np.abs(M) <= MAX_CAMERA_ENTRY).all():
                 raise ValueError(f"{name} entries must be finite with magnitude "
                                  f"at most {MAX_CAMERA_ENTRY:g}")
-        size = (int(self.image_size[0]), int(self.image_size[1]))
-        if not all(1 <= side <= MAX_IMAGE_SIDE_PX for side in size):
-            raise ValueError(f"image_size (height, width) must lie in "
-                             f"[1, {MAX_IMAGE_SIDE_PX}], got {size}")
+        size = tuple(check_int(side, "image_size", 1) for side in self.image_size)
+        if len(size) != 2 or max(size) > MAX_IMAGE_SIDE_PX:
+            raise ValidationError(f"image_size (height, width) must lie in "
+                                  f"[1, {MAX_IMAGE_SIDE_PX}], got {size}")
         if not np.allclose(K[np.tril_indices(3, -1)], 0.0):
             raise ValueError("intrinsic must be upper-triangular")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
@@ -201,8 +201,7 @@ def _check_bounded(name, values):
 def build_uniform_grid(rows, cols, y_range, x_range):
     """Evenly spaced lattice whose corners coincide with the range bounds,
     each finite with magnitude at most ``MAX_POSITION_M``."""
-    if rows < 2 or cols < 2:
-        raise ValueError("uniform grid needs rows >= 2 and cols >= 2")
+    rows, cols = check_int(rows, "rows", 2), check_int(cols, "cols", 2)
     _check_bounded("y_range", y_range)
     _check_bounded("x_range", x_range)
     y_min, y_max = float(y_range[0]), float(y_range[1])
@@ -231,19 +230,13 @@ def build_custom_grid(rows, cols, spacing_near=0.5, spacing_far=1.5,
     ``y_min``.  Every length and position argument must be finite with
     magnitude at most ``MAX_POSITION_M``, and the gaps and width positive.
     """
-    if rows < 2:
-        raise ValueError("custom grid needs rows >= 2")
-    if cols < 2:
-        raise ValueError("custom grid needs cols >= 2")
-    for name, value in (("spacing_near", spacing_near), ("spacing_far", spacing_far),
-                        ("width", width), ("y_origin", y_origin)):
-        _check_bounded(name, value)
+    rows, cols = check_int(rows, "rows", 2), check_int(cols, "cols", 2)
+    check_real(spacing_near, "spacing_near", 0, MAX_POSITION_M, "(]")
+    check_real(spacing_far, "spacing_far", spacing_near, MAX_POSITION_M, "(]")
+    check_real(width, "width", 0, MAX_POSITION_M, "(]")
+    check_real(y_origin, "y_origin", -MAX_POSITION_M, MAX_POSITION_M, "[]")
     if normalize_to_range is not None:
         _check_bounded("normalize_to_range", normalize_to_range)
-    if not 0 < spacing_near < spacing_far:
-        raise ValidationError("spacing_near must be positive and smaller than spacing_far")
-    if width <= 0:
-        raise ValidationError("width must be positive")
 
     spacing = spacing_near + np.arange(rows) * ((spacing_far - spacing_near) / (rows - 1))
     origin = float(y_origin)

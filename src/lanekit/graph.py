@@ -14,11 +14,10 @@ broken as ``extract_lanes`` states.
 
 import heapq
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ValidationError, float_array, reject_non_finite
+from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
 from .nms import as_proposal_set
 
 
@@ -112,22 +111,14 @@ class LaneRecord:
         if (points[1:, 1] < points[:-1, 1]).any():
             raise ValidationError("lane points must have non-decreasing y")
         points.flags.writeable = False
-        # bool is an Integral; a category is not a truth value.
-        if not (isinstance(self.category, Integral) and not isinstance(self.category, bool)
-                and self.category >= 0):
-            raise ValidationError(f"category must be a non-negative integer, "
-                                  f"got {self.category!r}")
-        # NaN fails both comparisons; bool is a Real, but not a confidence.
-        if not (isinstance(self.confidence, Real) and not isinstance(self.confidence, bool)
-                and 0.0 <= self.confidence <= 1.0):
-            raise ValidationError(f"confidence must lie in [0, 1], got {self.confidence!r}")
-        path = tuple(int(i) for i in self.path)
+        object.__setattr__(self, "category", check_int(self.category, "category", 0))
+        check_real(self.confidence, "confidence", 0, 1, "[]")
+        path = tuple(check_int(i, "path", 0) for i in self.path)
         if path and len(path) != len(points):
             raise ValidationError(f"path has {len(path)} nodes for {len(points)} points")
         if len(set(path)) != len(path):
             raise ValidationError("lane path must be simple (no repeated nodes)")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "category", int(self.category))
         object.__setattr__(self, "path", path)
 
 
@@ -158,9 +149,7 @@ def threshold_adjacency(adjacency, t_a, nodes=None):
     index ``nodes[k]``.  Its edges are read from the nodes' rows, a block
     of rows at a time, so that submatrix is never built.
     """
-    # NaN fails both comparisons.
-    if not 0.0 <= t_a < 1.0:
-        raise ValidationError(f"t_a must lie in [0, 1), got {t_a!r}")
+    check_real(t_a, "t_a", 0, 1, "[)")
     probs = _as_probs(adjacency)
     size = len(probs)
     nodes = _as_nodes(nodes, size)

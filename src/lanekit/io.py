@@ -12,12 +12,13 @@ Lane files and ground-truth files both hold ``graph.LaneRecord``s; a ground-trut
 lane is written without a confidence and reads back with confidence 1.0.
 
 Every loader reads its file as bytes and decodes them with ``orjson``,
-imported on the first read so that importing lanekit loads numpy only.
-Only a document orjson refuses goes to the stdlib decoder, as UTF-8 text:
-one holding ``NaN`` or ``Infinity`` (rejected there, naming the token), a
+imported on the first read so that importing lanekit loads numpy only.  Only
+a document orjson refuses goes to the stdlib decoder, as UTF-8 text: one
+holding ``NaN`` or ``Infinity`` (rejected there, naming the token), a
 number beyond the double range (it loads, and the field holding it is then
-rejected as out of range), a lone surrogate escape (it loads), or one that
-is not JSON at all (``file: not valid JSON (...)``).  The two decoders
+rejected as out of range), a lone surrogate escape (it loads), one nested
+too deeply for its recursion (``file: nested too deeply to decode``) or one
+that is not JSON at all (``file: not valid JSON (...)``).  The two decoders
 agree on everything orjson accepts but one thing: orjson reads an integer
 literal outside [-2**63, 2**64) as the nearest float, so ``2**64`` is
 ``1.8446744073709552e19`` where a number belongs and is rejected where an
@@ -80,6 +81,8 @@ def _load_json(path):
         return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise SchemaError("file", "nested too deeply to decode") from None
 
 
 def _as_float(value, field):
@@ -264,13 +267,10 @@ def load_camera(path):
         raise SchemaError("intrinsic", f"expected 9 floats, got {len(intrinsic)}")
     if len(extrinsic) != 16:
         raise SchemaError("extrinsic", f"expected 16 floats, got {len(extrinsic)}")
-    # bool is an int subclass; JSON true is not a pixel count.
-    if len(size) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in size):
-        raise SchemaError("image_size", "expected [height, width] integers")
     try:
         return CameraModel(intrinsic=float_array(intrinsic, "intrinsic").reshape(3, 3),
                            extrinsic=float_array(extrinsic, "extrinsic").reshape(4, 4),
-                           image_size=(size[0], size[1]))
+                           image_size=tuple(size))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

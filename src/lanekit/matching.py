@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_int, check_real
 from .nms import as_proposal_set
 
 # Feasibility limits, in meters.
@@ -36,7 +36,8 @@ class GroundTruthKeypoint:
 
     ``row`` is the grid row the point was sampled at; the same-row matching
     constraint compares row indices when both sides carry one, falling back
-    to exact longitudinal equality otherwise.
+    to exact longitudinal equality otherwise.  Positions are finite, and
+    ``category`` and ``row`` (None or an index) are non-negative integers.
     """
 
     lane_id: int
@@ -48,8 +49,12 @@ class GroundTruthKeypoint:
     row: int = None
 
     def __post_init__(self):
-        if self.category < 0:
-            raise ValidationError(f"category must be >= 0, got {self.category}")
+        for name, low in (("lane_id", None), ("order_in_lane", None), ("category", 0)):
+            check_int(getattr(self, name), name, low)
+        for name in ("x", "y", "z"):
+            check_real(getattr(self, name), name)
+        if self.row is not None:
+            check_int(self.row, "row", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +122,7 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     must be finite and non-negative.
     """
     for name, weight in (("lambda_dist", lambda_dist), ("lambda_cls", lambda_cls)):
-        # NaN fails both comparisons.
-        if not 0.0 <= weight < np.inf:
-            raise ValidationError(f"{name} must be finite and non-negative, got {weight!r}")
+        check_real(weight, name, 0, ends="[)")
     proposals = as_proposal_set(proposals)
     P, G = len(proposals), len(gts)
     costs = np.full((P, G), np.inf)
@@ -245,8 +248,7 @@ def _matching(pairs, proposal_count, gt_count):
 def match_keypoints(proposals, gts, repeats_n=1, strongest=False,
                     lambda_dist=1.0, lambda_cls=1.0):
     """Matches proposals against GT keypoints, duplicated unless strongest."""
-    if repeats_n < 1:
-        raise ValueError("repeats_n must be >= 1")
+    check_int(repeats_n, "repeats_n", 1)
     gts = list(gts)
     repeats = 1 if strongest else repeats_n
     duplicated = [g for g in gts for _ in range(repeats)]

@@ -24,7 +24,6 @@ from the same pass.
 """
 
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import ValidationError, float_array
+from .errors import ValidationError, check_real, float_array
 from .graph import LaneRecord
 from .matching import solve_assignment
 
@@ -251,15 +250,6 @@ def _augment(root, adjacent, owner):
     return False
 
 
-def _check_threshold(threshold):
-    """Raises ValidationError unless the distance ``threshold`` is finite
-    and positive."""
-    # NaN fails both comparisons.
-    if not 0.0 < threshold < np.inf:
-        raise ValidationError(f"distance threshold must be finite and positive, "
-                              f"got {threshold!r}")
-
-
 def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
     """One-to-one matching of two LaneRecord lists under the 75% rule at
     ``dist_threshold``, which must be finite and positive, on ``y_samples``
@@ -269,7 +259,7 @@ def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
     Indices in the result refer to positions among the lanes that have at
     least one valid sample; lanes entirely outside the grid are dropped.
     """
-    _check_threshold(dist_threshold)
+    check_real(dist_threshold, "dist_threshold", 0)
     y_samples = _y_grid(y_samples)
     pred, = _on_grid([pred_lanes], ["pred_lanes"], y_samples)
     gt, = _on_grid([gt_lanes], ["gt_lanes"], y_samples)
@@ -365,9 +355,7 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
         raise ValidationError(f"gt_frames: frame ids do not align with pred_frames; "
                               f"unpaired: {_sorted_ids(missing, 'gt_frames')!r}")
     y_samples = _y_grid(y_samples)
-    # NaN is the one Real that differs from itself.
-    if not isinstance(near_far_split, Real) or near_far_split != near_far_split:
-        raise ValidationError(f"near_far_split must be a number, got {near_far_split!r}")
+    check_real(near_far_split, "near_far_split", ends="[]")
     near_mask = y_samples < near_far_split
     steps = float_array(conf_steps, "conf_steps")
     # NaN fails both comparisons.
@@ -379,9 +367,7 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
                          [f"pred_frames[{fid!r}]" for fid in fids], y_samples)
     gt_side = _on_grid([gts[fid] for fid in fids],
                        [f"gt_frames[{fid!r}]" for fid in fids], y_samples)
-    thresholds = tuple(thresholds)
-    for threshold in thresholds:
-        _check_threshold(threshold)
+    thresholds = tuple(check_real(t, f"thresholds[{i}]", 0) for i, t in enumerate(thresholds))
 
     # Frames are the outer loop, so a frame's pair distances serve every
     # threshold; its tallies are added into the totals in frame order.

@@ -33,11 +33,11 @@ longitudinally.  ``default_nms_thresholds`` applies it to a whole grid.
 
 import operator
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ValidationError, float_array, reject_non_finite, reject_rows
+from .errors import (ValidationError, check_int, check_real, float_array,
+                     reject_non_finite, reject_rows)
 
 _INT64 = np.iinfo(np.int64)
 
@@ -67,16 +67,19 @@ class Keypoint:
         # min() and max() keep a NaN, and NaN fails every comparison.
         if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
             raise ValidationError(f"class_scores must lie in [0, 1], got {scores.tolist()!r}")
-        # NaN fails both comparisons; bool is a Real, but not a score.
-        if not (isinstance(self.fg_score, Real) and not isinstance(self.fg_score, bool)
-                and 0.0 <= self.fg_score <= 1.0):
-            raise ValidationError(f"fg_score must lie in [0, 1], got {self.fg_score!r}")
-        # bool is an int; a grid cell is not a truth value.
-        if not (len(self.grid_index) == 2 and all(
-                isinstance(v, Integral) and not isinstance(v, bool) for v in self.grid_index)):
-            raise ValidationError(f"grid_index must be two integers, got {self.grid_index!r}")
+        check_real(self.fg_score, "fg_score", 0, 1, "[]")
+        # Coordinates must be numbers; a NaN or an infinity is left to
+        # ProposalSet, whose finiteness check names the row holding it.
+        for name, value in (("x", self.x), ("y", self.y), ("dx", self.dx), ("z", self.z)):
+            if value == value:
+                check_real(value, name, ends="[]")
+        try:
+            row, col = (check_int(v, "grid_index") for v in self.grid_index)
+        except ValueError:   # not two values, or not integers
+            raise ValidationError(f"grid_index must be two integers, "
+                                  f"got {self.grid_index!r}") from None
         object.__setattr__(self, "class_scores", scores)
-        object.__setattr__(self, "grid_index", (int(self.grid_index[0]), int(self.grid_index[1])))
+        object.__setattr__(self, "grid_index", (row, col))
 
     def _key(self):
         return (self.grid_index, self.x, self.y, self.dx, self.z, self.fg_score,
@@ -165,8 +168,6 @@ class ProposalSet:
 
     def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, repeats_n):
         """Validates and keeps copies of the columns, as read-only arrays."""
-        if repeats_n < 1:
-            raise ValidationError("repeats_n must be >= 1")
         n = len(grid_index)
         columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
         for name, values in columns.items():
@@ -184,7 +185,7 @@ class ProposalSet:
         for name, values in columns.items():
             setattr(self, name, _read_only(values))
         self.class_scores = _read_only(np.array(class_scores, dtype=float))
-        self.repeats_n = int(repeats_n)
+        self.repeats_n = check_int(repeats_n, "repeats_n", 1)
 
     def __len__(self):
         return len(self.x)
@@ -236,8 +237,8 @@ def select_topn_proposals(score_map, grid, n):
     if scores.shape != (grid.rows, grid.cols):
         raise ValueError(f"score map shape {scores.shape} does not match grid "
                          f"({grid.rows}, {grid.cols})")
-    if not 0 <= n <= scores.size:
-        raise ValueError(f"n must be in [0, {scores.size}], got {n}")
+    if check_int(n, "n", 0) > scores.size:
+        raise ValidationError(f"n must be in [0, {scores.size}], got {n}")
     flat = scores.reshape(-1)
     order = np.argsort(-flat, kind="stable")[:n]
     rows, cols = np.divmod(order, grid.cols)
@@ -248,12 +249,8 @@ def select_topn_proposals(score_map, grid, n):
 
 
 def apply_offsets(proposals, dx, z):
-    """Attaches per-proposal lateral offsets and heights; anchors stay put."""
-    dx = np.asarray(dx, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if dx.shape != (len(proposals),) or z.shape != (len(proposals),):
-        raise ValueError(f"offset arrays must have length {len(proposals)}, "
-                         f"got dx {dx.shape} and z {z.shape}")
+    """Attaches per-proposal lateral offsets and heights; anchors stay put.
+    The set's column check rejects ``dx`` or ``z`` of the wrong shape."""
     return ProposalSet.from_arrays(proposals.grid_index, proposals.x, proposals.y, dx, z,
                                    proposals.fg_score, proposals.class_scores,
                                    proposals.repeats_n)
@@ -388,8 +385,7 @@ def box_nms(boxes, scores, iou_thresh):
     cells are tested.  The greedy sweep then skips a box exactly when it
     conflicts with an already-kept one.
     """
-    if not 0.0 <= iou_thresh <= 1.0:
-        raise ValidationError(f"iou_thresh must lie in [0, 1], got {iou_thresh}")
+    check_real(iou_thresh, "iou_thresh", 0, 1, "[]")
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(boxes),):
@@ -425,12 +421,10 @@ def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
     ``thresh_x``, ``thresh_y`` and ``r`` must be positive and finite, and
     each half-window ``r * thresh / 2`` must lie inside the int64 range.
     """
-    for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y), ("r", r)):
-        if not 0.0 < value < np.inf:    # NaN fails too
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    check_real(r, "r", 0)
     for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y)):
         # Python floats overflow to inf without a warning.
-        half = float(r) / 2.0 * float(value)
+        half = float(r) / 2.0 * float(check_real(value, name, 0))
         if not half < 2.0 ** 63:
             raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
                                   f"outside the int64 range")

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int
 from .graph import extract_lanes
 from .nms import ProposalSet, infer_nms_thresholds, point_nms
 
@@ -43,6 +44,7 @@ def run_pipeline(frame, t_a=0.5, thresh_x=None, thresh_y=None, r=10,
     instances from the survivors, dropping any shorter than
     ``min_lane_points``.  The lane graph is read from the survivors' rows
     of the frame's adjacency; the pruned matrix is never built."""
+    check_int(min_lane_points, "min_lane_points", 0)
     keep = _survivors(frame, thresh_x, thresh_y, r, iou_thresh)
     kept = frame.keypoints.subset(keep)
     lanes = extract_lanes(kept, frame.adjacency, t_a=t_a, nodes=keep)

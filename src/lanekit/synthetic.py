@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int, check_real
 from .io import PredictionFrame
 from .matching import GroundTruthKeypoint
 from .metrics import GroundTruthLane
@@ -47,18 +48,14 @@ class SceneSpec:
     z_coeffs: tuple = None
 
     def __post_init__(self):
-        if self.lane_count < 1:
-            raise ValueError("lane_count must be >= 1")
-        if self.sigma_x < 0 or self.sigma_z < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
-        if self.proposals_per_target < 1:
-            raise ValueError("proposals_per_target must be >= 1")
-        if not 0.0 <= self.distractor_edge_rate <= 1.0:
-            raise ValueError("distractor_edge_rate must lie in [0, 1]")
-        if self.categories < 1:
-            raise ValueError("categories must be >= 1")
+        check_int(self.seed, "seed", 0)
+        for name in ("lane_count", "proposals_per_target", "categories"):
+            check_int(getattr(self, name), name, 1)
+        for name in ("sigma_x", "sigma_z"):
+            check_real(getattr(self, name), name, 0, ends="[)")
+        check_real(self.dropout_p, "dropout_p", 0, 1, "[)")
+        check_real(self.distractor_edge_rate, "distractor_edge_rate", 0, 1, "[]")
+        check_real(self.edge_threshold, "edge_threshold", 0, 1, "[]")
 
 
 def _draw_coeffs(rng, lane_count, grid):
