@@ -39,7 +39,7 @@ from .synthetic import SceneSpec, generate_scene
 def _threshold_list(text):
     values = tuple(float(v) for v in text.split(",") if v.strip())
     if not values:
-        raise ValueError("empty threshold list")
+        raise ValidationError("thresholds: empty threshold list")
     return values
 
 

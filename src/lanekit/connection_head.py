@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
 from .graph import AdjacencyMatrix
 
 
@@ -36,27 +36,22 @@ class HeadWeights:
     final_b: float
 
     def __post_init__(self):
-        for name in ("origin_w1", "origin_b1", "origin_w2", "origin_b2",
-                     "dest_w1", "dest_b1", "dest_w2", "dest_b2", "final_w"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "final_b", float(self.final_b))
+        # Each shape follows from the ones before it, so the MLPs chain.
+        d_in = embed = None
         for side in ("origin", "dest"):
-            w1, b1 = getattr(self, f"{side}_w1"), getattr(self, f"{side}_b1")
-            w2, b2 = getattr(self, f"{side}_w2"), getattr(self, f"{side}_b2")
-            if w1.ndim != 2 or w2.ndim != 2:
-                raise ValueError(f"{side} MLP weights must be 2-D")
-            if b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] \
-                    or b2.shape != (w2.shape[1],):
-                raise ValueError(f"{side} MLP dimensions do not chain")
-        if self.dest_w1.shape[0] != self.origin_w1.shape[0]:
-            raise ValueError("origin and dest MLPs must consume the same input width")
-        if self.origin_w2.shape[1] != self.dest_w2.shape[1]:
-            raise ValueError("origin and dest embeddings must have equal width")
-        if self.final_w.shape != (self.origin_w2.shape[1],):
-            raise ValueError("final layer width must equal the embedding width")
+            d_in, hidden = self._field(f"{side}_w1", (d_in, None)).shape
+            self._field(f"{side}_b1", (hidden,))
+            embed = self._field(f"{side}_w2", (hidden, embed)).shape[1]
+            self._field(f"{side}_b2", (embed,))
+        self._field("final_w", (embed,))
+        object.__setattr__(self, "final_b", float(check_real(self.final_b, "final_b")))
+
+    def _field(self, name, shape):
+        """Field ``name`` as a finite float array of the ``shape`` pattern."""
+        array = float_array(getattr(self, name), name, shape)
+        reject_non_finite(array, name)
+        object.__setattr__(self, name, array)
+        return array
 
     @property
     def input_dim(self):
@@ -71,12 +66,10 @@ class ConnectionFeatures:
     positions: np.ndarray
 
     def __post_init__(self):
-        f_c = np.asarray(self.f_c, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
-        if f_c.ndim != 2:
-            raise ValueError(f"f_c must be (S, d_c), got shape {f_c.shape}")
-        if positions.shape != (len(f_c), 2):
-            raise ValueError(f"positions must be ({len(f_c)}, 2), got {positions.shape}")
+        f_c = float_array(self.f_c, "f_c", (None, None))
+        positions = float_array(self.positions, "positions", (len(f_c), 2))
+        reject_non_finite(f_c, "f_c")
+        reject_non_finite(positions, "positions")
         object.__setattr__(self, "f_c", f_c)
         object.__setattr__(self, "positions", positions)
 
@@ -95,9 +88,10 @@ def positional_encode(position, dims_per_axis=32):
     """
     if check_int(dims_per_axis, "dims_per_axis", 1) % 2:
         raise ValidationError("dims_per_axis must be positive and even")
-    pos = np.asarray(position, dtype=float)
-    if pos.shape[-1] != 2:
-        raise ValueError("position must have a trailing axis of length 2")
+    pos = float_array(position, "position")
+    if pos.shape[-1:] != (2,):
+        raise ValidationError(f"position must have a trailing axis of length 2, "
+                              f"got shape {pos.shape}")
     k = np.arange(dims_per_axis // 2)
     inv_freq = 10000.0 ** (-2.0 * k / dims_per_axis)
     angles = pos[..., :, np.newaxis] * inv_freq          # (..., 2, dims/2)
@@ -121,7 +115,7 @@ def adjacency_forward(features, weights):
 
     pe_len = weights.input_dim - features.f_c.shape[1]
     if pe_len <= 0 or pe_len % 4:
-        raise ValueError(
+        raise ValidationError(
             f"weights expect input width {weights.input_dim} but features are "
             f"{features.f_c.shape[1]} wide; no room for an even-dim encoding per axis")
     pe = positional_encode(features.positions, dims_per_axis=pe_len // 2)

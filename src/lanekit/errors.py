@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks that raise
 them naming the offending argument, field or row: ``check_real`` and
-``check_int``, the one rule for scalar arguments, and the array checks."""
+``check_int``, the one rule for scalar arguments, ``float_array``, the one
+rule for array arguments, and the row checks."""
 
 import math
 from itertools import chain
@@ -76,26 +77,39 @@ def reject_non_finite(values, array, field=""):
         reject_rows(~finite.reshape(len(values), -1).all(axis=1), array, field, "not finite")
 
 
-def float_array(values, name):
-    """``values`` as a float array; anything but a rectangular array of numbers
-    (ragged lists, strings, booleans, integers beyond 64 bits) is rejected as
-    ``name``.  Only a list's entries are scanned for booleans, which numpy
-    turns into 1.0 and 0.0 beside other numbers; an array is judged by its
-    dtype."""
+def float_array(values, name, shape=None):
+    """``values`` as a float array, the one rule for array arguments: anything
+    but a rectangular array of numbers (ragged input, strings, booleans,
+    integers beyond 64 bits) is rejected as ``name``.  Only a list's or
+    tuple's entries are scanned for booleans, which numpy turns into 1.0 and
+    0.0 beside other numbers; an array is judged by its dtype.
+
+    ``shape``, if given, is the pattern the array must match: one length per
+    axis, None matching any length.  An empty 1-D input reads as zero rows, so
+    ``[]`` matches ``(None, 4)`` as a ``(0, 4)`` array.  No value is checked;
+    finiteness and ranges are the caller's rule."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged list
         array = np.empty(0, dtype=object)
-    if array.dtype.kind == "b" or (array.dtype.kind in "iuf" and isinstance(values, list)
+    if array.dtype.kind == "b" or (array.dtype.kind in "iuf" and isinstance(values, (list, tuple))
                                    and _holds_bool(values, array.ndim)):
         raise ValidationError(f"{name}: expected numbers, got a boolean")
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{name}: expected a rectangular array of numbers")
+    if shape is not None:
+        if array.shape == (0,) and shape and shape[0] in (None, 0):
+            array = array.reshape((0,) + tuple(n or 0 for n in shape[1:]))
+        if len(array.shape) != len(shape) or any(
+                n is not None and n != have for n, have in zip(shape, array.shape)):
+            pattern = ", ".join("*" if n is None else str(n) for n in shape)
+            pattern += "," if len(shape) == 1 else ""
+            raise ValidationError(f"{name} must have shape ({pattern}), got {array.shape}")
     return array.astype(float, copy=False)
 
 
 def _holds_bool(values, depth):
-    """Whether the ``depth``-deep nested list ``values`` holds a boolean."""
+    """Whether the ``depth``-deep nested lists or tuples ``values`` hold a boolean."""
     for _ in range(depth - 1):
         values = chain.from_iterable(values)
     return not _BOOLS.isdisjoint(map(type, values))

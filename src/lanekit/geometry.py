@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGroundIntersection, ValidationError, check_int, check_real
+from .errors import NoGroundIntersection, ValidationError, check_int, check_real, float_array
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
@@ -63,31 +63,27 @@ class CameraModel:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        K = np.asarray(self.intrinsic, dtype=float)
-        E = np.asarray(self.extrinsic, dtype=float)
-        if K.shape != (3, 3):
-            raise ValueError(f"intrinsic must be 3x3, got {K.shape}")
-        if E.shape != (4, 4):
-            raise ValueError(f"extrinsic must be 4x4, got {E.shape}")
+        K = float_array(self.intrinsic, "intrinsic", (3, 3))
+        E = float_array(self.extrinsic, "extrinsic", (4, 4))
         # NaN fails the comparison, so this also rejects non-finite entries.
         for name, M in (("intrinsic", K), ("extrinsic", E)):
             if not (np.abs(M) <= MAX_CAMERA_ENTRY).all():
-                raise ValueError(f"{name} entries must be finite with magnitude "
-                                 f"at most {MAX_CAMERA_ENTRY:g}")
+                raise ValidationError(f"{name} entries must be finite with magnitude "
+                                      f"at most {MAX_CAMERA_ENTRY:g}")
         size = tuple(check_int(side, "image_size", 1) for side in self.image_size)
         if len(size) != 2 or max(size) > MAX_IMAGE_SIDE_PX:
             raise ValidationError(f"image_size (height, width) must lie in "
                                   f"[1, {MAX_IMAGE_SIDE_PX}], got {size}")
         if not np.allclose(K[np.tril_indices(3, -1)], 0.0):
-            raise ValueError("intrinsic must be upper-triangular")
+            raise ValidationError("intrinsic must be upper-triangular")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
-            raise ValueError("focal lengths must be positive")
+            raise ValidationError("intrinsic focal lengths must be positive")
         R = E[:3, :3]
         # Orthonormal entries lie in [-1, 1]; testing that first keeps R @ R.T finite.
         if not (np.abs(R).max() <= 1.0 + 1e-6 and np.allclose(R @ R.T, np.eye(3), atol=1e-6)):
-            raise ValueError("extrinsic rotation block is not orthonormal")
+            raise ValidationError("extrinsic rotation block is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
-            raise ValueError("extrinsic rotation block must have det +1")
+            raise ValidationError("extrinsic rotation block must have det +1")
         object.__setattr__(self, "intrinsic", K)
         object.__setattr__(self, "extrinsic", E)
         object.__setattr__(self, "image_size", size)
@@ -119,12 +115,18 @@ def make_forward_camera(height=1.5, pitch_deg=5.0, yaw_deg=0.0,
     """Builds a forward-looking camera ``height`` meters above the ground.
 
     ``pitch_deg`` tilts the optical axis down, ``yaw_deg`` turns it to the
-    right.  The principal point defaults to the image center.
+    right.  The principal point defaults to the image center.  The angles
+    must be finite, ``focal`` positive, and ``height``, ``focal`` and the
+    principal point's entries at most ``MAX_CAMERA_ENTRY`` in magnitude.
     """
-    h_px, w_px = image_size
+    check_real(height, "height", -MAX_CAMERA_ENTRY, MAX_CAMERA_ENTRY, "[]")
+    check_real(pitch_deg, "pitch_deg")
+    check_real(yaw_deg, "yaw_deg")
+    check_real(focal, "focal", 0, MAX_CAMERA_ENTRY, "(]")
     if principal is None:
+        h_px, w_px = _pair(image_size, "image_size", MAX_IMAGE_SIDE_PX)
         principal = (w_px / 2.0, h_px / 2.0)
-    cx, cy = principal
+    cx, cy = _pair(principal, "principal", MAX_CAMERA_ENTRY)
     K = np.array([[focal, 0.0, cx], [0.0, focal, cy], [0.0, 0.0, 1.0]])
 
     pitch = np.deg2rad(pitch_deg)
@@ -141,7 +143,7 @@ def make_forward_camera(height=1.5, pitch_deg=5.0, yaw_deg=0.0,
     E = np.eye(4)
     E[:3, :3] = R
     E[:3, 3] = -R @ center
-    return CameraModel(intrinsic=K, extrinsic=E, image_size=(h_px, w_px))
+    return CameraModel(intrinsic=K, extrinsic=E, image_size=image_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +164,23 @@ class AnchorGrid:
     mode: str
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        spacing = np.asarray(self.row_spacing, dtype=float)
-        if pos.shape != (self.rows, self.cols, 2):
-            raise ValueError(f"positions must be ({self.rows}, {self.cols}, 2), got {pos.shape}")
-        if spacing.shape != (self.rows,):
-            raise ValueError(f"row_spacing must have length {self.rows}, got {spacing.shape}")
-        _check_bounded("positions", pos)
+        pos = float_array(self.positions, "positions", (self.rows, self.cols, 2))
+        spacing = float_array(self.row_spacing, "row_spacing", (self.rows,))
+        # NaN fails the comparison, so this also rejects non-finite entries.
+        bad = pos[~(np.abs(pos) <= MAX_POSITION_M)]
+        if bad.size:
+            raise ValidationError(f"positions must be finite with magnitude at most "
+                                  f"{MAX_POSITION_M:g} m, got {float(bad[0])!r}")
         if not np.isfinite(spacing).all():
             raise ValidationError("row_spacing must be finite")
         row_y = pos[:, 0, 1]
         if not np.all(np.diff(row_y) > 0):
-            raise ValueError("longitudinal coordinates must strictly increase with row index")
+            raise ValidationError("positions: longitudinal coordinates must strictly "
+                                  "increase with row index")
         if self.mode not in ("uniform", "custom"):
-            raise ValueError(f"unknown grid mode {self.mode!r}")
+            raise ValidationError(f"mode must be 'uniform' or 'custom', got {self.mode!r}")
         if self.mode == "custom" and not np.all(np.diff(spacing) > 0):
-            raise ValueError("custom-mode row spacing must be strictly increasing")
+            raise ValidationError("row_spacing must be strictly increasing in custom mode")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "row_spacing", spacing)
 
@@ -187,27 +190,31 @@ class AnchorGrid:
         return self.positions[:, 0, 1]
 
 
-def _check_bounded(name, values):
-    """Raises ValidationError unless every entry of ``values`` is finite with
-    magnitude at most ``MAX_POSITION_M``."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    # NaN fails the comparison, so this also rejects non-finite entries.
-    bad = values[~(np.abs(values) <= MAX_POSITION_M)]
-    if bad.size:
-        raise ValidationError(f"{name} must be finite with magnitude at most "
-                              f"{MAX_POSITION_M:g} m, got {float(bad[0])!r}")
+def _pair(values, name, bound=MAX_POSITION_M):
+    """``values`` as two floats, ``name[0]`` and ``name[1]``, each finite with
+    magnitude at most ``bound``."""
+    try:
+        first, second = values
+    except (TypeError, ValueError):   # not two values
+        raise ValidationError(f"{name} must be a pair of numbers, got {values!r}") from None
+    return (float(check_real(first, f"{name}[0]", -bound, bound, "[]")),
+            float(check_real(second, f"{name}[1]", -bound, bound, "[]")))
+
+
+def _range(values, name):
+    """The grid range ``values`` as floats ``(low, high)``, ``low < high``."""
+    low, high = _pair(values, name)
+    if not high > low:
+        raise ValidationError(f"{name} must be increasing, got {values!r}")
+    return low, high
 
 
 def build_uniform_grid(rows, cols, y_range, x_range):
     """Evenly spaced lattice whose corners coincide with the range bounds,
     each finite with magnitude at most ``MAX_POSITION_M``."""
     rows, cols = check_int(rows, "rows", 2), check_int(cols, "cols", 2)
-    _check_bounded("y_range", y_range)
-    _check_bounded("x_range", x_range)
-    y_min, y_max = float(y_range[0]), float(y_range[1])
-    x_min, x_max = float(x_range[0]), float(x_range[1])
-    if not (y_max > y_min) or not (x_max > x_min):
-        raise ValueError("degenerate grid range")
+    y_min, y_max = _range(y_range, "y_range")
+    x_min, x_max = _range(x_range, "x_range")
     ys = np.linspace(y_min, y_max, rows)
     xs = np.linspace(x_min, x_max, cols)
     positions = np.empty((rows, cols, 2))
@@ -235,15 +242,11 @@ def build_custom_grid(rows, cols, spacing_near=0.5, spacing_far=1.5,
     check_real(spacing_far, "spacing_far", spacing_near, MAX_POSITION_M, "(]")
     check_real(width, "width", 0, MAX_POSITION_M, "(]")
     check_real(y_origin, "y_origin", -MAX_POSITION_M, MAX_POSITION_M, "[]")
-    if normalize_to_range is not None:
-        _check_bounded("normalize_to_range", normalize_to_range)
 
     spacing = spacing_near + np.arange(rows) * ((spacing_far - spacing_near) / (rows - 1))
     origin = float(y_origin)
     if normalize_to_range is not None:
-        y_min, y_max = float(normalize_to_range[0]), float(normalize_to_range[1])
-        if not y_max > y_min:
-            raise ValueError("degenerate normalize_to_range")
+        y_min, y_max = _range(normalize_to_range, "normalize_to_range")
         # Dividing first keeps a tiny gap sum from overflowing the scale.
         spacing = spacing / spacing.sum() * (y_max - y_min)
         origin = y_min
@@ -280,7 +283,7 @@ def project_points(points_ego, camera):
     A point at depth at most ``MIN_DEPTH_M`` may get infinite or NaN pixels;
     deeper points within the bound stated on ``CameraModel`` get finite ones.
     """
-    pts = np.asarray(points_ego, dtype=float)
+    pts = float_array(points_ego, "points_ego", (None, 3))
     homog = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
     cam = homog @ camera.extrinsic.T
     depth = cam[:, 2]
@@ -295,7 +298,7 @@ def project_points(points_ego, camera):
 def project_grid_to_image(grid, camera, ground_height=0.0):
     """Maps every anchor to image pixels assuming it lies at ``ground_height``,
     which is held to the same bound as a grid position."""
-    _check_bounded("ground_height", ground_height)
+    check_real(ground_height, "ground_height", -MAX_POSITION_M, MAX_POSITION_M, "[]")
     flat = grid.positions.reshape(-1, 2)
     pts = np.column_stack([flat, np.full(len(flat), float(ground_height))])
     uv, depth = project_points(pts, camera)
@@ -313,10 +316,13 @@ def project_grid_to_image(grid, camera, ground_height=0.0):
 def unproject_pixel_to_ground(camera, pixel, ground_height=0.0):
     """Intersects the viewing ray of ``pixel`` with the plane z = ground_height.
 
-    Returns the (x, y, z) ego-frame point.  Raises ``NoGroundIntersection``
-    when the ray is parallel to the plane or hits it behind the camera.
+    ``pixel`` is a pair (u, v) held to the bound of a camera entry, and
+    ``ground_height`` to that of a grid position.  Returns the (x, y, z)
+    ego-frame point.  Raises ``NoGroundIntersection`` when the ray is parallel
+    to the plane or hits it behind the camera.
     """
-    u, v = float(pixel[0]), float(pixel[1])
+    u, v = _pair(pixel, "pixel", MAX_CAMERA_ENTRY)
+    check_real(ground_height, "ground_height", -MAX_POSITION_M, MAX_POSITION_M, "[]")
     dir_cam = np.linalg.solve(camera.intrinsic, np.array([u, v, 1.0]))
     dir_ego = camera.rotation.T @ dir_cam
     center = camera.center_ego
@@ -335,13 +341,11 @@ def bilinear_sample(feature_map, pmap):
     Invalid cells and coordinates outside the feature map yield zero vectors;
     interior samples are convex combinations of the 4 surrounding pixels.
     """
-    fmap = np.asarray(feature_map, dtype=float)
-    if fmap.ndim != 3:
-        raise ValueError(f"feature map must be (H, W, C), got shape {fmap.shape}")
+    fmap = float_array(feature_map, "feature_map", (None, None, None))
     h_f, w_f, _ = fmap.shape
     uv = pmap.pixel_coords.reshape(-1, 2)
     if not np.all(np.isfinite(uv)):
-        raise ValueError("pixel coordinates must be finite")
+        raise ValidationError("pmap.pixel_coords must be finite")
     u, v = uv[:, 0], uv[:, 1]
 
     usable = (pmap.valid.reshape(-1)

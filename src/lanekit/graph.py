@@ -22,10 +22,12 @@ from .nms import as_proposal_set
 
 
 def _as_probs(adjacency):
-    probs = adjacency.probs if isinstance(adjacency, AdjacencyMatrix) else adjacency
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {probs.shape}")
+    """The square float matrix of an AdjacencyMatrix or of an array."""
+    if isinstance(adjacency, AdjacencyMatrix):
+        return adjacency.probs
+    probs = float_array(adjacency, "adjacency", (None, None))
+    if probs.shape[0] != probs.shape[1]:
+        raise ValidationError(f"adjacency must be square, got shape {probs.shape}")
     return probs
 
 
@@ -50,7 +52,8 @@ class AdjacencyMatrix:
 class DirectedLaneGraph:
     """Thresholded connection graph over ``node_count`` keypoints.  Its
     edges are distinct, in range and sorted by (src, dst), the order
-    ``_best_paths`` reads them in."""
+    ``_best_paths`` reads them in, and no edge probability exceeds 1, so
+    every weight ``1 - prob`` is non-negative, as that search needs."""
 
     node_count: int
     edge_src: np.ndarray
@@ -58,7 +61,8 @@ class DirectedLaneGraph:
     edge_prob: np.ndarray
 
     def __post_init__(self):
-        src, dst, prob = (np.asarray(a) for a in (self.edge_src, self.edge_dst, self.edge_prob))
+        src, dst = np.asarray(self.edge_src), np.asarray(self.edge_dst)
+        prob = float_array(self.edge_prob, "edge_prob")
         if not src.shape == dst.shape == prob.shape == (len(src),):
             raise ValidationError(f"edge arrays must be 1-D of one length, got shapes "
                                   f"{src.shape}, {dst.shape} and {prob.shape}")
@@ -68,6 +72,10 @@ class DirectedLaneGraph:
         step_src, step_dst = np.diff(src), np.diff(dst)
         if not np.all((step_src > 0) | ((step_src == 0) & (step_dst > 0))):
             raise ValidationError("edges must be distinct and sorted by (src, dst)")
+        # NaN fails the comparison too.
+        if not (prob <= 1.0).all():
+            raise ValidationError("edge_prob must be at most 1, so that no edge "
+                                  "weight 1 - prob is negative")
         object.__setattr__(self, "edge_src", src)
         object.__setattr__(self, "edge_dst", dst)
         object.__setattr__(self, "edge_prob", prob)
@@ -222,7 +230,7 @@ def aggregate_lane_attributes(keypoints):
     """
     members = as_proposal_set(keypoints)
     if not len(members):
-        raise ValueError("cannot aggregate an empty lane")
+        raise ValidationError("keypoints: cannot aggregate an empty lane")
     scores = members.class_scores
     category = int(np.argmax(scores.mean(axis=0))) if scores.shape[1] else 0
     return category, float(members.confidences.mean())
@@ -248,8 +256,8 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     proposals = as_proposal_set(keypoints)
     graph = threshold_adjacency(adjacency, t_a, nodes)
     if graph.node_count != len(proposals):
-        raise ValueError(f"the graph has {graph.node_count} nodes but there are "
-                         f"{len(proposals)} keypoints")
+        raise ValidationError(f"the graph has {graph.node_count} nodes but there are "
+                              f"{len(proposals)} keypoints")
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []

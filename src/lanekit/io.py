@@ -47,11 +47,8 @@ class PredictionFrame:
     camera: str = None
 
     def __post_init__(self):
-        adjacency = np.asarray(self.adjacency, dtype=float)
         n = len(self.keypoints)
-        if adjacency.shape != (n, n):
-            raise ValidationError(f"adjacency must be ({n}, {n}) for {n} keypoints, "
-                                  f"got {adjacency.shape}")
+        adjacency = float_array(self.adjacency, "adjacency", (n, n))
         # AdjacencyMatrix holds the one range check for connection probabilities.
         object.__setattr__(self, "adjacency", AdjacencyMatrix(adjacency).probs)
         object.__setattr__(self, "frame_id", str(self.frame_id))
@@ -173,12 +170,9 @@ def load_prediction_frame(path):
     if size != len(proposals):
         raise SchemaError("adjacency.size", f"{size} for {len(proposals)} keypoints")
     if fmt == "dense":
-        probs = _require(adj_raw, "probs", list, "adjacency.")
-        # A frame without keypoints holds ``[]``, a one-dimensional list.
-        adjacency = float_array(probs, "adjacency.probs") if probs else np.zeros((0, 0))
-        if adjacency.shape != (size, size):
-            raise SchemaError("adjacency.probs",
-                              f"shape {adjacency.shape}, header says ({size}, {size})")
+        # A frame without keypoints holds ``[]``, which reads as zero rows.
+        adjacency = float_array(_require(adj_raw, "probs", list, "adjacency."),
+                                "adjacency.probs", (size, size))
     elif fmt == "sparse":
         adjacency = np.zeros((size, size))
         for t, triplet in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
@@ -260,19 +254,10 @@ def save_camera(camera, path):
 
 def load_camera(path):
     raw = _load_json(path)
-    intrinsic = _require(raw, "intrinsic", list)
-    extrinsic = _require(raw, "extrinsic", list)
-    size = _require(raw, "image_size", list)
-    if len(intrinsic) != 9:
-        raise SchemaError("intrinsic", f"expected 9 floats, got {len(intrinsic)}")
-    if len(extrinsic) != 16:
-        raise SchemaError("extrinsic", f"expected 16 floats, got {len(extrinsic)}")
-    try:
-        return CameraModel(intrinsic=float_array(intrinsic, "intrinsic").reshape(3, 3),
-                           extrinsic=float_array(extrinsic, "extrinsic").reshape(4, 4),
-                           image_size=tuple(size))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    intrinsic = float_array(_require(raw, "intrinsic", list), "intrinsic", (9,))
+    extrinsic = float_array(_require(raw, "extrinsic", list), "extrinsic", (16,))
+    return CameraModel(intrinsic=intrinsic.reshape(3, 3), extrinsic=extrinsic.reshape(4, 4),
+                       image_size=tuple(_require(raw, "image_size", list)))
 
 
 # Head weight file keys; each names the HeadWeights field spelt with "_".
@@ -291,10 +276,7 @@ def load_head_weights(path):
     fields = {key.replace(".", "_"): float_array(_require(raw, key, list), key)
               for key in _WEIGHT_KEYS}
     fields["final_b"] = _require(raw, "final.b", float)
-    try:
-        return HeadWeights(**fields)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return HeadWeights(**fields)
 
 
 def save_grid_csv(grid, path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import ValidationError, check_int, check_real, float_array
 from .nms import as_proposal_set
 
 # Feasibility limits, in meters.
@@ -59,17 +59,16 @@ class GroundTruthKeypoint:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """P x G pairing costs; np.inf marks infeasible pairs."""
+    """P x G pairing costs: each non-negative, np.inf marking an infeasible
+    pair.  NaN and -inf are rejected, not read as infeasible."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
-        if costs.ndim != 2:
-            raise ValueError(f"cost matrix must be 2-D, got shape {costs.shape}")
-        finite = costs[np.isfinite(costs)]
-        if finite.size and finite.min() < 0:
-            raise ValueError("finite costs must be non-negative")
+        costs = float_array(self.costs, "costs", (None, None))
+        # NaN fails the comparison, so one pass rejects NaN, -inf and negatives.
+        if not (costs >= 0.0).all():
+            raise ValidationError("costs must be non-negative or +inf (infeasible)")
         object.__setattr__(self, "costs", costs)
 
     @property
@@ -93,7 +92,7 @@ class Matching:
         pairs = tuple(sorted((int(p), int(g)) for p, g in self.pairs))
         props = [p for p, _ in pairs]
         if len(set(props)) != len(props):
-            raise ValueError("a proposal may appear in at most one pair")
+            raise ValidationError("pairs: a proposal may appear in at most one pair")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "unmatched_proposals",
                            tuple(sorted(int(i) for i in self.unmatched_proposals)))
@@ -266,8 +265,8 @@ def build_connection_targets(matching, gts, size):
     proposal_of = {}
     for p, g in matching.pairs:
         if g in proposal_of:
-            raise ValueError("connection targets need a one-to-one matching "
-                             f"(gt {g} matched twice)")
+            raise ValidationError("connection targets need a one-to-one matching "
+                                  f"(gt {g} matched twice)")
         proposal_of[g] = p
 
     targets = np.zeros((size, size))

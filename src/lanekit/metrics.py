@@ -82,11 +82,9 @@ def _y_grid(y_samples):
     default grid."""
     if y_samples is None:
         return default_y_samples()
-    y_samples = float_array(y_samples, "y_samples")
-    if not (y_samples.ndim == 1 and np.isfinite(y_samples).all()
-            and (np.diff(y_samples) >= 0).all()):
-        raise ValidationError(f"y_samples must be 1-D, finite and ascending, "
-                              f"got shape {y_samples.shape}")
+    y_samples = float_array(y_samples, "y_samples", (None,))
+    if not (np.isfinite(y_samples).all() and (np.diff(y_samples) >= 0).all()):
+        raise ValidationError("y_samples must be finite and ascending")
     return y_samples
 
 

@@ -144,7 +144,7 @@ class ProposalSet:
         rest (N,) floats and ``class_scores`` (N, C).  Omitted columns take
         the ``Keypoint`` defaults: zero offsets, heights and fg scores, and
         no class scores."""
-        x = np.asarray(x, dtype=float)
+        x = float_array(x, "x", (None,))
         n = len(x)
         grid_index = np.asarray(grid_index)
         if grid_index.size == 0:
@@ -155,15 +155,11 @@ class ProposalSet:
         if grid_index.dtype.kind == "u":
             reject_rows((grid_index > _INT64.max).any(axis=1), "keypoints", ".grid_index",
                         "outside the int64 range")
-        scores = np.empty((n, 0)) if class_scores is None \
-            else np.asarray(class_scores, dtype=float)
-        if scores.ndim != 2 or len(scores) != n:
-            raise ValidationError(f"class_scores must be ({n}, C), got {scores.shape}")
         default = np.zeros(n)
         self = cls.__new__(cls)
         self._store(grid_index, x, y, default if dx is None else dx,
-                    default if z is None else z,
-                    default if fg_score is None else fg_score, scores, repeats_n)
+                    default if z is None else z, default if fg_score is None else fg_score,
+                    np.empty((n, 0)) if class_scores is None else class_scores, repeats_n)
         return self
 
     def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, repeats_n):
@@ -171,20 +167,19 @@ class ProposalSet:
         n = len(grid_index)
         columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
         for name, values in columns.items():
-            values = columns[name] = np.array(values, dtype=float)
-            if values.shape != (n,):
-                raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
+            values = columns[name] = float_array(values, name, (n,)).copy()
             reject_non_finite(values, "keypoints", f".{name}")
         fg_score = columns["fg_score"]
         reject_rows(~((fg_score >= 0.0) & (fg_score <= 1.0)), "keypoints", ".fg_score",
                     "must lie in [0, 1]")
+        class_scores = float_array(class_scores, "class_scores", (n, None)).copy()
         # NaN fails both comparisons, so this also rejects non-finite scores.
         reject_rows(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
                     "keypoints", ".class_scores", "must be finite and lie in [0, 1]")
         self.grid_index = _read_only(np.array(grid_index, dtype=np.int64))
         for name, values in columns.items():
             setattr(self, name, _read_only(values))
-        self.class_scores = _read_only(np.array(class_scores, dtype=float))
+        self.class_scores = _read_only(class_scores)
         self.repeats_n = check_int(repeats_n, "repeats_n", 1)
 
     def __len__(self):
@@ -233,10 +228,7 @@ def select_topn_proposals(score_map, grid, n):
     position from the grid; until a classifier runs, the cell score stands in
     as a single pseudo-class so confidence-based ops work unchanged.
     """
-    scores = np.asarray(score_map, dtype=float)
-    if scores.shape != (grid.rows, grid.cols):
-        raise ValueError(f"score map shape {scores.shape} does not match grid "
-                         f"({grid.rows}, {grid.cols})")
+    scores = float_array(score_map, "score_map", (grid.rows, grid.cols))
     if check_int(n, "n", 0) > scores.size:
         raise ValidationError(f"n must be in [0, {scores.size}], got {n}")
     flat = scores.reshape(-1)
@@ -265,7 +257,7 @@ def _outside_int64(values):
 def round_half_away(values):
     """Rounds to the nearest integer, halves away from zero; a value outside
     the int64 range is rejected."""
-    values = np.asarray(values, dtype=float)
+    values = float_array(values, "values")
     reject_rows(_outside_int64(np.atleast_1d(values)), "values", "", "outside the int64 range")
     return np.trunc(values + np.copysign(0.5, values)).astype(np.int64)
 
@@ -276,7 +268,7 @@ def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
     Rows are (x1, y1, x2, y2); a point whose box edge would fall outside the
     int64 range is rejected.
     """
-    pts = np.asarray(points_xy, dtype=float).reshape(-1, 2)
+    pts = float_array(points_xy, "points_xy", (None, 2))
     # An edge that overflows to inf, or to NaN, fails the range test below.
     with np.errstate(over="ignore", invalid="ignore"):
         half = (r / 2.0) * np.array([thresh_x, thresh_y], dtype=float)
@@ -386,11 +378,8 @@ def box_nms(boxes, scores, iou_thresh):
     conflicts with an already-kept one.
     """
     check_real(iou_thresh, "iou_thresh", 0, 1, "[]")
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (len(boxes),):
-        raise ValidationError(f"need one score per box, got {scores.shape} "
-                              f"for {len(boxes)} boxes")
+    boxes = float_array(boxes, "boxes", (None, 4))
+    scores = float_array(scores, "scores", (len(boxes),))
     reject_non_finite(boxes, "boxes")
     reject_non_finite(scores, "scores")
     if len(boxes) == 0:
@@ -428,7 +417,7 @@ def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
         if not half < 2.0 ** 63:
             raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
                                   f"outside the int64 range")
-    points = np.asarray(points_xy, dtype=float).reshape(-1, 2)
+    points = float_array(points_xy, "points_xy", (None, 2))
     reject_non_finite(points, "points_xy")
     boxes = build_nms_boxes(points, thresh_x, thresh_y, r)
     return box_nms(boxes, scores, iou_thresh)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
 from .io import PredictionFrame
 from .matching import GroundTruthKeypoint
 from .metrics import GroundTruthLane
@@ -92,11 +92,12 @@ def generate_scene(spec, grid):
     """Builds (gt_lanes, prediction_frame) for one synthetic scene."""
     rng = np.random.default_rng(spec.seed)
     if spec.x_coeffs is not None:
-        x_coeffs = np.asarray(spec.x_coeffs, dtype=float)
-        z_coeffs = np.asarray(spec.z_coeffs if spec.z_coeffs is not None
-                              else np.zeros((spec.lane_count, 2)), dtype=float)
-        if x_coeffs.shape != (spec.lane_count, 4) or z_coeffs.shape != (spec.lane_count, 2):
-            raise ValueError("x_coeffs must be (lane_count, 4) and z_coeffs (lane_count, 2)")
+        x_coeffs = float_array(spec.x_coeffs, "x_coeffs", (spec.lane_count, 4))
+        z_coeffs = float_array(spec.z_coeffs if spec.z_coeffs is not None
+                               else np.zeros((spec.lane_count, 2)), "z_coeffs",
+                               (spec.lane_count, 2))
+        reject_non_finite(x_coeffs, "x_coeffs")
+        reject_non_finite(z_coeffs, "z_coeffs")
     else:
         x_coeffs, z_coeffs = _draw_coeffs(rng, spec.lane_count, grid)
 
@@ -104,7 +105,7 @@ def generate_scene(spec, grid):
     row_min = grid.positions[:, 0, 0]
     row_max = grid.positions[:, -1, 0]
     if np.any(xs < row_min[np.newaxis, :]) or np.any(xs > row_max[np.newaxis, :]):
-        raise ValueError("lane leaves the lateral grid range")
+        raise ValidationError("lane leaves the lateral grid range")
 
     if spec.categories > 1:
         lane_cats = rng.integers(1, spec.categories, spec.lane_count)
@@ -183,7 +184,8 @@ def gt_keypoints(gt_lanes, grid):
         for order, (x, y, z) in enumerate(lane.points):
             row = int(np.searchsorted(grid.row_y, y))
             if row >= grid.rows or grid.row_y[row] != y:
-                raise ValueError(f"lane {lane_id} point {order} does not sit on a grid row")
+                raise ValidationError(f"gt_lanes[{lane_id}].points[{order}]: "
+                                      f"does not sit on a grid row")
             out.append(GroundTruthKeypoint(lane_id=lane_id, order_in_lane=order,
                                            x=float(x), y=float(y), z=float(z),
                                            category=lane.category, row=row))
@@ -192,7 +194,8 @@ def gt_keypoints(gt_lanes, grid):
 
 def keypoint_recall(kept, gts, tol=0.5):
     """Fraction of GT keypoints with a kept proposal within ``tol`` meters
-    laterally on the same grid row."""
+    laterally on the same grid row; ``tol`` must be positive and finite."""
+    check_real(tol, "tol", 0)
     gts = list(gts)
     if not gts:
         return 1.0

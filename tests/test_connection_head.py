@@ -62,7 +62,7 @@ class TestHeadWeights:
                    dest_w1=w.dest_w1, dest_b1=w.dest_b1,
                    dest_w2=w.dest_w2, dest_b2=w.dest_b2,
                    final_w=w.final_w, final_b=0.0)
-        with pytest.raises(ValueError, match="chain"):
+        with pytest.raises(ValueError, match=r"^origin_b1 must have shape \(6,\)"):
             HeadWeights(**bad)
 
     def test_non_finite_rejected(self):

@@ -1,9 +1,11 @@
-"""The one rule for scalar arguments (``errors.check_real``/``check_int``),
-seen from every public entry point that takes a scalar.
+"""The one rule for scalar arguments (``errors.check_real``/``check_int``)
+and the one rule for array arguments (``errors.float_array``), seen from
+every public entry point that takes them.
 
 A bool is not a number, an integer argument takes no float, NaN lies in no
-interval, and a bad value raises a ValidationError whose message starts with
-the argument's name.  Values that were always valid stay valid.
+interval, an array has the shape its argument states, and a bad value raises
+a ValidationError whose message starts with the argument's name.  Values
+that were always valid stay valid.
 """
 
 import ast
@@ -14,16 +16,21 @@ import numpy as np
 import pytest
 
 import lanekit
-from lanekit.connection_head import positional_encode
-from lanekit.errors import SchemaError, ValidationError, check_int, check_real
-from lanekit.geometry import CameraModel, build_custom_grid, build_uniform_grid
-from lanekit.graph import LaneRecord, threshold_adjacency
+from lanekit.connection_head import (ConnectionFeatures, HeadWeights, positional_encode,
+                                     random_head_weights)
+from lanekit.errors import SchemaError, ValidationError, check_int, check_real, float_array
+from lanekit.geometry import (AnchorGrid, CameraModel, ProjectionMap, bilinear_sample,
+                              build_custom_grid, build_uniform_grid, make_forward_camera,
+                              project_grid_to_image, project_points, unproject_pixel_to_ground)
+from lanekit.graph import DirectedLaneGraph, LaneRecord, extract_lanes, threshold_adjacency
 from lanekit.io import PredictionFrame, load_ground_truth, load_lane_frame, load_prediction_frame
-from lanekit.matching import GroundTruthKeypoint, build_cost_matrix, match_keypoints
-from lanekit.metrics import evaluate, match_lanes
-from lanekit.nms import Keypoint, ProposalSet, box_nms, point_nms, select_topn_proposals
+from lanekit.matching import (CostMatrix, GroundTruthKeypoint, build_cost_matrix,
+                              match_keypoints, solve_assignment)
+from lanekit.metrics import evaluate, match_lanes, resample_lane
+from lanekit.nms import (Keypoint, ProposalSet, box_nms, build_nms_boxes, point_nms,
+                         round_half_away, select_topn_proposals)
 from lanekit.pipeline import run_pipeline
-from lanekit.synthetic import SceneSpec, generate_scene
+from lanekit.synthetic import SceneSpec, generate_scene, keypoint_recall
 
 NAN = float("nan")
 INF = float("inf")
@@ -208,6 +215,260 @@ def test_check_int_returns_a_python_int():
     assert type(check_int(np.uint8(3), "k", 0)) is int
 
 
+# (call, argument name) for the scalars that entered as part of a camera,
+# a projection or a recall: each must be a real number in its interval.
+REJECTED_CAMERA_SCALARS = {
+    "camera_focal_bool": (lambda: make_forward_camera(focal=True), "focal"),
+    "camera_focal_nan": (lambda: make_forward_camera(focal=NAN), "focal"),
+    "camera_height_bool": (lambda: make_forward_camera(height=True), "height"),
+    "camera_height_nan": (lambda: make_forward_camera(height=NAN), "height"),
+    "camera_pitch_nan": (lambda: make_forward_camera(pitch_deg=NAN), "pitch_deg"),
+    "camera_yaw_bool": (lambda: make_forward_camera(yaw_deg=True), "yaw_deg"),
+    "project_ground_height_bool": (
+        lambda: project_grid_to_image(grid(), make_forward_camera(), ground_height=True),
+        "ground_height"),
+    "unproject_ground_height_nan": (
+        lambda: unproject_pixel_to_ground(make_forward_camera(), (640.0, 700.0), NAN),
+        "ground_height"),
+    "recall_tol_nan": (lambda: keypoint_recall([keypoint()], [gt_keypoint()], tol=NAN), "tol"),
+    "recall_tol_bool": (lambda: keypoint_recall([keypoint()], [gt_keypoint()], tol=True),
+                        "tol"),
+}
+
+
+@pytest.mark.parametrize("call, name", REJECTED_CAMERA_SCALARS.values(),
+                         ids=REJECTED_CAMERA_SCALARS.keys())
+def test_bad_camera_or_recall_scalar_is_rejected_naming_it(call, name):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must "):
+        call()
+
+
+def head_fields(**changes):
+    weights = random_head_weights(0, d_c=2, dims_per_axis=2, hidden=3, embed=2)
+    return {**{name: getattr(weights, name) for name in weights.__dataclass_fields__},
+            **changes}
+
+
+def with_entry(array, index, value):
+    """A float copy of ``array`` with one entry replaced."""
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
+
+
+def columns(**changes):
+    """Two proposals as ``from_arrays`` columns, some of them replaced."""
+    return ProposalSet.from_arrays(**{"grid_index": [(0, 0), (1, 0)], "x": [0.0, 0.5],
+                                      "y": [1.0, 2.0], "dx": [0.0, 0.0], "z": [0.0, 0.0],
+                                      "fg_score": [0.5, 0.5], "class_scores": [[0.5], [0.5]],
+                                      **changes})
+
+
+def anchor_grid(**changes):
+    return AnchorGrid(**{"rows": 2, "cols": 1, "positions": [[[0.0, 1.0]], [[0.0, 2.0]]],
+                         "row_spacing": [1.0, 1.0], "mode": "uniform", **changes})
+
+
+def pmap():
+    return ProjectionMap(pixel_coords=np.ones((1, 1, 2)), valid=np.ones((1, 1), bool))
+
+
+def scene(**coeffs):
+    spec = SceneSpec(**{"seed": 0, "lane_count": 1, "x_coeffs": ((0.0, 0.0, 0.0, 0.0),),
+                        "z_coeffs": ((0.0, 0.0),), **coeffs})
+    return generate_scene(spec, grid())
+
+
+EYE3, EYE4 = np.eye(3), np.eye(4)
+EDGES = {"node_count": 3, "edge_src": [0, 1], "edge_dst": [1, 2]}
+
+# (call, argument name).  Each call passes one bad array or pair argument: a
+# boolean entry (in a list, a tuple or a bool array), the wrong shape, or a
+# NaN where the argument's rule asks for finite values.
+REJECTED_ARRAYS = {
+    "intrinsic_bool": (lambda: CameraModel([[True, 0, 0], [0, 1, 0], [0, 0, 1]], EYE4,
+                                           (4, 4)), "intrinsic"),
+    "intrinsic_shape": (lambda: CameraModel(np.eye(4), EYE4, (4, 4)), "intrinsic"),
+    "intrinsic_nan": (lambda: CameraModel(with_entry(EYE3, (0, 2), NAN), EYE4, (4, 4)),
+                      "intrinsic"),
+    "extrinsic_bool": (lambda: CameraModel(EYE3, EYE4.astype(bool), (4, 4)), "extrinsic"),
+    "extrinsic_shape": (lambda: CameraModel(EYE3, EYE4[:3], (4, 4)), "extrinsic"),
+    "extrinsic_nan": (lambda: CameraModel(EYE3, with_entry(EYE4, (0, 3), NAN), (4, 4)),
+                      "extrinsic"),
+    "positions_bool": (lambda: anchor_grid(positions=[[[False, 1.0]], [[0.0, 2.0]]]),
+                       "positions"),
+    "positions_shape": (lambda: anchor_grid(positions=[[0.0, 1.0], [0.0, 2.0]]), "positions"),
+    "positions_nan": (lambda: anchor_grid(positions=[[[NAN, 1.0]], [[0.0, 2.0]]]),
+                      "positions"),
+    "row_spacing_bool": (lambda: anchor_grid(row_spacing=(True, 1.0)), "row_spacing"),
+    "row_spacing_shape": (lambda: anchor_grid(row_spacing=[1.0]), "row_spacing"),
+    "row_spacing_nan": (lambda: anchor_grid(row_spacing=[1.0, NAN]), "row_spacing"),
+    "y_range_bool": (lambda: build_uniform_grid(2, 2, (True, 5.0), (-1.0, 1.0)), "y_range[0]"),
+    "y_range_length": (lambda: build_uniform_grid(2, 2, (1.0, 3.0, 5.0), (-1.0, 1.0)),
+                       "y_range"),
+    "x_range_nan": (lambda: build_uniform_grid(2, 2, (1.0, 5.0), (-1.0, NAN)), "x_range[1]"),
+    "normalize_to_range_bool": (
+        lambda: build_custom_grid(4, 4, normalize_to_range=(0.0, True)),
+        "normalize_to_range[1]"),
+    "normalize_to_range_length": (lambda: build_custom_grid(4, 4, normalize_to_range=(0.0,)),
+                                  "normalize_to_range"),
+    "principal_bool": (lambda: make_forward_camera(principal=(True, 480.0)), "principal[0]"),
+    "principal_nan": (lambda: make_forward_camera(principal=(640.0, NAN)), "principal[1]"),
+    "image_size_length": (lambda: make_forward_camera(image_size=(960, 1280, 3)),
+                          "image_size"),
+    "pixel_bool": (lambda: unproject_pixel_to_ground(make_forward_camera(), (640.0, True)),
+                   "pixel[1]"),
+    "pixel_nan": (lambda: unproject_pixel_to_ground(make_forward_camera(), (NAN, 700.0)),
+                  "pixel[0]"),
+    "pixel_length": (lambda: unproject_pixel_to_ground(make_forward_camera(), (640.0,)),
+                     "pixel"),
+    "points_ego_bool": (lambda: project_points([[0.0, 5.0, True]], make_forward_camera()),
+                        "points_ego"),
+    "points_ego_shape": (lambda: project_points([[0.0, 5.0]], make_forward_camera()),
+                         "points_ego"),
+    "feature_map_bool": (lambda: bilinear_sample(np.ones((2, 2, 1), bool), pmap()),
+                         "feature_map"),
+    "feature_map_shape": (lambda: bilinear_sample(np.ones((2, 2)), pmap()), "feature_map"),
+    "head_w1_bool": (lambda: HeadWeights(**head_fields(origin_w1=np.ones((6, 3), bool))),
+                     "origin_w1"),
+    "head_w1_nan": (lambda: HeadWeights(**head_fields(origin_w1=np.full((6, 3), NAN))),
+                    "origin_w1"),
+    "head_dest_w1_width": (lambda: HeadWeights(**head_fields(dest_w1=np.ones((5, 3)))),
+                           "dest_w1"),
+    "head_dest_w2_width": (lambda: HeadWeights(**head_fields(dest_w2=np.ones((3, 4)))),
+                           "dest_w2"),
+    "head_final_w_shape": (lambda: HeadWeights(**head_fields(final_w=np.ones(3))), "final_w"),
+    "head_final_b_nan": (lambda: HeadWeights(**head_fields(final_b=NAN)), "final_b"),
+    "f_c_bool": (lambda: ConnectionFeatures([[True]], [[0.0, 1.0]]), "f_c"),
+    "f_c_shape": (lambda: ConnectionFeatures([1.0], [[0.0, 1.0]]), "f_c"),
+    "f_c_nan": (lambda: ConnectionFeatures([[NAN]], [[0.0, 1.0]]), "f_c"),
+    "positions_of_features_shape": (lambda: ConnectionFeatures([[1.0]], [[0.0, 1.0, 2.0]]),
+                                    "positions"),
+    "positions_of_features_nan": (lambda: ConnectionFeatures([[1.0]], [[0.0, NAN]]),
+                                  "positions"),
+    "position_bool": (lambda: positional_encode((0.0, True), dims_per_axis=2), "position"),
+    "position_shape": (lambda: positional_encode((0.0, 1.0, 2.0), dims_per_axis=2),
+                       "position"),
+    "costs_bool": (lambda: CostMatrix([[True, 1.0]]), "costs"),
+    "costs_shape": (lambda: solve_assignment([1.0, 2.0]), "costs"),
+    "costs_nan": (lambda: solve_assignment([[NAN, 1.0], [2.0, NAN]]), "costs"),
+    "costs_minus_inf": (lambda: CostMatrix([[-INF, 1.0]]), "costs"),
+    "adjacency_bool": (lambda: threshold_adjacency([[False, True], [False, False]], 0.5),
+                       "adjacency"),
+    "adjacency_shape": (lambda: extract_lanes([keypoint()], [0.0], 0.5), "adjacency"),
+    "frame_adjacency_bool": (lambda: PredictionFrame("f", frame().keypoints,
+                                                     [[0.0, True], [0.0, 0.0]]), "adjacency"),
+    "frame_adjacency_shape": (lambda: PredictionFrame("f", frame().keypoints, np.zeros((2, 3))),
+                              "adjacency"),
+    "frame_adjacency_nan": (lambda: PredictionFrame("f", frame().keypoints,
+                                                    [[0.0, NAN], [0.0, 0.0]]), "adjacency"),
+    "edge_prob_bool": (lambda: DirectedLaneGraph(**EDGES, edge_prob=[True, 0.5]), "edge_prob"),
+    "edge_prob_nan": (lambda: DirectedLaneGraph(**EDGES, edge_prob=[0.5, NAN]), "edge_prob"),
+    "edge_prob_past_one": (lambda: DirectedLaneGraph(**EDGES, edge_prob=[0.5, 3.0]),
+                           "edge_prob"),
+    "from_arrays_x_bool": (lambda: columns(x=(0.0, True)), "x"),
+    "from_arrays_x_shape": (lambda: columns(x=[[0.0, 0.5]]), "x"),
+    "from_arrays_x_nan": (lambda: columns(x=[0.0, NAN]), "x"),
+    "from_arrays_y_shape": (lambda: columns(y=[1.0]), "y"),
+    "from_arrays_dx_bool": (lambda: columns(dx=[False, 0.0]), "dx"),
+    "from_arrays_z_nan": (lambda: columns(z=[NAN, 0.0]), "z"),
+    "from_arrays_fg_score_bool": (lambda: columns(fg_score=[True, 0.5]), "fg_score"),
+    "from_arrays_fg_score_shape": (lambda: columns(fg_score=[0.5, 0.5, 0.5]), "fg_score"),
+    "from_arrays_class_scores_bool": (lambda: columns(class_scores=[[True], [0.5]]),
+                                      "class_scores"),
+    "from_arrays_class_scores_shape": (lambda: columns(class_scores=[0.5, 0.5]),
+                                       "class_scores"),
+    "from_arrays_class_scores_nan": (lambda: columns(class_scores=[[0.5], [NAN]]),
+                                     "class_scores"),
+    "score_map_bool": (lambda: select_topn_proposals(np.zeros((4, 4), bool), grid(), 2),
+                       "score_map"),
+    "score_map_shape": (lambda: select_topn_proposals(np.zeros((4, 3)), grid(), 2),
+                        "score_map"),
+    "nms_boxes_points_bool": (lambda: build_nms_boxes([[0.0, True]], 1.0, 1.0), "points_xy"),
+    "nms_boxes_points_shape": (lambda: build_nms_boxes(np.zeros((3, 4)), 1, 1), "points_xy"),
+    "box_nms_boxes_bool": (lambda: box_nms([[0, 0, True, 1]], [0.5], 0.1), "boxes"),
+    "box_nms_boxes_tuple_bool": (lambda: box_nms(((0, 0, True, 1),), [0.5], 0.1), "boxes"),
+    "box_nms_boxes_shape": (lambda: box_nms(np.zeros((2, 2)), [0.5], 0.1), "boxes"),
+    "box_nms_boxes_nan": (lambda: box_nms([[0, 0, NAN, 1]], [0.5], 0.1), "boxes"),
+    "box_nms_scores_bool": (lambda: box_nms(BOXES, [True], 0.1), "scores"),
+    "box_nms_scores_shape": (lambda: box_nms(BOXES, [[0.5]], 0.1), "scores"),
+    "box_nms_scores_nan": (lambda: box_nms(BOXES, [NAN], 0.1), "scores"),
+    "point_nms_points_bool": (lambda: point_nms([[0.0, True]], [0.5], 1.0, 1.0), "points_xy"),
+    "point_nms_points_shape": (lambda: point_nms([0.0, 1.0, 2.0, 3.0], [0.5, 0.5], 1.0, 1.0),
+                               "points_xy"),
+    "point_nms_points_nan": (lambda: point_nms([[0.0, NAN]], [0.5], 1.0, 1.0), "points_xy"),
+    "round_values_bool": (lambda: round_half_away((0.5, True)), "values"),
+    "round_values_nan": (lambda: round_half_away([0.5, NAN]), "values"),
+    "x_coeffs_bool": (lambda: scene(x_coeffs=((0.0, True, 0.0, 0.0),)), "x_coeffs"),
+    "x_coeffs_shape": (lambda: scene(x_coeffs=((0.0, 0.0, 0.0),)), "x_coeffs"),
+    "x_coeffs_nan": (lambda: scene(x_coeffs=((0.0, 0.0, NAN, 0.0),)), "x_coeffs"),
+    "z_coeffs_bool": (lambda: scene(z_coeffs=((True, 0.0),)), "z_coeffs"),
+    "z_coeffs_shape": (lambda: scene(z_coeffs=((0.0, 0.0), (0.0, 0.0))), "z_coeffs"),
+    "z_coeffs_nan": (lambda: scene(z_coeffs=((NAN, 0.0),)), "z_coeffs"),
+    "y_samples_bool": (lambda: resample_lane(lane(), [1.0, True]), "y_samples"),
+    "y_samples_shape": (lambda: resample_lane(lane(), [[1.0, 2.0]]), "y_samples"),
+}
+
+
+@pytest.mark.parametrize("call, name", REJECTED_ARRAYS.values(), ids=REJECTED_ARRAYS.keys())
+def test_bad_array_is_rejected_naming_it(call, name):
+    # A proposal column is named with the row it fails on, keypoints[i].name.
+    with pytest.raises(ValidationError,
+                       match=rf"^(keypoints\[\d+\]\.)?{re.escape(name)}(?![\w.])"):
+        call()
+
+
+# Empty inputs, integer and tuple entries, arrays for pairs, and +inf costs:
+# all valid, with the meaning they always had.
+ACCEPTED_ARRAYS = {
+    "box_nms_empty_array": lambda: box_nms(np.empty((0, 4)), [], 0.1).size == 0,
+    "box_nms_empty_lists": lambda: box_nms([], [], 0.1).size == 0,
+    "round_half_away_empty": lambda: round_half_away(np.zeros((0, 4))).shape == (0, 4),
+    "round_half_away_scalar": lambda: round_half_away(2.5) == 3,
+    "empty_frame": lambda: PredictionFrame("f", ProposalSet([]), []).adjacency.shape == (0, 0),
+    "empty_columns": lambda: len(ProposalSet.from_arrays([], [], [], class_scores=[])) == 0,
+    "integer_boxes": lambda: box_nms(((0, 0, 10, 10), (0, 0, 10, 10)), (1, 0), 0.1).tolist()
+    == [0],
+    "pair_as_array": lambda: build_uniform_grid(2, 2, np.array([1.0, 5.0]), (-1, 1)).row_y
+    .tolist() == [1.0, 5.0],
+    "pixel_as_array": lambda: unproject_pixel_to_ground(
+        make_forward_camera(), np.array([640.0, 700.0]))[0] == 0.0,
+    "costs_infeasible": lambda: solve_assignment([[INF, 1.0], [2.0, INF]]).pairs
+    == ((0, 1), (1, 0)),
+    "edge_prob_one": lambda: DirectedLaneGraph(**EDGES, edge_prob=[1.0, 0.0]).edges[0]
+    == (0, 1, 1.0),
+    "recall_tol": lambda: keypoint_recall([keypoint(x=0.25)], [gt_keypoint()], tol=0.25) == 1.0,
+}
+
+
+@pytest.mark.parametrize("call", ACCEPTED_ARRAYS.values(), ids=ACCEPTED_ARRAYS.keys())
+def test_valid_array_still_accepted(call):
+    assert call()
+
+
+@pytest.mark.parametrize("values, shape", [
+    ([[1.0, 2.0]], (None, 2)), ([], (None, 3)), ([], (0,)), (np.zeros((2, 3, 4)), (2, None, 4)),
+    (3.0, ()), ([1, 2], None), ([[1.0]], (1, 1))])
+def test_float_array_matches_the_shape_pattern(values, shape):
+    array = float_array(values, "v", shape)
+    assert array.dtype == float
+    if shape is not None:
+        assert array.ndim == len(shape)
+
+
+@pytest.mark.parametrize("values, shape, message", [
+    ([1.0, 2.0], (None, 2), r"^v must have shape \(\*, 2\), got \(2,\)$"),
+    ([[1.0, 2.0]], (2,), r"^v must have shape \(2,\), got \(1, 2\)$"),
+    ([], (3, 3), r"^v must have shape \(3, 3\), got \(0,\)$"),
+    (((1.0,), (2.0, True)), None, r"^v: expected a rectangular"),
+    (((1.0, 2.0), (3.0, True)), None, r"^v: expected numbers, got a boolean$"),
+    ([np.float64(1.0), np.bool_(True)], None, r"^v: expected numbers, got a boolean$"),
+    (["1.0"], None, r"^v: expected a rectangular")])
+def test_float_array_rejects(values, shape, message):
+    with pytest.raises(ValidationError, match=message):
+        float_array(values, "v", shape)
+
+
 # A lane, GT or frame file whose document orjson refuses (for its NaN)
 # and whose nesting the stdlib decoder cannot follow.
 DEEP = "[" * 1000 + "NaN" + "]" * 1000
@@ -238,6 +499,14 @@ def _bool_isinstance_checks(source):
                     yield node.lineno
 
 
+def _package_findings(finder, skipped):
+    """``file:line`` of each finding of ``finder`` in lanekit's modules
+    outside ``skipped``."""
+    package = Path(lanekit.__file__).parent
+    return [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            if path.name not in skipped for line in finder(path.read_text())]
+
+
 def test_guard_finds_a_bool_check():
     assert list(_bool_isinstance_checks("isinstance(v, (int, np.bool_))\n"
                                         "isinstance(v, bool)\nisinstance(v, int)")) == [1, 2]
@@ -246,8 +515,66 @@ def test_guard_finds_a_bool_check():
 def test_no_bool_checks_outside_errors_and_io():
     """The bool rule lives in ``errors`` (and ``io``'s JSON types), so it
     cannot drift back into hand-written copies."""
-    package = Path(lanekit.__file__).parent
-    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
-             if path.name not in ("errors.py", "io.py")
-             for line in _bool_isinstance_checks(path.read_text())]
-    assert found == []
+    assert _package_findings(_bool_isinstance_checks, ("errors.py", "io.py")) == []
+
+
+def _raised_value_errors(source):
+    """Lines of ``raise ValueError`` statements in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield node.lineno
+
+
+def _float_conversions_of_arguments(source):
+    """Lines where a function converts one of its own parameters, or in
+    ``__post_init__`` a field ``self.<name>``, with ``np.asarray`` or
+    ``np.array`` and a float dtype."""
+    lines = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        arguments = function.args
+        params = {a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+        params.discard("self")
+        for call in ast.walk(function):
+            if not (isinstance(call, ast.Call) and call.args
+                    and ast.unparse(call.func) in ("np.asarray", "np.array")):
+                continue
+            dtypes = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
+            value = call.args[0]
+            own = (isinstance(value, ast.Name) and value.id in params) or (
+                function.name == "__post_init__" and isinstance(value, ast.Attribute)
+                and ast.unparse(value.value) == "self")
+            if own and any(ast.unparse(d) in ("float", "np.float64") for d in dtypes):
+                lines.add(call.lineno)
+    return sorted(lines)
+
+
+def test_guards_find_what_they_look_for():
+    assert list(_raised_value_errors("raise ValueError('a')\nraise ValueError\n"
+                                     "raise ValidationError('b')")) == [1, 2]
+    source = ("def f(a, b=None):\n"
+              "    x = np.asarray(a, dtype=float)\n"
+              "    y = np.array(b, float)\n"
+              "    z = np.asarray(a)\n"
+              "    w = np.asarray(x, dtype=float)\n"
+              "class C:\n"
+              "    def __post_init__(self):\n"
+              "        v = np.asarray(self.v, dtype=np.float64)\n"
+              "    def m(self):\n"
+              "        v = np.asarray(self.v, dtype=float)\n")
+    assert _float_conversions_of_arguments(source) == [2, 3, 8]
+
+
+def test_no_bare_value_errors_outside_oracles():
+    """Bad input raises ValidationError (a ValueError), so callers can tell
+    it apart; only the brute-force oracles keep plain ValueErrors."""
+    assert _package_findings(_raised_value_errors, ("oracles.py",)) == []
+
+
+def test_no_hand_written_float_conversions_outside_errors():
+    """A caller's float array enters through ``errors.float_array``, so the
+    boolean, shape and type rule cannot drift back into hand-written copies."""
+    assert _package_findings(_float_conversions_of_arguments, ("errors.py", "oracles.py")) == []

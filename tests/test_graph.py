@@ -183,6 +183,24 @@ class TestDirectedLaneGraph:
         with pytest.raises(ValidationError, match=r"sorted by \(src, dst\)"):
             self.graph(src, dst)
 
+    @pytest.mark.parametrize("prob", [1.0 + 2 ** -52, 3.0, np.inf, np.nan])
+    def test_edge_prob_above_one_rejected(self, prob):
+        # 1 - prob < 0 would break the label-setting search.
+        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+            self.graph([0, 1], [1, 2], [0.5, prob])
+        assert self.graph([0, 1], [1, 2], [0.0, 1.0]).edges[1] == (1, 2, 1.0)
+
+    def test_raw_adjacency_above_one_is_not_a_negative_weight_edge(self):
+        # 0 -> 2 -> 3 would cost 0.4 + (1 - 3.0) < 0.2, the cost of 0 -> 1 -> 3,
+        # and the search, which assumes non-negative weights, returned 0 -> 1 -> 3.
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 3] = 0.9
+        A[0, 2], A[2, 3] = 0.6, 3.0
+        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+            extract_lanes(make_keypoints(4), A, 0.5)
+        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+            threshold_adjacency(A, 0.5)
+
 
 class TestTerminals:
     def test_chain(self):

@@ -85,6 +85,13 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             CostMatrix(np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
+    def test_only_plus_inf_means_infeasible(self, bad):
+        # NaN and -inf were read as infeasible, so this solved to the anti-diagonal.
+        with pytest.raises(ValidationError, match="^costs must be non-negative or \\+inf"):
+            solve_assignment([[bad, 1.0], [2.0, bad]])
+        assert solve_assignment([[np.inf, 1.0], [2.0, np.inf]]).pairs == ((0, 1), (1, 0))
+
 
 def reference_costs(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     """The per-pair form of build_cost_matrix: Keypoint properties and one
