@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the checks that raise
 them naming the offending argument, field or row: ``check_real`` and
-``check_int``, the one rule for scalar arguments, ``float_array``, the one
-rule for array arguments, and the row checks."""
+``check_int``, the one rule for scalar arguments, ``float_array`` and
+``int_array``, the one rule for array arguments, and the row checks."""
 
 import math
 from itertools import chain
@@ -27,6 +27,7 @@ class SchemaError(ValidationError):
 
 
 _BOOLS = frozenset((bool, np.bool_))
+_INT64 = np.iinfo(np.int64)
 # Checked by type first: isinstance against an ABC costs a Python call.
 _PLAIN_REALS = frozenset((float, int, np.float64))
 
@@ -88,14 +89,45 @@ def float_array(values, name, shape=None):
     axis, None matching any length.  An empty 1-D input reads as zero rows, so
     ``[]`` matches ``(None, 4)`` as a ``(0, 4)`` array.  No value is checked;
     finiteness and ranges are the caller's rule."""
+    return _number_array(values, name, shape, "iuf").astype(float, copy=False)
+
+
+def int_array(values, name, shape=None, row_name=None):
+    """``values`` as an int64 array, the integer twin of ``float_array``: its
+    rule for booleans, ragged input, non-numbers and ``shape``, and besides
+    that ``check_int``'s rule for every entry (no float, not even 2.0) and
+    no integer outside the int64 range.  Those two name the first row
+    holding a bad entry, ``row_name.format(row)`` if given, else
+    ``name[row]``.  An integer array is judged by its dtype alone; other
+    input, a float or a uint64 array or Python integers beyond int64, is
+    read entry by entry.  No value is checked against a range of indices;
+    that is the caller's rule."""
+    array = _number_array(values, name, shape, "iufO")
+    if array.dtype.kind == "i" or array.size == 0 or (
+            array.dtype.kind == "u" and array.max() <= _INT64.max):
+        return array.astype(np.int64, copy=False)
+    # A float array, or Python ints that numpy read as float64 or object.
+    entries = np.atleast_1d(np.asarray(values, dtype=object))
+    for row, row_entries in enumerate(entries.reshape(len(entries), -1).tolist()):
+        label = (row_name or name + "[{}]").format(row)
+        for value in row_entries:
+            if not _INT64.min <= check_int(value, label) <= _INT64.max:
+                raise ValidationError(f"{label}: outside the int64 range")
+    return array.astype(np.int64)
+
+
+def _number_array(values, name, shape, kinds):
+    """``values`` as numpy reads them, checked by ``float_array``'s rule with
+    the dtype kinds ``kinds`` taken as numbers."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged list
-        array = np.empty(0, dtype=object)
-    if array.dtype.kind == "b" or (array.dtype.kind in "iuf" and isinstance(values, (list, tuple))
-                                   and _holds_bool(values, array.ndim)):
+        array = None
+    if array is not None and (array.dtype.kind == "b" or (
+            array.dtype.kind in kinds and isinstance(values, (list, tuple))
+            and _holds_bool(values, array.ndim))):
         raise ValidationError(f"{name}: expected numbers, got a boolean")
-    if array.dtype.kind not in "iuf":
+    if array is None or array.dtype.kind not in kinds:
         raise ValidationError(f"{name}: expected a rectangular array of numbers")
     if shape is not None:
         if array.shape == (0,) and shape and shape[0] in (None, 0):
@@ -105,7 +137,7 @@ def float_array(values, name, shape=None):
             pattern = ", ".join("*" if n is None else str(n) for n in shape)
             pattern += "," if len(shape) == 1 else ""
             raise ValidationError(f"{name} must have shape ({pattern}), got {array.shape}")
-    return array.astype(float, copy=False)
+    return array
 
 
 def _holds_bool(values, depth):

@@ -148,7 +148,8 @@ def make_forward_camera(height=1.5, pitch_deg=5.0, yaw_deg=0.0,
 
 @dataclass(frozen=True, eq=False)
 class AnchorGrid:
-    """Lattice of BEV anchor positions.
+    """Lattice of BEV anchor positions, ``rows`` x ``cols`` of them, each
+    count a positive integer.
 
     ``positions`` is (rows, cols, 2) with ``[..., 0]`` the lateral x and
     ``[..., 1]`` the longitudinal y, in meters, each finite with magnitude
@@ -164,8 +165,9 @@ class AnchorGrid:
     mode: str
 
     def __post_init__(self):
-        pos = float_array(self.positions, "positions", (self.rows, self.cols, 2))
-        spacing = float_array(self.row_spacing, "row_spacing", (self.rows,))
+        rows, cols = check_int(self.rows, "rows", 1), check_int(self.cols, "cols", 1)
+        pos = float_array(self.positions, "positions", (rows, cols, 2))
+        spacing = float_array(self.row_spacing, "row_spacing", (rows,))
         # NaN fails the comparison, so this also rejects non-finite entries.
         bad = pos[~(np.abs(pos) <= MAX_POSITION_M)]
         if bad.size:
@@ -181,6 +183,8 @@ class AnchorGrid:
             raise ValidationError(f"mode must be 'uniform' or 'custom', got {self.mode!r}")
         if self.mode == "custom" and not np.all(np.diff(spacing) > 0):
             raise ValidationError("row_spacing must be strictly increasing in custom mode")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "row_spacing", spacing)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
+from .errors import (ValidationError, check_int, check_real, float_array, int_array,
+                     reject_non_finite)
 from .nms import as_proposal_set
 
 
@@ -50,10 +51,11 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DirectedLaneGraph:
-    """Thresholded connection graph over ``node_count`` keypoints.  Its
-    edges are distinct, in range and sorted by (src, dst), the order
-    ``_best_paths`` reads them in, and no edge probability exceeds 1, so
-    every weight ``1 - prob`` is non-negative, as that search needs."""
+    """Thresholded connection graph over ``node_count`` keypoints, a
+    non-negative integer.  Its edges are distinct, in range and sorted by
+    (src, dst), the order ``_best_paths`` reads them in, and no edge
+    probability exceeds 1, so every weight ``1 - prob`` is non-negative, as
+    that search needs."""
 
     node_count: int
     edge_src: np.ndarray
@@ -61,14 +63,16 @@ class DirectedLaneGraph:
     edge_prob: np.ndarray
 
     def __post_init__(self):
-        src, dst = np.asarray(self.edge_src), np.asarray(self.edge_dst)
-        prob = float_array(self.edge_prob, "edge_prob")
-        if not src.shape == dst.shape == prob.shape == (len(src),):
-            raise ValidationError(f"edge arrays must be 1-D of one length, got shapes "
-                                  f"{src.shape}, {dst.shape} and {prob.shape}")
+        node_count = check_int(self.node_count, "node_count", 0)
+        src = int_array(self.edge_src, "edge_src", (None,))
+        dst = int_array(self.edge_dst, "edge_dst", (None,))
+        prob = float_array(self.edge_prob, "edge_prob", (None,))
+        if not len(src) == len(dst) == len(prob):
+            raise ValidationError(f"edge arrays must be of one length, got lengths "
+                                  f"{len(src)}, {len(dst)} and {len(prob)}")
         if len(src) and not (min(src.min(), dst.min()) >= 0
-                             and max(src.max(), dst.max()) < self.node_count):
-            raise ValidationError(f"edge nodes must lie in [0, {self.node_count})")
+                             and max(src.max(), dst.max()) < node_count):
+            raise ValidationError(f"edge nodes must lie in [0, {node_count})")
         step_src, step_dst = np.diff(src), np.diff(dst)
         if not np.all((step_src > 0) | ((step_src == 0) & (step_dst > 0))):
             raise ValidationError("edges must be distinct and sorted by (src, dst)")
@@ -76,6 +80,7 @@ class DirectedLaneGraph:
         if not (prob <= 1.0).all():
             raise ValidationError("edge_prob must be at most 1, so that no edge "
                                   "weight 1 - prob is negative")
+        object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edge_src", src)
         object.__setattr__(self, "edge_dst", dst)
         object.__setattr__(self, "edge_prob", prob)
@@ -139,11 +144,7 @@ def _as_nodes(nodes, size):
     """``nodes`` as strictly increasing int64 indices into a ``size``-node matrix."""
     if nodes is None:
         return np.arange(size)
-    nodes = np.asarray(nodes)
-    if nodes.ndim != 1 or (nodes.size and nodes.dtype.kind not in "iu"):
-        raise ValidationError(f"nodes must be a 1-D array of indices, got {nodes.dtype} "
-                              f"of shape {nodes.shape}")
-    nodes = nodes.astype(np.int64, copy=False)
+    nodes = int_array(nodes, "nodes", (None,))
     if nodes.size and not (nodes[0] >= 0 and nodes[-1] < size and np.all(np.diff(nodes) > 0)):
         raise ValidationError(f"nodes must be strictly increasing indices in [0, {size})")
     return nodes
@@ -268,11 +269,12 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
         for e in ends:
             if e not in best:
                 continue
-            path = list(best[e])
-            points = xyz[path]
+            path = best[e]
+            nodes = np.array(path)
+            points = xyz[nodes]
             if not np.all(np.diff(points[:, 1]) > 0):
                 continue
-            category, confidence = aggregate_lane_attributes(proposals.subset(path))
+            category, confidence = aggregate_lane_attributes(proposals.subset(nodes))
             lanes.append(LaneRecord(points=points, category=category,
                                     confidence=confidence, path=path))
     return lanes

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real, float_array
+from .errors import (ValidationError, check_int, check_real, float_array, int_array,
+                     reject_rows)
 from .nms import as_proposal_set
 
 # Feasibility limits, in meters.
@@ -79,6 +80,8 @@ class CostMatrix:
 @dataclass(frozen=True, eq=False)
 class Matching:
     """Assignment result; pairs are (proposal_index, gt_index), sorted.
+    Every index, in the pairs and in the unmatched tuples, is a non-negative
+    integer.
 
     GT indices may repeat when duplicated GT keypoints were collapsed back
     to their originals; proposal indices are always unique.
@@ -89,15 +92,16 @@ class Matching:
     unmatched_gts: tuple
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(p), int(g)) for p, g in self.pairs))
-        props = [p for p, _ in pairs]
-        if len(set(props)) != len(props):
+        pairs = int_array(self.pairs, "pairs", (None, 2))
+        reject_rows((pairs < 0).any(axis=1), "pairs", "", "indices must be non-negative")
+        pairs = tuple(sorted(map(tuple, pairs.tolist())))
+        if len({p for p, _ in pairs}) != len(pairs):
             raise ValidationError("pairs: a proposal may appear in at most one pair")
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "unmatched_proposals",
-                           tuple(sorted(int(i) for i in self.unmatched_proposals)))
-        object.__setattr__(self, "unmatched_gts",
-                           tuple(sorted(int(i) for i in self.unmatched_gts)))
+        for name in ("unmatched_proposals", "unmatched_gts"):
+            indices = int_array(list(getattr(self, name)), name, (None,))
+            reject_rows(indices < 0, name, "", "must be non-negative")
+            object.__setattr__(self, name, tuple(sorted(indices.tolist())))
 
 
 def _equal_pairs(a, b):
@@ -260,10 +264,14 @@ def build_connection_targets(matching, gts, size):
 
     For every matched GT keypoint, the positive successor is the matched
     proposal of the next GT keypoint in the same lane that found a match;
-    unmatched GT keypoints are skipped over.
+    unmatched GT keypoints are skipped over.  ``size`` is a non-negative
+    integer, and every matched proposal index lies in [0, size).
     """
+    size = check_int(size, "size", 0)
     proposal_of = {}
-    for p, g in matching.pairs:
+    for k, (p, g) in enumerate(matching.pairs):
+        if not 0 <= p < size:
+            raise ValidationError(f"matching.pairs[{k}]: proposal {p} lies outside [0, {size})")
         if g in proposal_of:
             raise ValidationError("connection targets need a one-to-one matching "
                                   f"(gt {g} matched twice)")

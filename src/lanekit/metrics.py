@@ -34,7 +34,7 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import ValidationError, check_real, float_array
+from .errors import ValidationError, check_real, float_array, int_array
 from .graph import LaneRecord
 from .matching import solve_assignment
 
@@ -189,7 +189,7 @@ class _FramePairs:
         sums = np.zeros(4)
         if not pairs:
             return sums, np.zeros(4)
-        p, g = np.array(pairs).T
+        p, g = int_array(pairs, "pairs", (None, 2)).T
         both = self.pv[p] & self.gv[g]
         near, far = both & near_mask, both & ~near_mask
         adx = np.abs(self.px[p] - self.gx[g])

@@ -4,8 +4,18 @@ Proposals are grid cells with foreground scores; the top-N by score become
 candidate keypoints, each refined by a lateral offset ``dx`` and a height
 ``z``.  PointNMS turns every refined point into an axis-aligned integer box
 (scale factor ``r``, side lengths ``r * thresh_x`` by ``r * thresh_y``) and
-runs greedy box suppression at IoU 0.1, so that of several proposals aimed at
-the same target only the most confident survives.
+runs greedy box suppression at IoU ``t`` = 0.1.  Of several proposals aimed
+at the same target, only the most confident survives if they lie closer
+than the distance below.
+
+What that suppresses on one row: two boxes share their height, so with
+integer widths ``w1``, ``w2`` and lateral overlap ``o`` their IoU is
+``o / (w1 + w2 - o)``, and the lower-scored proposal goes exactly when the
+height is positive and ``o > t * (w1 + w2) / (1 + t)``.  In metres, two
+proposals whose refined x lie ``d`` apart conflict when
+``d < (1 - t) / (1 + t) * thresh_x``, about ``0.82 * thresh_x`` at t = 0.1,
+up to the rounding of the box edges to ``1/r`` m (at most
+``(1 + 3t) / ((1 + t) r)`` m either way).
 
 ``box_nms`` tests only boxes that can conflict.  A conflict needs an overlap
 of positive area, so the boxes are bucketed into cells as wide as the widest
@@ -20,11 +30,11 @@ A ``ProposalSet`` is its columns and nothing else: ``grid_index`` (N, 2),
 Every proposal carries the same number C >= 0 of class scores, the
 ``categories`` of a prediction frame; a proposal with none falls back to its
 ``fg_score`` for confidence.  The columns are validated once, when the set is
-made, and are read-only.  ``ProposalSet(keypoints)`` builds them from
-``Keypoint`` objects, whose score vectors must then all have one length;
-``ProposalSet.from_arrays`` takes them directly, and a ``subset`` copies the
-chosen rows.  Indexing or iterating a set makes a new ``Keypoint`` from each
-row.
+made, and are read-only.  ``ProposalSet.from_arrays`` takes them directly
+and is the one place they are checked: ``ProposalSet(keypoints)`` gathers
+the fields of ``Keypoint`` objects, whose score vectors must all have one
+length, into columns and hands them to it.  A ``subset`` copies the chosen
+rows.  Indexing or iterating a set makes a new ``Keypoint`` from each row.
 
 ``infer_nms_thresholds`` is the one rule for the suppression window: twice
 the widest row's anchor step laterally, half the smallest row gap
@@ -36,10 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ValidationError, check_int, check_real, float_array,
+from .errors import (ValidationError, check_int, check_real, float_array, int_array,
                      reject_non_finite, reject_rows)
-
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,27 +123,19 @@ def _read_only(array):
 class ProposalSet:
     """Ordered keypoint proposals, ``repeats_n`` of them per intended target.
 
-    Built from ``Keypoint`` objects, or with ``from_arrays`` from columns;
-    see the module docstring for the storage.
+    Built from ``Keypoint`` objects, whose fields are gathered into
+    ``from_arrays``, or with ``from_arrays`` from columns; see the module
+    docstring for the storage.
     """
 
     def __init__(self, keypoints=(), repeats_n=1):
         keypoints = tuple(keypoints)
-        width = keypoints[0].class_scores.size if keypoints else 0
-        for i, k in enumerate(keypoints):
-            if k.class_scores.size != width:
-                raise ValidationError(f"keypoints[{i}].class_scores: {k.class_scores.size} "
-                                      f"scores, keypoints[0] has {width}")
-        try:
-            grid_index = np.array([k.grid_index for k in keypoints], dtype=np.int64)
-        except OverflowError:
-            i = next(i for i, k in enumerate(keypoints)
-                     if not all(_INT64.min <= v <= _INT64.max for v in k.grid_index))
-            raise ValidationError(f"keypoints[{i}].grid_index: outside the int64 range") from None
-        fields = np.array([(k.x, k.y, k.dx, k.z, k.fg_score) for k in keypoints],
-                          dtype=float).reshape(-1, 5)
-        scores = np.array([k.class_scores for k in keypoints]).reshape(len(keypoints), width)
-        self._store(grid_index.reshape(-1, 2), *fields.T, scores, repeats_n)
+        widths = np.array([k.class_scores.size for k in keypoints])
+        reject_rows(widths != widths[:1], "keypoints", ".class_scores",
+                    "a different number of scores than keypoints[0]")
+        columns = {name: [getattr(k, name) for k in keypoints]
+                   for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores")}
+        vars(self).update(vars(self.from_arrays(**columns, repeats_n=repeats_n)))
 
     @classmethod
     def from_arrays(cls, grid_index, x, y, dx=None, z=None, fg_score=None,
@@ -143,44 +143,28 @@ class ProposalSet:
         """A set straight from columns: ``grid_index`` (N, 2) integers, the
         rest (N,) floats and ``class_scores`` (N, C).  Omitted columns take
         the ``Keypoint`` defaults: zero offsets, heights and fg scores, and
-        no class scores."""
+        no class scores.  The columns are validated and kept as read-only
+        copies."""
         x = float_array(x, "x", (None,))
         n = len(x)
-        grid_index = np.asarray(grid_index)
-        if grid_index.size == 0:
-            grid_index = np.empty((0, 2), dtype=np.int64)
-        if grid_index.shape != (n, 2) or grid_index.dtype.kind not in "iu":
-            raise ValidationError(f"grid_index must be ({n}, 2) integers, "
-                                  f"got {grid_index.shape} {grid_index.dtype}")
-        if grid_index.dtype.kind == "u":
-            reject_rows((grid_index > _INT64.max).any(axis=1), "keypoints", ".grid_index",
-                        "outside the int64 range")
-        default = np.zeros(n)
         self = cls.__new__(cls)
-        self._store(grid_index, x, y, default if dx is None else dx,
-                    default if z is None else z, default if fg_score is None else fg_score,
-                    np.empty((n, 0)) if class_scores is None else class_scores, repeats_n)
-        return self
-
-    def _store(self, grid_index, x, y, dx, z, fg_score, class_scores, repeats_n):
-        """Validates and keeps copies of the columns, as read-only arrays."""
-        n = len(grid_index)
+        self.grid_index = _read_only(int_array(grid_index, "grid_index", (n, 2),
+                                               "keypoints[{}].grid_index").copy())
         columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
         for name, values in columns.items():
-            values = columns[name] = float_array(values, name, (n,)).copy()
+            values = float_array(np.zeros(n) if values is None else values, name, (n,)).copy()
             reject_non_finite(values, "keypoints", f".{name}")
-        fg_score = columns["fg_score"]
-        reject_rows(~((fg_score >= 0.0) & (fg_score <= 1.0)), "keypoints", ".fg_score",
-                    "must lie in [0, 1]")
-        class_scores = float_array(class_scores, "class_scores", (n, None)).copy()
+            setattr(self, name, _read_only(values))
+        reject_rows(~((self.fg_score >= 0.0) & (self.fg_score <= 1.0)), "keypoints",
+                    ".fg_score", "must lie in [0, 1]")
+        class_scores = float_array(np.empty((n, 0)) if class_scores is None else class_scores,
+                                   "class_scores", (n, None)).copy()
         # NaN fails both comparisons, so this also rejects non-finite scores.
         reject_rows(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
                     "keypoints", ".class_scores", "must be finite and lie in [0, 1]")
-        self.grid_index = _read_only(np.array(grid_index, dtype=np.int64))
-        for name, values in columns.items():
-            setattr(self, name, _read_only(values))
         self.class_scores = _read_only(class_scores)
         self.repeats_n = check_int(repeats_n, "repeats_n", 1)
+        return self
 
     def __len__(self):
         return len(self.x)
@@ -207,8 +191,11 @@ class ProposalSet:
         return self.class_scores.max(axis=1) if self.class_scores.shape[1] else self.fg_score
 
     def subset(self, indices):
-        """The proposals at ``indices``, in that order, as a set of their own."""
-        rows = np.asarray(indices, dtype=np.int64).reshape(-1)
+        """The proposals at ``indices``, in that order, as a set of their own;
+        each index must lie in [0, len)."""
+        rows = int_array(indices, "indices", (None,))
+        reject_rows((rows < 0) | (rows >= len(self)), "indices", "",
+                    f"must lie in [0, {len(self)})")
         out = ProposalSet.__new__(ProposalSet)
         for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores"):
             setattr(out, name, _read_only(getattr(self, name)[rows]))
@@ -265,12 +252,22 @@ def round_half_away(values):
 def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
     """Integer boxes of size (r*thresh_x, r*thresh_y) centered at r*point.
 
-    Rows are (x1, y1, x2, y2); a point whose box edge would fall outside the
-    int64 range is rejected.
+    Rows are (x1, y1, x2, y2).  ``thresh_x``, ``thresh_y`` and ``r`` must be
+    positive and finite, and each half-window ``r * thresh / 2`` must lie
+    inside the int64 range; a point that is not finite, or whose box edge
+    would fall outside the int64 range, is rejected.
     """
+    check_real(r, "r", 0)
+    for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y)):
+        # Python floats overflow to inf without a warning.
+        half = float(r) / 2.0 * float(check_real(value, name, 0))
+        if not half < 2.0 ** 63:
+            raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
+                                  f"outside the int64 range")
     pts = float_array(points_xy, "points_xy", (None, 2))
-    # An edge that overflows to inf, or to NaN, fails the range test below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    reject_non_finite(pts, "points_xy")
+    # An edge that overflows to inf fails the range test below.
+    with np.errstate(over="ignore"):
         half = (r / 2.0) * np.array([thresh_x, thresh_y], dtype=float)
         edges = np.concatenate([pts * r - half, pts * r + half], axis=1)
     reject_rows(_outside_int64(edges), "points_xy", "", "box edge outside the int64 range")
@@ -406,21 +403,8 @@ def box_nms(boxes, scores, iou_thresh):
 
 def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
     """Point suppression via box construction; returns kept indices by score.
-
-    ``thresh_x``, ``thresh_y`` and ``r`` must be positive and finite, and
-    each half-window ``r * thresh / 2`` must lie inside the int64 range.
-    """
-    check_real(r, "r", 0)
-    for name, value in (("thresh_x", thresh_x), ("thresh_y", thresh_y)):
-        # Python floats overflow to inf without a warning.
-        half = float(r) / 2.0 * float(check_real(value, name, 0))
-        if not half < 2.0 ** 63:
-            raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
-                                  f"outside the int64 range")
-    points = float_array(points_xy, "points_xy", (None, 2))
-    reject_non_finite(points, "points_xy")
-    boxes = build_nms_boxes(points, thresh_x, thresh_y, r)
-    return box_nms(boxes, scores, iou_thresh)
+    The arguments follow ``build_nms_boxes`` and ``box_nms``."""
+    return box_nms(build_nms_boxes(points_xy, thresh_x, thresh_y, r), scores, iou_thresh)
 
 
 def infer_nms_thresholds(proposals):

@@ -1,6 +1,7 @@
 """The one rule for scalar arguments (``errors.check_real``/``check_int``)
-and the one rule for array arguments (``errors.float_array``), seen from
-every public entry point that takes them.
+and the one rule for array arguments (``errors.float_array`` and its integer
+twin ``errors.int_array``), seen from every public entry point that takes
+them.
 
 A bool is not a number, an integer argument takes no float, NaN lies in no
 interval, an array has the shape its argument states, and a bad value raises
@@ -11,6 +12,7 @@ that were always valid stay valid.
 import ast
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,14 +20,15 @@ import pytest
 import lanekit
 from lanekit.connection_head import (ConnectionFeatures, HeadWeights, positional_encode,
                                      random_head_weights)
-from lanekit.errors import SchemaError, ValidationError, check_int, check_real, float_array
+from lanekit.errors import (SchemaError, ValidationError, check_int, check_real, float_array,
+                            int_array)
 from lanekit.geometry import (AnchorGrid, CameraModel, ProjectionMap, bilinear_sample,
                               build_custom_grid, build_uniform_grid, make_forward_camera,
                               project_grid_to_image, project_points, unproject_pixel_to_ground)
 from lanekit.graph import DirectedLaneGraph, LaneRecord, extract_lanes, threshold_adjacency
 from lanekit.io import PredictionFrame, load_ground_truth, load_lane_frame, load_prediction_frame
-from lanekit.matching import (CostMatrix, GroundTruthKeypoint, build_cost_matrix,
-                              match_keypoints, solve_assignment)
+from lanekit.matching import (CostMatrix, GroundTruthKeypoint, Matching, build_connection_targets,
+                              build_cost_matrix, match_keypoints, solve_assignment)
 from lanekit.metrics import evaluate, match_lanes, resample_lane
 from lanekit.nms import (Keypoint, ProposalSet, box_nms, build_nms_boxes, point_nms,
                          round_half_away, select_topn_proposals)
@@ -61,6 +64,11 @@ def lane():
 
 def camera(image_size):
     return CameraModel(np.diag([100.0, 100.0, 1.0]), np.eye(4), image_size)
+
+
+def matching(pairs=((0, 0),), unmatched_proposals=(), unmatched_gts=()):
+    return Matching(pairs=pairs, unmatched_proposals=unmatched_proposals,
+                    unmatched_gts=unmatched_gts)
 
 
 BOXES = [[0.0, 0.0, 10.0, 10.0]]
@@ -121,6 +129,16 @@ REJECTED = {
                                            path=(0.5, 1.5)), "path"),
     "dims_per_axis_bool": (lambda: positional_encode((0.0, 0.0), dims_per_axis=True),
                            "dims_per_axis"),
+    "nms_boxes_thresh_x_bool": (lambda: build_nms_boxes([[0.0, 0.0]], True, 1.0), "thresh_x"),
+    "nms_boxes_r_nan": (lambda: build_nms_boxes([[0.0, 0.0]], 1.0, 1.0, r=NAN), "r"),
+    "anchor_grid_rows_float": (lambda: anchor_grid(rows=2.0), "rows"),
+    "anchor_grid_cols_bool": (lambda: anchor_grid(cols=True), "cols"),
+    "graph_node_count_bool": (lambda: DirectedLaneGraph(True, [0], [0], [0.9]), "node_count"),
+    "graph_node_count_float": (lambda: DirectedLaneGraph(2.5, [0], [1], [0.9]), "node_count"),
+    "targets_size_bool": (lambda: build_connection_targets(matching(), [gt_keypoint()], True),
+                          "size"),
+    "targets_size_float": (lambda: build_connection_targets(matching(), [gt_keypoint()], 2.0),
+                           "size"),
 }
 
 
@@ -407,6 +425,33 @@ REJECTED_ARRAYS = {
     "z_coeffs_nan": (lambda: scene(z_coeffs=((NAN, 0.0),)), "z_coeffs"),
     "y_samples_bool": (lambda: resample_lane(lane(), [1.0, True]), "y_samples"),
     "y_samples_shape": (lambda: resample_lane(lane(), [[1.0, 2.0]]), "y_samples"),
+    "grid_index_bool": (lambda: ProposalSet.from_arrays([(0, True)], [0.0], [1.0]), "grid_index"),
+    "grid_index_float": (lambda: columns(grid_index=[(0, 0), (1.0, 0)]), "grid_index"),
+    "grid_index_string": (lambda: columns(grid_index=[("0", 0), (1, 0)]), "grid_index"),
+    "grid_index_shape": (lambda: columns(grid_index=[(0, 0)]), "grid_index"),
+    "subset_bool": (lambda: columns().subset([True, False]), "indices"),
+    "subset_float": (lambda: columns().subset([1.7]), "indices"),
+    "subset_string": (lambda: columns().subset(["1"]), "indices"),
+    "subset_negative": (lambda: columns().subset([-1]), "indices"),
+    "subset_past_end": (lambda: columns().subset([5]), "indices"),
+    "subset_shape": (lambda: columns().subset([[0, 1]]), "indices"),
+    "nodes_float": (lambda: threshold_adjacency(np.zeros((2, 2)), 0.5, nodes=[0.5]), "nodes"),
+    "nodes_bool": (lambda: threshold_adjacency(np.zeros((2, 2)), 0.5, nodes=[True]), "nodes"),
+    "edge_src_float": (lambda: DirectedLaneGraph(2, [0.5], [1.0], [0.9]), "edge_src"),
+    "edge_dst_bool": (lambda: DirectedLaneGraph(2, [0], [True], [0.9]), "edge_dst"),
+    "edge_dst_beyond_int64": (lambda: DirectedLaneGraph(2, [0], [2 ** 64], [0.9]), "edge_dst"),
+    "pairs_bool": (lambda: matching(pairs=[(True, 0)]), "pairs"),
+    "pairs_float": (lambda: matching(pairs=[(1.9, 0)]), "pairs"),
+    "pairs_negative": (lambda: matching(pairs=[(0, -1)]), "pairs"),
+    "pairs_shape": (lambda: matching(pairs=[(0, 1, 2)]), "pairs"),
+    "unmatched_proposals_float": (lambda: matching(unmatched_proposals=(1.0,)),
+                                  "unmatched_proposals"),
+    "unmatched_gts_negative": (lambda: matching(unmatched_gts={-2}), "unmatched_gts"),
+    "targets_pair_past_size": (lambda: build_connection_targets(matching(pairs=[(5, 0)]),
+                                                                [gt_keypoint()], 2),
+                               "matching.pairs"),
+    "targets_pair_negative": (lambda: build_connection_targets(
+        SimpleNamespace(pairs=((-1, 0),)), [gt_keypoint()], 2), "matching.pairs"),
 }
 
 
@@ -438,6 +483,31 @@ ACCEPTED_ARRAYS = {
     "edge_prob_one": lambda: DirectedLaneGraph(**EDGES, edge_prob=[1.0, 0.0]).edges[0]
     == (0, 1, 1.0),
     "recall_tol": lambda: keypoint_recall([keypoint(x=0.25)], [gt_keypoint()], tol=0.25) == 1.0,
+    "grid_index_int64_limits": lambda: columns(grid_index=[(2 ** 63 - 1, -2 ** 63), (0, 0)])
+    .grid_index.tolist() == [[2 ** 63 - 1, -2 ** 63], [0, 0]],
+    "grid_index_numpy_integers": lambda: columns(
+        grid_index=[(np.int64(1), np.uint8(2)), (np.int32(3), 4)]).grid_index.tolist()
+    == [[1, 2], [3, 4]],
+    "grid_index_uint64_in_range": lambda: columns(
+        grid_index=np.array([[2 ** 63 - 1, 0], [1, 2]], np.uint64)).grid_index[0, 0]
+    == 2 ** 63 - 1,
+    "grid_index_object_array": lambda: columns(
+        grid_index=np.array([[0, 0], [1, 0]], dtype=object)).grid_index.dtype == np.int64,
+    "subset_numpy_integers": lambda: columns().subset(np.array([1, 0], np.int32)).y.tolist()
+    == [2.0, 1.0],
+    "subset_empty": lambda: len(columns().subset([])) == 0,
+    "nodes_uint16": lambda: threshold_adjacency(np.zeros((3, 3)), 0.5,
+                                                nodes=np.array([0, 2], np.uint16)).node_count
+    == 2,
+    "graph_numpy_integers": lambda: DirectedLaneGraph(
+        np.int64(3), np.array([0, 1], np.uint8), [np.int32(1), 2], [0.5, 0.5]).edges
+    == [(0, 1, 0.5), (1, 2, 0.5)],
+    "matching_numpy_integers": lambda: matching(
+        pairs=[(np.int64(1), np.uint8(0))], unmatched_proposals={np.int32(0)}).pairs
+    == ((1, 0),),
+    "targets_last_row": lambda: build_connection_targets(
+        matching(pairs=[(1, 0), (0, 1)]), [gt_keypoint(), gt_keypoint(order_in_lane=1)], 2)
+    .tolist() == [[0.0, 0.0], [1.0, 0.0]],
 }
 
 
@@ -467,6 +537,36 @@ def test_float_array_matches_the_shape_pattern(values, shape):
 def test_float_array_rejects(values, shape, message):
     with pytest.raises(ValidationError, match=message):
         float_array(values, "v", shape)
+
+
+@pytest.mark.parametrize("values, shape, message", [
+    ([1, 2], (None, 2), r"^v must have shape \(\*, 2\), got \(2,\)$"),
+    ([[1], [1, 2]], None, r"^v: expected a rectangular"),
+    (["1"], None, r"^v: expected a rectangular"),
+    ([1, True], None, r"^v: expected numbers, got a boolean$"),
+    (np.array([0, 1], bool), None, r"^v: expected numbers, got a boolean$"),
+    ([2.0], None, r"^v\[0\] must be an integer, got 2\.0$"),
+    ([[0, 0], [1, 0.5]], None, r"^v\[1\] must be an integer, got 0\.5$"),
+    (np.array([[1.0, 2.0]]), None, r"^v\[0\] must be an integer, got 1\.0$"),
+    ([0, None], None, r"^v\[1\] must be an integer, got None$"),
+    (np.array([1, True], dtype=object), None, r"^v\[1\] must be an integer, got True$"),
+    ([0, 2 ** 63], None, r"^v\[1\]: outside the int64 range$"),
+    ([[0, 0], [0, -2 ** 63 - 1]], None, r"^v\[1\]: outside the int64 range$"),
+    ([2 ** 64], None, r"^v\[0\]: outside the int64 range$"),
+    (np.array([1, 2 ** 63], np.uint64), None, r"^v\[1\]: outside the int64 range$")])
+def test_int_array_rejects(values, shape, message):
+    with pytest.raises(ValidationError, match=message):
+        int_array(values, "v", shape)
+
+
+def test_int_array_names_rows_as_asked_and_keeps_int64_exactly():
+    with pytest.raises(ValidationError, match=r"^keypoints\[2\]\.grid_index: outside"):
+        int_array([(0, 0), (1, 0), (2 ** 63, 0)], "grid_index", (3, 2), "keypoints[{}].grid_index")
+    edges = [-2 ** 63, 2 ** 63 - 1, 2 ** 53 + 1]
+    for values in (edges, np.array(edges, dtype=object), np.array(edges[1:], np.uint64)):
+        array = int_array(values, "v")
+        assert array.dtype == np.int64 and array.tolist() == list(values)
+    assert int_array([], "v", (None, 2)).shape == (0, 2)
 
 
 # A lane, GT or frame file whose document orjson refuses (for its NaN)
@@ -527,10 +627,10 @@ def _raised_value_errors(source):
                 yield node.lineno
 
 
-def _float_conversions_of_arguments(source):
+def _array_conversions_of_arguments(source):
     """Lines where a function converts one of its own parameters, or in
     ``__post_init__`` a field ``self.<name>``, with ``np.asarray`` or
-    ``np.array`` and a float dtype."""
+    ``np.array``, whatever the dtype."""
     lines = set()
     for function in ast.walk(ast.parse(source)):
         if not isinstance(function, ast.FunctionDef):
@@ -542,12 +642,10 @@ def _float_conversions_of_arguments(source):
             if not (isinstance(call, ast.Call) and call.args
                     and ast.unparse(call.func) in ("np.asarray", "np.array")):
                 continue
-            dtypes = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
             value = call.args[0]
-            own = (isinstance(value, ast.Name) and value.id in params) or (
-                function.name == "__post_init__" and isinstance(value, ast.Attribute)
-                and ast.unparse(value.value) == "self")
-            if own and any(ast.unparse(d) in ("float", "np.float64") for d in dtypes):
+            if (isinstance(value, ast.Name) and value.id in params) or (
+                    function.name == "__post_init__" and isinstance(value, ast.Attribute)
+                    and ast.unparse(value.value) == "self"):
                 lines.add(call.lineno)
     return sorted(lines)
 
@@ -560,12 +658,16 @@ def test_guards_find_what_they_look_for():
               "    y = np.array(b, float)\n"
               "    z = np.asarray(a)\n"
               "    w = np.asarray(x, dtype=float)\n"
+              "    i = np.asarray(b, dtype=np.int64).reshape(-1)\n"
+              "    j = np.array([int(v) for v in a])\n"
               "class C:\n"
               "    def __post_init__(self):\n"
               "        v = np.asarray(self.v, dtype=np.float64)\n"
-              "    def m(self):\n"
-              "        v = np.asarray(self.v, dtype=float)\n")
-    assert _float_conversions_of_arguments(source) == [2, 3, 8]
+              "        u, w = np.asarray(self.u), np.asarray(self.w)\n"
+              "    def m(self, k):\n"
+              "        v = np.asarray(self.v, dtype=float)\n"
+              "        k = np.array(k, dtype=np.int64)\n")
+    assert _array_conversions_of_arguments(source) == [2, 3, 4, 6, 10, 11, 14]
 
 
 def test_no_bare_value_errors_outside_oracles():
@@ -575,6 +677,7 @@ def test_no_bare_value_errors_outside_oracles():
 
 
 def test_no_hand_written_float_conversions_outside_errors():
-    """A caller's float array enters through ``errors.float_array``, so the
-    boolean, shape and type rule cannot drift back into hand-written copies."""
-    assert _package_findings(_float_conversions_of_arguments, ("errors.py", "oracles.py")) == []
+    """A caller's array, float or integer, enters through
+    ``errors.float_array`` or ``errors.int_array``, so the boolean, shape and
+    type rule cannot drift back into hand-written copies."""
+    assert _package_findings(_array_conversions_of_arguments, ("errors.py", "oracles.py")) == []

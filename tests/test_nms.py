@@ -1,4 +1,5 @@
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,6 +352,33 @@ def test_point_nms_matches_oracle(items):
     assert set(got) <= set(range(len(items)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(coord, st.floats(-8, 8, width=32), coord, score, score,
+       st.floats(0.0625, 5.0, width=32), st.floats(0.0625, 5.0, width=32),
+       st.sampled_from([1, 10, 100]), st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+def test_same_row_rule(x0, gap, y, s0, s1, thresh_x, thresh_y, r, iou_thresh):
+    """Two proposals on one row conflict exactly when their boxes have a
+    positive height and an overlap o > t * (w0 + w1) / (1 + t) of their
+    integer widths w0 and w1; in metres, when their x lie closer than
+    (1 - t) / (1 + t) * thresh_x, up to the rounding of the box edges."""
+    x1 = x0 + gap
+    points, scores = [[x0, y], [x1, y]], [s0, s1]
+    keep = point_nms(points, scores, thresh_x, thresh_y, r, iou_thresh).tolist()
+    boxes = build_nms_boxes(points, thresh_x, thresh_y, r)
+    assert keep == oracle_nms(boxes, scores, iou_thresh)
+    (a, b), t = boxes.tolist(), Fraction(iou_thresh)
+    overlap = max(0, min(a[2], b[2]) - max(a[0], b[0]))
+    conflict = a[3] > a[1] and overlap * (1 + t) > t * ((a[2] - a[0]) + (b[2] - b[0]))
+    assert (len(keep) == 2) == (not conflict)
+    # Each edge moves by at most half a unit of 1/r m when rounded.
+    edge = (1 - iou_thresh) / (1 + iou_thresh) * thresh_x
+    slack = (1 + 3 * iou_thresh) / ((1 + iou_thresh) * r) + 1e-9
+    if abs(x1 - x0) > edge + slack:
+        assert not conflict
+    if abs(x1 - x0) < edge - slack and r * thresh_y > 1:
+        assert conflict
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60),
                            st.integers(1, 25), st.integers(1, 25), score),
@@ -637,10 +665,9 @@ class TestNmsInputValidation:
             point_nms([point, [0.0, 0.0]], [0.5, 0.4], 1.0, 1.0)
 
     @pytest.mark.parametrize("thresh", [1e300, 1.7e308, np.inf])
-    def test_huge_threshold_names_the_point(self, thresh):
-        # build_nms_boxes has no threshold check of its own; point_nms
-        # rejects the threshold before building boxes (see below).
-        with pytest.raises(ValidationError, match=r"points_xy\[0\]: box edge outside"):
+    def test_build_nms_boxes_names_a_huge_threshold(self, thresh):
+        # build_nms_boxes holds the threshold rule that point_nms relies on.
+        with pytest.raises(ValidationError, match=r"^thresh_y(:| must)"):
             build_nms_boxes([[0.0, 0.0]], 1.0, thresh)
 
     @pytest.mark.parametrize("name", ["thresh_x", "thresh_y", "r"])
@@ -667,9 +694,10 @@ class TestNmsInputValidation:
         assert point_nms([[0.0, 0.0]], [0.5], thresh, 1.0).tolist() == [0]
 
     def test_box_edges_at_the_int64_limits(self):
-        # the largest double below 2**63 and -2**63 itself still cast exactly
-        top = 2.0 ** 63 - 1024
-        boxes = build_nms_boxes([[top, -2.0 ** 63]], 0.0, 0.0, r=1)
+        # the largest double below 2**63 and -2**63 itself still cast exactly;
+        # a half-window far below their spacing of 1024 leaves them unmoved
+        top, tiny = 2.0 ** 63 - 1024, 1e-300
+        boxes = build_nms_boxes([[top, -2.0 ** 63]], tiny, tiny, r=1)
         assert boxes.tolist() == [[int(top), -2 ** 63, int(top), -2 ** 63]]
         with pytest.raises(ValidationError, match=r"points_xy\[1\]"):
-            build_nms_boxes([[0.0, 0.0], [2.0 ** 63, 0.0]], 0.0, 0.0, r=1)
+            build_nms_boxes([[0.0, 0.0], [2.0 ** 63, 0.0]], tiny, tiny, r=1)
