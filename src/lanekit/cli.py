@@ -14,6 +14,9 @@ Nothing is written unless every frame extracts.
 
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
+
+``COMMANDS`` is the one table of subcommands.  ``main`` builds the parser
+of the command it runs only; any other first argument gets the full one.
 """
 
 import argparse
@@ -239,33 +242,28 @@ def _cmd_synth(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="lanekit",
-                                     description="keypoint-graph lane detection toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("grid", help="write anchor grid positions as CSV")
+def _grid_args(p):
     _add_grid_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("project", help="project grid anchors into the image")
+
+def _project_args(p):
     _add_grid_args(p)
     p.add_argument("--camera", help="camera JSON (default: forward camera)")
     p.add_argument("--ground-height", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("nms", help="suppress duplicate proposals in a frame")
+
+def _nms_args(p):
     p.add_argument("--pred", required=True)
     p.add_argument("--thresh-x", type=float)
     p.add_argument("--thresh-y", type=float)
     p.add_argument("--r", type=int, default=10)
     p.add_argument("--iou", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_nms)
 
-    p = sub.add_parser("extract", help="run NMS and extract lane instances")
+
+def _extract_args(p):
     p.add_argument("--pred", required=True,
                    help="prediction frame, or directory of per-frame prediction files")
     p.add_argument("--t-a", type=float, default=0.5)
@@ -276,9 +274,9 @@ def build_parser():
     p.add_argument("--iou", type=float, default=0.1)
     p.add_argument("--out", required=True,
                    help="lane file, or with a --pred directory the output directory")
-    p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("match", help="assign proposals to ground-truth keypoints")
+
+def _match_args(p):
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--frame-id")
@@ -287,9 +285,9 @@ def build_parser():
     p.add_argument("--lambda-dist", type=float, default=1.0)
     p.add_argument("--lambda-cls", type=float, default=1.0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("eval", help="score extracted lanes against ground truth")
+
+def _eval_args(p):
     p.add_argument("--pred", required=True,
                    help="lane file or directory of per-frame lane files")
     p.add_argument("--gt", required=True)
@@ -297,9 +295,9 @@ def build_parser():
                    help="comma-separated distance thresholds in meters")
     p.add_argument("--report", help="write the full JSON report here")
     p.add_argument("--per-frame", action="store_true")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+
+def _synth_args(p):
     _add_grid_args(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lanes", type=int, default=3)
@@ -311,14 +309,43 @@ def build_parser():
     p.add_argument("--strong-distractors", action="store_true")
     p.add_argument("--out-pred", required=True)
     p.add_argument("--out-gt")
-    p.set_defaults(func=_cmd_synth)
 
+
+# The one list of subcommands: name -> (help, handler, argument adder).
+COMMANDS = {
+    "grid": ("write anchor grid positions as CSV", _cmd_grid, _grid_args),
+    "project": ("project grid anchors into the image", _cmd_project, _project_args),
+    "nms": ("suppress duplicate proposals in a frame", _cmd_nms, _nms_args),
+    "extract": ("run NMS and extract lane instances", _cmd_extract, _extract_args),
+    "match": ("assign proposals to ground-truth keypoints", _cmd_match, _match_args),
+    "eval": ("score extracted lanes against ground truth", _cmd_eval, _eval_args),
+    "synth": ("generate a synthetic scene", _cmd_synth, _synth_args),
+}
+
+
+def build_parser(command=None):
+    """The ``lanekit`` parser with every subcommand, or with ``command``'s
+    alone.  The usage line lists every command either way, so the two
+    parsers print the same usage and errors for ``command``."""
+    parser = argparse.ArgumentParser(prog="lanekit",
+                                     description="keypoint-graph lane detection toolkit")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, func, add_args) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call builds only the subparser it runs; anything else (no command,
+    # -h, an unknown name) gets the full parser and its listing.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # ValidationError is a ValueError

@@ -14,6 +14,7 @@ duplicates collapse back to the original GT id in the result).  With
 suppression when one proposal per target remains.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class CostMatrix:
 class Matching:
     """Assignment result; pairs are (proposal_index, gt_index), sorted.
     Every index, in the pairs and in the unmatched tuples, is a non-negative
-    integer.
+    integer, and no index is both in a pair and unmatched.
 
     GT indices may repeat when duplicated GT keypoints were collapsed back
     to their originals; proposal indices are always unique.
@@ -92,16 +93,24 @@ class Matching:
     unmatched_gts: tuple
 
     def __post_init__(self):
-        pairs = int_array(self.pairs, "pairs", (None, 2))
-        reject_rows((pairs < 0).any(axis=1), "pairs", "", "indices must be non-negative")
-        pairs = tuple(sorted(map(tuple, pairs.tolist())))
-        if len({p for p, _ in pairs}) != len(pairs):
+        array = int_array(self.pairs, "pairs", (None, 2))
+        pairs = sorted(map(tuple, array.tolist()))
+        matched = ({p for p, _ in pairs}, {g for _, g in pairs})
+        if min(matched[0] | matched[1], default=0) < 0:
+            reject_rows((array < 0).any(axis=1), "pairs", "", "indices must be non-negative")
+        if len(matched[0]) != len(pairs):
             raise ValidationError("pairs: a proposal may appear in at most one pair")
-        object.__setattr__(self, "pairs", pairs)
-        for name in ("unmatched_proposals", "unmatched_gts"):
-            indices = int_array(list(getattr(self, name)), name, (None,))
-            reject_rows(indices < 0, name, "", "must be non-negative")
-            object.__setattr__(self, name, tuple(sorted(indices.tolist())))
+        object.__setattr__(self, "pairs", tuple(pairs))
+        for name, kind, in_pairs in (("unmatched_proposals", "proposal", matched[0]),
+                                     ("unmatched_gts", "gt", matched[1])):
+            array = int_array(list(getattr(self, name)), name, (None,))
+            indices = sorted(array.tolist())
+            if indices and indices[0] < 0:
+                reject_rows(array < 0, name, "", "must be non-negative")
+            both = in_pairs.intersection(indices)
+            if both:
+                raise ValidationError(f"{name}: {kind} {min(both)} is also in a pair")
+            object.__setattr__(self, name, tuple(indices))
 
 
 def _equal_pairs(a, b):
@@ -176,7 +185,9 @@ def _solve_raw(costs):
         return []
     big = costs[finite].sum() + 1.0
     rows, cols = linear_sum_assignment(np.where(finite, costs, big))
-    return sorted((int(r), int(c)) for r, c in zip(rows, cols) if finite[r, c])
+    # The solver returns rows sorted, so the kept pairs are sorted too.
+    kept = finite[rows, cols]
+    return list(zip(rows[kept].tolist(), cols[kept].tolist()))
 
 
 def _canonical_pairs(costs, optimum):
@@ -191,8 +202,10 @@ def _canonical_pairs(costs, optimum):
     that sub-solve's pairs.  A row the current optimum leaves unmatched
     tries every finite column.
     """
+    cells = costs.tolist()
+    finite_cols = [[c for c, cost in enumerate(row) if math.isfinite(cost)] for row in cells]
     card = len(optimum)
-    total = sum(costs[r, c] for r, c in optimum)
+    total = sum(cells[r][c] for r, c in optimum)
     tol = 1e-9 * max(1.0, abs(total))
     current = dict(optimum)
     live_rows = list(range(costs.shape[0]))
@@ -202,16 +215,15 @@ def _canonical_pairs(costs, optimum):
         r = live_rows.pop(0)
         held = current.pop(r, None)
         chosen = held
-        for c in live_cols:
+        for c in finite_cols[r]:
             if c == held:
                 break
-            if not np.isfinite(costs[r, c]):
+            if c not in live_cols:
                 continue
             sub_cols = [x for x in live_cols if x != c]
-            sub = costs[np.ix_(live_rows, sub_cols)]
-            sub_pairs = _solve_raw(sub)
-            sub_total = sum(sub[i, j] for i, j in sub_pairs)
-            if len(sub_pairs) == card - 1 and abs(sub_total - (total - costs[r, c])) <= tol:
+            sub_pairs = _solve_raw(costs[np.ix_(live_rows, sub_cols)])
+            sub_total = sum(cells[live_rows[i]][sub_cols[j]] for i, j in sub_pairs)
+            if len(sub_pairs) == card - 1 and abs(sub_total - (total - cells[r][c])) <= tol:
                 chosen = c
                 current = {live_rows[i]: sub_cols[j] for i, j in sub_pairs}
                 break
@@ -219,7 +231,7 @@ def _canonical_pairs(costs, optimum):
             pairs.append((r, chosen))
             live_cols.remove(chosen)
             card -= 1
-            total -= costs[r, chosen]
+            total -= cells[r][chosen]
     return pairs
 
 
@@ -265,13 +277,17 @@ def build_connection_targets(matching, gts, size):
     For every matched GT keypoint, the positive successor is the matched
     proposal of the next GT keypoint in the same lane that found a match;
     unmatched GT keypoints are skipped over.  ``size`` is a non-negative
-    integer, and every matched proposal index lies in [0, size).
+    integer, every matched proposal index lies in [0, size) and every
+    matched GT index in [0, len(gts)).
     """
     size = check_int(size, "size", 0)
+    gts = list(gts)
     proposal_of = {}
     for k, (p, g) in enumerate(matching.pairs):
         if not 0 <= p < size:
             raise ValidationError(f"matching.pairs[{k}]: proposal {p} lies outside [0, {size})")
+        if not 0 <= g < len(gts):
+            raise ValidationError(f"matching.pairs[{k}]: gt {g} lies outside [0, {len(gts)})")
         if g in proposal_of:
             raise ValidationError("connection targets need a one-to-one matching "
                                   f"(gt {g} matched twice)")

@@ -1,9 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lanekit.cli import main
+from lanekit.cli import COMMANDS, build_parser, main
 from lanekit.geometry import make_forward_camera
 from lanekit.io import (LaneRecord, load_ground_truth, load_lane_frame, load_prediction_frame,
                         save_camera, save_ground_truth, save_lane_frame)
@@ -342,3 +345,83 @@ class TestExtractDirectory:
         out = tmp_path / "lanes"
         assert run(["extract", "--pred", frames, "--out", out]) == 1
         assert not out.exists()
+
+
+# One argv per subcommand, setting most of its options.
+REPRESENTATIVE_ARGV = {
+    "grid": ["grid", "--mode", "custom", "--rows", "4", "--spacing-far", "2", "--out", "g.csv"],
+    "project": ["project", "--preset", "lite", "--camera", "cam.json",
+                "--ground-height", "0.5", "--out", "p.csv"],
+    "nms": ["nms", "--pred", "f.json", "--thresh-x", "0.5", "--r", "5", "--out", "o.json"],
+    "extract": ["extract", "--pred", "f.json", "--t-a", "0.4", "--min-lane-points", "3",
+                "--iou", "0.2", "--out", "l.json"],
+    "match": ["match", "--pred", "f.json", "--gt", "g.json", "--repeats", "2",
+              "--strongest", "--lambda-cls", "0.5"],
+    "eval": ["eval", "--pred", "l.json", "--gt", "g.json", "--threshold", "1.5,0.5",
+             "--per-frame"],
+    "synth": ["synth", "--seed", "3", "--lanes", "2", "--noise-x", "0.1",
+              "--strong-distractors", "--out-pred", "f.json"],
+}
+
+
+def subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def usage_error(parser, argv, capsys):
+    """The exit code and stderr of a parse of ``argv`` that fails."""
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(argv)
+    return err.value.code, capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_command_parser_parses_like_the_full_one(self, name):
+        argv = REPRESENTATIVE_ARGV[name]
+        assert build_parser(name).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_command_parser_prints_the_same_help_and_usage(self, name):
+        one, full = build_parser(name), build_parser()
+        assert subparser(one, name).format_help() == subparser(full, name).format_help()
+        assert one.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @pytest.mark.parametrize("extra", [[], ["--bogus"], ["stray"]])
+    def test_one_command_parser_gives_the_same_usage_errors(self, name, extra, capsys):
+        # After the required options, a stray word is the top-level parser's error.
+        argv = ([name] if extra != ["stray"] else REPRESENTATIVE_ARGV[name]) + extra
+        want = usage_error(build_parser(), argv, capsys)
+        assert want[0] == 2
+        assert usage_error(build_parser(name), argv, capsys) == want
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["frobnicate"], 2)])
+    def test_no_command_lists_every_command(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        out = capsys.readouterr()
+        assert "{" + ",".join(COMMANDS) + "}" in out.out + out.err
+
+    def test_a_call_builds_only_its_own_subparser(self, scene, tmp_path, monkeypatch):
+        pred, gt = scene
+        lanes = tmp_path / "lanes.json"
+        assert run(["extract", "--pred", pred, "--out", lanes]) == 0
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert run(["eval", "--pred", lanes, "--gt", gt]) == 0
+        assert added == ["eval"]
+
+
+def test_readme_command_table_lists_the_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([\w-]+)`", section, re.M) == list(COMMANDS)

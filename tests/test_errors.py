@@ -452,6 +452,14 @@ REJECTED_ARRAYS = {
                                "matching.pairs"),
     "targets_pair_negative": (lambda: build_connection_targets(
         SimpleNamespace(pairs=((-1, 0),)), [gt_keypoint()], 2), "matching.pairs"),
+    "targets_gt_past_gts": (lambda: build_connection_targets(matching(pairs=[(0, 7)]),
+                                                             [gt_keypoint()], 2),
+                            "matching.pairs"),
+    "targets_gt_negative": (lambda: build_connection_targets(
+        SimpleNamespace(pairs=((0, -1),)), [gt_keypoint()], 2), "matching.pairs"),
+    "unmatched_proposals_in_a_pair": (lambda: matching(unmatched_proposals=(0,)),
+                                      "unmatched_proposals"),
+    "unmatched_gts_in_a_pair": (lambda: matching(unmatched_gts=[0, 1]), "unmatched_gts"),
 }
 
 

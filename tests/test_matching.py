@@ -253,6 +253,28 @@ class TestSolveAssignment:
         want = oracle_assignment(costs)
         assert list(solve_assignment(costs).pairs) == want
 
+    @pytest.mark.parametrize("shape", [(3, 6), (6, 3), (1, 5), (5, 1), (0, 4), (4, 0)])
+    @pytest.mark.parametrize("empty", ["none", "rows", "cols", "all"])
+    def test_matches_oracle_on_rectangles_and_empty_lines(self, shape, empty):
+        # "rows"/"cols" leave every other row/column with no finite cell;
+        # "all" makes every cell infeasible.
+        rng = np.random.default_rng(sum(shape) * 7 + len(empty))
+        for _ in range(20):
+            costs = np.where(rng.random(shape) < 0.4, np.inf,
+                             rng.integers(0, 8, shape) / 8.0)
+            if empty == "rows":
+                costs[::2] = np.inf
+            elif empty == "cols":
+                costs[:, ::2] = np.inf
+            elif empty == "all":
+                costs[:] = np.inf
+            m = solve_assignment(costs)
+            assert list(m.pairs) == oracle_assignment(costs)
+            assert m.unmatched_proposals == tuple(
+                sorted(set(range(shape[0])) - {p for p, _ in m.pairs}))
+            assert m.unmatched_gts == tuple(
+                sorted(set(range(shape[1])) - {g for _, g in m.pairs}))
+
     def test_optimum_already_smallest_needs_one_solve(self, monkeypatch):
         calls = []
 
@@ -270,6 +292,42 @@ class TestSolveAssignment:
         assert solve_assignment(np.array([[1.0, 0.5], [0.5, 1.0]])).pairs \
             == ((0, 1), (1, 0))
         assert calls == [(2, 2), (1, 1)]
+
+
+class TestMatching:
+    def test_int64_arrays_equal_lists_of_tuples(self):
+        from_arrays = Matching(pairs=np.array([[3, 2], [0, 1]], np.int64),
+                               unmatched_proposals=np.array([2, 1], np.int64),
+                               unmatched_gts=np.array([0], np.int64))
+        from_lists = Matching(pairs=[(3, 2), (0, 1)], unmatched_proposals=[2, 1],
+                              unmatched_gts=[0])
+        for field in ("pairs", "unmatched_proposals", "unmatched_gts"):
+            assert getattr(from_arrays, field) == getattr(from_lists, field)
+        assert from_arrays.pairs == ((0, 1), (3, 2))
+        assert all(type(i) is int for pair in from_arrays.pairs for i in pair)
+        assert all(type(i) is int
+                   for i in from_arrays.unmatched_proposals + from_arrays.unmatched_gts)
+
+    @pytest.mark.parametrize("field, index, message", [
+        ("unmatched_proposals", (0, 3), "^unmatched_proposals: proposal 0 is also in a pair$"),
+        ("unmatched_gts", (5, 1), "^unmatched_gts: gt 1 is also in a pair$")])
+    def test_an_index_both_matched_and_unmatched_is_rejected(self, field, index, message):
+        parts = {"pairs": ((0, 0), (1, 1)), "unmatched_proposals": (), "unmatched_gts": ()}
+        parts[field] = index
+        with pytest.raises(ValidationError, match=message):
+            Matching(**parts)
+
+    @pytest.mark.parametrize("pairs, field, message", [
+        ([(0, 1), (2, -1)], "pairs", r"^pairs\[1\]: indices must be non-negative$"),
+        ([(0, 1), (0, 2)], "pairs", "^pairs: a proposal may appear in at most one pair$")])
+    def test_bad_pairs_keep_their_messages(self, pairs, field, message):
+        with pytest.raises(ValidationError, match=message):
+            Matching(pairs=pairs, unmatched_proposals=(), unmatched_gts=())
+
+    def test_negative_unmatched_index_names_its_row(self):
+        with pytest.raises(ValidationError,
+                           match=r"^unmatched_gts\[1\]: must be non-negative$"):
+            Matching(pairs=(), unmatched_proposals=(), unmatched_gts=(2, -3))
 
 
 class TestMatchKeypoints:
@@ -380,3 +438,9 @@ class TestConnectionTargets:
                             unmatched_proposals=(), unmatched_gts=())
         with pytest.raises(ValueError, match="one-to-one"):
             build_connection_targets(matching, gts, 4)
+
+    def test_rejects_gt_outside_the_gts(self):
+        matching = Matching(pairs=((0, 0), (1, 7)), unmatched_proposals=(), unmatched_gts=())
+        with pytest.raises(ValidationError,
+                           match=r"^matching\.pairs\[1\]: gt 7 lies outside \[0, 2\)$"):
+            build_connection_targets(matching, self.lane([0.0, 0.2]), 2)
