@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ValidationError, check_int, check_real, float_array, int_array,
-                     reject_non_finite)
+                     reject_non_finite, reject_rows)
 from .nms import as_proposal_set
 
 
@@ -189,9 +189,12 @@ def find_terminals(graph):
 
 
 def path_weight(path, adjacency):
-    """Total 1 - prob along consecutive path nodes."""
-    probs = _as_probs(adjacency)
-    return float(sum(1.0 - probs[i, j] for i, j in zip(path[:-1], path[1:])))
+    """Total 1 - prob along consecutive ``path`` nodes, indices in [0, n) of
+    the n x n ``adjacency``, whose entries must lie in [0, 1]."""
+    probs = AdjacencyMatrix(adjacency).probs
+    nodes = int_array(path, "path", (None,))
+    reject_rows((nodes < 0) | (nodes >= len(probs)), "path", "", f"must lie in [0, {len(probs)})")
+    return float(sum((1.0 - probs[nodes[:-1], nodes[1:]]).tolist()))
 
 
 def _best_paths(graph, sources):

@@ -82,7 +82,8 @@ class CostMatrix:
 class Matching:
     """Assignment result; pairs are (proposal_index, gt_index), sorted.
     Every index, in the pairs and in the unmatched tuples, is a non-negative
-    integer, and no index is both in a pair and unmatched.
+    integer, no unmatched index is listed twice, and no index is both in a
+    pair and unmatched.
 
     GT indices may repeat when duplicated GT keypoints were collapsed back
     to their originals; proposal indices are always unique.
@@ -107,6 +108,9 @@ class Matching:
             indices = sorted(array.tolist())
             if indices and indices[0] < 0:
                 reject_rows(array < 0, name, "", "must be non-negative")
+            if len(set(indices)) < len(indices):
+                twice = next(a for a, b in zip(indices, indices[1:]) if a == b)
+                raise ValidationError(f"{name}: {kind} {twice} is listed twice")
             both = in_pairs.intersection(indices)
             if both:
                 raise ValidationError(f"{name}: {kind} {min(both)} is also in a pair")

@@ -33,8 +33,10 @@ Every proposal carries the same number C >= 0 of class scores, the
 made, and are read-only.  ``ProposalSet.from_arrays`` takes them directly
 and is the one place they are checked: ``ProposalSet(keypoints)`` gathers
 the fields of ``Keypoint`` objects, whose score vectors must all have one
-length, into columns and hands them to it.  A ``subset`` copies the chosen
-rows.  Indexing or iterating a set makes a new ``Keypoint`` from each row.
+length, into columns and hands them to it; a ``Keypoint``, a plain record,
+is checked there, and every function that takes Keypoints makes a set of
+them first.  A ``subset`` copies the chosen rows.  Indexing or iterating
+a set makes a new ``Keypoint`` from each row.
 
 ``infer_nms_thresholds`` is the one rule for the suppression window: twice
 the widest row's anchor step laterally, half the smallest row gap
@@ -52,13 +54,13 @@ from .errors import (ValidationError, check_int, check_real, float_array, int_ar
 
 @dataclass(frozen=True, eq=False)
 class Keypoint:
-    """One lane keypoint proposal anchored at a grid cell.
+    """One lane keypoint proposal anchored at a grid cell, a plain record.
 
     ``x``/``y`` are the anchor's lateral/longitudinal position in meters;
     the refined lateral position is ``x + dx``.  ``fg_score`` is the
     foreground probability from the score map; ``class_scores`` holds
-    per-category probabilities.  Keypoints are values: two are equal when
-    every field is.
+    per-category probabilities, None for none.  Two Keypoints are equal when
+    every field is.  The fields are checked when it enters a ProposalSet.
     """
 
     grid_index: tuple[int, int]
@@ -69,29 +71,12 @@ class Keypoint:
     fg_score: float = 0.0
     class_scores: np.ndarray = None
 
-    def __post_init__(self):
-        scores = np.atleast_1d(float_array(
-            self.class_scores if self.class_scores is not None else [], "class_scores"))
-        # min() and max() keep a NaN, and NaN fails every comparison.
-        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
-            raise ValidationError(f"class_scores must lie in [0, 1], got {scores.tolist()!r}")
-        check_real(self.fg_score, "fg_score", 0, 1, "[]")
-        # Coordinates must be numbers; a NaN or an infinity is left to
-        # ProposalSet, whose finiteness check names the row holding it.
-        for name, value in (("x", self.x), ("y", self.y), ("dx", self.dx), ("z", self.z)):
-            if value == value:
-                check_real(value, name, ends="[]")
-        try:
-            row, col = (check_int(v, "grid_index") for v in self.grid_index)
-        except ValueError:   # not two values, or not integers
-            raise ValidationError(f"grid_index must be two integers, "
-                                  f"got {self.grid_index!r}") from None
-        object.__setattr__(self, "class_scores", scores)
-        object.__setattr__(self, "grid_index", (row, col))
+    def _scores(self):
+        return () if self.class_scores is None else tuple(np.ravel(self.class_scores).tolist())
 
     def _key(self):
-        return (self.grid_index, self.x, self.y, self.dx, self.z, self.fg_score,
-                tuple(self.class_scores.tolist()))
+        return (tuple(self.grid_index), self.x, self.y, self.dx, self.z, self.fg_score,
+                self._scores())
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, Keypoint) else NotImplemented
@@ -106,13 +91,16 @@ class Keypoint:
     @property
     def confidence(self):
         """Max class score; falls back to fg_score before classification."""
-        if self.class_scores.size == 0:
-            return self.fg_score
-        return float(self.class_scores.max())
+        scores = self._scores()
+        return max(scores) if scores else self.fg_score
 
     @property
     def category(self):
-        return int(np.argmax(self.class_scores)) if self.class_scores.size else 0
+        scores = self._scores()
+        return int(np.argmax(scores)) if scores else 0
+
+
+_COLUMNS = ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores")
 
 
 def _read_only(array):
@@ -130,11 +118,15 @@ class ProposalSet:
 
     def __init__(self, keypoints=(), repeats_n=1):
         keypoints = tuple(keypoints)
-        widths = np.array([k.class_scores.size for k in keypoints])
+        columns = {name: [getattr(k, name) for k in keypoints] for name in _COLUMNS}
+        scores = columns["class_scores"] = [() if s is None else s
+                                            for s in columns["class_scores"]]
+        try:
+            widths = np.array([len(s) for s in scores])
+        except TypeError:   # a score vector that is no sequence, which from_arrays rejects
+            widths = np.zeros(len(scores))
         reject_rows(widths != widths[:1], "keypoints", ".class_scores",
                     "a different number of scores than keypoints[0]")
-        columns = {name: [getattr(k, name) for k in keypoints]
-                   for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores")}
         vars(self).update(vars(self.from_arrays(**columns, repeats_n=repeats_n)))
 
     @classmethod
@@ -197,7 +189,7 @@ class ProposalSet:
         reject_rows((rows < 0) | (rows >= len(self)), "indices", "",
                     f"must lie in [0, {len(self)})")
         out = ProposalSet.__new__(ProposalSet)
-        for name in ("grid_index", "x", "y", "dx", "z", "fg_score", "class_scores"):
+        for name in _COLUMNS:
             setattr(out, name, _read_only(getattr(self, name)[rows]))
         out.repeats_n = self.repeats_n
         return out

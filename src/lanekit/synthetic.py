@@ -196,10 +196,10 @@ def keypoint_recall(kept, gts, tol=0.5):
     """Fraction of GT keypoints with a kept proposal within ``tol`` meters
     laterally on the same grid row; ``tol`` must be positive and finite."""
     check_real(tol, "tol", 0)
+    kept = as_proposal_set(kept)
     gts = list(gts)
     if not gts:
         return 1.0
-    kept = as_proposal_set(kept)
     kept_rows = kept.grid_index[:, 0]
     kept_x = kept.x + kept.dx
     hits = 0

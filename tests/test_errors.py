@@ -25,7 +25,8 @@ from lanekit.errors import (SchemaError, ValidationError, check_int, check_real,
 from lanekit.geometry import (AnchorGrid, CameraModel, ProjectionMap, bilinear_sample,
                               build_custom_grid, build_uniform_grid, make_forward_camera,
                               project_grid_to_image, project_points, unproject_pixel_to_ground)
-from lanekit.graph import DirectedLaneGraph, LaneRecord, extract_lanes, threshold_adjacency
+from lanekit.graph import (DirectedLaneGraph, LaneRecord, extract_lanes, path_weight,
+                           threshold_adjacency)
 from lanekit.io import PredictionFrame, load_ground_truth, load_lane_frame, load_prediction_frame
 from lanekit.matching import (CostMatrix, GroundTruthKeypoint, Matching, build_connection_targets,
                               build_cost_matrix, match_keypoints, solve_assignment)
@@ -80,11 +81,6 @@ REJECTED = {
     "repeats_n_float": (lambda: ProposalSet([keypoint()], repeats_n=2.5), "repeats_n"),
     "from_arrays_repeats_n_float": (
         lambda: ProposalSet.from_arrays([(0, 0)], [0.0], [1.0], repeats_n=2.5), "repeats_n"),
-    "keypoint_x_string": (lambda: ProposalSet([keypoint(x="1.5")]), "x"),
-    "keypoint_x_bool": (lambda: keypoint(x=True), "x"),
-    "keypoint_y_bool": (lambda: keypoint(y=True), "y"),
-    "keypoint_dx_bool": (lambda: keypoint(dx=True), "dx"),
-    "keypoint_z_none": (lambda: keypoint(z=None), "z"),
     "box_nms_iou_bool": (lambda: box_nms(BOXES, [0.5], iou_thresh=True), "iou_thresh"),
     "point_nms_r_bool": (lambda: point_nms([[0.0, 0.0]], [0.5], 1.0, 1.0, r=True), "r"),
     "point_nms_thresh_x_bool": (lambda: point_nms([[0.0, 0.0]], [0.5], True, 1.0), "thresh_x"),
@@ -460,6 +456,18 @@ REJECTED_ARRAYS = {
     "unmatched_proposals_in_a_pair": (lambda: matching(unmatched_proposals=(0,)),
                                       "unmatched_proposals"),
     "unmatched_gts_in_a_pair": (lambda: matching(unmatched_gts=[0, 1]), "unmatched_gts"),
+    "keypoint_x_string": (lambda: ProposalSet([keypoint(x="1.5")]), "x"),
+    "keypoint_x_bool": (lambda: ProposalSet([keypoint(x=True)]), "x"),
+    "keypoint_y_bool": (lambda: ProposalSet([keypoint(y=True)]), "y"),
+    "keypoint_dx_bool": (lambda: ProposalSet([keypoint(dx=True)]), "dx"),
+    "keypoint_z_none": (lambda: ProposalSet([keypoint(z=None)]), "z"),
+    "path_weight_path_past_end": (lambda: path_weight([0, 5], np.zeros((2, 2))), "path"),
+    "path_weight_path_negative": (lambda: path_weight([0, -1], np.zeros((2, 2))), "path"),
+    "path_weight_path_float": (lambda: path_weight([0, 1.0], np.zeros((2, 2))), "path"),
+    "path_weight_adjacency_past_one": (
+        lambda: path_weight([0, 1], [[0.0, 3.0], [0.0, 0.0]]), "adjacency"),
+    "path_weight_adjacency_nan": (
+        lambda: path_weight([0, 1], [[0.0, NAN], [0.0, 0.0]]), "adjacency"),
 }
 
 

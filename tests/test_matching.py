@@ -310,8 +310,11 @@ class TestMatching:
 
     @pytest.mark.parametrize("field, index, message", [
         ("unmatched_proposals", (0, 3), "^unmatched_proposals: proposal 0 is also in a pair$"),
-        ("unmatched_gts", (5, 1), "^unmatched_gts: gt 1 is also in a pair$")])
-    def test_an_index_both_matched_and_unmatched_is_rejected(self, field, index, message):
+        ("unmatched_gts", (5, 1), "^unmatched_gts: gt 1 is also in a pair$"),
+        ("unmatched_proposals", (3, 2, 3), "^unmatched_proposals: proposal 3 is listed twice$"),
+        ("unmatched_gts", [2, 2], "^unmatched_gts: gt 2 is listed twice$")])
+    def test_an_unmatched_index_in_a_pair_or_listed_twice_is_rejected(self, field, index,
+                                                                     message):
         parts = {"pairs": ((0, 0), (1, 1)), "unmatched_proposals": (), "unmatched_gts": ()}
         parts[field] = index
         with pytest.raises(ValidationError, match=message):

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from lanekit.errors import ValidationError
 from lanekit.geometry import build_custom_grid, build_uniform_grid
+from lanekit.graph import aggregate_lane_attributes, extract_lanes
+from lanekit.matching import GroundTruthKeypoint, build_cost_matrix, match_keypoints
 from lanekit.nms import (
     Keypoint,
     ProposalSet,
@@ -22,6 +24,7 @@ from lanekit.nms import (
 )
 from lanekit.oracles import oracle_nms
 from lanekit.pipeline import infer_nms_thresholds
+from lanekit.synthetic import keypoint_recall
 
 
 def make_grid():
@@ -41,10 +44,15 @@ class TestKeypoint:
         assert kp.confidence == 0.4
 
     def test_score_bounds_enforced(self):
-        with pytest.raises(ValidationError, match="class_scores"):
-            Keypoint(grid_index=(0, 0), x=0.0, y=5.0, class_scores=[1.2])
-        with pytest.raises(ValidationError, match="fg_score"):
-            Keypoint(grid_index=(0, 0), x=0.0, y=5.0, fg_score=-0.1)
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.class_scores"):
+            ProposalSet([Keypoint(grid_index=(0, 0), x=0.0, y=5.0, class_scores=[1.2])])
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.fg_score"):
+            ProposalSet([Keypoint(grid_index=(0, 0), x=0.0, y=5.0, fg_score=-0.1)])
+
+    def test_a_lone_keypoint_is_not_checked(self):
+        # A Keypoint is a plain record; its fields are checked in a set.
+        kp = Keypoint(grid_index=(np.int64(0), 0.5), x="a", y=5.0, fg_score=1.5)
+        assert kp.fg_score == 1.5 and kp.grid_index == (0, 0.5)
 
     @pytest.mark.parametrize("field, value", [("class_scores", [np.nan, 0.2]),
                                               ("class_scores", [0.2, -0.0001]),
@@ -56,7 +64,7 @@ class TestKeypoint:
     def test_bad_scores_rejected_where_they_enter(self, field, value):
         fields = {"fg_score": 0.5, "class_scores": [0.2], field: value}
         with pytest.raises(ValidationError, match=field):
-            Keypoint(grid_index=(0, 0), x=0.0, y=1.0, **fields)
+            ProposalSet([Keypoint(grid_index=(0, 0), x=0.0, y=1.0, **fields)])
 
 
 class TestNonFiniteRejected:
@@ -65,9 +73,9 @@ class TestNonFiniteRejected:
         return Keypoint(**{"grid_index": (0, 0), "x": 0.0, "y": 5.0, **fields})
 
     def test_nan_class_score(self):
-        # A Keypoint refuses it when made; a set built from columns names the row.
-        with pytest.raises(ValidationError, match="class_scores"):
-            self.kp(class_scores=[np.nan])
+        # A set names the row, whether made from Keypoints or from columns.
+        with pytest.raises(ValidationError, match=r"keypoints\[0\]\.class_scores"):
+            ProposalSet([self.kp(class_scores=[np.nan])])
         with pytest.raises(ValidationError, match=r"keypoints\[1\]\.class_scores"):
             ProposalSet.from_arrays(np.zeros((2, 2), dtype=int), [0.0, 0.0], [5.0, 5.0],
                                     class_scores=[[0.5], [np.nan]])
@@ -99,18 +107,61 @@ def test_mixed_score_widths_rejected(widths, bad):
         ProposalSet(kps)
 
 
+# One bad field each: a Keypoint keeps it until it enters a set.
+BAD_FIELDS = {
+    "x_string": ("x", "1.5"), "x_bool": ("x", True), "y_none": ("y", None),
+    "y_bool": ("y", False), "dx_none": ("dx", None), "z_string": ("z", "0"),
+    "fg_score_nan": ("fg_score", np.nan), "fg_score_past_one": ("fg_score", 1.5),
+    "fg_score_bool": ("fg_score", True), "class_scores_nan": ("class_scores", [np.nan, 0.2]),
+    "class_scores_negative": ("class_scores", [0.2, -0.5]),
+    "class_scores_bool": ("class_scores", [0.2, True]),
+    "class_scores_scalar": ("class_scores", 0.5),
+    "grid_index_float": ("grid_index", (2.5, 0)), "grid_index_bool": ("grid_index", (0, True)),
+    "grid_index_three_long": ("grid_index", (1, 2, 3)),
+    "grid_index_beyond_int64": ("grid_index", (2 ** 63, 0)),
+}
+
+
+def one_gt():
+    return [GroundTruthKeypoint(lane_id=0, order_in_lane=0, x=0.0, y=5.0, row=0)]
+
+
+# Every library function that takes a sequence of Keypoints.
+KEYPOINT_ENTRIES = {
+    "ProposalSet": ProposalSet,
+    "extract_lanes": lambda kps: extract_lanes(kps, np.zeros((2, 2))),
+    "aggregate_lane_attributes": aggregate_lane_attributes,
+    "build_cost_matrix": lambda kps: build_cost_matrix(kps, one_gt()),
+    "match_keypoints": lambda kps: match_keypoints(kps, one_gt()),
+    "keypoint_recall": lambda kps: keypoint_recall(kps, one_gt()),
+}
+
+
+@pytest.mark.parametrize("entry", KEYPOINT_ENTRIES.values(), ids=KEYPOINT_ENTRIES.keys())
+@pytest.mark.parametrize("field, value", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_one_door_for_keypoints(field, value, entry):
+    """Keypoints enter every function as a ProposalSet, so each one rejects a
+    bad field as the set does, naming it."""
+    good = {"grid_index": (0, 0), "x": 0.0, "y": 5.0, "fg_score": 0.5, "class_scores": [0.5, 0.5]}
+    kps = [Keypoint(**good), Keypoint(**{**good, "grid_index": (1, 0), field: value})]
+    with pytest.raises(ValidationError, match=rf"^(keypoints\[1\]\.)?{field}(?![\w.])"):
+        entry(kps)
+
+
 class TestGridIndex:
     """A grid index comes back from a set exactly, or is rejected."""
 
     @pytest.mark.parametrize("grid_index", [(2.7, 0), (2.0, 0), (0, np.float64(1)),
                                             (True, 0), (1, 2, 3)])
     def test_keypoint_takes_two_integers(self, grid_index):
-        with pytest.raises(ValidationError, match="grid_index must be two integers"):
-            Keypoint(grid_index=grid_index, x=0.0, y=5.0)
+        with pytest.raises(ValidationError, match=r"^(keypoints\[0\]\.)?grid_index"):
+            ProposalSet([Keypoint(grid_index=grid_index, x=0.0, y=5.0)])
 
     def test_numpy_integers_become_python_ints(self):
         kp = Keypoint(grid_index=(np.int64(3), np.uint8(2)), x=0.0, y=5.0)
-        assert kp.grid_index == (3, 2) and all(type(v) is int for v in kp.grid_index)
+        row = ProposalSet([kp])[0]
+        assert row == kp and row.grid_index == (3, 2)
+        assert all(type(v) is int for v in row.grid_index)
 
     def test_beyond_float_precision_kept(self):
         kp = Keypoint(grid_index=(2 ** 53 + 1, -(2 ** 63)), x=0.0, y=5.0)
