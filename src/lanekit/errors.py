@@ -28,6 +28,7 @@ class SchemaError(ValidationError):
 
 _BOOLS = frozenset((bool, np.bool_))
 _INT64 = np.iinfo(np.int64)
+_FLOAT_MAX = float(np.finfo(float).max)
 # Checked by type first: isinstance against an ABC costs a Python call.
 _PLAIN_REALS = frozenset((float, int, np.float64))
 
@@ -41,10 +42,11 @@ _INTERVAL_PHRASES = {(0, math.inf, "()"): "be positive and finite",
 def check_real(value, name, low=-math.inf, high=math.inf, ends="()"):
     """``value``, which must be a real number between ``low`` and ``high``,
     ends open or closed as ``ends`` says (``"[)"`` is [low, high)); anything
-    else, a bool or NaN included, raises ValidationError naming ``name``."""
+    else (a bool, NaN, an int no float holds) raises ValidationError naming ``name``."""
     if not ((type(value) in _PLAIN_REALS or isinstance(value, Real) and type(value) not in _BOOLS)
             and (low < value if ends[0] == "(" else low <= value)
-            and (value < high if ends[1] == ")" else value <= high)):
+            and (value < high if ends[1] == ")" else value <= high)
+            and (type(value) is not int or -_FLOAT_MAX <= value <= _FLOAT_MAX)):
         phrase = _INTERVAL_PHRASES.get((low, high, ends),
                                        f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
         raise ValidationError(f"{name} must {phrase}, got {value!r}")
@@ -78,7 +80,7 @@ def reject_non_finite(values, array, field=""):
         reject_rows(~finite.reshape(len(values), -1).all(axis=1), array, field, "not finite")
 
 
-def float_array(values, name, shape=None):
+def float_array(values, name, shape=None, row_name=None):
     """``values`` as a float array, the one rule for array arguments: anything
     but a rectangular array of numbers (ragged input, strings, booleans,
     integers beyond 64 bits) is rejected as ``name``.  Only a list's or
@@ -88,21 +90,23 @@ def float_array(values, name, shape=None):
     ``shape``, if given, is the pattern the array must match: one length per
     axis, None matching any length.  An empty 1-D input reads as zero rows, so
     ``[]`` matches ``(None, 4)`` as a ``(0, 4)`` array.  No value is checked;
-    finiteness and ranges are the caller's rule."""
-    return _number_array(values, name, shape, "iuf").astype(float, copy=False)
+    finiteness and ranges are the caller's rule.  With ``row_name``, a list
+    or tuple with a boolean, a non-number or a ragged row names the first row
+    bad alone or unlike row 0 in shape, ``row_name.format(row)``."""
+    return _number_array(values, name, shape, "iuf", row_name).astype(float, copy=False)
 
 
 def int_array(values, name, shape=None, row_name=None):
     """``values`` as an int64 array, the integer twin of ``float_array``: its
-    rule for booleans, ragged input, non-numbers and ``shape``, and besides
-    that ``check_int``'s rule for every entry (no float, not even 2.0) and
-    no integer outside the int64 range.  Those two name the first row
-    holding a bad entry, ``row_name.format(row)`` if given, else
+    rule for booleans, ragged input, non-numbers, ``shape`` and ``row_name``,
+    and besides that ``check_int``'s rule for every entry (no float, not even
+    2.0) and no integer outside the int64 range.  Those two name the first
+    row holding a bad entry, ``row_name.format(row)`` if given, else
     ``name[row]``.  An integer array is judged by its dtype alone; other
     input, a float or a uint64 array or Python integers beyond int64, is
     read entry by entry.  No value is checked against a range of indices;
     that is the caller's rule."""
-    array = _number_array(values, name, shape, "iufO")
+    array = _number_array(values, name, shape, "iufO", row_name)
     if array.dtype.kind == "i" or array.size == 0 or (
             array.dtype.kind == "u" and array.max() <= _INT64.max):
         return array.astype(np.int64, copy=False)
@@ -116,19 +120,23 @@ def int_array(values, name, shape=None, row_name=None):
     return array.astype(np.int64)
 
 
-def _number_array(values, name, shape, kinds):
+def _number_array(values, name, shape, kinds, row_name=None):
     """``values`` as numpy reads them, checked by ``float_array``'s rule with
     the dtype kinds ``kinds`` taken as numbers."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged list
         array = None
-    if array is not None and (array.dtype.kind == "b" or (
-            array.dtype.kind in kinds and isinstance(values, (list, tuple))
-            and _holds_bool(values, array.ndim))):
-        raise ValidationError(f"{name}: expected numbers, got a boolean")
-    if array is None or array.dtype.kind not in kinds:
-        raise ValidationError(f"{name}: expected a rectangular array of numbers")
+    boolean = array is not None and (array.dtype.kind == "b" or (
+        array.dtype.kind in kinds and isinstance(values, (list, tuple))
+        and _holds_bool(values, array.ndim)))
+    if boolean or array is None or array.dtype.kind not in kinds:
+        if row_name is not None and isinstance(values, (list, tuple)):
+            row_shape = shape and shape[1:]
+            for row, entry in enumerate(values):   # later rows must match the first
+                row_shape = _number_array(entry, row_name.format(row), row_shape, kinds).shape
+        raise ValidationError(f"{name}: " + ("expected numbers, got a boolean" if boolean
+                                             else "expected a rectangular array of numbers"))
     if shape is not None:
         if array.shape == (0,) and shape and shape[0] in (None, 0):
             array = array.reshape((0,) + tuple(n or 0 for n in shape[1:]))

@@ -125,7 +125,8 @@ class LaneRecord:
             raise ValidationError("lane points must have non-decreasing y")
         points.flags.writeable = False
         object.__setattr__(self, "category", check_int(self.category, "category", 0))
-        check_real(self.confidence, "confidence", 0, 1, "[]")
+        object.__setattr__(self, "confidence",
+                           float(check_real(self.confidence, "confidence", 0, 1, "[]")))
         path = tuple(check_int(i, "path", 0) for i in self.path)
         if path and len(path) != len(points):
             raise ValidationError(f"path has {len(path)} nodes for {len(points)} points")
@@ -156,7 +157,8 @@ def threshold_adjacency(adjacency, t_a, nodes=None):
     With ``nodes``, strictly increasing indices into the square adjacency,
     the graph is the one of ``adjacency[np.ix_(nodes, nodes)]``: node k is
     index ``nodes[k]``.  Its edges are read from the nodes' rows, a block
-    of rows at a time, so that submatrix is never built.
+    of rows at a time, so that submatrix is never built.  An entry read as
+    an edge that is NaN or above 1 raises ValidationError naming it.
     """
     check_real(t_a, "t_a", 0, 1, "[)")
     probs = _as_probs(adjacency)
@@ -169,15 +171,20 @@ def threshold_adjacency(adjacency, t_a, nodes=None):
     for start in range(0, len(nodes), block):
         rows = probs.take(nodes[start:start + block], axis=0)
         # Row-major order, so ascending nodes give edges in (src, dst) order.
-        flat = np.flatnonzero(rows > t_a)
+        # Unlike ``rows > t_a`` this keeps NaN, for the edge check below.
+        flat = np.flatnonzero(~(rows <= t_a))
         row, col = np.divmod(flat, size)
         node = rank[col]
         keep = (node >= 0) & (node != row + start)
         src.append(row[keep] + start)
         dst.append(node[keep])
         prob.append(rows.ravel()[flat[keep]])
-    return DirectedLaneGraph(node_count=len(nodes), edge_src=np.concatenate(src),
-                             edge_dst=np.concatenate(dst), edge_prob=np.concatenate(prob))
+    src, dst, prob = np.concatenate(src), np.concatenate(dst), np.concatenate(prob)
+    if not (prob <= 1.0).all():
+        k = np.argmin(prob <= 1.0)
+        raise ValidationError(f"adjacency[{nodes[src[k]]}, {nodes[dst[k]]}]: must be "
+                              f"finite and lie in [0, 1], got {prob[k]}")
+    return DirectedLaneGraph(node_count=len(nodes), edge_src=src, edge_dst=dst, edge_prob=prob)
 
 
 def find_terminals(graph):

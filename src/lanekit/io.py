@@ -11,19 +11,22 @@ rows.  The loader reads both encodings whatever the frame's size.
 Lane files and ground-truth files both hold ``graph.LaneRecord``s; a ground-truth
 lane is written without a confidence and reads back with confidence 1.0.
 
-Every loader reads its file as bytes and decodes them with ``orjson``,
-imported on the first read so that importing lanekit loads numpy only.  Only
-a document orjson refuses goes to the stdlib decoder, as UTF-8 text: one
-holding ``NaN`` or ``Infinity`` (rejected there, naming the token), a
-number beyond the double range (it loads, and the field holding it is then
-rejected as out of range), a lone surrogate escape (it loads), one nested
-too deeply for its recursion (``file: nested too deeply to decode``) or one
-that is not JSON at all (``file: not valid JSON (...)``).  The two decoders
-agree on everything orjson accepts but one thing: orjson reads an integer
-literal outside [-2**63, 2**64) as the nearest float, so ``2**64`` is
-``1.8446744073709552e19`` where a number belongs and is rejected where an
-integer does.  Writers stay on the stdlib encoder.
-"""
+A loader raises ``SchemaError`` for a bad structure: JSON it cannot decode,
+a missing field, no object, list or string where one belongs, an unknown
+adjacency format, a size or class-score count unlike the header's.  Each
+number goes to the rule that owns it (``errors``, ``ProposalSet``,
+``LaneRecord``, ``CameraModel``, ``HeadWeights``) and a bad one raises its
+``ValidationError``, named by its place in the file: ``keypoints[1].x: ...``.
+
+Files are decoded with ``orjson``, imported on the first read so that
+importing lanekit loads numpy only, and a document it refuses by the stdlib
+decoder, which rejects ``NaN`` and ``Infinity`` naming the token, invalid JSON
+or an integer too long to read (``file: not valid JSON (...)``) and deep
+nesting (``file: nested too deeply to decode``), and loads a number beyond
+the double range or a lone surrogate escape.  They differ only on integer
+literals outside [-2**63, 2**64): orjson reads the nearest float, which an
+integer field rejects, the stdlib an int, which a float field rejects.
+Writers stay on the stdlib encoder."""
 
 import json
 from dataclasses import dataclass
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_head import HeadWeights
-from .errors import SchemaError, ValidationError, float_array
+from .errors import (SchemaError, ValidationError, check_int, check_real, float_array,
+                     int_array, reject_rows)
 from .geometry import CameraModel
 from .graph import AdjacencyMatrix, LaneRecord
 from .nms import ProposalSet
@@ -76,35 +80,24 @@ def _load_json(path):
         pass
     try:
         return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except SchemaError:   # a NaN or Infinity token, named by _reject_constant
+        raise
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError, an overlong integer
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
     except RecursionError:
         raise SchemaError("file", "nested too deeply to decode") from None
 
 
-def _as_float(value, field):
-    """A JSON number as a float; an integer beyond the float range is rejected."""
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise SchemaError(field, "number out of range") from exc
-
-
-def _require(mapping, field, kind, context=""):
+def _require(mapping, field, kind=None, context=""):
+    """``mapping[field]``, named ``context + field``: present, and a ``kind`` if given."""
     name = f"{context}{field}"
     if not isinstance(mapping, dict):
         raise SchemaError(name, "enclosing object is not a JSON object")
     if field not in mapping:
         raise SchemaError(name, "missing")
     value = mapping[field]
-    # bool is an int subclass; JSON true is not a number.
-    if kind in (int, float) and isinstance(value, bool):
-        raise SchemaError(name, f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = _as_float(value, name)
     if kind is not None and not isinstance(value, kind):
-        raise SchemaError(name, f"expected {getattr(kind, '__name__', kind)}, "
-                          f"got {type(value).__name__}")
+        raise SchemaError(name, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -133,40 +126,37 @@ def save_prediction_frame(frame, path):
 def load_prediction_frame(path):
     raw = _load_json(path)
     frame_id = _require(raw, "frame_id", str)
-    categories = _require(raw, "categories", int)
-    repeats_n = _require(raw, "repeats_n", int)
+    # A frame without keypoints still makes an empty (0, categories) array.
+    categories = check_int(_require(raw, "categories"), "categories", 0)
+    if categories >= 2 ** 31:
+        raise ValidationError(f"categories must lie in [0, 2**31), got {categories}")
     camera = raw.get("camera")
-
     if camera is not None and not isinstance(camera, str):
         raise SchemaError("camera", f"expected str or null, got {type(camera).__name__}")
-    # A frame without keypoints still makes an empty (0, categories) array.
-    if not 0 <= categories < 2 ** 31:
-        raise SchemaError("categories", f"must lie in [0, 2**31), got {categories}")
 
     entries = _require(raw, "keypoints", list)
-    grid_index, fields, scores = [], [], []
-    for i, entry in enumerate(entries):
-        ctx = f"keypoints[{i}]."
-        entry_scores = _require(entry, "class_scores", list, ctx)
-        if len(entry_scores) != categories:
+    fields = ("class_scores", "row", "col", "x", "y", "dx", "z", "fg_score")
+    try:
+        scores, row, col, x, y, dx, z, fg_score = (
+            [entry[field] for entry in entries] for field in fields)
+    except (KeyError, TypeError):   # an entry that is no object, or lacks a field
+        for i, entry in enumerate(entries):
+            for field in fields:
+                _require(entry, field, context=f"keypoints[{i}].")
+        raise
+    for i, entry_scores in enumerate(scores):
+        if not (isinstance(entry_scores, list) and len(entry_scores) == categories):
             raise SchemaError(f"keypoints[{i}].class_scores",
-                              f"length {len(entry_scores)}, header says {categories}")
-        grid_index.append((_require(entry, "row", int, ctx), _require(entry, "col", int, ctx)))
-        fields.append([_require(entry, name, float, ctx)
-                       for name in ("x", "y", "dx", "z", "fg_score")])
-        scores.append(entry_scores)
-    # Every row holds ``categories`` entries, so numbers give two dimensions.
-    scores = float_array(scores, "keypoints.class_scores") if entries \
-        else np.empty((0, categories))
-    if scores.ndim != 2:
-        raise SchemaError("keypoints.class_scores", "expected lists of numbers")
-    x, y, dx, z, fg_score = np.array(fields, dtype=float).reshape(-1, 5).T
-    proposals = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg_score, scores,
-                                        repeats_n=repeats_n)
+                              f"expected a list of {categories} numbers, as the header says")
+    grid_index = np.column_stack([int_array(row, "keypoints.row", (None,), "keypoints[{}].row"),
+                                  int_array(col, "keypoints.col", (None,), "keypoints[{}].col")])
+    proposals = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg_score,
+                                        scores if entries else np.empty((0, categories)),
+                                        repeats_n=_require(raw, "repeats_n"))
 
     adj_raw = _require(raw, "adjacency", dict)
     fmt = _require(adj_raw, "format", str, "adjacency.")
-    size = _require(adj_raw, "size", int, "adjacency.")
+    size = check_int(_require(adj_raw, "size", context="adjacency."), "adjacency.size")
     if size != len(proposals):
         raise SchemaError("adjacency.size", f"{size} for {len(proposals)} keypoints")
     if fmt == "dense":
@@ -174,18 +164,19 @@ def load_prediction_frame(path):
         adjacency = float_array(_require(adj_raw, "probs", list, "adjacency."),
                                 "adjacency.probs", (size, size))
     elif fmt == "sparse":
+        triplets = _require(adj_raw, "triplets", list, "adjacency.")
+        probs = float_array(triplets, "adjacency.triplets", (None, 3),
+                            "adjacency.triplets[{}]")[:, 2]
+        # The indices again as written, so that 1.0 is no index.
+        index = int_array([triplet[:2] for triplet in triplets], "adjacency.triplets",
+                          (None, 2), "adjacency.triplets[{}]")
+        reject_rows(((index < 0) | (index >= size)).any(axis=1), "adjacency.triplets", "",
+                    f"indices must lie in [0, {size})")
+        # Of triplets naming one entry, the last holds, as when written in order.
+        flat = index[:, 0] * size + index[:, 1]
+        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
         adjacency = np.zeros((size, size))
-        for t, triplet in enumerate(_require(adj_raw, "triplets", list, "adjacency.")):
-            if not (isinstance(triplet, list) and len(triplet) == 3
-                    and not any(isinstance(v, bool) for v in triplet)
-                    and isinstance(triplet[0], int) and isinstance(triplet[1], int)
-                    and isinstance(triplet[2], (int, float))):
-                raise SchemaError(f"adjacency.triplets[{t}]",
-                                  "expected [row, col, probability] with integer indices")
-            i, j, p = triplet
-            if not (0 <= i < size and 0 <= j < size):
-                raise ValidationError(f"adjacency.triplets[{t}] index out of range")
-            adjacency[i, j] = _as_float(p, f"adjacency.triplets[{t}]")
+        adjacency.reshape(-1)[flat[last]] = probs[last]
     else:
         raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
 
@@ -197,9 +188,9 @@ def _read_lane(entry, ctx, has_confidence):
     """One lane object of a lane or GT file, named ``ctx`` in errors; GT
     lanes carry no ``confidence``."""
     fields = {"points": _require(entry, "points", list, f"{ctx}."),
-              "category": _require(entry, "category", int, f"{ctx}.")}
+              "category": _require(entry, "category", context=f"{ctx}.")}
     if has_confidence:
-        fields["confidence"] = _require(entry, "confidence", float, f"{ctx}.")
+        fields["confidence"] = _require(entry, "confidence", context=f"{ctx}.")
     try:
         return LaneRecord(**fields)
     except ValidationError as exc:
@@ -275,7 +266,7 @@ def load_head_weights(path):
     raw = _load_json(path)
     fields = {key.replace(".", "_"): float_array(_require(raw, key, list), key)
               for key in _WEIGHT_KEYS}
-    fields["final_b"] = _require(raw, "final.b", float)
+    fields["final_b"] = check_real(_require(raw, "final.b"), "final.b")
     return HeadWeights(**fields)
 
 

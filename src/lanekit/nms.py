@@ -119,14 +119,7 @@ class ProposalSet:
     def __init__(self, keypoints=(), repeats_n=1):
         keypoints = tuple(keypoints)
         columns = {name: [getattr(k, name) for k in keypoints] for name in _COLUMNS}
-        scores = columns["class_scores"] = [() if s is None else s
-                                            for s in columns["class_scores"]]
-        try:
-            widths = np.array([len(s) for s in scores])
-        except TypeError:   # a score vector that is no sequence, which from_arrays rejects
-            widths = np.zeros(len(scores))
-        reject_rows(widths != widths[:1], "keypoints", ".class_scores",
-                    "a different number of scores than keypoints[0]")
+        columns["class_scores"] = [() if s is None else s for s in columns["class_scores"]]
         vars(self).update(vars(self.from_arrays(**columns, repeats_n=repeats_n)))
 
     @classmethod
@@ -136,21 +129,22 @@ class ProposalSet:
         rest (N,) floats and ``class_scores`` (N, C).  Omitted columns take
         the ``Keypoint`` defaults: zero offsets, heights and fg scores, and
         no class scores.  The columns are validated and kept as read-only
-        copies."""
-        x = float_array(x, "x", (None,))
+        copies; a bad entry is named by its row, as ``keypoints[2].fg_score``."""
+        x = float_array(x, "x", (None,), "keypoints[{}].x")
         n = len(x)
         self = cls.__new__(cls)
         self.grid_index = _read_only(int_array(grid_index, "grid_index", (n, 2),
                                                "keypoints[{}].grid_index").copy())
         columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
         for name, values in columns.items():
-            values = float_array(np.zeros(n) if values is None else values, name, (n,)).copy()
+            values = float_array(np.zeros(n) if values is None else values, name, (n,),
+                                 f"keypoints[{{}}].{name}").copy()
             reject_non_finite(values, "keypoints", f".{name}")
             setattr(self, name, _read_only(values))
         reject_rows(~((self.fg_score >= 0.0) & (self.fg_score <= 1.0)), "keypoints",
                     ".fg_score", "must lie in [0, 1]")
         class_scores = float_array(np.empty((n, 0)) if class_scores is None else class_scores,
-                                   "class_scores", (n, None)).copy()
+                                   "class_scores", (n, None), "keypoints[{}].class_scores").copy()
         # NaN fails both comparisons, so this also rejects non-finite scores.
         reject_rows(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
                     "keypoints", ".class_scores", "must be finite and lie in [0, 1]")

@@ -135,6 +135,11 @@ REJECTED = {
                           "size"),
     "targets_size_float": (lambda: build_connection_targets(matching(), [gt_keypoint()], 2.0),
                            "size"),
+    "check_real_int_beyond_double": (lambda: check_real(-10 ** 400, "v"), "v"),
+    "final_b_int_beyond_double": (lambda: HeadWeights(**head_fields(final_b=10 ** 400)),
+                                  "final_b"),
+    "nms_boxes_thresh_x_int_beyond_double": (
+        lambda: build_nms_boxes([[0.0, 0.0]], 10 ** 400, 1.0), "thresh_x"),
 }
 
 
@@ -181,6 +186,8 @@ ACCEPTED = {
     "topn_n_bounds": lambda: (select_topn_proposals(np.zeros((4, 4)), grid(), 0),
                               select_topn_proposals(np.zeros((4, 4)), grid(), 16)),
     "scene_seed_numpy": lambda: SceneSpec(seed=np.int64(7)),
+    "int_within_double_range": lambda: (check_real(2 ** 1023, "v"),
+                                        HeadWeights(**head_fields(final_b=-2 ** 1000))),
 }
 
 
@@ -191,8 +198,9 @@ def test_valid_scalar_still_accepted(call):
 
 def test_accepted_values_keep_their_meaning():
     lane_record = LaneRecord([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], category=np.int64(2),
-                             path=np.array([3, 1]))
+                             confidence=1, path=np.array([3, 1]))
     assert type(lane_record.category) is int and lane_record.path == (3, 1)
+    assert type(lane_record.confidence) is float and lane_record.confidence == 1.0
     assert keypoint(grid_index=(np.int64(1), 2)).grid_index == (1, 2)
     assert ProposalSet([keypoint()], repeats_n=np.int64(2)).repeats_n == 2
     assert camera((np.int64(480), 640)).image_size == (480, 640)
@@ -575,6 +583,22 @@ def test_int_array_rejects(values, shape, message):
         int_array(values, "v", shape)
 
 
+@pytest.mark.parametrize("values, shape, message", [
+    ([0.5, True], (None,), r"^x\[1\]: expected numbers, got a boolean$"),
+    ([0.5, "a", None], (None,), r"^x\[1\]: expected a rectangular array of numbers$"),
+    ([0.5, [1.0]], (None,), r"^x\[1\] must have shape \(\), got \(1,\)$"),
+    ([[0.5], [0.5, True]], (None, None), r"^x\[1\]: expected numbers, got a boolean$"),
+    ([[0, 1, 0.5], 7], (None, 3), r"^x\[1\] must have shape \(3,\), got \(\)$"),
+    ([[0.5], [0.5, 0.5]], (None, None), r"^x\[1\] must have shape \(1,\), got \(2,\)$"),
+    ([[0.5], [0.5, 0.5]], None, r"^x\[1\] must have shape \(1,\), got \(2,\)$"),
+    # A rectangular array of the wrong shape is rejected as a whole.
+    ([[0.5, 0.5]], (None,), r"^v must have shape \(\*,\), got \(1, 2\)$")])
+def test_float_array_names_rows_as_asked(values, shape, message):
+    with pytest.raises(ValidationError, match=message):
+        float_array(values, "v", shape, "x[{}]")
+    assert float_array([[0.5], [1]], "v", (None, 1), "x[{}]").tolist() == [[0.5], [1.0]]
+
+
 def test_int_array_names_rows_as_asked_and_keeps_int64_exactly():
     with pytest.raises(ValidationError, match=r"^keypoints\[2\]\.grid_index: outside"):
         int_array([(0, 0), (1, 0), (2 ** 63, 0)], "grid_index", (3, 2), "keypoints[{}].grid_index")
@@ -628,10 +652,10 @@ def test_guard_finds_a_bool_check():
                                         "isinstance(v, bool)\nisinstance(v, int)")) == [1, 2]
 
 
-def test_no_bool_checks_outside_errors_and_io():
-    """The bool rule lives in ``errors`` (and ``io``'s JSON types), so it
+def test_no_bool_checks_outside_errors():
+    """The bool rule lives in ``errors`` alone, file values included, so it
     cannot drift back into hand-written copies."""
-    assert _package_findings(_bool_isinstance_checks, ("errors.py", "io.py")) == []
+    assert _package_findings(_bool_isinstance_checks, ("errors.py",)) == []
 
 
 def _raised_value_errors(source):

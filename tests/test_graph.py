@@ -196,10 +196,24 @@ class TestDirectedLaneGraph:
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 3] = 0.9
         A[0, 2], A[2, 3] = 0.6, 3.0
-        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+        message = r"^adjacency\[2, 3\]: must be finite and lie in \[0, 1\], got 3\.0$"
+        with pytest.raises(ValidationError, match=message):
             extract_lanes(make_keypoints(4), A, 0.5)
-        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+        with pytest.raises(ValidationError, match=message):
             threshold_adjacency(A, 0.5)
+
+    def test_raw_adjacency_nan_is_not_read_as_no_edge(self):
+        # Read as no edge, the NaN would drop node 0 and give the lane (1, 2).
+        A = np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
+        message = r"^adjacency\[0, 1\]: must be finite and lie in \[0, 1\], got nan$"
+        with pytest.raises(ValidationError, match=message):
+            extract_lanes(make_keypoints(3), A, 0.5)
+        with pytest.raises(ValidationError, match=message):
+            threshold_adjacency(A, 0.5, nodes=[0, 1])
+        # Entries no edge is read from are not scanned: the diagonal, and
+        # columns outside ``nodes``.
+        A[1, 1] = A[2, 0] = np.nan
+        assert threshold_adjacency(A, 0.5, nodes=[1, 2]).edges == [(0, 1, 0.9)]
 
 
 class TestTerminals:

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -153,7 +154,7 @@ class TestPredictionFrame:
         raw = json.loads(path.read_text())
         raw["adjacency"]["triplets"][1] = triplet
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match=r"adjacency\.triplets\[1\]"):
+        with pytest.raises(ValidationError, match=r"^adjacency\.triplets\[1\]( must|: )"):
             load_prediction_frame(path)
 
     def test_missing_field_names_the_field(self, tmp_path):
@@ -174,9 +175,9 @@ class TestPredictionFrame:
         raw = json.loads(path.read_text())
         raw["keypoints"][0]["x"] = "left"
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ValidationError,
+                           match=r"^keypoints\[0\]\.x: expected a rectangular array of numbers$"):
             load_prediction_frame(path)
-        assert "x" in str(err.value)
 
     def test_class_scores_length_must_match_header(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -196,7 +197,7 @@ class TestPredictionFrame:
         raw = json.loads(path.read_text())
         raw["categories"] = categories
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match="categories"):
+        with pytest.raises(ValidationError, match="^categories must "):
             load_prediction_frame(path)
 
     def test_invalid_json_is_schema_error(self, tmp_path):
@@ -423,6 +424,20 @@ class TestAdjacencyEncoding:
         with pytest.raises(SchemaError, match=r"adjacency\.size"):
             load_prediction_frame(path)
 
+    def test_triplets_are_read_in_order(self, tmp_path):
+        frame = make_frame(np.random.default_rng(14), count=3)
+        path = tmp_path / "frame.json"
+        triplets = [[0, 1, 0.5], [2, 0, 1], [0, 1, 0.25], [1, 2, 0.75], [1, 2, 0.0]]
+        self.write_with(frame, path, {"format": "sparse", "size": 3, "triplets": triplets})
+        adjacency = load_prediction_frame(path).adjacency
+        # A repeated entry keeps the last value; an integer probability reads as a float.
+        assert adjacency.tolist() == [[0.0, 0.25, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        self.write_with(frame, path, {"format": "sparse", "size": 3,
+                                      "triplets": [[0, 1, 0.5], [1, 3, 0.5]]})
+        with pytest.raises(ValidationError,
+                           match=r"^adjacency\.triplets\[1\]: indices must lie in \[0, 3\)$"):
+            load_prediction_frame(path)
+
     @pytest.mark.parametrize("probs", [[[0.1, 0.2, 0.3], [0.1], [0.2, 0.2, 0.2]],
                                        [[0.1, 0.2, "0.3"]] * 3, [[0.1, 0.2, None]] * 3,
                                        [[[0.1], [0.2], [0.3]]] * 3, [[0.1, 0.2, 0.3]] * 2,
@@ -439,13 +454,13 @@ class TestAdjacencyEncoding:
         path = tmp_path / "bad.json"
         self.write_with(frame, path, {"format": "sparse", "size": 3,
                                       "triplets": [[0, 1, 0.5], [1, 2, 10 ** 400]]})
-        with pytest.raises(SchemaError, match=r"adjacency\.triplets\[1\]"):
+        with pytest.raises(ValidationError, match=r"^adjacency\.triplets\[1\]: expected a "):
             load_prediction_frame(path)
         save_prediction_frame(frame, path)
         raw = json.loads(path.read_text())
         raw["keypoints"][0]["x"] = 10 ** 400
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match=r"keypoints\[0\]\.x: number out of range"):
+        with pytest.raises(ValidationError, match=r"^keypoints\[0\]\.x: expected a rectangular"):
             load_prediction_frame(path)
 
     def test_adjacency_check_is_the_graph_one(self):
@@ -497,7 +512,8 @@ class TestDecoder:
 
     def test_integers_beyond_64_bits_read_as_floats(self, tmp_path):
         path = self.lane_file(tmp_path / "lanes.json", category=2 ** 64)
-        with pytest.raises(SchemaError, match=r"lanes\[0\]\.category: expected int, got float"):
+        with pytest.raises(ValidationError, match=r"^lanes\[0\]: category must be a non-negative "
+                                                  r"integer, got 1\.8446744073709552e\+19$"):
             load_lane_frame(path)
         self.lane_file(path, category=2 ** 64 - 1)
         assert load_lane_frame(path)[1][0].category == 2 ** 64 - 1
@@ -507,6 +523,19 @@ class TestDecoder:
         assert type(x[0][0]) is float and type(x[1][0]) is float
         _, (lane,) = load_lane_frame(path)
         assert lane.points[:, 0].tolist() == [1.8446744073709552e19, -9.223372036854776e18]
+
+    def test_integer_confidence_reads_as_a_float(self, tmp_path):
+        path = self.lane_file(tmp_path / "lanes.json")
+        path.write_text(path.read_text().replace('"confidence": 0.5', '"confidence": 1'))
+        (lane,) = load_lane_frame(path)[1]
+        assert type(lane.confidence) is float and lane.confidence == 1.0
+
+    def test_integer_too_long_to_read_is_schema_error(self, tmp_path):
+        # The stdlib decoder refuses integers of more than 4300 digits.
+        path = tmp_path / "lanes.json"
+        path.write_text('{"frame_id": "f", "lanes": [], "n": %s}' % ("1" * 5000))
+        with pytest.raises(SchemaError, match="^file: not valid JSON"):
+            load_lane_frame(path)
 
     def test_lone_surrogate_still_loads(self, tmp_path):
         path = self.lane_file(tmp_path / "lanes.json", frame_id="\ud800")
@@ -562,46 +591,98 @@ def _camera_file(path):
     save_camera(make_forward_camera(), path)
 
 
+# Every field of a file that holds one number: (file writer, loader, keys
+# of the field, the field's name in errors, whether it takes an integer).
+SINGLE_NUMBERS = {
+    "row": (_sparse_frame, load_prediction_frame, ("keypoints", 1, "row"), "keypoints[1].row",
+            True),
+    "col": (_sparse_frame, load_prediction_frame, ("keypoints", 1, "col"), "keypoints[1].col",
+            True),
+    **{name: (_sparse_frame, load_prediction_frame, ("keypoints", 1, name),
+              f"keypoints[1].{name}", False) for name in ("x", "y", "dx", "z", "fg_score")},
+    "repeats_n": (_sparse_frame, load_prediction_frame, ("repeats_n",), "repeats_n", True),
+    "categories": (_sparse_frame, load_prediction_frame, ("categories",), "categories", True),
+    "size": (_sparse_frame, load_prediction_frame, ("adjacency", "size"), "adjacency.size",
+             True),
+    "triplet-index": (_sparse_frame, load_prediction_frame, ("adjacency", "triplets", 0, 1),
+                      "adjacency.triplets[0]", True),
+    "triplet-prob": (_sparse_frame, load_prediction_frame, ("adjacency", "triplets", 0, 2),
+                     "adjacency.triplets[0]", False),
+    "category": (_lane_file, load_lane_frame, ("lanes", 0, "category"), "lanes[0]: category",
+                 True),
+    "confidence": (_lane_file, load_lane_frame, ("lanes", 0, "confidence"),
+                   "lanes[0]: confidence", False),
+    "gt-category": (_gt_file, load_ground_truth, ("frames", 0, "lanes", 0, "category"),
+                    "frames[0].lanes[0]: category", True),
+    "final.b": (_head_file, load_head_weights, ("final.b",), "final.b", False),
+}
+# These integers have no upper bound, so 10**400 is valid there.
+UNBOUNDED = {"repeats_n", "category", "gt-category"}
+BAD_SINGLE_NUMBERS = {f"{field}-{kind}": (field, value) for field, spec in SINGLE_NUMBERS.items()
+                      for kind, value in [("string", "0.5"), ("null", None),
+                                          ("beyond-double", 10 ** 400), ("fraction", 1.5)]
+                      if not (kind == "beyond-double" and field in UNBOUNDED)
+                      and (kind != "fraction" or spec[-1])}
+
+
+def _edited(tmp_path, write, edit):
+    path = tmp_path / "file.json"
+    write(path)
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return path
+
+
 class TestBooleansAreNotNumbers:
     """JSON ``true`` and ``false`` are rejected wherever a number belongs,
-    naming the field, although Python's bool is an int."""
+    naming the field, although Python's bool is an int; so are strings,
+    nulls, fractions where an integer belongs and numbers beyond the
+    double range, by the rule that owns the field."""
 
-    @pytest.mark.parametrize("write, load, edit, field", [
+    @pytest.mark.parametrize("write, load, edit, message", [
         (_sparse_frame, load_prediction_frame, _set("keypoints", 0, "row"),
-         r"keypoints\[0\]\.row"),
+         r"keypoints\[0\]\.row: expected numbers, got a boolean"),
         (_sparse_frame, load_prediction_frame, _set("keypoints", 1, "fg_score"),
-         r"keypoints\[1\]\.fg_score"),
+         r"keypoints\[1\]\.fg_score: expected numbers, got a boolean"),
         (_sparse_frame, load_prediction_frame, _set("keypoints", 2, "x", value=False),
-         r"keypoints\[2\]\.x"),
-        (_sparse_frame, load_prediction_frame, _set("repeats_n"), "repeats_n"),
-        (_sparse_frame, load_prediction_frame, _set("categories", value=False), "categories"),
-        (_sparse_frame, load_prediction_frame, _set("adjacency", "size"), r"adjacency\.size"),
+         r"keypoints\[2\]\.x: expected numbers, got a boolean"),
+        (_sparse_frame, load_prediction_frame, _set("repeats_n"),
+         r"repeats_n must be an integer >= 1, got True"),
+        (_sparse_frame, load_prediction_frame, _set("categories", value=False),
+         r"categories must be a non-negative integer, got False"),
+        (_sparse_frame, load_prediction_frame, _set("adjacency", "size"),
+         r"adjacency\.size must be an integer, got True"),
         (_sparse_frame, load_prediction_frame, _set("adjacency", "triplets", 0, 2),
-         r"adjacency\.triplets\[0\]"),
+         r"adjacency\.triplets\[0\]: expected numbers, got a boolean"),
         (_sparse_frame, load_prediction_frame, _set("adjacency", "triplets", 0, 0, value=False),
-         r"adjacency\.triplets\[0\]"),
-        (_lane_file, load_lane_frame, _set("lanes", 0, "category"), r"lanes\[0\]\.category"),
+         r"adjacency\.triplets\[0\]: expected numbers, got a boolean"),
+        (_lane_file, load_lane_frame, _set("lanes", 0, "category"),
+         r"lanes\[0\]: category must be a non-negative integer, got True"),
         (_lane_file, load_lane_frame, _set("lanes", 0, "confidence"),
-         r"lanes\[0\]\.confidence"),
-        (_head_file, load_head_weights, _set("final.b"), r"final\.b")],
+         r"lanes\[0\]: confidence must lie in \[0, 1\], got True"),
+        (_head_file, load_head_weights, _set("final.b"), r"final\.b must be finite, got True")],
         ids=["row", "fg_score", "x", "repeats_n", "categories", "size", "triplet-prob",
              "triplet-index", "category", "confidence", "final.b"])
-    def test_bool_names_the_field(self, tmp_path, write, load, edit, field):
-        path = tmp_path / "file.json"
-        write(path)
-        raw = json.loads(path.read_text())
-        edit(raw)
-        path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match=field):
-            load(path)
+    def test_bool_names_the_field(self, tmp_path, write, load, edit, message):
+        # The same ValidationError the value gets from the library's own checks.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load(_edited(tmp_path, write, edit))
+
+    @pytest.mark.parametrize("field, value", BAD_SINGLE_NUMBERS.values(),
+                             ids=BAD_SINGLE_NUMBERS.keys())
+    def test_bad_single_number_names_the_field(self, tmp_path, field, value):
+        write, load, keys, name, _ = SINGLE_NUMBERS[field]
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)}(: | must )"):
+            load(_edited(tmp_path, write, _set(*keys, value=value)))
 
     @pytest.mark.parametrize("write, load, edit, field", [
         (_lane_file, load_lane_frame, _set("lanes", 0, "points", 1, 0), r"lanes\[0\]: points"),
         (_gt_file, load_ground_truth, _set("frames", 0, "lanes", 0, "points", 0, 2, value=False),
          r"frames\[0\]\.lanes\[0\]: points"),
         (_sparse_frame, load_prediction_frame, _set("keypoints", 1, "class_scores", 0),
-         r"keypoints\.class_scores"),
-        (_sparse_frame, load_prediction_frame, _all_scores_true, r"keypoints\.class_scores"),
+         r"keypoints\[1\]\.class_scores"),
+        (_sparse_frame, load_prediction_frame, _all_scores_true, r"keypoints\[0\]\.class_scores"),
         (_dense_frame, load_prediction_frame, _set("adjacency", "probs", 2, 1),
          r"adjacency\.probs"),
         (_camera_file, load_camera, _set("intrinsic", 0), "intrinsic"),
@@ -611,13 +692,8 @@ class TestBooleansAreNotNumbers:
         ids=["lane-points", "gt-points", "class_scores", "all-class_scores", "probs",
              "intrinsic", "extrinsic", "w1", "final.w"])
     def test_bool_in_a_number_list_names_the_field(self, tmp_path, write, load, edit, field):
-        path = tmp_path / "file.json"
-        write(path)
-        raw = json.loads(path.read_text())
-        edit(raw)
-        path.write_text(json.dumps(raw))
         with pytest.raises(ValidationError, match=field + ": expected numbers, got a boolean"):
-            load(path)
+            load(_edited(tmp_path, write, edit))
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
