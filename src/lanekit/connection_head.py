@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
+from .errors import FINITE, ValidationError, check_int, check_real, float_array
 from .graph import AdjacencyMatrix
 
 
@@ -48,8 +48,7 @@ class HeadWeights:
 
     def _field(self, name, shape):
         """Field ``name`` as a finite float array of the ``shape`` pattern."""
-        array = float_array(getattr(self, name), name, shape)
-        reject_non_finite(array, name)
+        array = float_array(getattr(self, name), name, shape, within=FINITE)
         object.__setattr__(self, name, array)
         return array
 
@@ -66,10 +65,8 @@ class ConnectionFeatures:
     positions: np.ndarray
 
     def __post_init__(self):
-        f_c = float_array(self.f_c, "f_c", (None, None))
-        positions = float_array(self.positions, "positions", (len(f_c), 2))
-        reject_non_finite(f_c, "f_c")
-        reject_non_finite(positions, "positions")
+        f_c = float_array(self.f_c, "f_c", (None, None), within=FINITE)
+        positions = float_array(self.positions, "positions", (len(f_c), 2), within=FINITE)
         object.__setattr__(self, "f_c", f_c)
         object.__setattr__(self, "positions", positions)
 

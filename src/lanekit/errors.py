@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks that raise
 them naming the offending argument, field or row: ``check_real`` and
-``check_int``, the one rule for scalar arguments, ``float_array`` and
-``int_array``, the one rule for array arguments, and the row checks."""
+``check_int``, the one rule for scalar arguments, and ``float_array`` and
+``int_array``, the one rule for array arguments and the ranges of their
+values."""
 
 import math
 from itertools import chain
@@ -27,7 +28,6 @@ class SchemaError(ValidationError):
 
 
 _BOOLS = frozenset((bool, np.bool_))
-_INT64 = np.iinfo(np.int64)
 _FLOAT_MAX = float(np.finfo(float).max)
 # Checked by type first: isinstance against an ABC costs a Python call.
 _PLAIN_REALS = frozenset((float, int, np.float64))
@@ -35,8 +35,41 @@ _PLAIN_REALS = frozenset((float, int, np.float64))
 # Phrases for the intervals whose generic "lie in [a, b)" reads badly.
 _INTERVAL_PHRASES = {(0, math.inf, "()"): "be positive and finite",
                      (0, math.inf, "[)"): "be finite and non-negative",
+                     (0, math.inf, "[]"): "be non-negative",
                      (-math.inf, math.inf, "()"): "be finite",
-                     (-math.inf, math.inf, "[]"): "be a number"}
+                     (-math.inf, math.inf, "[]"): "be a number",
+                     (-2 ** 63, 2 ** 63, "[)"): "lie in the int64 range"}
+
+# Intervals, as ``within`` takes them, that several arguments share.
+FINITE = (-math.inf, math.inf, "()")
+UNIT = (0, 1, "[]")
+NON_NEGATIVE = (0, math.inf, "[]")
+INT64 = (-2 ** 63, 2 ** 63, "[)")
+
+
+def _above(values, low, end):
+    """Whether ``values``, a number or an array of them, lie above ``low``,
+    or at it if ``end`` is ``"["``; NaN lies nowhere."""
+    return low < values if end == "(" else low <= values
+
+
+def _below(values, high, end):
+    """``_above``'s twin: ``values`` below ``high``, or at it if ``end`` is ``"]"``."""
+    return values < high if end == ")" else values <= high
+
+
+def _phrase(low, high, ends):
+    bounds = (f"{v:g}" if isinstance(v, float) else f"{v}" for v in (low, high))
+    return _INTERVAL_PHRASES.get((low, high, ends), "lie in {}{}, {}{}".format(
+        ends[0], *bounds, ends[1]))
+
+
+def _shown(value):
+    """``repr(value)``, or the size of an int too long for ``repr``."""
+    try:
+        return repr(value)
+    except ValueError:   # more digits than the interpreter converts
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def check_real(value, name, low=-math.inf, high=math.inf, ends="()"):
@@ -44,12 +77,9 @@ def check_real(value, name, low=-math.inf, high=math.inf, ends="()"):
     ends open or closed as ``ends`` says (``"[)"`` is [low, high)); anything
     else (a bool, NaN, an int no float holds) raises ValidationError naming ``name``."""
     if not ((type(value) in _PLAIN_REALS or isinstance(value, Real) and type(value) not in _BOOLS)
-            and (low < value if ends[0] == "(" else low <= value)
-            and (value < high if ends[1] == ")" else value <= high)
+            and _above(value, low, ends[0]) and _below(value, high, ends[1])
             and (type(value) is not int or -_FLOAT_MAX <= value <= _FLOAT_MAX)):
-        phrase = _INTERVAL_PHRASES.get((low, high, ends),
-                                       f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
-        raise ValidationError(f"{name} must {phrase}, got {value!r}")
+        raise ValidationError(f"{name} must {_phrase(low, high, ends)}, got {_shown(value)}")
     return value
 
 
@@ -60,27 +90,11 @@ def check_int(value, name, low=None):
             and (low is None or value >= low)):
         phrase = ("an integer" if low is None else "a non-negative integer" if low == 0
                   else f"an integer >= {low}")
-        raise ValidationError(f"{name} must be {phrase}, got {value!r}")
+        raise ValidationError(f"{name} must be {phrase}, got {_shown(value)}")
     return int(value)
 
 
-def reject_rows(bad, array, field, problem):
-    """Raises ValidationError for the first row flagged in ``bad``, naming
-    it as ``array[row]field``."""
-    if bad.any():
-        row = int(bad.nonzero()[0][0])
-        raise ValidationError(f"{array}[{row}]{field}: {problem}")
-
-
-def reject_non_finite(values, array, field=""):
-    """Raises ValidationError naming the first row of ``values`` that holds
-    a NaN or an infinity."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        reject_rows(~finite.reshape(len(values), -1).all(axis=1), array, field, "not finite")
-
-
-def float_array(values, name, shape=None, row_name=None):
+def float_array(values, name, shape=None, row_name=None, within=None):
     """``values`` as a float array, the one rule for array arguments: anything
     but a rectangular array of numbers (ragged input, strings, booleans,
     integers beyond 64 bits) is rejected as ``name``.  Only a list's or
@@ -89,35 +103,62 @@ def float_array(values, name, shape=None, row_name=None):
 
     ``shape``, if given, is the pattern the array must match: one length per
     axis, None matching any length.  An empty 1-D input reads as zero rows, so
-    ``[]`` matches ``(None, 4)`` as a ``(0, 4)`` array.  No value is checked;
-    finiteness and ranges are the caller's rule.  With ``row_name``, a list
-    or tuple with a boolean, a non-number or a ragged row names the first row
-    bad alone or unlike row 0 in shape, ``row_name.format(row)``."""
-    return _number_array(values, name, shape, "iuf", row_name).astype(float, copy=False)
+    ``[]`` matches ``(None, 4)`` as a ``(0, 4)`` array.  With ``row_name``, a
+    list or tuple with a boolean, a non-number or a ragged row names the
+    first row bad alone or unlike row 0 in shape, ``row_name.format(row)``.
+
+    ``within``, if given, is the interval ``(low, high, ends)`` every entry
+    must lie in, read as ``check_real`` reads it, e.g. ``(0, 1, "[]")``; NaN
+    lies in none.  An entry outside it raises ValidationError naming the
+    first row that holds one, ``row_name.format(row)`` if given, else
+    ``name[row]``, and the entry: ``x[2] must lie in [0, 1], got 1.5``."""
+    array = _number_array(values, name, shape, "iuf", row_name).astype(float, copy=False)
+    return array if within is None else _within(array, name, row_name, *within)
 
 
-def int_array(values, name, shape=None, row_name=None):
+def int_array(values, name, shape=None, row_name=None, within=None):
     """``values`` as an int64 array, the integer twin of ``float_array``: its
-    rule for booleans, ragged input, non-numbers, ``shape`` and ``row_name``,
-    and besides that ``check_int``'s rule for every entry (no float, not even
-    2.0) and no integer outside the int64 range.  Those two name the first
-    row holding a bad entry, ``row_name.format(row)`` if given, else
-    ``name[row]``.  An integer array is judged by its dtype alone; other
-    input, a float or a uint64 array or Python integers beyond int64, is
-    read entry by entry.  No value is checked against a range of indices;
-    that is the caller's rule."""
+    rule for booleans, ragged input, non-numbers, ``shape``, ``row_name`` and
+    ``within``, and besides that ``check_int``'s rule for every entry (no
+    float, not even 2.0) and no integer outside the int64 range.  Those two
+    name the first row holding a bad entry as ``within`` does.  An integer
+    array is judged by its dtype alone; other input, a float or a uint64
+    array or Python integers beyond int64, is read entry by entry."""
     array = _number_array(values, name, shape, "iufO", row_name)
-    if array.dtype.kind == "i" or array.size == 0 or (
-            array.dtype.kind == "u" and array.max() <= _INT64.max):
-        return array.astype(np.int64, copy=False)
-    # A float array, or Python ints that numpy read as float64 or object.
-    entries = np.atleast_1d(np.asarray(values, dtype=object))
-    for row, row_entries in enumerate(entries.reshape(len(entries), -1).tolist()):
-        label = (row_name or name + "[{}]").format(row)
-        for value in row_entries:
-            if not _INT64.min <= check_int(value, label) <= _INT64.max:
-                raise ValidationError(f"{label}: outside the int64 range")
-    return array.astype(np.int64)
+    if not (array.dtype.kind == "i" or array.size == 0 or (
+            array.dtype.kind == "u" and array.max() < 2 ** 63)):
+        # A float array, or Python ints that numpy read as float64 or object.
+        entries = np.atleast_1d(np.asarray(values, dtype=object))
+        entries = entries.reshape(len(entries), -1)
+        for row, row_entries in enumerate(entries.tolist()):
+            label = (row_name or name + "[{}]").format(row)
+            for value in row_entries:
+                check_int(value, label)
+        _within(entries, name, row_name, *INT64)
+    array = array.astype(np.int64, copy=False)
+    return array if within is None else _within(array, name, row_name, *within)
+
+
+def _within(array, name, row_name, low, high, ends):
+    """``array``, whose every entry must lie in the interval ``low``, ``high``,
+    ``ends``; ``float_array`` states the rule and the message.  NaN propagates
+    through min and max, so a valid array costs one reduction per end that
+    bounds, and the rows are scanned only when one fails."""
+    if not array.size:
+        return array
+    low_free = ends[0] == "[" and low == -math.inf
+    high_free = ends[1] == "]" and high == math.inf
+    if ((low_free or _above(np.minimum.reduce(array, None), low, ends[0]))
+            and (high_free and not low_free
+                 or _below(np.maximum.reduce(array, None), high, ends[1]))):
+        return array
+    rows = np.atleast_1d(array)
+    rows = rows.reshape(len(rows), -1)
+    bad = ~(_above(rows, low, ends[0]) & _below(rows, high, ends[1]))
+    row = int(bad.any(axis=1).argmax())
+    value = rows[row][bad[row]].tolist()[0]
+    label = (row_name or name + "[{}]").format(row)
+    raise ValidationError(f"{label} must {_phrase(low, high, ends)}, got {_shown(value)}")
 
 
 def _number_array(values, name, shape, kinds, row_name=None):

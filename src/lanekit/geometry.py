@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGroundIntersection, ValidationError, check_int, check_real, float_array
+from .errors import (FINITE, NoGroundIntersection, ValidationError, check_int, check_real,
+                     float_array)
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
@@ -63,13 +64,9 @@ class CameraModel:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        K = float_array(self.intrinsic, "intrinsic", (3, 3))
-        E = float_array(self.extrinsic, "extrinsic", (4, 4))
-        # NaN fails the comparison, so this also rejects non-finite entries.
-        for name, M in (("intrinsic", K), ("extrinsic", E)):
-            if not (np.abs(M) <= MAX_CAMERA_ENTRY).all():
-                raise ValidationError(f"{name} entries must be finite with magnitude "
-                                      f"at most {MAX_CAMERA_ENTRY:g}")
+        bounded = (-MAX_CAMERA_ENTRY, MAX_CAMERA_ENTRY, "[]")
+        K = float_array(self.intrinsic, "intrinsic", (3, 3), within=bounded)
+        E = float_array(self.extrinsic, "extrinsic", (4, 4), within=bounded)
         size = tuple(check_int(side, "image_size", 1) for side in self.image_size)
         if len(size) != 2 or max(size) > MAX_IMAGE_SIDE_PX:
             raise ValidationError(f"image_size (height, width) must lie in "
@@ -166,15 +163,9 @@ class AnchorGrid:
 
     def __post_init__(self):
         rows, cols = check_int(self.rows, "rows", 1), check_int(self.cols, "cols", 1)
-        pos = float_array(self.positions, "positions", (rows, cols, 2))
-        spacing = float_array(self.row_spacing, "row_spacing", (rows,))
-        # NaN fails the comparison, so this also rejects non-finite entries.
-        bad = pos[~(np.abs(pos) <= MAX_POSITION_M)]
-        if bad.size:
-            raise ValidationError(f"positions must be finite with magnitude at most "
-                                  f"{MAX_POSITION_M:g} m, got {float(bad[0])!r}")
-        if not np.isfinite(spacing).all():
-            raise ValidationError("row_spacing must be finite")
+        pos = float_array(self.positions, "positions", (rows, cols, 2),
+                          within=(-MAX_POSITION_M, MAX_POSITION_M, "[]"))
+        spacing = float_array(self.row_spacing, "row_spacing", (rows,), within=FINITE)
         row_y = pos[:, 0, 1]
         if not np.all(np.diff(row_y) > 0):
             raise ValidationError("positions: longitudinal coordinates must strictly "
@@ -347,9 +338,7 @@ def bilinear_sample(feature_map, pmap):
     """
     fmap = float_array(feature_map, "feature_map", (None, None, None))
     h_f, w_f, _ = fmap.shape
-    uv = pmap.pixel_coords.reshape(-1, 2)
-    if not np.all(np.isfinite(uv)):
-        raise ValidationError("pmap.pixel_coords must be finite")
+    uv = float_array(pmap.pixel_coords, "pmap.pixel_coords", within=FINITE).reshape(-1, 2)
     u, v = uv[:, 0], uv[:, 1]
 
     usable = (pmap.valid.reshape(-1)

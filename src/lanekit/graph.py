@@ -17,16 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ValidationError, check_int, check_real, float_array, int_array,
-                     reject_non_finite, reject_rows)
+from .errors import (FINITE, NON_NEGATIVE, UNIT, ValidationError, check_int, check_real,
+                     float_array, int_array)
 from .nms import as_proposal_set
 
 
-def _as_probs(adjacency):
-    """The square float matrix of an AdjacencyMatrix or of an array."""
+def _as_probs(adjacency, within=None):
+    """The square float matrix of an AdjacencyMatrix, or of an array whose
+    entries lie ``within`` that interval if given."""
     if isinstance(adjacency, AdjacencyMatrix):
         return adjacency.probs
-    probs = float_array(adjacency, "adjacency", (None, None))
+    probs = float_array(adjacency, "adjacency", (None, None), within=within)
     if probs.shape[0] != probs.shape[1]:
         raise ValidationError(f"adjacency must be square, got shape {probs.shape}")
     return probs
@@ -39,11 +40,7 @@ class AdjacencyMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _as_probs(self.probs)
-        # NaN propagates through min and max and fails both comparisons.
-        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
-            raise ValidationError("adjacency probabilities must be finite and lie in [0, 1]")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _as_probs(self.probs, UNIT))
 
     def __len__(self):
         return len(self.probs)
@@ -64,22 +61,15 @@ class DirectedLaneGraph:
 
     def __post_init__(self):
         node_count = check_int(self.node_count, "node_count", 0)
-        src = int_array(self.edge_src, "edge_src", (None,))
-        dst = int_array(self.edge_dst, "edge_dst", (None,))
-        prob = float_array(self.edge_prob, "edge_prob", (None,))
+        src = int_array(self.edge_src, "edge_src", (None,), within=(0, node_count, "[)"))
+        dst = int_array(self.edge_dst, "edge_dst", (None,), within=(0, node_count, "[)"))
+        prob = float_array(self.edge_prob, "edge_prob", (None,), within=(-np.inf, 1, "[]"))
         if not len(src) == len(dst) == len(prob):
             raise ValidationError(f"edge arrays must be of one length, got lengths "
                                   f"{len(src)}, {len(dst)} and {len(prob)}")
-        if len(src) and not (min(src.min(), dst.min()) >= 0
-                             and max(src.max(), dst.max()) < node_count):
-            raise ValidationError(f"edge nodes must lie in [0, {node_count})")
         step_src, step_dst = np.diff(src), np.diff(dst)
         if not np.all((step_src > 0) | ((step_src == 0) & (step_dst > 0))):
             raise ValidationError("edges must be distinct and sorted by (src, dst)")
-        # NaN fails the comparison too.
-        if not (prob <= 1.0).all():
-            raise ValidationError("edge_prob must be at most 1, so that no edge "
-                                  "weight 1 - prob is negative")
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edge_src", src)
         object.__setattr__(self, "edge_dst", dst)
@@ -117,17 +107,19 @@ class LaneRecord:
     path: tuple = ()
 
     def __post_init__(self):
-        points = float_array(self.points, "points").copy()
+        points = float_array(self.points, "points", within=FINITE).copy()
         if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
             raise ValidationError(f"lane points must be (N >= 2, 3), got shape {points.shape}")
-        reject_non_finite(points, "points")
         if (points[1:, 1] < points[:-1, 1]).any():
             raise ValidationError("lane points must have non-decreasing y")
         points.flags.writeable = False
         object.__setattr__(self, "category", check_int(self.category, "category", 0))
         object.__setattr__(self, "confidence",
                            float(check_real(self.confidence, "confidence", 0, 1, "[]")))
-        path = tuple(check_int(i, "path", 0) for i in self.path)
+        # A lane read from a file has no path, and skips the array rule.
+        path = tuple(self.path)
+        if path:
+            path = tuple(int_array(path, "path", (None,), within=NON_NEGATIVE).tolist())
         if path and len(path) != len(points):
             raise ValidationError(f"path has {len(path)} nodes for {len(points)} points")
         if len(set(path)) != len(path):
@@ -145,9 +137,9 @@ def _as_nodes(nodes, size):
     """``nodes`` as strictly increasing int64 indices into a ``size``-node matrix."""
     if nodes is None:
         return np.arange(size)
-    nodes = int_array(nodes, "nodes", (None,))
-    if nodes.size and not (nodes[0] >= 0 and nodes[-1] < size and np.all(np.diff(nodes) > 0)):
-        raise ValidationError(f"nodes must be strictly increasing indices in [0, {size})")
+    nodes = int_array(nodes, "nodes", (None,), within=(0, size, "[)"))
+    if not np.all(np.diff(nodes) > 0):
+        raise ValidationError("nodes must be strictly increasing")
     return nodes
 
 
@@ -199,8 +191,7 @@ def path_weight(path, adjacency):
     """Total 1 - prob along consecutive ``path`` nodes, indices in [0, n) of
     the n x n ``adjacency``, whose entries must lie in [0, 1]."""
     probs = AdjacencyMatrix(adjacency).probs
-    nodes = int_array(path, "path", (None,))
-    reject_rows((nodes < 0) | (nodes >= len(probs)), "path", "", f"must lie in [0, {len(probs)})")
+    nodes = int_array(path, "path", (None,), within=(0, len(probs), "[)"))
     return float(sum((1.0 - probs[nodes[:-1], nodes[1:]]).tolist()))
 
 

@@ -21,12 +21,11 @@ number goes to the rule that owns it (``errors``, ``ProposalSet``,
 Files are decoded with ``orjson``, imported on the first read so that
 importing lanekit loads numpy only, and a document it refuses by the stdlib
 decoder, which rejects ``NaN`` and ``Infinity`` naming the token, invalid JSON
-or an integer too long to read (``file: not valid JSON (...)``) and deep
-nesting (``file: nested too deeply to decode``), and loads a number beyond
-the double range or a lone surrogate escape.  They differ only on integer
-literals outside [-2**63, 2**64): orjson reads the nearest float, which an
-integer field rejects, the stdlib an int, which a float field rejects.
-Writers stay on the stdlib encoder."""
+(``file: not valid JSON (...)``) and deep nesting (``file: nested too deeply
+to decode``), and loads a lone surrogate escape and a number beyond the
+double range, which reads as an infinity.  Both read an integer literal
+alike: an int inside [-2**63, 2**64), else the nearest float.  Writers stay
+on the stdlib encoder."""
 
 import json
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 
 from .connection_head import HeadWeights
 from .errors import (SchemaError, ValidationError, check_int, check_real, float_array,
-                     int_array, reject_rows)
+                     int_array)
 from .geometry import CameraModel
 from .graph import AdjacencyMatrix, LaneRecord
 from .nms import ProposalSet
@@ -68,6 +67,15 @@ def _reject_constant(token):
     raise SchemaError("file", f"non-finite number {token} is not valid JSON")
 
 
+def _read_int(literal):
+    """An integer literal as orjson reads it: an int inside [-2**63, 2**64),
+    else the nearest float.  Every literal in that range has at most 20
+    characters, so ``int`` never meets the interpreter's digit limit."""
+    if len(literal) <= 20 and -2 ** 63 <= (value := int(literal)) < 2 ** 64:
+        return value
+    return float(literal)
+
+
 def _load_json(path):
     """The document in ``path``, decoded as the module docstring says."""
     import orjson
@@ -79,10 +87,11 @@ def _load_json(path):
     except orjson.JSONDecodeError:
         pass
     try:
-        return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+        return json.loads(data.decode("utf-8"), parse_int=_read_int,
+                          parse_constant=_reject_constant)
     except SchemaError:   # a NaN or Infinity token, named by _reject_constant
         raise
-    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError, an overlong integer
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
         raise SchemaError("file", f"not valid JSON ({exc})") from exc
     except RecursionError:
         raise SchemaError("file", "nested too deeply to decode") from None
@@ -169,9 +178,7 @@ def load_prediction_frame(path):
                             "adjacency.triplets[{}]")[:, 2]
         # The indices again as written, so that 1.0 is no index.
         index = int_array([triplet[:2] for triplet in triplets], "adjacency.triplets",
-                          (None, 2), "adjacency.triplets[{}]")
-        reject_rows(((index < 0) | (index >= size)).any(axis=1), "adjacency.triplets", "",
-                    f"indices must lie in [0, {size})")
+                          (None, 2), "adjacency.triplets[{}]", within=(0, size, "[)"))
         # Of triplets naming one entry, the last holds, as when written in order.
         flat = index[:, 0] * size + index[:, 1]
         last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ValidationError, check_int, check_real, float_array, int_array,
-                     reject_rows)
+from .errors import (NON_NEGATIVE, ValidationError, check_int, check_real, float_array,
+                     int_array)
 from .nms import as_proposal_set
 
 # Feasibility limits, in meters.
@@ -67,11 +67,8 @@ class CostMatrix:
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = float_array(self.costs, "costs", (None, None))
-        # NaN fails the comparison, so one pass rejects NaN, -inf and negatives.
-        if not (costs >= 0.0).all():
-            raise ValidationError("costs must be non-negative or +inf (infeasible)")
-        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "costs", float_array(self.costs, "costs", (None, None),
+                                                      within=NON_NEGATIVE))
 
     @property
     def shape(self):
@@ -94,20 +91,16 @@ class Matching:
     unmatched_gts: tuple
 
     def __post_init__(self):
-        array = int_array(self.pairs, "pairs", (None, 2))
-        pairs = sorted(map(tuple, array.tolist()))
+        pairs = sorted(map(tuple, int_array(self.pairs, "pairs", (None, 2),
+                                            within=NON_NEGATIVE).tolist()))
         matched = ({p for p, _ in pairs}, {g for _, g in pairs})
-        if min(matched[0] | matched[1], default=0) < 0:
-            reject_rows((array < 0).any(axis=1), "pairs", "", "indices must be non-negative")
         if len(matched[0]) != len(pairs):
             raise ValidationError("pairs: a proposal may appear in at most one pair")
         object.__setattr__(self, "pairs", tuple(pairs))
         for name, kind, in_pairs in (("unmatched_proposals", "proposal", matched[0]),
                                      ("unmatched_gts", "gt", matched[1])):
-            array = int_array(list(getattr(self, name)), name, (None,))
-            indices = sorted(array.tolist())
-            if indices and indices[0] < 0:
-                reject_rows(array < 0, name, "", "must be non-negative")
+            indices = sorted(int_array(list(getattr(self, name)), name, (None,),
+                                       within=NON_NEGATIVE).tolist())
             if len(set(indices)) < len(indices):
                 twice = next(a for a, b in zip(indices, indices[1:]) if a == b)
                 raise ValidationError(f"{name}: {kind} {twice} is listed twice")

@@ -34,7 +34,7 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import ValidationError, check_real, float_array, int_array
+from .errors import FINITE, UNIT, ValidationError, check_real, float_array, int_array
 from .graph import LaneRecord
 from .matching import solve_assignment
 
@@ -82,9 +82,9 @@ def _y_grid(y_samples):
     default grid."""
     if y_samples is None:
         return default_y_samples()
-    y_samples = float_array(y_samples, "y_samples", (None,))
-    if not (np.isfinite(y_samples).all() and (np.diff(y_samples) >= 0).all()):
-        raise ValidationError("y_samples must be finite and ascending")
+    y_samples = float_array(y_samples, "y_samples", (None,), within=FINITE)
+    if not (np.diff(y_samples) >= 0).all():
+        raise ValidationError("y_samples must be ascending")
     return y_samples
 
 
@@ -355,11 +355,7 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
     y_samples = _y_grid(y_samples)
     check_real(near_far_split, "near_far_split", ends="[]")
     near_mask = y_samples < near_far_split
-    steps = float_array(conf_steps, "conf_steps")
-    # NaN fails both comparisons.
-    if steps.ndim != 1 or not ((steps >= 0.0) & (steps <= 1.0)).all():
-        raise ValidationError(f"conf_steps must be a 1-D list of numbers in [0, 1], "
-                              f"got {conf_steps!r}")
+    steps = float_array(conf_steps, "conf_steps", (None,), within=UNIT)
 
     pred_side = _on_grid([preds[fid] for fid in fids],
                          [f"pred_frames[{fid!r}]" for fid in fids], y_samples)

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ValidationError, check_int, check_real, float_array, int_array,
-                     reject_non_finite, reject_rows)
+from .errors import (FINITE, INT64, UNIT, ValidationError, check_int, check_real, float_array,
+                     int_array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +138,12 @@ class ProposalSet:
         columns = {"x": x, "y": y, "dx": dx, "z": z, "fg_score": fg_score}
         for name, values in columns.items():
             values = float_array(np.zeros(n) if values is None else values, name, (n,),
-                                 f"keypoints[{{}}].{name}").copy()
-            reject_non_finite(values, "keypoints", f".{name}")
+                                 f"keypoints[{{}}].{name}",
+                                 UNIT if name == "fg_score" else FINITE).copy()
             setattr(self, name, _read_only(values))
-        reject_rows(~((self.fg_score >= 0.0) & (self.fg_score <= 1.0)), "keypoints",
-                    ".fg_score", "must lie in [0, 1]")
         class_scores = float_array(np.empty((n, 0)) if class_scores is None else class_scores,
-                                   "class_scores", (n, None), "keypoints[{}].class_scores").copy()
-        # NaN fails both comparisons, so this also rejects non-finite scores.
-        reject_rows(~((class_scores >= 0.0) & (class_scores <= 1.0)).all(axis=1),
-                    "keypoints", ".class_scores", "must be finite and lie in [0, 1]")
+                                   "class_scores", (n, None), "keypoints[{}].class_scores",
+                                   UNIT).copy()
         self.class_scores = _read_only(class_scores)
         self.repeats_n = check_int(repeats_n, "repeats_n", 1)
         return self
@@ -179,9 +175,7 @@ class ProposalSet:
     def subset(self, indices):
         """The proposals at ``indices``, in that order, as a set of their own;
         each index must lie in [0, len)."""
-        rows = int_array(indices, "indices", (None,))
-        reject_rows((rows < 0) | (rows >= len(self)), "indices", "",
-                    f"must lie in [0, {len(self)})")
+        rows = int_array(indices, "indices", (None,), within=(0, len(self), "[)"))
         out = ProposalSet.__new__(ProposalSet)
         for name in _COLUMNS:
             setattr(out, name, _read_only(getattr(self, name)[rows]))
@@ -221,17 +215,10 @@ def apply_offsets(proposals, dx, z):
                                    proposals.repeats_n)
 
 
-def _outside_int64(values):
-    """Per row of ``values``, whether an entry is NaN or outside [-2**63, 2**63)."""
-    inside = (values >= -2.0 ** 63) & (values < 2.0 ** 63)
-    return ~inside.all(axis=tuple(range(1, inside.ndim)))
-
-
 def round_half_away(values):
     """Rounds to the nearest integer, halves away from zero; a value outside
     the int64 range is rejected."""
-    values = float_array(values, "values")
-    reject_rows(_outside_int64(np.atleast_1d(values)), "values", "", "outside the int64 range")
+    values = float_array(values, "values", within=INT64)
     return np.trunc(values + np.copysign(0.5, values)).astype(np.int64)
 
 
@@ -250,14 +237,13 @@ def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
         if not half < 2.0 ** 63:
             raise ValidationError(f"{name}: half-window r * {name} / 2 = {half:g} lies "
                                   f"outside the int64 range")
-    pts = float_array(points_xy, "points_xy", (None, 2))
-    reject_non_finite(pts, "points_xy")
+    pts = float_array(points_xy, "points_xy", (None, 2), within=FINITE)
     # An edge that overflows to inf fails the range test below.
     with np.errstate(over="ignore"):
         half = (r / 2.0) * np.array([thresh_x, thresh_y], dtype=float)
         edges = np.concatenate([pts * r - half, pts * r + half], axis=1)
-    reject_rows(_outside_int64(edges), "points_xy", "", "box edge outside the int64 range")
-    return round_half_away(edges)
+    return round_half_away(float_array(edges, "edges", row_name="points_xy[{}] box edge",
+                                       within=INT64))
 
 
 # Candidate pairs are tested this many at a time.
@@ -361,10 +347,8 @@ def box_nms(boxes, scores, iou_thresh):
     conflicts with an already-kept one.
     """
     check_real(iou_thresh, "iou_thresh", 0, 1, "[]")
-    boxes = float_array(boxes, "boxes", (None, 4))
-    scores = float_array(scores, "scores", (len(boxes),))
-    reject_non_finite(boxes, "boxes")
-    reject_non_finite(scores, "scores")
+    boxes = float_array(boxes, "boxes", (None, 4), within=FINITE)
+    scores = float_array(scores, "scores", (len(boxes),), within=FINITE)
     if len(boxes) == 0:
         return np.empty(0, dtype=np.int64)
     if np.any(boxes[:, 0] > boxes[:, 2]) or np.any(boxes[:, 1] > boxes[:, 3]):

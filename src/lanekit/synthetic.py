@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real, float_array, reject_non_finite
+from .errors import FINITE, ValidationError, check_int, check_real, float_array
 from .io import PredictionFrame
 from .matching import GroundTruthKeypoint
 from .metrics import GroundTruthLane
@@ -92,12 +92,10 @@ def generate_scene(spec, grid):
     """Builds (gt_lanes, prediction_frame) for one synthetic scene."""
     rng = np.random.default_rng(spec.seed)
     if spec.x_coeffs is not None:
-        x_coeffs = float_array(spec.x_coeffs, "x_coeffs", (spec.lane_count, 4))
+        x_coeffs = float_array(spec.x_coeffs, "x_coeffs", (spec.lane_count, 4), within=FINITE)
         z_coeffs = float_array(spec.z_coeffs if spec.z_coeffs is not None
                                else np.zeros((spec.lane_count, 2)), "z_coeffs",
-                               (spec.lane_count, 2))
-        reject_non_finite(x_coeffs, "x_coeffs")
-        reject_non_finite(z_coeffs, "z_coeffs")
+                               (spec.lane_count, 2), within=FINITE)
     else:
         x_coeffs, z_coeffs = _draw_coeffs(rng, spec.lane_count, grid)
 

@@ -153,7 +153,7 @@ class TestPipelineCommands:
         lanes.write_text('{"frame_id": "scene-7", "lanes": [{"category": 0, '
                          '"confidence": 0.9, "points": [[0, 5, 0], [1e999, 10, 0]]}]}')
         assert run(["eval", "--pred", lanes, "--gt", gt]) == 1
-        assert "points[1]: not finite" in capsys.readouterr().err
+        assert "points[1] must be finite, got inf" in capsys.readouterr().err
 
     def test_nms_prunes_and_keeps_format(self, scene, tmp_path):
         pred, _ = scene

@@ -11,6 +11,7 @@ that were always valid stay valid.
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -122,7 +123,7 @@ REJECTED = {
     "scene_categories_bool": (lambda: SceneSpec(seed=0, categories=True), "categories"),
     "custom_width_bool": (lambda: build_custom_grid(4, 4, width=True), "width"),
     "lane_path_float": (lambda: LaneRecord([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]],
-                                           path=(0.5, 1.5)), "path"),
+                                           path=(0.5, 1.5)), "path[0]"),
     "dims_per_axis_bool": (lambda: positional_encode((0.0, 0.0), dims_per_axis=True),
                            "dims_per_axis"),
     "nms_boxes_thresh_x_bool": (lambda: build_nms_boxes([[0.0, 0.0]], True, 1.0), "thresh_x"),
@@ -140,6 +141,13 @@ REJECTED = {
                                   "final_b"),
     "nms_boxes_thresh_x_int_beyond_double": (
         lambda: build_nms_boxes([[0.0, 0.0]], 10 ** 400, 1.0), "thresh_x"),
+    # Too many digits for repr, which once raised a bare ValueError.
+    "check_real_int_too_long_to_show": (lambda: check_real(10 ** 5000, "v"), "v"),
+    "check_int_int_too_long_to_show": (lambda: check_int(-10 ** 5000, "k", 0), "k"),
+    # A bound that is no float is shown as it prints: "lie in (1/2, 1e+100]".
+    "custom_spacing_far_below_a_fraction": (
+        lambda: build_custom_grid(4, 4, spacing_near=Fraction(1, 2), spacing_far=0.1),
+        "spacing_far"),
 }
 
 
@@ -574,10 +582,12 @@ def test_float_array_rejects(values, shape, message):
     (np.array([[1.0, 2.0]]), None, r"^v\[0\] must be an integer, got 1\.0$"),
     ([0, None], None, r"^v\[1\] must be an integer, got None$"),
     (np.array([1, True], dtype=object), None, r"^v\[1\] must be an integer, got True$"),
-    ([0, 2 ** 63], None, r"^v\[1\]: outside the int64 range$"),
-    ([[0, 0], [0, -2 ** 63 - 1]], None, r"^v\[1\]: outside the int64 range$"),
-    ([2 ** 64], None, r"^v\[0\]: outside the int64 range$"),
-    (np.array([1, 2 ** 63], np.uint64), None, r"^v\[1\]: outside the int64 range$")])
+    ([0, 2 ** 63], None, r"^v\[1\] must lie in the int64 range, got 9223372036854775808$"),
+    ([[0, 0], [0, -2 ** 63 - 1]], None,
+     r"^v\[1\] must lie in the int64 range, got -9223372036854775809$"),
+    ([2 ** 64], None, r"^v\[0\] must lie in the int64 range, got 18446744073709551616$"),
+    (np.array([1, 2 ** 63], np.uint64), None,
+     r"^v\[1\] must lie in the int64 range, got 9223372036854775808$")])
 def test_int_array_rejects(values, shape, message):
     with pytest.raises(ValidationError, match=message):
         int_array(values, "v", shape)
@@ -600,7 +610,7 @@ def test_float_array_names_rows_as_asked(values, shape, message):
 
 
 def test_int_array_names_rows_as_asked_and_keeps_int64_exactly():
-    with pytest.raises(ValidationError, match=r"^keypoints\[2\]\.grid_index: outside"):
+    with pytest.raises(ValidationError, match=r"^keypoints\[2\]\.grid_index must lie in the int64"):
         int_array([(0, 0), (1, 0), (2 ** 63, 0)], "grid_index", (3, 2), "keypoints[{}].grid_index")
     edges = [-2 ** 63, 2 ** 63 - 1, 2 ** 53 + 1]
     for values in (edges, np.array(edges, dtype=object), np.array(edges[1:], np.uint64)):
@@ -721,3 +731,26 @@ def test_no_hand_written_float_conversions_outside_errors():
     ``errors.float_array`` or ``errors.int_array``, so the boolean, shape and
     type rule cannot drift back into hand-written copies."""
     assert _package_findings(_array_conversions_of_arguments, ("errors.py", "oracles.py")) == []
+
+
+def _row_rejections(source):
+    """Lines of calls to ``reject_rows`` or ``reject_non_finite``, the
+    hand-written row checks that the ``within`` interval replaced."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("reject_rows", "reject_non_finite"):
+                yield node.lineno
+
+
+def test_guard_finds_a_row_rejection():
+    source = ("reject_rows(bad, 'a', '', 'p')\nerrors.reject_non_finite(v, 'a')\n"
+              "float_array(v, 'a', within=FINITE)")
+    assert list(_row_rejections(source)) == [1, 2]
+
+
+def test_no_row_rejections_outside_errors():
+    """How an out-of-range entry is found and reported is decided in
+    ``errors`` alone, by the ``within`` interval of the array rule."""
+    assert _package_findings(_row_rejections, ("errors.py",)) == []

@@ -45,7 +45,8 @@ class TestAdjacencyMatrix:
         assert len(AdjacencyMatrix(np.zeros((3, 3)))) == 3
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        message = r"^adjacency\[0\] must lie in \[0, 1\], got nan$"
+        with pytest.raises(ValidationError, match=message):
             AdjacencyMatrix(np.array([[0.0, np.nan], [0.2, 0.0]]))
 
 
@@ -186,7 +187,7 @@ class TestDirectedLaneGraph:
     @pytest.mark.parametrize("prob", [1.0 + 2 ** -52, 3.0, np.inf, np.nan])
     def test_edge_prob_above_one_rejected(self, prob):
         # 1 - prob < 0 would break the label-setting search.
-        with pytest.raises(ValidationError, match="^edge_prob must be at most 1"):
+        with pytest.raises(ValidationError, match=r"^edge_prob\[1\] must lie in \[-inf, 1\], got "):
             self.graph([0, 1], [1, 2], [0.5, prob])
         assert self.graph([0, 1], [1, 2], [0.0, 1.0]).edges[1] == (1, 2, 1.0)
 
@@ -285,7 +286,7 @@ class TestLaneRecord:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
-        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+        with pytest.raises(ValidationError, match=rf"^points\[1\] must be finite, got {bad}$"):
             LaneRecord(points=[[0.0, 1.0, 0.0], [0.0, 50.0, bad], [0.0, 100.0, 0.0]])
 
     @pytest.mark.parametrize("confidence", [np.nan, 7.0, -0.1, "0.5", None, True, False])

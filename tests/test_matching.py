@@ -88,7 +88,7 @@ class TestCostMatrix:
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
     def test_only_plus_inf_means_infeasible(self, bad):
         # NaN and -inf were read as infeasible, so this solved to the anti-diagonal.
-        with pytest.raises(ValidationError, match="^costs must be non-negative or \\+inf"):
+        with pytest.raises(ValidationError, match=rf"^costs\[0\] must be non-negative, got {bad}$"):
             solve_assignment([[bad, 1.0], [2.0, bad]])
         assert solve_assignment([[np.inf, 1.0], [2.0, np.inf]]).pairs == ((0, 1), (1, 0))
 
@@ -321,7 +321,7 @@ class TestMatching:
             Matching(**parts)
 
     @pytest.mark.parametrize("pairs, field, message", [
-        ([(0, 1), (2, -1)], "pairs", r"^pairs\[1\]: indices must be non-negative$"),
+        ([(0, 1), (2, -1)], "pairs", r"^pairs\[1\] must be non-negative, got -1$"),
         ([(0, 1), (0, 2)], "pairs", "^pairs: a proposal may appear in at most one pair$")])
     def test_bad_pairs_keep_their_messages(self, pairs, field, message):
         with pytest.raises(ValidationError, match=message):
@@ -329,7 +329,7 @@ class TestMatching:
 
     def test_negative_unmatched_index_names_its_row(self):
         with pytest.raises(ValidationError,
-                           match=r"^unmatched_gts\[1\]: must be non-negative$"):
+                           match=r"^unmatched_gts\[1\] must be non-negative, got -3$"):
             Matching(pairs=(), unmatched_proposals=(), unmatched_gts=(2, -3))
 
 

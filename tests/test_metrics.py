@@ -554,14 +554,14 @@ class TestPrefixMatchingSizes:
 class TestNonFiniteLanes:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ground_truth_lane_rejects(self, bad):
-        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+        with pytest.raises(ValidationError, match=rf"^points\[1\] must be finite, got {bad}$"):
             lane([[0.0, 5.0, 0.0], [bad, 10.0, 0.0]])
-        with pytest.raises(ValidationError, match=r"points\[0\]: not finite"):
+        with pytest.raises(ValidationError, match=rf"^points\[0\] must be finite, got {bad}$"):
             lane([[0.0, bad, 0.0], [0.0, 10.0, 0.0]])
 
     def test_nan_prediction_is_an_error_not_f1_zero(self):
         points = [[0.0, 1.0, 0.0], [np.nan, 100.0, 0.0]]
-        with pytest.raises(ValidationError, match=r"points\[1\]: not finite"):
+        with pytest.raises(ValidationError, match=r"^points\[1\] must be finite, got nan$"):
             LaneRecord(points=points, confidence=0.9)
         with pytest.raises(ValidationError, match="expected a LaneRecord"):
             evaluate([np.array(points)], [straight(0.0)])
