@@ -107,13 +107,17 @@ def _cmd_nms(args):
 
 def _sequence(path, load, frame_id):
     """Loads every ``.json`` file in directory ``path`` in sorted name order;
-    yields ``(file, loaded)`` and rejects a frame id seen twice."""
+    yields ``(file, loaded)`` and rejects a frame id seen twice.  A file
+    that does not load raises its error prefixed with the file's name."""
     files = sorted(p for p in path.iterdir() if p.suffix == ".json")
     if not files:
         raise ValidationError(f"no .json frame files in {path}")
     seen = set()
     for file in files:
-        loaded = load(file)
+        try:
+            loaded = load(file)
+        except ValidationError as exc:
+            raise ValidationError(f"{file.name}: {exc}") from exc
         fid = frame_id(loaded)
         if fid in seen:
             raise ValidationError(f"duplicate frame_id {fid!r} in {file}")

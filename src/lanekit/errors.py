@@ -196,5 +196,16 @@ def _holds_bool(values, depth):
     return not _BOOLS.isdisjoint(map(type, values))
 
 
+def unchecked(cls, **fields):
+    """A ``cls`` record, a frozen dataclass, holding ``fields`` as given:
+    its ``__post_init__`` rule is skipped.  It is the private constructor of
+    every record type, for values that the module defining ``cls`` has just
+    made or checked, in the types and order the rule would give them; a
+    test fails on a call from any other module."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 class NoGroundIntersection(ValueError):
     """A camera ray does not hit the ground plane in front of the camera."""

@@ -14,11 +14,12 @@ broken as ``extract_lanes`` states.
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import (FINITE, NON_NEGATIVE, UNIT, ValidationError, check_int, check_real,
-                     float_array, int_array)
+                     float_array, int_array, unchecked)
 from .nms import as_proposal_set
 
 
@@ -128,6 +129,68 @@ class LaneRecord:
         object.__setattr__(self, "path", path)
 
 
+def _lane(points, category, confidence, path=()):
+    """A LaneRecord that this module made or checked, its rule skipped:
+    ``points`` a float array it holds alone or a view of one, the rest as
+    the rule leaves them."""
+    points.flags.writeable = False
+    return unchecked(LaneRecord, points=points, category=category, confidence=confidence,
+                     path=path)
+
+
+def lane_records(points, categories, confidences=None):
+    """The LaneRecords of a file's lanes, checked in one call: lane i has
+    the rows ``points[i]``, a list, ``categories[i]`` and ``confidences[i]``
+    (1.0 if None).  It accepts what ``LaneRecord`` accepts lane by lane.
+    All rows go through one ``float_array`` call, the y order through one
+    comparison that skips lane boundaries, and the lanes' points are
+    read-only views of that one array.  If that check fails, the lanes are
+    made one by one by ``LaneRecord``, and the first bad one raises its own
+    message, named ``lanes[i]: ``."""
+    confidences = [1.0] * len(points) if confidences is None else confidences
+    if not len(points) == len(categories) == len(confidences):
+        raise ValidationError(f"lanes: {len(points)} point lists for {len(categories)} "
+                              f"categories and {len(confidences)} confidences")
+    lanes = _lanes_at_once(points, categories, confidences)
+    if lanes is not None:
+        return lanes
+    lanes = []
+    for i, fields in enumerate(zip(points, categories, confidences)):
+        try:
+            lanes.append(LaneRecord(*fields))
+        except ValidationError as exc:
+            raise ValidationError(f"lanes[{i}]: {exc}") from exc
+    return lanes
+
+
+def _lanes_at_once(points, categories, confidences):
+    """``lane_records``' lanes by its one-call check, or None where it
+    fails.  numpy reads an integer beyond int64 and uint64 as an object, in
+    a lane alone and among other lanes' floats alike, so the one array
+    holds a number exactly where each lane's own would."""
+    if not all(type(rows) is list for rows in points):
+        return None
+    sizes = [len(rows) for rows in points]
+    if min(sizes, default=2) < 2:
+        return None
+    try:
+        rows = float_array(list(chain.from_iterable(points)), "points", (None, 3),
+                           within=FINITE)
+        categories = [check_int(c, "category", 0) for c in categories]
+        confidences = [float(check_real(c, "confidence", 0, 1, "[]")) for c in confidences]
+    except ValidationError:
+        return None
+    ends = np.cumsum(sizes, dtype=np.int64)
+    drops = rows[1:, 1] < rows[:-1, 1]
+    drops[ends[:-1] - 1] = False   # a step from one lane to the next
+    if drops.any():
+        return None
+    rows.flags.writeable = False
+    starts = (ends - sizes).tolist()
+    return [_lane(rows[a:b], c, f) for a, b, c, f in zip(starts, ends.tolist(), categories,
+                                                             confidences)]
+
+
 # Adjacency entries scanned at a time by ``threshold_adjacency``: whole
 # rows, at least one, about 512 KB of them.
 _BLOCK_ENTRIES = 1 << 16
@@ -176,7 +239,10 @@ def threshold_adjacency(adjacency, t_a, nodes=None):
         k = np.argmin(prob <= 1.0)
         raise ValidationError(f"adjacency[{nodes[src[k]]}, {nodes[dst[k]]}]: must be "
                               f"finite and lie in [0, 1], got {prob[k]}")
-    return DirectedLaneGraph(node_count=len(nodes), edge_src=src, edge_dst=dst, edge_prob=prob)
+    # The edges are int64, in range and in (src, dst) order as gathered, and
+    # their probabilities were just bounded: the graph's rule holds.
+    return unchecked(DirectedLaneGraph, node_count=len(nodes), edge_src=src, edge_dst=dst,
+                     edge_prob=prob)
 
 
 def find_terminals(graph):
@@ -264,6 +330,9 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     if not starts or not ends:
         return []
     xyz = np.column_stack([proposals.x + proposals.dx, proposals.y, proposals.z])
+    # x + dx may overflow to inf: then each lane takes LaneRecord's rule,
+    # which names a lane's non-finite point as it always has.
+    make = _lane if np.isfinite(xyz).all() else LaneRecord
 
     lanes = []
     for best in _best_paths(graph, starts):
@@ -276,6 +345,5 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
             if not np.all(np.diff(points[:, 1]) > 0):
                 continue
             category, confidence = aggregate_lane_attributes(proposals.subset(nodes))
-            lanes.append(LaneRecord(points=points, category=category,
-                                    confidence=confidence, path=path))
+            lanes.append(make(points, category, confidence, path))
     return lanes

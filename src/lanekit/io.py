@@ -17,6 +17,8 @@ adjacency format, a size or class-score count unlike the header's.  Each
 number goes to the rule that owns it (``errors``, ``ProposalSet``,
 ``LaneRecord``, ``CameraModel``, ``HeadWeights``) and a bad one raises its
 ``ValidationError``, named by its place in the file: ``keypoints[1].x: ...``.
+A file's lanes are checked in one ``graph.lane_records`` call, and read
+again lane by lane only to name a bad one.
 
 Files are decoded with ``orjson``, imported on the first read so that
 importing lanekit loads numpy only, and a document it refuses by the stdlib
@@ -29,14 +31,15 @@ on the stdlib encoder."""
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .connection_head import HeadWeights
-from .errors import (SchemaError, ValidationError, check_int, check_real, float_array,
-                     int_array)
+from .errors import (UNIT, SchemaError, ValidationError, check_int, check_real, float_array,
+                     int_array, unchecked)
 from .geometry import CameraModel
-from .graph import AdjacencyMatrix, LaneRecord
+from .graph import AdjacencyMatrix, LaneRecord, lane_records
 from .nms import ProposalSet
 
 
@@ -171,7 +174,7 @@ def load_prediction_frame(path):
     if fmt == "dense":
         # A frame without keypoints holds ``[]``, which reads as zero rows.
         adjacency = float_array(_require(adj_raw, "probs", list, "adjacency."),
-                                "adjacency.probs", (size, size))
+                                "adjacency.probs", (size, size), within=UNIT)
     elif fmt == "sparse":
         triplets = _require(adj_raw, "triplets", list, "adjacency.")
         probs = float_array(triplets, "adjacency.triplets", (None, 3),
@@ -179,16 +182,22 @@ def load_prediction_frame(path):
         # The indices again as written, so that 1.0 is no index.
         index = int_array([triplet[:2] for triplet in triplets], "adjacency.triplets",
                           (None, 2), "adjacency.triplets[{}]", within=(0, size, "[)"))
-        # Of triplets naming one entry, the last holds, as when written in order.
+        # Of triplets naming one entry, the last holds, as when written in order;
+        # only the probabilities that hold are checked, each named by its triplet.
         flat = index[:, 0] * size + index[:, 1]
         last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+        held = np.zeros_like(probs)
+        held[last] = probs[last]
+        float_array(held, "adjacency.triplets", row_name="adjacency.triplets[{}]", within=UNIT)
         adjacency = np.zeros((size, size))
         adjacency.reshape(-1)[flat[last]] = probs[last]
     else:
         raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
 
-    return PredictionFrame(frame_id=frame_id, keypoints=proposals, adjacency=adjacency,
-                           camera=camera)
+    # The adjacency is (size, size), size the keypoint count, with every
+    # entry checked to lie in [0, 1] above: PredictionFrame's rule holds.
+    return unchecked(PredictionFrame, frame_id=frame_id, keypoints=proposals,
+                     adjacency=adjacency, camera=camera)
 
 
 def _read_lane(entry, ctx, has_confidence):
@@ -202,6 +211,19 @@ def _read_lane(entry, ctx, has_confidence):
         return LaneRecord(**fields)
     except ValidationError as exc:
         raise ValidationError(f"{ctx}: {exc}") from exc
+
+
+def _checked_lanes(entries, has_confidence):
+    """The LaneRecords of the lane objects ``entries``, checked by one
+    ``graph.lane_records`` call; None if any entry is malformed or bad, for
+    ``_read_lane`` to name the first such one."""
+    try:
+        points = [entry["points"] for entry in entries]
+        categories = [entry["category"] for entry in entries]
+        confidences = [entry["confidence"] for entry in entries] if has_confidence else None
+        return lane_records(points, categories, confidences)
+    except (KeyError, TypeError, ValidationError):   # TypeError: an entry that is no object
+        return None
 
 
 def _lane_json(lane):
@@ -218,8 +240,11 @@ def save_lane_frame(frame_id, lanes, path):
 def load_lane_frame(path):
     raw = _load_json(path)
     frame_id = _require(raw, "frame_id", str)
-    lanes = [_read_lane(entry, f"lanes[{i}]", has_confidence=True)
-             for i, entry in enumerate(_require(raw, "lanes", list))]
+    entries = _require(raw, "lanes", list)
+    lanes = _checked_lanes(entries, has_confidence=True)
+    if lanes is None:
+        lanes = [_read_lane(entry, f"lanes[{i}]", has_confidence=True)
+                 for i, entry in enumerate(entries)]
     return frame_id, lanes
 
 
@@ -233,8 +258,12 @@ def save_ground_truth(frames, path):
 
 def load_ground_truth(path):
     raw = _load_json(path)
+    entries = _require(raw, "frames", list)
+    frames = _checked_frames(entries)
+    if frames is not None:
+        return frames
     frames = {}
-    for f, entry in enumerate(_require(raw, "frames", list)):
+    for f, entry in enumerate(entries):
         ctx = f"frames[{f}]."
         frame_id = _require(entry, "frame_id", str, ctx)
         if frame_id in frames:
@@ -242,6 +271,25 @@ def load_ground_truth(path):
         frames[frame_id] = [_read_lane(lane, f"{ctx}lanes[{i}]", has_confidence=False)
                             for i, lane in enumerate(_require(entry, "lanes", list, ctx))]
     return frames
+
+
+def _checked_frames(entries):
+    """``load_ground_truth``'s frames of the frame objects ``entries``, all
+    their lanes checked by one ``_checked_lanes`` call; None if any frame or
+    lane is malformed or bad, for the frame-by-frame reading to name."""
+    try:
+        ids = [entry["frame_id"] for entry in entries]
+        lanes = [entry["lanes"] for entry in entries]
+    except (KeyError, TypeError):
+        return None
+    if not (all(type(fid) is str for fid in ids) and len(set(ids)) == len(ids)
+            and all(type(frame) is list for frame in lanes)):
+        return None
+    records = _checked_lanes(list(chain.from_iterable(lanes)), has_confidence=False)
+    if records is None:
+        return None
+    records = iter(records)
+    return {fid: list(islice(records, len(frame))) for fid, frame in zip(ids, lanes)}
 
 
 def save_camera(camera, path):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NON_NEGATIVE, ValidationError, check_int, check_real, float_array,
-                     int_array)
+                     int_array, unchecked)
 from .nms import as_proposal_set
 
 # Feasibility limits, in meters.
@@ -251,10 +251,15 @@ def solve_assignment(cost):
 
 
 def _matching(pairs, proposal_count, gt_count):
-    """A Matching of ``pairs``, with every index it leaves out unmatched."""
-    return Matching(pairs=pairs,
-                    unmatched_proposals=set(range(proposal_count)) - {p for p, _ in pairs},
-                    unmatched_gts=set(range(gt_count)) - {g for _, g in pairs})
+    """The Matching of the solver's ``pairs``, with every index it leaves
+    out unmatched.  The pairs are (Python int, Python int) tuples with no
+    proposal twice, so Matching's rule holds and is not run again."""
+    pairs = tuple(sorted(pairs))
+    return unchecked(Matching, pairs=pairs,
+                     unmatched_proposals=tuple(sorted(
+                         set(range(proposal_count)).difference(p for p, _ in pairs))),
+                     unmatched_gts=tuple(sorted(
+                         set(range(gt_count)).difference(g for _, g in pairs))))
 
 
 def match_keypoints(proposals, gts, repeats_n=1, strongest=False,

@@ -24,6 +24,7 @@ from the same pass.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .config import (
     EVAL_Y_STEP_M,
     NEAR_FAR_SPLIT_M,
 )
-from .errors import FINITE, UNIT, ValidationError, check_real, float_array, int_array
+from .errors import FINITE, UNIT, ValidationError, check_real, float_array
 from .graph import LaneRecord
 from .matching import solve_assignment
 
@@ -184,12 +185,13 @@ class _FramePairs:
 
     def pair_errors(self, pairs, near_mask):
         """Sums and counts of |dx|, |dz| on matched both-valid samples,
-        ordered (x near, x far, z near, z far).  Each pair's sums are taken
-        over its own samples and added in pair order."""
+        ordered (x near, x far, z near, z far).  ``pairs`` are a Matching's,
+        already checked, so they are read without the array rule.  Each
+        pair's sums are taken over its own samples and added in pair order."""
         sums = np.zeros(4)
         if not pairs:
             return sums, np.zeros(4)
-        p, g = int_array(pairs, "pairs", (None, 2)).T
+        p, g = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
         both = self.pv[p] & self.gv[g]
         near, far = both & near_mask, both & ~near_mask
         adx = np.abs(self.px[p] - self.gx[g])

@@ -155,6 +155,18 @@ class TestPipelineCommands:
         assert run(["eval", "--pred", lanes, "--gt", gt]) == 1
         assert "points[1] must be finite, got inf" in capsys.readouterr().err
 
+    def test_eval_directory_error_names_the_file(self, scene, tmp_path, capsys):
+        _, gt = scene
+        lane_dir = tmp_path / "lanes"
+        lane_dir.mkdir()
+        good = {"category": 0, "confidence": 0.9, "points": [[0, 5, 0], [0, 10, 0]]}
+        (lane_dir / "f0.json").write_text(json.dumps({"frame_id": "a", "lanes": [good]}))
+        (lane_dir / "f1.json").write_text(json.dumps({"frame_id": "b", "lanes": [
+            {**good, "points": [[0, 10, 0], [0, 5, 0]]}]}))
+        assert run(["eval", "--pred", lane_dir, "--gt", gt]) == 1
+        assert capsys.readouterr().err == (
+            "error: f1.json: lanes[0]: lane points must have non-decreasing y\n")
+
     def test_nms_prunes_and_keeps_format(self, scene, tmp_path):
         pred, _ = scene
         out = tmp_path / "pruned.json"
@@ -345,6 +357,14 @@ class TestExtractDirectory:
         out = tmp_path / "lanes"
         assert run(["extract", "--pred", frames, "--out", out]) == 1
         assert not out.exists()
+
+    def test_a_bad_frame_is_named_by_its_file(self, frames, tmp_path, capsys):
+        raw = json.loads((frames / "b.json").read_text())
+        raw["keypoints"][1]["fg_score"] = 1.5
+        (frames / "b.json").write_text(json.dumps(raw))
+        assert run(["extract", "--pred", frames, "--out", tmp_path / "lanes"]) == 1
+        assert capsys.readouterr().err == (
+            "error: b.json: keypoints[1].fg_score must lie in [0, 1], got 1.5\n")
 
 
 # One argv per subcommand, setting most of its options.

@@ -700,9 +700,49 @@ def _array_conversions_of_arguments(source):
     return sorted(lines)
 
 
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _foreign_private_constructions(sources):
+    """``file:line`` of each call, among ``sources`` (file name -> source),
+    to a private record constructor from a module that does not define its
+    type: ``unchecked(C, ...)`` where the calling module defines no class
+    ``C``, or a call to a private function that calls ``unchecked`` (such
+    as ``graph._lane``) from another module than the one defining it."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    makers = {node.name: name for name, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and any(
+                  isinstance(call, ast.Call) and _called_name(call) == "unchecked"
+                  for call in ast.walk(node))}
+    findings = []
+    for name, tree in trees.items():
+        own = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            called = _called_name(call)
+            if called == "unchecked":
+                kind = call.args[0] if call.args else None
+                if not (isinstance(kind, ast.Name) and kind.id in own):
+                    findings.append(f"{name}:{call.lineno}")
+            elif makers.get(called, name) != name:
+                findings.append(f"{name}:{call.lineno}")
+    return sorted(findings)
+
+
 def test_guards_find_what_they_look_for():
     assert list(_raised_value_errors("raise ValueError('a')\nraise ValueError\n"
                                      "raise ValidationError('b')")) == [1, 2]
+    graph = ("class LaneRecord:\n    pass\n"
+             "def _lane(points):\n    return unchecked(LaneRecord, points=points)\n"
+             "def lanes(rows):\n    return [unchecked(LaneRecord, points=r) for r in rows]\n")
+    metrics = ("from .graph import LaneRecord, _lane, lanes\n"
+               "a = unchecked(LaneRecord, points=1)\nb = errors.unchecked(Other)\n"
+               "c = graph._lane(2)\nd = _lane(3)\ne = lanes([4])\nf = LaneRecord(5)\n")
+    assert _foreign_private_constructions({"graph.py": graph, "metrics.py": metrics}) == [
+        "metrics.py:2", "metrics.py:3", "metrics.py:4", "metrics.py:5"]
     source = ("def f(a, b=None):\n"
               "    x = np.asarray(a, dtype=float)\n"
               "    y = np.array(b, float)\n"
@@ -718,6 +758,15 @@ def test_guards_find_what_they_look_for():
               "        v = np.asarray(self.v, dtype=float)\n"
               "        k = np.array(k, dtype=np.int64)\n")
     assert _array_conversions_of_arguments(source) == [2, 3, 4, 6, 10, 11, 14]
+
+
+def test_private_constructors_are_called_only_where_their_type_lives():
+    """A record made without its rule (``errors.unchecked``) holds values
+    that the module defining its type has just made or checked; no other
+    module can vouch for them."""
+    package = Path(lanekit.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _foreign_private_constructions(sources) == []
 
 
 def test_no_bare_value_errors_outside_oracles():

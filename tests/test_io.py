@@ -457,18 +457,49 @@ class TestAdjacencyEncoding:
         self.write_with(frame, path, {"format": "sparse", "size": 3,
                                       "triplets": [[0, 1, 0.5], [1, 2, 10 ** 400]]})
         with pytest.raises(ValidationError,
-                           match=r"^adjacency\[1\] must lie in \[0, 1\], got inf$"):
+                           match=r"^adjacency\.triplets\[1\] must lie in \[0, 1\], got inf$"):
             load_prediction_frame(path)
         self.write_with(frame, path, {"format": "dense", "size": 3,
                                       "probs": [[0.1, 0.2, 10 ** 400]] * 3})
         with pytest.raises(ValidationError,
-                           match=r"^adjacency\[0\] must lie in \[0, 1\], got inf$"):
+                           match=r"^adjacency\.probs\[0\] must lie in \[0, 1\], got inf$"):
             load_prediction_frame(path)
         save_prediction_frame(frame, path)
         raw = json.loads(path.read_text())
         raw["keypoints"][0]["x"] = 10 ** 400
         path.write_text(json.dumps(raw))
         with pytest.raises(ValidationError, match=r"^keypoints\[0\]\.x must be finite, got inf$"):
+            load_prediction_frame(path)
+
+    @pytest.mark.parametrize("triplets, message", [
+        ([[0, 1, 0.5], [1, 2, 1.5]], r"adjacency\.triplets\[1\] must lie in \[0, 1\], got 1\.5"),
+        ([[0, 1, -0.5], [1, 2, 0.5], [0, 1, 0.25], [2, 0, -0.0], [2, 1, 2.0]],
+         r"adjacency\.triplets\[4\] must lie in \[0, 1\], got 2\.0"),
+        ([[1, 2, 0.5], [0, 1, 0.5], [1, 2, 1.25]],
+         r"adjacency\.triplets\[2\] must lie in \[0, 1\], got 1\.25")])
+    def test_bad_probability_is_named_by_its_triplet(self, tmp_path, triplets, message):
+        frame = make_frame(np.random.default_rng(18), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "sparse", "size": 3, "triplets": triplets})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load_prediction_frame(path)
+
+    def test_overwritten_triplet_is_not_checked(self, tmp_path):
+        # A later triplet for the same entry wins, so the one it replaces is never read.
+        frame = make_frame(np.random.default_rng(19), count=3)
+        path = tmp_path / "frame.json"
+        self.write_with(frame, path, {"format": "sparse", "size": 3,
+                                      "triplets": [[0, 1, 1.5], [1, 2, 0.5], [0, 1, 0.25]]})
+        assert load_prediction_frame(path).adjacency[0, 1] == 0.25
+
+    def test_dense_bad_probability_is_named_by_its_row(self, tmp_path):
+        frame = make_frame(np.random.default_rng(20), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "dense", "size": 3,
+                                      "probs": [[0.1, 0.2, 0.3], [0.0, 0.5, 0.5],
+                                                [0.0, -1.0, 0.5]]})
+        with pytest.raises(ValidationError,
+                           match=r"^adjacency\.probs\[2\] must lie in \[0, 1\], got -1\.0$"):
             load_prediction_frame(path)
 
     def test_adjacency_check_is_the_graph_one(self):
@@ -635,13 +666,11 @@ SINGLE_NUMBERS = {
                     "frames[0].lanes[0]: category", True),
     "final.b": (_head_file, load_head_weights, ("final.b",), "final.b", False),
 }
-# 10**400 reads as an infinity; the adjacency's rule names a triplet's
-# infinite probability by its matrix row (test_integer_beyond_float_range).
+# 10**400 reads as an infinity, which each field's rule rejects.
 BAD_SINGLE_NUMBERS = {f"{field}-{kind}": (field, value) for field, spec in SINGLE_NUMBERS.items()
                       for kind, value in [("string", "0.5"), ("null", None),
                                           ("beyond-double", 10 ** 400), ("fraction", 1.5)]
-                      if (field, kind) != ("triplet-prob", "beyond-double")
-                      and (kind != "fraction" or spec[-1])}
+                      if kind != "fraction" or spec[-1]}
 
 
 def _edited(tmp_path, write, edit):
