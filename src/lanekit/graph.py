@@ -138,7 +138,7 @@ def _lane(points, category, confidence, path=()):
                      path=path)
 
 
-def lane_records(points, categories, confidences=None):
+def lane_records(points, categories, confidences=None, label="lanes[{}]".format):
     """The LaneRecords of a file's lanes, checked in one call: lane i has
     the rows ``points[i]``, a list, ``categories[i]`` and ``confidences[i]``
     (1.0 if None).  It accepts what ``LaneRecord`` accepts lane by lane.
@@ -146,7 +146,9 @@ def lane_records(points, categories, confidences=None):
     comparison that skips lane boundaries, and the lanes' points are
     read-only views of that one array.  If that check fails, the lanes are
     made one by one by ``LaneRecord``, and the first bad one raises its own
-    message, named ``lanes[i]: ``."""
+    message, prefixed with ``label(i)``, its place in the file: ``lanes[i]``
+    by default, ``frames[f].lanes[j]`` for a ground-truth file's lanes
+    across frames."""
     confidences = [1.0] * len(points) if confidences is None else confidences
     if not len(points) == len(categories) == len(confidences):
         raise ValidationError(f"lanes: {len(points)} point lists for {len(categories)} "
@@ -159,7 +161,7 @@ def lane_records(points, categories, confidences=None):
         try:
             lanes.append(LaneRecord(*fields))
         except ValidationError as exc:
-            raise ValidationError(f"lanes[{i}]: {exc}") from exc
+            raise ValidationError(f"{label(i)}: {exc}") from exc
     return lanes
 
 
@@ -329,10 +331,8 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []
+    # Every row is finite: ProposalSet checks x + dx as well as x, y and z.
     xyz = np.column_stack([proposals.x + proposals.dx, proposals.y, proposals.z])
-    # x + dx may overflow to inf: then each lane takes LaneRecord's rule,
-    # which names a lane's non-finite point as it always has.
-    make = _lane if np.isfinite(xyz).all() else LaneRecord
 
     lanes = []
     for best in _best_paths(graph, starts):
@@ -345,5 +345,5 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
             if not np.all(np.diff(points[:, 1]) > 0):
                 continue
             category, confidence = aggregate_lane_attributes(proposals.subset(nodes))
-            lanes.append(make(points, category, confidence, path))
+            lanes.append(_lane(points, category, confidence, path))
     return lanes

@@ -17,8 +17,12 @@ adjacency format, a size or class-score count unlike the header's.  Each
 number goes to the rule that owns it (``errors``, ``ProposalSet``,
 ``LaneRecord``, ``CameraModel``, ``HeadWeights``) and a bad one raises its
 ``ValidationError``, named by its place in the file: ``keypoints[1].x: ...``.
-A file's lanes are checked in one ``graph.lane_records`` call, and read
-again lane by lane only to name a bad one.
+Each file is read once, its whole structure before any of its values: a
+file with several faults raises for the first structural one (in the
+order the file is read, entry by entry and field by field), and only a
+file whose structure holds raises for a bad value.  The fields of a list
+of objects are read by ``_fields`` in one pass; a file's lanes go to one
+``graph.lane_records`` call, which names the first bad lane.
 
 Files are decoded with ``orjson``, imported on the first read so that
 importing lanekit loads numpy only, and a document it refuses by the stdlib
@@ -39,6 +43,7 @@ from .connection_head import HeadWeights
 from .errors import (UNIT, SchemaError, ValidationError, check_int, check_real, float_array,
                      int_array, unchecked)
 from .geometry import CameraModel
+# LaneRecord, the lane type of lane and ground-truth files, made here by lane_records only.
 from .graph import AdjacencyMatrix, LaneRecord, lane_records
 from .nms import ProposalSet
 
@@ -113,6 +118,25 @@ def _require(mapping, field, kind=None, context=""):
     return value
 
 
+def _fields(entries, fields, label):
+    """The values of ``fields`` (field -> JSON type, or None for any) in
+    every object of the list ``entries``, one list per field, read in one
+    pass.  Only where that pass fails are the entries walked with
+    ``_require``, entry by entry and field by field, entry k named
+    ``label(k)``, to name the first missing or mistyped field:
+    ``lanes[3].category: missing``."""
+    try:
+        columns = [[entry[field] for entry in entries] for field in fields]
+        if all(kind is None or all(isinstance(value, kind) for value in column)
+               for kind, column in zip(fields.values(), columns)):
+            return columns
+    except (KeyError, TypeError):   # an entry that is no object, or lacks a field
+        pass
+    for k, entry in enumerate(entries):
+        for field, kind in fields.items():
+            _require(entry, field, kind, f"{label(k)}.")
+
+
 def save_prediction_frame(frame, path):
     """Writes a frame, its adjacency in the smaller encoding (module docstring)."""
     proposals = frame.keypoints
@@ -135,6 +159,13 @@ def save_prediction_frame(frame, path):
            "keypoints": keypoints, "adjacency": adjacency}, path)
 
 
+# The fields of a keypoint, a lane-file lane and a ground-truth lane.
+_KEYPOINT_FIELDS = dict.fromkeys(("class_scores", "row", "col", "x", "y", "dx", "z",
+                                  "fg_score"))
+_LANE_FIELDS = {"points": list, "category": None, "confidence": None}
+_GT_LANE_FIELDS = {"points": list, "category": None}
+
+
 def load_prediction_frame(path):
     raw = _load_json(path)
     frame_id = _require(raw, "frame_id", str)
@@ -145,42 +176,37 @@ def load_prediction_frame(path):
     camera = raw.get("camera")
     if camera is not None and not isinstance(camera, str):
         raise SchemaError("camera", f"expected str or null, got {type(camera).__name__}")
-
+    repeats_n = _require(raw, "repeats_n")
     entries = _require(raw, "keypoints", list)
-    fields = ("class_scores", "row", "col", "x", "y", "dx", "z", "fg_score")
-    try:
-        scores, row, col, x, y, dx, z, fg_score = (
-            [entry[field] for entry in entries] for field in fields)
-    except (KeyError, TypeError):   # an entry that is no object, or lacks a field
-        for i, entry in enumerate(entries):
-            for field in fields:
-                _require(entry, field, context=f"keypoints[{i}].")
-        raise
+    scores, row, col, x, y, dx, z, fg_score = _fields(entries, _KEYPOINT_FIELDS,
+                                                      "keypoints[{}]".format)
     for i, entry_scores in enumerate(scores):
         if not (isinstance(entry_scores, list) and len(entry_scores) == categories):
             raise SchemaError(f"keypoints[{i}].class_scores",
                               f"expected a list of {categories} numbers, as the header says")
+    adj_raw = _require(raw, "adjacency", dict)
+    fmt = _require(adj_raw, "format", str, "adjacency.")
+    size = check_int(_require(adj_raw, "size", context="adjacency."), "adjacency.size")
+    if size != len(entries):
+        raise SchemaError("adjacency.size", f"{size} for {len(entries)} keypoints")
+    if fmt not in ("dense", "sparse"):
+        raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
+    numbers = _require(adj_raw, "probs" if fmt == "dense" else "triplets", list, "adjacency.")
+
+    # The structure holds; now the values, each by the rule that owns it.
     grid_index = np.column_stack([int_array(row, "keypoints.row", (None,), "keypoints[{}].row"),
                                   int_array(col, "keypoints.col", (None,), "keypoints[{}].col")])
     proposals = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg_score,
                                         scores if entries else np.empty((0, categories)),
-                                        repeats_n=_require(raw, "repeats_n"))
-
-    adj_raw = _require(raw, "adjacency", dict)
-    fmt = _require(adj_raw, "format", str, "adjacency.")
-    size = check_int(_require(adj_raw, "size", context="adjacency."), "adjacency.size")
-    if size != len(proposals):
-        raise SchemaError("adjacency.size", f"{size} for {len(proposals)} keypoints")
+                                        repeats_n=repeats_n)
     if fmt == "dense":
         # A frame without keypoints holds ``[]``, which reads as zero rows.
-        adjacency = float_array(_require(adj_raw, "probs", list, "adjacency."),
-                                "adjacency.probs", (size, size), within=UNIT)
-    elif fmt == "sparse":
-        triplets = _require(adj_raw, "triplets", list, "adjacency.")
-        probs = float_array(triplets, "adjacency.triplets", (None, 3),
+        adjacency = float_array(numbers, "adjacency.probs", (size, size), within=UNIT)
+    else:
+        probs = float_array(numbers, "adjacency.triplets", (None, 3),
                             "adjacency.triplets[{}]")[:, 2]
         # The indices again as written, so that 1.0 is no index.
-        index = int_array([triplet[:2] for triplet in triplets], "adjacency.triplets",
+        index = int_array([triplet[:2] for triplet in numbers], "adjacency.triplets",
                           (None, 2), "adjacency.triplets[{}]", within=(0, size, "[)"))
         # Of triplets naming one entry, the last holds, as when written in order;
         # only the probabilities that hold are checked, each named by its triplet.
@@ -191,39 +217,11 @@ def load_prediction_frame(path):
         float_array(held, "adjacency.triplets", row_name="adjacency.triplets[{}]", within=UNIT)
         adjacency = np.zeros((size, size))
         adjacency.reshape(-1)[flat[last]] = probs[last]
-    else:
-        raise SchemaError("adjacency.format", f"unknown format {fmt!r}")
 
     # The adjacency is (size, size), size the keypoint count, with every
     # entry checked to lie in [0, 1] above: PredictionFrame's rule holds.
     return unchecked(PredictionFrame, frame_id=frame_id, keypoints=proposals,
                      adjacency=adjacency, camera=camera)
-
-
-def _read_lane(entry, ctx, has_confidence):
-    """One lane object of a lane or GT file, named ``ctx`` in errors; GT
-    lanes carry no ``confidence``."""
-    fields = {"points": _require(entry, "points", list, f"{ctx}."),
-              "category": _require(entry, "category", context=f"{ctx}.")}
-    if has_confidence:
-        fields["confidence"] = _require(entry, "confidence", context=f"{ctx}.")
-    try:
-        return LaneRecord(**fields)
-    except ValidationError as exc:
-        raise ValidationError(f"{ctx}: {exc}") from exc
-
-
-def _checked_lanes(entries, has_confidence):
-    """The LaneRecords of the lane objects ``entries``, checked by one
-    ``graph.lane_records`` call; None if any entry is malformed or bad, for
-    ``_read_lane`` to name the first such one."""
-    try:
-        points = [entry["points"] for entry in entries]
-        categories = [entry["category"] for entry in entries]
-        confidences = [entry["confidence"] for entry in entries] if has_confidence else None
-        return lane_records(points, categories, confidences)
-    except (KeyError, TypeError, ValidationError):   # TypeError: an entry that is no object
-        return None
 
 
 def _lane_json(lane):
@@ -240,12 +238,8 @@ def save_lane_frame(frame_id, lanes, path):
 def load_lane_frame(path):
     raw = _load_json(path)
     frame_id = _require(raw, "frame_id", str)
-    entries = _require(raw, "lanes", list)
-    lanes = _checked_lanes(entries, has_confidence=True)
-    if lanes is None:
-        lanes = [_read_lane(entry, f"lanes[{i}]", has_confidence=True)
-                 for i, entry in enumerate(entries)]
-    return frame_id, lanes
+    lanes = _fields(_require(raw, "lanes", list), _LANE_FIELDS, "lanes[{}]".format)
+    return frame_id, lane_records(*lanes)
 
 
 def save_ground_truth(frames, path):
@@ -258,38 +252,18 @@ def save_ground_truth(frames, path):
 
 def load_ground_truth(path):
     raw = _load_json(path)
-    entries = _require(raw, "frames", list)
-    frames = _checked_frames(entries)
-    if frames is not None:
-        return frames
-    frames = {}
-    for f, entry in enumerate(entries):
-        ctx = f"frames[{f}]."
-        frame_id = _require(entry, "frame_id", str, ctx)
-        if frame_id in frames:
-            raise SchemaError(f"{ctx}frame_id", f"duplicate frame_id {frame_id!r}")
-        frames[frame_id] = [_read_lane(lane, f"{ctx}lanes[{i}]", has_confidence=False)
-                            for i, lane in enumerate(_require(entry, "lanes", list, ctx))]
-    return frames
-
-
-def _checked_frames(entries):
-    """``load_ground_truth``'s frames of the frame objects ``entries``, all
-    their lanes checked by one ``_checked_lanes`` call; None if any frame or
-    lane is malformed or bad, for the frame-by-frame reading to name."""
-    try:
-        ids = [entry["frame_id"] for entry in entries]
-        lanes = [entry["lanes"] for entry in entries]
-    except (KeyError, TypeError):
-        return None
-    if not (all(type(fid) is str for fid in ids) and len(set(ids)) == len(ids)
-            and all(type(frame) is list for frame in lanes)):
-        return None
-    records = _checked_lanes(list(chain.from_iterable(lanes)), has_confidence=False)
-    if records is None:
-        return None
-    records = iter(records)
-    return {fid: list(islice(records, len(frame))) for fid, frame in zip(ids, lanes)}
+    ids, lanes = _fields(_require(raw, "frames", list), {"frame_id": str, "lanes": list},
+                         "frames[{}]".format)
+    if len(set(ids)) < len(ids):
+        f = next(f for f, frame_id in enumerate(ids) if frame_id in ids[:f])
+        raise SchemaError(f"frames[{f}].frame_id", f"duplicate frame_id {ids[f]!r}")
+    # Every frame's lanes at once, each named by its frame and its place there.
+    names = [f"frames[{f}].lanes[{i}]" for f, frame in enumerate(lanes)
+             for i in range(len(frame))]
+    points, categories = _fields(list(chain.from_iterable(lanes)), _GT_LANE_FIELDS,
+                                 names.__getitem__)
+    records = iter(lane_records(points, categories, label=names.__getitem__))
+    return {frame_id: list(islice(records, len(frame))) for frame_id, frame in zip(ids, lanes)}
 
 
 def save_camera(camera, path):
@@ -300,10 +274,11 @@ def save_camera(camera, path):
 
 def load_camera(path):
     raw = _load_json(path)
-    intrinsic = float_array(_require(raw, "intrinsic", list), "intrinsic", (9,))
-    extrinsic = float_array(_require(raw, "extrinsic", list), "extrinsic", (16,))
-    return CameraModel(intrinsic=intrinsic.reshape(3, 3), extrinsic=extrinsic.reshape(4, 4),
-                       image_size=tuple(_require(raw, "image_size", list)))
+    intrinsic, extrinsic, image_size = (_require(raw, key, list)
+                                        for key in ("intrinsic", "extrinsic", "image_size"))
+    return CameraModel(intrinsic=float_array(intrinsic, "intrinsic", (9,)).reshape(3, 3),
+                       extrinsic=float_array(extrinsic, "extrinsic", (16,)).reshape(4, 4),
+                       image_size=tuple(image_size))
 
 
 # Head weight file keys; each names the HeadWeights field spelt with "_".
@@ -319,10 +294,10 @@ def save_head_weights(weights, path):
 
 def load_head_weights(path):
     raw = _load_json(path)
-    fields = {key.replace(".", "_"): float_array(_require(raw, key, list), key)
-              for key in _WEIGHT_KEYS}
-    fields["final_b"] = check_real(_require(raw, "final.b"), "final.b")
-    return HeadWeights(**fields)
+    lists = {key: _require(raw, key, list) for key in _WEIGHT_KEYS}
+    final_b = _require(raw, "final.b")
+    fields = {key.replace(".", "_"): float_array(values, key) for key, values in lists.items()}
+    return HeadWeights(**fields, final_b=check_real(final_b, "final.b"))
 
 
 def save_grid_csv(grid, path):

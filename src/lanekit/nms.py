@@ -30,13 +30,14 @@ A ``ProposalSet`` is its columns and nothing else: ``grid_index`` (N, 2),
 Every proposal carries the same number C >= 0 of class scores, the
 ``categories`` of a prediction frame; a proposal with none falls back to its
 ``fg_score`` for confidence.  The columns are validated once, when the set is
-made, and are read-only.  ``ProposalSet.from_arrays`` takes them directly
-and is the one place they are checked: ``ProposalSet(keypoints)`` gathers
-the fields of ``Keypoint`` objects, whose score vectors must all have one
-length, into columns and hands them to it; a ``Keypoint``, a plain record,
-is checked there, and every function that takes Keypoints makes a set of
-them first.  A ``subset`` copies the chosen rows.  Indexing or iterating
-a set makes a new ``Keypoint`` from each row.
+made, refined positions ``x + dx`` included, and are read-only.
+``ProposalSet.from_arrays`` takes them directly and is the one place they
+are checked: ``ProposalSet(keypoints)`` gathers the fields of ``Keypoint``
+objects, whose score vectors must all have one length, into columns and
+hands them to it; a ``Keypoint``, a plain record, is checked there, and
+every function that takes Keypoints makes a set of them first.  A
+``subset`` copies the chosen rows.  Indexing or iterating a set makes a
+new ``Keypoint`` from each row.
 
 ``infer_nms_thresholds`` is the one rule for the suppression window: twice
 the widest row's anchor step laterally, half the smallest row gap
@@ -129,7 +130,8 @@ class ProposalSet:
         rest (N,) floats and ``class_scores`` (N, C).  Omitted columns take
         the ``Keypoint`` defaults: zero offsets, heights and fg scores, and
         no class scores.  The columns are validated and kept as read-only
-        copies; a bad entry is named by its row, as ``keypoints[2].fg_score``."""
+        copies; a bad entry is named by its row, as ``keypoints[2].fg_score``.
+        The refined position ``x + dx`` must be finite too."""
         x = float_array(x, "x", (None,), "keypoints[{}].x")
         n = len(x)
         self = cls.__new__(cls)
@@ -141,6 +143,9 @@ class ProposalSet:
                                  f"keypoints[{{}}].{name}",
                                  UNIT if name == "fg_score" else FINITE).copy()
             setattr(self, name, _read_only(values))
+        with np.errstate(over="ignore"):   # an overflow to inf is the error below
+            float_array(self.x + self.dx, "x + dx", row_name="keypoints[{}].x + dx",
+                        within=FINITE)
         class_scores = float_array(np.empty((n, 0)) if class_scores is None else class_scores,
                                    "class_scores", (n, None), "keypoints[{}].class_scores",
                                    UNIT).copy()

@@ -70,6 +70,18 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    def test_overflowing_refined_x_is_exit_1(self, scene, tmp_path, capsys):
+        pred, _ = scene
+        raw = json.loads(pred.read_text())
+        raw["keypoints"][1].update(x=1e308, dx=1e308)
+        pred.write_text(json.dumps(raw))
+        out = tmp_path / "out.json"
+        assert run(["extract", "--pred", pred, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: keypoints[1].x + dx must be finite, got inf\n")
+        assert not out.exists()
+
+
 class TestPipelineCommands:
     def test_extract_then_eval_perfect(self, scene, tmp_path, capsys):
         pred, gt = scene

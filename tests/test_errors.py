@@ -732,6 +732,13 @@ def _foreign_private_constructions(sources):
     return sorted(findings)
 
 
+def _lane_record_calls(source):
+    """Lines of ``LaneRecord(...)`` calls in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called_name(node) == "LaneRecord":
+            yield node.lineno
+
+
 def test_guards_find_what_they_look_for():
     assert list(_raised_value_errors("raise ValueError('a')\nraise ValueError\n"
                                      "raise ValidationError('b')")) == [1, 2]
@@ -758,6 +765,8 @@ def test_guards_find_what_they_look_for():
               "        v = np.asarray(self.v, dtype=float)\n"
               "        k = np.array(k, dtype=np.int64)\n")
     assert _array_conversions_of_arguments(source) == [2, 3, 4, 6, 10, 11, 14]
+    assert list(_lane_record_calls("from .graph import LaneRecord\nLaneRecord(p)\n"
+                                   "graph.LaneRecord(p, 1)\nlane_records([p], [1])\n")) == [2, 3]
 
 
 def test_private_constructors_are_called_only_where_their_type_lives():
@@ -767,6 +776,12 @@ def test_private_constructors_are_called_only_where_their_type_lives():
     package = Path(lanekit.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _foreign_private_constructions(sources) == []
+
+
+def test_io_makes_no_lane_records():
+    """A lane or ground-truth file's lanes enter through ``graph.lane_records``
+    alone, which checks them once per file and names a bad one."""
+    assert list(_lane_record_calls((Path(lanekit.__file__).parent / "io.py").read_text())) == []
 
 
 def test_no_bare_value_errors_outside_oracles():

@@ -750,7 +750,8 @@ _unit = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1)
 
 @st.composite
 def proposal_sets(draw):
-    """A valid ProposalSet: N in [0, 6] proposals of C in [0, 3] class scores."""
+    """``from_arrays``' arguments for N in [0, 6] proposals of C in [0, 3]
+    class scores, every entry valid on its own; ``x + dx`` may overflow."""
     n, width = draw(st.integers(0, 6)), draw(st.integers(0, 3))
 
     def column(elements, shape):
@@ -761,15 +762,24 @@ def proposal_sets(draw):
     grid_index = np.array(draw(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
                                                   st.integers(-2 ** 63, 2 ** 63 - 1)),
                                         min_size=n, max_size=n)), dtype=np.int64)
-    return ProposalSet.from_arrays(grid_index.reshape(n, 2), column(_floats, n),
-                                   column(_floats, n), column(_floats, n), column(_floats, n),
-                                   column(_unit, n), column(_unit, (n, width)),
-                                   repeats_n=draw(st.integers(1, 3)))
+    return dict(grid_index=grid_index.reshape(n, 2), x=column(_floats, n), y=column(_floats, n),
+                dx=column(_floats, n), z=column(_floats, n), fg_score=column(_unit, n),
+                class_scores=column(_unit, (n, width)), repeats_n=draw(st.integers(1, 3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(proposal_sets(), st.data())
-def test_prediction_frame_round_trips_every_column(proposals, data):
+def test_prediction_frame_round_trips_every_column(columns, data):
+    with np.errstate(over="ignore"):
+        refined = columns["x"] + columns["dx"]
+    if not np.isfinite(refined).all():
+        # A refined position beyond the double range: no set is made.
+        row = int(np.argmin(np.isfinite(refined)))
+        with pytest.raises(ValidationError, match=rf"^keypoints\[{row}\]\.x \+ dx must be "
+                                                  rf"finite, got -?inf$"):
+            ProposalSet.from_arrays(**columns)
+        return
+    proposals = ProposalSet.from_arrays(**columns)
     n = len(proposals)
     adjacency = np.array(data.draw(st.lists(_unit, min_size=n * n, max_size=n * n)),
                          dtype=float).reshape(n, n)

@@ -1,9 +1,10 @@
 """``graph.lane_records``, the one-call check of a file's lanes, against
 ``LaneRecord``'s rule applied lane by lane: the same lanes accepted, the
 same first bad lane and message rejected, the same values kept.  The
-loaders that use it give what reading the file lane by lane gives.  The
-records lanekit builds itself without the public rule (extracted lanes,
-thresholded graphs, matchings) equal the ones that rule builds."""
+loaders that use it check every lane object's structure before any lane's
+values.  The records lanekit builds itself without the public rule
+(extracted lanes, thresholded graphs, matchings) equal the ones that rule
+builds."""
 
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lanekit import io
-from lanekit.errors import ValidationError
+from lanekit.errors import SchemaError, ValidationError
 from lanekit.graph import (DirectedLaneGraph, LaneRecord, _lanes_at_once, extract_lanes,
                            lane_records, threshold_adjacency)
 from lanekit.io import load_ground_truth, load_lane_frame
@@ -69,16 +70,16 @@ def lane_points(draw):
 LANES = st.lists(st.tuples(lane_points(), CATEGORY, CONFIDENCE), max_size=4)
 
 
-def lane_by_lane(lanes, has_confidence):
+def lane_by_lane(lanes, has_confidence, names=None):
     """``(records, None)`` or ``(None, message)`` of LaneRecord's rule,
-    lane by lane, the first bad lane named ``lanes[i]``."""
+    lane by lane, the first bad lane named ``names[i]``, else ``lanes[i]``."""
     records = []
     for i, (points, category, confidence) in enumerate(lanes):
         try:
             records.append(LaneRecord(points, category, *([confidence] if has_confidence
                                                            else [])))
         except ValidationError as exc:
-            return None, f"lanes[{i}]: {exc}"
+            return None, f"{names[i] if names else f'lanes[{i}]'}: {exc}"
     return records, None
 
 
@@ -114,10 +115,32 @@ def test_one_call_check_accepts_what_the_lane_rule_accepts(lanes, has_confidence
         assert_same_lanes(lane_records(*fields), want)
 
 
+def structure_then_values(entries, names, has_confidence):
+    """``(records, None)`` or ``(None, message)`` of the loaders' rule:
+    every lane object's structure first, entry by entry and field by field
+    (an object, with a list ``points``, a ``category`` and, in a lane file,
+    a ``confidence``), then LaneRecord's rule lane by lane."""
+    fields = ("points", "category", "confidence")[:3 if has_confidence else 2]
+    try:
+        for entry, name in zip(entries, names):
+            for field in fields:
+                if not isinstance(entry, dict):
+                    raise SchemaError(f"{name}.{field}", "enclosing object is not a JSON object")
+                if field not in entry:
+                    raise SchemaError(f"{name}.{field}", "missing")
+                if field == "points" and not isinstance(entry[field], list):
+                    raise SchemaError(f"{name}.points",
+                                      f"expected list, got {type(entry[field]).__name__}")
+    except SchemaError as exc:
+        return None, str(exc)
+    return lane_by_lane([(entry["points"], entry["category"], entry.get("confidence"))
+                         for entry in entries], has_confidence, names)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lanes=LANES, has_confidence=st.booleans(),
        malformed=st.sampled_from([None, "no-object", "no-category", "points-string"]))
-def test_loaders_read_what_lane_by_lane_reading_reads(lanes, has_confidence, malformed):
+def test_loaders_check_every_lane_structure_before_any_value(lanes, has_confidence, malformed):
     entries = [dict(points=p, category=c, **({"confidence": f} if has_confidence else {}))
                for p, c, f in lanes]
     if malformed and entries:
@@ -144,11 +167,7 @@ def test_loaders_read_what_lane_by_lane_reading_reads(lanes, has_confidence, mal
     decoded = io._load_json(path)
     entries = decoded["lanes"] if has_confidence else [
         lane for frame in decoded["frames"] for lane in frame["lanes"]]
-    try:
-        want = [io._read_lane(entry, name, has_confidence) for entry, name in zip(entries, names)]
-        message = None
-    except ValidationError as exc:
-        want, message = None, str(exc)
+    want, message = structure_then_values(entries, names, has_confidence)
     try:
         loaded = load(path)
     except ValidationError as exc:
@@ -157,6 +176,25 @@ def test_loaders_read_what_lane_by_lane_reading_reads(lanes, has_confidence, mal
     assert message is None
     have = loaded[1] if has_confidence else loaded["a"] + loaded["b"]
     assert_same_lanes(have, want)
+
+
+@pytest.mark.parametrize("load, document, message", [
+    # JSON holds no NaN; 1e400 reads as an infinity, a bad value in lane 0.
+    (load_lane_frame,
+     '{"frame_id": "f", "lanes": [{"points": [[0, 1, 0], [1e400, 2, 0]], "category": 0, '
+     '"confidence": 0.5}, {"points": [[0, 1, 0], [0, 2, 0]], "confidence": 0.5}]}',
+     "lanes[1].category: missing"),
+    (load_ground_truth,
+     '{"frames": [{"frame_id": "a", "lanes": [{"points": [[0, 2, 0], [0, 1, 0]], '
+     '"category": 0}]}, {"frame_id": "b", "lanes": [{"points": "[]", "category": 0}]}]}',
+     "frames[1].lanes[0].points: expected list, got str")], ids=["lane-file", "ground-truth"])
+def test_a_structural_fault_is_named_before_an_earlier_bad_value(tmp_path, load, document,
+                                                                 message):
+    path = tmp_path / "lanes.json"
+    path.write_text(document)
+    with pytest.raises(SchemaError) as err:
+        load(path)
+    assert str(err.value) == message
 
 
 def test_valid_file_lanes_are_views_of_one_read_only_array():
@@ -218,18 +256,11 @@ def test_extracted_lanes_equal_the_lane_rule_ones():
     assert type(lane.path[0]) is int and type(lane.category) is int
 
 
-def test_extract_still_rejects_a_point_that_overflows():
-    # x + dx is inf although both are finite; the lane names its point as before.
-    kept = proposals([1e308, 1e308, 0.0], [1e308, 0.0, 0.0])
-    adjacency = np.array([[0.0, 0.9, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with np.errstate(over="ignore"), pytest.raises(
-            ValidationError, match=r"^points\[0\] must be finite, got inf$"):
-        extract_lanes(kept, adjacency)
-    # A keypoint that overflows on no lane is never read, as before.
-    adjacency = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
-    with np.errstate(over="ignore"):
-        lane, = extract_lanes(kept, adjacency)
-    assert lane.path == (1, 2)
+def test_a_point_whose_refined_x_overflows_is_rejected_when_the_set_is_made():
+    # x + dx is inf although both are finite; no RuntimeWarning escapes.
+    with pytest.raises(ValidationError, match=r"^keypoints\[0\]\.x \+ dx must be finite, "
+                                              r"got inf$"):
+        proposals([1e308, 1e308, 0.0], [1e308, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("nodes", [None, [0, 2, 3, 5]])
