@@ -15,28 +15,45 @@ Nothing is written unless every frame extracts.
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
 
+An option that feeds a library parameter is stored under that parameter's
+name (``--iou`` as ``iou_thresh``, ``--lanes`` as ``lane_count``) and is
+passed on only when given, so a left-out option takes the library
+function's default.  The only defaults stated here are the uniform grid's:
+``--mode``, ``--rows``, ``--cols``, ``--y-min``, ``--y-max``, ``--x-min`` and
+``--x-max``.  Every file and report the CLI writes, ``match``'s and
+``eval``'s JSON and ``project``'s CSV included, is formatted by ``io``.
+
 ``COMMANDS`` is the one table of subcommands.  ``main`` builds the parser
 of the command it runs only; any other first argument gets the full one.
 """
 
 import argparse
-import json
 import sys
+from argparse import SUPPRESS
 from pathlib import Path
 
 import numpy as np
 
-from .config import EVAL_THRESHOLDS_M, MODEL_PRESETS
+from .config import MODEL_PRESETS
 from .errors import ValidationError
 from .geometry import (build_custom_grid, build_uniform_grid,
                        make_forward_camera, project_grid_to_image)
-from .io import (load_camera, load_ground_truth, load_lane_frame,
+from .io import (json_text, load_camera, load_ground_truth, load_lane_frame,
                  load_prediction_frame, save_grid_csv, save_ground_truth,
-                 save_lane_frame, save_prediction_frame)
-from .matching import GroundTruthKeypoint, build_connection_targets, match_keypoints
+                 save_lane_frame, save_prediction_frame, save_projection_csv)
+from .matching import build_connection_targets, match_keypoints
 from .metrics import _evaluate, evaluate
 from .pipeline import run_pipeline, suppress
-from .synthetic import SceneSpec, generate_scene
+from .synthetic import SceneSpec, generate_scene, gt_keypoints
+
+# PointNMS's parameters, set by the options of ``nms`` and ``extract``.
+_NMS = ("thresh_x", "thresh_y", "r", "iou_thresh")
+
+
+def _given(args, *names):
+    """The options among parameters ``names`` that the command line set; a
+    left-out one is absent, so the called function's default holds."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _threshold_list(text):
@@ -54,10 +71,10 @@ def _add_grid_args(parser):
     parser.add_argument("--y-max", type=float, default=58.0)
     parser.add_argument("--x-min", type=float, default=-8.0)
     parser.add_argument("--x-max", type=float, default=8.0)
-    parser.add_argument("--spacing-near", type=float, default=0.5)
-    parser.add_argument("--spacing-far", type=float, default=1.5)
-    parser.add_argument("--width", type=float, default=20.0)
-    parser.add_argument("--y-origin", type=float, default=3.0)
+    parser.add_argument("--spacing-near", type=float, default=SUPPRESS)
+    parser.add_argument("--spacing-far", type=float, default=SUPPRESS)
+    parser.add_argument("--width", type=float, default=SUPPRESS)
+    parser.add_argument("--y-origin", type=float, default=SUPPRESS)
     parser.add_argument("--preset", choices=sorted(MODEL_PRESETS))
 
 
@@ -67,10 +84,8 @@ def _grid_from_args(args):
                                   y_range=(args.y_min, args.y_max),
                                   x_range=(args.x_min, args.x_max))
     rows, cols = MODEL_PRESETS[args.preset].bev_shape if args.preset else (args.rows, args.cols)
-    return build_custom_grid(rows=rows, cols=cols,
-                             spacing_near=args.spacing_near,
-                             spacing_far=args.spacing_far,
-                             width=args.width, y_origin=args.y_origin)
+    return build_custom_grid(rows=rows, cols=cols, **_given(
+        args, "spacing_near", "spacing_far", "width", "y_origin"))
 
 
 def _cmd_grid(args):
@@ -83,13 +98,8 @@ def _cmd_grid(args):
 def _cmd_project(args):
     grid = _grid_from_args(args)
     camera = load_camera(args.camera) if args.camera else make_forward_camera()
-    pmap = project_grid_to_image(grid, camera, ground_height=args.ground_height)
-    lines = ["row,col,u,v,valid"]
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            u, v = pmap.pixel_coords[r, c]
-            lines.append(f"{r},{c},{float(u)!r},{float(v)!r},{int(pmap.valid[r, c])}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    pmap = project_grid_to_image(grid, camera, **_given(args, "ground_height"))
+    save_projection_csv(pmap, args.out)
     visible = int(pmap.valid.sum())
     print(f"projected {grid.rows * grid.cols} anchors, {visible} inside the image")
     return 0
@@ -97,8 +107,7 @@ def _cmd_project(args):
 
 def _cmd_nms(args):
     frame = load_prediction_frame(args.pred)
-    keep, kept, adjacency = suppress(frame, args.thresh_x, args.thresh_y, r=args.r,
-                                     iou_thresh=args.iou)
+    keep, kept, adjacency = suppress(frame, **_given(args, *_NMS))
     save_prediction_frame(type(frame)(frame_id=frame.frame_id, keypoints=kept,
                                       adjacency=adjacency, camera=frame.camera), args.out)
     print(f"kept {len(keep)} of {len(frame.keypoints)} proposals")
@@ -125,17 +134,12 @@ def _sequence(path, load, frame_id):
         yield file, loaded
 
 
-def _extract(frame, args):
-    return run_pipeline(frame, t_a=args.t_a, thresh_x=args.thresh_x,
-                        thresh_y=args.thresh_y, r=args.r, iou_thresh=args.iou,
-                        min_lane_points=args.min_lane_points)
-
-
 def _cmd_extract(args):
     pred, out = Path(args.pred), Path(args.out)
+    options = _given(args, "t_a", "min_lane_points", *_NMS)
     if not pred.is_dir():
         frame = load_prediction_frame(pred)
-        result = _extract(frame, args)
+        result = run_pipeline(frame, **options)
         save_lane_frame(frame.frame_id, result.lanes, out)
         print(f"extracted {len(result.lanes)} lanes from {len(result.kept)} "
               f"kept proposals")
@@ -147,7 +151,7 @@ def _cmd_extract(args):
                               "lane files would replace the frames")
     # Every frame is extracted before any lane file is written, so a bad
     # frame leaves no partial output.
-    outputs = [(out / file.name, frame.frame_id, _extract(frame, args).lanes)
+    outputs = [(out / file.name, frame.frame_id, run_pipeline(frame, **options).lanes)
                for file, frame in _sequence(pred, load_prediction_frame,
                                             lambda frame: frame.frame_id)]
     out.mkdir(parents=True, exist_ok=True)
@@ -164,16 +168,11 @@ def _cmd_match(args):
     frame_id = args.frame_id or frame.frame_id
     if frame_id not in gt_frames:
         raise ValidationError(f"frame {frame_id!r} not present in {args.gt}")
-    gts = [GroundTruthKeypoint(lane_id=lane_id, order_in_lane=order,
-                               x=float(x), y=float(y), z=float(z),
-                               category=lane.category)
-           for lane_id, lane in enumerate(gt_frames[frame_id])
-           for order, (x, y, z) in enumerate(lane.points)]
-    repeats = frame.keypoints.repeats_n if args.repeats is None else args.repeats
-    matching = match_keypoints(frame.keypoints, gts, repeats_n=repeats,
-                               strongest=args.strongest,
-                               lambda_dist=args.lambda_dist,
-                               lambda_cls=args.lambda_cls)
+    gts = gt_keypoints(gt_frames[frame_id])
+    # Left out, --repeats is the frame's own repeats_n.
+    options = {"repeats_n": frame.keypoints.repeats_n,
+               **_given(args, "repeats_n", "strongest", "lambda_dist", "lambda_cls")}
+    matching = match_keypoints(frame.keypoints, gts, **options)
     report = {
         "frame_id": frame_id,
         "pairs": [[int(p), int(g)] for p, g in matching.pairs],
@@ -188,7 +187,7 @@ def _cmd_match(args):
         targets = build_connection_targets(matching, gts, len(frame.keypoints))
         src, dst = np.nonzero(targets)
         report["connection_targets"] = [[int(i), int(j)] for i, j in zip(src, dst)]
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_text(report)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -211,14 +210,15 @@ def _load_pred_lanes(path):
 def _cmd_eval(args):
     preds = _load_pred_lanes(args.pred)
     gts = load_ground_truth(args.gt)
+    thresholds = _given(args, "thresholds")
     payload = {}
     if args.per_frame:
         # One pass gives the aggregate and each frame's reports.
-        reports, per_frame = _evaluate(preds, gts, thresholds=args.threshold, per_frame=True)
+        reports, per_frame = _evaluate(preds, gts, per_frame=True, **thresholds)
         payload["per_frame"] = {fid: [r.as_dict() for r in frame_reports]
                                 for fid, frame_reports in per_frame.items()}
     else:
-        reports = evaluate(preds, gts, thresholds=args.threshold)
+        reports = evaluate(preds, gts, **thresholds)
     payload["aggregate"] = [r.as_dict() for r in reports]
     for r in reports:
         print(f"threshold {r.threshold:g} m: F1={r.f1:.4f} "
@@ -226,17 +226,15 @@ def _cmd_eval(args):
               f"x_err near/far={r.x_err_near:.3f}/{r.x_err_far:.3f} "
               f"z_err near/far={r.z_err_near:.3f}/{r.z_err_far:.3f}")
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.report).write_text(json_text(payload))
     return 0
 
 
 def _cmd_synth(args):
     grid = _grid_from_args(args)
-    spec = SceneSpec(seed=args.seed, lane_count=args.lanes, sigma_x=args.noise_x,
-                     sigma_z=args.noise_z, proposals_per_target=args.n,
-                     dropout_p=args.dropout,
-                     distractor_edge_rate=args.distractors,
-                     strong_distractors=args.strong_distractors)
+    spec = SceneSpec(seed=args.seed, **_given(
+        args, "lane_count", "sigma_x", "sigma_z", "dropout_p", "proposals_per_target",
+        "distractor_edge_rate", "strong_distractors"))
     gt_lanes, frame = generate_scene(spec, grid)
     save_prediction_frame(frame, args.out_pred)
     if args.out_gt:
@@ -254,28 +252,30 @@ def _grid_args(p):
 def _project_args(p):
     _add_grid_args(p)
     p.add_argument("--camera", help="camera JSON (default: forward camera)")
-    p.add_argument("--ground-height", type=float, default=0.0)
+    p.add_argument("--ground-height", type=float, default=SUPPRESS)
     p.add_argument("--out", required=True)
+
+
+def _add_nms_args(p):
+    """PointNMS's options, the same in ``nms`` and ``extract``."""
+    p.add_argument("--thresh-x", type=float, default=SUPPRESS)
+    p.add_argument("--thresh-y", type=float, default=SUPPRESS)
+    p.add_argument("--r", type=int, default=SUPPRESS)
+    p.add_argument("--iou", dest="iou_thresh", type=float, default=SUPPRESS)
 
 
 def _nms_args(p):
     p.add_argument("--pred", required=True)
-    p.add_argument("--thresh-x", type=float)
-    p.add_argument("--thresh-y", type=float)
-    p.add_argument("--r", type=int, default=10)
-    p.add_argument("--iou", type=float, default=0.1)
+    _add_nms_args(p)
     p.add_argument("--out", required=True)
 
 
 def _extract_args(p):
     p.add_argument("--pred", required=True,
                    help="prediction frame, or directory of per-frame prediction files")
-    p.add_argument("--t-a", type=float, default=0.5)
-    p.add_argument("--min-lane-points", type=int, default=2)
-    p.add_argument("--thresh-x", type=float)
-    p.add_argument("--thresh-y", type=float)
-    p.add_argument("--r", type=int, default=10)
-    p.add_argument("--iou", type=float, default=0.1)
+    p.add_argument("--t-a", type=float, default=SUPPRESS)
+    p.add_argument("--min-lane-points", type=int, default=SUPPRESS)
+    _add_nms_args(p)
     p.add_argument("--out", required=True,
                    help="lane file, or with a --pred directory the output directory")
 
@@ -284,10 +284,10 @@ def _match_args(p):
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--frame-id")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--strongest", action="store_true")
-    p.add_argument("--lambda-dist", type=float, default=1.0)
-    p.add_argument("--lambda-cls", type=float, default=1.0)
+    p.add_argument("--repeats", dest="repeats_n", type=int, default=SUPPRESS)
+    p.add_argument("--strongest", action="store_true", default=SUPPRESS)
+    p.add_argument("--lambda-dist", type=float, default=SUPPRESS)
+    p.add_argument("--lambda-cls", type=float, default=SUPPRESS)
     p.add_argument("--out")
 
 
@@ -295,7 +295,7 @@ def _eval_args(p):
     p.add_argument("--pred", required=True,
                    help="lane file or directory of per-frame lane files")
     p.add_argument("--gt", required=True)
-    p.add_argument("--threshold", type=_threshold_list, default=EVAL_THRESHOLDS_M,
+    p.add_argument("--threshold", dest="thresholds", type=_threshold_list, default=SUPPRESS,
                    help="comma-separated distance thresholds in meters")
     p.add_argument("--report", help="write the full JSON report here")
     p.add_argument("--per-frame", action="store_true")
@@ -304,13 +304,13 @@ def _eval_args(p):
 def _synth_args(p):
     _add_grid_args(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lanes", type=int, default=3)
-    p.add_argument("--noise-x", type=float, default=0.0)
-    p.add_argument("--noise-z", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--distractors", type=float, default=0.0)
-    p.add_argument("--strong-distractors", action="store_true")
+    p.add_argument("--lanes", dest="lane_count", type=int, default=SUPPRESS)
+    p.add_argument("--noise-x", dest="sigma_x", type=float, default=SUPPRESS)
+    p.add_argument("--noise-z", dest="sigma_z", type=float, default=SUPPRESS)
+    p.add_argument("--dropout", dest="dropout_p", type=float, default=SUPPRESS)
+    p.add_argument("--n", dest="proposals_per_target", type=int, default=SUPPRESS)
+    p.add_argument("--distractors", dest="distractor_edge_rate", type=float, default=SUPPRESS)
+    p.add_argument("--strong-distractors", action="store_true", default=SUPPRESS)
     p.add_argument("--out-pred", required=True)
     p.add_argument("--out-gt")
 

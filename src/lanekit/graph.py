@@ -332,7 +332,7 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     if not starts or not ends:
         return []
     # Every row is finite: ProposalSet checks x + dx as well as x, y and z.
-    xyz = np.column_stack([proposals.x + proposals.dx, proposals.y, proposals.z])
+    xyz = np.column_stack([proposals.refined_x, proposals.y, proposals.z])
 
     lanes = []
     for best in _best_paths(graph, starts):

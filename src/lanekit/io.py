@@ -1,12 +1,14 @@
 """JSON file formats: prediction frames, lane files, ground-truth lanes,
-cameras, head weights, plus the anchor-grid CSV export.
+cameras, head weights, plus the anchor-grid and projection CSV exports.
 
-All writers emit sorted keys and indented JSON so artifacts diff cleanly in
-review and CI.  Floats use Python's shortest round-tripping representation,
-which keeps load(save(x)) exactly equal to x.  A frame's adjacency is
-written in whichever encoding holds fewer numbers: the nonzero entries as
-(i, j, prob) triplets when 3 x nonzero < n^2, otherwise dense row-major
-rows.  The loader reads both encodings whatever the frame's size.
+All writers emit sorted keys and indented JSON (``json_text``) so artifacts
+diff cleanly in review and CI; the CLI's ``match`` and ``eval`` reports and
+``project``'s CSV are written through this module too.  Floats use
+Python's shortest round-tripping representation, which keeps
+load(save(x)) exactly equal to x.  A frame's adjacency is written in
+whichever encoding holds fewer numbers: the nonzero entries as (i, j,
+prob) triplets when 3 x nonzero < n^2, otherwise dense row-major rows.
+The loader reads both encodings whatever the frame's size.
 
 Lane files and ground-truth files both hold ``graph.LaneRecord``s; a ground-truth
 lane is written without a confidence and reads back with confidence 1.0.
@@ -65,10 +67,15 @@ class PredictionFrame:
         object.__setattr__(self, "frame_id", str(self.frame_id))
 
 
+def json_text(obj):
+    """``obj`` as every lanekit JSON file holds it: sorted keys, two-space
+    indents and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _dump(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj))
 
 
 def _reject_constant(token):
@@ -306,5 +313,18 @@ def save_grid_csv(grid, path):
         for c in range(grid.cols):
             x, y = grid.positions[r, c]
             lines.append(f"{r},{c},{float(x)!r},{float(y)!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_projection_csv(pmap, path):
+    """A ``geometry.ProjectionMap`` as ``row,col,u,v,valid`` lines, one per
+    anchor in row-major order."""
+    lines = ["row,col,u,v,valid"]
+    rows, cols = pmap.valid.shape
+    for r in range(rows):
+        for c in range(cols):
+            u, v = pmap.pixel_coords[r, c]
+            lines.append(f"{r},{c},{float(u)!r},{float(v)!r},{int(pmap.valid[r, c])}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

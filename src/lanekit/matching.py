@@ -151,7 +151,7 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     p_y, g_y = _equal_pairs(proposals.y, gt_y[by_y])
     p = np.concatenate([p_row, p_y])
     g = np.concatenate([by_row[g_row], by_y[g_y]])
-    refined_dist = np.abs(proposals.x[p] + proposals.dx[p] - gt_x[g])
+    refined_dist = np.abs(proposals.refined_x[p] - gt_x[g])
     anchor_dist = np.abs(proposals.x[p] - gt_x[g])
     feasible = (refined_dist <= MAX_REFINED_DIST_M) & (anchor_dist <= MAX_ANCHOR_DIST_M)
     p, g, refined_dist = p[feasible], g[feasible], refined_dist[feasible]

@@ -144,7 +144,7 @@ class ProposalSet:
                                  UNIT if name == "fg_score" else FINITE).copy()
             setattr(self, name, _read_only(values))
         with np.errstate(over="ignore"):   # an overflow to inf is the error below
-            float_array(self.x + self.dx, "x + dx", row_name="keypoints[{}].x + dx",
+            float_array(self.refined_x, "x + dx", row_name="keypoints[{}].x + dx",
                         within=FINITE)
         class_scores = float_array(np.empty((n, 0)) if class_scores is None else class_scores,
                                    "class_scores", (n, None), "keypoints[{}].class_scores",
@@ -168,9 +168,14 @@ class ProposalSet:
                         class_scores=self.class_scores[i])
 
     @property
+    def refined_x(self):
+        """(N,) refined lateral positions ``x + dx``."""
+        return self.x + self.dx
+
+    @property
     def refined_xy(self):
         """(N, 2) refined lateral and longitudinal positions."""
-        return np.column_stack([self.x + self.dx, self.y])
+        return np.column_stack([self.refined_x, self.y])
 
     @property
     def confidences(self):

@@ -175,15 +175,21 @@ def generate_scene(spec, grid):
     return gt_lanes, frame
 
 
-def gt_keypoints(gt_lanes, grid):
-    """Flattens GT lanes into row-indexed keypoints for the matcher."""
+def gt_keypoints(gt_lanes, grid=None):
+    """Flattens GT lanes into keypoints for the matcher, lane by lane and
+    point by point along each lane, each with its lane's category.  With a
+    ``grid`` a keypoint's ``row`` is the index of the grid row it sits on,
+    and a point off every row raises; without one ``row`` is None, and the
+    matcher pairs the keypoint by exact longitudinal position."""
     out = []
     for lane_id, lane in enumerate(gt_lanes):
         for order, (x, y, z) in enumerate(lane.points):
-            row = int(np.searchsorted(grid.row_y, y))
-            if row >= grid.rows or grid.row_y[row] != y:
-                raise ValidationError(f"gt_lanes[{lane_id}].points[{order}]: "
-                                      f"does not sit on a grid row")
+            row = None
+            if grid is not None:
+                row = int(np.searchsorted(grid.row_y, y))
+                if row >= grid.rows or grid.row_y[row] != y:
+                    raise ValidationError(f"gt_lanes[{lane_id}].points[{order}]: "
+                                          f"does not sit on a grid row")
             out.append(GroundTruthKeypoint(lane_id=lane_id, order_in_lane=order,
                                            x=float(x), y=float(y), z=float(z),
                                            category=lane.category, row=row))
@@ -199,7 +205,7 @@ def keypoint_recall(kept, gts, tol=0.5):
     if not gts:
         return 1.0
     kept_rows = kept.grid_index[:, 0]
-    kept_x = kept.x + kept.dx
+    kept_x = kept.refined_x
     hits = 0
     for g in gts:
         on_row = kept_rows == g.row

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import re
 from pathlib import Path
@@ -6,11 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lanekit.cli
 from lanekit.cli import COMMANDS, build_parser, main
-from lanekit.geometry import make_forward_camera
-from lanekit.io import (LaneRecord, load_ground_truth, load_lane_frame, load_prediction_frame,
-                        save_camera, save_ground_truth, save_lane_frame)
+from lanekit.geometry import (build_custom_grid, build_uniform_grid, make_forward_camera,
+                              project_grid_to_image)
+from lanekit.io import (LaneRecord, PredictionFrame, json_text, load_ground_truth,
+                        load_lane_frame, load_prediction_frame, save_camera, save_grid_csv,
+                        save_ground_truth, save_lane_frame, save_prediction_frame,
+                        save_projection_csv)
+from lanekit.matching import match_keypoints
 from lanekit.metrics import evaluate
+from lanekit.pipeline import run_pipeline, suppress
+from lanekit.synthetic import SceneSpec, generate_scene, gt_keypoints
 
 
 def run(argv):
@@ -379,20 +387,147 @@ class TestExtractDirectory:
             "error: b.json: keypoints[1].fg_score must lie in [0, 1], got 1.5\n")
 
 
-# One argv per subcommand, setting most of its options.
+class TestLeftOutOptions:
+    """Run with no optional options, a command writes the same bytes as the
+    library call with its own defaults.  The one default the CLI states is
+    the uniform grid's geometry, ``CLI_GRID``."""
+
+    CLI_GRID = dict(rows=12, cols=32, y_range=(3.0, 58.0), x_range=(-8.0, 8.0))
+
+    @staticmethod
+    def assert_same_files(tmp_path, *names):
+        for name in names:
+            assert (tmp_path / f"got-{name}").read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_extract(self, scene, tmp_path):
+        pred, _ = scene
+        assert run(["extract", "--pred", pred, "--out", tmp_path / "got-lanes.json"]) == 0
+        frame = load_prediction_frame(pred)
+        save_lane_frame(frame.frame_id, run_pipeline(frame).lanes, tmp_path / "lanes.json")
+        self.assert_same_files(tmp_path, "lanes.json")
+
+    def test_nms(self, scene, tmp_path):
+        pred, _ = scene
+        assert run(["nms", "--pred", pred, "--out", tmp_path / "got-kept.json"]) == 0
+        frame = load_prediction_frame(pred)
+        _, kept, adjacency = suppress(frame)
+        save_prediction_frame(PredictionFrame(frame.frame_id, kept, adjacency, frame.camera),
+                              tmp_path / "kept.json")
+        self.assert_same_files(tmp_path, "kept.json")
+
+    def test_synth(self, tmp_path):
+        assert run(["synth", "--seed", 7, "--out-pred", tmp_path / "got-frame.json",
+                    "--out-gt", tmp_path / "got-gt.json"]) == 0
+        gt, frame = generate_scene(SceneSpec(seed=7), build_uniform_grid(**self.CLI_GRID))
+        save_prediction_frame(frame, tmp_path / "frame.json")
+        save_ground_truth({frame.frame_id: gt}, tmp_path / "gt.json")
+        self.assert_same_files(tmp_path, "frame.json", "gt.json")
+
+    def test_match(self, scene, capsys):
+        pred, gt = scene
+        capsys.readouterr()
+        assert run(["match", "--pred", pred, "--gt", gt]) == 0
+        frame = load_prediction_frame(pred)
+        # Left out, --repeats is the frame's own repeats_n (2 here: duplicated
+        # matching, so no chain targets).
+        matching = match_keypoints(frame.keypoints,
+                                   gt_keypoints(load_ground_truth(gt)[frame.frame_id]),
+                                   repeats_n=frame.keypoints.repeats_n)
+        assert frame.keypoints.repeats_n == 2
+        assert capsys.readouterr().out == json_text({
+            "frame_id": frame.frame_id,
+            "pairs": [[int(p), int(g)] for p, g in matching.pairs],
+            "unmatched_proposals": [int(p) for p in matching.unmatched_proposals],
+            "unmatched_gts": [int(g) for g in matching.unmatched_gts],
+            "connection_targets": None})
+
+    def test_eval(self, scene, tmp_path):
+        pred, gt = scene
+        frame = load_prediction_frame(pred)
+        lanes = run_pipeline(frame).lanes
+        save_lane_frame(frame.frame_id, lanes, tmp_path / "lanes.json")
+        assert run(["eval", "--pred", tmp_path / "lanes.json", "--gt", gt,
+                    "--report", tmp_path / "got-report.json"]) == 0
+        reports = evaluate({frame.frame_id: lanes}, load_ground_truth(gt))
+        (tmp_path / "report.json").write_text(json_text(
+            {"aggregate": [r.as_dict() for r in reports]}))
+        self.assert_same_files(tmp_path, "report.json")
+
+    def test_project(self, tmp_path):
+        assert run(["project", "--out", tmp_path / "got-proj.csv"]) == 0
+        pmap = project_grid_to_image(build_uniform_grid(**self.CLI_GRID), make_forward_camera())
+        save_projection_csv(pmap, tmp_path / "proj.csv")
+        self.assert_same_files(tmp_path, "proj.csv")
+
+    def test_grid_custom(self, tmp_path):
+        assert run(["grid", "--mode", "custom", "--out", tmp_path / "got-grid.csv"]) == 0
+        save_grid_csv(build_custom_grid(self.CLI_GRID["rows"], self.CLI_GRID["cols"]),
+                      tmp_path / "grid.csv")
+        self.assert_same_files(tmp_path, "grid.csv")
+
+
+# The options whose default the CLI states itself: the uniform grid's geometry.
+CLI_OWNED = {"--mode", "--rows", "--cols", "--y-min", "--y-max", "--x-min", "--x-max"}
+
+
+def _restated_defaults(source):
+    """``line: option`` of each ``add_argument`` call in ``source`` with a
+    ``default=`` other than ``SUPPRESS`` for an option not in ``CLI_OWNED``."""
+    found = []
+    for call in ast.walk(ast.parse(source)):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"):
+            continue
+        option = getattr(call.args[0], "value", None) if call.args else None
+        for keyword in call.keywords:
+            if (keyword.arg == "default" and option not in CLI_OWNED
+                    and ast.unparse(keyword.value) not in ("SUPPRESS", "argparse.SUPPRESS")):
+                found.append(f"{call.lineno}: {option}")
+    return found
+
+
+def test_guard_finds_a_restated_default():
+    source = ('p.add_argument("--iou", dest="iou_thresh", type=float, default=0.1)\n'
+              'p.add_argument("--rows", type=int, default=12)\n'
+              'p.add_argument("--r", type=int, default=SUPPRESS)\n'
+              'p.add_argument("--t-a", type=float, default=argparse.SUPPRESS)\n'
+              'p.add_argument("--strongest", action="store_true", default=False)\n'
+              'p.add_argument("--out", required=True)\n')
+    assert _restated_defaults(source) == ["1: --iou", "5: --strongest"]
+    cli = Path(lanekit.cli.__file__).read_text()
+    iou = '"--iou", dest="iou_thresh", type=float, default=SUPPRESS'
+    assert cli.count(iou) == 1
+    planted = _restated_defaults(cli.replace(iou, iou.replace("SUPPRESS", "0.1")))
+    assert [finding.split(": ")[1] for finding in planted] == ["--iou"]
+
+
+def test_cli_states_no_library_default():
+    """A left-out option takes the library function's default, so the
+    default has one owner; only the uniform grid's geometry is the CLI's."""
+    assert _restated_defaults(Path(lanekit.cli.__file__).read_text()) == []
+
+
+GRID_OPTIONS = ["--mode", "custom", "--rows", "4", "--cols", "6", "--y-min", "2",
+                "--y-max", "40", "--x-min", "-5", "--x-max", "5", "--spacing-near", "0.4",
+                "--spacing-far", "2", "--width", "18", "--y-origin", "2.5", "--preset", "lite"]
+
+# One argv per subcommand, setting every one of its options.
 REPRESENTATIVE_ARGV = {
-    "grid": ["grid", "--mode", "custom", "--rows", "4", "--spacing-far", "2", "--out", "g.csv"],
-    "project": ["project", "--preset", "lite", "--camera", "cam.json",
-                "--ground-height", "0.5", "--out", "p.csv"],
-    "nms": ["nms", "--pred", "f.json", "--thresh-x", "0.5", "--r", "5", "--out", "o.json"],
+    "grid": ["grid", *GRID_OPTIONS, "--out", "g.csv"],
+    "project": ["project", *GRID_OPTIONS, "--camera", "cam.json", "--ground-height", "0.5",
+                "--out", "p.csv"],
+    "nms": ["nms", "--pred", "f.json", "--thresh-x", "0.5", "--thresh-y", "2", "--r", "5",
+            "--iou", "0.2", "--out", "o.json"],
     "extract": ["extract", "--pred", "f.json", "--t-a", "0.4", "--min-lane-points", "3",
-                "--iou", "0.2", "--out", "l.json"],
-    "match": ["match", "--pred", "f.json", "--gt", "g.json", "--repeats", "2",
-              "--strongest", "--lambda-cls", "0.5"],
+                "--thresh-x", "0.5", "--thresh-y", "2", "--r", "5", "--iou", "0.2",
+                "--out", "l.json"],
+    "match": ["match", "--pred", "f.json", "--gt", "g.json", "--frame-id", "a",
+              "--repeats", "2", "--strongest", "--lambda-dist", "2", "--lambda-cls", "0.5",
+              "--out", "m.json"],
     "eval": ["eval", "--pred", "l.json", "--gt", "g.json", "--threshold", "1.5,0.5",
-             "--per-frame"],
-    "synth": ["synth", "--seed", "3", "--lanes", "2", "--noise-x", "0.1",
-              "--strong-distractors", "--out-pred", "f.json"],
+             "--report", "r.json", "--per-frame"],
+    "synth": ["synth", *GRID_OPTIONS, "--seed", "3", "--lanes", "2", "--noise-x", "0.1",
+              "--noise-z", "0.05", "--dropout", "0.1", "--n", "3", "--distractors", "0.2",
+              "--strong-distractors", "--out-pred", "f.json", "--out-gt", "g.json"],
 }
 
 
@@ -409,6 +544,12 @@ def usage_error(parser, argv, capsys):
 
 
 class TestParser:
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_representative_argv_sets_every_option(self, name):
+        options = {option for action in subparser(build_parser(name), name)._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options <= set(REPRESENTATIVE_ARGV[name])
+
     @pytest.mark.parametrize("name", COMMANDS)
     def test_one_command_parser_parses_like_the_full_one(self, name):
         argv = REPRESENTATIVE_ARGV[name]

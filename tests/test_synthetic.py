@@ -3,6 +3,8 @@ import pytest
 
 from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import save_prediction_frame
+from lanekit.matching import GroundTruthKeypoint
+from lanekit.metrics import GroundTruthLane
 from lanekit.nms import point_nms
 from lanekit.synthetic import SceneSpec, generate_scene, gt_keypoints, keypoint_recall
 
@@ -154,6 +156,22 @@ class TestGtKeypointsAndRecall:
                                category=gt[0].category)]
         with pytest.raises(ValueError):
             gt_keypoints(shifted, grid)
+
+    def test_gt_keypoints_without_a_grid_have_no_row(self):
+        # Off every grid row is fine without a grid: the matcher pairs by y.
+        lanes = [GroundTruthLane([[0.5, 3.25, 0.1], [0.75, 8.0, 0.2]], category=4),
+                 GroundTruthLane([[-2.0, 3.0, 0.0], [-2.5, 9.5, -0.125]])]
+        gts = gt_keypoints(lanes)
+        assert gts == [
+            GroundTruthKeypoint(lane_id=0, order_in_lane=0, x=0.5, y=3.25, z=0.1,
+                                category=4, row=None),
+            GroundTruthKeypoint(lane_id=0, order_in_lane=1, x=0.75, y=8.0, z=0.2,
+                                category=4, row=None),
+            GroundTruthKeypoint(lane_id=1, order_in_lane=0, x=-2.0, y=3.0, z=0.0,
+                                category=0, row=None),
+            GroundTruthKeypoint(lane_id=1, order_in_lane=1, x=-2.5, y=9.5, z=-0.125,
+                                category=0, row=None)]
+        assert {type(v) for g in gts for v in (g.x, g.y, g.z)} == {float}
 
     def test_full_scene_has_full_recall(self):
         grid = grid12()
