@@ -57,10 +57,19 @@ def _given(args, *names):
 
 
 def _threshold_list(text):
-    values = tuple(float(v) for v in text.split(",") if v.strip())
+    """``--threshold``'s comma-separated numbers.  A list that is empty or
+    holds a word is a usage error (exit 2) that argparse prints with this
+    message; a number out of range is ``evaluate``'s to reject (exit 1)."""
+    values = []
+    for i, word in enumerate(w for w in text.split(",") if w.strip()):
+        try:
+            values.append(float(word))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"thresholds[{i}]: not a number: {word!r}") from None
     if not values:
-        raise ValidationError("thresholds: empty threshold list")
-    return values
+        raise argparse.ArgumentTypeError("thresholds: empty threshold list")
+    return tuple(values)
 
 
 def _add_grid_args(parser):

@@ -97,6 +97,7 @@ def positional_encode(position, dims_per_axis=32):
 
 
 def _mlp(x, w1, b1, w2, b2):
+    # Not @: a BLAS product's sums follow row positions, breaking c07's bitwise equivariance.
     hidden = relu(np.einsum("ij,jk->ik", x, w1, optimize=False) + b1)
     return np.einsum("ij,jk->ik", hidden, w2, optimize=False) + b2
 

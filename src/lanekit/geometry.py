@@ -353,9 +353,14 @@ def bilinear_sample(feature_map, pmap):
     wx = u - x0
     wy = v - y0
 
-    out = (fmap[y0, x0] * ((1 - wy) * (1 - wx))[:, np.newaxis]
-           + fmap[y0, x1] * ((1 - wy) * wx)[:, np.newaxis]
-           + fmap[y1, x0] * (wy * (1 - wx))[:, np.newaxis]
-           + fmap[y1, x1] * (wy * wx)[:, np.newaxis])
+    # The four weighted taps summed in place, in the order of the plain sum
+    # a + b + c + d, so the bits are its own without its large temporaries.
+    out = fmap[y0, x0]
+    out *= ((1 - wy) * (1 - wx))[:, np.newaxis]
+    for rows, cols, weight in ((y0, x1, (1 - wy) * wx), (y1, x0, wy * (1 - wx)),
+                               (y1, x1, wy * wx)):
+        tap = fmap[rows, cols]
+        tap *= weight[:, np.newaxis]
+        out += tap
     out[~usable] = 0.0
     return out.reshape(pmap.valid.shape + (fmap.shape[2],))

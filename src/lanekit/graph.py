@@ -269,24 +269,37 @@ def _best_paths(graph, sources):
     The heap label is the ranking key itself, ``(cost, path)``.  Weights are
     non-negative and a path sorts before its extensions, so labels pop in
     ascending order and a node's first popped label is its best path; every
-    node on it is settled, so extensions stay simple.  Edges come sorted by
-    source, so node u's edges are ``offsets[u]:offsets[u + 1]``.
+    node on it is settled, so extensions stay simple.  A node with one
+    in-edge only ever gets one label, its predecessor's extended, so it is
+    settled with that predecessor through a local stack, and only merge
+    nodes (two or more in-edges) go through the heap; its label sorts above
+    its predecessor's, so the heap still pops in ascending order.  Edges
+    come sorted by source, so node u's edges are ``offsets[u]:offsets[u + 1]``.
     """
     offsets = np.searchsorted(graph.edge_src, np.arange(graph.node_count + 1)).tolist()
     dst = graph.edge_dst.tolist()
     weight = (1.0 - graph.edge_prob).tolist()
+    single = (graph.in_degree == 1).tolist()
     for source in sources:
         best = {}
         heap = [(0.0, (source,))]
         while heap:
             cost, path = heapq.heappop(heap)
-            u = path[-1]
-            if u in best:
+            if path[-1] in best:
                 continue
-            best[u] = path
-            for k in range(offsets[u], offsets[u + 1]):
-                if dst[k] not in best:
-                    heapq.heappush(heap, (cost + weight[k], path + (dst[k],)))
+            stack = [(cost, path)]
+            while stack:
+                cost, path = stack.pop()
+                u = path[-1]
+                best[u] = path
+                for k in range(offsets[u], offsets[u + 1]):
+                    v = dst[k]
+                    if v not in best:
+                        label = (cost + weight[k], path + (v,))
+                        if single[v]:
+                            stack.append(label)
+                        else:
+                            heapq.heappush(heap, label)
         yield best
 
 

@@ -21,9 +21,9 @@ up to the rounding of the box edges to ``1/r`` m (at most
 of positive area, so the boxes are bucketed into cells as wide as the widest
 box and as tall as the tallest; each box is tested against the boxes in the
 3x3 block of cells around it (the locality idea of Neubeck & Van Gool,
-*Efficient Non-Maximum Suppression*, ICPR 2006).  Candidate IoUs use the same
-float formulas as a dense pairwise matrix, so the result, keep order
-included, is exactly the dense greedy one.
+*Efficient Non-Maximum Suppression*, ICPR 2006), each pair once.  Candidate
+IoUs use the same float formulas as a dense pairwise matrix, so the result,
+keep order included, is exactly the dense greedy one.
 
 A ``ProposalSet`` is its columns and nothing else: ``grid_index`` (N, 2),
 ``x``, ``y``, ``dx``, ``z``, ``fg_score`` (N,) and ``class_scores`` (N, C).
@@ -289,25 +289,29 @@ def _cell_keys(boxes):
 
 def _candidate_pairs(key, stride):
     """Candidate pairs among boxes sorted by cell ``key``, as positions in
-    that order: for every box, each box in the 3x3 block of cells around
-    it, itself included.  Yields blocks ``(src, dst)`` grouped by ``src`` in
-    increasing order; a block holds about ``_PAIR_BLOCK`` pairs, so that
-    boxes crowded into a few cells need bounded memory."""
+    that order: for every box, each box after it in the 3x3 block of cells
+    around it.  Cells are neighbours both ways, so every unordered pair is
+    met once, as ``src < dst``: the row of cells below holds only earlier
+    boxes, and in the box's own row only the ones after it count.  Yields
+    blocks ``(src, dst)`` grouped by ``src`` in increasing order; a block
+    holds about ``_PAIR_BLOCK`` pairs, so that boxes crowded into a few
+    cells need bounded memory."""
     n = len(key)
-    # In each of the three rows of cells, columns cx-1..cx+1 are one run of
-    # consecutive keys.  Each row offset queries in ascending key order,
-    # which is the order that searchsorted handles fastest.
-    centre = (key + stride * np.array([[-1], [0], [1]])).ravel()
+    # In its own row of cells and the one above, columns cx-1..cx+1 are one
+    # run of consecutive keys.  Each row offset queries in ascending key
+    # order, which is the order that searchsorted handles fastest.
+    centre = (key + stride * np.array([[0], [1]])).ravel()
     first = np.searchsorted(key, centre - 1, side="left")
+    first[:n] = np.arange(1, n + 1)   # its own row: only the boxes after it
     count = np.searchsorted(key, centre + 1, side="right") - first
-    first, count = (a.reshape(3, n).T.ravel() for a in (first, count))   # box-major
-    per_box = count.reshape(n, 3).sum(axis=1)
+    first, count = (a.reshape(2, n).T.ravel() for a in (first, count))   # box-major
+    per_box = count.reshape(n, 2).sum(axis=1)
     before = np.concatenate([[0], np.cumsum(per_box)])
     start = 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(before, before[start] + _PAIR_BLOCK,
                                                   side="right")) - 1)
-        ranges = slice(3 * start, 3 * stop)
+        ranges = slice(2 * start, 2 * stop)
         length = count[ranges]
         # Ragged aranges first[k] .. first[k] + length[k] - 1, concatenated.
         offset = np.repeat(first[ranges] - (np.cumsum(length) - length), length)
@@ -317,12 +321,13 @@ def _candidate_pairs(key, stride):
 
 
 def _conflicts(boxes, key, stride, iou_thresh):
-    """For boxes sorted by cell ``key``, the boxes each one conflicts with
-    (IoU above ``iou_thresh``), as CSR arrays ``(indptr, indices)`` of
-    positions in that order.
+    """For boxes sorted by cell ``key``, the pairs that conflict (IoU above
+    ``iou_thresh``), as arrays ``(src, dst)`` of positions in that order,
+    each pair once with ``src < dst``.
 
     Each candidate pair's IoU uses the elementwise formulas of the dense
-    pairwise matrix, so the conflict set is exactly the dense one.
+    pairwise matrix, which give the same bits with the boxes swapped, so
+    the conflict set is exactly the dense one.
     """
     x1, y1, x2, y2 = (np.ascontiguousarray(column) for column in boxes.T)
     areas = (x2 - x1) * (y2 - y1)
@@ -335,12 +340,10 @@ def _conflicts(boxes, key, stride, iou_thresh):
         # union >= inter always, so union == 0 forces inter == 0; the 0/0
         # NaN compares False, the defined zero-union IoU 0.
         with np.errstate(invalid="ignore"):
-            hit = (inter / union > iou_thresh) & (src != dst)
+            hit = inter / union > iou_thresh
         sources.append(src[hit])
         targets.append(dst[hit])
-    indptr = np.zeros(len(boxes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(np.concatenate(sources), minlength=len(boxes)), out=indptr[1:])
-    return indptr, np.concatenate(targets)
+    return np.concatenate(sources), np.concatenate(targets)
 
 
 def box_nms(boxes, scores, iou_thresh):
@@ -353,8 +356,12 @@ def box_nms(boxes, scores, iou_thresh):
 
     A conflict needs an overlap of positive area, so boxes are bucketed into
     cells as wide and tall as the largest box and only boxes in neighbouring
-    cells are tested.  The greedy sweep then skips a box exactly when it
-    conflicts with an already-kept one.
+    cells are tested, each pair once.  One vectorised round then keeps every
+    box with no conflicting box above it in score order, and suppresses
+    every box below one of those that it conflicts with.  The greedy sweep,
+    in score order, runs over the remaining open boxes only: a box kept in
+    that round conflicts with no open box above it, so the sweep skips an
+    open box exactly when it conflicts with an open box the sweep kept.
     """
     check_real(iou_thresh, "iou_thresh", 0, 1, "[]")
     boxes = float_array(boxes, "boxes", (None, 4), within=FINITE)
@@ -366,19 +373,29 @@ def box_nms(boxes, scores, iou_thresh):
 
     key, stride = _cell_keys(boxes)
     by_key = np.argsort(key, kind="stable")
-    indptr, neighbours = _conflicts(boxes[by_key], key[by_key], stride, iou_thresh)
-    position = np.empty_like(by_key)
-    position[by_key] = np.arange(len(boxes))
-    indptr, neighbours = indptr.tolist(), neighbours.tolist()
+    src, dst = _conflicts(boxes[by_key], key[by_key], stride, iou_thresh)
     order = np.argsort(-scores, kind="stable")
-    suppressed = [False] * len(boxes)
-    keep = []
-    for i, p in zip(order.tolist(), position[order].tolist()):
-        if not suppressed[p]:
-            keep.append(i)
-            for q in neighbours[indptr[p]:indptr[p + 1]]:
-                suppressed[q] = True
-    return np.asarray(keep, dtype=np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # Each conflict as the ranks in score order of its upper and lower box.
+    a, b = rank[by_key[src]], rank[by_key[dst]]
+    upper, lower = np.minimum(a, b), np.maximum(a, b)
+    kept = np.ones(len(boxes), dtype=bool)   # by rank
+    kept[lower] = False
+    is_open = ~kept
+    is_open[lower[kept[upper]]] = False   # suppressed by a box kept in the round
+    # The greedy sweep over the open boxes, through their conflicts with
+    # each other, grouped by upper box.
+    chain = is_open[upper] & is_open[lower]
+    below = {}
+    for u, l in zip(upper[chain].tolist(), lower[chain].tolist()):
+        below.setdefault(u, []).append(l)
+    blocked = set()
+    for r in np.flatnonzero(is_open).tolist():
+        if r not in blocked:
+            kept[r] = True
+            blocked.update(below.get(r, ()))
+    return order[kept]
 
 
 def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):

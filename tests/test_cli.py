@@ -45,6 +45,15 @@ class TestExitCodes:
             run(["frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("threshold, message", [
+        (",", "thresholds: empty threshold list"),
+        ("1.5,abc", "thresholds[1]: not a number: 'abc'")])
+    def test_bad_threshold_list_is_exit_2_with_its_message(self, capsys, threshold, message):
+        with pytest.raises(SystemExit) as err:
+            run(["eval", "--pred", "l.json", "--gt", "g.json", f"--threshold={threshold}"])
+        assert err.value.code == 2
+        assert f"argument --threshold: {message}\n" in capsys.readouterr().err
+
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run(["extract", "--pred", tmp_path / "nope.json",
                     "--out", tmp_path / "out.json"]) == 1

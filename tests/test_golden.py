@@ -4,11 +4,13 @@ rebuilt and compared with ``tests/golden.json``.
 
 A fingerprint is the one perfbench compares an op's output by, as a
 SHA-256 hex digest where it is bytes (a lane file, an eval report).
-Integers are held exactly.  Floats are held exactly only where no BLAS
-call is involved: lane points, confidences and eval reports are.
-match-train's connection-head probabilities come from a BLAS matmul, so
-its input holds a digest of the matched pairs and the 0/1 connection
-targets, and the probabilities' sum, compared to a relative 1e-9.
+Integers are held exactly, and so are lane points, confidences and eval
+reports.  match-train's connection-head probabilities come from the
+fixed-order ``np.einsum(..., optimize=False)`` products of
+``connection_head._mlp`` and ``adjacency_forward``, whose SIMD inner loops
+may add in another order on another CPU, so its input holds a digest of the
+matched pairs and the 0/1 connection targets, and the probabilities' sum,
+compared to a relative 1e-9.
 
 extract-cli runs a pool of 2 inputs, not perfbench's 10: each input is a
 dense 7.8 MB frame file that is written and read back, and 2 of them keep

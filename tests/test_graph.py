@@ -436,10 +436,25 @@ class TestExtractLanes:
         # Quantised probabilities make equal-cost paths common; without the
         # triangle mask i -> j and j -> i may both clear t_a.
         n = data.draw(st.integers(3, 9))
-        A = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.75, 1.0)),
-                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        quantised = st.sampled_from((0.0, 0.25, 0.75, 1.0))
         if data.draw(st.booleans()):
-            A = np.triu(A, k=1)
+            A = np.array(data.draw(st.lists(quantised, min_size=n * n,
+                                            max_size=n * n))).reshape(n, n)
+            if data.draw(st.booleans()):
+                A = np.triu(A, k=1)
+        else:
+            # A chain, as NMS mostly leaves the graph: single-in-edge nodes,
+            # a few extra edges, and a back edge b -> a closing a cycle that
+            # is entered through the merge node a.
+            edge = st.sampled_from((0.75, 1.0))
+            A = np.zeros((n, n))
+            A[np.arange(n - 1), np.arange(1, n)] = data.draw(
+                st.lists(edge, min_size=n - 1, max_size=n - 1))
+            extras = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), quantised)
+            for i, j, p in data.draw(st.lists(extras, max_size=3)):
+                A[i, j] = p
+            a = data.draw(st.integers(1, n - 2))
+            A[data.draw(st.integers(a + 1, n - 1)), a] = data.draw(edge)
         np.fill_diagonal(A, 0.0)
         lanes = extract_lanes(make_keypoints(n), A, 0.5)
         starts, ends = find_terminals(threshold_adjacency(A, 0.5))

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lanekit.connection_head import HeadWeights, random_head_weights
@@ -316,9 +316,12 @@ def written(draw):
             return np.array(draw(st.lists(elements, min_size=count, max_size=count)),
                             dtype=float).reshape(shape)
 
+        x, dx = column(FINITE, n), column(FINITE, n)
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(x + dx).all())   # a set holds finite refined positions only
         proposals = ProposalSet.from_arrays(
             [(i, draw(st.integers(-2 ** 63, 2 ** 63 - 1))) for i in range(n)],
-            column(FINITE, n), column(FINITE, n), column(FINITE, n), column(FINITE, n),
+            x, column(FINITE, n), dx, column(FINITE, n),
             column(UNIT, n), column(UNIT, (n, width)), repeats_n=draw(st.integers(1, 3)))
         adjacency = column(UNIT, (n, n))
         if kind == "sparse":

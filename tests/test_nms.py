@@ -431,14 +431,26 @@ def test_same_row_rule(x0, gap, y, s0, s1, thresh_x, thresh_y, r, iou_thresh):
         assert conflict
 
 
+@st.composite
+def box_rows(draw):
+    """A row of equal boxes a drawn step apart, with scores drawn from a few
+    values: neighbours conflict in chains A~B~C, whose middle boxes only the
+    greedy sweep can decide."""
+    n, step, w, h = (draw(st.integers(1, hi)) for hi in (12, 12, 25, 25))
+    scores = draw(st.lists(st.sampled_from((0.25, 0.5, 0.75)), min_size=n, max_size=n))
+    return [(k * step, 0, w, h, s) for k, s in enumerate(scores)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60),
-                           st.integers(1, 25), st.integers(1, 25), score),
-                min_size=1, max_size=30))
-def test_box_nms_matches_oracle(items):
+@given(st.one_of(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60),
+                                    st.integers(1, 25), st.integers(1, 25), score),
+                          min_size=1, max_size=30),
+                 box_rows()),
+       st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+def test_box_nms_matches_oracle(items, iou_thresh):
     boxes = np.array([(x, y, x + w, y + h) for x, y, w, h, _ in items])
     scores = np.array([s for *_, s in items])
-    assert box_nms(boxes, scores, 0.1).tolist() == oracle_nms(boxes, scores, 0.1)
+    assert box_nms(boxes, scores, iou_thresh).tolist() == oracle_nms(boxes, scores, iou_thresh)
 
 
 def reference_thresholds(keypoints):

@@ -219,7 +219,8 @@ class TestGraphFromKeptRows:
 
     def test_graph_steps_are_called_once_through_their_modules(self, monkeypatch):
         # perfbench times and counts these calls by module attribute
-        # (graph.threshold_ms, graph.edges, graph.extract_ms).
+        # (graph.threshold_ms, graph.edges, graph.extract_ms, nms.point_nms_ms,
+        # nms.build_boxes_ms, nms.box_nms_ms, graph.aggregate_ms).
         calls = []
 
         def counted(module, name):
@@ -231,8 +232,15 @@ class TestGraphFromKeptRows:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(lanekit.graph, "threshold_adjacency")
+        counted(lanekit.graph, "aggregate_lane_attributes")
         counted(lanekit.pipeline, "extract_lanes")
+        counted(lanekit.pipeline, "point_nms")
+        counted(lanekit.nms, "build_nms_boxes")
+        counted(lanekit.nms, "box_nms")
         _, frame = generate_scene(SceneSpec(seed=3, lane_count=3, proposals_per_target=2),
                                   grid12())
-        assert run_pipeline(frame).lanes
-        assert sorted(calls) == ["extract_lanes", "threshold_adjacency"]
+        lanes = run_pipeline(frame).lanes
+        assert lanes
+        assert calls.count("aggregate_lane_attributes") == len(lanes)
+        assert [c for c in calls if c != "aggregate_lane_attributes"] == [
+            "point_nms", "build_nms_boxes", "box_nms", "extract_lanes", "threshold_adjacency"]
