@@ -178,10 +178,8 @@ def _cmd_match(args):
     if frame_id not in gt_frames:
         raise ValidationError(f"frame {frame_id!r} not present in {args.gt}")
     gts = gt_keypoints(gt_frames[frame_id])
-    # Left out, --repeats is the frame's own repeats_n.
-    options = {"repeats_n": frame.keypoints.repeats_n,
-               **_given(args, "repeats_n", "strongest", "lambda_dist", "lambda_cls")}
-    matching = match_keypoints(frame.keypoints, gts, **options)
+    matching = match_keypoints(frame.keypoints, gts, **_given(
+        args, "repeats_n", "strongest", "lambda_dist", "lambda_cls"))
     report = {
         "frame_id": frame_id,
         "pairs": [[int(p), int(g)] for p, g in matching.pairs],

@@ -70,9 +70,6 @@ class ConnectionFeatures:
         object.__setattr__(self, "f_c", f_c)
         object.__setattr__(self, "positions", positions)
 
-    def __len__(self):
-        return len(self.f_c)
-
 
 def relu(values):
     return np.maximum(values, 0.0)

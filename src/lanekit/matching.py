@@ -3,15 +3,23 @@
 The cost of pairing a proposal with a GT keypoint combines refined lateral
 distance and classification dissimilarity.  A pair is infeasible when the
 refined position is more than 1 m off, the anchor is more than 2 m off, or
-the two lie on different grid rows; infeasible pairs carry infinite cost and
-are never selected.  The solver maximizes match cardinality first, then
-minimizes total cost, so sparse feasibility never starves matchable pairs.
+the two lie on different rows (see below); infeasible pairs carry infinite
+cost and are never selected.  The solver maximizes match cardinality first,
+then minimizes total cost, so sparse feasibility never starves matchable
+pairs.
 
-``match_keypoints`` optionally duplicates every GT keypoint ``repeats_n``
-times so that several co-located proposals can all be matched (the
-duplicates collapse back to the original GT id in the result).  With
-``strongest=True`` no duplication happens, which is the mode used after
-suppression when one proposal per target remains.
+A proposal and a GT keypoint are on the same row when the GT keypoint's
+``row`` is the proposal's grid row or, for a GT keypoint without a ``row``,
+when both have the same longitudinal position ``y``.  ``_same_row_pairs``
+states that rule once; the cost matrix here and
+``synthetic.keypoint_recall`` both pair through it.
+
+``match_keypoints`` duplicates every GT keypoint ``repeats_n`` times, by
+default the proposal set's own ``repeats_n``, so that several co-located
+proposals can all be matched (the duplicates collapse back to the original
+GT id in the result).  With ``strongest=True`` no duplication happens,
+which is the mode used after suppression when one proposal per target
+remains.
 """
 
 import math
@@ -36,9 +44,9 @@ _CANONICAL_LIMIT = 24
 class GroundTruthKeypoint:
     """A labeled lane point: lane membership, order along the lane, position.
 
-    ``row`` is the grid row the point was sampled at; the same-row matching
-    constraint compares row indices when both sides carry one, falling back
-    to exact longitudinal equality otherwise.  Positions are finite, and
+    ``row`` is the grid row the point was sampled at, or None; the same-row
+    rule (module docstring) pairs by ``row`` if given, else by exact ``y``.
+    Positions are finite, and
     ``category`` and ``row`` (None or an index) are non-negative integers.
     """
 
@@ -122,6 +130,20 @@ def _equal_pairs(a, b):
     return i, j
 
 
+def _same_row_pairs(proposals, gts):
+    """Every (proposal, GT) index pair on one row, as two index arrays: a GT
+    keypoint with a ``row`` pairs with the proposals of that grid row, one
+    without with the proposals at its exact longitudinal position ``y``.
+    This is the one same-row rule: the cost matrix's feasible cells and
+    ``synthetic.keypoint_recall``'s candidates both come from it."""
+    gt_row = np.array([-1 if g.row is None else g.row for g in gts])
+    gt_y = np.array([g.y for g in gts])
+    by_row, by_y = np.flatnonzero(gt_row >= 0), np.flatnonzero(gt_row < 0)
+    p_row, g_row = _equal_pairs(proposals.grid_index[:, 0], gt_row[by_row])
+    p_y, g_y = _equal_pairs(proposals.y, gt_y[by_y])
+    return np.concatenate([p_row, p_y]), np.concatenate([by_row[g_row], by_y[g_y]])
+
+
 def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     """Pairwise costs with the three feasibility predicates applied.
 
@@ -139,18 +161,11 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
         return CostMatrix(costs)
 
     gt_x = np.array([g.x for g in gts])
-    gt_y = np.array([g.y for g in gts])
-    gt_row = np.array([-1 if g.row is None else g.row for g in gts])
     gt_cat = np.array([g.category for g in gts])
 
     # Same-row pairs are few, so only they get distances and class terms;
-    # every other cell stays infinite.  A GT with a row pairs by row index,
-    # one without by exact longitudinal position.
-    by_row, by_y = np.flatnonzero(gt_row >= 0), np.flatnonzero(gt_row < 0)
-    p_row, g_row = _equal_pairs(proposals.grid_index[:, 0], gt_row[by_row])
-    p_y, g_y = _equal_pairs(proposals.y, gt_y[by_y])
-    p = np.concatenate([p_row, p_y])
-    g = np.concatenate([by_row[g_row], by_y[g_y]])
+    # every other cell stays infinite.
+    p, g = _same_row_pairs(proposals, gts)
     refined_dist = np.abs(proposals.refined_x[p] - gt_x[g])
     anchor_dist = np.abs(proposals.x[p] - gt_x[g])
     feasible = (refined_dist <= MAX_REFINED_DIST_M) & (anchor_dist <= MAX_ANCHOR_DIST_M)
@@ -262,12 +277,17 @@ def _matching(pairs, proposal_count, gt_count):
                          set(range(gt_count)).difference(g for _, g in pairs))))
 
 
-def match_keypoints(proposals, gts, repeats_n=1, strongest=False,
+def match_keypoints(proposals, gts, repeats_n=None, strongest=False,
                     lambda_dist=1.0, lambda_cls=1.0):
-    """Matches proposals against GT keypoints, duplicated unless strongest."""
-    check_int(repeats_n, "repeats_n", 1)
+    """Matches proposals against GT keypoints, duplicated unless strongest.
+
+    Each GT keypoint is duplicated ``repeats_n`` times, by default the
+    proposal set's own ``repeats_n`` (1 for a sequence of Keypoints)."""
+    if repeats_n is not None:
+        check_int(repeats_n, "repeats_n", 1)
+    proposals = as_proposal_set(proposals)
     gts = list(gts)
-    repeats = 1 if strongest else repeats_n
+    repeats = 1 if strongest else repeats_n or proposals.repeats_n
     duplicated = [g for g in gts for _ in range(repeats)]
     raw = solve_assignment(build_cost_matrix(proposals, duplicated, lambda_dist, lambda_cls))
     return _matching([(p, g // repeats) for p, g in raw.pairs], len(proposals), len(gts))

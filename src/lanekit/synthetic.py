@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FINITE, ValidationError, check_int, check_real, float_array
 from .io import PredictionFrame
-from .matching import GroundTruthKeypoint
+from .matching import GroundTruthKeypoint, _same_row_pairs
 from .metrics import GroundTruthLane
 from .nms import ProposalSet, as_proposal_set
 
@@ -180,7 +180,8 @@ def gt_keypoints(gt_lanes, grid=None):
     point by point along each lane, each with its lane's category.  With a
     ``grid`` a keypoint's ``row`` is the index of the grid row it sits on,
     and a point off every row raises; without one ``row`` is None, and the
-    matcher pairs the keypoint by exact longitudinal position."""
+    matcher and ``keypoint_recall`` pair the keypoint by exact longitudinal
+    position."""
     out = []
     for lane_id, lane in enumerate(gt_lanes):
         for order, (x, y, z) in enumerate(lane.points):
@@ -197,18 +198,16 @@ def gt_keypoints(gt_lanes, grid=None):
 
 
 def keypoint_recall(kept, gts, tol=0.5):
-    """Fraction of GT keypoints with a kept proposal within ``tol`` meters
-    laterally on the same grid row; ``tol`` must be positive and finite."""
+    """Fraction of GT keypoints with a kept proposal on the same row (the
+    matcher's rule, ``matching._same_row_pairs``) within ``tol`` meters
+    laterally, ``|refined_x - x| <= tol``; ``tol`` must be positive and
+    finite."""
     check_real(tol, "tol", 0)
     kept = as_proposal_set(kept)
     gts = list(gts)
     if not gts:
         return 1.0
-    kept_rows = kept.grid_index[:, 0]
-    kept_x = kept.refined_x
-    hits = 0
-    for g in gts:
-        on_row = kept_rows == g.row
-        if on_row.any() and np.abs(kept_x[on_row] - g.x).min() <= tol:
-            hits += 1
-    return hits / len(gts)
+    p, g = _same_row_pairs(kept, gts)
+    gt_x = np.array([gt.x for gt in gts])
+    recalled = np.unique(g[np.abs(kept.refined_x[p] - gt_x[g]) <= tol])
+    return len(recalled) / len(gts)

@@ -77,7 +77,7 @@ BOXES = [[0.0, 0.0, 10.0, 10.0]]
 
 # (call, argument name).  Each call passes one bad scalar: a bool, a float
 # or a string where an integer belongs, a string, None or NaN where a number
-# belongs, or a number out of range.
+# belongs, a number out of range, or a string outside its choices.
 REJECTED = {
     "repeats_n_float": (lambda: ProposalSet([keypoint()], repeats_n=2.5), "repeats_n"),
     "from_arrays_repeats_n_float": (
@@ -130,6 +130,7 @@ REJECTED = {
     "nms_boxes_r_nan": (lambda: build_nms_boxes([[0.0, 0.0]], 1.0, 1.0, r=NAN), "r"),
     "anchor_grid_rows_float": (lambda: anchor_grid(rows=2.0), "rows"),
     "anchor_grid_cols_bool": (lambda: anchor_grid(cols=True), "cols"),
+    "anchor_grid_mode_unknown": (lambda: anchor_grid(mode="polar"), "mode"),
     "graph_node_count_bool": (lambda: DirectedLaneGraph(True, [0], [0], [0.9]), "node_count"),
     "graph_node_count_float": (lambda: DirectedLaneGraph(2.5, [0], [1], [0.9]), "node_count"),
     "targets_size_bool": (lambda: build_connection_targets(matching(), [gt_keypoint()], True),
@@ -328,6 +329,10 @@ REJECTED_ARRAYS = {
     "positions_bool": (lambda: anchor_grid(positions=[[[False, 1.0]], [[0.0, 2.0]]]),
                        "positions"),
     "positions_shape": (lambda: anchor_grid(positions=[[0.0, 1.0], [0.0, 2.0]]), "positions"),
+    "positions_rows_not_increasing": (
+        lambda: anchor_grid(positions=[[[0.0, 2.0]], [[0.0, 2.0]]]), "positions"),
+    "row_spacing_custom_not_increasing": (
+        lambda: anchor_grid(mode="custom", row_spacing=[1.0, 1.0]), "row_spacing"),
     "positions_nan": (lambda: anchor_grid(positions=[[[NAN, 1.0]], [[0.0, 2.0]]]),
                       "positions"),
     "row_spacing_bool": (lambda: anchor_grid(row_spacing=(True, 1.0)), "row_spacing"),

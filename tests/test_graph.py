@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import lanekit
 from lanekit import graph as graph_module
+from lanekit.connection_head import ConnectionFeatures, adjacency_forward, random_head_weights
 from lanekit.errors import ValidationError
 from lanekit.graph import (
     AdjacencyMatrix,
@@ -151,6 +152,33 @@ class TestThresholdNodes:
         assert lanes[0].points[:, 1].tolist() == [1.0, 3.0, 5.0, 6.0]
         with pytest.raises(ValueError, match="4 nodes"):
             extract_lanes(kps, A, 0.5, nodes=nodes)
+
+
+class TestHeadOutputAsInput:
+    """``threshold_adjacency`` and ``extract_lanes`` take the connection
+    head's ``AdjacencyMatrix`` as they take its ``probs``."""
+
+    def test_same_edges_and_lanes_as_its_probs(self):
+        rng = np.random.default_rng(41)
+        kps = make_keypoints(12)
+        features = ConnectionFeatures(rng.normal(size=(12, 4)),
+                                      [[k.refined_x, k.y] for k in kps])
+        adjacency = adjacency_forward(features, random_head_weights(41, d_c=4,
+                                                                    dims_per_axis=4))
+        assert isinstance(adjacency, AdjacencyMatrix)
+        lane_count = 0
+        for t_a in np.quantile(adjacency.probs, [0.5, 0.8, 0.95]).tolist():
+            for nodes in (None, [0, 2, 3, 5, 8, 11]):
+                assert_same_graph(threshold_adjacency(adjacency, t_a, nodes),
+                                  threshold_adjacency(adjacency.probs, t_a, nodes))
+            got, want = (extract_lanes(kps, given, t_a) for given in (adjacency,
+                                                                       adjacency.probs))
+            assert [(lane.path, lane.points.tobytes(), lane.category, lane.confidence)
+                    for lane in got] == \
+                [(lane.path, lane.points.tobytes(), lane.category, lane.confidence)
+                 for lane in want]
+            lane_count += len(got)
+        assert lane_count > 0
 
 
 class TestDirectedLaneGraph:

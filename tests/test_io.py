@@ -425,6 +425,15 @@ class TestAdjacencyEncoding:
         with pytest.raises(SchemaError, match=r"adjacency\.size"):
             load_prediction_frame(path)
 
+    def test_unknown_format_names_the_field(self, tmp_path):
+        frame = make_frame(np.random.default_rng(14), count=3)
+        path = tmp_path / "bad.json"
+        self.write_with(frame, path, {"format": "csr", "size": 3, "triplets": []})
+        with pytest.raises(SchemaError, match=r"^adjacency\.format: unknown format 'csr'$") \
+                as err:
+            load_prediction_frame(path)
+        assert err.value.field == "adjacency.format"
+
     def test_triplets_are_read_in_order(self, tmp_path):
         frame = make_frame(np.random.default_rng(14), count=3)
         path = tmp_path / "frame.json"

@@ -363,6 +363,23 @@ class TestMatchKeypoints:
                             repeats_n=2, strongest=False)
         assert m.unmatched_gts == (1,)
 
+    def test_repeats_n_defaults_to_the_proposal_sets_own(self):
+        rng = np.random.default_rng(99)
+        for repeats_n in (1, 2, 3):
+            props, gts = random_case(rng, n_props=16, n_gts=6)
+            proposals = ProposalSet(props, repeats_n=repeats_n)
+            for strongest in (False, True):
+                got = match_keypoints(proposals, gts, strongest=strongest)
+                want = match_keypoints(proposals, gts, repeats_n=repeats_n, strongest=strongest)
+                assert (got.pairs, got.unmatched_proposals, got.unmatched_gts) \
+                    == (want.pairs, want.unmatched_proposals, want.unmatched_gts)
+        # Two proposals on one GT keypoint: a set of repeats_n 2 matches
+        # both, a sequence of Keypoints (repeats_n 1) only one.
+        props = [proposal(1, 1.9), proposal(1, 2.1)]
+        assert match_keypoints(ProposalSet(props, repeats_n=2), [gt(1, 2.0)]).pairs \
+            == ((0, 0), (1, 0))
+        assert match_keypoints(props, [gt(1, 2.0)]).pairs == ((0, 0),)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
     def test_reported_pairs_respect_all_constraints(self, seed, strongest):

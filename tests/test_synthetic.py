@@ -5,7 +5,7 @@ from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import save_prediction_frame
 from lanekit.matching import GroundTruthKeypoint
 from lanekit.metrics import GroundTruthLane
-from lanekit.nms import point_nms
+from lanekit.nms import Keypoint, ProposalSet, point_nms
 from lanekit.synthetic import SceneSpec, generate_scene, gt_keypoints, keypoint_recall
 
 
@@ -208,3 +208,65 @@ class TestGtKeypointsAndRecall:
                 vals.append(keypoint_recall(frame.keypoints, gt_keypoints(gt, grid)))
             means[n] = np.mean(vals)
         assert means[2] > means[1]
+
+
+ROW_Y = (5.0, 10.0, 15.0, 20.0)
+
+
+def brute_force_recall(kept, gts, tol):
+    """keypoint_recall with plain loops: a GT keypoint is recalled when a
+    kept proposal on its row (its grid row, or its exact y when it has no
+    row) lies within ``tol`` laterally."""
+    if not gts:
+        return 1.0
+    hits = 0
+    for g in gts:
+        for k in kept:
+            same_row = k.grid_index[0] == g.row if g.row is not None else k.y == g.y
+            if same_row and abs(k.refined_x - g.x) <= tol:
+                hits += 1
+                break
+    return hits / len(gts)
+
+
+def random_recall_case(rng):
+    """Proposals whose y is mostly, not always, their grid row's, and GT
+    keypoints with and without a row, some of them off every row.  Every
+    position is a multiple of 0.25, so distances land exactly on ``tol``."""
+    kept = [Keypoint(grid_index=(int(row), 0), x=float(rng.integers(-8, 9)) / 4,
+                     y=ROW_Y[row] if rng.random() < 0.8 else ROW_Y[rng.integers(0, 4)],
+                     dx=float(rng.integers(-2, 3)) / 4)
+            for row in rng.integers(0, 4, int(rng.integers(0, 12)))]
+    gts = []
+    for j in range(int(rng.integers(0, 10))):
+        row = int(rng.integers(0, 4))
+        y = ROW_Y[row] if rng.random() < 0.8 else ROW_Y[row] + 2.5
+        gts.append(GroundTruthKeypoint(lane_id=j, order_in_lane=0,
+                                       x=float(rng.integers(-8, 9)) / 4, y=y,
+                                       row=row if rng.random() < 0.5 else None))
+    return kept, gts
+
+
+class TestRecallSharesTheMatchersRowRule:
+    def test_agrees_with_brute_force(self):
+        rng = np.random.default_rng(71)
+        at_tol = 0
+        for _ in range(300):
+            kept, gts = random_recall_case(rng)
+            tol = float(rng.choice([0.25, 0.5, 1.0]))
+            at_tol += sum(abs(k.refined_x - g.x) == tol for k in kept for g in gts)
+            for given in (kept, ProposalSet(kept)):
+                assert keypoint_recall(given, gts, tol) == brute_force_recall(kept, gts, tol)
+        assert at_tol > 0
+
+    @pytest.mark.parametrize("seed", [3, 31, 32])
+    def test_with_and_without_a_grid_alike(self, seed):
+        grid = grid12()
+        spec = SceneSpec(seed=seed, lane_count=3, sigma_x=0.2, dropout_p=0.3)
+        gt, frame = generate_scene(spec, grid)
+        keep = point_nms(frame.keypoints.refined_xy, frame.keypoints.confidences, 1.1, 2.0)
+        for kept in (frame.keypoints, frame.keypoints.subset(np.sort(keep))):
+            with_grid = keypoint_recall(kept, gt_keypoints(gt, grid))
+            assert keypoint_recall(kept, gt_keypoints(gt)) == with_grid > 0.5
+        gt, frame = generate_scene(SceneSpec(seed=seed), grid)
+        assert keypoint_recall(frame.keypoints, gt_keypoints(gt)) == 1.0
