@@ -1,8 +1,8 @@
 """Lane extraction over the keypoint graph.
 
 Seven keypoints form a Y: two branches merge at y=20 and share a tail.  The
-adjacency is thresholded into a directed graph, every (source, sink) pair
-gets its least-cost path under edge weight 1 - probability (equal costs go
+adjacency is thresholded into a directed graph of edges toward larger y,
+every (source, sink) pair gets its least-cost path under edge weight 1 - probability (equal costs go
 to the lexicographically smallest node sequence), and shared segments are duplicated across the resulting lane instances.
 """
 

@@ -27,9 +27,8 @@ from .io import (PredictionFrame, load_camera, load_ground_truth,
 from .matching import (GroundTruthKeypoint, Matching, build_connection_targets,
                        build_cost_matrix, match_keypoints, solve_assignment)
 from .metrics import EvalReport, GroundTruthLane, evaluate, match_lanes, resample_lane
-from .nms import (Keypoint, ProposalSet, apply_offsets, box_nms,
-                  build_nms_boxes, default_nms_thresholds, infer_nms_thresholds,
-                  point_nms, select_topn_proposals)
+from .nms import (Keypoint, ProposalSet, box_nms, build_nms_boxes,
+                  default_nms_thresholds, infer_nms_thresholds, point_nms)
 from .pipeline import PipelineResult, run_pipeline, suppress
 from .synthetic import SceneSpec, generate_scene, gt_keypoints, keypoint_recall
 
@@ -42,7 +41,7 @@ __all__ = [
     "LaneRecord", "MODEL_PRESETS", "Matching", "ModelConfig",
     "NoGroundIntersection", "PipelineResult", "PredictionFrame",
     "ProjectionMap", "ProposalSet", "SceneSpec", "SchemaError",
-    "ValidationError", "adjacency_forward", "apply_offsets",
+    "ValidationError", "adjacency_forward",
     "bilinear_sample", "box_nms", "build_connection_targets",
     "build_cost_matrix", "build_custom_grid", "build_nms_boxes",
     "build_uniform_grid",
@@ -54,6 +53,6 @@ __all__ = [
     "point_nms", "positional_encode", "project_grid_to_image",
     "project_points", "random_head_weights", "resample_lane", "run_pipeline",
     "save_camera", "save_grid_csv", "save_ground_truth", "save_head_weights",
-    "save_lane_frame", "save_prediction_frame", "select_topn_proposals",
+    "save_lane_frame", "save_prediction_frame",
     "solve_assignment", "suppress", "threshold_adjacency", "unproject_pixel_to_ground",
 ]

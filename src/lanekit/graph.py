@@ -6,13 +6,13 @@ them, the ``nodes``: every keypoint of the matrix, or only the ones point
 NMS kept.  ``threshold_adjacency`` gathers the edges straight from the
 matrix, a fixed block of the nodes' rows at a time, keeping the entries
 above ``t_a`` whose column is a node and not the row's own; it never copies
-the nodes x nodes submatrix.  Start keypoints have no incoming edges (but
-at least one outgoing), end keypoints the reverse.  A lane is the
-least-cost start-to-end simple path under edge weight ``1 - prob``, ties
-broken as ``extract_lanes`` states.
+the nodes x nodes submatrix.  ``extract_lanes`` keeps only the edges that
+run to a keypoint of larger ``y``, so its graph is acyclic, searched in row
+order.  Start keypoints have no incoming edges (but at least one outgoing),
+end keypoints the reverse.  A lane is the least-cost start-to-end path
+under edge weight ``1 - prob``, ties broken as ``extract_lanes`` states.
 """
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain
 
@@ -52,8 +52,7 @@ class DirectedLaneGraph:
     """Thresholded connection graph over ``node_count`` keypoints, a
     non-negative integer.  Its edges are distinct, in range and sorted by
     (src, dst), the order ``_best_paths`` reads them in, and no edge
-    probability exceeds 1, so every weight ``1 - prob`` is non-negative, as
-    that search needs."""
+    probability exceeds 1, so every weight ``1 - prob`` is non-negative."""
 
     node_count: int
     edge_src: np.ndarray
@@ -263,43 +262,31 @@ def path_weight(path, adjacency):
     return float(sum((1.0 - probs[nodes[:-1], nodes[1:]]).tolist()))
 
 
-def _best_paths(graph, sources):
-    """For each source, a dict from every node it reaches to its best path.
+def _best_paths(graph, sources, y):
+    """For each source, a dict from every node it reaches to its best
+    ``(cost, path)`` label.
 
-    The heap label is the ranking key itself, ``(cost, path)``.  Weights are
-    non-negative and a path sorts before its extensions, so labels pop in
-    ascending order and a node's first popped label is its best path; every
-    node on it is settled, so extensions stay simple.  A node with one
-    in-edge only ever gets one label, its predecessor's extended, so it is
-    settled with that predecessor through a local stack, and only merge
-    nodes (two or more in-edges) go through the heap; its label sorts above
-    its predecessor's, so the heap still pops in ascending order.  Edges
-    come sorted by source, so node u's edges are ``offsets[u]:offsets[u + 1]``.
+    Every edge runs to a larger ``y``, so visiting the nodes in (y, index)
+    order visits each one after all its predecessors.  One sweep from the
+    source's place then relaxes each labelled node's out-edges, keeping the
+    smaller label: a best path's prefix is a best path, and its cost is
+    summed left to right from the source.  Edges come sorted by source, so
+    node u's edges are ``offsets[u]:offsets[u + 1]``.
     """
+    order = np.argsort(y, kind="stable").tolist()
     offsets = np.searchsorted(graph.edge_src, np.arange(graph.node_count + 1)).tolist()
     dst = graph.edge_dst.tolist()
     weight = (1.0 - graph.edge_prob).tolist()
-    single = (graph.in_degree == 1).tolist()
     for source in sources:
-        best = {}
-        heap = [(0.0, (source,))]
-        while heap:
-            cost, path = heapq.heappop(heap)
-            if path[-1] in best:
-                continue
-            stack = [(cost, path)]
-            while stack:
-                cost, path = stack.pop()
-                u = path[-1]
-                best[u] = path
+        best = {source: (0.0, (source,))}
+        for u in order[order.index(source):]:
+            if u in best:
+                cost, path = best[u]
                 for k in range(offsets[u], offsets[u + 1]):
                     v = dst[k]
-                    if v not in best:
-                        label = (cost + weight[k], path + (v,))
-                        if single[v]:
-                            stack.append(label)
-                        else:
-                            heapq.heappush(heap, label)
+                    label = (cost + weight[k], path + (v,))
+                    if v not in best or label < best[v]:
+                        best[v] = label
         yield best
 
 
@@ -320,19 +307,20 @@ def aggregate_lane_attributes(keypoints):
 
 
 def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
-    """All best start-to-end lanes of the thresholded graph, as
-    ``LaneRecord``s carrying their paths.
+    """All best start-to-end lanes of the forward graph, as ``LaneRecord``s
+    carrying their paths.
 
-    A pair's lane is its least-cost simple path under edge weight
-    ``1 - prob``, ties going to the lexicographically smallest node
-    sequence: ``oracles.oracle_paths``' rule, costs summed left to right
-    from the start.  It is exact when those sums are, e.g. for dyadic
-    probabilities such as 0.25 or 1.0.  One lane per reachable (start, end)
-    pair, emitted by ascending start then end index; merges and splits
-    therefore duplicate shared segments across instances.  Paths that
-    double back longitudinally (possible only when the adjacency links
-    toward smaller y) are dropped so every emitted lane runs strictly
-    forward.  ``keypoints`` is a ProposalSet or a sequence of Keypoints,
+    The forward graph keeps the thresholded edges that run to a keypoint of
+    strictly larger ``y``; an edge within a row or toward smaller ``y``
+    goes, so every lane runs strictly forward, and its starts and ends are
+    that graph's terminals.  A pair's lane is its least-cost path under
+    edge weight ``1 - prob``, ties going to the lexicographically smallest
+    node sequence: ``oracles.oracle_paths``' rule on the forward graph,
+    costs summed left to right from the start.  It is exact when those
+    sums are, e.g. for dyadic probabilities such as 0.25 or 1.0.  One lane
+    per reachable (start, end) pair, emitted by ascending start then end
+    index; merges and splits therefore duplicate shared segments across
+    instances.  ``keypoints`` is a ProposalSet or a sequence of Keypoints,
     one per node of the graph: per row of the adjacency, or, given
     ``nodes`` (see ``threshold_adjacency``), per index in ``nodes``.
     """
@@ -341,22 +329,24 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
     if graph.node_count != len(proposals):
         raise ValidationError(f"the graph has {graph.node_count} nodes but there are "
                               f"{len(proposals)} keypoints")
+    y = proposals.y
+    forward = y[graph.edge_dst] > y[graph.edge_src]
+    # A subset of the checked, sorted edges keeps the graph's rule.
+    graph = unchecked(DirectedLaneGraph, node_count=graph.node_count,
+                      edge_src=graph.edge_src[forward], edge_dst=graph.edge_dst[forward],
+                      edge_prob=graph.edge_prob[forward])
     starts, ends = find_terminals(graph)
     if not starts or not ends:
         return []
     # Every row is finite: ProposalSet checks x + dx as well as x, y and z.
-    xyz = np.column_stack([proposals.refined_x, proposals.y, proposals.z])
+    xyz = np.column_stack([proposals.refined_x, y, proposals.z])
 
     lanes = []
-    for best in _best_paths(graph, starts):
+    for best in _best_paths(graph, starts, y):
         for e in ends:
-            if e not in best:
-                continue
-            path = best[e]
-            nodes = np.array(path)
-            points = xyz[nodes]
-            if not np.all(np.diff(points[:, 1]) > 0):
-                continue
-            category, confidence = aggregate_lane_attributes(proposals.subset(nodes))
-            lanes.append(_lane(points, category, confidence, path))
+            if e in best:
+                path = best[e][1]
+                nodes = np.array(path)
+                category, confidence = aggregate_lane_attributes(proposals.subset(nodes))
+                lanes.append(_lane(xyz[nodes], category, confidence, path))
     return lanes

@@ -1,12 +1,12 @@
-"""Keypoint proposal selection and point non-maximum suppression.
+"""Keypoint proposals and point non-maximum suppression.
 
-Proposals are grid cells with foreground scores; the top-N by score become
-candidate keypoints, each refined by a lateral offset ``dx`` and a height
-``z``.  PointNMS turns every refined point into an axis-aligned integer box
-(scale factor ``r``, side lengths ``r * thresh_x`` by ``r * thresh_y``) and
-runs greedy box suppression at IoU ``t`` = 0.1.  Of several proposals aimed
-at the same target, only the most confident survives if they lie closer
-than the distance below.
+Proposals are grid cells with foreground scores, the candidate keypoints a
+detection head selects, each refined by a lateral offset ``dx`` and a
+height ``z``.  PointNMS turns every refined point into an axis-aligned
+integer box (scale factor ``r``, side lengths ``r * thresh_x`` by
+``r * thresh_y``) and runs greedy box suppression at IoU ``t`` = 0.1.  Of
+several proposals aimed at the same target, only the most confident
+survives if they lie closer than the distance below.
 
 What that suppresses on one row: two boxes share their height, so with
 integer widths ``w1``, ``w2`` and lateral overlap ``o`` their IoU is
@@ -196,33 +196,6 @@ class ProposalSet:
 def as_proposal_set(proposals):
     """``proposals`` as a ProposalSet; a sequence of Keypoints is converted."""
     return proposals if isinstance(proposals, ProposalSet) else ProposalSet(proposals)
-
-
-def select_topn_proposals(score_map, grid, n):
-    """Picks the ``n`` highest-scoring grid cells as keypoint proposals.
-
-    Ties break by (row, col) lexicographic order.  Each proposal takes its
-    position from the grid; until a classifier runs, the cell score stands in
-    as a single pseudo-class so confidence-based ops work unchanged.
-    """
-    scores = float_array(score_map, "score_map", (grid.rows, grid.cols))
-    if check_int(n, "n", 0) > scores.size:
-        raise ValidationError(f"n must be in [0, {scores.size}], got {n}")
-    flat = scores.reshape(-1)
-    order = np.argsort(-flat, kind="stable")[:n]
-    rows, cols = np.divmod(order, grid.cols)
-    positions = grid.positions[rows, cols]
-    return ProposalSet.from_arrays(np.column_stack([rows, cols]), positions[:, 0],
-                                   positions[:, 1], fg_score=flat[order],
-                                   class_scores=flat[order][:, np.newaxis])
-
-
-def apply_offsets(proposals, dx, z):
-    """Attaches per-proposal lateral offsets and heights; anchors stay put.
-    The set's column check rejects ``dx`` or ``z`` of the wrong shape."""
-    return ProposalSet.from_arrays(proposals.grid_index, proposals.x, proposals.y, dx, z,
-                                   proposals.fg_score, proposals.class_scores,
-                                   proposals.repeats_n)
 
 
 def round_half_away(values):

@@ -33,7 +33,7 @@ from lanekit.matching import (CostMatrix, GroundTruthKeypoint, Matching, build_c
                               build_cost_matrix, match_keypoints, solve_assignment)
 from lanekit.metrics import evaluate, match_lanes, resample_lane
 from lanekit.nms import (Keypoint, ProposalSet, box_nms, build_nms_boxes, point_nms,
-                         round_half_away, select_topn_proposals)
+                         round_half_away)
 from lanekit.pipeline import run_pipeline
 from lanekit.synthetic import SceneSpec, generate_scene, keypoint_recall
 
@@ -104,7 +104,6 @@ REJECTED = {
                                "min_lane_points"),
     "min_lane_points_float": (lambda: run_pipeline(frame(), min_lane_points=2.5),
                               "min_lane_points"),
-    "topn_n_float": (lambda: select_topn_proposals(np.zeros((4, 4)), grid(), n=2.5), "n"),
     "uniform_rows_float": (lambda: build_uniform_grid(2.5, 4, (3.0, 6.0), (-1.5, 1.5)),
                            "rows"),
     "scene_lane_count_float": (lambda: generate_scene(SceneSpec(seed=0, lane_count=2.5),
@@ -113,7 +112,6 @@ REJECTED = {
     "match_repeats_n_zero": (lambda: match_keypoints([keypoint()], [gt_keypoint()],
                                                      repeats_n=0), "repeats_n"),
     "scene_lane_count_zero": (lambda: SceneSpec(seed=0, lane_count=0), "lane_count"),
-    "topn_n_negative": (lambda: select_topn_proposals(np.zeros((4, 4)), grid(), n=-1), "n"),
     "uniform_rows_one": (lambda: build_uniform_grid(1, 4, (3.0, 6.0), (-1.5, 1.5)), "rows"),
     "custom_cols_one": (lambda: build_custom_grid(4, 1), "cols"),
     "camera_image_size_float": (lambda: camera((2.5, 3)), "image_size"),
@@ -192,8 +190,6 @@ ACCEPTED = {
     "numpy_scalars_pipeline": lambda: run_pipeline(frame(), min_lane_points=np.int64(2)),
     "numpy_scalars_matching": lambda: match_keypoints([keypoint()], [gt_keypoint()],
                                                       repeats_n=np.int64(1)),
-    "topn_n_bounds": lambda: (select_topn_proposals(np.zeros((4, 4)), grid(), 0),
-                              select_topn_proposals(np.zeros((4, 4)), grid(), 16)),
     "scene_seed_numpy": lambda: SceneSpec(seed=np.int64(7)),
     "int_within_double_range": lambda: (check_real(2 ** 1023, "v"),
                                         HeadWeights(**head_fields(final_b=-2 ** 1000))),
@@ -406,6 +402,10 @@ REJECTED_ARRAYS = {
     "from_arrays_x_nan": (lambda: columns(x=[0.0, NAN]), "x"),
     "from_arrays_y_shape": (lambda: columns(y=[1.0]), "y"),
     "from_arrays_dx_bool": (lambda: columns(dx=[False, 0.0]), "dx"),
+    "from_arrays_dx_shape": (lambda: columns(dx=[0.0]), "dx"),
+    "from_arrays_z_shape": (lambda: columns(z=[0.0, 0.0, 0.0]), "z"),
+    "from_arrays_refined_x_overflow": (lambda: columns(x=[0.0, 1e308], dx=[0.0, 1e308]),
+                                       "x + dx"),
     "from_arrays_z_nan": (lambda: columns(z=[NAN, 0.0]), "z"),
     "from_arrays_fg_score_bool": (lambda: columns(fg_score=[True, 0.5]), "fg_score"),
     "from_arrays_fg_score_shape": (lambda: columns(fg_score=[0.5, 0.5, 0.5]), "fg_score"),
@@ -415,10 +415,6 @@ REJECTED_ARRAYS = {
                                        "class_scores"),
     "from_arrays_class_scores_nan": (lambda: columns(class_scores=[[0.5], [NAN]]),
                                      "class_scores"),
-    "score_map_bool": (lambda: select_topn_proposals(np.zeros((4, 4), bool), grid(), 2),
-                       "score_map"),
-    "score_map_shape": (lambda: select_topn_proposals(np.zeros((4, 3)), grid(), 2),
-                        "score_map"),
     "nms_boxes_points_bool": (lambda: build_nms_boxes([[0.0, True]], 1.0, 1.0), "points_xy"),
     "nms_boxes_points_shape": (lambda: build_nms_boxes(np.zeros((3, 4)), 1, 1), "points_xy"),
     "box_nms_boxes_bool": (lambda: box_nms([[0, 0, True, 1]], [0.5], 0.1), "boxes"),

@@ -30,6 +30,33 @@ def make_keypoints(n, class_scores=None):
             for i in range(n)]
 
 
+def keypoints_at(ys):
+    """Keypoints on a vertical line at the given ``ys``, ties allowed."""
+    return [Keypoint(grid_index=(i, 0), x=0.0, y=float(y)) for i, y in enumerate(ys)]
+
+
+def forward_adjacency(A, ys):
+    """``A`` with every entry that does not run to a strictly larger y zeroed:
+    the graph ``extract_lanes`` searches, as a matrix."""
+    ys = np.asarray(ys, dtype=float)
+    return np.where(ys[np.newaxis, :] > ys[:, np.newaxis], A, 0.0)
+
+
+def assert_lanes_follow_the_oracle(A, ys, t_a=0.5):
+    """One lane per (start, end) pair of the forward graph that a path joins,
+    and that lane is ``oracle_paths``' best path on the forward graph."""
+    lanes = extract_lanes(keypoints_at(ys), A, t_a)
+    forward = forward_adjacency(A, ys)
+    starts, ends = find_terminals(threshold_adjacency(forward, t_a))
+    want = {(s, e): best for s in starts for e in ends
+            if (best := oracle_paths(forward, t_a, s, e)) is not None}
+    got = {(lane.path[0], lane.path[-1]): (list(lane.path), path_weight(lane.path, A))
+           for lane in lanes}
+    assert len(got) == len(lanes)
+    assert got == want
+    return lanes
+
+
 def chain_adjacency(n, prob=1.0):
     A = np.zeros((n, n))
     for i in range(n - 1):
@@ -214,14 +241,14 @@ class TestDirectedLaneGraph:
 
     @pytest.mark.parametrize("prob", [1.0 + 2 ** -52, 3.0, np.inf, np.nan])
     def test_edge_prob_above_one_rejected(self, prob):
-        # 1 - prob < 0 would break the label-setting search.
+        # A probability above 1 would be an edge of negative weight 1 - prob.
         with pytest.raises(ValidationError, match=r"^edge_prob\[1\] must lie in \[-inf, 1\], got "):
             self.graph([0, 1], [1, 2], [0.5, prob])
         assert self.graph([0, 1], [1, 2], [0.0, 1.0]).edges[1] == (1, 2, 1.0)
 
     def test_raw_adjacency_above_one_is_not_a_negative_weight_edge(self):
-        # 0 -> 2 -> 3 would cost 0.4 + (1 - 3.0) < 0.2, the cost of 0 -> 1 -> 3,
-        # and the search, which assumes non-negative weights, returned 0 -> 1 -> 3.
+        # Read as an edge, 2 -> 3 would weigh 1 - 3.0 < 0, and the lane would be
+        # 0 -> 2 -> 3, at cost 0.4 + (1 - 3.0), not 0 -> 1 -> 3 at cost 0.2.
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 3] = 0.9
         A[0, 2], A[2, 3] = 0.6, 3.0
@@ -408,11 +435,96 @@ class TestExtractLanes:
             extract_lanes(make_keypoints(3), np.zeros((4, 4)), 0.5)
 
     def test_backward_edge_path_dropped(self):
-        # The only start-to-end path runs against increasing y.
+        # Both edges run toward smaller y, so the forward graph has no edge,
+        # no terminal and no lane.
         kps = make_keypoints(3)
         A = np.zeros((3, 3))
         A[2, 1] = A[1, 0] = 0.9
+        assert find_terminals(threshold_adjacency(A, 0.5)) == ([2], [0])
         assert extract_lanes(kps, A, 0.5) == []
+
+    def test_backward_edge_does_not_hide_a_forward_lane(self):
+        # y = 0, 2, 1, 3.  With the backward edge 1 -> 2 the best 0-to-3 path
+        # would be 0-1-2-3, which doubles back.  Only forward edges count, so
+        # 0-1-3 and 0-2-3 tie at cost 0.25, and the smaller node sequence wins.
+        A = np.zeros((4, 4))
+        A[0, 1] = A[2, 3] = A[1, 2] = 1.0
+        A[0, 2] = A[1, 3] = 0.75
+        lanes = extract_lanes(keypoints_at([0, 2, 1, 3]), A, 0.5)
+        assert [lane.path for lane in lanes] == [(0, 1, 3)]
+
+    def test_same_row_edge_splits_a_chain(self):
+        # Nodes 1 and 2 share y = 2, so 1 -> 2 is no edge of the forward graph,
+        # and the chain gives its two forward fragments.
+        lanes = extract_lanes(keypoints_at([1, 2, 2, 3]), chain_adjacency(4), 0.5)
+        assert [lane.path for lane in lanes] == [(0, 1), (2, 3)]
+        assert [lane.points[:, 1].tolist() for lane in lanes] == [[1.0, 2.0], [2.0, 3.0]]
+
+    def test_edges_within_one_row_give_no_lane(self):
+        A = np.ones((4, 4))
+        assert len(threshold_adjacency(A, 0.5).edges) == 12
+        assert extract_lanes(keypoints_at([2, 2, 2, 2]), A, 0.5) == []
+
+    def test_cycle_gives_its_forward_chain(self):
+        # 0 -> 1 -> 2 -> 0 has no terminal; without its back edge 2 -> 0 it
+        # is the chain 0-1-2.
+        A = chain_adjacency(3)
+        A[2, 0] = 1.0
+        assert find_terminals(threshold_adjacency(A, 0.5)) == ([], [])
+        assert [lane.path for lane in extract_lanes(make_keypoints(3), A, 0.5)] == [(0, 1, 2)]
+
+    @pytest.mark.parametrize("ys, path", [([1, 2, 3, 4], (0, 1, 2, 3)),
+                                          ([4, 3, 2, 1], (3, 2, 1, 0))],
+                             ids=["ascending", "descending"])
+    def test_two_way_chain_runs_toward_larger_y(self, ys, path):
+        A = chain_adjacency(4) + chain_adjacency(4).T
+        lanes = extract_lanes(keypoints_at(ys), A, 0.5)
+        assert [lane.path for lane in lanes] == [path]
+        assert lanes[0].points[:, 1].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_forward_rule_reads_the_nodes_keypoints(self):
+        # Matrix indices 1, 2, 3 are nodes 0, 1, 2, at y = 3, 1, 2: of the
+        # edges 1 -> 2, 2 -> 3 and 3 -> 1 only the first runs backward.
+        A = np.zeros((4, 4))
+        A[1, 2] = A[2, 3] = A[3, 1] = 1.0
+        lanes = extract_lanes(keypoints_at([3, 1, 2]), A, 0.5, nodes=[1, 2, 3])
+        assert [lane.path for lane in lanes] == [(1, 2, 0)]
+        assert lanes[0].points[:, 1].tolist() == [1.0, 2.0, 3.0]
+
+    def test_lanes_come_by_start_index_not_by_y(self):
+        # The chain 2-3 lies nearer than 0-1, and start 0 splits to ends 4
+        # and 1: lanes go by ascending start, then end, index.
+        A = np.zeros((5, 5))
+        A[0, 1] = A[2, 3] = A[0, 4] = 1.0
+        lanes = extract_lanes(keypoints_at([5, 7, 0, 1, 6]), A, 0.5)
+        assert [lane.path for lane in lanes] == [(0, 1), (0, 4), (2, 3)]
+
+    def test_best_paths_labels_what_each_source_reaches(self):
+        # y = 2, 0, 1, 3.  From node 1, 1-2-0-3 costs 0.5 and 1-3 0.75;
+        # from node 0, which the sweep meets after nodes 1 and 2, only 0-3.
+        graph = DirectedLaneGraph(4, [0, 1, 1, 2], [3, 2, 3, 0], [0.5, 1.0, 0.25, 1.0])
+        got = list(graph_module._best_paths(graph, [1, 0], np.array([2.0, 0.0, 1.0, 3.0])))
+        assert got == [{1: (0.0, (1,)), 2: (0.0, (1, 2)), 0: (0.0, (1, 2, 0)),
+                        3: (0.5, (1, 2, 0, 3))},
+                       {0: (0.0, (0,)), 3: (0.5, (0, 3))}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lanes_run_forward_between_forward_terminals(self, data):
+        # Any square adjacency and any y, ties included.
+        n = data.draw(st.integers(0, 9))
+        A = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+        ys = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        t_a = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.75)))
+        lanes = extract_lanes(keypoints_at(ys), A, t_a)
+        starts, ends = find_terminals(threshold_adjacency(forward_adjacency(A, ys), t_a))
+        for lane in lanes:
+            assert np.all(np.diff(lane.points[:, 1]) > 0)
+            assert lane.points[:, 1].tolist() == [float(ys[i]) for i in lane.path]
+            assert len(set(lane.path)) == len(lane.path)
+            assert lane.path[0] in starts and lane.path[-1] in ends
+            assert all(A[i, j] > t_a for i, j in zip(lane.path[:-1], lane.path[1:]))
 
     def test_true_lanes_recovered_among_weak_skip_edges(self):
         # Unit-probability chain edges beat any parallel shortcut.
@@ -426,25 +538,15 @@ class TestExtractLanes:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10_000), st.integers(4, 12), st.floats(0.05, 0.4))
     def test_matches_enumeration_oracle(self, seed, n, density):
+        # Edges in either direction, and keypoint y drawn with ties, so the
+        # forward graph drops backward and same-row edges alike.
         rng = np.random.default_rng(seed)
         A = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
-        A = np.triu(A, k=1)   # forward edges only, so no monotonicity drops
-        kps = make_keypoints(n)
-        lanes = extract_lanes(kps, A, 0.5)
-        graph = threshold_adjacency(A, 0.5)
-        starts, ends = find_terminals(graph)
-        by_pair = {(lane.path[0], lane.path[-1]): lane for lane in lanes}
-        for s in starts:
-            for e in ends:
-                best = oracle_paths(A, 0.5, s, e)
-                if best is None:
-                    assert (s, e) not in by_pair
-                else:
-                    lane = by_pair[(s, e)]
-                    assert (list(lane.path), path_weight(lane.path, A)) == best
-                    # every edge on the emitted path clears the threshold
-                    for i, j in zip(lane.path[:-1], lane.path[1:]):
-                        assert A[i, j] > 0.5
+        ys = rng.integers(0, n, n)
+        for lane in assert_lanes_follow_the_oracle(A, ys):
+            # every edge on the emitted path clears the threshold
+            for i, j in zip(lane.path[:-1], lane.path[1:]):
+                assert A[i, j] > 0.5
 
     def test_equal_cost_duplicates_take_smaller_branch(self):
         # Two kept proposals per middle target, every edge at p = 1.0 (cost
@@ -465,6 +567,8 @@ class TestExtractLanes:
         # triangle mask i -> j and j -> i may both clear t_a.
         n = data.draw(st.integers(3, 9))
         quantised = st.sampled_from((0.0, 0.25, 0.75, 1.0))
+        # Keypoint y with ties: edges within a row leave the forward graph.
+        ys = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
         if data.draw(st.booleans()):
             A = np.array(data.draw(st.lists(quantised, min_size=n * n,
                                             max_size=n * n))).reshape(n, n)
@@ -483,20 +587,9 @@ class TestExtractLanes:
                 A[i, j] = p
             a = data.draw(st.integers(1, n - 2))
             A[data.draw(st.integers(a + 1, n - 1)), a] = data.draw(edge)
+            ys.sort()   # the chain runs forward but for its same-row links
         np.fill_diagonal(A, 0.0)
-        lanes = extract_lanes(make_keypoints(n), A, 0.5)
-        starts, ends = find_terminals(threshold_adjacency(A, 0.5))
-        by_pair = {(lane.path[0], lane.path[-1]): lane for lane in lanes}
-        assert len(by_pair) == len(lanes)
-        for s in starts:
-            for e in ends:
-                best = oracle_paths(A, 0.5, s, e)
-                # node y = index + 1, so only increasing paths run forward
-                if best is None or np.any(np.diff(best[0]) < 0):
-                    assert (s, e) not in by_pair
-                else:
-                    lane = by_pair[(s, e)]
-                    assert (list(lane.path), path_weight(lane.path, A)) == best
+        assert_lanes_follow_the_oracle(A, ys)
 
 
 class TestAggregate:

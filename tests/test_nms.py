@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from lanekit.errors import ValidationError
 from lanekit.geometry import build_custom_grid, build_uniform_grid
@@ -14,13 +13,11 @@ from lanekit.matching import GroundTruthKeypoint, build_cost_matrix, match_keypo
 from lanekit.nms import (
     Keypoint,
     ProposalSet,
-    apply_offsets,
     box_nms,
     build_nms_boxes,
     default_nms_thresholds,
     point_nms,
     round_half_away,
-    select_topn_proposals,
 )
 from lanekit.oracles import oracle_nms
 from lanekit.pipeline import infer_nms_thresholds
@@ -94,9 +91,44 @@ class TestNonFiniteRejected:
             ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0], z=[0.0, -np.inf])
         with pytest.raises(ValidationError, match=r"keypoints\[0\]\.fg_score"):
             ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0], fg_score=[np.nan, 0.5])
-        props = ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0])
         with pytest.raises(ValidationError, match=r"keypoints\[1\]\.dx"):
-            apply_offsets(props, [0.0, np.nan], [0.0, 0.0])
+            ProposalSet.from_arrays(grid_index, [0.0, 1.0], [5.0, 5.0], dx=[0.0, np.nan])
+
+
+class TestFromArraysOffsets:
+    """``ProposalSet.from_arrays`` is where a head's offsets and heights
+    meet the anchors: ``dx`` refines ``x``, ``z`` rides along, and the
+    anchor columns stay as given."""
+
+    grid_index = [(0, 0), (0, 1), (2, 3)]
+    x, y = [0.5, 1.5, -2.0], [5.0, 5.0, 9.0]
+
+    def test_omitted_columns_take_keypoint_defaults(self):
+        props = ProposalSet.from_arrays(self.grid_index, self.x, self.y)
+        assert props.refined_x.tolist() == self.x
+        assert props.dx.tolist() == props.z.tolist() == props.fg_score.tolist() == [0.0] * 3
+        assert props.class_scores.shape == (3, 0) and props.repeats_n == 1
+        assert list(props) == [Keypoint(grid_index=g, x=x, y=y)
+                               for g, x, y in zip(self.grid_index, self.x, self.y)]
+
+    def test_offsets_refine_x_and_leave_the_anchors(self):
+        rng = np.random.default_rng(3)
+        dx, z = rng.normal(size=3), rng.normal(size=3)
+        props = ProposalSet.from_arrays(self.grid_index, self.x, self.y, dx, z)
+        assert props.refined_x.tolist() == (np.array(self.x) + dx).tolist()
+        assert props.z.tolist() == z.tolist()
+        assert props.grid_index.tolist() == [list(g) for g in self.grid_index]
+        assert props.x.tolist() == self.x and props.y.tolist() == self.y
+        assert [k.refined_x for k in props] == props.refined_x.tolist()
+
+    def test_columns_are_read_only_copies(self):
+        dx, z = np.full(3, 0.25), np.zeros(3)
+        props = ProposalSet.from_arrays(self.grid_index, self.x, self.y, dx, z)
+        dx[:] = z[:] = 7.0
+        assert props.dx.tolist() == [0.25] * 3 and props.z.tolist() == [0.0] * 3
+        for column in (props.grid_index, props.x, props.y, props.dx, props.z,
+                       props.fg_score, props.class_scores):
+            assert not column.flags.writeable
 
 
 @pytest.mark.parametrize("widths, bad", [((2, 0), 1), ((1, 1, 3), 2), ((0, 2), 1)])
@@ -189,77 +221,6 @@ class TestGridIndex:
         kp = Keypoint(grid_index=grid_index, x=0.5, y=5.0, dx=-0.25, z=0.1, fg_score=0.75,
                       class_scores=[0.2, 0.8])
         assert ProposalSet([kp])[0] == kp
-
-
-class TestSelectTopN:
-    def test_all_zero_map_lexicographic(self):
-        grid = make_grid()
-        out = select_topn_proposals(np.zeros((8, 8)), grid, 4)
-        assert [k.grid_index for k in out] == [(0, 0), (0, 1), (0, 2), (0, 3)]
-
-    def test_one_hot(self):
-        grid = make_grid()
-        smap = np.zeros((8, 8))
-        smap[5, 2] = 1.0
-        out = select_topn_proposals(smap, grid, 1)
-        assert out[0].grid_index == (5, 2)
-        assert out[0].fg_score == 1.0
-        assert_allclose([out[0].x, out[0].y], grid.positions[5, 2])
-
-    def test_matches_full_sort_oracle(self):
-        grid = make_grid()
-        rng = np.random.default_rng(11)
-        smap = rng.permutation(64).reshape(8, 8) / 64.0
-        out = select_topn_proposals(smap, grid, 16)
-        want = sorted(((r, c) for r in range(8) for c in range(8)),
-                      key=lambda rc: (-smap[rc], rc))[:16]
-        assert [k.grid_index for k in out] == want
-
-    def test_ties_resolved_by_row_col(self):
-        grid = make_grid()
-        smap = np.full((8, 8), 0.5)
-        smap[2, 3] = 0.9
-        smap[1, 1] = 0.9
-        out = select_topn_proposals(smap, grid, 3)
-        assert [k.grid_index for k in out] == [(1, 1), (2, 3), (0, 0)]
-
-    def test_bad_arguments(self):
-        grid = make_grid()
-        with pytest.raises(ValueError):
-            select_topn_proposals(np.zeros((8, 8)), grid, 65)
-        with pytest.raises(ValueError):
-            select_topn_proposals(np.zeros((8, 8)), grid, -1)
-        with pytest.raises(ValueError):
-            select_topn_proposals(np.zeros((4, 4)), grid, 4)
-
-
-class TestApplyOffsets:
-    def setup_method(self):
-        self.props = select_topn_proposals(np.eye(8) / 2 + 0.1, make_grid(), 6)
-
-    def test_zero_offsets_identity(self):
-        out = apply_offsets(self.props, np.zeros(6), np.zeros(6))
-        for a, b in zip(out, self.props):
-            assert a.refined_x == b.x and a.z == 0.0
-
-    def test_single_offset(self):
-        out = apply_offsets(self.props, np.full(6, 0.3), np.zeros(6))
-        assert out[0].refined_x == pytest.approx(self.props[0].x + 0.3)
-
-    def test_random_offsets_elementwise(self):
-        rng = np.random.default_rng(3)
-        dx, z = rng.normal(size=6), rng.normal(size=6)
-        out = apply_offsets(self.props, dx, z)
-        got_dx = np.array([k.refined_x - k.x for k in out])
-        assert_allclose(got_dx, dx, atol=1e-12)
-        assert_allclose([k.z for k in out], z)
-        # anchors are fixed
-        assert [k.grid_index for k in out] == [k.grid_index for k in self.props]
-        assert_allclose([k.x for k in out], [k.x for k in self.props])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_offsets(self.props, np.zeros(5), np.zeros(6))
 
 
 class TestRounding:
