@@ -8,6 +8,12 @@ cost and are never selected.  The solver maximizes match cardinality first,
 then minimizes total cost, so sparse feasibility never starves matchable
 pairs.
 
+Feasible pairs are few (under 1% of a training sample's cells), so a
+``CostMatrix`` holds its finite cells and makes the dense P x G view only
+when it is read.  ``solve_assignment`` solves a matrix of up to 24 x 24
+dense, with an exact lexicographic tie-break, and a larger one on its
+finite cells alone with scipy's sparse solver.
+
 A proposal and a GT keypoint are on the same row when the GT keypoint's
 ``row`` is the proposal's grid row or, for a GT keypoint without a ``row``,
 when both have the same longitudinal position ``y``.  ``_same_row_pairs``
@@ -24,6 +30,8 @@ remains.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -35,8 +43,9 @@ from .nms import as_proposal_set
 MAX_REFINED_DIST_M = 1.0
 MAX_ANCHOR_DIST_M = 2.0
 
-# Above this size the exact lexicographic tie-break is skipped and the
-# solver's deterministic solution is reported as-is.
+# Up to this size a matrix is solved dense and its tied optima resolve to
+# the lexicographically smallest pair list; above it the sparse solver's
+# own optimum is reported as-is.
 _CANONICAL_LIMIT = 24
 
 
@@ -67,20 +76,37 @@ class GroundTruthKeypoint:
             check_int(self.row, "row", 0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CostMatrix:
     """P x G pairing costs: each non-negative, np.inf marking an infeasible
-    pair.  NaN and -inf are rejected, not read as infeasible."""
+    pair.  NaN and -inf are rejected, not read as infeasible.
 
-    costs: np.ndarray
+    A matrix is its ``shape`` and its finite ``cells``, ``(rows, cols,
+    values)`` in row-major order, and ``costs`` is the dense view, np.inf
+    off the cells.  ``CostMatrix(costs)`` keeps the dense array it checked
+    and finds the cells the first time they are read; ``build_cost_matrix``
+    keeps the cells it computed and fills the dense view the first time it
+    is read.  Either is kept once made.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "costs", float_array(self.costs, "costs", (None, None),
-                                                      within=NON_NEGATIVE))
+    shape: tuple
 
-    @property
-    def shape(self):
-        return self.costs.shape
+    def __init__(self, costs):
+        costs = float_array(costs, "costs", (None, None), within=NON_NEGATIVE)
+        object.__setattr__(self, "shape", costs.shape)
+        self.__dict__["costs"] = costs
+
+    @cached_property
+    def costs(self):
+        rows, cols, values = self.cells
+        costs = np.full(self.shape, np.inf)
+        costs[rows, cols] = values
+        return costs
+
+    @cached_property
+    def cells(self):
+        rows, cols = np.nonzero(np.isfinite(self.costs))
+        return rows, cols, self.costs[rows, cols]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,21 +176,18 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     ``proposals`` is a ProposalSet or a sequence of Keypoints.  The class
     term is one minus the proposal's score for the GT category; a category
     at or past the proposals' score count C has probability 0.  Both weights
-    must be finite and non-negative.
+    must be finite and non-negative.  The matrix is made from the feasible
+    cells alone; its dense view is filled only when read.
     """
     for name, weight in (("lambda_dist", lambda_dist), ("lambda_cls", lambda_cls)):
         check_real(weight, name, 0, ends="[)")
     proposals = as_proposal_set(proposals)
     P, G = len(proposals), len(gts)
-    costs = np.full((P, G), np.inf)
-    if P == 0 or G == 0:
-        return CostMatrix(costs)
-
     gt_x = np.array([g.x for g in gts])
-    gt_cat = np.array([g.category for g in gts])
+    gt_cat = np.array([g.category for g in gts], dtype=int)
 
     # Same-row pairs are few, so only they get distances and class terms;
-    # every other cell stays infinite.
+    # every other cell is infinite and never made.
     p, g = _same_row_pairs(proposals, gts)
     refined_dist = np.abs(proposals.refined_x[p] - gt_x[g])
     anchor_dist = np.abs(proposals.x[p] - gt_x[g])
@@ -174,11 +197,18 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     # One more zero column stands for every category at or past C.
     scores = np.pad(proposals.class_scores, ((0, 0), (0, 1)))
     cls_term = 1.0 - scores[p, np.minimum(gt_cat[g], scores.shape[1] - 1)]
-    costs[p, g] = lambda_dist * refined_dist + lambda_cls * cls_term
-    return CostMatrix(costs)
+    costs = lambda_dist * refined_dist + lambda_cls * cls_term
+    # Distances and class terms are non-negative, so the costs are too.  A
+    # cost past the float range (a weight near 1e308) is inf and no cell, as
+    # a dense matrix reads it.  Cells go in row-major order, as a dense
+    # matrix's are read, so the solver sees one graph either way.
+    cells = np.flatnonzero(np.isfinite(costs))
+    cells = cells[np.argsort(p[cells] * G + g[cells])]
+    return unchecked(CostMatrix, shape=(P, G), cells=(p[cells], g[cells], costs[cells]))
 
 
 _scipy_solver = None
+_scipy_sparse = None
 
 
 def linear_sum_assignment(costs):
@@ -188,6 +218,20 @@ def linear_sum_assignment(costs):
     if _scipy_solver is None:
         from scipy.optimize import linear_sum_assignment as _scipy_solver
     return _scipy_solver(costs)
+
+
+def min_weight_full_bipartite_matching(weights, rows, cols, shape):
+    """scipy's ``min_weight_full_bipartite_matching`` (LAPJVsp, the sparse
+    Jonker-Volgenant method) of the ``shape`` matrix holding the non-zero
+    ``weights`` at (``rows``, ``cols``) and nothing else.  ``scipy.sparse``
+    is imported on the first call, as ``linear_sum_assignment`` imports
+    ``scipy.optimize``."""
+    global _scipy_sparse
+    if _scipy_sparse is None:
+        import scipy.sparse.csgraph
+        _scipy_sparse = scipy.sparse
+    graph = _scipy_sparse.csr_array((weights, (rows, cols)), shape=shape)
+    return _scipy_sparse.csgraph.min_weight_full_bipartite_matching(graph)
 
 
 def _solve_raw(costs):
@@ -200,6 +244,35 @@ def _solve_raw(costs):
     # The solver returns rows sorted, so the kept pairs are sorted too.
     kept = finite[rows, cols]
     return list(zip(rows[kept].tolist(), cols[kept].tolist()))
+
+
+def _solve_sparse(cost):
+    """Max-cardinality, then min-cost pairs of a CostMatrix, read from its
+    finite cells alone.
+
+    The pairs are a full matching of the dummy-node reduction, a square
+    matrix of P real and G dummy rows by G real and P dummy columns: a
+    cell (i, j) is the edge from row i to column j; row i may instead take
+    its dummy column G + i, and column j its dummy row P + j, at ``big``
+    each; and dummy row P + j meets dummy column G + i, at no cost, where
+    (i, j) is a cell, so the dummies of a matched pair pair up.  Each pair
+    fewer costs 2 * ``big``, more than all cells together, so cardinality
+    comes first, then cost, as in ``_solve_raw``.  scipy drops zero
+    weights, so every edge is raised by 1: every full matching has P + G
+    edges, and its total rises by the same amount."""
+    P, G = cost.shape
+    rows, cols, values = cost.cells
+    if not len(values):
+        return []
+    big = values.sum() + 1.0
+    real_rows, real_cols = np.arange(P), np.arange(G)
+    weights = np.concatenate([values, np.full(P + G, big), np.zeros(len(values))]) + 1.0
+    _, matched = min_weight_full_bipartite_matching(
+        weights, np.concatenate([rows, real_rows, P + real_cols, P + cols]),
+        np.concatenate([cols, G + real_rows, real_cols, G + rows]), (P + G, G + P))
+    # Row indices come back sorted, so the real rows are the first P.
+    kept = np.flatnonzero(matched[:P] < G)
+    return list(zip(kept.tolist(), matched[kept].tolist()))
 
 
 def _canonical_pairs(costs, optimum):
@@ -250,18 +323,22 @@ def _canonical_pairs(costs, optimum):
 def solve_assignment(cost):
     """One-to-one assignment: max cardinality, then min total cost.
 
-    Ties between equal-cost optima resolve to the lexicographically
-    smallest pair list (exact up to 24x24; larger matrices return the
-    solver's deterministic solution directly).  The tie-break starts from
-    the solver's optimum, so a row keeps its optimal column unless a
-    smaller one also leads to an optimum, and a matrix whose optimum is
-    already the smallest costs no solve beyond the first.
+    Up to 24 x 24 the matrix is solved dense, and ties between equal-cost
+    optima resolve to the lexicographically smallest pair list.  The
+    tie-break starts from the solver's optimum, so a row keeps its optimal
+    column unless a smaller one also leads to an optimum, and a matrix
+    whose optimum is already the smallest costs no solve beyond the first.
+    A larger matrix is solved on its finite cells alone by the sparse
+    solver (``_solve_sparse``), and among equal-cost optima its own
+    deterministic one is returned, which need not be the smallest.
     """
-    costs = cost.costs if isinstance(cost, CostMatrix) else CostMatrix(cost).costs
-    P, G = costs.shape
-    pairs = _solve_raw(costs)
-    if pairs and max(P, G) <= _CANONICAL_LIMIT:
-        pairs = _canonical_pairs(costs, pairs)
+    cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
+    P, G = cost.shape
+    if max(P, G) > _CANONICAL_LIMIT:
+        return _matching(_solve_sparse(cost), P, G)
+    pairs = _solve_raw(cost.costs)
+    if pairs:
+        pairs = _canonical_pairs(cost.costs, pairs)
     return _matching(pairs, P, G)
 
 
@@ -270,11 +347,12 @@ def _matching(pairs, proposal_count, gt_count):
     out unmatched.  The pairs are (Python int, Python int) tuples with no
     proposal twice, so Matching's rule holds and is not run again."""
     pairs = tuple(sorted(pairs))
+    free = [True] * proposal_count, [True] * gt_count
+    for p, g in pairs:
+        free[0][p] = free[1][g] = False
     return unchecked(Matching, pairs=pairs,
-                     unmatched_proposals=tuple(sorted(
-                         set(range(proposal_count)).difference(p for p, _ in pairs))),
-                     unmatched_gts=tuple(sorted(
-                         set(range(gt_count)).difference(g for _, g in pairs))))
+                     unmatched_proposals=tuple(compress(range(proposal_count), free[0])),
+                     unmatched_gts=tuple(compress(range(gt_count), free[1])))
 
 
 def match_keypoints(proposals, gts, repeats_n=None, strongest=False,

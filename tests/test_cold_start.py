@@ -1,12 +1,14 @@
 """Importing lanekit and running the inference commands loads numpy only.
 
-scipy is imported in two places, each inside the function that calls it:
-``matching.linear_sum_assignment`` (every assignment solve) and
-``connection_head.adjacency_forward`` (``expit``).  Each case runs in a
-fresh interpreter, because this test process has scipy loaded already.  A
-meta-path hook in the child records which lanekit function first asked for
-scipy.  orjson, the JSON decoder, is imported on the first file read, so
-the commands that read files load it and ``import lanekit`` does not.
+scipy is imported in three places, each inside the function that calls it:
+``matching.linear_sum_assignment`` (an assignment solve up to 24 x 24),
+``matching.min_weight_full_bipartite_matching`` (a larger one, solved
+sparse) and ``connection_head.adjacency_forward`` (``expit``).  Each case
+runs in a fresh interpreter, because this test process has scipy loaded
+already.  A meta-path hook in the child records which lanekit function
+first asked for scipy.  orjson, the JSON decoder, is imported on the
+first file read, so the commands that read files load it and
+``import lanekit`` does not.
 """
 
 import json
@@ -89,10 +91,13 @@ def test_inference_path_loads_no_scipy(scene, case):
 
 
 def test_match_imports_scipy_from_the_solver_only(scene):
+    """The scene's matrices are larger than 24 x 24, so the sparse solver
+    loads ``scipy.sparse.csgraph`` and nothing loads ``scipy.optimize``."""
     root, pred, gt = scene
     loaded = run_child(cli("match", "--pred", pred, "--gt", gt, "--out", root / "m.json"))
-    assert "scipy.optimize" in loaded["scipy"]
-    assert loaded["origin"] == "matching.py:linear_sum_assignment"
+    assert "scipy.sparse.csgraph" in loaded["scipy"]
+    assert "scipy.optimize" not in loaded["scipy"]
+    assert loaded["origin"] == "matching.py:min_weight_full_bipartite_matching"
 
 
 def test_eval_imports_scipy_from_the_solver_only(scene):

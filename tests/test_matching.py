@@ -171,6 +171,15 @@ class TestCostMatrixReference:
                 assert match_keypoints(props, gts, repeats_n=repeats_n, strongest=True).pairs \
                     == solve_assignment(reference_costs(props, gts)).pairs
 
+    def test_a_cost_past_the_float_range_is_no_cell(self):
+        # 0.9e308 + 0.9e308 overflows to inf, which the dense view reads as
+        # infeasible; 0 + 0.9e308 does not.
+        props = [proposal(0, 0.9, class_scores=[0.1]), proposal(0, 0.0, class_scores=[0.1])]
+        with np.errstate(over="ignore"):
+            built = build_cost_matrix(props, [gt(0, 0.0)], 1e308, 1e308)
+        assert [a.tolist() for a in built.cells] == [[1], [0], [1e308 * (1 - 0.1)]]
+        assert built.costs.tolist() == [[np.inf], [1e308 * (1 - 0.1)]]
+
     def test_category_past_scores_costs_one(self):
         kp = proposal(0, 0.0, class_scores=[0.1, 0.9])
         costs = build_cost_matrix([kp], [gt(0, 0.0, category=c) for c in range(4)]).costs
@@ -292,6 +301,76 @@ class TestSolveAssignment:
         assert solve_assignment(np.array([[1.0, 0.5], [0.5, 1.0]])).pairs \
             == ((0, 1), (1, 0))
         assert calls == [(2, 2), (1, 1)]
+
+
+def dense_optimum(costs):
+    """(cardinality, total cost) of the max-cardinality, min-cost matching,
+    by scipy's dense solver on the big-M fill of the whole matrix."""
+    finite = np.isfinite(costs)
+    rows, cols = linear_sum_assignment(np.where(finite, costs, costs[finite].sum() + 1.0))
+    kept = finite[rows, cols]
+    return int(kept.sum()), costs[rows[kept], cols[kept]].sum()
+
+
+class TestSparseSolver:
+    """Above 24 x 24 the sparse solver reads the finite cells alone, and
+    promises the optimum, not the smallest of tied optima."""
+
+    @pytest.mark.parametrize("shape", [(25, 25), (25, 60), (60, 25), (33, 47), (47, 33),
+                                       (60, 60)])
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.4, 0.8])
+    @pytest.mark.parametrize("empty", ["none", "rows", "cols", "all"])
+    def test_matches_the_dense_optimum(self, shape, density, empty):
+        # Costs k/8 tie often and sum exactly, so the totals compare with ==.
+        rng = np.random.default_rng([*shape, int(density * 100), ord(empty[0])])
+        for _ in range(5):
+            costs = np.where(rng.random(shape) < density,
+                             rng.integers(0, 17, shape) / 8.0, np.inf)
+            if empty == "rows":
+                costs[rng.random(shape[0]) < 0.3] = np.inf
+            elif empty == "cols":
+                costs[:, rng.random(shape[1]) < 0.3] = np.inf
+            elif empty == "all":
+                costs[:] = np.inf
+            m = solve_assignment(costs)
+            assert (len(m.pairs), sum(costs[p, g] for p, g in m.pairs)) \
+                == dense_optimum(costs)
+            assert all(np.isfinite(costs[p, g]) for p, g in m.pairs)
+            assert list(m.pairs) == sorted(m.pairs)
+            assert len({p for p, _ in m.pairs}) == len({g for _, g in m.pairs}) \
+                == len(m.pairs)
+            assert m.unmatched_proposals == tuple(
+                sorted(set(range(shape[0])) - {p for p, _ in m.pairs}))
+            assert m.unmatched_gts == tuple(
+                sorted(set(range(shape[1])) - {g for _, g in m.pairs}))
+
+    def test_zero_costs_are_edges(self):
+        # scipy's sparse solver drops explicit zeros; unshifted, this raised
+        # "no full matching exists".
+        costs = np.where(np.eye(30, dtype=bool), 0.0, np.inf)
+        m = solve_assignment(costs)
+        assert m.pairs == tuple((i, i) for i in range(30))
+        assert m.unmatched_proposals == m.unmatched_gts == ()
+
+    def test_built_and_dense_matrices_solve_alike(self):
+        # The cells of a built matrix are in row-major order, as those read
+        # from a dense array are, so the solver sees one graph either way.
+        rng = np.random.default_rng(101)
+        for _ in range(10):
+            props, gts = random_case(rng, n_props=40, n_gts=30)
+            built = build_cost_matrix(props, gts)
+            dense = CostMatrix(built.costs)
+            for got, want in zip(built.cells, dense.cells):
+                assert np.array_equal(got, want)
+            assert solve_assignment(built).pairs == solve_assignment(dense).pairs
+
+    def test_a_built_matrix_is_solved_without_its_dense_view(self):
+        rng = np.random.default_rng(102)
+        props, gts = random_case(rng, n_props=40, n_gts=30)
+        built = build_cost_matrix(props, gts)
+        solve_assignment(built)
+        assert "costs" not in vars(built)
+        assert np.array_equal(built.costs, reference_costs(props, gts))
 
 
 class TestMatching:
