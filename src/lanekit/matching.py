@@ -48,6 +48,12 @@ MAX_ANCHOR_DIST_M = 2.0
 # own optimum is reported as-is.
 _CANONICAL_LIMIT = 24
 
+# The solvers' big-M totals stay below 2 ** _MAX_EXPONENT, where big-M's
+# margin of 1 over the sum of the costs is still 2 ** 12 units in the last
+# place of a total; costs that could pass it are scaled down first.  Past
+# 2 ** 53 the margin is lost, and past 2 ** 1024 the total overflows.
+_MAX_EXPONENT = 40
+
 
 @dataclass(frozen=True)
 class GroundTruthKeypoint:
@@ -197,7 +203,8 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     # One more zero column stands for every category at or past C.
     scores = np.pad(proposals.class_scores, ((0, 0), (0, 1)))
     cls_term = 1.0 - scores[p, np.minimum(gt_cat[g], scores.shape[1] - 1)]
-    costs = lambda_dist * refined_dist + lambda_cls * cls_term
+    with np.errstate(over="ignore"):
+        costs = lambda_dist * refined_dist + lambda_cls * cls_term
     # Distances and class terms are non-negative, so the costs are too.  A
     # cost past the float range (a weight near 1e308) is inf and no cell, as
     # a dense matrix reads it.  Cells go in row-major order, as a dense
@@ -207,31 +214,22 @@ def build_cost_matrix(proposals, gts, lambda_dist=1.0, lambda_cls=1.0):
     return unchecked(CostMatrix, shape=(P, G), cells=(p[cells], g[cells], costs[cells]))
 
 
-_scipy_solver = None
-_scipy_sparse = None
-
-
 def linear_sum_assignment(costs):
-    """scipy's ``linear_sum_assignment``, imported on the first call so that
+    """scipy's ``linear_sum_assignment``, imported on each call so that
     importing lanekit does not load ``scipy.optimize``."""
-    global _scipy_solver
-    if _scipy_solver is None:
-        from scipy.optimize import linear_sum_assignment as _scipy_solver
-    return _scipy_solver(costs)
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(costs)
 
 
 def min_weight_full_bipartite_matching(weights, rows, cols, shape):
     """scipy's ``min_weight_full_bipartite_matching`` (LAPJVsp, the sparse
     Jonker-Volgenant method) of the ``shape`` matrix holding the non-zero
     ``weights`` at (``rows``, ``cols``) and nothing else.  ``scipy.sparse``
-    is imported on the first call, as ``linear_sum_assignment`` imports
+    is imported on each call, as ``linear_sum_assignment`` imports
     ``scipy.optimize``."""
-    global _scipy_sparse
-    if _scipy_sparse is None:
-        import scipy.sparse.csgraph
-        _scipy_sparse = scipy.sparse
-    graph = _scipy_sparse.csr_array((weights, (rows, cols)), shape=shape)
-    return _scipy_sparse.csgraph.min_weight_full_bipartite_matching(graph)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    return min_weight_full_bipartite_matching(csr_array((weights, (rows, cols)), shape=shape))
 
 
 def _solve_raw(costs):
@@ -275,7 +273,7 @@ def _solve_sparse(cost):
     return list(zip(kept.tolist(), matched[kept].tolist()))
 
 
-def _canonical_pairs(costs, optimum):
+def _canonical_pairs(costs, optimum, unit=1.0):
     """Lexicographically smallest sorted pair list achieving the optimum.
 
     Walks rows in order; a row takes its smallest column that keeps the
@@ -285,13 +283,16 @@ def _canonical_pairs(costs, optimum):
     stays optimal), so only finite columns left of c are tried, each with
     one sub-solve.  A column that passes replaces the current optimum with
     that sub-solve's pairs.  A row the current optimum leaves unmatched
-    tries every finite column.
+    tries every finite column.  Totals within 1e-9 of each other, relative
+    to the larger of ``unit`` and the optimum's total, tie; ``unit`` is the
+    scale ``solve_assignment`` applied, so that the walk is the same on a
+    scaled matrix.
     """
     cells = costs.tolist()
     finite_cols = [[c for c, cost in enumerate(row) if math.isfinite(cost)] for row in cells]
     card = len(optimum)
     total = sum(cells[r][c] for r, c in optimum)
-    tol = 1e-9 * max(1.0, abs(total))
+    tol = 1e-9 * max(unit, abs(total))
     current = dict(optimum)
     live_rows = list(range(costs.shape[0]))
     live_cols = list(range(costs.shape[1]))
@@ -320,6 +321,20 @@ def _canonical_pairs(costs, optimum):
     return pairs
 
 
+def _cost_scale(cost, values):
+    """1.0, or the power of two that ``solve_assignment`` multiplies
+    ``cost`` by, ``values`` being its finite costs.  A big-M total of the
+    matrix is at most P + G + 2 times their sum, and their sum at most
+    their count times their largest, so the scale keeps that bound below
+    2 ** ``_MAX_EXPONENT``.  A power of two scales every cost exactly, bar
+    costs that fall below the normal float range."""
+    if not len(values):
+        return 1.0
+    exponent = (math.frexp(values.max())[1] + len(values).bit_length()
+                + (sum(cost.shape) + 2).bit_length())
+    return math.ldexp(1.0, min(0, _MAX_EXPONENT - exponent))
+
+
 def solve_assignment(cost):
     """One-to-one assignment: max cardinality, then min total cost.
 
@@ -331,14 +346,26 @@ def solve_assignment(cost):
     A larger matrix is solved on its finite cells alone by the sparse
     solver (``_solve_sparse``), and among equal-cost optima its own
     deterministic one is returned, which need not be the smallest.
+
+    Where the largest finite cost, times their count, times P + G + 2
+    could reach 2 ** 40 (about 1.1e12), a big-M total could lose big-M's
+    margin of 1 or overflow.  Such a matrix is first multiplied by a power
+    of two (``_cost_scale``) and solved so scaled; any other is solved as
+    given.
     """
     cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     P, G = cost.shape
-    if max(P, G) > _CANONICAL_LIMIT:
+    sparse = max(P, G) > _CANONICAL_LIMIT
+    scale = _cost_scale(cost, cost.cells[2] if sparse
+                        else cost.costs[np.isfinite(cost.costs)])
+    if scale < 1.0:
+        rows, cols, values = cost.cells
+        cost = unchecked(CostMatrix, shape=cost.shape, cells=(rows, cols, values * scale))
+    if sparse:
         return _matching(_solve_sparse(cost), P, G)
     pairs = _solve_raw(cost.costs)
     if pairs:
-        pairs = _canonical_pairs(cost.costs, pairs)
+        pairs = _canonical_pairs(cost.costs, pairs, scale)
     return _matching(pairs, P, G)
 
 

@@ -4,10 +4,14 @@ Each scene draws a few smooth lanes (cubic x(y), linear z(y)) across the
 anchor grid, samples them at the grid rows as GT keypoints, and surrounds
 every GT keypoint with ``proposals_per_target`` proposals anchored at the
 nearest grid columns.  Proposal offsets point back at the GT position plus
-Gaussian noise, individual proposals drop out independently, and the
-adjacency carries probability 1.0 between proposals of longitudinally
-consecutive GT keypoints of the same lane.  Distractor edges are sampled
-either safely below the extraction threshold (default) or above it
+Gaussian noise, and individual proposals drop out independently.
+
+The GT keypoints are the targets, numbered lane by lane and row by row:
+the keypoint of lane l on row r is target ``l * rows + r``.  The adjacency
+is 1.0 from every proposal of target t to every proposal of target t + 1
+of the same lane, and true edges are nothing else: a target whose
+proposals all dropped out leaves no edge across it.  Distractor edges are
+sampled either safely below ``EDGE_THRESHOLD`` (default) or above it
 (``strong_distractors``) to stress path selection.
 
 Everything is a pure function of the seed: the same spec and grid always
@@ -24,6 +28,10 @@ from .matching import GroundTruthKeypoint, _same_row_pairs
 from .metrics import GroundTruthLane
 from .nms import ProposalSet, as_proposal_set
 
+# Distractor edges are drawn below or above this adjacency value, the
+# ``t_a`` that ``extract_lanes`` and ``run_pipeline`` default to.
+EDGE_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -31,7 +39,9 @@ class SceneSpec:
 
     ``x_coeffs`` rows are (c0, c1, c2, c3) for x(t) = c0 + c1 t + c2 t^2 +
     c3 t^3 and ``z_coeffs`` rows (z0, z1) for z(t) = z0 + z1 t, with t the
-    row position normalized to [0, 1] over the grid.
+    row position normalized to [0, 1] over the grid.  ``strong_distractors``
+    draws the distractor edges in [``EDGE_THRESHOLD``, 0.99), above the
+    extraction threshold, instead of in [0, 0.9 ``EDGE_THRESHOLD``).
     """
 
     seed: int
@@ -41,7 +51,6 @@ class SceneSpec:
     proposals_per_target: int = 2
     dropout_p: float = 0.0
     distractor_edge_rate: float = 0.0
-    edge_threshold: float = 0.5
     strong_distractors: bool = False
     categories: int = 21
     x_coeffs: tuple = None
@@ -55,7 +64,6 @@ class SceneSpec:
             check_real(getattr(self, name), name, 0, ends="[)")
         check_real(self.dropout_p, "dropout_p", 0, 1, "[)")
         check_real(self.distractor_edge_rate, "distractor_edge_rate", 0, 1, "[]")
-        check_real(self.edge_threshold, "edge_threshold", 0, 1, "[]")
 
 
 def _draw_coeffs(rng, lane_count, grid):
@@ -109,67 +117,46 @@ def generate_scene(spec, grid):
         lane_cats = rng.integers(1, spec.categories, spec.lane_count)
     else:
         lane_cats = np.zeros(spec.lane_count, dtype=int)
+    points = np.stack([xs, np.broadcast_to(grid.row_y, xs.shape), zs], axis=2)
+    gt_lanes = list(map(GroundTruthLane, points, lane_cats))
 
-    gt_lanes = []
-    for lane_idx in range(spec.lane_count):
-        points = np.column_stack([xs[lane_idx], grid.row_y, zs[lane_idx]])
-        gt_lanes.append(GroundTruthLane(points=points, category=int(lane_cats[lane_idx])))
-
-    # Proposals: n nearest columns per GT keypoint, each surviving dropout
-    # independently.
+    # Proposals: the n nearest columns of every GT keypoint, in lane, row,
+    # column order.  Each draws, dropped or not: dropout, x and z noise
+    # (each only with its sigma; -0.0 otherwise, which adds nothing to any
+    # float), fg score, class score.
     n = spec.proposals_per_target
-    grid_index, fields, categories = [], [], []
-    owners = []                 # flat target id per surviving proposal
-    target_id = 0
-    for lane_idx in range(spec.lane_count):
-        for row in range(grid.rows):
-            x_gt = xs[lane_idx, row]
-            z_gt = zs[lane_idx, row]
-            anchors = grid.positions[row, :, 0]
-            cols = np.argsort(np.abs(anchors - x_gt), kind="stable")[:n]
-            for col in cols:
-                dropped = rng.random() < spec.dropout_p
-                dx = (x_gt - anchors[col]) + rng.normal(0.0, spec.sigma_x) \
-                    if spec.sigma_x else x_gt - anchors[col]
-                z = z_gt + rng.normal(0.0, spec.sigma_z) if spec.sigma_z else z_gt
-                fg = rng.uniform(0.7, 0.95)
-                cat_score = rng.uniform(0.85, 0.99)
-                if dropped:
-                    continue
-                grid_index.append((row, col))
-                fields.append((anchors[col], grid.row_y[row], dx, z, fg, cat_score))
-                categories.append(lane_cats[lane_idx])
-                owners.append(target_id)
-            target_id += 1
+    cols = np.argsort(np.abs(grid.positions[np.newaxis, :, :, 0] - xs[:, :, np.newaxis]),
+                      axis=2, kind="stable")[:, :, :n]
+    draws = np.array([(rng.random(), rng.normal(0.0, spec.sigma_x) if spec.sigma_x else -0.0,
+                       rng.normal(0.0, spec.sigma_z) if spec.sigma_z else -0.0,
+                       rng.uniform(0.7, 0.95), rng.uniform(0.85, 0.99))
+                      for _ in range(cols.size)])
+    kept = draws[:, 0] >= spec.dropout_p
+    lane, row, _ = np.unravel_index(np.flatnonzero(kept), cols.shape)
+    col = cols.reshape(-1)[kept]
+    noise_x, noise_z, fg, cat_score = draws[kept, 1:].T
 
-    S = len(fields)
-    x, y, dx, z, fg, cat_score = np.array(fields, dtype=float).reshape(-1, 6).T
+    S = len(col)
+    x = grid.positions[row, col, 0]
     scores = np.zeros((S, spec.categories))
-    scores[np.arange(S), np.asarray(categories, dtype=int)] = cat_score
-    owners = np.asarray(owners, dtype=int)
-    adjacency = np.zeros((S, S))
-    rows_per_lane = grid.rows
-    true_pair = np.zeros((S, S), dtype=bool)
-    for lane_idx in range(spec.lane_count):
-        first = lane_idx * rows_per_lane
-        for row in range(rows_per_lane - 1):
-            src = np.nonzero(owners == first + row)[0]
-            dst = np.nonzero(owners == first + row + 1)[0]
-            if src.size and dst.size:
-                true_pair[np.ix_(src, dst)] = True
-    adjacency[true_pair] = 1.0
+    scores[np.arange(S), lane_cats[lane]] = cat_score
+    # True edges: same lane, next row (target t to t + 1, within a lane).
+    true_pair = (lane[:, np.newaxis] == lane) & (row[:, np.newaxis] + 1 == row)
+    adjacency = true_pair.astype(float)
 
     if spec.distractor_edge_rate > 0 and S > 1:
         eligible = (rng.random((S, S)) < spec.distractor_edge_rate) & ~true_pair
         np.fill_diagonal(eligible, False)
         count = int(eligible.sum())
         if spec.strong_distractors:
-            values = rng.uniform(spec.edge_threshold, 0.99, count)
+            values = rng.uniform(EDGE_THRESHOLD, 0.99, count)
         else:
-            values = rng.uniform(0.0, 0.9 * spec.edge_threshold, count)
+            values = rng.uniform(0.0, 0.9 * EDGE_THRESHOLD, count)
         adjacency[eligible] = values
 
-    keypoints = ProposalSet.from_arrays(grid_index, x, y, dx, z, fg, scores, repeats_n=n)
+    keypoints = ProposalSet.from_arrays(np.column_stack([row, col]), x, grid.row_y[row],
+                                        xs[lane, row] - x + noise_x, zs[lane, row] + noise_z,
+                                        fg, scores, repeats_n=n)
     frame = PredictionFrame(frame_id=f"scene-{spec.seed}", keypoints=keypoints,
                             adjacency=adjacency)
     return gt_lanes, frame

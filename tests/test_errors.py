@@ -116,8 +116,6 @@ REJECTED = {
     "custom_cols_one": (lambda: build_custom_grid(4, 1), "cols"),
     "camera_image_size_float": (lambda: camera((2.5, 3)), "image_size"),
     "scene_seed_float": (lambda: SceneSpec(seed=0.5), "seed"),
-    "scene_edge_threshold_past_one": (lambda: SceneSpec(seed=0, edge_threshold=1.5),
-                                      "edge_threshold"),
     "scene_categories_bool": (lambda: SceneSpec(seed=0, categories=True), "categories"),
     "custom_width_bool": (lambda: build_custom_grid(4, 4, width=True), "width"),
     "lane_path_float": (lambda: LaneRecord([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]],
@@ -159,8 +157,6 @@ def test_bad_scalar_is_rejected_naming_it(call, name):
 # Boundary values, ints given for reals, and numpy scalars: all valid.
 ACCEPTED = {
     "distractor_edge_rate_one": lambda: SceneSpec(seed=0, distractor_edge_rate=1.0),
-    "edge_threshold_bounds": lambda: (SceneSpec(seed=0, edge_threshold=0.0),
-                                      SceneSpec(seed=0, edge_threshold=1.0)),
     "t_a_zero": lambda: threshold_adjacency(np.zeros((2, 2)), t_a=0.0),
     "t_a_int_zero": lambda: threshold_adjacency(np.zeros((2, 2)), t_a=0),
     "iou_thresh_bounds": lambda: (box_nms(BOXES, [0.5], 0), box_nms(BOXES, [0.5], 1),

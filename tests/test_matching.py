@@ -373,6 +373,69 @@ class TestSparseSolver:
         assert np.array_equal(built.costs, reference_costs(props, gts))
 
 
+class TestCostsNearTheFloatLimit:
+    """Costs so large that big-M loses its margin of 1 or overflows (finite
+    costs up to 1e308) are solved as the matrix scaled by a power of two."""
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_three_huge_cells_pair_up(self, n):
+        # 3 x 3 took the dense solver, 30 x 30 the sparse one; both raised.
+        costs = np.full((n, n), np.inf)
+        costs[0, 0] = costs[0, 1] = costs[1, 0] = 1e308
+        m = solve_assignment(costs)
+        assert m.pairs == ((0, 1), (1, 0))
+        assert m.unmatched_gts == tuple(range(2, n))
+
+    def test_huge_weights_match_as_smaller_ones_do(self):
+        props = [proposal(0, x, class_scores=(0.0,)) for x in (2.3, 2.1, 1.8)]
+        gts = [gt(0, 2.0), gt(3, 0.0)]
+        matched = [match_keypoints(props, gts, strongest=True, lambda_dist=w, lambda_cls=w)
+                   for w in (2.5e307, 6.7e307)]
+        assert [(m.pairs, m.unmatched_proposals, m.unmatched_gts) for m in matched] \
+            == [(((1, 0),), (0, 2), (1,))] * 2
+
+    def test_costs_past_the_float_range_are_no_cells(self):
+        props = [proposal(0, x, class_scores=(0.0,)) for x in (2.3, 2.1)]
+        built = build_cost_matrix(props, [gt(0, 2.0)], 1.7e308, 1.7e308)
+        assert np.isposinf(built.costs).all()
+        assert match_keypoints(props, [gt(0, 2.0)], strongest=True, lambda_dist=1.7e308,
+                               lambda_cls=1.7e308).pairs == ()
+
+    def test_agrees_with_the_oracle_on_the_scaled_costs(self):
+        rng = np.random.default_rng(307)
+        scaled = 0
+        for _ in range(300):
+            # Multiples of one power of two: totals are exact, ties are common.
+            shape = tuple(rng.integers(1, 8, 2))
+            unit = np.ldexp(1.0, rng.choice([-3, 900, 1000, 1019]))
+            costs = rng.integers(0, 16, shape) * unit
+            costs[rng.random(shape) < 0.25] = np.inf
+            matrix = CostMatrix(costs)
+            scale = matching._cost_scale(matrix, matrix.cells[2])
+            scaled += scale < 1.0
+            assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs * scale))
+        assert 100 < scaled < 300
+
+    def test_small_costs_beside_huge_ones_still_decide(self):
+        # Scaled by 2 ** -32, the small costs differ by less than 1e-9; the
+        # tie tolerance scales with them, so they are not taken as ties.
+        u = 2.0 ** 60
+        costs = np.array([[np.inf, 13 * u, 1.625], [3 * u, 10 * u, 0.0],
+                          [np.inf, 1.125, np.inf], [1.75, 11 * u, np.inf]])
+        assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
+            == ((1, 2), (2, 1), (3, 0))
+
+    @pytest.mark.parametrize("value, scale", [(1e3, 1.0), (1e7, 0.25), (1e16, 2.0 ** -32)])
+    def test_only_large_costs_are_scaled(self, value, scale):
+        costs = np.full((40, 40), value)
+        assert matching._cost_scale(CostMatrix(costs), costs.ravel()) == scale
+
+    def test_a_cost_past_2_to_the_53_keeps_its_pair(self):
+        # big-M = sum + 1 is the sum itself from 2 ** 53, and tied the cell.
+        costs = np.array([[np.inf, np.inf], [1e16, np.inf]])
+        assert solve_assignment(costs).pairs == ((1, 0),)
+
+
 class TestMatching:
     def test_int64_arrays_equal_lists_of_tuples(self):
         from_arrays = Matching(pairs=np.array([[3, 2], [0, 1]], np.int64),

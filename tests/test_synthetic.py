@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lanekit.geometry import build_custom_grid, build_uniform_grid
-from lanekit.io import save_prediction_frame
+from lanekit.io import save_ground_truth, save_prediction_frame
 from lanekit.matching import GroundTruthKeypoint
 from lanekit.metrics import GroundTruthLane
 from lanekit.nms import Keypoint, ProposalSet, point_nms
@@ -107,8 +109,7 @@ class TestGenerateScene:
 
     def test_default_distractors_stay_below_threshold(self):
         grid = grid12()
-        spec = SceneSpec(seed=13, lane_count=2, distractor_edge_rate=0.1,
-                         edge_threshold=0.5)
+        spec = SceneSpec(seed=13, lane_count=2, distractor_edge_rate=0.1)
         _, frame = generate_scene(spec, grid)
         off_chain = frame.adjacency[(frame.adjacency > 0) & (frame.adjacency < 1.0)]
         assert off_chain.size > 0
@@ -117,7 +118,7 @@ class TestGenerateScene:
     def test_strong_distractors_cross_threshold(self):
         grid = grid12()
         spec = SceneSpec(seed=13, lane_count=2, distractor_edge_rate=0.1,
-                         edge_threshold=0.5, strong_distractors=True)
+                         strong_distractors=True)
         _, frame = generate_scene(spec, grid)
         off_chain = frame.adjacency[(frame.adjacency > 0) & (frame.adjacency < 1.0)]
         assert off_chain.size > 0
@@ -270,3 +271,91 @@ class TestRecallSharesTheMatchersRowRule:
             assert keypoint_recall(kept, gt_keypoints(gt)) == with_grid > 0.5
         gt, frame = generate_scene(SceneSpec(seed=seed), grid)
         assert keypoint_recall(frame.keypoints, gt_keypoints(gt)) == 1.0
+
+
+# Scenes across the generator's cases: 1 to 4 proposals per target, dropout
+# up to 0.6, each noise, weak and strong distractors, 1, 2 and 21 categories,
+# explicit coefficients, and the 12 x 32 uniform grid, the base 56 x 64 and
+# the large 72 x 128 presets.
+PINNED_SPECS = {
+    "n1-noiseless-one-category": (
+        dict(seed=1, proposals_per_target=1, categories=1), (12, 32)),
+    "n2-both-noises-weak-distractors": (
+        dict(seed=2, sigma_x=0.1, sigma_z=0.05, dropout_p=0.3, distractor_edge_rate=0.05,
+             categories=2), (12, 32)),
+    "n3-heavy-dropout-strong-distractors": (
+        dict(seed=3, proposals_per_target=3, sigma_x=0.2, dropout_p=0.6,
+             distractor_edge_rate=0.02, strong_distractors=True), (56, 64)),
+    "n4-z-noise-large": (
+        dict(seed=4, lane_count=4, proposals_per_target=4, sigma_z=0.1, dropout_p=0.1,
+             distractor_edge_rate=0.001), (72, 128)),
+    "explicit-coefficients": (
+        dict(seed=5, lane_count=2, sigma_x=0.05, dropout_p=0.5,
+             x_coeffs=((-2.0, 0.5, -0.25, 0.1), (2.5, -0.3, 0.2, 0.0)),
+             z_coeffs=((0.1, 0.2), (0.0, -0.1))), (12, 32)),
+    "one-lane-strong-distractors": (
+        dict(seed=6, lane_count=1, proposals_per_target=4, dropout_p=0.2, categories=2,
+             distractor_edge_rate=0.1, strong_distractors=True), (56, 64)),
+}
+
+# SHA-256 of (save_prediction_frame bytes, save_ground_truth bytes) per
+# scene, made with numpy 2.4.6.  A change to generate_scene must keep them.
+PINNED_SHA256 = {
+    "explicit-coefficients": (
+        "48a1b6da3761314863de639d363c613ababd28889381459888bb4971d13915ae",
+        "acc6f0a4d649805eb373a2b00c6d336f9671a0c28f1e1710cfb5dcf9817b9024"),
+    "n1-noiseless-one-category": (
+        "0e82f9506b719a5bc8a44d1d54d64198d67c65d2c2f463c57a0de89722a028ca",
+        "7fa266dcbb920325f08409d86ff9071cb7fa1a581af41f8acb3c0b50f0de5168"),
+    "n2-both-noises-weak-distractors": (
+        "17cc19980671976e33241f6a7144d6689ce59361bf8abd0995a1313e3eac4f2d",
+        "db0b1659847d8b8fe50fbd3133f461427ea00fc638772d26a214c8034ed40ecc"),
+    "n3-heavy-dropout-strong-distractors": (
+        "cfc4e74afb69172505c6373fc8c296e73d40f6d87e15f6432b0d2168cc34b878",
+        "4a8a08a4c6555a7c6d1ee2362df0f074c0836a6ecf2740c0342ce9aa8c77e88a"),
+    "n4-z-noise-large": (
+        "ff2000a2d5ac6b5027526719146f1e4e105a4f0bb482624f9113b89ce069536e",
+        "09c30f6088b7b6a6630193b2daa89791ba2662321b285867d68ffad777beeda5"),
+    "one-lane-strong-distractors": (
+        "8699cdd69349f862d79d63e0b56f5f95e646e9c5e17a72f6cb6690c342e0d662",
+        "058e5a2fee3488e2c0abc67be2b64c3b4ea49ce52c6bc66576b504c9f86eebb3"),
+}
+
+
+def pinned_grid(shape):
+    if shape == (12, 32):
+        return grid12()
+    return build_custom_grid(rows=shape[0], cols=shape[1])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_scene_bytes_are_pinned(name, tmp_path):
+    fields, shape = PINNED_SPECS[name]
+    gt, frame = generate_scene(SceneSpec(**fields), pinned_grid(shape))
+    pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
+    save_prediction_frame(frame, pred_path)
+    save_ground_truth({frame.frame_id: gt}, gt_path)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pred_path, gt_path))
+    assert digests == PINNED_SHA256[name], f"numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_true_edges_join_same_lane_next_row_under_dropout(seed):
+    """With sigma_x = 0 a proposal's refined x is its lane's GT x on its row,
+    so its lane is known.  The adjacency is exactly 1.0 on same-lane,
+    next-row pairs and nowhere else; a target whose proposals all dropped
+    leaves no edge across it."""
+    grid = grid12()
+    spec = SceneSpec(seed=seed, lane_count=3, proposals_per_target=2, dropout_p=0.5,
+                     distractor_edge_rate=0.05, strong_distractors=seed % 2 == 1)
+    gt, frame = generate_scene(spec, grid)
+    xs = np.stack([lane.points[:, 0] for lane in gt])
+    row = frame.keypoints.grid_index[:, 0]
+    lane = np.argmin(np.abs(xs[:, row] - frame.keypoints.refined_x), axis=0)
+    np.testing.assert_allclose(xs[lane, row], frame.keypoints.refined_x, rtol=0, atol=1e-12)
+    expected = (lane[:, None] == lane[None, :]) & (row[:, None] + 1 == row[None, :])
+    np.testing.assert_array_equal(frame.adjacency == 1.0, expected)
+    # Some lane loses every proposal of a row between two surviving rows.
+    kept = np.zeros((spec.lane_count, grid.rows), dtype=bool)
+    kept[lane, row] = True
+    assert (kept[:, :-2] & ~kept[:, 1:-1] & kept[:, 2:]).any()
