@@ -21,8 +21,9 @@ for r in (0, 5, 11):
 print("custom grid rows widen with distance while row gaps grow 0.5 -> 1.5 m:")
 for r in (0, 5, 11):
     xs = custom.positions[r, :, 0]
+    behind = "y_origin" if r == 0 else f"row {r - 1}"   # row_spacing[r] is the gap back to it
     print(f"  row {r:2d}: y={custom.row_y[r]:6.2f} m, x in [{xs[0]:6.2f}, {xs[-1]:6.2f}], "
-          f"gap to next row {custom.row_spacing[r]:.3f} m")
+          f"gap of {custom.row_spacing[r]:.3f} m from {behind}")
 
 cam = make_forward_camera(height=1.5, pitch_deg=5.0)
 pmap = project_grid_to_image(custom, cam)

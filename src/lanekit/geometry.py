@@ -150,9 +150,10 @@ class AnchorGrid:
 
     ``positions`` is (rows, cols, 2) with ``[..., 0]`` the lateral x and
     ``[..., 1]`` the longitudinal y, in meters, each finite with magnitude
-    at most ``MAX_POSITION_M``.  ``row_spacing`` holds the per-row
-    longitudinal gap (constant in uniform mode, strictly increasing in
-    custom mode).
+    at most ``MAX_POSITION_M``.  ``row_spacing[i]`` is the longitudinal gap
+    from row i - 1 to row i.  In custom mode it strictly increases, and
+    row 0's is its gap from ``build_custom_grid``'s ``y_origin``; in
+    uniform mode it is the one row step, row 0's included.
     """
 
     rows: int

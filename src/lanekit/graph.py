@@ -22,6 +22,10 @@ from .errors import (FINITE, NON_NEGATIVE, UNIT, ValidationError, check_int, che
                      float_array, int_array, unchecked)
 from .nms import as_proposal_set
 
+# The connection probability an edge must exceed to be kept, the ``t_a``
+# that ``extract_lanes`` and ``pipeline.run_pipeline`` default to.
+EDGE_THRESHOLD = 0.5
+
 
 def _as_probs(adjacency, within=None):
     """The square float matrix of an AdjacencyMatrix, or of an array whose
@@ -306,7 +310,7 @@ def aggregate_lane_attributes(keypoints):
     return category, float(members.confidences.mean())
 
 
-def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
+def extract_lanes(keypoints, adjacency, t_a=EDGE_THRESHOLD, nodes=None):
     """All best start-to-end lanes of the forward graph, as ``LaneRecord``s
     carrying their paths.
 
@@ -336,8 +340,6 @@ def extract_lanes(keypoints, adjacency, t_a=0.5, nodes=None):
                       edge_src=graph.edge_src[forward], edge_dst=graph.edge_dst[forward],
                       edge_prob=graph.edge_prob[forward])
     starts, ends = find_terminals(graph)
-    if not starts or not ends:
-        return []
     # Every row is finite: ProposalSet checks x + dx as well as x, y and z.
     xyz = np.column_stack([proposals.refined_x, y, proposals.z])
 

@@ -235,8 +235,6 @@ def min_weight_full_bipartite_matching(weights, rows, cols, shape):
 def _solve_raw(costs):
     """Max-cardinality, then min-cost pairs via big-M substitution."""
     finite = np.isfinite(costs)
-    if not finite.any():
-        return []
     big = costs[finite].sum() + 1.0
     rows, cols = linear_sum_assignment(np.where(finite, costs, big))
     # The solver returns rows sorted, so the kept pairs are sorted too.
@@ -260,8 +258,6 @@ def _solve_sparse(cost):
     edges, and its total rises by the same amount."""
     P, G = cost.shape
     rows, cols, values = cost.cells
-    if not len(values):
-        return []
     big = values.sum() + 1.0
     real_rows, real_cols = np.arange(P), np.arange(G)
     weights = np.concatenate([values, np.full(P + G, big), np.zeros(len(values))]) + 1.0
@@ -321,16 +317,15 @@ def _canonical_pairs(costs, optimum, unit=1.0):
     return pairs
 
 
-def _cost_scale(cost, values):
-    """1.0, or the power of two that ``solve_assignment`` multiplies
-    ``cost`` by, ``values`` being its finite costs.  A big-M total of the
-    matrix is at most P + G + 2 times their sum, and their sum at most
-    their count times their largest, so the scale keeps that bound below
+def _cost_scale(cost):
+    """1.0, or the power of two that ``solve_assignment`` multiplies the
+    CostMatrix ``cost`` by.  A big-M total of the matrix is at most P + G + 2
+    times the sum of its finite costs, and that sum at most their count
+    times their largest, so the scale keeps that bound below
     2 ** ``_MAX_EXPONENT``.  A power of two scales every cost exactly, bar
     costs that fall below the normal float range."""
-    if not len(values):
-        return 1.0
-    exponent = (math.frexp(values.max())[1] + len(values).bit_length()
+    values = cost.cells[2]
+    exponent = (math.frexp(values.max(initial=0.0))[1] + len(values).bit_length()
                 + (sum(cost.shape) + 2).bit_length())
     return math.ldexp(1.0, min(0, _MAX_EXPONENT - exponent))
 
@@ -352,21 +347,23 @@ def solve_assignment(cost):
     margin of 1 or overflow.  Such a matrix is first multiplied by a power
     of two (``_cost_scale``) and solved so scaled; any other is solved as
     given.
+
+    A known limit, not yet mended: the dense solve fills the infeasible
+    cells with big-M, the sum of the finite costs plus 1, so its totals
+    hold about 2 ** -52 of big-M in precision.  Costs that differ by less
+    vanish in them, and the result need not be optimal: [[2 ** 60, inf,
+    1.625], [0, inf, 2 ** 61], [0, inf, 1.375]] gives ((0, 2), (1, 0)),
+    total 1.625, where ((1, 0), (2, 2)) totals 1.375.
     """
     cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     P, G = cost.shape
-    sparse = max(P, G) > _CANONICAL_LIMIT
-    scale = _cost_scale(cost, cost.cells[2] if sparse
-                        else cost.costs[np.isfinite(cost.costs)])
+    scale = _cost_scale(cost)
     if scale < 1.0:
         rows, cols, values = cost.cells
         cost = unchecked(CostMatrix, shape=cost.shape, cells=(rows, cols, values * scale))
-    if sparse:
+    if max(P, G) > _CANONICAL_LIMIT:
         return _matching(_solve_sparse(cost), P, G)
-    pairs = _solve_raw(cost.costs)
-    if pairs:
-        pairs = _canonical_pairs(cost.costs, pairs, scale)
-    return _matching(pairs, P, G)
+    return _matching(_canonical_pairs(cost.costs, _solve_raw(cost.costs), scale), P, G)
 
 
 def _matching(pairs, proposal_count, gt_count):

@@ -163,9 +163,6 @@ class _FramePairs:
     def __init__(self, pred, gt):
         self.px, self.pz, self.pv, self.conf = pred
         self.gx, self.gz, self.gv, _ = gt
-        self.shape = (len(self.px), len(self.gx))
-        if 0 in self.shape:
-            return
         self.dist = np.hypot(self.px[:, None, :] - self.gx[None, :, :],
                              self.pz[:, None, :] - self.gz[None, :, :])
         self.both = self.pv[:, None, :] & self.gv[None, :, :]
@@ -177,8 +174,6 @@ class _FramePairs:
     def admissible_cost(self, threshold):
         """Pair cost matrix: mean both-valid distance, inf when inadmissible.
         An admissible pair has inliers, so its mean distance is defined."""
-        if 0 in self.shape:
-            return np.full(self.shape, np.inf)
         inliers = (self.both & (self.dist <= threshold)).sum(axis=2)
         admissible = inliers / self.gt_counts >= INLIER_FRACTION
         return np.where(admissible, self.mean_dist, np.inf)
@@ -189,8 +184,6 @@ class _FramePairs:
         already checked, so they are read without the array rule.  Each
         pair's sums are taken over its own samples and added in pair order."""
         sums = np.zeros(4)
-        if not pairs:
-            return sums, np.zeros(4)
         p, g = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
         both = self.pv[p] & self.gv[g]
         near, far = both & near_mask, both & ~near_mask

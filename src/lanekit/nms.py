@@ -52,6 +52,11 @@ import numpy as np
 from .errors import (FINITE, INT64, UNIT, ValidationError, check_int, check_real, float_array,
                      int_array)
 
+# PointNMS's box scale factor ``r`` and IoU threshold ``t``, the defaults of
+# ``point_nms`` and of ``pipeline.suppress`` and ``run_pipeline``.
+NMS_R = 10
+NMS_IOU_THRESH = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class Keypoint:
@@ -205,7 +210,7 @@ def round_half_away(values):
     return np.trunc(values + np.copysign(0.5, values)).astype(np.int64)
 
 
-def build_nms_boxes(points_xy, thresh_x, thresh_y, r=10):
+def build_nms_boxes(points_xy, thresh_x, thresh_y, r=NMS_R):
     """Integer boxes of size (r*thresh_x, r*thresh_y) centered at r*point.
 
     Rows are (x1, y1, x2, y2).  ``thresh_x``, ``thresh_y`` and ``r`` must be
@@ -371,7 +376,7 @@ def box_nms(boxes, scores, iou_thresh):
     return order[kept]
 
 
-def point_nms(points_xy, scores, thresh_x, thresh_y, r=10, iou_thresh=0.1):
+def point_nms(points_xy, scores, thresh_x, thresh_y, r=NMS_R, iou_thresh=NMS_IOU_THRESH):
     """Point suppression via box construction; returns kept indices by score.
     The arguments follow ``build_nms_boxes`` and ``box_nms``."""
     return box_nms(build_nms_boxes(points_xy, thresh_x, thresh_y, r), scores, iou_thresh)

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_int
-from .graph import extract_lanes
-from .nms import ProposalSet, infer_nms_thresholds, point_nms
+from .graph import EDGE_THRESHOLD, extract_lanes
+from .nms import NMS_IOU_THRESH, NMS_R, ProposalSet, infer_nms_thresholds, point_nms
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ def _survivors(frame, thresh_x, thresh_y, r, iou_thresh):
                              thresh_x, thresh_y, r=r, iou_thresh=iou_thresh))
 
 
-def suppress(frame, thresh_x=None, thresh_y=None, r=10, iou_thresh=0.1):
+def suppress(frame, thresh_x=None, thresh_y=None, r=NMS_R, iou_thresh=NMS_IOU_THRESH):
     """PointNMS on a frame's proposals.
 
     A threshold left as None is inferred with ``infer_nms_thresholds``.
@@ -38,8 +38,8 @@ def suppress(frame, thresh_x=None, thresh_y=None, r=10, iou_thresh=0.1):
     return keep, frame.keypoints.subset(keep), frame.adjacency[np.ix_(keep, keep)]
 
 
-def run_pipeline(frame, t_a=0.5, thresh_x=None, thresh_y=None, r=10,
-                 iou_thresh=0.1, min_lane_points=2):
+def run_pipeline(frame, t_a=EDGE_THRESHOLD, thresh_x=None, thresh_y=None, r=NMS_R,
+                 iou_thresh=NMS_IOU_THRESH, min_lane_points=2):
     """Runs PointNMS on the frame (as ``suppress`` does) and extracts lane
     instances from the survivors, dropping any shorter than
     ``min_lane_points``.  The lane graph is read from the survivors' rows

@@ -11,8 +11,8 @@ the keypoint of lane l on row r is target ``l * rows + r``.  The adjacency
 is 1.0 from every proposal of target t to every proposal of target t + 1
 of the same lane, and true edges are nothing else: a target whose
 proposals all dropped out leaves no edge across it.  Distractor edges are
-sampled either safely below ``EDGE_THRESHOLD`` (default) or above it
-(``strong_distractors``) to stress path selection.
+sampled either safely below ``EDGE_THRESHOLD``, graph's default ``t_a``,
+or, with ``strong_distractors``, above it, to stress path selection.
 
 Everything is a pure function of the seed: the same spec and grid always
 produce byte-identical frames.
@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FINITE, ValidationError, check_int, check_real, float_array
+from .graph import EDGE_THRESHOLD
 from .io import PredictionFrame
 from .matching import GroundTruthKeypoint, _same_row_pairs
 from .metrics import GroundTruthLane
 from .nms import ProposalSet, as_proposal_set
-
-# Distractor edges are drawn below or above this adjacency value, the
-# ``t_a`` that ``extract_lanes`` and ``run_pipeline`` default to.
-EDGE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,16 @@ class TestPredictionFrame:
                            match=r"^keypoints\[0\]\.x: expected a rectangular array of numbers$"):
             load_prediction_frame(path)
 
+    @pytest.mark.parametrize("camera, kind", [(5, "int"), (["a"], "list")])
+    def test_camera_must_be_a_string_or_null(self, tmp_path, camera, kind):
+        path = tmp_path / "frame.json"
+        save_prediction_frame(make_frame(np.random.default_rng(6)), path)
+        raw = json.loads(path.read_text())
+        raw["camera"] = camera
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=f"^camera: expected str or null, got {kind}$"):
+            load_prediction_frame(path)
+
     def test_class_scores_length_must_match_header(self, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "frame.json"

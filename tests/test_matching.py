@@ -411,7 +411,7 @@ class TestCostsNearTheFloatLimit:
             costs = rng.integers(0, 16, shape) * unit
             costs[rng.random(shape) < 0.25] = np.inf
             matrix = CostMatrix(costs)
-            scale = matching._cost_scale(matrix, matrix.cells[2])
+            scale = matching._cost_scale(matrix)
             scaled += scale < 1.0
             assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs * scale))
         assert 100 < scaled < 300
@@ -425,10 +425,19 @@ class TestCostsNearTheFloatLimit:
         assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
             == ((1, 2), (2, 1), (3, 0))
 
+    @pytest.mark.xfail(strict=True, reason="costs far below big-M vanish in the dense "
+                       "solver's totals; see the FOUND line on solve_assignment in CHANGES.md")
+    def test_costs_far_below_big_m_still_decide(self):
+        # Known limit: the solver gives ((0, 2), (1, 0)), total 1.625.
+        u = 2.0 ** 60
+        costs = np.array([[u, np.inf, 1.625], [0.0, np.inf, 2 * u], [0.0, np.inf, 1.375]])
+        assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
+            == ((1, 0), (2, 2))
+
     @pytest.mark.parametrize("value, scale", [(1e3, 1.0), (1e7, 0.25), (1e16, 2.0 ** -32)])
     def test_only_large_costs_are_scaled(self, value, scale):
         costs = np.full((40, 40), value)
-        assert matching._cost_scale(CostMatrix(costs), costs.ravel()) == scale
+        assert matching._cost_scale(CostMatrix(costs)) == scale
 
     def test_a_cost_past_2_to_the_53_keeps_its_pair(self):
         # big-M = sum + 1 is the sum itself from 2 ** 53, and tied the cell.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanekit import nms
 from lanekit.errors import ValidationError
 from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.graph import aggregate_lane_attributes, extract_lanes
@@ -563,6 +564,17 @@ def assert_matches_dense(boxes, scores, iou_thresh):
     assert got.tolist() == dense_reference_nms(boxes, scores, iou_thresh)
 
 
+def assert_matches_dense_in_blocks(boxes, scores, iou_thresh):
+    """``assert_matches_dense``, also with the candidate pairs tested in
+    blocks of 1, 7 and 64 pairs, so that one box's candidates end up split
+    from the next box's."""
+    assert_matches_dense(boxes, scores, iou_thresh)
+    for pair_block in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nms, "_PAIR_BLOCK", pair_block)
+            assert_matches_dense(boxes, scores, iou_thresh)
+
+
 class TestBucketedMatchesDense:
     """``box_nms`` against the dense pairwise sweep, keep order included."""
 
@@ -581,13 +593,14 @@ class TestBucketedMatchesDense:
         rng = np.random.default_rng(int(iou_thresh * 10) + 40)
         for _ in range(20):
             n = int(rng.integers(1, 200))
-            assert_matches_dense(random_boxes(rng, n), tied_scores(rng, n), iou_thresh)
+            assert_matches_dense_in_blocks(random_boxes(rng, n), tied_scores(rng, n),
+                                           iou_thresh)
 
     def test_all_boxes_zero_area_and_coincident(self):
         boxes = np.zeros((5, 4))
         for iou_thresh in (0.0, 0.5, 1.0):
             assert box_nms(boxes, np.zeros(5), iou_thresh).tolist() == [0, 1, 2, 3, 4]
-            assert_matches_dense(boxes, np.zeros(5), iou_thresh)
+            assert_matches_dense_in_blocks(boxes, np.zeros(5), iou_thresh)
 
     def test_iou_one_keeps_even_exact_duplicates(self):
         boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 10], [1, 0, 11, 10]])
@@ -600,9 +613,9 @@ class TestBucketedMatchesDense:
         boxes = random_boxes(rng, 400, span=2000, max_side=12)
         boxes[123] = [-5000, -5000, 5000, 5000]
         scores = tied_scores(rng, 400)
-        assert_matches_dense(boxes, scores, iou_thresh)
+        assert_matches_dense_in_blocks(boxes, scores, iou_thresh)
         scores[123] = 1.0
-        assert_matches_dense(boxes, scores, iou_thresh)
+        assert_matches_dense_in_blocks(boxes, scores, iou_thresh)
 
     @pytest.mark.parametrize("iou_thresh", [0.0, 0.1, 0.5])
     def test_boxes_far_apart(self, iou_thresh):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -244,3 +247,52 @@ class TestGraphFromKeptRows:
         assert calls.count("aggregate_lane_attributes") == len(lanes)
         assert [c for c in calls if c != "aggregate_lane_attributes"] == [
             "point_nms", "build_nms_boxes", "box_nms", "extract_lanes", "threshold_adjacency"]
+
+
+# Parameters whose default one module constant owns: ``graph.EDGE_THRESHOLD``
+# for ``t_a``, ``nms.NMS_R`` for ``r`` and ``nms.NMS_IOU_THRESH`` for
+# ``iou_thresh``.
+OWNED_DEFAULTS = {"t_a", "r", "iou_thresh"}
+
+
+def _literal_defaults(source):
+    """``line: name`` of each parameter in ``OWNED_DEFAULTS`` that some
+    function of ``source`` gives a literal default other than None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        defaults = [*zip(positional[len(positional) - len(node.args.defaults):],
+                         node.args.defaults),
+                    *zip(node.args.kwonlyargs, node.args.kw_defaults)]
+        for arg, default in defaults:
+            if arg.arg not in OWNED_DEFAULTS or default is None:
+                continue
+            try:
+                literal = ast.literal_eval(default) is not None
+            except ValueError:
+                literal = False
+            if literal:
+                found.append(f"{default.lineno}: {arg.arg}")
+    return found
+
+
+def test_guard_finds_a_literal_default():
+    source = ("def a(t_a=0.5, r=NMS_R, *, iou_thresh=-0.1): pass\n"
+              "def b(x, r=None, t_a=graph.EDGE_THRESHOLD): pass\n"
+              "f = lambda r=(10): r\n")
+    assert _literal_defaults(source) == ["1: t_a", "1: iou_thresh", "3: r"]
+    pipeline = Path(lanekit.pipeline.__file__).read_text()
+    assert pipeline.count("r=NMS_R,") == 2
+    planted = _literal_defaults(pipeline.replace("r=NMS_R,", "r=10,"))
+    assert [finding.split(": ")[1] for finding in planted] == ["r", "r"]
+
+
+def test_inference_defaults_have_one_owner():
+    """``t_a``, ``r`` and ``iou_thresh`` default to the module constants
+    everywhere in the library, never to a restated literal."""
+    package = Path(lanekit.pipeline.__file__).parent
+    found = {path.name: _literal_defaults(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
