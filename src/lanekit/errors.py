@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the checks that raise
 them naming the offending argument, field or row: ``check_real`` and
-``check_int``, the one rule for scalar arguments, and ``float_array`` and
+``check_int``, the one rule for scalar arguments, ``float_array`` and
 ``int_array``, the one rule for array arguments and the ranges of their
-values."""
+values, and ``bool_array``, the rule for masks."""
 
 import math
 from itertools import chain
@@ -137,6 +137,22 @@ def int_array(values, name, shape=None, row_name=None, within=None):
         _within(entries, name, row_name, *INT64)
     array = array.astype(np.int64, copy=False)
     return array if within is None else _within(array, name, row_name, *within)
+
+
+def bool_array(values, name, shape):
+    """``values`` as a boolean array of exactly ``shape``, a mask; anything
+    else, numbers such as 0 and 1 included, raises ValidationError naming
+    ``name``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.dtype.kind != "b":
+        raise ValidationError(f"{name}: expected a boolean array, got "
+                              + ("a ragged list" if array is None else str(array.dtype)))
+    if array.shape != tuple(shape):
+        raise ValidationError(f"{name} must have shape {tuple(shape)}, got {array.shape}")
+    return array
 
 
 def _within(array, name, row_name, low, high, ends):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FINITE, NoGroundIntersection, ValidationError, check_int, check_real,
-                     float_array)
+from .errors import (FINITE, NoGroundIntersection, ValidationError, bool_array, check_int,
+                     check_real, float_array)
 
 # Camera-frame depths at or below this are treated as behind the camera.
 MIN_DEPTH_M = 1e-6
@@ -45,6 +45,9 @@ MAX_CAMERA_ENTRY = 1e12
 MAX_IMAGE_SIDE_PX = 2 ** 31 - 1
 # Largest magnitude of any grid coordinate or grid argument, in meters.
 MAX_POSITION_M = 1e100
+# Usable cells that ``bilinear_sample`` gathers at once: two (block, C)
+# buffers that stay in cache (512 was fastest of 64 to 4096 at C = 64).
+_SAMPLE_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +268,18 @@ def build_custom_grid(rows, cols, spacing_near=0.5, spacing_far=1.5,
 class ProjectionMap:
     """Sub-pixel image coordinates of every grid cell plus a validity mask.
 
-    A cell is invalid exactly when its ground point is behind the camera or
-    projects outside the image.
+    ``pixel_coords`` is (rows, cols, 2), each cell's (u, v), and ``valid`` a
+    boolean (rows, cols) mask.  A cell is invalid exactly when its ground
+    point is behind the camera or projects outside the image.
     """
 
     pixel_coords: np.ndarray
     valid: np.ndarray
+
+    def __post_init__(self):
+        coords = float_array(self.pixel_coords, "pixel_coords", (None, None, 2))
+        object.__setattr__(self, "pixel_coords", coords)
+        object.__setattr__(self, "valid", bool_array(self.valid, "valid", coords.shape[:2]))
 
 
 def project_points(points_ego, camera):
@@ -334,34 +343,50 @@ def unproject_pixel_to_ground(camera, pixel, ground_height=0.0):
 def bilinear_sample(feature_map, pmap):
     """Samples (H', W', C) features at the projection map's pixel coordinates.
 
-    Invalid cells and coordinates outside the feature map yield zero vectors;
+    Invalid cells and coordinates outside the feature map yield zero vectors,
+    so a feature map with no rows or no columns yields zeros everywhere;
     interior samples are convex combinations of the 4 surrounding pixels.
+
+    Only the usable cells are sampled, ``_SAMPLE_BLOCK`` of them at a time:
+    each block gathers its four taps into two buffers the size of the block,
+    weights them and sums them in the order of the plain four-tap sum
+    a + b + c + d, so every output is bit for bit that sum, a NaN from
+    ``0 * inf`` included.
     """
     fmap = float_array(feature_map, "feature_map", (None, None, None))
-    h_f, w_f, _ = fmap.shape
+    h_f, w_f, c = fmap.shape
     uv = float_array(pmap.pixel_coords, "pmap.pixel_coords", within=FINITE).reshape(-1, 2)
     u, v = uv[:, 0], uv[:, 1]
-
-    usable = (pmap.valid.reshape(-1)
-              & (u >= 0.0) & (u <= w_f - 1.0) & (v >= 0.0) & (v <= h_f - 1.0))
-    u = np.where(usable, u, 0.0)
-    v = np.where(usable, v, 0.0)
+    cells = np.flatnonzero(pmap.valid.reshape(-1) & (u >= 0.0) & (u <= w_f - 1.0)
+                           & (v >= 0.0) & (v <= h_f - 1.0))
+    u, v = u[cells], v[cells]
 
     x0 = np.floor(u).astype(int)
     y0 = np.floor(v).astype(int)
     x1 = np.minimum(x0 + 1, w_f - 1)
-    y1 = np.minimum(y0 + 1, h_f - 1)
+    top = y0 * w_f
+    bottom = np.minimum(y0 + 1, h_f - 1) * w_f
     wx = u - x0
     wy = v - y0
+    taps = ((top + x0, (1 - wy) * (1 - wx)), (top + x1, (1 - wy) * wx),
+            (bottom + x0, wy * (1 - wx)), (bottom + x1, wy * wx))
 
-    # The four weighted taps summed in place, in the order of the plain sum
-    # a + b + c + d, so the bits are its own without its large temporaries.
-    out = fmap[y0, x0]
-    out *= ((1 - wy) * (1 - wx))[:, np.newaxis]
-    for rows, cols, weight in ((y0, x1, (1 - wy) * wx), (y1, x0, wy * (1 - wx)),
-                               (y1, x1, wy * wx)):
-        tap = fmap[rows, cols]
-        tap *= weight[:, np.newaxis]
-        out += tap
-    out[~usable] = 0.0
-    return out.reshape(pmap.valid.shape + (fmap.shape[2],))
+    # reshape(-1, c) cannot infer the row count of a map with no channels.
+    flat = fmap.reshape(h_f * w_f, c)
+    out = np.zeros((len(uv), c))
+    acc, tap = np.empty((2, min(_SAMPLE_BLOCK, len(cells)), c))
+    (first, first_weight), *rest = taps
+    for start in range(0, len(cells), _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        n = min(_SAMPLE_BLOCK, len(cells) - start)
+        total, term = acc[:n], tap[:n]
+        # Every index is in range; "clip" only spares the copy that the
+        # default mode makes of ``out``.
+        np.take(flat, first[block], axis=0, out=total, mode="clip")
+        total *= first_weight[block, np.newaxis]
+        for index, weight in rest:
+            np.take(flat, index[block], axis=0, out=term, mode="clip")
+            term *= weight[block, np.newaxis]
+            total += term
+        out[cells[block]] = total
+    return out.reshape(pmap.valid.shape + (c,))

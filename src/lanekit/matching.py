@@ -23,9 +23,10 @@ states that rule once; the cost matrix here and
 ``match_keypoints`` duplicates every GT keypoint ``repeats_n`` times, by
 default the proposal set's own ``repeats_n``, so that several co-located
 proposals can all be matched (the duplicates collapse back to the original
-GT id in the result).  With ``strongest=True`` no duplication happens,
-which is the mode used after suppression when one proposal per target
-remains.
+GT id in the result).  The copies are made as cost cells, each feasible
+cell repeated once per copy, not as GT keypoint objects.  With
+``strongest=True`` no duplication happens, which is the mode used after
+suppression when one proposal per target remains.
 """
 
 import math
@@ -384,14 +385,23 @@ def match_keypoints(proposals, gts, repeats_n=None, strongest=False,
     """Matches proposals against GT keypoints, duplicated unless strongest.
 
     Each GT keypoint is duplicated ``repeats_n`` times, by default the
-    proposal set's own ``repeats_n`` (1 for a sequence of Keypoints)."""
+    proposal set's own ``repeats_n`` (1 for a sequence of Keypoints).  The
+    copies are cells, not keypoints: the cost matrix is built on the G
+    keypoints, and each of its cells (p, g) becomes the ``repeats_n`` cells
+    (p, g * repeats_n + k) of equal cost.  They stay in row-major order, so
+    the matrix is the one built on a list holding each keypoint that many
+    times over."""
     if repeats_n is not None:
-        check_int(repeats_n, "repeats_n", 1)
+        repeats_n = check_int(repeats_n, "repeats_n", 1)
     proposals = as_proposal_set(proposals)
     gts = list(gts)
     repeats = 1 if strongest else repeats_n or proposals.repeats_n
-    duplicated = [g for g in gts for _ in range(repeats)]
-    raw = solve_assignment(build_cost_matrix(proposals, duplicated, lambda_dist, lambda_cls))
+    cost = build_cost_matrix(proposals, gts, lambda_dist, lambda_cls)
+    (P, G), (rows, cols, values) = cost.shape, cost.cells
+    copies = (cols[:, np.newaxis] * repeats + np.arange(repeats)).reshape(-1)
+    cost = unchecked(CostMatrix, shape=(P, G * repeats),
+                     cells=(np.repeat(rows, repeats), copies, np.repeat(values, repeats)))
+    raw = solve_assignment(cost)
     return _matching([(p, g // repeats) for p, g in raw.pairs], len(proposals), len(gts))
 
 

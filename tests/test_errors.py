@@ -356,6 +356,13 @@ REJECTED_ARRAYS = {
     "feature_map_bool": (lambda: bilinear_sample(np.ones((2, 2, 1), bool), pmap()),
                          "feature_map"),
     "feature_map_shape": (lambda: bilinear_sample(np.ones((2, 2)), pmap()), "feature_map"),
+    # An integer mask once indexed cells by ~1 == -2, and a mask of another
+    # shape reshaped the samples to its own.
+    "pmap_valid_integers": (lambda: ProjectionMap(np.ones((1, 2, 2)), [[1, 0]]), "valid"),
+    "pmap_valid_shape": (lambda: ProjectionMap(np.ones((1, 2, 2)), np.ones((2, 1), bool)),
+                         "valid"),
+    "pmap_pixel_coords_shape": (lambda: ProjectionMap(np.ones((1, 2)), np.ones((1, 2), bool)),
+                                "pixel_coords"),
     "head_w1_bool": (lambda: HeadWeights(**head_fields(origin_w1=np.ones((6, 3), bool))),
                      "origin_w1"),
     "head_w1_nan": (lambda: HeadWeights(**head_fields(origin_w1=np.full((6, 3), NAN))),

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanekit import geometry
 from lanekit.errors import NoGroundIntersection, ValidationError
 from lanekit.geometry import (
     MAX_POSITION_M,
     AnchorGrid,
     CameraModel,
+    ProjectionMap,
     bilinear_sample,
     build_custom_grid,
     build_uniform_grid,
@@ -273,14 +275,74 @@ class TestUnprojection:
         assert_allclose(back, pt, atol=1e-6)
 
 
+def four_tap_reference(fmap, pmap):
+    """The plain bilinear formula, cell by cell: the weighted taps a, b, c
+    and d summed as a + b + c + d, and zeros for a cell that is invalid or
+    outside the map."""
+    h_f, w_f, channels = fmap.shape
+    uv = pmap.pixel_coords.reshape(-1, 2)
+    out = np.zeros((len(uv), channels))
+    for i, ((u, v), ok) in enumerate(zip(uv, pmap.valid.reshape(-1))):
+        if not (ok and 0.0 <= u <= w_f - 1.0 and 0.0 <= v <= h_f - 1.0):
+            continue
+        x0, y0 = int(np.floor(u)), int(np.floor(v))
+        x1, y1 = min(x0 + 1, w_f - 1), min(y0 + 1, h_f - 1)
+        wx, wy = u - x0, v - y0
+        a = fmap[y0, x0] * ((1 - wy) * (1 - wx))
+        b = fmap[y0, x1] * ((1 - wy) * wx)
+        c = fmap[y1, x0] * (wy * (1 - wx))
+        d = fmap[y1, x1] * (wy * wx)
+        out[i] = a + b + c + d
+    return out.reshape(pmap.valid.shape + (channels,))
+
+
 class TestBilinearSample:
     @staticmethod
     def pmap(uv, valid=None):
         uv = np.asarray(uv, float)
         if valid is None:
             valid = np.ones(uv.shape[:-1], bool)
-        from lanekit.geometry import ProjectionMap
         return ProjectionMap(pixel_coords=uv, valid=np.asarray(valid, bool))
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    def test_bit_identical_to_the_four_tap_sum(self, block, monkeypatch):
+        """More cells than one block, cells on the last row and column
+        exactly, invalid and out-of-range cells, and an infinite feature
+        that a clamped tap weighs by 0 (a NaN in the sum); with the block
+        size patched too, so that blocks split anywhere."""
+        if block is not None:
+            monkeypatch.setattr(geometry, "_SAMPLE_BLOCK", block)
+        rng = np.random.default_rng(3)
+        h_f, w_f = 7, 9
+        fmap = rng.normal(size=(h_f, w_f, 5))
+        fmap[2, w_f - 1] = np.inf
+        fmap[h_f - 1, 4, 1] = -np.inf
+        uv = np.column_stack([rng.uniform(-1.0, w_f, 1300), rng.uniform(-1.0, h_f, 1300)])
+        uv[:40, 0] = w_f - 1.0
+        uv[40:80, 1] = h_f - 1.0
+        uv[80:90] = (w_f - 1.0, 2.5)
+        uv[90:100] = (4.25, h_f - 1.0)
+        valid = rng.random(1300) < 0.8
+        pmap = self.pmap(uv.reshape(26, 50, 2), valid.reshape(26, 50))
+        with np.errstate(invalid="ignore"):
+            got = bilinear_sample(fmap, pmap)
+            want = four_tap_reference(fmap, pmap)
+        assert np.isnan(want).any()
+        assert got.shape == want.shape == (26, 50, 5)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (0, 0, 3)])
+    def test_a_map_without_rows_or_columns_gives_zeros(self, shape):
+        # Every coordinate lies outside such a map.
+        out = bilinear_sample(np.ones(shape), self.pmap([[[0.0, 0.0], [1.0, 2.0]]]))
+        assert out.shape == (1, 2, 3)
+        assert not out.any()
+
+    def test_no_channels_and_no_cells(self):
+        fmap = np.ones((4, 4, 0))
+        assert bilinear_sample(fmap, self.pmap([[[1.0, 1.0]], [[2.5, 0.5]]])).shape == (2, 1, 0)
+        assert bilinear_sample(np.ones((4, 4, 3)), self.pmap(np.empty((0, 6, 2)))).shape \
+            == (0, 6, 3)
 
     def test_pixel_center_returns_that_pixel(self):
         fmap = np.arange(24, dtype=float).reshape(4, 3, 2)

@@ -531,6 +531,32 @@ class TestMatchKeypoints:
             == ((0, 0), (1, 0))
         assert match_keypoints(props, [gt(1, 2.0)]).pairs == ((0, 0),)
 
+    @pytest.mark.parametrize("repeats_n", [1, 2, 3, 4, np.int64(3)])
+    @pytest.mark.parametrize("n_props, n_gts", [(16, 6), (40, 12)])
+    def test_expanded_cells_equal_the_duplicated_list(self, monkeypatch, repeats_n, n_props,
+                                                      n_gts):
+        """The matrix solved, with dense (up to 24 x 24) and sparse sizes, is
+        bit for bit the one built on each GT keypoint ``repeats_n`` times
+        over, and the pairs are that matrix's."""
+        solved = []
+
+        def recording_solve(cost):
+            solved.append(cost)
+            return solve_assignment(cost)
+
+        monkeypatch.setattr(matching, "solve_assignment", recording_solve)
+        rng = np.random.default_rng(100 + n_props)
+        for _ in range(5):
+            props, gts = random_case(rng, n_props=n_props, n_gts=n_gts)
+            got = match_keypoints(props, gts, repeats_n=repeats_n)
+            want = build_cost_matrix(props, [g for g in gts for _ in range(repeats_n)])
+            assert solved[-1].shape == want.shape
+            assert all(type(n) is int for n in solved[-1].shape)
+            for have, expected in zip(solved[-1].cells, want.cells, strict=True):
+                assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+            pairs = sorted((p, g // repeats_n) for p, g in solve_assignment(want).pairs)
+            assert got.pairs == tuple(pairs)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
     def test_reported_pairs_respect_all_constraints(self, seed, strongest):

@@ -91,3 +91,22 @@ def test_counts_and_span_names_read_real_calls(tmp_path, monkeypatch, capsys):
     names = [wrap.span(*call[:2]) for wrap in reading if callable(wrap.span)
              for call in calls[wrap]]
     assert names == ["matching.match_dup", "matching.match_strongest"]
+
+
+def test_match_keypoints_reaches_cost_and_solve_once_each(monkeypatch):
+    """The benchmark's ``matching.build_cost_ms`` and ``matching.solve_ms``
+    spans wrap ``build_cost_matrix`` and ``solve_assignment`` as attributes
+    of ``lanekit.matching``, so every ``match_keypoints`` call must reach
+    each of them through that module, exactly once."""
+    calls = {"build_cost_matrix": [], "solve_assignment": []}
+    for attr, seen in calls.items():
+        monkeypatch.setattr(matching, attr, _recorder(getattr(matching, attr), seen))
+    grid = build_uniform_grid(rows=12, cols=32, y_range=(3.0, 58.0), x_range=(-8.0, 8.0))
+    gt, frame = generate_scene(SceneSpec(seed=2, sigma_x=0.05, dropout_p=0.1), grid)
+    gts = gt_keypoints(gt, grid)
+    for options in ({"repeats_n": 2}, {"strongest": True}, {}):
+        matching.match_keypoints(frame.keypoints, gts, **options)
+        assert {attr: len(seen) for attr, seen in calls.items()} \
+            == {"build_cost_matrix": 1, "solve_assignment": 1}, options
+        for seen in calls.values():
+            seen.clear()
