@@ -125,7 +125,13 @@ def adjacency_forward(features, weights):
 
 
 def random_head_weights(seed, d_c, dims_per_axis=32, hidden=64, embed=32):
-    """Seeded Gaussian weights (1/sqrt(fan-in) scale) for tests and demos."""
+    """Seeded Gaussian weights (1/sqrt(fan-in) scale) for tests and demos.
+    ``d_c`` is a non-negative integer; ``dims_per_axis``, ``hidden`` and
+    ``embed`` are positive ones."""
+    d_c = check_int(d_c, "d_c", 0)
+    dims_per_axis = check_int(dims_per_axis, "dims_per_axis", 1)
+    hidden = check_int(hidden, "hidden", 1)
+    embed = check_int(embed, "embed", 1)
     rng = np.random.default_rng(seed)
     d_in = 2 * dims_per_axis + d_c
 

@@ -283,12 +283,13 @@ class ProjectionMap:
 
 
 def project_points(points_ego, camera):
-    """Projects (N, 3) ego-frame points; returns ((N, 2) pixels, (N,) depths).
+    """Projects (N, 3) ego-frame points, each coordinate finite; returns
+    ((N, 2) pixels, (N,) depths).
 
     A point at depth at most ``MIN_DEPTH_M`` may get infinite or NaN pixels;
     deeper points within the bound stated on ``CameraModel`` get finite ones.
     """
-    pts = float_array(points_ego, "points_ego", (None, 3))
+    pts = float_array(points_ego, "points_ego", (None, 3), within=FINITE)
     homog = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
     cam = homog @ camera.extrinsic.T
     depth = cam[:, 2]

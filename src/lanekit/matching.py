@@ -10,9 +10,10 @@ pairs.
 
 Feasible pairs are few (under 1% of a training sample's cells), so a
 ``CostMatrix`` holds its finite cells and makes the dense P x G view only
-when it is read.  ``solve_assignment`` solves a matrix of up to 24 x 24
-dense, with an exact lexicographic tie-break, and a larger one on its
-finite cells alone with scipy's sparse solver.
+when it is read.  Those cells split into tiny connected components, and
+``solve_assignment`` solves each on its own: single cells, stars and a GT
+keypoint's copies in closed form, any other component with scipy.  Its
+docstring states the rule.
 
 A proposal and a GT keypoint are on the same row when the GT keypoint's
 ``row`` is the proposal's grid row or, for a GT keypoint without a ``row``,
@@ -32,7 +33,7 @@ suppression when one proposal per target remains.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain
 
 import numpy as np
 
@@ -44,8 +45,8 @@ from .nms import as_proposal_set
 MAX_REFINED_DIST_M = 1.0
 MAX_ANCHOR_DIST_M = 2.0
 
-# Up to this size a matrix is solved dense and its tied optima resolve to
-# the lexicographically smallest pair list; above it the sparse solver's
+# Up to this size a component is solved dense and its tied optima resolve
+# to the lexicographically smallest pair list; above it the sparse solver's
 # own optimum is reported as-is.
 _CANONICAL_LIMIT = 24
 
@@ -282,7 +283,7 @@ def _canonical_pairs(costs, optimum, unit=1.0):
     that sub-solve's pairs.  A row the current optimum leaves unmatched
     tries every finite column.  Totals within 1e-9 of each other, relative
     to the larger of ``unit`` and the optimum's total, tie; ``unit`` is the
-    scale ``solve_assignment`` applied, so that the walk is the same on a
+    scale ``_solve_component`` applied, so that the walk is the same on a
     scaled matrix.
     """
     cells = costs.tolist()
@@ -319,7 +320,7 @@ def _canonical_pairs(costs, optimum, unit=1.0):
 
 
 def _cost_scale(cost):
-    """1.0, or the power of two that ``solve_assignment`` multiplies the
+    """1.0, or the power of two that ``_solve_component`` multiplies the
     CostMatrix ``cost`` by.  A big-M total of the matrix is at most P + G + 2
     times the sum of its finite costs, and that sum at most their count
     times their largest, so the scale keeps that bound below
@@ -331,53 +332,175 @@ def _cost_scale(cost):
     return math.ldexp(1.0, min(0, _MAX_EXPONENT - exponent))
 
 
-def solve_assignment(cost):
-    """One-to-one assignment: max cardinality, then min total cost.
+def _row_blocks(rows, cols, values, n_cols):
+    """The closed form of cells that make complete blocks whose cost depends
+    on the row only, as (picked, broken): the indices of the picked cells,
+    and per cell whether that shape breaks at it.
 
-    Up to 24 x 24 the matrix is solved dense, and ties between equal-cost
-    optima resolve to the lexicographically smallest pair list.  The
-    tie-break starts from the solver's optimum, so a row keeps its optimal
-    column unless a smaller one also leads to an optimum, and a matrix
-    whose optimum is already the smallest costs no solve beyond the first.
-    A larger matrix is solved on its finite cells alone by the sparse
-    solver (``_solve_sparse``), and among equal-cost optima its own
-    deterministic one is returned, which need not be the smallest.
+    The cells are in row-major order.  Each row is keyed by its first
+    column, and the cells make such blocks iff each row's cells share one
+    cost, each column's rows share one key, and each row holds all of its
+    key's columns.  Both hold per connected component, so the picks of a
+    component with no broken cell are its own.  A block of R rows and C
+    columns picks its min(R, C) cheapest rows by (cost, row), and pairs them
+    in row order with its columns in ascending order: the block's i-th
+    picked row takes its own i-th cell."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(first)
+    row_of = np.cumsum(first) - 1
+    key, cost = cols[starts], values[starts]
+    cell_key = key[row_of]
+    col_key = np.full(n_cols, -1)
+    col_key[cols] = cell_key
+    width = np.bincount(col_key[col_key >= 0], minlength=n_cols)[key]
+    length = np.bincount(row_of)
+    broken = (values != cost[row_of]) | (col_key[cols] != cell_key) | (length != width)[row_of]
+    # Rows by (key, cost, row): fewer than the block's width rank before a
+    # picked row.  Picked rows by (key, row) then take their rank's cell.
+    order = np.lexsort((cost, key))
+    by_key = key[order]
+    order = np.sort(order[np.arange(len(order)) - np.searchsorted(by_key, by_key)
+                          < width[order]])
+    order = order[np.argsort(key[order], kind="stable")]
+    by_key = key[order]
+    rank = np.arange(len(order)) - np.searchsorted(by_key, by_key)
+    # Only a row where the shape breaks may hold fewer cells than its rank.
+    held = rank < length[order]
+    return starts[order[held]] + rank[held], broken
 
-    Where the largest finite cost, times their count, times P + G + 2
-    could reach 2 ** 40 (about 1.1e12), a big-M total could lose big-M's
-    margin of 1 or overflow.  Such a matrix is first multiplied by a power
-    of two (``_cost_scale``) and solved so scaled; any other is solved as
-    given.
 
-    A known limit, not yet mended: the dense solve fills the infeasible
-    cells with big-M, the sum of the finite costs plus 1, so its totals
-    hold about 2 ** -52 of big-M in precision.  Costs that differ by less
-    vanish in them, and the result need not be optimal: [[2 ** 60, inf,
-    1.625], [0, inf, 2 ** 61], [0, inf, 1.375]] gives ((0, 2), (1, 0)),
-    total 1.625, where ((1, 0), (2, 2)) totals 1.375.
-    """
-    cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
-    P, G = cost.shape
+def _components(rows, cols, n_rows):
+    """Per cell, the smallest row of its connected component, where row r is
+    node r and column c node ``n_rows`` + c.  Each round hooks every root to
+    the smallest root next to its tree, then points every node at its root;
+    the rounds stop when every cell's two ends share one root."""
+    u, v = rows, cols + n_rows
+    parent = np.arange(n_rows + cols.max(initial=-1) + 1)
+    while True:
+        low = np.minimum(parent[u], parent[v])
+        np.minimum.at(parent, parent[u], low)
+        np.minimum.at(parent, parent[v], low)
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        if np.array_equal(parent[u], parent[v]):
+            return parent[u]
+
+
+def _solve_component(rows, cols, values):
+    """The pairs, as two index arrays, of one connected component's cells,
+    given in row-major order, by the solvers: scaled by ``_cost_scale``,
+    then up to 24 x 24 the dense solve and ``_canonical_pairs``, else
+    ``_solve_sparse``."""
+    row_ids, local_rows = np.unique(rows, return_inverse=True)
+    col_ids, local_cols = np.unique(cols, return_inverse=True)
+    cost = unchecked(CostMatrix, shape=(len(row_ids), len(col_ids)),
+                     cells=(local_rows, local_cols, values))
     scale = _cost_scale(cost)
     if scale < 1.0:
-        rows, cols, values = cost.cells
-        cost = unchecked(CostMatrix, shape=cost.shape, cells=(rows, cols, values * scale))
-    if max(P, G) > _CANONICAL_LIMIT:
-        return _matching(_solve_sparse(cost), P, G)
-    return _matching(_canonical_pairs(cost.costs, _solve_raw(cost.costs), scale), P, G)
+        cost = unchecked(CostMatrix, shape=cost.shape,
+                         cells=(local_rows, local_cols, values * scale))
+    if max(cost.shape) > _CANONICAL_LIMIT:
+        pairs = _solve_sparse(cost)
+    else:
+        pairs = _canonical_pairs(cost.costs, _solve_raw(cost.costs), scale)
+    r, c = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
+    return row_ids[r], col_ids[c]
 
 
-def _matching(pairs, proposal_count, gt_count):
-    """The Matching of the solver's ``pairs``, with every index it leaves
-    out unmatched.  The pairs are (Python int, Python int) tuples with no
-    proposal twice, so Matching's rule holds and is not run again."""
-    pairs = tuple(sorted(pairs))
-    free = [True] * proposal_count, [True] * gt_count
-    for p, g in pairs:
-        free[0][p] = free[1][g] = False
-    return unchecked(Matching, pairs=pairs,
-                     unmatched_proposals=tuple(compress(range(proposal_count), free[0])),
-                     unmatched_gts=tuple(compress(range(gt_count), free[1])))
+def _closed_forms(rows, cols, values, shape):
+    """(picked, rest): the cells that closed forms pick, and the cells of
+    each component that no closed form holds for, one index array each.
+    Each component takes the first form that holds for it: single cells,
+    blocks whose cost depends on the row only, then their transpose.  A
+    form that holds for the whole matrix is taken at once; components are
+    labelled only when none does."""
+    P, G = shape
+    if (rows[1:] > rows[:-1]).all() and np.bincount(cols, minlength=1).max() < 2:
+        return np.arange(len(rows)), []
+    picked, broken = _row_blocks(rows, cols, values, G)
+    if not broken.any():
+        return picked, []
+    order = np.lexsort((rows, cols))
+    by_col, col_broken = _row_blocks(cols[order], rows[order], values[order], P)
+    by_col, col_broken = order[by_col], order[col_broken]
+    if len(col_broken) == 0:
+        return by_col, []
+    component = _components(rows, cols, P)
+    row_bad, col_bad = np.zeros(P, dtype=bool), np.zeros(P, dtype=bool)
+    row_bad[component[broken]] = True
+    col_bad[component[col_broken]] = True
+    picked = np.concatenate([picked[~row_bad[component[picked]]],
+                             by_col[(row_bad & ~col_bad)[component[by_col]]]])
+    rest = np.flatnonzero((row_bad & col_bad)[component])
+    rest = rest[np.argsort(component[rest], kind="stable")]
+    bounds = np.flatnonzero(component[rest][1:] != component[rest][:-1]) + 1
+    return picked, np.split(rest, bounds) if len(rest) else []
+
+
+def solve_assignment(cost):
+    """One-to-one assignment: max cardinality, then min total cost, then the
+    lexicographically smallest sorted pair list.
+
+    The finite cells split into connected components, and each is solved
+    on its own; the matrix's pairs are the union of its components'.  A
+    component takes the first of three closed forms that holds for it, and
+    no solver (``_closed_forms``; each form is first tried on the whole
+    matrix, and components are labelled only when none holds for all of
+    it):
+
+    - a single cell, which is its own pair;
+    - a complete block whose cost depends on the row only (a one-column
+      star, or a GT keypoint's copies), which takes its
+      min(R, C) cheapest rows by (cost, row), paired in row order with its
+      columns in ascending order;
+    - the transpose of that, a complete block whose cost depends on the
+      column only (a one-row star takes its cheapest column by (cost,
+      column)).
+
+    Closed forms compare costs exactly.  Any other component is solved by
+    scipy on its own cells (``_solve_component``).  Up to 24 x 24 it is
+    solved dense, and its tied optima resolve to the lexicographically
+    smallest pair list: the tie-break starts from the solver's optimum, and
+    totals within 1e-9 of each other, relative to the component's total,
+    tie.  A component whose optimum is already the smallest costs no solve
+    beyond the first.  A larger component is solved by the sparse solver
+    (``_solve_sparse``), and among equal-cost optima its own deterministic
+    one is returned, which need not be the smallest.
+
+    Where a component's largest finite cost, times their count, times its
+    rows plus columns plus 2 could reach 2 ** 40 (about 1.1e12), a big-M
+    total could lose big-M's margin of 1 or overflow.  Such a component is
+    first multiplied by a power of two (``_cost_scale``) and solved so
+    scaled; any other is solved as given.
+
+    A known limit, not yet mended: the dense solve fills a component's
+    infeasible cells with big-M, the sum of its finite costs plus 1, so its
+    totals hold about 2 ** -52 of big-M in precision.  Costs that differ by
+    less vanish in them, and the result need not be optimal: [[inf, 1.5,
+    inf], [0, 2 ** 61, 1.375], [inf, 0, inf]], one component, gives ((0, 1),
+    (1, 0)), total 1.5, where ((1, 0), (2, 1)) totals 0.
+    """
+    cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
+    rows, cols, values = cost.cells
+    picked, rest = _closed_forms(rows, cols, values, cost.shape)
+    pairs = [(rows[picked], cols[picked])]
+    pairs += [_solve_component(rows[cells], cols[cells], values[cells]) for cells in rest]
+    p, g = (np.concatenate(side) for side in zip(*pairs))
+    order = np.argsort(p, kind="stable")
+    return _matching(p[order], g[order], *cost.shape)
+
+
+def _matching(rows, cols, proposal_count, gt_count):
+    """The Matching of the solver's pairs (``rows[k]``, ``cols[k]``), index
+    arrays sorted by row with no row twice, with every index they leave out
+    unmatched.  So Matching's rule holds and is not run again."""
+    free_proposals = np.ones(proposal_count, dtype=bool)
+    free_gts = np.ones(gt_count, dtype=bool)
+    free_proposals[rows] = free_gts[cols] = False
+    return unchecked(Matching, pairs=tuple(zip(rows.tolist(), cols.tolist())),
+                     unmatched_proposals=tuple(np.flatnonzero(free_proposals).tolist()),
+                     unmatched_gts=tuple(np.flatnonzero(free_gts).tolist()))
 
 
 def match_keypoints(proposals, gts, repeats_n=None, strongest=False,
@@ -401,8 +524,9 @@ def match_keypoints(proposals, gts, repeats_n=None, strongest=False,
     copies = (cols[:, np.newaxis] * repeats + np.arange(repeats)).reshape(-1)
     cost = unchecked(CostMatrix, shape=(P, G * repeats),
                      cells=(np.repeat(rows, repeats), copies, np.repeat(values, repeats)))
-    raw = solve_assignment(cost)
-    return _matching([(p, g // repeats) for p, g in raw.pairs], len(proposals), len(gts))
+    pairs = solve_assignment(cost).pairs
+    p, g = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
+    return _matching(p, g // repeats, len(proposals), len(gts))
 
 
 def build_connection_targets(matching, gts, size):

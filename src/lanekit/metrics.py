@@ -15,7 +15,7 @@ excluded from the counts on both sides.
 frame's, are resampled together by one interpolation that equals
 ``np.interp`` bit for bit.  Frames are the outer loop: a frame's pair
 distances are computed once and serve every threshold.  At each threshold,
-``matching.solve_assignment`` (scipy) gives the one-to-one matching, and
+``matching.solve_assignment`` gives the one-to-one matching, and
 the maximum-matching sizes that AP needs at each confidence cutoff come
 from one augmenting-path pass over the admissible pairs, taking
 predictions by falling confidence.  Each frame's counts are kept apart and

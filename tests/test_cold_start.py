@@ -1,9 +1,10 @@
 """Importing lanekit and running the inference commands loads numpy only.
 
 scipy is imported in three places, each inside the function that calls it:
-``matching.linear_sum_assignment`` (an assignment solve up to 24 x 24),
-``matching.min_weight_full_bipartite_matching`` (a larger one, solved
-sparse) and ``connection_head.adjacency_forward`` (``expit``).  Each case
+``matching.linear_sum_assignment`` (a component of an assignment, up to
+24 x 24, that takes no closed form), ``matching.min_weight_full_bipartite_matching``
+(a larger one, solved sparse) and ``connection_head.adjacency_forward``
+(``expit``).  Each case
 runs in a fresh interpreter, because this test process has scipy loaded
 already.  A meta-path hook in the child records which lanekit function
 first asked for scipy.  orjson, the JSON decoder, is imported on the
@@ -90,23 +91,33 @@ def test_inference_path_loads_no_scipy(scene, case):
     assert run_child(NUMPY_ONLY[case](root, pred)) == {"scipy": [], "origin": None}
 
 
-def test_match_imports_scipy_from_the_solver_only(scene):
-    """The scene's matrices are larger than 24 x 24, so the sparse solver
-    loads ``scipy.sparse.csgraph`` and nothing loads ``scipy.optimize``."""
-    root, pred, gt = scene
-    loaded = run_child(cli("match", "--pred", pred, "--gt", gt, "--out", root / "m.json"))
-    assert "scipy.sparse.csgraph" in loaded["scipy"]
-    assert "scipy.optimize" not in loaded["scipy"]
-    assert loaded["origin"] == "matching.py:min_weight_full_bipartite_matching"
-
-
-def test_eval_imports_scipy_from_the_solver_only(scene):
+def test_match_and_eval_load_no_scipy(scene):
+    """The scene's assignments split into single cells, stars and GT
+    keypoints' copy blocks, which take closed forms and no solver."""
     root, pred, gt = scene
     lanes = root / "eval-lanes.json"
     assert main(["extract", "--pred", str(pred), "--out", str(lanes)]) == 0
-    loaded = run_child(cli("eval", "--pred", lanes, "--gt", gt))
-    assert "scipy.optimize" in loaded["scipy"]
-    assert loaded["origin"] == "matching.py:linear_sum_assignment"
+    for code in (cli("match", "--pred", pred, "--gt", gt, "--out", root / "m.json"),
+                 cli("eval", "--pred", lanes, "--gt", gt)):
+        assert run_child(code) == {"scipy": [], "origin": None}
+
+
+@pytest.mark.parametrize("side, module, origin", [
+    (24, "scipy.optimize", "matching.py:linear_sum_assignment"),
+    (25, "scipy.sparse.csgraph", "matching.py:min_weight_full_bipartite_matching")])
+def test_a_general_component_imports_scipy_from_its_solver(side, module, origin):
+    """A chain of cells is one component with no closed form: up to 24 x 24
+    the dense solver loads ``scipy.optimize``, above it the sparse solver
+    ``scipy.sparse.csgraph`` and not ``scipy.optimize``."""
+    loaded = run_child(
+        "import numpy as np\n"
+        "from lanekit.matching import solve_assignment\n"
+        f"chain = np.eye({side}, dtype=bool) | np.eye({side}, k=1, dtype=bool)\n"
+        "solve_assignment(np.where(chain, 1.0, np.inf))\n")
+    assert module in loaded["scipy"]
+    assert ("scipy.sparse.csgraph" in loaded["scipy"]) == (side > 24)
+    assert ("scipy.optimize" in loaded["scipy"]) == (side <= 24)
+    assert loaded["origin"] == origin
 
 
 def test_head_forward_imports_scipy_special_only():

@@ -122,6 +122,13 @@ REJECTED = {
                                            path=(0.5, 1.5)), "path[0]"),
     "dims_per_axis_bool": (lambda: positional_encode((0.0, 0.0), dims_per_axis=True),
                            "dims_per_axis"),
+    # These once raised a bare TypeError, or made weights of input width 61.
+    "head_hidden_float": (lambda: random_head_weights(1, d_c=4, hidden=2.5), "hidden"),
+    "head_d_c_negative": (lambda: random_head_weights(1, d_c=-3), "d_c"),
+    "head_d_c_nan": (lambda: random_head_weights(1, d_c=NAN), "d_c"),
+    "head_dims_per_axis_zero": (lambda: random_head_weights(1, d_c=4, dims_per_axis=0),
+                                "dims_per_axis"),
+    "head_embed_bool": (lambda: random_head_weights(1, d_c=4, embed=True), "embed"),
     "nms_boxes_thresh_x_bool": (lambda: build_nms_boxes([[0.0, 0.0]], True, 1.0), "thresh_x"),
     "nms_boxes_r_nan": (lambda: build_nms_boxes([[0.0, 0.0]], 1.0, 1.0, r=NAN), "r"),
     "anchor_grid_rows_float": (lambda: anchor_grid(rows=2.0), "rows"),
@@ -186,6 +193,8 @@ ACCEPTED = {
     "numpy_scalars_pipeline": lambda: run_pipeline(frame(), min_lane_points=np.int64(2)),
     "numpy_scalars_matching": lambda: match_keypoints([keypoint()], [gt_keypoint()],
                                                       repeats_n=np.int64(1)),
+    "head_d_c_zero": lambda: random_head_weights(1, d_c=0, dims_per_axis=np.int64(2),
+                                                 hidden=1, embed=1),
     "scene_seed_numpy": lambda: SceneSpec(seed=np.int64(7)),
     "int_within_double_range": lambda: (check_real(2 ** 1023, "v"),
                                         HeadWeights(**head_fields(final_b=-2 ** 1000))),
@@ -353,6 +362,11 @@ REJECTED_ARRAYS = {
                         "points_ego"),
     "points_ego_shape": (lambda: project_points([[0.0, 5.0]], make_forward_camera()),
                          "points_ego"),
+    # Once NaN pixels and depth, silently.
+    "points_ego_nan": (lambda: project_points([[NAN, 5.0, 0.0]], make_forward_camera()),
+                       "points_ego"),
+    "points_ego_inf": (lambda: project_points([[0.0, INF, 0.0]], make_forward_camera()),
+                       "points_ego"),
     "feature_map_bool": (lambda: bilinear_sample(np.ones((2, 2, 1), bool), pmap()),
                          "feature_map"),
     "feature_map_shape": (lambda: bilinear_sample(np.ones((2, 2)), pmap()), "feature_map"),

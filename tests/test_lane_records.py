@@ -276,7 +276,7 @@ def test_thresholded_graph_meets_the_graph_rule(nodes):
 
 
 def test_solver_matching_equals_the_public_one():
-    matching = _matching([(3, 0), (0, 2), (1, 1)], 5, 4)
+    matching = _matching(np.array([0, 1, 3]), np.array([2, 1, 0]), 5, 4)
     want = Matching([(3, 0), (0, 2), (1, 1)], (2, 4), (3,))
     assert (matching.pairs, matching.unmatched_proposals, matching.unmatched_gts) == (
         want.pairs, want.unmatched_proposals, want.unmatched_gts)

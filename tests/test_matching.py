@@ -295,7 +295,9 @@ class TestSolveAssignment:
         costs = np.where(np.eye(6, dtype=bool), 0.5, np.inf)
         costs[0, 3] = 0.25
         assert solve_assignment(costs).pairs == tuple((i, i) for i in range(6))
-        assert calls == [(6, 6)]
+        # rows and columns 0 and 3 make the one component a solver takes;
+        # the other four cells are their own components
+        assert calls == [(2, 2)]
         # a live finite column left of the optimal one costs one sub-solve
         calls.clear()
         assert solve_assignment(np.array([[1.0, 0.5], [0.5, 1.0]])).pairs \
@@ -313,8 +315,9 @@ def dense_optimum(costs):
 
 
 class TestSparseSolver:
-    """Above 24 x 24 the sparse solver reads the finite cells alone, and
-    promises the optimum, not the smallest of tied optima."""
+    """A component above 24 x 24 is solved on its finite cells alone by the
+    sparse solver, which promises the optimum, not the smallest of tied
+    optima.  The matrices here split into components of every kind."""
 
     @pytest.mark.parametrize("shape", [(25, 25), (25, 60), (60, 25), (33, 47), (47, 33),
                                        (60, 60)])
@@ -345,9 +348,11 @@ class TestSparseSolver:
                 sorted(set(range(shape[1])) - {g for _, g in m.pairs}))
 
     def test_zero_costs_are_edges(self):
-        # scipy's sparse solver drops explicit zeros; unshifted, this raised
-        # "no full matching exists".
-        costs = np.where(np.eye(30, dtype=bool), 0.0, np.inf)
+        # scipy's sparse solver drops explicit zeros; unshifted, the diagonal
+        # raised "no full matching exists".  The chain makes one 30 x 30
+        # component, so the sparse solver still sees the zeros.
+        chain = np.eye(30, dtype=bool) | np.eye(30, k=1, dtype=bool)
+        costs = np.where(chain, 0.0, np.inf)
         m = solve_assignment(costs)
         assert m.pairs == tuple((i, i) for i in range(30))
         assert m.unmatched_proposals == m.unmatched_gts == ()
@@ -379,12 +384,20 @@ class TestCostsNearTheFloatLimit:
 
     @pytest.mark.parametrize("n", [3, 30])
     def test_three_huge_cells_pair_up(self, n):
-        # 3 x 3 took the dense solver, 30 x 30 the sparse one; both raised.
+        # Solved as whole matrices, 3 x 3 took the dense solver and 30 x 30
+        # the sparse one; both raised.  Either is now one 2 x 2 component.
         costs = np.full((n, n), np.inf)
         costs[0, 0] = costs[0, 1] = costs[1, 0] = 1e308
         m = solve_assignment(costs)
         assert m.pairs == ((0, 1), (1, 0))
         assert m.unmatched_gts == tuple(range(2, n))
+
+    def test_a_huge_chain_pairs_up_in_the_sparse_solver(self):
+        # One 30 x 30 component, a chain whose only full matching is the
+        # diagonal: the sparse solver runs on the scaled cells.
+        chain = np.eye(30, dtype=bool) | np.eye(30, k=1, dtype=bool)
+        m = solve_assignment(np.where(chain, 1e308, np.inf))
+        assert m.pairs == tuple((i, i) for i in range(30))
 
     def test_huge_weights_match_as_smaller_ones_do(self):
         props = [proposal(0, x, class_scores=(0.0,)) for x in (2.3, 2.1, 1.8)]
@@ -425,14 +438,25 @@ class TestCostsNearTheFloatLimit:
         assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
             == ((1, 2), (2, 1), (3, 0))
 
-    @pytest.mark.xfail(strict=True, reason="costs far below big-M vanish in the dense "
-                       "solver's totals; see the FOUND line on solve_assignment in CHANGES.md")
     def test_costs_far_below_big_m_still_decide(self):
-        # Known limit: the solver gives ((0, 2), (1, 0)), total 1.625.
+        # Solved as one dense 3 x 3 matrix, this gave ((0, 2), (1, 0)), total
+        # 1.625: its all-infinite column took big-M.  That column is in no
+        # component, and the 3 x 2 component's cells are all finite, so no
+        # big-M enters its totals.
         u = 2.0 ** 60
         costs = np.array([[u, np.inf, 1.625], [0.0, np.inf, 2 * u], [0.0, np.inf, 1.375]])
         assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
             == ((1, 0), (2, 2))
+
+    @pytest.mark.xfail(strict=True, reason="costs far below big-M vanish in the dense "
+                       "solver's totals; see the known limit in solve_assignment's docstring")
+    def test_costs_far_below_big_m_in_one_component_still_decide(self):
+        # Known limit: the matrix is one component, its infeasible cells take
+        # big-M, and the solver gives ((0, 1), (1, 0)), total 1.5.
+        costs = np.array([[np.inf, 1.5, np.inf], [0.0, 2.0 ** 61, 1.375],
+                          [np.inf, 0.0, np.inf]])
+        assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs)) \
+            == ((1, 0), (2, 1))
 
     @pytest.mark.parametrize("value, scale", [(1e3, 1.0), (1e7, 0.25), (1e16, 2.0 ** -32)])
     def test_only_large_costs_are_scaled(self, value, scale):
@@ -443,6 +467,90 @@ class TestCostsNearTheFloatLimit:
         # big-M = sum + 1 is the sum itself from 2 ** 53, and tied the cell.
         costs = np.array([[np.inf, np.inf], [1e16, np.inf]])
         assert solve_assignment(costs).pairs == ((1, 0),)
+
+
+def block_diagonal(blocks):
+    """The blocks along the diagonal of one matrix, infinite elsewhere, and
+    each block's first row and column in it."""
+    shape = np.sum([b.shape for b in blocks], axis=0)
+    costs = np.full(shape, np.inf)
+    offsets = np.cumsum([(0, 0)] + [b.shape for b in blocks[:-1]], axis=0)
+    for (r, c), block in zip(offsets, blocks):
+        costs[r:r + block.shape[0], c:c + block.shape[1]] = block
+    return costs, offsets
+
+
+class TestComponents:
+    """Each connected component of the finite cells is solved on its own by
+    one rule: max cardinality, then min cost, then the smallest pair list."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_diagonal_solves_as_its_blocks(self, seed):
+        # Blocks of up to and above 24 x 24 take the dense and the sparse
+        # solver; the sparse ones are dense enough to stay one component.
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for rows, cols in [(3, 4), (30, 27), (24, 24), (5, 2), (26, 40), (1, 6)]:
+            block = rng.integers(0, 9, (rows, cols)) / 8.0
+            block[rng.random((rows, cols)) < 0.6] = np.inf
+            blocks.append(block)
+        costs, offsets = block_diagonal(blocks)
+        want = sorted((r + p, c + g) for (r, c), block in zip(offsets, blocks)
+                      for p, g in solve_assignment(block).pairs)
+        assert list(solve_assignment(costs).pairs) == want
+
+    @pytest.mark.parametrize("shape", ["cell", "row star", "column star", "copy block"])
+    def test_closed_forms_match_the_oracle(self, monkeypatch, shape):
+        """Shapes that need no solver, tied (costs k/4) and among infeasible
+        cells, beside a second component of any shape; 3000 matrices in all."""
+        solved = []
+        solve = matching._solve_component
+        monkeypatch.setattr(matching, "_solve_component", lambda rows, cols, values: (
+            solved.extend(rows.tolist()) or solve(rows, cols, values)))
+        rng = np.random.default_rng(["cell", "row star", "column star", "copy block"]
+                                    .index(shape))
+        for _ in range(750):
+            rows, cols = rng.permutation(6), rng.permutation(6)
+            height, width = {"cell": (1, 1), "row star": (1, rng.integers(2, 6)),
+                             "column star": (rng.integers(2, 6), 1),
+                             "copy block": tuple(rng.integers(1, 5, 2))}[shape]
+            costs = np.full((6, 6), np.inf)
+            costs[np.ix_(rows[:height], cols[:width])] = (
+                rng.integers(0, 4, (height, 1) if shape != "row star" else (1, width)) / 4.0)
+            # The other rows and columns hold cells of any cost, or none.
+            rest = np.ix_(rows[height:], cols[width:])
+            costs[rest] = np.where(rng.random(costs[rest].shape) < 0.3,
+                                   rng.integers(0, 4, costs[rest].shape) / 4.0, np.inf)
+            solved.clear()
+            assert list(solve_assignment(costs).pairs) == oracle_assignment(costs)
+            # Only the other rows, if any, go to a solver.
+            assert not set(solved) & set(rows[:height].tolist())
+
+    def test_stars_of_both_kinds_in_one_matrix(self, monkeypatch):
+        # Row 0 is a one-row star and column 2 a one-column star, each of
+        # unequal costs: neither closed form holds for the whole matrix, so
+        # its components are labelled, and each takes its own form.
+        monkeypatch.setattr(matching, "_solve_component", None)
+        costs = np.array([[1.0, 0.75, np.inf], [np.inf, np.inf, 0.5],
+                          [np.inf, np.inf, 0.25]])
+        m = solve_assignment(costs)
+        assert m.pairs == ((0, 1), (2, 2)) and list(m.pairs) == oracle_assignment(costs)
+        assert m.unmatched_proposals == (1,) and m.unmatched_gts == (0,)
+
+    def test_unrelated_rows_do_not_move_a_block(self):
+        """A tied block keeps its pairs when 25 one-cell rows are added.
+        Solving the whole matrix, it did not: the 30-odd rows took the sparse
+        solver, and 76 of these 300 blocks got other pairs."""
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            rows, cols = rng.integers(2, 6, 2)
+            block = rng.integers(0, 4, (rows, cols)) / 4.0
+            block[rng.random((rows, cols)) < 0.3] = np.inf
+            costs, _ = block_diagonal([block] + [np.full((1, 1), 0.5)] * 25)
+            want = oracle_assignment(block)
+            assert list(solve_assignment(block).pairs) == want
+            assert list(solve_assignment(costs).pairs) \
+                == want + [(rows + k, cols + k) for k in range(25)]
 
 
 class TestMatching:
