@@ -78,11 +78,12 @@ def relu(values):
 def positional_encode(position, dims_per_axis=32):
     """Sinusoidal encoding, x block then y block, (sin, cos) pairs per
     frequency k with angular scale 10000^(2k/dims).  Accepts a single (x, y)
-    or a batch (..., 2); output gains a trailing axis of 2*dims_per_axis.
+    or a batch (..., 2), each coordinate finite; output gains a trailing
+    axis of 2*dims_per_axis.
     """
     if check_int(dims_per_axis, "dims_per_axis", 1) % 2:
         raise ValidationError("dims_per_axis must be positive and even")
-    pos = float_array(position, "position")
+    pos = float_array(position, "position", within=FINITE)
     if pos.shape[-1:] != (2,):
         raise ValidationError(f"position must have a trailing axis of length 2, "
                               f"got shape {pos.shape}")

@@ -283,13 +283,14 @@ class ProjectionMap:
 
 
 def project_points(points_ego, camera):
-    """Projects (N, 3) ego-frame points, each coordinate finite; returns
-    ((N, 2) pixels, (N,) depths).
+    """Projects (N, 3) ego-frame points, each coordinate at most
+    ``MAX_POSITION_M`` in magnitude; returns ((N, 2) pixels, (N,) depths).
 
     A point at depth at most ``MIN_DEPTH_M`` may get infinite or NaN pixels;
     deeper points within the bound stated on ``CameraModel`` get finite ones.
     """
-    pts = float_array(points_ego, "points_ego", (None, 3), within=FINITE)
+    pts = float_array(points_ego, "points_ego", (None, 3),
+                      within=(-MAX_POSITION_M, MAX_POSITION_M, "[]"))
     homog = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
     cam = homog @ camera.extrinsic.T
     depth = cam[:, 2]

@@ -12,8 +12,9 @@ Feasible pairs are few (under 1% of a training sample's cells), so a
 ``CostMatrix`` holds its finite cells and makes the dense P x G view only
 when it is read.  Those cells split into tiny connected components, and
 ``solve_assignment`` solves each on its own: single cells, stars and a GT
-keypoint's copies in closed form, any other component with scipy.  Its
-docstring states the rule.
+keypoint's copies in closed form, any other component on its own dense
+block with scipy's ``linear_sum_assignment``.  Its docstring states the
+rule.
 
 A proposal and a GT keypoint are on the same row when the GT keypoint's
 ``row`` is the proposal's grid row or, for a GT keypoint without a ``row``,
@@ -45,9 +46,8 @@ from .nms import as_proposal_set
 MAX_REFINED_DIST_M = 1.0
 MAX_ANCHOR_DIST_M = 2.0
 
-# Up to this size a component is solved dense and its tied optima resolve
-# to the lexicographically smallest pair list; above it the sparse solver's
-# own optimum is reported as-is.
+# Up to this size a component's tied optima resolve to the lexicographically
+# smallest pair list; above it the dense solver's own optimum is reported.
 _CANONICAL_LIMIT = 24
 
 # The solvers' big-M totals stay below 2 ** _MAX_EXPONENT, where big-M's
@@ -223,17 +223,6 @@ def linear_sum_assignment(costs):
     return linear_sum_assignment(costs)
 
 
-def min_weight_full_bipartite_matching(weights, rows, cols, shape):
-    """scipy's ``min_weight_full_bipartite_matching`` (LAPJVsp, the sparse
-    Jonker-Volgenant method) of the ``shape`` matrix holding the non-zero
-    ``weights`` at (``rows``, ``cols``) and nothing else.  ``scipy.sparse``
-    is imported on each call, as ``linear_sum_assignment`` imports
-    ``scipy.optimize``."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-    return min_weight_full_bipartite_matching(csr_array((weights, (rows, cols)), shape=shape))
-
-
 def _solve_raw(costs):
     """Max-cardinality, then min-cost pairs via big-M substitution."""
     finite = np.isfinite(costs)
@@ -242,33 +231,6 @@ def _solve_raw(costs):
     # The solver returns rows sorted, so the kept pairs are sorted too.
     kept = finite[rows, cols]
     return list(zip(rows[kept].tolist(), cols[kept].tolist()))
-
-
-def _solve_sparse(cost):
-    """Max-cardinality, then min-cost pairs of a CostMatrix, read from its
-    finite cells alone.
-
-    The pairs are a full matching of the dummy-node reduction, a square
-    matrix of P real and G dummy rows by G real and P dummy columns: a
-    cell (i, j) is the edge from row i to column j; row i may instead take
-    its dummy column G + i, and column j its dummy row P + j, at ``big``
-    each; and dummy row P + j meets dummy column G + i, at no cost, where
-    (i, j) is a cell, so the dummies of a matched pair pair up.  Each pair
-    fewer costs 2 * ``big``, more than all cells together, so cardinality
-    comes first, then cost, as in ``_solve_raw``.  scipy drops zero
-    weights, so every edge is raised by 1: every full matching has P + G
-    edges, and its total rises by the same amount."""
-    P, G = cost.shape
-    rows, cols, values = cost.cells
-    big = values.sum() + 1.0
-    real_rows, real_cols = np.arange(P), np.arange(G)
-    weights = np.concatenate([values, np.full(P + G, big), np.zeros(len(values))]) + 1.0
-    _, matched = min_weight_full_bipartite_matching(
-        weights, np.concatenate([rows, real_rows, P + real_cols, P + cols]),
-        np.concatenate([cols, G + real_rows, real_cols, G + rows]), (P + G, G + P))
-    # Row indices come back sorted, so the real rows are the first P.
-    kept = np.flatnonzero(matched[:P] < G)
-    return list(zip(kept.tolist(), matched[kept].tolist()))
 
 
 def _canonical_pairs(costs, optimum, unit=1.0):
@@ -319,16 +281,15 @@ def _canonical_pairs(costs, optimum, unit=1.0):
     return pairs
 
 
-def _cost_scale(cost):
+def _cost_scale(values, shape):
     """1.0, or the power of two that ``_solve_component`` multiplies the
-    CostMatrix ``cost`` by.  A big-M total of the matrix is at most P + G + 2
-    times the sum of its finite costs, and that sum at most their count
-    times their largest, so the scale keeps that bound below
-    2 ** ``_MAX_EXPONENT``.  A power of two scales every cost exactly, bar
-    costs that fall below the normal float range."""
-    values = cost.cells[2]
+    finite costs ``values`` of a P x G ``shape`` block by.  A big-M total of
+    the block is at most P + G + 2 times the sum of its finite costs, and
+    that sum at most their count times their largest, so the scale keeps
+    that bound below 2 ** ``_MAX_EXPONENT``.  A power of two scales every
+    cost exactly, bar costs that fall below the normal float range."""
     exponent = (math.frexp(values.max(initial=0.0))[1] + len(values).bit_length()
-                + (sum(cost.shape) + 2).bit_length())
+                + (sum(shape) + 2).bit_length())
     return math.ldexp(1.0, min(0, _MAX_EXPONENT - exponent))
 
 
@@ -389,21 +350,17 @@ def _components(rows, cols, n_rows):
 
 def _solve_component(rows, cols, values):
     """The pairs, as two index arrays, of one connected component's cells,
-    given in row-major order, by the solvers: scaled by ``_cost_scale``,
-    then up to 24 x 24 the dense solve and ``_canonical_pairs``, else
-    ``_solve_sparse``."""
+    given in row-major order: the dense solve of the component's own block,
+    scaled by ``_cost_scale``, then up to 24 x 24 ``_canonical_pairs``."""
     row_ids, local_rows = np.unique(rows, return_inverse=True)
     col_ids, local_cols = np.unique(cols, return_inverse=True)
-    cost = unchecked(CostMatrix, shape=(len(row_ids), len(col_ids)),
-                     cells=(local_rows, local_cols, values))
-    scale = _cost_scale(cost)
-    if scale < 1.0:
-        cost = unchecked(CostMatrix, shape=cost.shape,
-                         cells=(local_rows, local_cols, values * scale))
-    if max(cost.shape) > _CANONICAL_LIMIT:
-        pairs = _solve_sparse(cost)
-    else:
-        pairs = _canonical_pairs(cost.costs, _solve_raw(cost.costs), scale)
+    shape = (len(row_ids), len(col_ids))
+    scale = _cost_scale(values, shape)
+    costs = np.full(shape, np.inf)
+    costs[local_rows, local_cols] = values * scale
+    pairs = _solve_raw(costs)
+    if max(shape) <= _CANONICAL_LIMIT:
+        pairs = _canonical_pairs(costs, pairs, scale)
     r, c = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
     return row_ids[r], col_ids[c]
 
@@ -459,14 +416,14 @@ def solve_assignment(cost):
       column)).
 
     Closed forms compare costs exactly.  Any other component is solved by
-    scipy on its own cells (``_solve_component``).  Up to 24 x 24 it is
-    solved dense, and its tied optima resolve to the lexicographically
-    smallest pair list: the tie-break starts from the solver's optimum, and
-    totals within 1e-9 of each other, relative to the component's total,
-    tie.  A component whose optimum is already the smallest costs no solve
-    beyond the first.  A larger component is solved by the sparse solver
-    (``_solve_sparse``), and among equal-cost optima its own deterministic
-    one is returned, which need not be the smallest.
+    one solver, scipy's dense ``linear_sum_assignment``, on its own block
+    (``_solve_component``).  Up to 24 x 24 its tied optima resolve to the
+    lexicographically smallest pair list: the tie-break starts from the
+    solver's optimum, and totals within 1e-9 of each other, relative to the
+    component's total, tie.  A component whose optimum is already the
+    smallest costs no solve beyond the first.  Above 24 x 24 the optimum
+    among ties is the dense solver's own, deterministic but not
+    necessarily the smallest.
 
     Where a component's largest finite cost, times their count, times its
     rows plus columns plus 2 could reach 2 ** 40 (about 1.1e12), a big-M

@@ -1,9 +1,8 @@
 """Importing lanekit and running the inference commands loads numpy only.
 
-scipy is imported in three places, each inside the function that calls it:
-``matching.linear_sum_assignment`` (a component of an assignment, up to
-24 x 24, that takes no closed form), ``matching.min_weight_full_bipartite_matching``
-(a larger one, solved sparse) and ``connection_head.adjacency_forward``
+scipy is imported in two places, each inside the function that calls it:
+``matching.linear_sum_assignment`` (a component of an assignment that
+takes no closed form) and ``connection_head.adjacency_forward``
 (``expit``).  Each case
 runs in a fresh interpreter, because this test process has scipy loaded
 already.  A meta-path hook in the child records which lanekit function
@@ -102,22 +101,19 @@ def test_match_and_eval_load_no_scipy(scene):
         assert run_child(code) == {"scipy": [], "origin": None}
 
 
-@pytest.mark.parametrize("side, module, origin", [
-    (24, "scipy.optimize", "matching.py:linear_sum_assignment"),
-    (25, "scipy.sparse.csgraph", "matching.py:min_weight_full_bipartite_matching")])
-def test_a_general_component_imports_scipy_from_its_solver(side, module, origin):
-    """A chain of cells is one component with no closed form: up to 24 x 24
-    the dense solver loads ``scipy.optimize``, above it the sparse solver
-    ``scipy.sparse.csgraph`` and not ``scipy.optimize``."""
+@pytest.mark.parametrize("side", [24, 25])
+def test_a_general_component_imports_scipy_from_its_solver(side):
+    """A chain of cells is one component with no closed form: up to and
+    above the 24 x 24 tie-break limit, the one dense solver loads
+    ``scipy.optimize``, and ``scipy.sparse.csgraph`` never loads."""
     loaded = run_child(
         "import numpy as np\n"
         "from lanekit.matching import solve_assignment\n"
         f"chain = np.eye({side}, dtype=bool) | np.eye({side}, k=1, dtype=bool)\n"
         "solve_assignment(np.where(chain, 1.0, np.inf))\n")
-    assert module in loaded["scipy"]
-    assert ("scipy.sparse.csgraph" in loaded["scipy"]) == (side > 24)
-    assert ("scipy.optimize" in loaded["scipy"]) == (side <= 24)
-    assert loaded["origin"] == origin
+    assert "scipy.optimize" in loaded["scipy"]
+    assert "scipy.sparse.csgraph" not in loaded["scipy"]
+    assert loaded["origin"] == "matching.py:linear_sum_assignment"
 
 
 def test_head_forward_imports_scipy_special_only():

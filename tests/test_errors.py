@@ -367,6 +367,9 @@ REJECTED_ARRAYS = {
                        "points_ego"),
     "points_ego_inf": (lambda: project_points([[0.0, INF, 0.0]], make_forward_camera()),
                        "points_ego"),
+    # Once numpy's matmul overflow warning, an error under -W error.
+    "points_ego_huge": (lambda: project_points([[1e308, 5.0, 0.0]], make_forward_camera()),
+                        "points_ego"),
     "feature_map_bool": (lambda: bilinear_sample(np.ones((2, 2, 1), bool), pmap()),
                          "feature_map"),
     "feature_map_shape": (lambda: bilinear_sample(np.ones((2, 2)), pmap()), "feature_map"),
@@ -397,6 +400,9 @@ REJECTED_ARRAYS = {
     "position_bool": (lambda: positional_encode((0.0, True), dims_per_axis=2), "position"),
     "position_shape": (lambda: positional_encode((0.0, 1.0, 2.0), dims_per_axis=2),
                        "position"),
+    # Once NaN features, silently, and numpy's sin warning.
+    "position_nan": (lambda: positional_encode((NAN, 1.0), dims_per_axis=2), "position"),
+    "position_inf": (lambda: positional_encode((INF, 1.0), dims_per_axis=2), "position"),
     "costs_bool": (lambda: CostMatrix([[True, 1.0]]), "costs"),
     "costs_shape": (lambda: solve_assignment([1.0, 2.0]), "costs"),
     "costs_nan": (lambda: solve_assignment([[NAN, 1.0], [2.0, NAN]]), "costs"),

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from lanekit import matching
 from lanekit.errors import ValidationError
+from lanekit.geometry import build_custom_grid
 from lanekit.matching import (
     MAX_ANCHOR_DIST_M,
     MAX_REFINED_DIST_M,
@@ -20,6 +21,7 @@ from lanekit.matching import (
 )
 from lanekit.nms import Keypoint, ProposalSet
 from lanekit.oracles import oracle_assignment
+from lanekit.synthetic import SceneSpec, generate_scene, gt_keypoints
 
 ROW_Y = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
@@ -314,9 +316,9 @@ def dense_optimum(costs):
     return int(kept.sum()), costs[rows[kept], cols[kept]].sum()
 
 
-class TestSparseSolver:
-    """A component above 24 x 24 is solved on its finite cells alone by the
-    sparse solver, which promises the optimum, not the smallest of tied
+class TestAboveTheCanonicalLimit:
+    """A component above 24 x 24 is solved dense on its own block, with no
+    tie-break walk, so it promises the optimum, not the smallest of tied
     optima.  The matrices here split into components of every kind."""
 
     @pytest.mark.parametrize("shape", [(25, 25), (25, 60), (60, 25), (33, 47), (47, 33),
@@ -348,14 +350,42 @@ class TestSparseSolver:
                 sorted(set(range(shape[1])) - {g for _, g in m.pairs}))
 
     def test_zero_costs_are_edges(self):
-        # scipy's sparse solver drops explicit zeros; unshifted, the diagonal
-        # raised "no full matching exists".  The chain makes one 30 x 30
-        # component, so the sparse solver still sees the zeros.
+        # The chain makes one 30 x 30 component whose only full matching is
+        # the diagonal of zeros.
         chain = np.eye(30, dtype=bool) | np.eye(30, k=1, dtype=bool)
         costs = np.where(chain, 0.0, np.inf)
         m = solve_assignment(costs)
         assert m.pairs == tuple((i, i) for i in range(30))
         assert m.unmatched_proposals == m.unmatched_gts == ()
+
+    def test_a_large_grid_scene_reaches_the_solver_above_the_limit(self, monkeypatch):
+        """Eight noisy lanes on the large grid: the duplicated matrix holds
+        components above 24 x 24 that take no closed form, and the matching
+        is still optimal and feasible."""
+        grid = build_custom_grid(72, 128)
+        gt_lanes, frame = generate_scene(SceneSpec(seed=0, lane_count=8, sigma_x=1.0,
+                                                   proposals_per_target=4, dropout_p=0.1),
+                                         grid)
+        props, gts = frame.keypoints, gt_keypoints(gt_lanes, grid)
+        duplicated = build_cost_matrix(props, [g for g in gts for _ in range(props.repeats_n)])
+        rows, cols, _ = duplicated.cells
+        component = matching._components(rows, cols, len(props))
+        sides = [max(len(np.unique(rows[component == c])), len(np.unique(cols[component == c])))
+                 for c in np.unique(component)]
+        assert max(sides) > matching._CANONICAL_LIMIT
+        solved = []
+        solve = matching._solve_component
+        monkeypatch.setattr(matching, "_solve_component", lambda rows, cols, values: (
+            solved.append(max(len(set(rows.tolist())), len(set(cols.tolist()))))
+            or solve(rows, cols, values)))
+        m = match_keypoints(props, gts)
+        assert max(solved) > matching._CANONICAL_LIMIT
+        card, total = dense_optimum(duplicated.costs)
+        costs = build_cost_matrix(props, gts).costs
+        assert len(m.pairs) == card
+        assert sum(costs[p, g] for p, g in m.pairs) == pytest.approx(total, rel=1e-12)
+        for p, g in m.pairs:
+            assert spatially_feasible(props[p], gts[g])
 
     def test_built_and_dense_matrices_solve_alike(self):
         # The cells of a built matrix are in row-major order, as those read
@@ -384,17 +414,17 @@ class TestCostsNearTheFloatLimit:
 
     @pytest.mark.parametrize("n", [3, 30])
     def test_three_huge_cells_pair_up(self, n):
-        # Solved as whole matrices, 3 x 3 took the dense solver and 30 x 30
-        # the sparse one; both raised.  Either is now one 2 x 2 component.
+        # Solved as whole matrices, both raised.  Either is now one 2 x 2
+        # component.
         costs = np.full((n, n), np.inf)
         costs[0, 0] = costs[0, 1] = costs[1, 0] = 1e308
         m = solve_assignment(costs)
         assert m.pairs == ((0, 1), (1, 0))
         assert m.unmatched_gts == tuple(range(2, n))
 
-    def test_a_huge_chain_pairs_up_in_the_sparse_solver(self):
+    def test_a_huge_chain_above_the_canonical_limit_pairs_up(self):
         # One 30 x 30 component, a chain whose only full matching is the
-        # diagonal: the sparse solver runs on the scaled cells.
+        # diagonal: the dense solver runs on the scaled block.
         chain = np.eye(30, dtype=bool) | np.eye(30, k=1, dtype=bool)
         m = solve_assignment(np.where(chain, 1e308, np.inf))
         assert m.pairs == tuple((i, i) for i in range(30))
@@ -424,7 +454,7 @@ class TestCostsNearTheFloatLimit:
             costs = rng.integers(0, 16, shape) * unit
             costs[rng.random(shape) < 0.25] = np.inf
             matrix = CostMatrix(costs)
-            scale = matching._cost_scale(matrix)
+            scale = matching._cost_scale(matrix.cells[2], matrix.shape)
             scaled += scale < 1.0
             assert solve_assignment(costs).pairs == tuple(oracle_assignment(costs * scale))
         assert 100 < scaled < 300
@@ -461,7 +491,7 @@ class TestCostsNearTheFloatLimit:
     @pytest.mark.parametrize("value, scale", [(1e3, 1.0), (1e7, 0.25), (1e16, 2.0 ** -32)])
     def test_only_large_costs_are_scaled(self, value, scale):
         costs = np.full((40, 40), value)
-        assert matching._cost_scale(CostMatrix(costs)) == scale
+        assert matching._cost_scale(costs.reshape(-1), costs.shape) == scale
 
     def test_a_cost_past_2_to_the_53_keeps_its_pair(self):
         # big-M = sum + 1 is the sum itself from 2 ** 53, and tied the cell.
@@ -486,8 +516,8 @@ class TestComponents:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_diagonal_solves_as_its_blocks(self, seed):
-        # Blocks of up to and above 24 x 24 take the dense and the sparse
-        # solver; the sparse ones are dense enough to stay one component.
+        # Blocks of up to and above 24 x 24, with and without the tie-break
+        # walk; the large ones are dense enough to stay one component.
         rng = np.random.default_rng(seed)
         blocks = []
         for rows, cols in [(3, 4), (30, 27), (24, 24), (5, 2), (26, 40), (1, 6)]:
@@ -539,8 +569,8 @@ class TestComponents:
 
     def test_unrelated_rows_do_not_move_a_block(self):
         """A tied block keeps its pairs when 25 one-cell rows are added.
-        Solving the whole matrix, it did not: the 30-odd rows took the sparse
-        solver, and 76 of these 300 blocks got other pairs."""
+        Solving the whole matrix, it did not: the 30-odd rows were above the
+        canonical limit, and 76 of these 300 blocks got other pairs."""
         rng = np.random.default_rng(15)
         for _ in range(300):
             rows, cols = rng.integers(2, 6, 2)
@@ -643,9 +673,9 @@ class TestMatchKeypoints:
     @pytest.mark.parametrize("n_props, n_gts", [(16, 6), (40, 12)])
     def test_expanded_cells_equal_the_duplicated_list(self, monkeypatch, repeats_n, n_props,
                                                       n_gts):
-        """The matrix solved, with dense (up to 24 x 24) and sparse sizes, is
-        bit for bit the one built on each GT keypoint ``repeats_n`` times
-        over, and the pairs are that matrix's."""
+        """The matrix solved, up to and above 24 x 24, is bit for bit the one
+        built on each GT keypoint ``repeats_n`` times over, and the pairs
+        are that matrix's."""
         solved = []
 
         def recording_solve(cost):
