@@ -20,10 +20,8 @@ from .geometry import (AnchorGrid, CameraModel, ProjectionMap,
 from .graph import (AdjacencyMatrix, DirectedLaneGraph, LaneRecord,
                     extract_lanes, find_terminals, path_weight,
                     threshold_adjacency)
-from .io import (PredictionFrame, load_camera, load_ground_truth,
-                 load_head_weights, load_lane_frame, load_prediction_frame,
-                 save_camera, save_grid_csv, save_ground_truth,
-                 save_head_weights, save_lane_frame, save_prediction_frame)
+from .io import (PredictionFrame, load_ground_truth, load_lane_frame, load_prediction_frame,
+                 save_ground_truth, save_lane_frame, save_prediction_frame)
 from .matching import (GroundTruthKeypoint, Matching, build_connection_targets,
                        build_cost_matrix, match_keypoints, solve_assignment)
 from .metrics import EvalReport, GroundTruthLane, evaluate, match_lanes, resample_lane
@@ -47,12 +45,10 @@ __all__ = [
     "build_uniform_grid",
     "default_nms_thresholds", "evaluate", "extract_lanes", "find_terminals",
     "generate_scene", "gt_keypoints", "infer_nms_thresholds",
-    "keypoint_recall", "load_camera", "load_ground_truth",
-    "load_head_weights", "load_lane_frame", "load_prediction_frame",
+    "keypoint_recall", "load_ground_truth", "load_lane_frame", "load_prediction_frame",
     "make_forward_camera", "match_keypoints", "match_lanes", "path_weight",
     "point_nms", "positional_encode", "project_grid_to_image",
     "project_points", "random_head_weights", "resample_lane", "run_pipeline",
-    "save_camera", "save_grid_csv", "save_ground_truth", "save_head_weights",
-    "save_lane_frame", "save_prediction_frame",
+    "save_ground_truth", "save_lane_frame", "save_prediction_frame",
     "solve_assignment", "suppress", "threshold_adjacency", "unproject_pixel_to_ground",
 ]

@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Subcommands cover the pipeline pieces end to end: ``grid`` and ``project``
-for anchor geometry, ``nms`` and ``extract`` for inference on saved frames,
-``match`` for training-style assignment, ``eval`` for metrics and ``synth``
-for generating test scenes.
+Subcommands cover the post-network path end to end: ``nms`` and
+``extract`` for inference on saved frames, ``match`` for training-style
+assignment, ``eval`` for metrics and ``synth`` for generating test scenes.
 
 ``extract`` and ``eval`` also take a directory as ``--pred``: every
 ``.json`` frame file in it is read in sorted name order, and two files with
@@ -11,6 +10,11 @@ the same ``frame_id`` are rejected.  ``extract --pred DIR --out OUT`` writes
 one lane file per frame into directory ``OUT`` (created if missing), named
 after its input file, so one process start serves a whole sequence.
 Nothing is written unless every frame extracts.
+
+No command writes over a file or directory it reads, and no two of its
+outputs share a path: an output option that resolves to the path of another
+path option is an error (exit 1) naming both, raised before anything is
+read or written.
 
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
@@ -20,14 +24,18 @@ name (``--iou`` as ``iou_thresh``, ``--lanes`` as ``lane_count``) and is
 passed on only when given, so a left-out option takes the library
 function's default.  The only defaults stated here are the uniform grid's:
 ``--mode``, ``--rows``, ``--cols``, ``--y-min``, ``--y-max``, ``--x-min`` and
-``--x-max``.  Every file and report the CLI writes, ``match``'s and
-``eval``'s JSON and ``project``'s CSV included, is formatted by ``io``.
+``--x-max``.  ``synth``'s custom-grid options (``--spacing-near``,
+``--spacing-far``, ``--width``, ``--y-origin``) shape the custom grid only,
+so giving one for the uniform grid (no ``--mode custom``, no ``--preset``)
+is an error (exit 1).  Every file and report the CLI writes, ``match``'s
+and ``eval``'s JSON included, is formatted by ``io``.
 
 ``COMMANDS`` is the one table of subcommands.  ``main`` builds the parser
 of the command it runs only; any other first argument gets the full one.
 """
 
 import argparse
+import os
 import sys
 from argparse import SUPPRESS
 from pathlib import Path
@@ -36,11 +44,9 @@ import numpy as np
 
 from .config import MODEL_PRESETS
 from .errors import ValidationError
-from .geometry import (build_custom_grid, build_uniform_grid,
-                       make_forward_camera, project_grid_to_image)
-from .io import (json_text, load_camera, load_ground_truth, load_lane_frame,
-                 load_prediction_frame, save_grid_csv, save_ground_truth,
-                 save_lane_frame, save_prediction_frame, save_projection_csv)
+from .geometry import build_custom_grid, build_uniform_grid
+from .io import (json_text, load_ground_truth, load_lane_frame, load_prediction_frame,
+                 save_ground_truth, save_lane_frame, save_prediction_frame)
 from .matching import build_connection_targets, match_keypoints
 from .metrics import _evaluate, evaluate
 from .pipeline import run_pipeline, suppress
@@ -48,6 +54,8 @@ from .synthetic import SceneSpec, generate_scene, gt_keypoints
 
 # PointNMS's parameters, set by the options of ``nms`` and ``extract``.
 _NMS = ("thresh_x", "thresh_y", "r", "iou_thresh")
+# Path options: those a command reads, then those it writes.
+_READS, _WRITES = ("pred", "gt"), ("out", "report", "out_pred", "out_gt")
 
 
 def _given(args, *names):
@@ -72,46 +80,33 @@ def _threshold_list(text):
     return tuple(values)
 
 
-def _add_grid_args(parser):
-    parser.add_argument("--mode", choices=("uniform", "custom"), default="uniform")
-    parser.add_argument("--rows", type=int, default=12)
-    parser.add_argument("--cols", type=int, default=32)
-    parser.add_argument("--y-min", type=float, default=3.0)
-    parser.add_argument("--y-max", type=float, default=58.0)
-    parser.add_argument("--x-min", type=float, default=-8.0)
-    parser.add_argument("--x-max", type=float, default=8.0)
-    parser.add_argument("--spacing-near", type=float, default=SUPPRESS)
-    parser.add_argument("--spacing-far", type=float, default=SUPPRESS)
-    parser.add_argument("--width", type=float, default=SUPPRESS)
-    parser.add_argument("--y-origin", type=float, default=SUPPRESS)
-    parser.add_argument("--preset", choices=sorted(MODEL_PRESETS))
+def _option(name):
+    return "--" + name.replace("_", "-")
+
+
+def _check_paths(args):
+    """Rejects an output option that resolves to the path of an input or of
+    an earlier output, naming both options (module docstring)."""
+    named = [(name, os.path.realpath(value))
+             for name, value in _given(args, *_READS, *_WRITES).items() if value is not None]
+    for i, (name, path) in enumerate(named):
+        for other, other_path in named[:i]:
+            if name in _WRITES and path == other_path:
+                raise ValidationError(f"{_option(name)} and {_option(other)} "
+                                      f"name the same path {path}")
 
 
 def _grid_from_args(args):
+    custom = _given(args, "spacing_near", "spacing_far", "width", "y_origin")
     if args.mode == "uniform" and not args.preset:
+        if custom:
+            raise ValidationError(f"{_option(next(iter(custom)))} shapes the custom grid "
+                                  f"only; give --mode custom or --preset")
         return build_uniform_grid(rows=args.rows, cols=args.cols,
                                   y_range=(args.y_min, args.y_max),
                                   x_range=(args.x_min, args.x_max))
     rows, cols = MODEL_PRESETS[args.preset].bev_shape if args.preset else (args.rows, args.cols)
-    return build_custom_grid(rows=rows, cols=cols, **_given(
-        args, "spacing_near", "spacing_far", "width", "y_origin"))
-
-
-def _cmd_grid(args):
-    grid = _grid_from_args(args)
-    save_grid_csv(grid, args.out)
-    print(f"wrote {grid.rows}x{grid.cols} {grid.mode} grid to {args.out}")
-    return 0
-
-
-def _cmd_project(args):
-    grid = _grid_from_args(args)
-    camera = load_camera(args.camera) if args.camera else make_forward_camera()
-    pmap = project_grid_to_image(grid, camera, **_given(args, "ground_height"))
-    save_projection_csv(pmap, args.out)
-    visible = int(pmap.valid.sum())
-    print(f"projected {grid.rows * grid.cols} anchors, {visible} inside the image")
-    return 0
+    return build_custom_grid(rows=rows, cols=cols, **custom)
 
 
 def _cmd_nms(args):
@@ -155,9 +150,6 @@ def _cmd_extract(args):
         return 0
     if out.exists() and not out.is_dir():
         raise ValidationError(f"--out {out} is not a directory, and --pred is one")
-    if out.resolve() == pred.resolve():
-        raise ValidationError("--out must not be the --pred directory: "
-                              "lane files would replace the frames")
     # Every frame is extracted before any lane file is written, so a bad
     # frame leaves no partial output.
     outputs = [(out / file.name, frame.frame_id, run_pipeline(frame, **options).lanes)
@@ -251,18 +243,6 @@ def _cmd_synth(args):
     return 0
 
 
-def _grid_args(p):
-    _add_grid_args(p)
-    p.add_argument("--out", required=True)
-
-
-def _project_args(p):
-    _add_grid_args(p)
-    p.add_argument("--camera", help="camera JSON (default: forward camera)")
-    p.add_argument("--ground-height", type=float, default=SUPPRESS)
-    p.add_argument("--out", required=True)
-
-
 def _add_nms_args(p):
     """PointNMS's options, the same in ``nms`` and ``extract``."""
     p.add_argument("--thresh-x", type=float, default=SUPPRESS)
@@ -309,7 +289,18 @@ def _eval_args(p):
 
 
 def _synth_args(p):
-    _add_grid_args(p)
+    p.add_argument("--mode", choices=("uniform", "custom"), default="uniform")
+    p.add_argument("--rows", type=int, default=12)
+    p.add_argument("--cols", type=int, default=32)
+    p.add_argument("--y-min", type=float, default=3.0)
+    p.add_argument("--y-max", type=float, default=58.0)
+    p.add_argument("--x-min", type=float, default=-8.0)
+    p.add_argument("--x-max", type=float, default=8.0)
+    p.add_argument("--spacing-near", type=float, default=SUPPRESS)
+    p.add_argument("--spacing-far", type=float, default=SUPPRESS)
+    p.add_argument("--width", type=float, default=SUPPRESS)
+    p.add_argument("--y-origin", type=float, default=SUPPRESS)
+    p.add_argument("--preset", choices=sorted(MODEL_PRESETS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lanes", dest="lane_count", type=int, default=SUPPRESS)
     p.add_argument("--noise-x", dest="sigma_x", type=float, default=SUPPRESS)
@@ -324,8 +315,6 @@ def _synth_args(p):
 
 # The one list of subcommands: name -> (help, handler, argument adder).
 COMMANDS = {
-    "grid": ("write anchor grid positions as CSV", _cmd_grid, _grid_args),
-    "project": ("project grid anchors into the image", _cmd_project, _project_args),
     "nms": ("suppress duplicate proposals in a frame", _cmd_nms, _nms_args),
     "extract": ("run NMS and extract lane instances", _cmd_extract, _extract_args),
     "match": ("assign proposals to ground-truth keypoints", _cmd_match, _match_args),
@@ -358,6 +347,7 @@ def main(argv=None):
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (ValueError, OSError) as exc:   # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,10 @@
-"""JSON file formats: prediction frames, lane files, ground-truth lanes,
-cameras, head weights, plus the anchor-grid and projection CSV exports.
+"""JSON file formats: prediction frames, lane files and ground-truth lanes.
 
 All writers emit sorted keys and indented JSON (``json_text``) so artifacts
-diff cleanly in review and CI; the CLI's ``match`` and ``eval`` reports and
-``project``'s CSV are written through this module too.  Floats use
-Python's shortest round-tripping representation, which keeps
-load(save(x)) exactly equal to x.  A frame's adjacency is written in
+diff cleanly in review and CI; the CLI's ``match`` and ``eval`` reports are
+written through this module too.  Floats use Python's shortest
+round-tripping representation, which keeps load(save(x)) exactly equal
+to x.  A frame's adjacency is written in
 whichever encoding holds fewer numbers: the nonzero entries as (i, j,
 prob) triplets when 3 x nonzero < n^2, otherwise dense row-major rows.
 The loader reads both encodings whatever the frame's size.
@@ -17,8 +16,8 @@ A loader raises ``SchemaError`` for a bad structure: JSON it cannot decode,
 a missing field, no object, list or string where one belongs, an unknown
 adjacency format, a size or class-score count unlike the header's.  Each
 number goes to the rule that owns it (``errors``, ``ProposalSet``,
-``LaneRecord``, ``CameraModel``, ``HeadWeights``) and a bad one raises its
-``ValidationError``, named by its place in the file: ``keypoints[1].x: ...``.
+``LaneRecord``) and a bad one raises its ``ValidationError``, named by its
+place in the file: ``keypoints[1].x: ...``.
 Each file is read once, its whole structure before any of its values: a
 file with several faults raises for the first structural one (in the
 order the file is read, entry by entry and field by field), and only a
@@ -41,10 +40,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .connection_head import HeadWeights
-from .errors import (UNIT, SchemaError, ValidationError, check_int, check_real, float_array,
-                     int_array, unchecked)
-from .geometry import CameraModel
+from .errors import (UNIT, SchemaError, ValidationError, check_int, float_array, int_array,
+                     unchecked)
 # LaneRecord, the lane type of lane and ground-truth files, made here by lane_records only.
 from .graph import AdjacencyMatrix, LaneRecord, lane_records
 from .nms import ProposalSet
@@ -271,60 +268,3 @@ def load_ground_truth(path):
                                  names.__getitem__)
     records = iter(lane_records(points, categories, label=names.__getitem__))
     return {frame_id: list(islice(records, len(frame))) for frame_id, frame in zip(ids, lanes)}
-
-
-def save_camera(camera, path):
-    _dump({"intrinsic": [float(v) for v in camera.intrinsic.reshape(-1)],
-           "extrinsic": [float(v) for v in camera.extrinsic.reshape(-1)],
-           "image_size": [camera.image_size[0], camera.image_size[1]]}, path)
-
-
-def load_camera(path):
-    raw = _load_json(path)
-    intrinsic, extrinsic, image_size = (_require(raw, key, list)
-                                        for key in ("intrinsic", "extrinsic", "image_size"))
-    return CameraModel(intrinsic=float_array(intrinsic, "intrinsic", (9,)).reshape(3, 3),
-                       extrinsic=float_array(extrinsic, "extrinsic", (16,)).reshape(4, 4),
-                       image_size=tuple(image_size))
-
-
-# Head weight file keys; each names the HeadWeights field spelt with "_".
-_WEIGHT_KEYS = tuple(f"{side}.{name}" for side in ("origin", "dest")
-                     for name in ("w1", "b1", "w2", "b2")) + ("final.w",)
-
-
-def save_head_weights(weights, path):
-    out = {key: getattr(weights, key.replace(".", "_")).tolist() for key in _WEIGHT_KEYS}
-    out["final.b"] = weights.final_b
-    _dump(out, path)
-
-
-def load_head_weights(path):
-    raw = _load_json(path)
-    lists = {key: _require(raw, key, list) for key in _WEIGHT_KEYS}
-    final_b = _require(raw, "final.b")
-    fields = {key.replace(".", "_"): float_array(values, key) for key, values in lists.items()}
-    return HeadWeights(**fields, final_b=check_real(final_b, "final.b"))
-
-
-def save_grid_csv(grid, path):
-    lines = ["row,col,x,y"]
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            x, y = grid.positions[r, c]
-            lines.append(f"{r},{c},{float(x)!r},{float(y)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def save_projection_csv(pmap, path):
-    """A ``geometry.ProjectionMap`` as ``row,col,u,v,valid`` lines, one per
-    anchor in row-major order."""
-    lines = ["row,col,u,v,valid"]
-    rows, cols = pmap.valid.shape
-    for r in range(rows):
-        for c in range(cols):
-            u, v = pmap.pixel_coords[r, c]
-            lines.append(f"{r},{c},{float(u)!r},{float(v)!r},{int(pmap.valid[r, c])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

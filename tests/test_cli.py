@@ -9,12 +9,11 @@ import pytest
 
 import lanekit.cli
 from lanekit.cli import COMMANDS, build_parser, main
-from lanekit.geometry import (build_custom_grid, build_uniform_grid, make_forward_camera,
-                              project_grid_to_image)
+from lanekit.config import MODEL_PRESETS
+from lanekit.geometry import build_custom_grid, build_uniform_grid
 from lanekit.io import (LaneRecord, PredictionFrame, json_text, load_ground_truth,
-                        load_lane_frame, load_prediction_frame, save_camera, save_grid_csv,
-                        save_ground_truth, save_lane_frame, save_prediction_frame,
-                        save_projection_csv)
+                        load_lane_frame, load_prediction_frame, save_ground_truth,
+                        save_lane_frame, save_prediction_frame)
 from lanekit.matching import match_keypoints
 from lanekit.metrics import evaluate
 from lanekit.pipeline import run_pipeline, suppress
@@ -264,55 +263,99 @@ class TestMatchCommand:
         assert not out.exists()
 
 
-class TestGeometryCommands:
-    def test_grid_csv(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert run(["grid", "--mode", "custom", "--rows", 5, "--cols", 4,
-                    "--out", out]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "row,col,x,y"
-        assert len(lines) == 1 + 5 * 4
+class TestSynthGrid:
+    """``synth`` draws on the uniform grid, or on the custom grid under
+    ``--mode custom`` or a ``--preset``."""
 
-    def test_grid_preset(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert run(["grid", "--preset", "large", "--out", out]) == 0
-        assert len(out.read_text().strip().splitlines()) == 1 + 72 * 128
-
-    def test_project_default_camera(self, tmp_path):
-        out = tmp_path / "proj.csv"
-        assert run(["project", "--rows", 6, "--cols", 8, "--out", out]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "row,col,u,v,valid"
-        assert len(lines) == 1 + 6 * 8
-
-    @pytest.mark.parametrize("command, args, name", [
-        ("grid", ["--x-max", "inf"], "x_range"),
-        ("grid", ["--x-min=-1e308", "--x-max", "1e308"], "x_range"),
-        ("grid", ["--mode", "custom", "--width", "inf"], "width"),
-        ("project", ["--x-min=-1e307", "--x-max", "1e307"], "x_range"),
-        ("project", ["--ground-height", "nan"], "ground_height")])
-    def test_huge_or_non_finite_grid_is_exit_1(self, tmp_path, capsys, command, args, name):
-        out = tmp_path / "out.csv"
-        assert run([command, *args, "--out", out]) == 1
+    @pytest.mark.parametrize("args, name", [
+        (["--x-max", "inf"], "x_range"),
+        (["--x-min=-1e308", "--x-max", "1e308"], "x_range"),
+        (["--mode", "custom", "--width", "inf"], "width")])
+    def test_huge_or_non_finite_grid_is_exit_1(self, tmp_path, capsys, args, name):
+        out = tmp_path / "frame.json"
+        assert run(["synth", "--seed", 1, *args, "--out-pred", out]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [("image_size", [-5, 0]),
-                                              ("image_size", [480, 0]),
-                                              ("intrinsic", 1e308)])
-    def test_project_rejects_bad_camera_file(self, tmp_path, capsys, field, value):
-        camera = tmp_path / "camera.json"
-        save_camera(make_forward_camera(), camera)
-        raw = json.loads(camera.read_text())
-        if field == "intrinsic":
-            raw[field][0] = value
-        else:
-            raw[field] = value
-        camera.write_text(json.dumps(raw))
-        out = tmp_path / "proj.csv"
-        assert run(["project", "--camera", camera, "--out", out]) == 1
-        assert field in capsys.readouterr().err
+    CUSTOM_OPTIONS = ["--spacing-near", "--spacing-far", "--width", "--y-origin"]
+
+    @pytest.mark.parametrize("option", CUSTOM_OPTIONS)
+    def test_custom_grid_option_on_the_uniform_grid_is_exit_1(self, tmp_path, capsys, option):
+        out = tmp_path / "frame.json"
+        assert run(["synth", "--seed", 1, option, 1, "--out-pred", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option} shapes the custom grid only; give --mode custom or --preset\n")
         assert not out.exists()
+        assert run(["synth", "--seed", 1, "--mode", "custom", option, 1, "--out-pred", out]) == 0
+
+    @pytest.mark.parametrize("option", CUSTOM_OPTIONS)
+    def test_custom_grid_option_shapes_the_preset_grid(self, tmp_path, option):
+        assert run(["synth", "--seed", 1, "--preset", "lite", option, 1.25,
+                    "--out-pred", tmp_path / "got.json"]) == 0
+        rows, cols = MODEL_PRESETS["lite"].bev_shape
+        for name, grid in [("want.json", build_custom_grid(
+                               rows, cols, **{option[2:].replace("-", "_"): 1.25})),
+                           ("preset.json", build_custom_grid(rows, cols))]:
+            save_prediction_frame(generate_scene(SceneSpec(seed=1), grid)[1], tmp_path / name)
+        got = (tmp_path / "got.json").read_bytes()
+        assert got == (tmp_path / "want.json").read_bytes()
+        assert got != (tmp_path / "preset.json").read_bytes()
+
+    def test_preset(self, tmp_path):
+        assert run(["synth", "--seed", 1, "--preset", "large",
+                    "--out-pred", tmp_path / "got.json"]) == 0
+        _, frame = generate_scene(SceneSpec(seed=1),
+                                  build_custom_grid(*MODEL_PRESETS["large"].bev_shape))
+        save_prediction_frame(frame, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+class TestNoOutputOverAnInput:
+    """No command writes over a file or directory it reads, and no two of
+    its outputs share a path; such a call reads and writes nothing."""
+
+    @pytest.fixture()
+    def files(self, scene, tmp_path):
+        pred, gt = scene
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "a.json").write_bytes(pred.read_bytes())
+        lanes = tmp_path / "lanes.json"
+        assert run(["extract", "--pred", pred, "--out", lanes]) == 0
+        # The same file as "frame", named through another directory.
+        (tmp_path / "gt-link.json").symlink_to(gt)
+        return {"frame": pred, "frame-again": frames / ".." / pred.name, "gt": gt,
+                "gt-link": tmp_path / "gt-link.json", "frames": frames,
+                "frames-again": frames / ".." / frames.name, "lanes": lanes}
+
+    @pytest.mark.parametrize("argv, options", [
+        (["nms", "--pred", "frame", "--out", "frame"], ("--out", "--pred")),
+        (["extract", "--pred", "frame", "--out", "frame-again"], ("--out", "--pred")),
+        (["extract", "--pred", "frames", "--out", "frames"], ("--out", "--pred")),
+        (["match", "--pred", "frame", "--gt", "gt", "--out", "gt"], ("--out", "--gt")),
+        (["eval", "--pred", "lanes", "--gt", "gt", "--report", "lanes"],
+         ("--report", "--pred")),
+        (["synth", "--seed", "1", "--out-pred", "gt", "--out-gt", "gt"],
+         ("--out-gt", "--out-pred")),
+        (["nms", "--pred", "frame", "--out", "frame-again"], ("--out", "--pred")),
+        (["extract", "--pred", "frames", "--out", "frames-again"], ("--out", "--pred")),
+        (["match", "--pred", "frame", "--gt", "gt", "--out", "frame"], ("--out", "--pred")),
+        (["eval", "--pred", "lanes", "--gt", "gt", "--report", "gt-link"],
+         ("--report", "--gt")),
+        (["eval", "--pred", "frames", "--gt", "gt", "--report", "frames"],
+         ("--report", "--pred")),
+        (["synth", "--seed", "1", "--out-pred", "gt-link", "--out-gt", "gt"],
+         ("--out-gt", "--out-pred"))],
+        ids=["nms", "extract", "extract-dir", "match", "eval", "synth", "nms-dotted",
+             "extract-dir-dotted", "match-pred", "eval-gt-link", "eval-dir", "synth-link"])
+    def test_shared_path_is_exit_1_naming_both_options(self, files, tmp_path, capsys,
+                                                        argv, options):
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run([files.get(word, word) for word in argv]) == 1
+        assert f"error: {options[0]} and {options[1]} name the same path" in (
+            capsys.readouterr().err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestExtractDirectory:
@@ -374,12 +417,6 @@ class TestExtractDirectory:
         assert run(["extract", "--pred", frames, "--out", out]) == 1
         assert "not a directory" in capsys.readouterr().err
         assert out.read_text() == "keep me\n"
-
-    def test_out_naming_the_frame_directory_is_exit_1(self, frames, capsys):
-        before = {p.name: p.read_bytes() for p in frames.iterdir()}
-        assert run(["extract", "--pred", frames, "--out", frames]) == 1
-        assert "must not be the --pred directory" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
 
     def test_a_bad_frame_leaves_no_output(self, frames, tmp_path):
         (frames / "z.json").write_text("{broken")
@@ -462,18 +499,6 @@ class TestLeftOutOptions:
             {"aggregate": [r.as_dict() for r in reports]}))
         self.assert_same_files(tmp_path, "report.json")
 
-    def test_project(self, tmp_path):
-        assert run(["project", "--out", tmp_path / "got-proj.csv"]) == 0
-        pmap = project_grid_to_image(build_uniform_grid(**self.CLI_GRID), make_forward_camera())
-        save_projection_csv(pmap, tmp_path / "proj.csv")
-        self.assert_same_files(tmp_path, "proj.csv")
-
-    def test_grid_custom(self, tmp_path):
-        assert run(["grid", "--mode", "custom", "--out", tmp_path / "got-grid.csv"]) == 0
-        save_grid_csv(build_custom_grid(self.CLI_GRID["rows"], self.CLI_GRID["cols"]),
-                      tmp_path / "grid.csv")
-        self.assert_same_files(tmp_path, "grid.csv")
-
 
 # The options whose default the CLI states itself: the uniform grid's geometry.
 CLI_OWNED = {"--mode", "--rows", "--cols", "--y-min", "--y-max", "--x-min", "--x-max"}
@@ -515,15 +540,8 @@ def test_cli_states_no_library_default():
     assert _restated_defaults(Path(lanekit.cli.__file__).read_text()) == []
 
 
-GRID_OPTIONS = ["--mode", "custom", "--rows", "4", "--cols", "6", "--y-min", "2",
-                "--y-max", "40", "--x-min", "-5", "--x-max", "5", "--spacing-near", "0.4",
-                "--spacing-far", "2", "--width", "18", "--y-origin", "2.5", "--preset", "lite"]
-
 # One argv per subcommand, setting every one of its options.
 REPRESENTATIVE_ARGV = {
-    "grid": ["grid", *GRID_OPTIONS, "--out", "g.csv"],
-    "project": ["project", *GRID_OPTIONS, "--camera", "cam.json", "--ground-height", "0.5",
-                "--out", "p.csv"],
     "nms": ["nms", "--pred", "f.json", "--thresh-x", "0.5", "--thresh-y", "2", "--r", "5",
             "--iou", "0.2", "--out", "o.json"],
     "extract": ["extract", "--pred", "f.json", "--t-a", "0.4", "--min-lane-points", "3",
@@ -534,9 +552,12 @@ REPRESENTATIVE_ARGV = {
               "--out", "m.json"],
     "eval": ["eval", "--pred", "l.json", "--gt", "g.json", "--threshold", "1.5,0.5",
              "--report", "r.json", "--per-frame"],
-    "synth": ["synth", *GRID_OPTIONS, "--seed", "3", "--lanes", "2", "--noise-x", "0.1",
-              "--noise-z", "0.05", "--dropout", "0.1", "--n", "3", "--distractors", "0.2",
-              "--strong-distractors", "--out-pred", "f.json", "--out-gt", "g.json"],
+    "synth": ["synth", "--mode", "custom", "--rows", "4", "--cols", "6", "--y-min", "2",
+              "--y-max", "40", "--x-min", "-5", "--x-max", "5", "--spacing-near", "0.4",
+              "--spacing-far", "2", "--width", "18", "--y-origin", "2.5", "--preset", "lite",
+              "--seed", "3", "--lanes", "2", "--noise-x", "0.1", "--noise-z", "0.05",
+              "--dropout", "0.1", "--n", "3", "--distractors", "0.2", "--strong-distractors",
+              "--out-pred", "f.json", "--out-gt", "g.json"],
 }
 
 

@@ -80,7 +80,6 @@ NUMPY_ONLY = {
                                           "--out", root / "lanes"),
     "nms": lambda root, pred: cli("nms", "--pred", pred, "--out", root / "kept.json"),
     "synth": lambda root, pred: cli("synth", "--seed", 4, "--out-pred", root / "synth.json"),
-    "grid": lambda root, pred: cli("grid", "--preset", "base", "--out", root / "grid.csv"),
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -71,6 +73,23 @@ class TestHeadWeights:
         bad["final_w"] = np.full_like(w.final_w, np.nan)
         with pytest.raises(ValueError, match="finite"):
             HeadWeights(**bad)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(HeadWeights)])
+    @pytest.mark.parametrize("kind", ["inf", "bool"])
+    def test_each_field_rejects_a_bad_entry_naming_it(self, field, kind):
+        # Every field passes through the same finite-number rule, so a bad
+        # entry anywhere in the weights names the field it sits in.
+        w = random_head_weights(0, d_c=4, dims_per_axis=4)
+        values = {f.name: getattr(w, f.name) for f in fields(HeadWeights)}
+        if field == "final_b":
+            values[field] = np.inf if kind == "inf" else True
+        elif kind == "inf":
+            values[field] = values[field].copy()
+            values[field].reshape(-1)[-1] = -np.inf
+        else:
+            values[field] = np.ones_like(values[field], bool)
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            HeadWeights(**values)
 
     def test_seeded_generation_is_deterministic(self):
         a = random_head_weights(123, d_c=8)

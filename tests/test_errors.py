@@ -115,6 +115,9 @@ REJECTED = {
     "uniform_rows_one": (lambda: build_uniform_grid(1, 4, (3.0, 6.0), (-1.5, 1.5)), "rows"),
     "custom_cols_one": (lambda: build_custom_grid(4, 1), "cols"),
     "camera_image_size_float": (lambda: camera((2.5, 3)), "image_size"),
+    "camera_image_size_negative": (lambda: camera((-5, 0)), "image_size"),
+    "camera_image_size_zero": (lambda: camera((480, 0)), "image_size"),
+    "camera_image_size_bool": (lambda: camera((True, 640)), "image_size"),
     "scene_seed_float": (lambda: SceneSpec(seed=0.5), "seed"),
     "scene_categories_bool": (lambda: SceneSpec(seed=0, categories=True), "categories"),
     "custom_width_bool": (lambda: build_custom_grid(4, 4, width=True), "width"),
@@ -143,6 +146,7 @@ REJECTED = {
     "check_real_int_beyond_double": (lambda: check_real(-10 ** 400, "v"), "v"),
     "final_b_int_beyond_double": (lambda: HeadWeights(**head_fields(final_b=10 ** 400)),
                                   "final_b"),
+    "final_b_bool": (lambda: HeadWeights(**head_fields(final_b=True)), "final_b"),
     "nms_boxes_thresh_x_int_beyond_double": (
         lambda: build_nms_boxes([[0.0, 0.0]], 10 ** 400, 1.0), "thresh_x"),
     # Too many digits for repr, which once raised a bare ValueError.
@@ -259,6 +263,9 @@ REJECTED_CAMERA_SCALARS = {
     "project_ground_height_bool": (
         lambda: project_grid_to_image(grid(), make_forward_camera(), ground_height=True),
         "ground_height"),
+    "project_ground_height_nan": (
+        lambda: project_grid_to_image(grid(), make_forward_camera(), ground_height=NAN),
+        "ground_height"),
     "unproject_ground_height_nan": (
         lambda: unproject_pixel_to_ground(make_forward_camera(), (640.0, 700.0), NAN),
         "ground_height"),
@@ -323,6 +330,8 @@ REJECTED_ARRAYS = {
     "intrinsic_shape": (lambda: CameraModel(np.eye(4), EYE4, (4, 4)), "intrinsic"),
     "intrinsic_nan": (lambda: CameraModel(with_entry(EYE3, (0, 2), NAN), EYE4, (4, 4)),
                       "intrinsic"),
+    "intrinsic_huge": (lambda: CameraModel(with_entry(EYE3, (0, 0), 1e308), EYE4, (4, 4)),
+                       "intrinsic"),
     "extrinsic_bool": (lambda: CameraModel(EYE3, EYE4.astype(bool), (4, 4)), "extrinsic"),
     "extrinsic_shape": (lambda: CameraModel(EYE3, EYE4[:3], (4, 4)), "extrinsic"),
     "extrinsic_nan": (lambda: CameraModel(EYE3, with_entry(EYE4, (0, 3), NAN), (4, 4)),

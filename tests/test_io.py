@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import tempfile
@@ -8,22 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lanekit.io
 from lanekit.errors import SchemaError, ValidationError
 from lanekit.config import MODEL_PRESETS
-from lanekit.geometry import build_custom_grid, build_uniform_grid, make_forward_camera
+from lanekit.geometry import build_custom_grid
 from lanekit.io import (
     LaneRecord,
     PredictionFrame,
     _load_json,
-    load_camera,
     load_ground_truth,
-    load_head_weights,
     load_lane_frame,
     load_prediction_frame,
-    save_camera,
-    save_grid_csv,
     save_ground_truth,
-    save_head_weights,
     save_lane_frame,
     save_prediction_frame,
 )
@@ -305,39 +302,6 @@ class TestNonFiniteLanePoints:
             LaneRecord(points=[[0.0, 5.0, bad], [0.0, 10.0, 0.0]])
 
 
-class TestCameraAndWeights:
-    def test_camera_round_trip(self, tmp_path):
-        cam = make_forward_camera(height=1.4, pitch_deg=4.0, yaw_deg=2.0)
-        path = tmp_path / "cam.json"
-        save_camera(cam, path)
-        loaded = load_camera(path)
-        np.testing.assert_array_equal(loaded.intrinsic, cam.intrinsic)
-        np.testing.assert_array_equal(loaded.extrinsic, cam.extrinsic)
-        assert loaded.image_size == cam.image_size
-
-    def test_head_weights_round_trip(self, tmp_path):
-        weights = random_head_weights(seed=2, d_c=8, dims_per_axis=4, hidden=6, embed=5)
-        path = tmp_path / "head.json"
-        save_head_weights(weights, path)
-        loaded = load_head_weights(path)
-        for name in ("origin_w1", "origin_b1", "origin_w2", "origin_b2",
-                     "dest_w1", "dest_b1", "dest_w2", "dest_b2", "final_w"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(weights, name))
-        assert loaded.final_b == weights.final_b
-
-    def test_grid_csv_layout(self, tmp_path):
-        grid = build_uniform_grid(rows=3, cols=4, y_range=(3.0, 9.0), x_range=(-2.0, 2.0))
-        path = tmp_path / "grid.csv"
-        save_grid_csv(grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,col,x,y"
-        assert len(lines) == 1 + 3 * 4
-        row, col, x, y = lines[1].split(",")
-        assert (int(row), int(col)) == (0, 0)
-        assert float(x) == grid.positions[0, 0, 0]
-        assert float(y) == grid.positions[0, 0, 1]
-
-
 def base_scene_frame(seed=3):
     rows, cols = MODEL_PRESETS["base"].bev_shape
     _, frame = generate_scene(SceneSpec(seed=seed, lane_count=4),
@@ -531,34 +495,6 @@ class TestAdjacencyEncoding:
                 AdjacencyMatrix(bad)
 
 
-class TestCameraFileBounds:
-    def write(self, tmp_path, edit):
-        path = tmp_path / "camera.json"
-        save_camera(make_forward_camera(), path)
-        raw = json.loads(path.read_text())
-        edit(raw)
-        path.write_text(json.dumps(raw))
-        return path
-
-    @pytest.mark.parametrize("size", [[-5, 0], [480, 0], [0, 640], [True, 640]])
-    def test_non_positive_image_size(self, tmp_path, size):
-        path = self.write(tmp_path, lambda raw: raw.update(image_size=size))
-        with pytest.raises(ValidationError, match="image_size"):
-            load_camera(path)
-
-    def test_huge_focal_length(self, tmp_path):
-        path = self.write(tmp_path, lambda raw: raw["intrinsic"].__setitem__(0, 1e308))
-        with pytest.raises(ValidationError, match="intrinsic"):
-            load_camera(path)
-
-    def test_overflowing_translation(self, tmp_path):
-        # 1e999 is valid JSON number syntax and parses to an infinite float.
-        path = self.write(tmp_path, lambda raw: raw["extrinsic"].__setitem__(3, 123.25))
-        path.write_text(path.read_text().replace("123.25", "1e999"))
-        with pytest.raises(ValidationError, match="extrinsic"):
-            load_camera(path)
-
-
 class TestDecoder:
     """What the loaders make of the documents orjson reads differently from
     the stdlib decoder or refuses (the io module docstring)."""
@@ -639,10 +575,6 @@ def _lane_file(path):
     save_lane_frame("b", [LaneRecord([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], 1, 0.5)], path)
 
 
-def _head_file(path):
-    save_head_weights(random_head_weights(0, d_c=1, dims_per_axis=1, hidden=2, embed=2), path)
-
-
 def _dense_frame(path):
     save_prediction_frame(make_frame(np.random.default_rng(19), count=3), path)
 
@@ -654,10 +586,6 @@ def _gt_file(path):
 def _all_scores_true(raw):
     for keypoint in raw["keypoints"]:
         keypoint["class_scores"] = [True] * len(keypoint["class_scores"])
-
-
-def _camera_file(path):
-    save_camera(make_forward_camera(), path)
 
 
 # Every field of a file that holds one number: (file writer, loader, keys
@@ -683,7 +611,6 @@ SINGLE_NUMBERS = {
                    "lanes[0]: confidence", False),
     "gt-category": (_gt_file, load_ground_truth, ("frames", 0, "lanes", 0, "category"),
                     "frames[0].lanes[0]: category", True),
-    "final.b": (_head_file, load_head_weights, ("final.b",), "final.b", False),
 }
 # 10**400 reads as an infinity, which each field's rule rejects.
 BAD_SINGLE_NUMBERS = {f"{field}-{kind}": (field, value) for field, spec in SINGLE_NUMBERS.items()
@@ -727,10 +654,9 @@ class TestBooleansAreNotNumbers:
         (_lane_file, load_lane_frame, _set("lanes", 0, "category"),
          r"lanes\[0\]: category must be a non-negative integer, got True"),
         (_lane_file, load_lane_frame, _set("lanes", 0, "confidence"),
-         r"lanes\[0\]: confidence must lie in \[0, 1\], got True"),
-        (_head_file, load_head_weights, _set("final.b"), r"final\.b must be finite, got True")],
+         r"lanes\[0\]: confidence must lie in \[0, 1\], got True")],
         ids=["row", "fg_score", "x", "repeats_n", "categories", "size", "triplet-prob",
-             "triplet-index", "category", "confidence", "final.b"])
+             "triplet-index", "category", "confidence"])
     def test_bool_names_the_field(self, tmp_path, write, load, edit, message):
         # The same ValidationError the value gets from the library's own checks.
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -751,13 +677,8 @@ class TestBooleansAreNotNumbers:
          r"keypoints\[1\]\.class_scores"),
         (_sparse_frame, load_prediction_frame, _all_scores_true, r"keypoints\[0\]\.class_scores"),
         (_dense_frame, load_prediction_frame, _set("adjacency", "probs", 2, 1),
-         r"adjacency\.probs"),
-        (_camera_file, load_camera, _set("intrinsic", 0), "intrinsic"),
-        (_camera_file, load_camera, _set("extrinsic", 15, value=False), "extrinsic"),
-        (_head_file, load_head_weights, _set("origin.w1", 0, 0), r"origin\.w1"),
-        (_head_file, load_head_weights, _set("final.w", value=[True, False]), r"final\.w")],
-        ids=["lane-points", "gt-points", "class_scores", "all-class_scores", "probs",
-             "intrinsic", "extrinsic", "w1", "final.w"])
+         r"adjacency\.probs")],
+        ids=["lane-points", "gt-points", "class_scores", "all-class_scores", "probs"])
     def test_bool_in_a_number_list_names_the_field(self, tmp_path, write, load, edit, field):
         with pytest.raises(ValidationError, match=field + ": expected numbers, got a boolean"):
             load(_edited(tmp_path, write, edit))
@@ -812,3 +733,11 @@ def test_prediction_frame_round_trips_every_column(columns, data):
         again, want = getattr(loaded.keypoints, name), getattr(proposals, name)
         assert again.dtype == want.dtype and np.array_equal(again, want), name
     assert np.array_equal(loaded.adjacency, frame.adjacency)
+
+
+def test_io_reads_on_errors_graph_and_nms_only():
+    # The file formats are those of the post-network path: proposals,
+    # adjacency and lanes.  Geometry and the connection head stay off them.
+    tree = ast.parse(Path(lanekit.io.__file__).read_text())
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == {"errors", "graph", "nms"}

@@ -1,9 +1,8 @@
 """Fuzz tests of the JSON loaders.
 
-Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame``,
-``load_ground_truth``, ``load_camera`` and ``load_head_weights`` either
-return or raise ``ValidationError`` (which ``SchemaError`` subclasses); no
-other exception may escape.  Inputs are
+Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame`` and
+``load_ground_truth`` either return or raise ``ValidationError`` (which
+``SchemaError`` subclasses); no other exception may escape.  Inputs are
 arbitrary JSON documents and valid files with a few parts replaced, removed
 or duplicated.  Whatever a loader accepts must also save and load back
 unchanged, and must hold no JSON boolean where a number belongs, alone or
@@ -26,13 +25,10 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lanekit.connection_head import HeadWeights, random_head_weights
 from lanekit.errors import SchemaError, ValidationError
-from lanekit.geometry import build_uniform_grid, make_forward_camera, project_grid_to_image
 from lanekit.io import (LaneRecord, PredictionFrame, _load_json, _reject_constant,
-                        load_camera, load_ground_truth, load_head_weights, load_lane_frame,
-                        load_prediction_frame, save_camera, save_ground_truth,
-                        save_head_weights, save_lane_frame, save_prediction_frame)
+                        load_ground_truth, load_lane_frame, load_prediction_frame,
+                        save_ground_truth, save_lane_frame, save_prediction_frame)
 from lanekit.nms import ProposalSet
 
 _TEMP = tempfile.TemporaryDirectory(prefix="lanekit-fuzz-")   # removed at exit
@@ -86,9 +82,6 @@ VALID = {
     "frame": [saved(save_prediction_frame, frame) for frame in valid_frame()],
     "lanes": [saved(save_lane_frame, "f", LANES)],
     "gt": [saved(save_ground_truth, {"f": LANES, "g": LANES[:1]})],
-    "camera": [saved(save_camera, make_forward_camera())],
-    "weights": [saved(save_head_weights,
-                      random_head_weights(0, d_c=1, dims_per_axis=1, hidden=2, embed=2))],
 }
 
 
@@ -99,24 +92,6 @@ def paths(doc, prefix=()):
         enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
         yield from paths(value, prefix + (key,))
-
-
-WEIGHT_KEYS = [f"{side}.{name}" for side in ("origin", "dest")
-               for name in ("w1", "b1", "w2", "b2")] + ["final.w"]
-GRID = build_uniform_grid(4, 4, (3.0, 80.0), (-10.0, 10.0))
-HUGE = st.floats(min_value=1e6, max_value=1e308) | st.floats(min_value=-1e308, max_value=-1e6)
-# Entries of a camera file a huge number may land in: any intrinsic entry,
-# and the translation column of the extrinsic.
-CAMERA_ENTRIES = [("intrinsic", i) for i in range(9)] + [("extrinsic", i) for i in (3, 7, 11)]
-
-
-@st.composite
-def huge_camera(draw):
-    """A valid camera file with one to three entries made huge but finite."""
-    doc = copy.deepcopy(VALID["camera"][0])
-    for key, index in draw(st.lists(st.sampled_from(CAMERA_ENTRIES), min_size=1, max_size=3)):
-        doc[key][index] = draw(HUGE)
-    return doc
 
 
 @st.composite
@@ -218,36 +193,12 @@ def check_gt(doc):
                        for a, b in zip(again[fid], frames[fid]))
 
 
-def check_camera(doc):
-    camera = load(load_camera, doc)
-    if camera is not None:
-        assert no_bools(*leaves(doc["intrinsic"]), *leaves(doc["extrinsic"]))
-        again = load_camera(resaved(save_camera, camera))
-        assert np.array_equal(again.intrinsic, camera.intrinsic)
-        assert np.array_equal(again.extrinsic, camera.extrinsic)
-        assert again.image_size == camera.image_size
-        # An accepted camera projects without overflow (a RuntimeWarning,
-        # which tier-1 turns into an error).
-        project_grid_to_image(GRID, camera)
-
-
-def check_weights(doc):
-    weights = load(load_head_weights, doc)
-    if weights is not None:
-        assert no_bools(doc["final.b"], *leaves([doc[key] for key in WEIGHT_KEYS]))
-        again = load_head_weights(resaved(save_head_weights, weights))
-        for name, value in vars(weights).items():
-            assert np.array_equal(getattr(again, name), value)
-
-
 @FUZZ
 @given(JSON)
 def test_arbitrary_json(doc):
     check_frame(doc)
     check_lanes(doc)
     check_gt(doc)
-    check_camera(doc)
-    check_weights(doc)
 
 
 @FUZZ
@@ -268,31 +219,12 @@ def test_mutated_ground_truth(doc):
     check_gt(doc)
 
 
-@FUZZ
-@given(mutated("camera"))
-def test_mutated_camera(doc):
-    check_camera(doc)
-
-
-@FUZZ
-@given(huge_camera())
-def test_camera_with_huge_entries(doc):
-    check_camera(doc)
-
-
-@FUZZ
-@given(mutated("weights"))
-def test_mutated_head_weights(doc):
-    check_weights(doc)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=40))
 def test_arbitrary_text(text):
     path = WORKDIR / "text.json"
     path.write_text(text)
-    for loader in (load_prediction_frame, load_lane_frame, load_ground_truth,
-                   load_camera, load_head_weights):
+    for loader in (load_prediction_frame, load_lane_frame, load_ground_truth):
         try:
             loader(path)
         except ValidationError:
@@ -304,9 +236,9 @@ UNIT = st.floats(0, 1)
 
 @st.composite
 def written(draw):
-    """The text one of the writers makes: a dense or sparse frame, a lane,
-    ground-truth, camera or head-weight file, holding drawn numbers."""
-    kind = draw(st.sampled_from(["dense", "sparse", "lanes", "gt", "camera", "weights"]))
+    """The text one of the writers makes: a dense or sparse frame, a lane or
+    a ground-truth file, holding drawn numbers."""
+    kind = draw(st.sampled_from(["dense", "sparse", "lanes", "gt"]))
     path = WORKDIR / "written.json"
     if kind in ("dense", "sparse"):
         n, width = draw(st.integers(0, 5)), draw(st.integers(0, 3))
@@ -329,7 +261,7 @@ def written(draw):
             adjacency.reshape(-1)[(n * n + 2) // 3:] = 0.0
         save_prediction_frame(PredictionFrame(frame_id=draw(st.text(max_size=5)),
                                               keypoints=proposals, adjacency=adjacency), path)
-    elif kind in ("lanes", "gt"):
+    else:
         def lane():
             points = draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=2, max_size=4))
             points.sort(key=lambda p: p[1])
@@ -340,18 +272,6 @@ def written(draw):
             save_lane_frame(draw(st.text(max_size=5)), lanes, path)
         else:
             save_ground_truth({"f": lanes, "g": lanes[:1]}, path)
-    elif kind == "camera":
-        save_camera(make_forward_camera(
-            height=draw(st.floats(0.1, 1e6)), pitch_deg=draw(st.floats(-80, 80)),
-            yaw_deg=draw(st.floats(-180, 180)), focal=draw(st.floats(1e-3, 1e9)),
-            image_size=(draw(st.integers(1, 2 ** 31 - 1)), draw(st.integers(1, 2 ** 31 - 1)))),
-            path)
-    else:
-        weights = random_head_weights(draw(st.integers(0, 2 ** 32 - 1)), d_c=1,
-                                      dims_per_axis=1, hidden=2, embed=2)
-        scale = 10.0 ** draw(st.integers(-300, 300))
-        save_head_weights(HeadWeights(**{name: value * scale
-                                         for name, value in vars(weights).items()}), path)
     return path.read_text()
 
 
