@@ -13,8 +13,9 @@ Nothing is written unless every frame extracts.
 
 No command writes over a file or directory it reads, and no two of its
 outputs share a path: an output option that resolves to the path of another
-path option is an error (exit 1) naming both, raised before anything is
-read or written.
+path option, or to a ``.json`` file directly inside a ``--pred`` directory,
+is an error (exit 1) naming both, raised before anything is read or
+written.
 
 Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 (argparse's default).
@@ -22,13 +23,16 @@ Exit codes: 0 on success, 1 on validation or file errors, 2 on usage errors
 An option that feeds a library parameter is stored under that parameter's
 name (``--iou`` as ``iou_thresh``, ``--lanes`` as ``lane_count``) and is
 passed on only when given, so a left-out option takes the library
-function's default.  The only defaults stated here are the uniform grid's:
-``--mode``, ``--rows``, ``--cols``, ``--y-min``, ``--y-max``, ``--x-min`` and
-``--x-max``.  ``synth``'s custom-grid options (``--spacing-near``,
-``--spacing-far``, ``--width``, ``--y-origin``) shape the custom grid only,
-so giving one for the uniform grid (no ``--mode custom``, no ``--preset``)
-is an error (exit 1).  Every file and report the CLI writes, ``match``'s
-and ``eval``'s JSON included, is formatted by ``io``.
+function's default.  The only defaults stated here are ``synth``'s grid:
+``--mode`` (uniform), and the uniform grid's ``--rows``, ``--cols``,
+``--y-min``, ``--y-max``, ``--x-min`` and ``--x-max``, held in
+``_UNIFORM_GRID``.  An option the chosen grid does not read is an error
+(exit 1): the custom-grid options (``--spacing-near``, ``--spacing-far``,
+``--width``, ``--y-origin``) on the uniform grid (no ``--mode custom``, no
+``--preset``), the four range options under ``--mode custom``, and all six
+uniform-grid options under ``--preset``, whose model sets the rows and
+columns.  Every file and report the CLI writes, ``match``'s and ``eval``'s
+JSON included, is formatted by ``io``.
 
 ``COMMANDS`` is the one table of subcommands.  ``main`` builds the parser
 of the command it runs only; any other first argument gets the full one.
@@ -56,6 +60,10 @@ from .synthetic import SceneSpec, generate_scene, gt_keypoints
 _NMS = ("thresh_x", "thresh_y", "r", "iou_thresh")
 # Path options: those a command reads, then those it writes.
 _READS, _WRITES = ("pred", "gt"), ("out", "report", "out_pred", "out_gt")
+# ``synth``'s uniform grid where its options are left out; ``--mode
+# custom`` takes its rows and columns too.
+_UNIFORM_GRID = {"rows": 12, "cols": 32, "y_min": 3.0, "y_max": 58.0,
+                 "x_min": -8.0, "x_max": 8.0}
 
 
 def _given(args, *names):
@@ -86,27 +94,45 @@ def _option(name):
 
 def _check_paths(args):
     """Rejects an output option that resolves to the path of an input or of
-    an earlier output, naming both options (module docstring)."""
+    an earlier output, or to a ``.json`` file directly inside a ``--pred``
+    directory (the files such a ``--pred`` reads), naming both options."""
     named = [(name, os.path.realpath(value))
              for name, value in _given(args, *_READS, *_WRITES).items() if value is not None]
     for i, (name, path) in enumerate(named):
+        if name not in _WRITES:
+            continue
         for other, other_path in named[:i]:
-            if name in _WRITES and path == other_path:
+            if path == other_path:
                 raise ValidationError(f"{_option(name)} and {_option(other)} "
                                       f"name the same path {path}")
+            if (other == "pred" and Path(path).suffix == ".json"
+                    and os.path.dirname(path) == other_path and os.path.isdir(other_path)):
+                raise ValidationError(f"{_option(name)} names a .json file in the "
+                                      f"{_option(other)} directory {other_path}")
 
 
 def _grid_from_args(args):
+    """``synth``'s grid; an option the chosen grid does not read is an
+    error (module docstring)."""
     custom = _given(args, "spacing_near", "spacing_far", "width", "y_origin")
-    if args.mode == "uniform" and not args.preset:
-        if custom:
-            raise ValidationError(f"{_option(next(iter(custom)))} shapes the custom grid "
-                                  f"only; give --mode custom or --preset")
-        return build_uniform_grid(rows=args.rows, cols=args.cols,
-                                  y_range=(args.y_min, args.y_max),
-                                  x_range=(args.x_min, args.x_max))
-    rows, cols = MODEL_PRESETS[args.preset].bev_shape if args.preset else (args.rows, args.cols)
-    return build_custom_grid(rows=rows, cols=cols, **custom)
+    given = _given(args, *_UNIFORM_GRID)
+    grid = {**_UNIFORM_GRID, **given}
+    if args.preset:
+        unread, rule = given, "is not read under --preset"
+    elif args.mode == "custom":
+        unread = _given(args, "y_min", "y_max", "x_min", "x_max")
+        rule = "is not read under --mode custom"
+    else:
+        unread, rule = custom, "shapes the custom grid only; give --mode custom or --preset"
+    if unread:
+        raise ValidationError(f"{_option(next(iter(unread)))} {rule}")
+    if args.preset:
+        return build_custom_grid(*MODEL_PRESETS[args.preset].bev_shape, **custom)
+    if args.mode == "custom":
+        return build_custom_grid(grid["rows"], grid["cols"], **custom)
+    return build_uniform_grid(rows=grid["rows"], cols=grid["cols"],
+                              y_range=(grid["y_min"], grid["y_max"]),
+                              x_range=(grid["x_min"], grid["x_max"]))
 
 
 def _cmd_nms(args):
@@ -290,12 +316,12 @@ def _eval_args(p):
 
 def _synth_args(p):
     p.add_argument("--mode", choices=("uniform", "custom"), default="uniform")
-    p.add_argument("--rows", type=int, default=12)
-    p.add_argument("--cols", type=int, default=32)
-    p.add_argument("--y-min", type=float, default=3.0)
-    p.add_argument("--y-max", type=float, default=58.0)
-    p.add_argument("--x-min", type=float, default=-8.0)
-    p.add_argument("--x-max", type=float, default=8.0)
+    p.add_argument("--rows", type=int, default=SUPPRESS)
+    p.add_argument("--cols", type=int, default=SUPPRESS)
+    p.add_argument("--y-min", type=float, default=SUPPRESS)
+    p.add_argument("--y-max", type=float, default=SUPPRESS)
+    p.add_argument("--x-min", type=float, default=SUPPRESS)
+    p.add_argument("--x-max", type=float, default=SUPPRESS)
     p.add_argument("--spacing-near", type=float, default=SUPPRESS)
     p.add_argument("--spacing-far", type=float, default=SUPPRESS)
     p.add_argument("--width", type=float, default=SUPPRESS)

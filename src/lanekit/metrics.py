@@ -13,14 +13,22 @@ excluded from the counts on both sides.
 
 ``evaluate`` scores a sequence in one pass.  All the lanes of a side, every
 frame's, are resampled together by one interpolation that equals
-``np.interp`` bit for bit.  Frames are the outer loop: a frame's pair
-distances are computed once and serve every threshold.  At each threshold,
-``matching.solve_assignment`` gives the one-to-one matching, and
-the maximum-matching sizes that AP needs at each confidence cutoff come
-from one augmenting-path pass over the admissible pairs, taking
-predictions by falling confidence.  Each frame's counts are kept apart and
-added in frame order, so a frame's own report (``eval --per-frame``) comes
-from the same pass.
+``np.interp`` bit for bit.  The sequence is then one table of pairs
+(``_PairTable``), a row per (prediction, GT lane) of one frame, frames in
+order and predictions first within a frame, leaving out pairs that no
+threshold can admit; one vectorised pass gives every row's distances and
+mean distance, read at every threshold.  Frames enter
+the table whole, in blocks of at most ``_BLOCK_ENTRIES`` entries (a larger
+frame is a block alone).  At each threshold one
+``matching.solve_assignment`` call on a block's block-diagonal cost matches
+every frame in it, since the solver solves each connected component on its
+own, and one augmenting-path pass over its predictions, frame by frame and
+by falling confidence, gives the maximum-matching sizes that AP needs at
+each confidence cutoff.  A lane's valid samples are one run, so a matched
+pair's near and far samples are one slice each; its four error sums are
+taken once and serve every threshold that matches it.  Each frame's counts
+are kept apart and added in frame order, so a frame's own report (``eval
+--per-frame``) comes from the same pass.
 """
 
 from dataclasses import asdict, dataclass
@@ -141,9 +149,10 @@ def resample_lane(lane, y_samples):
 
 
 def _on_grid(frames, names, y_samples):
-    """Per frame, ``(x, z, valid, confidence)`` of its lanes that have a
-    valid sample on ``y_samples``, all frames resampled together.
-    ``frames`` are lists of LaneRecords; lane i of frame f is called
+    """``(x, z, valid, conf, bounds)`` of the lanes of ``frames`` (lists of
+    LaneRecords) that have a valid sample on ``y_samples``, all frames
+    resampled together, in frame order: frame f's lanes are rows
+    ``bounds[f]:bounds[f + 1]``.  Lane i of frame f is called
     ``names[f][i]`` in errors."""
     lanes = [_lane_record(lane, f"{name}[{i}]")
              for name, frame in zip(names, frames) for i, lane in enumerate(frame)]
@@ -152,48 +161,82 @@ def _on_grid(frames, names, y_samples):
     keep = valid.any(axis=1)
     frame_of = np.repeat(np.arange(len(frames)), [len(frame) for frame in frames])
     bounds = np.searchsorted(frame_of[keep], np.arange(len(frames) + 1))
-    x, z, valid, conf = x[keep], z[keep], valid[keep], conf[keep]
-    return [(x[a:b], z[a:b], valid[a:b], conf[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return x[keep], z[keep], valid[keep], conf[keep], bounds
 
 
-class _FramePairs:
-    """One frame's prediction x ground-truth pairs on the shared grid, with
-    the distances every threshold reads computed once."""
+def _frames(side, a, b):
+    """Frames ``a`` to ``b`` - 1 of an ``_on_grid`` side, in its form."""
+    x, z, valid, conf, bounds = side
+    lo, hi = bounds[a], bounds[b]
+    return x[lo:hi], z[lo:hi], valid[lo:hi], conf[lo:hi], bounds[a:b + 1] - lo
 
-    def __init__(self, pred, gt):
-        self.px, self.pz, self.pv, self.conf = pred
-        self.gx, self.gz, self.gv, _ = gt
-        self.dist = np.hypot(self.px[:, None, :] - self.gx[None, :, :],
-                             self.pz[:, None, :] - self.gz[None, :, :])
-        self.both = self.pv[:, None, :] & self.gv[None, :, :]
-        both_counts = self.both.sum(axis=2)
-        sums = np.where(self.both, self.dist, 0.0).sum(axis=2)
-        self.mean_dist = np.where(both_counts > 0, sums / np.maximum(both_counts, 1), np.inf)
-        self.gt_counts = self.gv.sum(axis=1)
+
+class _PairTable:
+    """The (prediction, GT lane) pairs of the frames of two ``_on_grid``
+    sides that may be admissible at a threshold up to ``reach``, one row
+    each: frame by frame, prediction-major within a frame.  What every
+    threshold reads is computed once, for all rows together: the distance
+    and the both-valid mask per sample, and the both-valid mean distance.
+
+    A pair's distance at a sample is at least its |dx|, so a pair is left
+    out when fewer than 75% of the GT lane's valid samples have a
+    both-valid |dx| within ``reach``: no threshold up to it admits it.  The
+    2 ** -20 margin on ``reach`` leaves room for a ``hypot`` that rounds
+    below |dx|."""
+
+    def __init__(self, pred, gt, reach):
+        self.px, self.pz, pv, self.conf, self.pred_bounds = pred
+        self.gx, self.gz, gv, _, self.gt_bounds = gt
+        self.shape = (len(self.px), len(self.gx))
+        n_gt = np.diff(self.gt_bounds)
+        sizes = np.diff(self.pred_bounds) * n_gt
+        frame = np.repeat(np.arange(len(sizes)), sizes)
+        k = np.arange(len(frame)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        p = self.pred_bounds[frame] + k // n_gt[frame]
+        g = self.gt_bounds[frame] + k % n_gt[frame]
+        both = pv[p] & gv[g]
+        gt_counts = gv.sum(axis=1)[g]
+        # |dx| in place, so at most two (rows, samples) float arrays are
+        # live at once; hypot(|dx|, dz) is hypot(dx, dz).
+        adx = self.px[p]
+        adx -= self.gx[g]
+        np.abs(adx, out=adx)
+        within = (both & (adx <= reach * (1 + 2 ** -20))).sum(axis=1)
+        keep = np.flatnonzero(within / gt_counts >= INLIER_FRACTION)
+        self.frame, self.p, self.g = frame[keep], p[keep], g[keep]
+        self.both, self.gt_counts = both[keep], gt_counts[keep]
+        self.dist = np.hypot(adx[keep], self.pz[self.p] - self.gz[self.g])
+        # A kept row has a both-valid sample, so its mean is defined.
+        self.mean_dist = np.where(self.both, self.dist, 0.0).sum(axis=1) / self.both.sum(axis=1)
 
     def admissible_cost(self, threshold):
-        """Pair cost matrix: mean both-valid distance, inf when inadmissible.
-        An admissible pair has inliers, so its mean distance is defined."""
-        inliers = (self.both & (self.dist <= threshold)).sum(axis=2)
+        """The dense prediction x GT cost matrix: a row's mean both-valid
+        distance where admissible, inf elsewhere, and so between frames."""
+        inliers = (self.both & (self.dist <= threshold)).sum(axis=1)
         admissible = inliers / self.gt_counts >= INLIER_FRACTION
-        return np.where(admissible, self.mean_dist, np.inf)
+        costs = np.full(self.shape, np.inf)
+        costs[self.p, self.g] = np.where(admissible, self.mean_dist, np.inf)
+        return costs
 
-    def pair_errors(self, pairs, near_mask):
-        """Sums and counts of |dx|, |dz| on matched both-valid samples,
-        ordered (x near, x far, z near, z far).  ``pairs`` are a Matching's,
-        already checked, so they are read without the array rule.  Each
-        pair's sums are taken over its own samples and added in pair order."""
-        sums = np.zeros(4)
-        p, g = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
-        both = self.pv[p] & self.gv[g]
-        near, far = both & near_mask, both & ~near_mask
-        adx = np.abs(self.px[p] - self.gx[g])
-        adz = np.abs(self.pz[p] - self.gz[g])
-        for k in range(len(pairs)):
-            sums += (adx[k][near[k]].sum(), adx[k][far[k]].sum(),
-                     adz[k][near[k]].sum(), adz[k][far[k]].sum())
-        n_near, n_far = near.sum(), far.sum()
-        return sums, np.array([n_near, n_far, n_near, n_far], dtype=float)
+    def pair_errors(self, rows, near):
+        """Per row in ``rows``, the sums of |dx|, |dz| on its both-valid
+        samples and their counts, two ``(len(rows), 4)`` arrays ordered
+        (x near, x far, z near, z far); the first ``near`` grid samples are
+        near.  Each lane's valid samples are one run (``_resample``), so a
+        pair's both-valid samples are one run too, its near and its far
+        samples one slice each, and each sum is numpy's sum of that
+        contiguous slice."""
+        p, g, both = self.p[rows], self.g[rows], self.both[rows]
+        start = np.count_nonzero(both.cumsum(axis=1) == 0, axis=1)
+        stop = start + np.count_nonzero(both, axis=1)
+        cut = np.clip(near, start, stop)
+        errors = np.abs(np.stack([self.px[p] - self.gx[g], self.pz[p] - self.gz[g]], axis=1))
+        sums = np.empty((len(rows), 4))
+        for k, (a, b, c) in enumerate(zip(start.tolist(), cut.tolist(), stop.tolist())):
+            sums[k, 0::2] = np.add.reduce(errors[k, :, a:b], axis=1)
+            sums[k, 1::2] = np.add.reduce(errors[k, :, b:c], axis=1)
+        counts = np.column_stack([cut - start, stop - cut] * 2).astype(float)
+        return sums, counts
 
 
 def _prefix_matching_sizes(admissible, order):
@@ -254,9 +297,9 @@ def match_lanes(pred_lanes, gt_lanes, dist_threshold, y_samples=None):
     """
     check_real(dist_threshold, "dist_threshold", 0)
     y_samples = _y_grid(y_samples)
-    pred, = _on_grid([pred_lanes], ["pred_lanes"], y_samples)
-    gt, = _on_grid([gt_lanes], ["gt_lanes"], y_samples)
-    return solve_assignment(_FramePairs(pred, gt).admissible_cost(dist_threshold))
+    table = _PairTable(_on_grid([pred_lanes], ["pred_lanes"], y_samples),
+                       _on_grid([gt_lanes], ["gt_lanes"], y_samples), dist_threshold)
+    return solve_assignment(table.admissible_cost(dist_threshold))
 
 
 def _normalize_frames(frames):
@@ -280,20 +323,68 @@ def _sorted_ids(ids, name):
 # predictions.  Tallies add elementwise.
 _HEAD = 11
 
+# Entries a block of frames may hold: its pair table's rows times the grid
+# samples, plus its dense cost matrix's cells.  A frame that alone holds
+# more is a block of its own.  At 2 ** 16 each float array of a block is at
+# most 512 KB, so a block's few such arrays stay below what resampling a
+# long sequence's lanes takes; larger blocks save no time, and a 400-frame
+# sequence evaluated as one block takes about six times the peak memory
+# and twice the time.
+_BLOCK_ENTRIES = 1 << 16
 
-def _tally(frame, threshold, near_mask, order, retained):
-    """``frame``'s tally at ``threshold``; ``order`` ranks its predictions
-    by falling confidence, and each AP cutoff retains the first
-    ``retained[i]`` of them."""
-    costs = frame.admissible_cost(threshold)
-    pairs = solve_assignment(costs).pairs
-    sums, counts = frame.pair_errors(pairs, near_mask)
-    # Retained sets are prefixes of ``order``, so AP's cutoffs need only the
-    # size of a maximum matching on each prefix.
-    sizes = _prefix_matching_sizes(np.isfinite(costs), order)
-    n_pred, n_gt = costs.shape
-    return np.concatenate([(len(pairs), n_pred - len(pairs), n_gt - len(pairs)),
-                           sums, counts, np.take(sizes, retained), retained])
+
+def _frame_blocks(pred_bounds, gt_bounds, samples):
+    """``[(a, b), ...]``: consecutive ranges of whole frames, from the
+    first to the last, each within ``_BLOCK_ENTRIES`` or one frame."""
+    n_pred, n_gt = np.diff(pred_bounds).tolist(), np.diff(gt_bounds).tolist()
+    blocks, a, rows, preds, gts = [], 0, 0, 0, 0
+    for f, (p, g) in enumerate(zip(n_pred, n_gt)):
+        rows, preds, gts = rows + p * g, preds + p, gts + g
+        if f > a and rows * samples + preds * gts > _BLOCK_ENTRIES:
+            blocks.append((a, f))
+            a, rows, preds, gts = f, p * g, p, g
+    return blocks + [(a, len(n_pred))] if n_pred else blocks
+
+
+def _tallies(table, thresholds, near, steps):
+    """The tallies of ``table``'s frames, ``(threshold, frame, field)``.
+
+    Per threshold one ``solve_assignment`` call on the block-diagonal cost
+    matches every frame, as the solver takes each connected component on
+    its own.  AP's retained sets are a frame's predictions by falling
+    confidence, so one augmenting-path pass over the predictions, frame by
+    frame, gives a running maximum-matching size whose differences are
+    each frame's cutoff counts.  A pair matched at several thresholds has
+    its error sums taken once."""
+    bounds = table.pred_bounds
+    n_pred, n_gt = np.diff(bounds), np.diff(table.gt_bounds)
+    order = np.lexsort((-table.conf, np.repeat(np.arange(len(n_pred)), n_pred)))
+    above = np.zeros((len(steps), len(table.conf) + 1), dtype=int)
+    np.cumsum(table.conf >= steps[:, None], axis=1, out=above[:, 1:])
+    retained = (above[:, bounds[1:]] - above[:, bounds[:-1]]).T
+    row_at = np.zeros(table.shape, dtype=np.intp)
+    row_at[table.p, table.g] = np.arange(len(table.p))
+    tallies = np.zeros((len(thresholds), len(n_pred), _HEAD + 2 * len(steps)))
+    matched = []
+    for tally, threshold in zip(tallies, thresholds):
+        costs = table.admissible_cost(threshold)
+        pairs = solve_assignment(costs).pairs
+        p, g = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2).T
+        matched.append(row_at[p, g])
+        tp = np.bincount(table.frame[matched[-1]], minlength=len(n_pred))
+        sizes = np.array(_prefix_matching_sizes(np.isfinite(costs), order))
+        tally[:, :3] = np.column_stack([tp, n_pred - tp, n_gt - tp])
+        tally[:, _HEAD:] = np.hstack([sizes[bounds[:-1, None] + retained]
+                                      - sizes[bounds[:-1, None]], retained])
+    # Each frame's sums are added in pair order, as a frame's own pass adds them.
+    rows, which = np.unique(np.concatenate(matched or [np.empty(0, np.intp)]),
+                            return_inverse=True)
+    sums, counts = table.pair_errors(rows, near)
+    for tally, pairs in zip(tallies, np.split(which, np.cumsum([len(m) for m in matched])[:-1])):
+        frame = table.frame[rows[pairs]]
+        np.add.at(tally[:, 3:7], frame, sums[pairs])
+        np.add.at(tally[:, 7:_HEAD], frame, counts[pairs])
+    return tallies
 
 
 def _report(threshold, tally):
@@ -349,7 +440,6 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
                               f"unpaired: {_sorted_ids(missing, 'gt_frames')!r}")
     y_samples = _y_grid(y_samples)
     check_real(near_far_split, "near_far_split", ends="[]")
-    near_mask = y_samples < near_far_split
     steps = float_array(conf_steps, "conf_steps", (None,), within=UNIT)
 
     pred_side = _on_grid([preds[fid] for fid in fids],
@@ -358,18 +448,20 @@ def _evaluate(pred_frames, gt_frames, thresholds=EVAL_THRESHOLDS_M,
                        [f"gt_frames[{fid!r}]" for fid in fids], y_samples)
     thresholds = tuple(check_real(t, f"thresholds[{i}]", 0) for i, t in enumerate(thresholds))
 
-    # Frames are the outer loop, so a frame's pair distances serve every
-    # threshold; its tallies are added into the totals in frame order.
-    totals = np.zeros((len(thresholds), _HEAD + 2 * len(steps)))
-    frame_reports = {} if per_frame else None
-    for fid, pred, gt in zip(fids, pred_side, gt_side):
-        frame = _FramePairs(pred, gt)
-        order = np.argsort(-frame.conf, kind="stable")
-        retained = (frame.conf[None, :] >= steps[:, None]).sum(axis=1)
-        tallies = [_tally(frame, threshold, near_mask, order, retained)
-                   for threshold in thresholds]
-        for total, tally in zip(totals, tallies):
+    near = int(np.count_nonzero(y_samples < near_far_split))
+    reach = max(thresholds, default=0.0)
+    tallies = np.zeros((len(thresholds), len(fids), _HEAD + 2 * len(steps)))
+    for a, b in _frame_blocks(pred_side[-1], gt_side[-1], len(y_samples)):
+        table = _PairTable(_frames(pred_side, a, b), _frames(gt_side, a, b), reach)
+        tallies[:, a:b] = _tallies(table, thresholds, near, steps)
+    reports = []
+    for threshold, frame_tallies in zip(thresholds, tallies):
+        total = np.zeros(tallies.shape[2])
+        for tally in frame_tallies:   # in frame order, as the error sums need
             total += tally
-        if per_frame:
-            frame_reports[fid] = [_report(t, tally) for t, tally in zip(thresholds, tallies)]
-    return [_report(t, total) for t, total in zip(thresholds, totals)], frame_reports
+        reports.append(_report(threshold, total))
+    frame_reports = None
+    if per_frame:
+        frame_reports = {fid: [_report(t, tally) for t, tally in zip(thresholds, tallies[:, f])]
+                         for f, fid in enumerate(fids)}
+    return reports, frame_reports

@@ -301,6 +301,46 @@ class TestSynthGrid:
         assert got == (tmp_path / "want.json").read_bytes()
         assert got != (tmp_path / "preset.json").read_bytes()
 
+    # Each uniform-grid option, a value for it, and the library argument it sets.
+    UNIFORM_OPTIONS = [("--rows", 5, "rows"), ("--cols", 9, "cols"),
+                       ("--y-min", 4.0, "y_range"), ("--y-max", 50.0, "y_range"),
+                       ("--x-min", -9.0, "x_range"), ("--x-max", 9.0, "x_range")]
+
+    @pytest.mark.parametrize("grid, under, option", [
+        *[(["--preset", "lite"], "--preset", option) for option, _, _ in UNIFORM_OPTIONS],
+        *[(["--mode", "custom"], "--mode custom", option)
+          for option, _, _ in UNIFORM_OPTIONS[2:]]],
+        ids=[f"preset-{option[2:]}" for option, _, _ in UNIFORM_OPTIONS]
+        + [f"custom-{option[2:]}" for option, _, _ in UNIFORM_OPTIONS[2:]])
+    def test_option_the_grid_does_not_read_is_exit_1(self, tmp_path, capsys, grid, under,
+                                                      option):
+        out = tmp_path / "frame.json"
+        assert run(["synth", "--seed", 1, *grid, option, 1, "--out-pred", out]) == 1
+        assert capsys.readouterr().err == f"error: {option} is not read under {under}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, name", UNIFORM_OPTIONS)
+    def test_uniform_grid_option_shapes_the_uniform_grid(self, tmp_path, option, value, name):
+        assert run(["synth", "--seed", 1, option, value, "--out-pred", tmp_path / "got.json"]) == 0
+        want = dict(TestLeftOutOptions.CLI_GRID)
+        if name in ("rows", "cols"):
+            want[name] = value
+        else:
+            low, high = want[name]
+            want[name] = (value, high) if option.endswith("min") else (low, value)
+        save_prediction_frame(generate_scene(SceneSpec(seed=1), build_uniform_grid(**want))[1],
+                              tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("option, name", [("--rows", "rows"), ("--cols", "cols")])
+    def test_rows_and_cols_shape_the_custom_grid(self, tmp_path, option, name):
+        assert run(["synth", "--seed", 1, "--mode", "custom", option, 9,
+                    "--out-pred", tmp_path / "got.json"]) == 0
+        shape = {"rows": 12, "cols": 32, name: 9}
+        save_prediction_frame(generate_scene(SceneSpec(seed=1), build_custom_grid(**shape))[1],
+                              tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_preset(self, tmp_path):
         assert run(["synth", "--seed", 1, "--preset", "large",
                     "--out-pred", tmp_path / "got.json"]) == 0
@@ -326,36 +366,61 @@ class TestNoOutputOverAnInput:
         (tmp_path / "gt-link.json").symlink_to(gt)
         return {"frame": pred, "frame-again": frames / ".." / pred.name, "gt": gt,
                 "gt-link": tmp_path / "gt-link.json", "frames": frames,
-                "frames-again": frames / ".." / frames.name, "lanes": lanes}
+                "frames-again": frames / ".." / frames.name, "lanes": lanes,
+                "file-in-frames": frames / "a.json", "new-in-frames": frames / "new.json"}
 
-    @pytest.mark.parametrize("argv, options", [
-        (["nms", "--pred", "frame", "--out", "frame"], ("--out", "--pred")),
-        (["extract", "--pred", "frame", "--out", "frame-again"], ("--out", "--pred")),
-        (["extract", "--pred", "frames", "--out", "frames"], ("--out", "--pred")),
-        (["match", "--pred", "frame", "--gt", "gt", "--out", "gt"], ("--out", "--gt")),
+    @pytest.mark.parametrize("argv, message", [
+        (["nms", "--pred", "frame", "--out", "frame"], "--out and --pred name the same path"),
+        (["extract", "--pred", "frame", "--out", "frame-again"],
+         "--out and --pred name the same path"),
+        (["extract", "--pred", "frames", "--out", "frames"],
+         "--out and --pred name the same path"),
+        (["match", "--pred", "frame", "--gt", "gt", "--out", "gt"],
+         "--out and --gt name the same path"),
         (["eval", "--pred", "lanes", "--gt", "gt", "--report", "lanes"],
-         ("--report", "--pred")),
+         "--report and --pred name the same path"),
         (["synth", "--seed", "1", "--out-pred", "gt", "--out-gt", "gt"],
-         ("--out-gt", "--out-pred")),
-        (["nms", "--pred", "frame", "--out", "frame-again"], ("--out", "--pred")),
-        (["extract", "--pred", "frames", "--out", "frames-again"], ("--out", "--pred")),
-        (["match", "--pred", "frame", "--gt", "gt", "--out", "frame"], ("--out", "--pred")),
+         "--out-gt and --out-pred name the same path"),
+        (["nms", "--pred", "frame", "--out", "frame-again"],
+         "--out and --pred name the same path"),
+        (["extract", "--pred", "frames", "--out", "frames-again"],
+         "--out and --pred name the same path"),
+        (["match", "--pred", "frame", "--gt", "gt", "--out", "frame"],
+         "--out and --pred name the same path"),
         (["eval", "--pred", "lanes", "--gt", "gt", "--report", "gt-link"],
-         ("--report", "--gt")),
+         "--report and --gt name the same path"),
         (["eval", "--pred", "frames", "--gt", "gt", "--report", "frames"],
-         ("--report", "--pred")),
+         "--report and --pred name the same path"),
         (["synth", "--seed", "1", "--out-pred", "gt-link", "--out-gt", "gt"],
-         ("--out-gt", "--out-pred"))],
+         "--out-gt and --out-pred name the same path"),
+        (["eval", "--pred", "frames", "--gt", "gt", "--report", "file-in-frames"],
+         "--report names a .json file in the --pred directory"),
+        (["eval", "--pred", "frames-again", "--gt", "gt", "--report", "new-in-frames"],
+         "--report names a .json file in the --pred directory"),
+        (["extract", "--pred", "frames", "--out", "new-in-frames"],
+         "--out names a .json file in the --pred directory")],
         ids=["nms", "extract", "extract-dir", "match", "eval", "synth", "nms-dotted",
-             "extract-dir-dotted", "match-pred", "eval-gt-link", "eval-dir", "synth-link"])
+             "extract-dir-dotted", "match-pred", "eval-gt-link", "eval-dir", "synth-link",
+             "eval-file-in-dir", "eval-new-file-in-dir", "extract-new-file-in-dir"])
     def test_shared_path_is_exit_1_naming_both_options(self, files, tmp_path, capsys,
-                                                        argv, options):
+                                                        argv, message):
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert run([files.get(word, word) for word in argv]) == 1
-        assert f"error: {options[0]} and {options[1]} name the same path" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err.startswith(f"error: {message} ")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not files["new-in-frames"].exists()
+
+    def test_other_files_beside_a_pred_directory_are_fine(self, files, tmp_path):
+        # A report one level below the --pred directory, or beside it, is
+        # not one of the files the directory's run reads.
+        lanes = tmp_path / "lane-files"
+        lanes.mkdir()
+        (lanes / "a.json").write_bytes(files["lanes"].read_bytes())
+        (lanes / "sub").mkdir()
+        for report in (lanes / "sub" / "r.json", tmp_path / "r.json", lanes / "r.txt"):
+            assert run(["eval", "--pred", lanes, "--gt", files["gt"], "--report", report]) == 0
+            assert report.exists()
 
 
 class TestExtractDirectory:
@@ -500,8 +565,10 @@ class TestLeftOutOptions:
         self.assert_same_files(tmp_path, "report.json")
 
 
-# The options whose default the CLI states itself: the uniform grid's geometry.
-CLI_OWNED = {"--mode", "--rows", "--cols", "--y-min", "--y-max", "--x-min", "--x-max"}
+# The one option whose default argparse states: synth's grid mode.  The
+# uniform grid's geometry is the CLI's too, but held in ``_UNIFORM_GRID``, so
+# its options are SUPPRESS like the rest.
+CLI_OWNED = {"--mode"}
 
 
 def _restated_defaults(source):
@@ -521,7 +588,7 @@ def _restated_defaults(source):
 
 def test_guard_finds_a_restated_default():
     source = ('p.add_argument("--iou", dest="iou_thresh", type=float, default=0.1)\n'
-              'p.add_argument("--rows", type=int, default=12)\n'
+              'p.add_argument("--mode", choices=("uniform", "custom"), default="uniform")\n'
               'p.add_argument("--r", type=int, default=SUPPRESS)\n'
               'p.add_argument("--t-a", type=float, default=argparse.SUPPRESS)\n'
               'p.add_argument("--strongest", action="store_true", default=False)\n'

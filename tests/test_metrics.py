@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lanekit.metrics
+from lanekit.cli import main
 from lanekit.config import NEAR_FAR_SPLIT_M
 from lanekit.errors import ValidationError
-from lanekit.io import LaneRecord
+from lanekit.io import LaneRecord, save_ground_truth, save_lane_frame
 from lanekit.matching import solve_assignment
 from lanekit.metrics import (
     AP_CONF_STEPS,
@@ -109,6 +111,15 @@ class TestMatchLanes:
                      [10.0, switch_y + 0.1, 0.0], [10.0, 100.0, 0.0]])
         m = match_lanes([pred], [straight(0.0)], 1.5)
         assert bool(m.pairs) == expected
+
+    @pytest.mark.parametrize("dz, expected", [(0.0, True), (0.25, False)])
+    def test_offset_of_exactly_the_threshold_is_an_inlier(self, dz, expected):
+        # Every sample lies exactly 0.5 m off in x: an inlier at 0.5 m
+        # unless the height differs too.
+        m = match_lanes([straight(0.5, z=dz)], [straight(0.0)], 0.5)
+        assert bool(m.pairs) == expected
+        rep, = evaluate([straight(0.5, z=dz)], [straight(0.0)], thresholds=(0.5,))
+        assert rep.tp == expected
 
     def test_prefers_nearer_lane_on_double_admissibility(self):
         preds = [straight(0.3)]
@@ -444,6 +455,64 @@ class TestCardinalityCutoffs:
         assert rep.ap == reference_ap(reference_frames(preds, gts), 1.5, steps)
 
 
+class TestFrameBlocks:
+    """A sequence is scored in blocks of whole frames, one solve per block
+    and threshold; where the blocks fall changes no report byte."""
+
+    @pytest.mark.parametrize("cap, solves", [(1, 20), (10_000, None)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_per_frame_report_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch,
+                                                                 seed, cap, solves):
+        rng = np.random.default_rng(seed)
+        lane_dir = tmp_path / "lanes"
+        lane_dir.mkdir()
+        gts = {}
+        for f in range(10):
+            fid = f"f{f:02d}"
+            preds, gts[fid] = designed_frame(rng, f % 3)
+            save_lane_frame(fid, preds, lane_dir / f"{fid}.json")
+        save_ground_truth(gts, tmp_path / "gt.json")
+        calls = []
+
+        def counted(costs):
+            calls.append(costs.shape)
+            return solve_assignment(costs)
+
+        def report(name):
+            calls.clear()
+            assert main(["eval", "--pred", str(lane_dir), "--gt", str(tmp_path / "gt.json"),
+                         "--threshold", "1.5,0.5", "--per-frame",
+                         "--report", str(tmp_path / name)]) == 0
+            return (tmp_path / name).read_bytes()
+
+        monkeypatch.setattr(lanekit.metrics, "solve_assignment", counted)
+        whole = report("whole.json")
+        assert len(calls) == 2   # one block, one solve per threshold
+        monkeypatch.setattr(lanekit.metrics, "_BLOCK_ENTRIES", cap)
+        assert report("blocks.json") == whole
+        if solves:
+            assert len(calls) == solves
+        else:   # blocks of several frames
+            assert 2 < len(calls) < 20
+
+    @pytest.mark.parametrize("cap", [1, 50, 400, 1 << 16])
+    def test_blocks_cover_each_frame_once_within_the_cap(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        n_pred, n_gt = rng.integers(0, 9, 40), rng.integers(0, 9, 40)
+        bounds = [np.concatenate([[0], np.cumsum(n)]) for n in (n_pred, n_gt)]
+        monkeypatch.setattr(lanekit.metrics, "_BLOCK_ENTRIES", cap)
+        blocks = lanekit.metrics._frame_blocks(*bounds, 5)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == 40 and all(a < b for a, b in blocks)
+        for a, b in blocks:
+            p, g = n_pred[a:b], n_gt[a:b]
+            entries = (p * g).sum() * 5 + p.sum() * g.sum()
+            assert entries <= cap or b == a + 1
+            if b < 40:   # the next frame would not have fit
+                p, g = n_pred[a:b + 1], n_gt[a:b + 1]
+                assert (p * g).sum() * 5 + p.sum() * g.sum() > cap
+
+
 # Knot and sample values on a coarse grid, so knots repeat, samples repeat
 # and samples fall exactly on knots; lanes reach past the sampled range.
 COARSE = st.integers(-8, 48).map(lambda k: k / 4.0)
@@ -482,6 +551,20 @@ class TestOnePassResampler:
     @given(lane_sets(), st.lists(COARSE, max_size=12).map(sorted))
     def test_equals_per_lane_interp(self, lanes, y_samples):
         self.check(lanes, y_samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lane_sets(), st.lists(COARSE, max_size=12).map(sorted))
+    @example([lane([[0.0, 2.0, 0.0], [1.0, 3.0, 0.0]])], [1.0, 2.0, 2.0, 2.0, 4.0])
+    @example([lane([[0.0, 5.0, 0.0], [1.0, 6.0, 0.0]]),
+              lane([[0.0, -3.0, 0.0], [1.0, 0.5, 0.0]])], [1.0, 2.0, 3.0])
+    @example([lane([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+              lane([[0.0, 3.0, 0.0], [1.0, 9.0, 0.0]])], [1.0, 2.0, 3.0])
+    def test_valid_samples_are_one_run(self, lanes, y_samples):
+        # The evaluator's error sums take a pair's samples as slices.
+        _, _, valid = _resample(lanes, np.asarray(y_samples, dtype=float))
+        for row in valid:
+            where = np.flatnonzero(row)
+            assert len(where) == 0 or where[-1] - where[0] + 1 == len(where)
 
     @pytest.mark.parametrize("lanes, y_samples", [
         ([lane([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [5.0, 2.0, 3.0], [6.0, 4.0, 2.0]])],
