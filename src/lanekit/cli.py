@@ -24,15 +24,16 @@ An option that feeds a library parameter is stored under that parameter's
 name (``--iou`` as ``iou_thresh``, ``--lanes`` as ``lane_count``) and is
 passed on only when given, so a left-out option takes the library
 function's default.  The only defaults stated here are ``synth``'s grid:
-``--mode`` (uniform), and the uniform grid's ``--rows``, ``--cols``,
-``--y-min``, ``--y-max``, ``--x-min`` and ``--x-max``, held in
-``_UNIFORM_GRID``.  An option the chosen grid does not read is an error
-(exit 1): the custom-grid options (``--spacing-near``, ``--spacing-far``,
-``--width``, ``--y-origin``) on the uniform grid (no ``--mode custom``, no
-``--preset``), the four range options under ``--mode custom``, and all six
-uniform-grid options under ``--preset``, whose model sets the rows and
-columns.  Every file and report the CLI writes, ``match``'s and ``eval``'s
-JSON included, is formatted by ``io``.
+``--mode`` (uniform), held in ``_UNIFORM_MODE``, and the uniform grid's
+``--rows``, ``--cols``, ``--y-min``, ``--y-max``, ``--x-min`` and
+``--x-max``, held in ``_UNIFORM_GRID``.  An option the chosen grid does not
+read is an error (exit 1): the custom-grid options (``--spacing-near``,
+``--spacing-far``, ``--width``, ``--y-origin``) on the uniform grid (no
+``--mode custom``, no ``--preset``), the four range options under ``--mode
+custom``, and under ``--preset``, whose model sets the rows and columns,
+``--mode`` and all six uniform-grid options.  Every file and report the
+CLI writes, ``match``'s and ``eval``'s JSON included, is formatted by
+``io``.
 
 ``COMMANDS`` is the one table of subcommands.  ``main`` builds the parser
 of the command it runs only; any other first argument gets the full one.
@@ -60,8 +61,9 @@ from .synthetic import SceneSpec, generate_scene, gt_keypoints
 _NMS = ("thresh_x", "thresh_y", "r", "iou_thresh")
 # Path options: those a command reads, then those it writes.
 _READS, _WRITES = ("pred", "gt"), ("out", "report", "out_pred", "out_gt")
-# ``synth``'s uniform grid where its options are left out; ``--mode
-# custom`` takes its rows and columns too.
+# ``synth``'s grid mode and uniform grid where their options are left out;
+# ``--mode custom`` takes the uniform grid's rows and columns too.
+_UNIFORM_MODE = "uniform"
 _UNIFORM_GRID = {"rows": 12, "cols": 32, "y_min": 3.0, "y_max": 58.0,
                  "x_min": -8.0, "x_max": 8.0}
 
@@ -117,9 +119,10 @@ def _grid_from_args(args):
     custom = _given(args, "spacing_near", "spacing_far", "width", "y_origin")
     given = _given(args, *_UNIFORM_GRID)
     grid = {**_UNIFORM_GRID, **given}
+    mode = getattr(args, "mode", _UNIFORM_MODE)
     if args.preset:
-        unread, rule = given, "is not read under --preset"
-    elif args.mode == "custom":
+        unread, rule = {**_given(args, "mode"), **given}, "is not read under --preset"
+    elif mode == "custom":
         unread = _given(args, "y_min", "y_max", "x_min", "x_max")
         rule = "is not read under --mode custom"
     else:
@@ -128,7 +131,7 @@ def _grid_from_args(args):
         raise ValidationError(f"{_option(next(iter(unread)))} {rule}")
     if args.preset:
         return build_custom_grid(*MODEL_PRESETS[args.preset].bev_shape, **custom)
-    if args.mode == "custom":
+    if mode == "custom":
         return build_custom_grid(grid["rows"], grid["cols"], **custom)
     return build_uniform_grid(rows=grid["rows"], cols=grid["cols"],
                               y_range=(grid["y_min"], grid["y_max"]),
@@ -315,7 +318,7 @@ def _eval_args(p):
 
 
 def _synth_args(p):
-    p.add_argument("--mode", choices=("uniform", "custom"), default="uniform")
+    p.add_argument("--mode", choices=(_UNIFORM_MODE, "custom"), default=SUPPRESS)
     p.add_argument("--rows", type=int, default=SUPPRESS)
     p.add_argument("--cols", type=int, default=SUPPRESS)
     p.add_argument("--y-min", type=float, default=SUPPRESS)

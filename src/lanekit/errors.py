@@ -2,7 +2,18 @@
 them naming the offending argument, field or row: ``check_real`` and
 ``check_int``, the one rule for scalar arguments, ``float_array`` and
 ``int_array``, the one rule for array arguments and the ranges of their
-values, and ``bool_array``, the rule for masks."""
+values, and ``bool_array``, the rule for masks.
+
+A list or tuple given for an array is read in one walk, level by level:
+each level must hold lists or tuples of one length, which gives the shape,
+and is flattened once, and the set of the next level's types is taken as
+the walk goes.  Where every leaf is a Python float, as in a decoded JSON file of
+points, the array is built from the flat leaves, bit for bit what
+``np.asarray`` gives, and the leaves are scanned no further.  Any other
+list, ragged, empty at some level or holding ints, booleans, numpy
+scalars, strings, None or arrays, is read by ``np.asarray``, and the
+walk's leaf types answer the boolean rule wherever they are the leaves
+numpy read."""
 
 import math
 from itertools import chain
@@ -31,6 +42,12 @@ _BOOLS = frozenset((bool, np.bool_))
 _FLOAT_MAX = float(np.finfo(float).max)
 # Checked by type first: isinstance against an ABC costs a Python call.
 _PLAIN_REALS = frozenset((float, int, np.float64))
+_SEQUENCES = frozenset((list, tuple))
+_FLOAT_ONLY = frozenset((float,))
+# Levels ``_walk`` reads at most: numpy 1.x's limit on dimensions, so that
+# the shape it reads always reshapes, and a list holding itself ends the
+# walk.  Deeper input is read by numpy.
+_MAX_WALK = 32
 
 # Phrases for the intervals whose generic "lie in [a, b)" reads badly.
 _INTERVAL_PHRASES = {(0, math.inf, "()"): "be positive and finite",
@@ -99,7 +116,9 @@ def float_array(values, name, shape=None, row_name=None, within=None):
     but a rectangular array of numbers (ragged input, strings, booleans,
     integers beyond 64 bits) is rejected as ``name``.  Only a list's or
     tuple's entries are scanned for booleans, which numpy turns into 1.0 and
-    0.0 beside other numbers; an array is judged by its dtype.
+    0.0 beside other numbers; an array is judged by its dtype.  A list or
+    tuple is read in one walk, and where every leaf is a float the array is
+    built from the flat leaves with no further scan (module docstring).
 
     ``shape``, if given, is the pattern the array must match: one length per
     axis, None matching any length.  An empty 1-D input reads as zero rows, so
@@ -179,14 +198,21 @@ def _within(array, name, row_name, low, high, ends):
 
 def _number_array(values, name, shape, kinds, row_name=None):
     """``values`` as numpy reads them, checked by ``float_array``'s rule with
-    the dtype kinds ``kinds`` taken as numbers."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged list
-        array = None
-    boolean = array is not None and (array.dtype.kind == "b" or (
-        array.dtype.kind in kinds and isinstance(values, (list, tuple))
-        and _holds_bool(values, array.ndim)))
+    the dtype kinds ``kinds`` taken as numbers.  A list or tuple is read
+    by one ``_walk`` (module docstring); ``_holds_bool`` scans only input
+    whose leaves the walk did not reach, such as an array inside a list."""
+    dims, leaves, types = _walk(values) if isinstance(values, (list, tuple)) else (None,) * 3
+    if types == _FLOAT_ONLY:
+        array, boolean = np.fromiter(leaves, float, len(leaves)).reshape(dims), False
+    else:
+        try:
+            array = np.asarray(values)
+        except ValueError:  # a ragged list
+            array = None
+        boolean = array is not None and (array.dtype.kind == "b" or (
+            array.dtype.kind in kinds and dims is not None
+            and (not _BOOLS.isdisjoint(types) if array.ndim == len(dims)
+                 else _holds_bool(values, array.ndim))))
     if boolean or array is None or array.dtype.kind not in kinds:
         if row_name is not None and isinstance(values, (list, tuple)):
             row_shape = shape and shape[1:]
@@ -203,6 +229,23 @@ def _number_array(values, name, shape, kinds, row_name=None):
             pattern += "," if len(shape) == 1 else ""
             raise ValidationError(f"{name} must have shape ({pattern}), got {array.shape}")
     return array
+
+
+def _walk(values):
+    """The nested lists or tuples ``values`` read level by level, down to the
+    first level that is not all lists or tuples of one length, or empty, or
+    ``_MAX_WALK`` deep: the shape read, that level's entries, flattened
+    once per level, and the set of their types."""
+    dims, level = [len(values)], values
+    types = set(map(type, level))
+    while level and types <= _SEQUENCES and len(dims) < _MAX_WALK:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:   # ragged
+            break
+        dims.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+    return dims, level, types
 
 
 def _holds_bool(values, depth):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
 MAX_ASSIGNMENT_SIDE = 7
 MAX_PATH_NODES = 12
 
@@ -104,3 +106,47 @@ def oracle_paths(adjacency, threshold, start, end):
     if best is None:
         return None
     return best[1], best[0]
+
+
+def _leaves(values, depth):
+    """The entries ``depth`` levels down in ``values``, each level iterated."""
+    if depth == 0:
+        yield values
+    else:
+        for entry in values:
+            yield from _leaves(entry, depth - 1)
+
+
+def oracle_number_array(values, name, shape, kinds, row_name=None):
+    """``errors._number_array``'s rule read the plain way: ``values`` as
+    ``np.asarray`` reads them, then, for a list or tuple, every entry as
+    deep as the array's dimensions scanned for a boolean.  A boolean,
+    ragged input or a dtype kind outside ``kinds`` raises ValidationError
+    naming ``name``, or with ``row_name`` the first row bad alone or unlike
+    row 0 in shape; a shape unlike the pattern ``shape`` raises naming the
+    shape.  ``float_array`` and ``int_array`` give the same results with
+    this in place of ``_number_array``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        array = None
+    boolean = array is not None and (array.dtype.kind == "b" or (
+        array.dtype.kind in kinds and isinstance(values, (list, tuple))
+        and any(type(leaf) in (bool, np.bool_) for leaf in _leaves(values, array.ndim))))
+    if boolean or array is None or array.dtype.kind not in kinds:
+        if row_name is not None and isinstance(values, (list, tuple)):
+            row_shape = shape and shape[1:]
+            for row, entry in enumerate(values):
+                row_shape = oracle_number_array(entry, row_name.format(row), row_shape,
+                                                kinds).shape
+        raise ValidationError(f"{name}: " + ("expected numbers, got a boolean" if boolean
+                                             else "expected a rectangular array of numbers"))
+    if shape is not None:
+        if array.shape == (0,) and shape and shape[0] in (None, 0):
+            array = array.reshape((0,) + tuple(n or 0 for n in shape[1:]))
+        if len(array.shape) != len(shape) or any(
+                n is not None and n != have for n, have in zip(shape, array.shape)):
+            pattern = ", ".join("*" if n is None else str(n) for n in shape)
+            pattern += "," if len(shape) == 1 else ""
+            raise ValidationError(f"{name} must have shape ({pattern}), got {array.shape}")
+    return array

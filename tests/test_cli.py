@@ -319,6 +319,19 @@ class TestSynthGrid:
         assert capsys.readouterr().err == f"error: {option} is not read under {under}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["uniform", "custom"])
+    def test_mode_under_preset_is_exit_1(self, tmp_path, capsys, mode):
+        out = tmp_path / "frame.json"
+        assert run(["synth", "--seed", 1, "--preset", "lite", "--mode", mode,
+                    "--out-pred", out]) == 1
+        assert capsys.readouterr().err == "error: --mode is not read under --preset\n"
+        assert not out.exists()
+
+    def test_mode_uniform_is_the_left_out_mode(self, tmp_path):
+        for name, mode in [("given.json", ["--mode", "uniform"]), ("left-out.json", [])]:
+            assert run(["synth", "--seed", 1, *mode, "--out-pred", tmp_path / name]) == 0
+        assert (tmp_path / "given.json").read_bytes() == (tmp_path / "left-out.json").read_bytes()
+
     @pytest.mark.parametrize("option, value, name", UNIFORM_OPTIONS)
     def test_uniform_grid_option_shapes_the_uniform_grid(self, tmp_path, option, value, name):
         assert run(["synth", "--seed", 1, option, value, "--out-pred", tmp_path / "got.json"]) == 0
@@ -565,22 +578,18 @@ class TestLeftOutOptions:
         self.assert_same_files(tmp_path, "report.json")
 
 
-# The one option whose default argparse states: synth's grid mode.  The
-# uniform grid's geometry is the CLI's too, but held in ``_UNIFORM_GRID``, so
-# its options are SUPPRESS like the rest.
-CLI_OWNED = {"--mode"}
-
-
 def _restated_defaults(source):
     """``line: option`` of each ``add_argument`` call in ``source`` with a
-    ``default=`` other than ``SUPPRESS`` for an option not in ``CLI_OWNED``."""
+    ``default=`` other than ``SUPPRESS``.  synth's grid mode and uniform
+    grid are the CLI's own, but held in ``_UNIFORM_MODE`` and
+    ``_UNIFORM_GRID``, so their options are SUPPRESS like the rest."""
     found = []
     for call in ast.walk(ast.parse(source)):
         if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"):
             continue
         option = getattr(call.args[0], "value", None) if call.args else None
         for keyword in call.keywords:
-            if (keyword.arg == "default" and option not in CLI_OWNED
+            if (keyword.arg == "default"
                     and ast.unparse(keyword.value) not in ("SUPPRESS", "argparse.SUPPRESS")):
                 found.append(f"{call.lineno}: {option}")
     return found
@@ -593,7 +602,7 @@ def test_guard_finds_a_restated_default():
               'p.add_argument("--t-a", type=float, default=argparse.SUPPRESS)\n'
               'p.add_argument("--strongest", action="store_true", default=False)\n'
               'p.add_argument("--out", required=True)\n')
-    assert _restated_defaults(source) == ["1: --iou", "5: --strongest"]
+    assert _restated_defaults(source) == ["1: --iou", "2: --mode", "5: --strongest"]
     cli = Path(lanekit.cli.__file__).read_text()
     iou = '"--iou", dest="iou_thresh", type=float, default=SUPPRESS'
     assert cli.count(iou) == 1

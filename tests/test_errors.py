@@ -14,11 +14,15 @@ import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import lanekit
+from lanekit import errors
 from lanekit.connection_head import (ConnectionFeatures, HeadWeights, positional_encode,
                                      random_head_weights)
 from lanekit.errors import (SchemaError, ValidationError, check_int, check_real, float_array,
@@ -34,6 +38,7 @@ from lanekit.matching import (CostMatrix, GroundTruthKeypoint, Matching, build_c
 from lanekit.metrics import evaluate, match_lanes, resample_lane
 from lanekit.nms import (Keypoint, ProposalSet, box_nms, build_nms_boxes, point_nms,
                          round_half_away)
+from lanekit.oracles import oracle_number_array
 from lanekit.pipeline import run_pipeline
 from lanekit.synthetic import SceneSpec, generate_scene, keypoint_recall
 
@@ -851,3 +856,126 @@ def test_no_row_rejections_outside_errors():
     """How an out-of-range entry is found and reported is decided in
     ``errors`` alone, by the ``within`` interval of the array rule."""
     assert _package_findings(_row_rejections, ("errors.py",)) == []
+
+
+# ``float_array`` and ``int_array`` against the plain reading of their rule,
+# ``oracle_number_array``: nested lists and tuples 1 to 3 deep, rectangular
+# and of one kind of leaf, with up to two parts changed.
+LEAF_KINDS = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(0, 1), st.integers(-2 ** 65, 2 ** 65),
+                              st.floats().map(np.float64), st.floats() | st.integers(),
+                              st.floats() | st.booleans(), st.integers() | st.booleans()])
+ODD_LEAVES = st.sampled_from([0, -3, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1,
+                              2 ** 64, 10 ** 30, True, False, np.bool_(True), np.bool_(False),
+                              np.float64(0.5), np.float64("nan"), np.int64(3), "", "1.5", None,
+                              np.array(1.0), np.array(True), np.array([1.0, 2.0]),
+                              np.array([2, 3]), np.array([True, False])])
+# An array inside a list is drawn twice as often as the other edits.
+EDITS = st.sampled_from(["leaf", "array", "short", "long", "empty", "deeper", "remove",
+                         "duplicate", "array"])
+INTERVALS = st.sampled_from([None, (-INF, INF, "()"), (0, 1, "[]"),
+                             (0, INF, "[]"), (-2 ** 63, 2 ** 63, "[)"), (0, 10, "[)")])
+
+
+def _places(value, where=()):
+    """Every place in the nested lists ``value``, parents before children."""
+    yield where
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            yield from _places(entry, where + (i,))
+
+
+def _edited(draw, node, edit):
+    """``node`` changed by ``edit``; None where the edit removes it."""
+    if edit == "leaf":
+        return draw(ODD_LEAVES)
+    if edit == "array":
+        try:
+            return np.array(node, dtype=draw(st.sampled_from([None, bool])))
+        except (ValueError, TypeError):   # ragged, or no boolean reading
+            return node
+    if edit == "deeper":
+        return [node]
+    if edit == "empty":
+        return []
+    if not isinstance(node, list):
+        return None if edit == "remove" else node
+    return {"short": node[:-1], "long": node + node[-1:], "remove": None,
+            "duplicate": node}[edit]
+
+
+@st.composite
+def nested_numbers(draw):
+    """Arguments of the array rules: values, a shape pattern, a row name
+    and an interval, each of the last three None at times."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    leaf = draw(LEAF_KINDS)
+
+    def build(depth):
+        return draw(leaf) if depth == len(dims) else [build(depth + 1)
+                                                      for _ in range(dims[depth])]
+
+    values = build(0)
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from(list(_places(values))[1:] or [None]))
+        if where is None:   # an empty list
+            break
+        edit = draw(EDITS)
+        parent = values
+        for i in where[:-1]:
+            parent = parent[i]
+        new = _edited(draw, parent[where[-1]], edit)
+        if new is None:
+            del parent[where[-1]]
+        elif edit == "duplicate":
+            parent.insert(where[-1], new)
+        else:
+            parent[where[-1]] = new
+
+    def tupled(value):
+        if not isinstance(value, list):
+            return value
+        entries = [tupled(entry) for entry in value]
+        return tuple(entries) if draw(st.booleans()) else entries
+
+    shape = draw(st.one_of(
+        st.none(), st.tuples(*(st.sampled_from([n, None]) for n in dims)),
+        st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=4).map(tuple)))
+    return tupled(values), shape, draw(st.sampled_from([None, "v[{}].x"])), draw(INTERVALS)
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_CYCLE = []
+_CYCLE.append(_CYCLE)
+
+
+def _outcome(rule, *args):
+    try:
+        array = rule(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nested_numbers())
+# numpy reads a boolean array among rows of floats as floats.
+@example(([np.array([True, False]), [1.0, 2.0]], None, None, None))
+@example(([[1.0, 2.0], (np.array([0.5, True]), [3.0, 4.0])], (2, 2, 2), "v[{}].x", None))
+# Deeper than numpy reads, and a list holding itself.
+@example((_nested(1.0, 70), None, None, None))
+@example((_CYCLE, None, "v[{}].x", None))
+def test_array_rules_agree_with_the_oracle(args):
+    """``float_array`` and ``int_array`` give the same array, dtype, shape
+    and bits, or the same message, as with the oracle's rule in place."""
+    values, shape, row_name, within = args
+    for rule in (float_array, int_array):
+        got = _outcome(rule, values, "v", shape, row_name, within)
+        with mock.patch.object(errors, "_number_array", oracle_number_array):
+            want = _outcome(rule, values, "v", shape, row_name, within)
+        assert got == want

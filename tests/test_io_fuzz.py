@@ -4,9 +4,10 @@ Whatever a file holds, ``load_prediction_frame``, ``load_lane_frame`` and
 ``load_ground_truth`` either return or raise ``ValidationError`` (which
 ``SchemaError`` subclasses); no other exception may escape.  Inputs are
 arbitrary JSON documents and valid files with a few parts replaced, removed
-or duplicated.  Whatever a loader accepts must also save and load back
-unchanged, and must hold no JSON boolean where a number belongs, alone or
-in a list of numbers.
+or duplicated, or a few point rows edited.  Whatever a loader accepts must
+also save and load back unchanged, must hold no JSON boolean where a number
+belongs, alone or in a list of numbers, and its lanes' points must be the
+file's.
 
 The loaders' one decoder, ``io._load_json``, must also return exactly what
 the stdlib decoder returns, types included, or raise the same
@@ -118,6 +119,39 @@ def mutated(draw, kind):
     return doc
 
 
+# Edits of one point row that end ``float_array``'s walk of the rows early.
+POINT_EDITS = ["int", "true", "string", "deeper", "short", "empty"]
+
+
+def file_lanes(doc):
+    """The lane entries of a lane or ground-truth file ``doc``."""
+    if "frames" in doc:
+        return [lane for frame in doc["frames"] for lane in frame["lanes"]]
+    return doc["lanes"]
+
+
+@st.composite
+def point_edited(draw, kind):
+    """A valid file of ``kind`` with one to three point rows edited: a
+    coordinate made an int, ``true``, a string or a list of itself, or a row
+    made one short or empty."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from(file_lanes(doc)))["points"]
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(POINT_EDITS))
+        if edit == "short":
+            rows[i] = rows[i][:-1]
+        elif edit == "empty":
+            rows[i] = []
+        elif rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = {"int": draw(st.integers() | st.sampled_from([2 ** 63, 2 ** 64])),
+                          "true": True, "string": str(rows[i][j]),
+                          "deeper": [rows[i][j]]}[edit]
+    return doc
+
+
 def load(loader, doc):
     path = WORKDIR / "fuzz.json"
     path.write_text(json.dumps(doc))
@@ -172,6 +206,8 @@ def check_lanes(doc):
         frame_id, lanes = loaded
         assert no_bools(*(l.category for l in lanes), *(l.confidence for l in lanes),
                         *leaves([entry["points"] for entry in doc["lanes"]]))
+        assert all(np.array_equal(lane.points, np.array(entry["points"], dtype=float))
+                   for lane, entry in zip(lanes, doc["lanes"]))
         again = load_lane_frame(resaved(save_lane_frame, frame_id, lanes))
         assert again[0] == frame_id and len(again[1]) == len(lanes)
         for a, b in zip(again[1], lanes):
@@ -185,6 +221,10 @@ def check_gt(doc):
         assert no_bools(*(l.category for lanes in frames.values() for l in lanes),
                         *leaves([lane["points"] for entry in doc["frames"]
                                  for lane in entry["lanes"]]))
+        assert all(np.array_equal(lane.points, np.array(entry["points"], dtype=float))
+                   for lane, entry in zip((lane for entry in doc["frames"]
+                                           for lane in frames[entry["frame_id"]]),
+                                          file_lanes(doc)))
         again = load_ground_truth(resaved(save_ground_truth, frames))
         assert sorted(again) == sorted(frames)
         for fid in frames:
@@ -216,6 +256,18 @@ def test_mutated_lane_file(doc):
 @FUZZ
 @given(mutated("gt"))
 def test_mutated_ground_truth(doc):
+    check_gt(doc)
+
+
+@FUZZ
+@given(point_edited("lanes"))
+def test_point_edited_lane_file(doc):
+    check_lanes(doc)
+
+
+@FUZZ
+@given(point_edited("gt"))
+def test_point_edited_ground_truth(doc):
     check_gt(doc)
 
 
