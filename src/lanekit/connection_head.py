@@ -7,9 +7,14 @@ matrix is a sigmoid over a learned linear readout of the elementwise product
 F_orig[i] * F_dest[j].  Weights are supplied externally (or seeded randomly
 for tests); nothing here trains.
 
-All matrix products run through non-optimized einsum so that each output row
-is accumulated in a fixed order: permuting the keypoints permutes the result
-bitwise, which the tests rely on.
+The head computes on the distinct keypoint rows, each row being a
+keypoint's position and connection features, taken in the order of their
+bytes (``_distinct_rows``), and expands the result back to every keypoint.
+So any permutation of the keypoints hands the matrix products (BLAS, whose
+sums depend on a row's position and on the matrix's shape) byte-identical
+operands, and duplicate keypoints are computed once: permuting the keypoints
+permutes the probabilities bitwise, by construction.  Rows are compared by
+their bytes, so ``+0.0`` and ``-0.0`` make two rows.
 """
 
 from dataclasses import dataclass
@@ -95,16 +100,30 @@ def positional_encode(position, dims_per_axis=32):
 
 
 def _mlp(x, w1, b1, w2, b2):
-    # Not @: a BLAS product's sums follow row positions, breaking c07's bitwise equivariance.
-    hidden = relu(np.einsum("ij,jk->ik", x, w1, optimize=False) + b1)
-    return np.einsum("ij,jk->ik", hidden, w2, optimize=False) + b2
+    return relu(x @ w1 + b1) @ w2 + b2
+
+
+def _distinct_rows(rows):
+    """``(first, inverse)`` for a C-contiguous 2-D array: ``first`` indexes
+    one row of each distinct byte pattern, in the order of those bytes, and
+    ``rows[first][inverse]`` is ``rows``.  A stable sort of each row read as
+    one ``np.void`` scalar, which is far cheaper than ``np.unique(axis=0)``."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def adjacency_forward(features, weights):
     """Full head forward pass; returns probabilities strictly inside (0, 1).
 
     The positional-encoding width is whatever the weight matrices leave room
-    for after the connection features.  scipy's ``expit`` is imported here,
+    for after the connection features.  The products run on the distinct
+    keypoint rows only (module docstring).  scipy's ``expit`` is imported here,
     not at module level, so that importing lanekit loads numpy only.
     """
     from scipy.special import expit
@@ -114,15 +133,16 @@ def adjacency_forward(features, weights):
         raise ValidationError(
             f"weights expect input width {weights.input_dim} but features are "
             f"{features.f_c.shape[1]} wide; no room for an even-dim encoding per axis")
-    pe = positional_encode(features.positions, dims_per_axis=pe_len // 2)
-    full = np.concatenate([pe, features.f_c], axis=1)
+    first, inverse = _distinct_rows(
+        np.concatenate([features.positions, features.f_c], axis=1))
+    pe = positional_encode(features.positions[first], dims_per_axis=pe_len // 2)
+    full = np.concatenate([pe, features.f_c[first]], axis=1)
     f_orig = _mlp(full, weights.origin_w1, weights.origin_b1,
                   weights.origin_w2, weights.origin_b2)
     f_dest = _mlp(full, weights.dest_w1, weights.dest_b1,
                   weights.dest_w2, weights.dest_b2)
-    logits = np.einsum("ik,jk->ij", f_orig * weights.final_w, f_dest,
-                       optimize=False) + weights.final_b
-    return AdjacencyMatrix(expit(logits))
+    logits = (f_orig * weights.final_w) @ f_dest.T + weights.final_b
+    return AdjacencyMatrix(expit(logits)[np.ix_(inverse, inverse)])
 
 
 def random_head_weights(seed, d_c, dims_per_axis=32, hidden=64, embed=32):

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -491,29 +492,36 @@ def build_connection_targets(matching, gts, size):
 
     For every matched GT keypoint, the positive successor is the matched
     proposal of the next GT keypoint in the same lane that found a match;
-    unmatched GT keypoints are skipped over.  ``size`` is a non-negative
+    unmatched GT keypoints are skipped over, and keypoints of equal
+    ``order_in_lane`` follow their index.  ``size`` is a non-negative
     integer, every matched proposal index lies in [0, size) and every
-    matched GT index in [0, len(gts)).
+    matched GT index in [0, len(gts)); the first pair that breaks either
+    rule, or whose GT keypoint an earlier pair matched, is named.
+    ``oracles.oracle_connection_targets`` is the per-lane loop this
+    vectorises.
     """
     size = check_int(size, "size", 0)
     gts = list(gts)
-    proposal_of = {}
-    for k, (p, g) in enumerate(matching.pairs):
-        if not 0 <= p < size:
-            raise ValidationError(f"matching.pairs[{k}]: proposal {p} lies outside [0, {size})")
-        if not 0 <= g < len(gts):
-            raise ValidationError(f"matching.pairs[{k}]: gt {g} lies outside [0, {len(gts)})")
-        if g in proposal_of:
-            raise ValidationError("connection targets need a one-to-one matching "
-                                  f"(gt {g} matched twice)")
-        proposal_of[g] = p
+    pairs = matching.pairs
+    p, g = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
+    repeat = np.ones(len(g), bool)
+    repeat[np.unique(g, return_index=True)[1]] = False
+    bad = (p < 0) | (p >= size) | (g < 0) | (g >= len(gts)) | repeat
+    if bad.any():
+        k = int(bad.argmax())
+        if not 0 <= p[k] < size:
+            raise ValidationError(f"matching.pairs[{k}]: proposal {p[k]} lies outside [0, {size})")
+        if not 0 <= g[k] < len(gts):
+            raise ValidationError(f"matching.pairs[{k}]: gt {g[k]} lies outside [0, {len(gts)})")
+        raise ValidationError("connection targets need a one-to-one matching "
+                              f"(gt {g[k]} matched twice)")
 
+    # The matched GT keypoints by lane, then order in the lane, then index.
+    keys = map(attrgetter("lane_id", "order_in_lane"), map(gts.__getitem__, g.tolist()))
+    lane, order = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(g)).reshape(-1, 2).T
+    chained = np.lexsort((g, order, lane))
+    p, lane = p[chained], lane[chained]
+    same = lane[1:] == lane[:-1]
     targets = np.zeros((size, size))
-    by_lane = {}
-    for idx, g in enumerate(gts):
-        by_lane.setdefault(g.lane_id, []).append((g.order_in_lane, idx))
-    for members in by_lane.values():
-        matched = [proposal_of[idx] for _, idx in sorted(members) if idx in proposal_of]
-        for a, b in zip(matched[:-1], matched[1:]):
-            targets[a, b] = 1.0
+    targets[p[:-1][same], p[1:][same]] = 1.0
     return targets

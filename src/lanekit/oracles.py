@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 MAX_ASSIGNMENT_SIDE = 7
 MAX_PATH_NODES = 12
@@ -150,3 +150,30 @@ def oracle_number_array(values, name, shape, kinds, row_name=None):
             pattern += "," if len(shape) == 1 else ""
             raise ValidationError(f"{name} must have shape ({pattern}), got {array.shape}")
     return array
+
+
+def oracle_connection_targets(matching, gts, size):
+    """``matching.build_connection_targets`` as a loop over each GT lane's
+    keypoints in (order_in_lane, index) order, validating pair by pair."""
+    size = check_int(size, "size", 0)
+    gts = list(gts)
+    proposal_of = {}
+    for k, (p, g) in enumerate(matching.pairs):
+        if not 0 <= p < size:
+            raise ValidationError(f"matching.pairs[{k}]: proposal {p} lies outside [0, {size})")
+        if not 0 <= g < len(gts):
+            raise ValidationError(f"matching.pairs[{k}]: gt {g} lies outside [0, {len(gts)})")
+        if g in proposal_of:
+            raise ValidationError("connection targets need a one-to-one matching "
+                                  f"(gt {g} matched twice)")
+        proposal_of[g] = p
+
+    targets = np.zeros((size, size))
+    by_lane = {}
+    for idx, g in enumerate(gts):
+        by_lane.setdefault(g.lane_id, []).append((g.order_in_lane, idx))
+    for members in by_lane.values():
+        matched = [proposal_of[idx] for _, idx in sorted(members) if idx in proposal_of]
+        for a, b in zip(matched[:-1], matched[1:]):
+            targets[a, b] = 1.0
+    return targets

@@ -8,7 +8,8 @@ runs in a fresh interpreter, because this test process has scipy loaded
 already.  A meta-path hook in the child records which lanekit function
 first asked for scipy.  orjson, the JSON decoder, is imported on the
 first file read, so the commands that read files load it and
-``import lanekit`` does not.
+``import lanekit`` does not.  The same kind of child runs acceptance c07's
+head-equivariance check under one and under two BLAS threads.
 """
 
 import json
@@ -26,6 +27,7 @@ from lanekit.cli import main
 from lanekit.connection_head import ConnectionFeatures, adjacency_forward, random_head_weights
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
 CHILD = """
 import json, os, sys, traceback
@@ -50,12 +52,14 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules
 """
 
 
-def run_child(code):
-    """Runs ``code`` in a fresh interpreter with lanekit from ``src``;
-    returns the scipy modules it loaded and where scipy was first imported."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_child(code, **env):
+    """Runs ``code`` in a fresh interpreter with lanekit from ``src`` and the
+    environment variables ``env`` set; returns the scipy modules it loaded and
+    where scipy was first imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     proc = subprocess.run([sys.executable, "-c", CHILD, code], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -133,16 +137,47 @@ def test_head_probabilities_equal_scipy_expit_of_the_logits():
     rng = np.random.default_rng(11)
     features = ConnectionFeatures(rng.normal(size=(9, 6)), rng.uniform(-5, 40, (9, 2)))
     weights = random_head_weights(5, d_c=6, dims_per_axis=8)
-    # The logits, recomputed with the head's own fixed-order einsums.
-    pe = connection_head.positional_encode(features.positions, dims_per_axis=8)
-    full = np.concatenate([pe, features.f_c], axis=1)
+    # The logits, recomputed with the head's own products: on the distinct
+    # rows, through ``_mlp`` and ``@``, then expanded back to every keypoint.
+    first, inverse = connection_head._distinct_rows(
+        np.concatenate([features.positions, features.f_c], axis=1))
+    pe = connection_head.positional_encode(features.positions[first], dims_per_axis=8)
+    full = np.concatenate([pe, features.f_c[first]], axis=1)
     f_orig = connection_head._mlp(full, weights.origin_w1, weights.origin_b1,
                                   weights.origin_w2, weights.origin_b2)
     f_dest = connection_head._mlp(full, weights.dest_w1, weights.dest_b1,
                                   weights.dest_w2, weights.dest_b2)
-    logits = np.einsum("ik,jk->ij", f_orig * weights.final_w, f_dest,
-                       optimize=False) + weights.final_b
+    logits = ((f_orig * weights.final_w) @ f_dest.T + weights.final_b)[np.ix_(inverse, inverse)]
     assert np.array_equal(adjacency_forward(features, weights).probs, expit(logits))
+
+
+EQUIVARIANCE = f"""
+import sys
+import numpy as np
+sys.path.insert(0, {str(TESTS)!r})
+from test_acceptance import test_c07_adjacency_head_math
+from lanekit.connection_head import ConnectionFeatures, adjacency_forward, random_head_weights
+test_c07_adjacency_head_math()
+# c07's check again at match-train's size, where BLAS splits a product over threads.
+rng = np.random.default_rng(37)
+for size in (224, 385):
+    weights = random_head_weights(size, d_c=64)
+    rows = np.column_stack([rng.uniform(-10, 60, (size, 2)), rng.normal(size=(size, 64))])
+    rows[1] = rows[0]
+    probs = adjacency_forward(ConnectionFeatures(rows[:, 2:], rows[:, :2]), weights).probs
+    for _ in range(5):
+        perm = rng.permutation(size)
+        permuted = ConnectionFeatures(rows[perm, 2:], rows[perm, :2])
+        assert np.array_equal(adjacency_forward(permuted, weights).probs,
+                              probs[np.ix_(perm, perm)]), (size, perm)
+"""
+
+
+def test_head_equivariance_holds_with_one_and_two_blas_threads():
+    """perfbench's children run BLAS on one thread, tier-1 on the host's
+    default; c07's bitwise equivariance must hold under either."""
+    for threads in ("1", "2"):
+        run_child(EQUIVARIANCE, OPENBLAS_NUM_THREADS=threads)
 
 
 def loads_orjson(code):

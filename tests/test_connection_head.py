@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lanekit.connection_head import (
@@ -12,6 +14,7 @@ from lanekit.connection_head import (
     random_head_weights,
     relu,
 )
+from test_acceptance import _naive_head
 
 
 def make_features(seed, s, d_c=8):
@@ -143,6 +146,43 @@ class TestAdjacencyForward:
         a = adjacency_forward(feats, w).probs
         b = adjacency_forward(permuted, w).probs
         assert_array_equal(b, a[np.ix_(perm, perm)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(size=st.one_of(st.integers(0, 70), st.sampled_from([224, 225, 384, 385])),
+           d_c=st.integers(0, 8), dims=st.sampled_from([2, 4, 8]),
+           copies=st.integers(0, 12), zero_twins=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_permutation_permutes_the_output_bitwise(self, size, d_c, dims, copies,
+                                                          zero_twins, seed):
+        # Exact duplicate rows and twins differing only in the sign of a
+        # zero; sizes near BLAS tile edges, where a product's sums would
+        # otherwise follow the row positions.
+        rng = np.random.default_rng(seed)
+        weights = random_head_weights(seed, d_c=d_c, dims_per_axis=dims,
+                                      hidden=int(rng.integers(1, 12)),
+                                      embed=int(rng.integers(1, 10)))
+        rows = np.column_stack([rng.uniform(-10, 60, (size, 2)), rng.normal(size=(size, d_c))])
+        if size >= 2:
+            for _ in range(copies):
+                src, dst = rng.choice(size, 2, replace=False)
+                rows[dst] = rows[src]
+            for _ in range(zero_twins):
+                src, dst = rng.choice(size, 2, replace=False)
+                column = rng.integers(0, 2 + d_c)
+                rows[src, column] = 0.0
+                rows[dst] = rows[src]
+                rows[dst, column] = -0.0
+        features = ConnectionFeatures(f_c=rows[:, 2:], positions=rows[:, :2])
+        probs = adjacency_forward(features, weights).probs
+        perm = rng.permutation(size)
+        permuted = ConnectionFeatures(f_c=rows[perm, 2:], positions=rows[perm, :2])
+        assert_array_equal(adjacency_forward(permuted, weights).probs, probs[np.ix_(perm, perm)])
+        # The naive head is per pair, so a subset of the keypoints checks
+        # its own block of the output.
+        some = np.sort(rng.choice(size, min(size, 40), replace=False))
+        naive = _naive_head(ConnectionFeatures(f_c=rows[some, 2:], positions=rows[some, :2]),
+                            weights)
+        assert np.abs(probs[np.ix_(some, some)] - naive).max(initial=0.0) <= 1e-9
 
     def test_generically_directed(self):
         adj = adjacency_forward(make_features(5, 10, d_c=4),

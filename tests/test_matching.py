@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from lanekit.matching import (
     solve_assignment,
 )
 from lanekit.nms import Keypoint, ProposalSet
-from lanekit.oracles import oracle_assignment
+from lanekit.oracles import oracle_assignment, oracle_connection_targets
 from lanekit.synthetic import SceneSpec, generate_scene, gt_keypoints
 
 ROW_Y = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
@@ -766,6 +768,34 @@ class TestConnectionTargets:
             targets = build_connection_targets(matching, gts, max(p, 1))
             assert targets.sum(axis=0).max(initial=0.0) <= 1.0
             assert targets.sum(axis=1).max(initial=0.0) <= 1.0
+
+    @staticmethod
+    def outcome(build, matching, gts, size):
+        try:
+            return build(matching, gts, size).tolist()
+        except ValidationError as error:
+            return str(error)
+
+    @settings(max_examples=400, deadline=None)
+    @given(keys=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 5)), max_size=12),
+           size=st.integers(0, 10), loose=st.integers(0, 1), data=st.data())
+    def test_same_targets_or_message_as_the_lane_loop(self, keys, size, loose, data):
+        # Lanes and orders with ties and pairs in any order; with ``loose``,
+        # indices out of range by one and GT keypoints matched twice.
+        gts = [gt(0, 0.0, lane_id=lane_id, order=order) for lane_id, order in keys]
+
+        def indices(high, **kwargs):
+            if high < -loose:
+                return st.just([])
+            return st.lists(st.integers(-loose, high + loose), **kwargs)
+
+        proposals = data.draw(indices(size - 1, unique=True, max_size=len(gts) + 2 * loose,
+                                      min_size=min(1, size + loose, len(gts) + loose)))
+        matched = data.draw(indices(len(gts) - 1, unique=not loose, min_size=len(proposals),
+                                    max_size=len(proposals)))
+        matching = SimpleNamespace(pairs=tuple(zip(proposals, matched)))
+        assert (self.outcome(build_connection_targets, matching, gts, size)
+                == self.outcome(oracle_connection_targets, matching, gts, size))
 
     def test_rejects_gt_matched_twice(self):
         gts = self.lane([0.0, 0.2])
